@@ -128,6 +128,39 @@ def _seed_subnet_curve(
     return Trajectory(times=ticks, infected=fraction, population=1.0)
 
 
+def _run_metrics(
+    simulation: WormSimulation | FastWormSimulation,
+    network: Network,
+    **extra,
+) -> RunMetrics:
+    """Packet totals and link-stat histograms of a finished run.
+
+    Fast runs read the transport's folded per-link arrays, so their
+    links need no writeback; reference runs walk ``network.links``.
+    Both list histogram buckets in ``network.links`` order, so solo and
+    grouped runs serialize to the same bytes.  ``extra`` fills the
+    remaining :class:`RunMetrics` fields.
+    """
+    if isinstance(simulation, WormSimulation):
+        queue_counts = queue_histogram(network)
+        drop_counts = drop_histogram(network)
+    else:
+        peak, dropped = simulation.transport.link_stat_arrays()
+        queue_counts = histogram(peak)
+        drop_counts = histogram(dropped)
+    stats = network.stats
+    return RunMetrics(
+        ticks_executed=simulation.ticks_executed,
+        events_executed=simulation.events_executed,
+        packets_injected=stats.packets_injected,
+        packets_delivered=stats.packets_delivered,
+        packets_dropped=stats.packets_dropped,
+        queue_histogram=queue_counts,
+        drop_histogram=drop_counts,
+        **extra,
+    )
+
+
 def execute_run(
     spec: RunSpec, options: InstrumentationOptions | None = None
 ) -> RunResult:
@@ -136,8 +169,7 @@ def execute_run(
     ``options`` requests observability for this run: profiling fills the
     per-phase timing fields of :class:`RunMetrics`, tracing attaches the
     per-tick records to the :class:`RunResult`.  Both default off; the
-    queue/drop histograms are computed on every run either way (one
-    cheap pass over the links after the simulation ends).
+    queue/drop histograms are computed on every run either way.
     """
     start = time.perf_counter()
     instrumentation = Instrumentation.from_options(options)
@@ -151,6 +183,7 @@ def execute_run(
     if spec.engine == "reference":
         simulation_cls = WormSimulation
         engine_kwargs = {}
+        run_kwargs = {}
     else:
         simulation_cls = FastWormSimulation
         # "fast-batched" solo means "force aggregated batch sampling";
@@ -158,6 +191,11 @@ def execute_run(
         engine_kwargs = (
             {"scan_mode": "batch"} if spec.engine == "fast-batched" else {}
         )
+        # Metrics come from the transport's arrays; only figure 5's
+        # seed-subnet curve reads hosts written back onto the network.
+        run_kwargs = {
+            "writeback": "full" if spec.observe == "seed_subnets" else "stats"
+        }
     simulation = simulation_cls(
         network,
         build_worm(spec.worm),
@@ -170,18 +208,13 @@ def execute_run(
         instrumentation=instrumentation,
         **engine_kwargs,
     )
-    trajectory = simulation.run(spec.max_ticks)
+    trajectory = simulation.run(spec.max_ticks, **run_kwargs)
     if spec.observe == "seed_subnets":
         trajectory = _seed_subnet_curve(network, spec.max_ticks)
-    metrics = RunMetrics(
+    metrics = _run_metrics(
+        simulation,
+        network,
         wall_time=time.perf_counter() - start,
-        ticks_executed=simulation.ticks_executed,
-        events_executed=simulation.events_executed,
-        packets_injected=network.stats.packets_injected,
-        packets_delivered=network.stats.packets_delivered,
-        packets_dropped=network.stats.packets_dropped,
-        queue_histogram=queue_histogram(network),
-        drop_histogram=drop_histogram(network),
         phase_seconds=(
             dict(instrumentation.phase_seconds) if instrumentation else {}
         ),
@@ -269,11 +302,10 @@ def execute_replica_batch(
         def quarantine_factory() -> DynamicQuarantine:
             return build_quarantine(quarantine_spec)
 
-    # The harvest below reads trajectories, aggregate packet counters,
-    # and the transport's folded link arrays — never per-host stamps or
-    # per-link stats objects — so the per-replica whole-topology
-    # writeback can be skipped.  Figure 5's seed-subnet observable is
-    # the exception: it recounts infections from the written-back hosts.
+    # The same harvest as a solo run: trajectories, aggregate packet
+    # counters and the transport's folded link arrays, so the per-replica
+    # whole-topology writeback is skipped — except for figure 5's
+    # seed-subnet observable, which recounts the written-back hosts.
     writeback = "full" if template.observe == "seed_subnets" else "stats"
     batch = VectorReplicaSimulation(
         network,
@@ -296,23 +328,7 @@ def execute_replica_batch(
         trajectory = sim.recorder.trajectory()
         if spec.observe == "seed_subnets":
             trajectory = _seed_subnet_curve(network, spec.max_ticks)
-        stats = network.stats
-        # Histograms come from the transport's folded per-link arrays:
-        # identical bucket counts to walking network.links (writeback
-        # has already run), without the per-replica whole-topology scan.
-        peak, dropped = sim.transport.link_stat_arrays()
-        harvested[replica] = (
-            trajectory,
-            RunMetrics(
-                ticks_executed=sim.ticks_executed,
-                events_executed=0,
-                packets_injected=stats.packets_injected,
-                packets_delivered=stats.packets_delivered,
-                packets_dropped=stats.packets_dropped,
-                queue_histogram=histogram(peak),
-                drop_histogram=histogram(dropped),
-            ),
-        )
+        harvested[replica] = (trajectory, _run_metrics(sim, network))
 
     batch.run(template.max_ticks, harvest)
     per_run = (time.perf_counter() - start) / len(specs)

@@ -35,7 +35,11 @@ __all__ = ["CACHE_VERSION", "spec_digest", "ResultCache", "default_cache_dir"]
 #: local-preferential worms, dynamic immunization, and quarantine
 #: deploys, so ``engine="fast"`` auto-mode trajectories changed for
 #: those scenarios and old entries must not replay.
-CACHE_VERSION = 4
+#: v5: grouped runs under static rate limits now close out the peak
+#: depth of rate-cut links left holding packets, as solo runs do, and
+#: list histogram buckets in ``network.links`` order — v4 grouped
+#: entries carry a different ``queue_histogram``.
+CACHE_VERSION = 5
 
 
 def spec_digest(spec: RunSpec) -> str:

@@ -56,11 +56,16 @@ __all__ = [
     "FastBatchImmunization",
     "SCAN_MODES",
     "SubnetTables",
+    "WRITEBACK_MODES",
     "pick_targets_local_pref",
 ]
 
 #: Supported values for ``FastWormSimulation(scan_mode=...)``.
 SCAN_MODES = ("auto", "mirror", "batch")
+
+#: Supported values for ``run(writeback=...)``: what a finished run
+#: copies back onto the network (see :meth:`FastWormSimulation.run`).
+WRITEBACK_MODES = ("full", "stats")
 
 #: ``scan_mode="auto"`` switches from draw-for-draw mirroring to
 #: aggregated batch sampling above this population size: below it, exact
@@ -676,15 +681,23 @@ class FastWormSimulation:
         """Ad-hoc scheduler events run (0 for purely tick-driven runs)."""
         return self._sim.scheduler.events_executed
 
-    def run(self, max_ticks: int) -> Trajectory:
+    def run(self, max_ticks: int, *, writeback: str = "full") -> Trajectory:
         """Run up to ``max_ticks`` ticks and return the infection curve.
 
-        After the run, array state is written back onto the network's
-        host and link objects, so post-run inspection (state counts,
-        ``infected_at`` curves, link stats, queue depths) matches a
-        reference run.
+        ``writeback="full"`` (default) writes the array state back onto
+        the network's host and link objects, so post-run inspection
+        (state counts, ``infected_at`` curves, link stats, queue depths)
+        matches a reference run.  ``"stats"`` writes only the aggregate
+        ``network.stats`` counters; per-link results stay readable
+        through ``transport.link_stat_arrays()``.
         """
+        if writeback not in WRITEBACK_MODES:
+            raise ValueError(
+                f"writeback must be one of {WRITEBACK_MODES}, got {writeback!r}"
+            )
         self._sim.run(max_ticks)
-        self.hosts.writeback()
-        self.transport.writeback(self._final_tick)
+        full = writeback == "full"
+        if full:
+            self.hosts.writeback()
+        self.transport.writeback(self._final_tick, links=full)
         return self.recorder.trajectory()

@@ -46,7 +46,7 @@ from ..immunization import ImmunizationPolicy
 from ..links import LinkStats
 from ..network import Network
 from ..worms import WormStrategy
-from .engine import FastWormSimulation
+from .engine import WRITEBACK_MODES, FastWormSimulation
 from .state import HostArrays
 from .transport import FastTransport, TransportLayout
 
@@ -192,9 +192,9 @@ class ReplicaBatchSimulation:
     ) -> None:
         if not seeds:
             raise ValueError("seeds must be non-empty")
-        if writeback not in ("full", "stats"):
+        if writeback not in WRITEBACK_MODES:
             raise ValueError(
-                f"writeback must be 'full' or 'stats', got {writeback!r}"
+                f"writeback must be one of {WRITEBACK_MODES}, got {writeback!r}"
             )
         self.network = network
         self.replicas = len(seeds)
@@ -266,27 +266,11 @@ class ReplicaBatchSimulation:
         sim: FastWormSimulation,
         harvest: Callable[[int, FastWormSimulation], None],
     ) -> None:
-        if self._writeback == "stats":
-            # Aggregate counters only: same values ``transport.
-            # writeback`` would leave on ``network.stats``, without the
-            # per-link/per-host walk.  Hosts and links keep their
-            # initial state.
-            transport = sim.transport
-            stats = self.network.stats
-            stats.packets_injected = (
-                self._base_injected + transport.injected
-            )
-            stats.packets_delivered = (
-                self._base_delivered + transport.delivered
-            )
-            stats.packets_dropped = (
-                self._base_dropped + transport.dropped_total
-            )
-            harvest(replica, sim)
-            return
         self._reset_network()
-        sim.hosts.writeback(replica)
-        self._touched = sim.transport.writeback(sim._final_tick)
+        full = self._writeback == "full"
+        if full:
+            sim.hosts.writeback(replica)
+        self._touched = sim.transport.writeback(sim._final_tick, links=full)
         harvest(replica, sim)
 
     def run(

@@ -80,6 +80,16 @@ class TransportLayout:
         self.link_dst_arr = np.fromiter(
             self.link_dst, dtype=np.int64, count=count
         )
+        #: Layout index of each link in ``network.links`` order — the
+        #: order the link-stat histograms list their buckets in.
+        self.network_order = np.searchsorted(
+            self.key_array,
+            np.fromiter(
+                (u * n + v for u, v in network.links),
+                dtype=np.int64,
+                count=count,
+            ),
+        )
         # Rate-limit template: the network's bucket/budget state at
         # layout time, which each transport copies instead of re-reading
         # the links (sync_limits semantics with no prior token state).
@@ -785,22 +795,32 @@ class FastTransport:
     # ------------------------------------------------------------------
 
     def link_stat_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Folded per-link ``(peak_queue, dropped)`` in layout order.
+        """Folded per-link ``(peak_queue, dropped)`` in ``network.links`` order.
 
-        The same fold :meth:`writeback` applies per link (scalar track
-        max/plus vectorized track), for every link at once — so a
-        caller that only needs link-stat *distributions* (the runner's
-        histograms) can skip walking ``network.links``.  Call at or
-        after writeback time; mid-tick virtual injections are not
-        folded in.
+        The values :meth:`writeback` adds onto a fresh network's link
+        stats — scalar track max/plus vectorized track, and the lazy
+        high-water mark of rate-limited links still holding packets — for
+        every link at once, so a caller that only needs link-stat
+        *distributions* (the runner's histograms) can skip writing the
+        links back.  Call after writeback.
         """
         peak = np.maximum(
             np.asarray(self.peak_list, dtype=np.int64), self.peak_vec
         )
+        limited = self._limited_idx
+        if limited.size:
+            queues = self.queues
+            depth = np.fromiter(
+                (len(queues.get(li, ())) for li in limited.tolist()),
+                dtype=np.int64,
+                count=limited.size,
+            )
+            peak[limited] = np.maximum(peak[limited], depth)
+        order = self.layout.network_order
         dropped = np.asarray(self.drop_list, dtype=np.int64)
-        return peak, dropped
+        return peak[order], dropped[order]
 
-    def writeback(self, final_tick: int) -> list[int]:
+    def writeback(self, final_tick: int, *, links: bool = True) -> list[int]:
         """Copy accumulated counters and residual queues onto the network.
 
         Residual queued packets are materialized as
@@ -809,6 +829,10 @@ class FastTransport:
         a reference run; only the destination survives the int encoding,
         so the materialized packets carry the holding link's source node
         and the final tick as their provenance.
+
+        With ``links=False`` only the aggregate ``network.stats``
+        counters are written; per-link state stays in this transport
+        (see :meth:`link_stat_arrays`).
 
         Returns the indices of links whose stats or queues were touched,
         so the replica engine can reset exactly those between replicas.
@@ -827,6 +851,8 @@ class FastTransport:
         stats.packets_injected += self.injected
         stats.packets_delivered += self.delivered
         stats.packets_dropped += self.dropped_total
+        if not links:
+            return []
         # Candidate links: the vectorized track's nonzero entries plus
         # every link that ever got a queue.  The scalar-track counters
         # (fwd/drop/enq/peak/req lists) are only written after a

@@ -11,28 +11,34 @@ both from the topology:
   destination) pairs whose shortest path crosses the link, computed from
   BFS-tree subtree sizes.
 
-Two builders produce bit-identical tables.  The default is a
-level-synchronous BFS vectorized with numpy over a CSR adjacency and
-batched across destinations — the sweep is what makes 10,000-node
-topologies affordable (seconds instead of minutes).  ``method="scalar"``
-keeps the original queue-based BFS as an executable specification; the
-property-based test suite asserts the two agree on random graphs, and the
-golden benchmark fixtures pin the tie-breaking on the paper scenarios.
+One builder does both in a single pass.  Each destination's tree comes
+from ``scipy.sparse.csgraph.breadth_first_order`` over the CSR adjacency:
+a FIFO queue scanning neighbors in CSR (ascending) order, the same
+discovery rule as a textbook queue BFS, so each node's parent is its
+earliest-dequeued neighbor.  Roots are taken in blocks; after each block
+the subtree sizes of its trees are summed bottom-up level by level (depths
+come from pointer jumping over the parent rows) and folded into per-link
+occupancy.  The link weights the rate-limit defenses read are tabulated
+once at the end.  ``tests/simulator/test_routing_differential.py`` checks
+parents and occupancy bit for bit against a queue-BFS specification on
+random graphs, and the golden fixtures pin the tie-breaking on the paper
+scenarios.
 
-Occupancy is computed lazily on first use: only the backbone rate-limit
-defense weighs links by occupancy, so scan-only scenarios (including the
-large extension runs) never pay for the second sweep.
+Memory: tables are one ``(N, N)`` int32 matrix (row ``d`` holds the next
+hop toward destination ``d`` from every node), ~4 MB at the paper's 1,000
+nodes and ~400 MB at 10,000.  The per-block temporaries are bounded by
+:attr:`RoutingTables.BLOCK_ELEMENTS` entries (about 1 MB) at any size.
 
-Tables are stored as one ``(N, N)`` int32 matrix (row ``d`` holds the
-next hop toward destination ``d`` from every node): ~4 MB for the paper's
-1,000-node topology, ~400 MB for a 10,000-node extension run.
+Build time, parents and occupancy together, on a 2-core Xeon VM for
+Barabási–Albert graphs with m = 2: ~0.12 s at 1,000 nodes, ~1.3 s at
+3,000 and ~10 s at 10,000.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from ..topology.graphs import Topology, TopologyError
 
@@ -40,224 +46,106 @@ __all__ = ["RoutingTables"]
 
 DirectedLink = tuple[int, int]
 
-#: Builders accepted by :class:`RoutingTables`.
-_METHODS = ("vectorized", "scalar")
-
 
 class RoutingTables:
     """All-pairs next-hop routing derived from per-destination BFS trees."""
 
-    def __init__(self, topology: Topology, *, method: str = "vectorized") -> None:
+    #: Work-array entries per block of roots: the occupancy fold builds a
+    #: ``(block, links)`` array, so this bounds its temporaries.  Blocks
+    #: this small keep them cache-resident (faster than larger blocks).
+    BLOCK_ELEMENTS = 1 << 17
+
+    def __init__(self, topology: Topology) -> None:
         if not topology.is_connected():
             raise TopologyError(
                 "routing requires a connected topology; got "
                 f"{len(topology.connected_components())} components"
             )
-        if method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
         self._topology = topology
-        self._method = method
         n = topology.num_nodes
-        # CSR adjacency (neighbor lists are sorted, so the flattened
-        # src * n + dst keys are globally sorted — one searchsorted maps
-        # any directed link to its edge slot).
+        # CSR adjacency; neighbor lists are sorted, so slot order is
+        # (source, destination) order.
         degrees = np.array(topology.degrees(), dtype=np.int64)
-        self._indptr = np.concatenate(([0], np.cumsum(degrees))).astype(
-            np.int64
-        )
-        self._indices = np.array(
+        self._degrees = degrees
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        self._link_dst = np.array(
             [v for node in topology.nodes() for v in topology.neighbors(node)],
             dtype=np.int32,
         ).reshape(-1)
-        sources = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        self._edge_keys = sources * n + self._indices
+        self._link_src = np.repeat(np.arange(n, dtype=np.int32), degrees)
+        links = self._link_dst.size
+        graph = csr_matrix(
+            (np.ones(links), self._link_dst, indptr), shape=(n, n)
+        )
         # _parent[d][v] = next hop from v toward destination d.
-        self._parent = np.full((n, n), -1, dtype=np.int32)
-        # Occupancy per directed-edge slot (same order as _indices);
-        # computed lazily — see _ensure_occupancy.
-        self._occ: np.ndarray | None = None
-        if method == "scalar":
-            for root in range(n):
-                self._scalar_tree(root, self._parent[root], occupancy=None)
-        else:
-            for start in range(0, n, self._BATCH_ROOTS):
-                stop = min(start + self._BATCH_ROOTS, n)
-                self._sweep_roots(
-                    start, stop, self._parent[start:stop], occupancy=None
+        self._parent = np.empty((n, n), dtype=np.int32)
+        occupancy = np.zeros(links, dtype=np.int64)
+        block = max(1, min(n, self.BLOCK_ELEMENTS // max(n, links)))
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            for root in range(start, stop):
+                _order, parents = breadth_first_order(
+                    graph, root, directed=True, return_predecessors=True
                 )
+                parents[root] = root
+                self._parent[root] = parents
+            occupancy += self._block_occupancy(self._parent[start:stop])
+        self._occ = occupancy
+        # Link weights, normalized so the mean used link weighs 1.0.
+        used = int(np.count_nonzero(occupancy))
+        mean = int(occupancy.sum()) / used if used else 1.0
+        self._weights = (occupancy / mean).tolist()
+        self._slot_of = {
+            key: slot
+            for slot, key in enumerate(
+                (self._link_src.astype(np.int64) * n + self._link_dst).tolist()
+            )
+        }
         # memoryview rows hand out plain Python ints on indexing — the
         # transport hot loops read these, not numpy scalars.
         self._row_views = [row.data for row in self._parent]
 
-    # ------------------------------------------------------------------
-    # Builders
-    # ------------------------------------------------------------------
+    def _block_occupancy(self, rows: np.ndarray) -> np.ndarray:
+        """Per-link path counts over the BFS trees toward a block of roots.
 
-    def _edge_slot(self, u: int, v: int) -> int:
-        """Slot of directed link u→v in the CSR edge arrays, or -1."""
-        key = u * self._topology.num_nodes + v
-        slot = int(np.searchsorted(self._edge_keys, key))
-        if slot < self._edge_keys.size and self._edge_keys[slot] == key:
-            return slot
-        return -1
-
-    def _scalar_tree(
-        self, root: int, parent_row, occupancy: np.ndarray | None
-    ) -> None:
-        """Queue-based BFS toward ``root``: the executable specification.
-
-        Writes next hops into ``parent_row`` and, when ``occupancy`` is
-        given, adds this destination's path counts to it: the number of
-        sources routed over directed link ``(v, parents[v])`` equals the
-        size of ``v``'s subtree in the BFS tree, which one reverse sweep
-        of the visit order accumulates.
+        The number of sources routed over directed link ``(v, parent)``
+        toward one destination is the size of ``v``'s subtree in that
+        destination's tree.  Node depths come from pointer jumping (each
+        pass doubles the hop every key points at), then subtree sizes
+        accumulate bottom-up one level at a time, since every child sits
+        exactly one level below its parent.  Keys are ``row * N + node``
+        over the whole block.
         """
-        topology = self._topology
-        parents = [-1] * topology.num_nodes
-        parents[root] = root
-        order: list[int] = [root]
-        queue: deque[int] = deque([root])
-        while queue:
-            node = queue.popleft()
-            for neighbor in topology.neighbors(node):
-                if parents[neighbor] < 0:
-                    parents[neighbor] = node
-                    order.append(neighbor)
-                    queue.append(neighbor)
-        parent_row[:] = parents
-        if occupancy is None:
-            return
-        subtree = [1] * topology.num_nodes
-        for node in reversed(order):
-            parent = parents[node]
-            if parent != node:
-                subtree[parent] += subtree[node]
-        for node in order:
-            parent = parents[node]
-            if parent != node:
-                occupancy[self._edge_slot(node, parent)] += subtree[node]
-
-    #: Roots processed per vectorized sweep — large enough to amortize
-    #: numpy call overhead, small enough that the scratch arrays
-    #: (batch * N entries) stay cache-friendly at 10k nodes.
-    _BATCH_ROOTS = 256
-
-    def _sweep_roots(
-        self,
-        first_root: int,
-        stop_root: int,
-        parent_rows: np.ndarray,
-        occupancy: np.ndarray | None,
-    ) -> None:
-        """Level-synchronous BFS, vectorized over edges *and* roots.
-
-        Matches the scalar builder bit-for-bit: in FIFO BFS a node's
-        parent is the earliest-dequeued frontier neighbor, and new nodes
-        are appended in (parent's dequeue rank, node id) order because
-        adjacency lists are sorted.  Both facts survive vectorization
-        without any sort: the gathered candidate array enumerates the
-        frontier in rank order with each node's neighbors ascending, so
-        it is *already* in discovery order — the subsequence of first
-        occurrences of unvisited targets is exactly the scalar builder's
-        append sequence, and the first occurrence also carries the
-        minimal-rank (earliest-dequeued) parent.  Independent roots are
-        batched by keying state on ``root_index * N + node``; the
-        frontier stays grouped by root, so each root's candidate order is
-        a contiguous run of the global one.
-        """
-        n = self._topology.num_nodes
-        indptr, indices = self._indptr, self._indices
-        degrees = indptr[1:] - indptr[:-1]
-        batch = stop_root - first_root
-        key_dtype = np.int32 if batch * n < 2**31 else np.int64
-        parent_flat = parent_rows.reshape(-1)
-        roots = np.arange(first_root, stop_root, dtype=np.int64)
-        root_keys = np.arange(batch, dtype=np.int64) * n + roots
-        parent_flat[root_keys] = roots
-        # Scratch for the scatter-based dedup below; only slots written
-        # this level are ever read back, so no per-level reset is needed.
-        last_write = np.empty(batch * n, dtype=np.intp)
-        levels: list[np.ndarray] = []
-        frontier_nodes = roots.astype(np.int32)
-        frontier_batch = np.arange(batch, dtype=key_dtype)
+        batch, n = rows.shape
+        keys = np.arange(batch * n, dtype=np.int64)
+        parent_key = (
+            rows + np.arange(0, batch * n, n, dtype=np.int64)[:, None]
+        ).reshape(-1)
+        nonroot = parent_key != keys
+        depth = nonroot.astype(np.int32)
+        jump = parent_key
         while True:
-            counts = degrees[frontier_nodes]
-            total = int(counts.sum())
-            if total == 0:
+            hop = depth[jump]
+            if not hop.any():
                 break
-            starts = indptr[frontier_nodes]
-            group_offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            positions = (
-                np.repeat(starts - group_offsets, counts)
-                + np.arange(total, dtype=np.int64)
-            )
-            keys = (
-                np.repeat(frontier_batch, counts) * key_dtype(n)
-                + indices[positions]
-            )
-            unvisited = parent_flat[keys] == -1
-            fresh_keys = keys[unvisited]
-            if fresh_keys.size == 0:
-                break
-            fresh_parents = np.repeat(frontier_nodes, counts)[unvisited]
-            # First occurrence per key, in candidate (= discovery) order:
-            # scatter indices in reverse so the surviving write per key
-            # is the earliest one, then keep positions that read back
-            # their own index.
-            index = np.arange(fresh_keys.size, dtype=np.intp)
-            last_write[fresh_keys[::-1]] = index[::-1]
-            chosen = last_write[fresh_keys] == index
-            level = fresh_keys[chosen]
-            parent_flat[level] = fresh_parents[chosen]
-            levels.append(level)
-            frontier_batch = (level // n).astype(key_dtype)
-            frontier_nodes = (level % n).astype(np.int32)
-        if occupancy is None:
-            return
-        # Subtree sizes: every BFS-tree child sits exactly one level
-        # below its parent, so a deepest-first sweep is bottom-up.
-        subtree = np.ones(batch * n, dtype=np.int64)
-        for level in levels[::-1]:
-            level = level.astype(np.int64)
-            parent_keys = (level // n) * n + parent_flat[level]
-            subtree += np.bincount(
-                parent_keys, weights=subtree[level], minlength=batch * n
-            ).astype(np.int64)
-        if levels:
-            keys = np.concatenate(levels).astype(np.int64)
-            nodes = keys % n
-            edge_keys = nodes * n + parent_flat[keys]
-            slots = np.searchsorted(self._edge_keys, edge_keys)
-            occupancy += np.bincount(
-                slots, weights=subtree[keys], minlength=indices.size
-            ).astype(np.int64)
-
-    def _ensure_occupancy(self) -> np.ndarray:
-        """Compute per-link occupancy on first use.
-
-        Reruns the BFS sweep with occupancy accumulation into scratch
-        parent rows (the real table is already built and must not be
-        reset).  Only the backbone defense and the occupancy queries
-        trigger this, so plain scan scenarios skip the cost entirely.
-        """
-        if self._occ is not None:
-            return self._occ
-        n = self._topology.num_nodes
-        occ = np.zeros(self._indices.size, dtype=np.int64)
-        if self._method == "scalar":
-            scratch = np.empty(n, dtype=np.int32)
-            for root in range(n):
-                self._scalar_tree(root, scratch, occupancy=occ)
-        else:
-            batch = min(self._BATCH_ROOTS, n)
-            scratch = np.empty((batch, n), dtype=np.int32)
-            for start in range(0, n, batch):
-                stop = min(start + batch, n)
-                rows = scratch[: stop - start]
-                rows.fill(-1)
-                self._sweep_roots(start, stop, rows, occupancy=occ)
-        self._occ = occ
-        return occ
+            depth += hop
+            jump = jump[jump]
+        size = np.ones(batch * n, dtype=np.int32)
+        for level in range(int(depth.max(initial=0)), 0, -1):
+            at = np.flatnonzero(depth == level)
+            np.add.at(size, parent_key[at], size[at])
+        # Link v→w carries v's subtree toward every destination whose
+        # tree hangs v under w.  Matching each row's parents against the
+        # CSR neighbor lists finds that link's slot: one hit per
+        # non-root node, in (row, node) order.  The float64 sums of
+        # counts are exact (every total is at most N**2 < 2**53).
+        match = np.repeat(rows, self._degrees, axis=1) == self._link_dst
+        slots = np.flatnonzero(match) % self._link_dst.size
+        return np.bincount(
+            slots,
+            weights=size[nonroot],
+            minlength=self._link_dst.size,
+        ).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Queries
@@ -292,8 +180,8 @@ class RoutingTables:
     def parent_matrix(self) -> np.ndarray:
         """The full next-hop matrix: ``matrix[destination, node]``.
 
-        ``matrix[d, v]`` is the next hop from ``v`` toward ``d`` (or -1
-        when unreachable / ``v == d``).  Exposed for the fast engine's
+        ``matrix[d, v]`` is the next hop from ``v`` toward ``d`` (``d``
+        itself when ``v == d``).  Exposed for the fast engine's
         vectorized transport, which gathers next hops for whole packet
         batches with one fancy index.  Treat it as read-only.
         """
@@ -319,20 +207,21 @@ class RoutingTables:
 
     def link_occupancy(self, u: int, v: int) -> int:
         """Ordered (src, dst) pairs whose path crosses directed link u→v."""
-        occ = self._ensure_occupancy()
-        slot = self._edge_slot(u, v)
-        return int(occ[slot]) if slot >= 0 else 0
+        slot = self._slot_of.get(u * self._topology.num_nodes + v)
+        return 0 if slot is None else int(self._occ[slot])
 
     def occupancy_map(self) -> dict[DirectedLink, int]:
         """Directed-link occupancy for every link some path uses."""
-        occ = self._ensure_occupancy()
-        n = self._topology.num_nodes
-        used = np.nonzero(occ)[0]
-        return {
-            (int(self._edge_keys[slot]) // n, int(self._edge_keys[slot]) % n):
-            int(occ[slot])
-            for slot in used
-        }
+        used = np.flatnonzero(self._occ)
+        return dict(
+            zip(
+                zip(
+                    self._link_src[used].tolist(),
+                    self._link_dst[used].tolist(),
+                ),
+                self._occ[used].tolist(),
+            )
+        )
 
     def total_occupancy(self) -> int:
         """Sum of occupancy over all directed links.
@@ -340,7 +229,7 @@ class RoutingTables:
         Equals the sum of all pairwise shortest-path lengths, a useful
         cross-check for the tests.
         """
-        return int(self._ensure_occupancy().sum())
+        return int(self._occ.sum())
 
     def link_weight(self, u: int, v: int) -> float:
         """Occupancy of u→v relative to the mean used directed link.
@@ -348,11 +237,7 @@ class RoutingTables:
         This is the paper's "link weight proportional to the number of
         routing table entries the link occupies", normalized so the mean
         used link has weight 1.0 — multiply by a base rate to get the
-        simulated link rate.
+        simulated link rate.  Non-links weigh 0.0.
         """
-        occ = self._ensure_occupancy()
-        used = int(np.count_nonzero(occ))
-        if not used:
-            return 0.0
-        mean = self.total_occupancy() / used
-        return self.link_occupancy(u, v) / mean
+        slot = self._slot_of.get(u * self._topology.num_nodes + v)
+        return 0.0 if slot is None else self._weights[slot]

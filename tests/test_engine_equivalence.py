@@ -18,6 +18,7 @@ Two tiers of equivalence, matching the fast engine's two scan modes:
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -758,23 +759,30 @@ class TestReplicaBatchRunner:
     """The runner layers split grouped results back out per run."""
 
     @pytest.mark.parametrize(
-        "quarantine",
+        "overrides",
         [
-            None,
-            QuarantineSpec(
-                response=DefenseSpec(kind="backbone", rate=1.0),
-                reaction_delay=3,
-            ),
+            {},
+            {
+                "quarantine": QuarantineSpec(
+                    response=DefenseSpec(kind="backbone", rate=1.0),
+                    reaction_delay=3,
+                )
+            },
+            # Rate-cut links left holding packets: grouped and solo runs
+            # must close out their lazy peak depth alike.
+            {"defense": DefenseSpec(kind="backbone", rate=0.02)},
+            {"defense": DefenseSpec(kind="edge", rate=0.02)},
         ],
-        ids=["plain", "quarantined"],
+        ids=["plain", "quarantined", "backbone-0.02", "edge-0.02"],
     )
-    def test_grouped_matches_per_run_execution(self, quarantine):
-        spec = _replica_ensemble(quarantine=quarantine)
+    def test_grouped_matches_per_run_execution(self, overrides):
+        """Byte-identical to solo runs, histogram key order included."""
+        spec = _replica_ensemble(**overrides)
         runs = spec.expand()
         grouped = execute_replica_batch(runs)
         solo = [execute_run(run_spec) for run_spec in runs]
-        assert [_normalized(r) for r in grouped] == [
-            _normalized(r) for r in solo
+        assert [json.dumps(_normalized(r)) for r in grouped] == [
+            json.dumps(_normalized(r)) for r in solo
         ]
 
     def test_executor_groups_and_restores_input_order(self):
