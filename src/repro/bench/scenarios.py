@@ -333,14 +333,12 @@ register_scenario(ScenarioDef(
 class ReplicaArmWorkload(Workload):
     """Grouped vs solo execution of one replica ensemble (BENCH_pr6).
 
-    The ``vector`` and ``roundrobin`` arms (BENCH_pr8) pin the
-    cross-replica loop of the grouped path: ``roundrobin`` is the PR 6
-    per-replica Python loop, ``vector`` the single-numpy-pass engine.
-    Both run the whole ensemble as one chunk so the arms compare loop
-    strategies, not chunking policies.
+    The ``vector`` arm (BENCH_pr8) runs the grouped path with the whole
+    ensemble as one chunk, so it measures the cross-replica loop at full
+    batch width rather than the executor's chunking policy.
     """
 
-    ARMS = ("grouped", "solo", "vector", "roundrobin")
+    ARMS = ("grouped", "solo", "vector")
 
     def __init__(self, ensemble: EnsembleSpec, arm: str) -> None:
         if arm not in self.ARMS:
@@ -361,11 +359,9 @@ class ReplicaArmWorkload(Workload):
                     SerialExecutor(), chunk_size=128
                 )
                 results = executor.run_specs(list(self.specs))
-            elif self.arm in ("vector", "roundrobin"):
+            elif self.arm == "vector":
                 executor = ReplicaBatchExecutor(
-                    SerialExecutor(),
-                    chunk_size=max(len(self.specs), 1),
-                    replica_engine=self.arm,
+                    SerialExecutor(), chunk_size=max(len(self.specs), 1)
                 )
                 results = executor.run_specs(list(self.specs))
             else:
@@ -411,8 +407,8 @@ register_scenario(ScenarioDef(
     defaults={"arm": "grouped", "nodes": 1000, "ticks": 150,
               "replicas": 128, "mu": 0.07},
     description="replica-batched vs solo execution of a die-out "
-    "ensemble on the fast-batched engine; vector/roundrobin arms pin "
-    "the cross-replica loop strategy at full batch width",
+    "ensemble on the fast-batched engine; the vector arm runs the "
+    "cross-replica loop at full batch width",
 ))
 
 

@@ -242,8 +242,6 @@ def execute_run(
 def execute_replica_batch(
     specs: Sequence[RunSpec],
     options: InstrumentationOptions | None = None,
-    *,
-    replica_engine: str = "auto",
 ) -> list[RunResult]:
     """Execute a replica group — same scenario, different seeds — at once.
 
@@ -257,12 +255,6 @@ def execute_replica_batch(
     ``wall_time``, which reports the group's elapsed time split evenly
     (per-replica attribution inside an interleaved tick loop would be
     noise anyway).
-
-    ``replica_engine`` selects the cross-replica loop: ``"auto"``
-    (vectorized whenever the scenario is eligible), ``"vector"``
-    (require it), or ``"roundrobin"`` (force the per-replica loop).
-    Both loops produce bit-identical results; the knob exists for
-    differential testing and benchmarking.
     """
     specs = list(specs)
     if not specs:
@@ -316,7 +308,6 @@ def execute_replica_batch(
         immunization=template.immunization,
         lan_delivery=template.lan_delivery,
         quarantine_factory=quarantine_factory,
-        mode=replica_engine,
         writeback=writeback,
     )
     harvested: list[tuple[Trajectory, RunMetrics] | None] = [None] * len(

@@ -376,11 +376,6 @@ class ReplicaBatchExecutor(Executor):
     ``cancel`` is the service tier's cooperative cancellation event,
     checked between chunks (a chunk in flight finishes first — same
     granularity as a pooled run).
-
-    ``replica_engine`` is forwarded to
-    :func:`~repro.runner.build.execute_replica_batch`: ``"auto"``
-    (cross-replica vectorized loop when eligible), ``"vector"``, or
-    ``"roundrobin"``.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -389,7 +384,6 @@ class ReplicaBatchExecutor(Executor):
         *,
         chunk_size: int = 128,
         cancel: threading.Event | None = None,
-        replica_engine: str = "auto",
     ) -> None:
         if chunk_size < 1:
             raise ValueError(
@@ -398,7 +392,6 @@ class ReplicaBatchExecutor(Executor):
         self.inner = inner if inner is not None else SerialExecutor()
         self.chunk_size = chunk_size
         self._cancel = cancel
-        self.replica_engine = replica_engine
 
     def run_specs(
         self,
@@ -432,9 +425,7 @@ class ReplicaBatchExecutor(Executor):
                 # Chaos: ``delay`` faults model a slow chunk.
                 fault_point("runner.executor.run")
                 fresh = execute_replica_batch(
-                    [specs[i] for i in chunk],
-                    options,
-                    replica_engine=self.replica_engine,
+                    [specs[i] for i in chunk], options
                 )
                 for index, result in zip(chunk, fresh):
                     results[index] = result

@@ -54,7 +54,7 @@ DEFENSE_KINDS = ("none", "hosts", "hub", "edge", "backbone")
 #: ``"fast-batched"`` forces the fast engine's aggregated batch sampling
 #: and lets the runner vectorize whole replica groups of an ensemble
 #: through one shared scenario build (see
-#: :class:`~repro.simulator.fastpath.ReplicaBatchSimulation`).
+#: :class:`~repro.simulator.fastpath.VectorReplicaSimulation`).
 ENGINE_KINDS = ("reference", "fast", "fast-batched")
 
 

@@ -34,23 +34,20 @@ population is large enough to amortize the numpy overhead, else
 ``"mirror"``.  The reference engine stays untouched as the semantic
 oracle.
 
-:class:`.ReplicaBatchSimulation` (:mod:`.replicas`) stacks many seeded
+:class:`.VectorReplicaSimulation` (:mod:`.vector`) stacks many seeded
 batch-mode runs of one scenario onto the replica axis: one network,
-routing table, and transport layout serve every replica, and each
+routing table, and transport layout serve every replica, and one
+cross-replica numpy pass per phase advances all live replicas.  Each
 replica's results are bit-identical to running its spec alone in batch
-mode.  :class:`.VectorReplicaSimulation` (:mod:`.vector`) advances all
-live replicas through each phase in one cross-replica numpy pass,
-again bit-identical, falling back to the round-robin loop where the
-batch transport itself would fall back.  The runner's
-``engine="fast-batched"`` selects it for whole ensembles.
+mode — replicas with node forwarding budgets included, which move their
+packets on the exact scalar sweep just as the solo batch engine does.
+The runner's ``engine="fast-batched"`` selects it for whole ensembles.
 """
 
 from .engine import FastWormSimulation
-from .replicas import ReplicaBatchSimulation
 from .vector import VectorReplicaSimulation
 
 __all__ = [
     "FastWormSimulation",
-    "ReplicaBatchSimulation",
     "VectorReplicaSimulation",
 ]

@@ -306,11 +306,13 @@ class FastWormSimulation:
         small scenarios keep exact replay, large ones keep speed.
 
     ``hosts`` and ``transport`` are sharing hooks for the replica
-    engine (:class:`~repro.simulator.fastpath.ReplicaBatchSimulation`):
+    engine (:class:`~repro.simulator.fastpath.VectorReplicaSimulation`):
     a pre-built :class:`HostArrays` (with its active-replica cursor
     already pointing at this run's row) and a :class:`FastTransport`
-    built over a shared :class:`TransportLayout`.  Leave both ``None``
-    for the classic single-run construction.
+    built over a shared :class:`TransportLayout`.  The replica engine
+    runs its own cross-replica tick loop and uses these instances for
+    per-replica state only.  Leave both ``None`` for the classic
+    single-run construction.
     """
 
     def __init__(

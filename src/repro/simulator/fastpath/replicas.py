@@ -1,59 +1,29 @@
-"""Replica-batched execution: many seeded runs over one scenario build.
+"""Dynamic-quarantine deployments captured as replayable plans.
 
-Monte-Carlo ensembles re-run *the same scenario* under different seeds.
-Building that scenario — topology sampling, routing tables, defense
-deployment — dominates small-run wall clock, and the per-run fast-engine
-state (host arrays, transport layout) is mostly scenario-determined too.
-:class:`ReplicaBatchSimulation` amortizes all of it: one network, one
-:class:`~repro.simulator.fastpath.transport.TransportLayout`, one 2-D
-:class:`~repro.simulator.fastpath.state.HostArrays` block with a
-``(replica, host)`` axis — and ``R`` otherwise-ordinary
-:class:`~repro.simulator.fastpath.engine.FastWormSimulation` instances
-whose phase methods run against their own row of the shared state.
-
-Because every replica executes the *same bound methods* a solo
-``scan_mode="batch"`` run would execute, over state views that are
-bit-for-bit the solo layout, a grouped replica's trajectory, final host
-state, and link statistics are identical to running its spec alone
-(asserted by the equivalence suite).
-
-Dynamic quarantine is the one stateful wrinkle: a deploy mutates the
-*network* (host throttles, link buckets, forwarding budgets), which
-replicas share.  :func:`capture_deployment_plan` therefore performs one
-real deploy at construction time, diffs the network, undoes everything,
-and returns a :class:`DeploymentPlan`; a replica whose own detector
-fires replays the plan onto its private row/transport state
+A quarantine deploy mutates the *network* (host throttles, link
+buckets, forwarding budgets), which the replicas of a
+:class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation` share.
+:func:`capture_deployment_plan` therefore performs one real deploy at
+construction time, diffs the network, undoes everything, and returns a
+:class:`DeploymentPlan`; a replica whose own detector fires replays the
+plan onto its private row/transport state
 (:meth:`HostArrays.activate_latent` +
 :meth:`FastTransport.apply_limit_plan`) without touching the network.
-
-One behavioral footnote: a solo run leaves deployed quarantine filters
-on the network's host/link objects after it finishes; a grouped run
-leaves the network undeployed (the plan was undone at capture).  Host
-epidemic state, link statistics, and residual queues — everything the
-results layer reads — are written back identically.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..defense import DefenseDescriptor
-from ..dynamic import DynamicQuarantine
-from ..immunization import ImmunizationPolicy
-from ..links import LinkStats
 from ..network import Network
-from ..worms import WormStrategy
-from .engine import WRITEBACK_MODES, FastWormSimulation
-from .state import HostArrays
-from .transport import FastTransport, TransportLayout
 
 __all__ = [
     "DeploymentPlan",
     "capture_deployment_plan",
-    "ReplicaBatchSimulation",
 ]
 
 
@@ -142,199 +112,3 @@ def capture_deployment_plan(
         link_bursts=np.array(link_bursts, dtype=float),
         budgets=budgets,
     )
-
-
-class ReplicaBatchSimulation:
-    """``R`` seeded batch-mode runs of one scenario, advanced together.
-
-    Parameters mirror :class:`FastWormSimulation` where shared, plus:
-
-    seeds:
-        One RNG seed per replica; ``len(seeds)`` is the batch width.
-    quarantine_factory:
-        Zero-argument callable producing a fresh
-        :class:`DynamicQuarantine` (telescope + detector + response);
-        called once per replica, plus once at construction to capture
-        the deployment plan.  Each replica's control loop runs
-        independently — detection tick and deployment are per replica.
-    writeback:
-        ``"full"`` (default) writes host stamps, per-link stats and
-        residual queues back onto the network before each harvest —
-        the callback observes exactly what a solo run would have left
-        behind.  ``"stats"`` restores only the aggregate packet
-        counters (``network.stats``) and leaves hosts/links untouched:
-        for harvests that read trajectories, totals, and the
-        transport's arrays directly, it skips the per-replica
-        whole-topology writeback walk entirely.
-
-    The tick loop interleaves replicas: every live replica executes the
-    standard five-phase tick (via its simulation's own bound phase
-    methods) before any replica sees the next tick.  Replicas stop
-    individually under the solo stop condition and are harvested —
-    network writeback plus a caller callback — as they finish; the
-    network's mutable result state (stats, link stats, queues) is reset
-    between harvests so each callback observes exactly what a solo run
-    of that replica would have left behind.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        worm: WormStrategy,
-        *,
-        scan_rate: float,
-        seeds: Sequence[int],
-        initial_infections: int = 1,
-        immunization: ImmunizationPolicy | None = None,
-        lan_delivery: bool = False,
-        quarantine_factory: Callable[[], DynamicQuarantine] | None = None,
-        writeback: str = "full",
-    ) -> None:
-        if not seeds:
-            raise ValueError("seeds must be non-empty")
-        if writeback not in WRITEBACK_MODES:
-            raise ValueError(
-                f"writeback must be one of {WRITEBACK_MODES}, got {writeback!r}"
-            )
-        self.network = network
-        self.replicas = len(seeds)
-        self._writeback = writeback
-        self._plan: DeploymentPlan | None = None
-        if quarantine_factory is not None:
-            probe = quarantine_factory()
-            self._plan = capture_deployment_plan(network, probe.response)
-        # Layout after the plan capture's undo: it must template the
-        # pre-deploy (static defenses only) rate-limit state.
-        self.layout = TransportLayout(network)
-        self.hosts = HostArrays(network, replicas=self.replicas)
-        if self._plan is not None and self._plan.throttles:
-            self.hosts.register_latent_throttles(self._plan.throttles)
-        self.hosts.shared_refill = True
-        plan = self._plan
-        self.sims: list[FastWormSimulation] = []
-        for replica, seed in enumerate(seeds):
-            self.hosts.set_active(replica)
-            quarantine = None
-            if quarantine_factory is not None:
-                quarantine = quarantine_factory()
-                # The replica replays the captured plan itself; the
-                # response just reports what "deployed".
-                quarantine.response = lambda _net: plan.descriptor
-            self.sims.append(
-                FastWormSimulation(
-                    network,
-                    worm,
-                    scan_rate=scan_rate,
-                    initial_infections=initial_infections,
-                    immunization=immunization,
-                    lan_delivery=lan_delivery,
-                    quarantine=quarantine,
-                    seed=seed,
-                    scan_mode="batch",
-                    hosts=self.hosts,
-                    transport=FastTransport(network, layout=self.layout),
-                )
-            )
-        stats = network.stats
-        self._base_injected = stats.packets_injected
-        self._base_delivered = stats.packets_delivered
-        self._base_dropped = stats.packets_dropped
-        self._touched: list[int] = []
-        self._ran = False
-
-    def _reset_network(self) -> None:
-        """Clear the previous harvest's writeback off the network."""
-        stats = self.network.stats
-        stats.packets_injected = self._base_injected
-        stats.packets_delivered = self._base_delivered
-        stats.packets_dropped = self._base_dropped
-        if self._touched:
-            links = self.network.links
-            keys = self.layout.keys
-            for i in self._touched:
-                link = links[keys[i]]
-                link.stats = LinkStats()
-                # Most touched links only carried counters; rebuilding
-                # an empty deque per link per replica adds up.
-                if link._queue:
-                    link.load_queue([])
-            self._touched = []
-
-    def _finalize(
-        self,
-        replica: int,
-        sim: FastWormSimulation,
-        harvest: Callable[[int, FastWormSimulation], None],
-    ) -> None:
-        self._reset_network()
-        full = self._writeback == "full"
-        if full:
-            sim.hosts.writeback(replica)
-        self._touched = sim.transport.writeback(sim._final_tick, links=full)
-        harvest(replica, sim)
-
-    def run(
-        self,
-        max_ticks: int,
-        harvest: Callable[[int, FastWormSimulation], None],
-    ) -> None:
-        """Advance every replica to completion, harvesting each.
-
-        ``harvest(replica, sim)`` runs once per replica, immediately
-        after that replica's state is written back onto the network;
-        read trajectories, host state, and network statistics inside
-        the callback — the next replica's harvest overwrites them.
-        """
-        if max_ticks <= 0:
-            raise ValueError(
-                f"max_ticks must be positive, got {max_ticks}"
-            )
-        if self._ran:
-            raise RuntimeError(
-                "replica batch already ran; build a fresh one"
-            )
-        self._ran = True
-        hosts = self.hosts
-        network = self.network
-        plan = self._plan
-        live = list(enumerate(self.sims))
-        last_tick = max_ticks - 1
-        for tick in range(max_ticks):
-            # One cross-replica token refill per tick (per-replica
-            # refills are no-ops under shared_refill); each bucket
-            # column still refills exactly once before consumption.
-            hosts.refill_all_throttles()
-            still_running: list[tuple[int, FastWormSimulation]] = []
-            for replica, sim in live:
-                hosts.set_active(replica)
-                sim._scan_phase_batch(tick)
-                sim._transmit_phase(tick)
-                sim._deliver_phase(tick)
-                # The immunize phase, replica-owned: the solo path's
-                # sync_throttles()/sync_limits() re-reads the network,
-                # which stays undeployed here — replay the plan onto
-                # this replica's private state instead.
-                quarantine = sim.quarantine
-                if quarantine is not None and quarantine.step(
-                    tick, network
-                ):
-                    hosts.activate_latent(replica)
-                    if plan is not None:
-                        sim.transport.apply_limit_plan(
-                            plan.link_idx,
-                            plan.link_rates,
-                            plan.link_bursts,
-                            plan.budgets,
-                        )
-                if sim.immunization is not None:
-                    sim.immunization.step(
-                        tick, sim.recorder.ever_infected, hosts
-                    )
-                sim._observe_phase(tick)
-                if sim._epidemic_over(tick) or tick == last_tick:
-                    self._finalize(replica, sim, harvest)
-                else:
-                    still_running.append((replica, sim))
-            live = still_running
-            if not live:
-                break

@@ -10,13 +10,13 @@ tick.
 
 The replica axis is the vectorized-ensemble hook: ``replicas`` seeded
 runs of one scenario share a single state block, each replica owning one
-row of every array plus its own counters and infected index.  Exactly
-one replica is *active* at a time (:meth:`set_active`); the scalar
-mutation API (``infect``/``immunize``/``infected_sorted``) and the
-row views (``status_row``, ``throttle_tokens``) always address the
-active replica, so the per-replica engine code is byte-for-byte the
-single-run code.  ``replicas=1`` (the default) collapses to the old
-single-run layout with zero extra indirection.
+row of every array.  The scalar mutation API
+(``infect``/``immunize``/``infected_sorted``) and the row views
+(``status_row``, ``throttle_tokens``) address the *active* replica
+(:meth:`set_active`) — the replica engine uses them to seed each row —
+while the grouped API mutates ``(replica, node)`` pairs across rows.
+``replicas=1`` (the default) collapses to the single-run layout with
+zero extra indirection.
 
 The arrays are synced *from* the network's host objects at construction
 (and re-synced when a dynamic quarantine deploys filters mid-run), and
@@ -119,10 +119,6 @@ class HostArrays:
         self._row = self.status[0]
         self._inf_row = self.infected_at[0]
         self._imm_row = self.immunized_at[0]
-        #: When True, the per-replica :meth:`refill_throttles` is a
-        #: no-op and the owner calls :meth:`refill_all_throttles` once
-        #: per tick instead (the replica engine's cross-replica refill).
-        self.shared_refill = False
         # Throttle mirror (see sync_throttles).
         self.throttle_pos: dict[int, int] = {}
         self._throttle_buckets: list = []
@@ -470,11 +466,7 @@ class HostArrays:
 
         Vectorized ``min(tokens + rate, burst)`` — IEEE-identical to the
         reference engine's per-host :meth:`TokenBucket.refill` calls.
-        No-op under ``shared_refill`` (the replica engine refills every
-        row at once via :meth:`refill_all_throttles`).
         """
-        if self.shared_refill:
-            return
         if self._t_rate.shape[1]:
             r = self._active
             np.minimum(

@@ -1,13 +1,20 @@
-"""Cross-replica vectorized execution: one numpy pass per tick.
+"""Replica-batched execution: many seeded runs over one scenario build.
 
-:class:`VectorReplicaSimulation` extends
-:class:`~repro.simulator.fastpath.replicas.ReplicaBatchSimulation` with
-a tick loop that advances *all* live replicas through each phase in one
-pass over the shared ``(replica, host)`` and ``(replica, link)`` state,
-instead of round-robining per-replica phase methods.  A live-replica
-mask shrinks the working set as replicas die out, so a 1000-replica
-near-critical sweep pays for the few replicas that take off, not the
-many that die at tick 2.
+Monte-Carlo ensembles re-run *the same scenario* under different seeds.
+Building that scenario — topology sampling, routing tables, defense
+deployment — dominates small-run wall clock, and the per-run fast-engine
+state (host arrays, transport layout) is mostly scenario-determined too.
+:class:`VectorReplicaSimulation` amortizes all of it: one network, one
+:class:`~repro.simulator.fastpath.transport.TransportLayout`, one 2-D
+:class:`~repro.simulator.fastpath.state.HostArrays` block with a
+``(replica, host)`` axis, and ``R`` ordinary
+:class:`~repro.simulator.fastpath.engine.FastWormSimulation` instances
+that own each replica's RNG, recorder, defenses and transport.  Its tick
+loop advances *all* live replicas through each phase in one pass over
+the shared ``(replica, host)`` and ``(replica, link)`` state.  A
+live-replica mask shrinks the working set as replicas die out, so a
+1000-replica near-critical sweep pays for the few replicas that take
+off, not the many that die at tick 2.
 
 Bit-identity contract
 ---------------------
@@ -33,16 +40,29 @@ packet arrays preserves that replica's solo ordering, and all counter
 updates key on ``replica * L + link``, so per-link statistics, queue
 contents, and drop-tail victim identity match the solo batch engine
 bit for bit.  The equivalence suite asserts this across the defense
-grid; paths that cannot keep the contract fall back.
+grid.
 
-Fallback
---------
-Node forwarding budgets serialize per-packet decisions (the solo batch
-engine itself falls back to the exact scalar sweep), so scenarios with
-static forwarding budgets or a quarantine plan that deploys budgets run
-on the inherited round-robin loop.  ``mode="auto"`` picks vectorized
-whenever eligible; ``mode="roundrobin"`` forces the PR 6 loop (the
-bench baseline); ``mode="vector"`` raises on ineligible scenarios.
+Node forwarding budgets
+-----------------------
+Budgets serialize per-packet decisions, so the solo batch engine moves
+a budgeted run's packets on the exact scalar sweep
+(:meth:`FastTransport.transmit_tick`).  The vector loop applies the same
+rule per replica: a replica is *budgeted* from tick 0 when the static
+defense installs budgets, or from the tick its quarantine deploys a
+plan with budgets.  A budgeted replica's scan injections join its real
+queues, it skips the shared token refill and the global pending store,
+and it transmits on its own transport's exact sweep; everything else
+about it (draws, infection, immunization, harvest) stays vectorized.
+
+Dynamic quarantine
+------------------
+Replicas share one network, so a deploy cannot touch it: each replica
+whose detector fires replays a plan captured at construction
+(:mod:`.replicas`) onto its private row and transport.  A solo run
+leaves deployed quarantine filters on the network's host and link
+objects after it finishes; a grouped run leaves the network undeployed.
+Host epidemic state, link statistics, and residual queues — everything
+the results layer reads — are written back identically.
 """
 
 from __future__ import annotations
@@ -54,25 +74,49 @@ import numpy as np
 
 from ..dynamic import DynamicQuarantine
 from ..immunization import ImmunizationPolicy
+from ..links import LinkStats
 from ..network import Network
 from ..worms import WormStrategy
-from .engine import FastWormSimulation, pick_targets_local_pref
-from .replicas import ReplicaBatchSimulation
-from .state import IMMUNE, INFECTED, SUSCEPTIBLE
-from .transport import FastTransport
+from .engine import (
+    WRITEBACK_MODES,
+    FastWormSimulation,
+    pick_targets_local_pref,
+)
+from .replicas import DeploymentPlan, capture_deployment_plan
+from .state import IMMUNE, INFECTED, SUSCEPTIBLE, HostArrays
+from .transport import FastTransport, TransportLayout
 
-__all__ = ["VectorReplicaSimulation", "REPLICA_ENGINES"]
-
-#: Supported values for ``VectorReplicaSimulation(mode=...)``.
-REPLICA_ENGINES = ("auto", "vector", "roundrobin")
+__all__ = ["VectorReplicaSimulation"]
 
 
-class VectorReplicaSimulation(ReplicaBatchSimulation):
-    """Replica batch with a cross-replica vectorized tick loop.
+class VectorReplicaSimulation:
+    """``R`` seeded batch-mode runs of one scenario, advanced together.
 
-    Construction is identical to :class:`ReplicaBatchSimulation` plus
-    ``mode`` (see module docstring).  ``self.vectorized`` reports which
-    loop :meth:`run` will use.
+    Parameters mirror :class:`FastWormSimulation` where shared, plus:
+
+    seeds:
+        One RNG seed per replica; ``len(seeds)`` is the batch width.
+    quarantine_factory:
+        Zero-argument callable producing a fresh
+        :class:`DynamicQuarantine` (telescope + detector + response);
+        called once per replica, plus once at construction to capture
+        the deployment plan.  Each replica's control loop runs
+        independently — detection tick and deployment are per replica.
+    writeback:
+        ``"full"`` (default) writes host stamps, per-link stats and
+        residual queues back onto the network before each harvest —
+        the callback observes exactly what a solo run would have left
+        behind.  ``"stats"`` restores only the aggregate packet
+        counters (``network.stats``) and leaves hosts/links untouched:
+        for harvests that read trajectories, totals, and the
+        transport's arrays directly, it skips the per-replica
+        whole-topology writeback walk entirely.
+
+    Replicas stop individually under the solo stop condition and are
+    harvested — network writeback plus a caller callback — as they
+    finish; the network's mutable result state (stats, link stats,
+    queues) is reset between harvests so each callback observes exactly
+    what a solo run of that replica would have left behind.
     """
 
     def __init__(
@@ -86,59 +130,90 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
         immunization: ImmunizationPolicy | None = None,
         lan_delivery: bool = False,
         quarantine_factory: Callable[[], DynamicQuarantine] | None = None,
-        mode: str = "auto",
         writeback: str = "full",
     ) -> None:
-        if mode not in REPLICA_ENGINES:
+        if not seeds:
+            raise ValueError("seeds must be non-empty")
+        if writeback not in WRITEBACK_MODES:
             raise ValueError(
-                f"mode must be one of {REPLICA_ENGINES}, got {mode!r}"
+                f"writeback must be one of {WRITEBACK_MODES}, got {writeback!r}"
             )
-        super().__init__(
-            network,
-            worm,
-            scan_rate=scan_rate,
-            seeds=seeds,
-            initial_infections=initial_infections,
-            immunization=immunization,
-            lan_delivery=lan_delivery,
-            quarantine_factory=quarantine_factory,
-            writeback=writeback,
-        )
+        self.network = network
+        self.replicas = len(seeds)
+        self._writeback = writeback
+        self._plan: DeploymentPlan | None = None
+        if quarantine_factory is not None:
+            probe = quarantine_factory()
+            self._plan = capture_deployment_plan(network, probe.response)
+        # Layout after the plan capture's undo: it must template the
+        # pre-deploy (static defenses only) rate-limit state.
+        self.layout = TransportLayout(network)
+        self.hosts = HostArrays(network, replicas=self.replicas)
+        if self._plan is not None and self._plan.throttles:
+            self.hosts.register_latent_throttles(self._plan.throttles)
         plan = self._plan
-        eligible = not self.layout.budget_buckets and (
-            plan is None or not plan.budgets
-        )
-        if mode == "vector" and not eligible:
-            raise ValueError(
-                "mode='vector' requires a scenario without node"
-                " forwarding budgets (the batch transport itself falls"
-                " back to the exact scalar sweep there)"
+        self.sims: list[FastWormSimulation] = []
+        for replica, seed in enumerate(seeds):
+            # Initial infections land on the active replica's row.
+            self.hosts.set_active(replica)
+            quarantine = None
+            if quarantine_factory is not None:
+                quarantine = quarantine_factory()
+                # The replica replays the captured plan itself; the
+                # response just reports what "deployed".
+                quarantine.response = lambda _net: plan.descriptor
+            self.sims.append(
+                FastWormSimulation(
+                    network,
+                    worm,
+                    scan_rate=scan_rate,
+                    initial_infections=initial_infections,
+                    immunization=immunization,
+                    lan_delivery=lan_delivery,
+                    quarantine=quarantine,
+                    seed=seed,
+                    scan_mode="batch",
+                    hosts=self.hosts,
+                    transport=FastTransport(network, layout=self.layout),
+                )
             )
-        self.mode = mode
-        self.vectorized = mode != "roundrobin" and eligible
+        stats = network.stats
+        self._base_injected = stats.packets_injected
+        self._base_delivered = stats.packets_delivered
+        self._base_dropped = stats.packets_dropped
+        self._touched: list[int] = []
+        self._ran = False
 
-    def run(
+    def _reset_network(self) -> None:
+        """Clear the previous harvest's writeback off the network."""
+        stats = self.network.stats
+        stats.packets_injected = self._base_injected
+        stats.packets_delivered = self._base_delivered
+        stats.packets_dropped = self._base_dropped
+        if self._touched:
+            links = self.network.links
+            keys = self.layout.keys
+            for i in self._touched:
+                link = links[keys[i]]
+                link.stats = LinkStats()
+                # Most touched links only carried counters; rebuilding
+                # an empty deque per link per replica adds up.
+                if link._queue:
+                    link.load_queue([])
+            self._touched = []
+
+    def _finalize(
         self,
-        max_ticks: int,
+        replica: int,
+        sim: FastWormSimulation,
         harvest: Callable[[int, FastWormSimulation], None],
     ) -> None:
-        if not self.vectorized:
-            super().run(max_ticks, harvest)
-            return
-        if max_ticks <= 0:
-            raise ValueError(
-                f"max_ticks must be positive, got {max_ticks}"
-            )
-        if self._ran:
-            raise RuntimeError(
-                "replica batch already ran; build a fresh one"
-            )
-        self._ran = True
-        self._run_vector(max_ticks, harvest)
-
-    # ------------------------------------------------------------------
-    # Vectorized loop
-    # ------------------------------------------------------------------
+        self._reset_network()
+        full = self._writeback == "full"
+        if full:
+            sim.hosts.writeback(replica)
+        self._touched = sim.transport.writeback(sim._final_tick, links=full)
+        harvest(replica, sim)
 
     @staticmethod
     def _inject_guarded(
@@ -226,11 +301,27 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                 if depth == 0:
                     t.nonempty_l.add(link)
 
-    def _run_vector(
+    def run(
         self,
         max_ticks: int,
         harvest: Callable[[int, FastWormSimulation], None],
     ) -> None:
+        """Advance every replica to completion, harvesting each.
+
+        ``harvest(replica, sim)`` runs once per replica, immediately
+        after that replica's state is written back onto the network;
+        read trajectories, host state, and network statistics inside
+        the callback — the next replica's harvest overwrites them.
+        """
+        if max_ticks <= 0:
+            raise ValueError(
+                f"max_ticks must be positive, got {max_ticks}"
+            )
+        if self._ran:
+            raise RuntimeError(
+                "replica batch already ran; build a fresh one"
+            )
+        self._ran = True
         sims = self.sims
         hosts = self.hosts
         network = self.network
@@ -297,6 +388,17 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
             )
         deployed = np.zeros(replicas, dtype=bool)
 
+        # Budgeted replicas (see module docstring) run their transport on
+        # the exact scalar sweep; ``exact`` holds the live ones, so an
+        # empty set keeps every budget check off the vectorized path.
+        plan_budgets = plan is not None and bool(plan.budgets)
+        budgeted = np.zeros(replicas, dtype=bool)
+        exact: set[int] = set()
+        held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if layout.budget_buckets:
+            budgeted[:] = True
+            exact.update(range(replicas))
+
         status = hosts.status
         sus_arr = (status == SUSCEPTIBLE).sum(axis=1)
         inf_arr = (status == INFECTED).sum(axis=1)
@@ -331,8 +433,10 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
         pend_lj: list[np.ndarray] = []
         pend_dst: list[np.ndarray] = []
         dirty: set[int] = set()
+        # Budgeted replicas never hold store packets, so their scalar
+        # enqueues skip the per-packet store-depth lookup.
         for r, t in enumerate(transports):
-            t.pending_depth = depth2[r]
+            t.pending_depth = None if budgeted[r] else depth2[r]
 
         policy = next(
             (im._policy for im in immus if im is not None), None
@@ -463,6 +567,8 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                             lim = lim | (
                                 plan_member[li] & deployed[reps_act]
                             )
+                        if exact:
+                            lim = lim | budgeted[reps_act]
                         if lim.any():
                             l_rep = rep_o[lim]
                             l_li = li[lim]
@@ -474,10 +580,16 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                             )
                             for i in range(nlive):
                                 a, b = int(lb[i]), int(lb[i + 1])
-                                if a != b:
-                                    transports[
-                                        live_list[i]
-                                    ]._enqueue_pairs(
+                                if a == b:
+                                    continue
+                                r = live_list[i]
+                                if r in exact:
+                                    # Queued right before this replica's
+                                    # exact sweep, while its queues are
+                                    # still in cache.
+                                    held[r] = (l_li[a:b], l_dst[a:b])
+                                else:
+                                    transports[r]._enqueue_pairs(
                                         l_li[a:b], l_dst[a:b]
                                     )
                             keep = ~lim
@@ -545,8 +657,10 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                             q.telescope.record_hits(seen)
 
             # ------------------- transmit phase -------------------
-            dep_rows = live[deployed[live]]
-            nod_rows = live[~deployed[live]]
+            # Budgeted rows refill their own tokens in transmit_tick.
+            vec_rows = live[~budgeted[live]] if exact else live
+            dep_rows = vec_rows[deployed[vec_rows]]
+            nod_rows = vec_rows[~deployed[vec_rows]]
             if static_idx.size and nod_rows.size:
                 ix = np.ix_(nod_rows, static_idx)
                 tok2[ix] = np.minimum(
@@ -560,7 +674,7 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                 )
             for r in live_list:
                 t = transports[r]
-                if t.nonempty_l:
+                if t.nonempty_l and r not in exact:
                     trickled: list[int] = []
                     t._trickle_limited(trickled)
                     if trickled:
@@ -572,6 +686,16 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                         )
                     if t.nonempty_u:
                         dirty.add(r)
+            for r in sorted(exact):
+                t = transports[r]
+                if r in held:
+                    t._enqueue_pairs(*held.pop(r))
+                arrived = t.transmit_tick()
+                if arrived:
+                    arrive_rep.append(
+                        np.full(len(arrived), r, dtype=np.int64)
+                    )
+                    arrive_dst.append(np.asarray(arrived, dtype=np.int64))
             # Sweep: every queued unlimited packet — the global pending
             # store plus the real deques of dirty replicas — enters the
             # wave in one sorted pass.  The stable sort by
@@ -804,11 +928,14 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                 for r in live_list:
                     if quars[r].step(tick, network):
                         t = transports[r]
-                        if has_plan_links and pend_count[r]:
+                        if pend_count[r] and (
+                            has_plan_links or plan_budgets
+                        ):
                             # The deploy re-buckets links that already
-                            # hold packets, so this replica's pending
-                            # waiters must sit in its real deques first
-                            # (chunk order is chronological).
+                            # hold packets (or hands them to the exact
+                            # sweep), so this replica's pending waiters
+                            # must sit in its real deques first (chunk
+                            # order is chronological).
                             queues = t.queues
                             moved = 0
                             kept_r: list[np.ndarray] = []
@@ -843,7 +970,8 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                             t.queued_u += moved
                             depth2[r] = 0
                             pend_count[r] = 0
-                            dirty.add(r)
+                            if not plan_budgets:
+                                dirty.add(r)
                         hosts.activate_latent(r)
                         t.apply_limit_plan(
                             plan.link_idx,
@@ -852,6 +980,10 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                             plan.budgets,
                         )
                         deployed[r] = True
+                        if plan_budgets:
+                            budgeted[r] = True
+                            exact.add(r)
+                            t.pending_depth = None
             if policy is not None:
                 act: list[int] = []
                 for r in live_list:
@@ -970,6 +1102,7 @@ class VectorReplicaSimulation(ReplicaBatchSimulation):
                 t.delivered += int(delivered_arr[r])
                 sim._final_tick = tick
                 dirty.discard(r)
+                exact.discard(r)
                 self._finalize(r, sim, harvest)
             if tick == last_tick or live.size == 0:
                 break

@@ -212,9 +212,7 @@ class TestReplicaBatchDegradation:
         plan = FaultPlan.single(
             "runner.executor.run", Fault("delay", delay_s=0.05), at=0
         )
-        executor = ReplicaBatchExecutor(
-            SerialExecutor(), chunk_size=3, replica_engine="vector"
-        )
+        executor = ReplicaBatchExecutor(SerialExecutor(), chunk_size=3)
         slept: list[float] = []
         with chaos_active(plan) as controller:
             controller.sleep = slept.append
@@ -235,9 +233,7 @@ class TestReplicaBatchDegradation:
         plan = FaultPlan.single(
             "runner.cache.store", Fault("io_error"), at=0
         )
-        executor = ReplicaBatchExecutor(
-            SerialExecutor(), chunk_size=3, replica_engine="vector"
-        )
+        executor = ReplicaBatchExecutor(SerialExecutor(), chunk_size=3)
         with chaos_active(plan):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

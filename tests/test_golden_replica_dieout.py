@@ -53,7 +53,6 @@ def test_dieout_probability_within_binomial_welch_band():
         seeds=[golden["base_seed"] + i for i in range(replicas)],
         initial_infections=scenario["initial_infections"],
         immunization=immunization,
-        mode="vector",
     )
     ever: dict[int, int] = {}
 
