@@ -5,14 +5,9 @@ scale, prints the rows/series the paper reports, and asserts the shape
 criteria from DESIGN.md.  Timings come from pytest-benchmark
 (``--benchmark-only``); each experiment runs once via
 ``benchmark.pedantic(..., rounds=1, iterations=1)`` because a 10-run
-averaged simulation is already its own repetition protocol.
-
-The perf benchmarks (``test_perf_engines``, ``test_perf_replica``,
-``load_service``) instead run matrices from ``benchmarks/matrices/``
-through :mod:`repro.bench` and register the resulting cases with the
-session-wide :func:`bench_ledger` fixture; ``--bench-json PATH`` writes
-the merged unified ledger (schema v1, the format ``repro bench``
-reads) on teardown.
+averaged simulation is already its own repetition protocol.  These
+timings describe one figure; performance claims and the CI perf gate
+use ``perfbench/`` (see its README).
 
 Everything collected under ``benchmarks/`` is automatically marked
 ``bench`` **and** ``slow``: these are paper-scale measurements, not
@@ -35,22 +30,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.bench import CaseResult, Ledger
 from repro.core.scenarios import shared_trace
 from repro.models.base import Trajectory
 from repro.runner import configure, current_config
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the unified benchmark ledger (repro.bench schema v1) "
-            "assembled by the bench_ledger fixture to PATH as JSON"
-        ),
-    )
 
 
 def pytest_collection_modifyitems(items):
@@ -58,48 +40,6 @@ def pytest_collection_modifyitems(items):
     for item in items:
         item.add_marker(pytest.mark.bench)
         item.add_marker(pytest.mark.slow)
-
-
-class LedgerCollector:
-    """Accumulates benchmark cases across tests into one unified ledger.
-
-    Perf benchmarks call :meth:`add` with the cases (or whole ledgers)
-    their matrix runs produced; the session teardown merges everything
-    and writes one schema-v1 ledger to ``--bench-json``.  Without the
-    option the collector still accumulates — the cases just go
-    nowhere — so benchmarks never branch on whether a ledger was
-    requested.
-    """
-
-    def __init__(self) -> None:
-        self.cases: list[CaseResult] = []
-        self.meta: dict = {}
-
-    def add(self, source: Ledger | CaseResult) -> None:
-        if isinstance(source, Ledger):
-            self.cases.extend(source.cases)
-            for key, value in source.meta.items():
-                self.meta.setdefault(key, value)
-        else:
-            self.cases.append(source)
-
-    def dump(self, path: str) -> Ledger:
-        ledger = Ledger.from_cases(self.cases, meta=self.meta)
-        ledger.save(path)
-        return ledger
-
-
-@pytest.fixture(scope="session")
-def bench_ledger(request):
-    """Session-wide unified ledger; written on teardown if requested."""
-    collector = LedgerCollector()
-    yield collector
-    path = request.config.getoption("--bench-json")
-    if path and collector.cases:
-        collector.dump(path)
-        print(
-            f"\n[bench] wrote {len(collector.cases)} cases to {path}"
-        )
 
 
 @pytest.fixture(scope="session", autouse=True)

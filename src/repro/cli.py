@@ -416,101 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one tenant's rate (and burst); repeatable",
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="run/compare/report the declarative benchmark matrix",
-        description="Config-driven perf suite: `run` measures a matrix "
-        "of scenario x engine x jobs x service-load cases with repeats "
-        "and warmup into a unified ledger, `compare` judges a current "
-        "ledger against a baseline with a Welch + CV-aware gate "
-        "(exit 1 only on statistically significant regressions), "
-        "`report` renders a ledger, and `migrate` converts legacy "
-        "BENCH_pr*.json files.",
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_commands.add_parser(
-        "run", help="measure a benchmark matrix into a ledger"
-    )
-    bench_run.add_argument(
-        "--matrix", required=True, metavar="NAME_OR_PATH",
-        help="matrix config: a JSON file path or a name under "
-        "benchmarks/matrices/ (e.g. 'ci', 'engines')",
-    )
-    bench_run.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the unified JSON ledger here",
-    )
-    bench_run.add_argument(
-        "--repeats", type=_positive_int, default=None,
-        help="override the matrix's measured repeats per case",
-    )
-    bench_run.add_argument(
-        "--warmup", type=int, default=None, metavar="N",
-        help="override the matrix's discarded warmup runs per case",
-    )
-    bench_run.add_argument(
-        "--only", metavar="SUBSTR", default=None,
-        help="run only cases whose id contains this substring",
-    )
-
-    bench_compare = bench_commands.add_parser(
-        "compare",
-        help="gate a current ledger against a baseline ledger",
-    )
-    bench_compare.add_argument("baseline", help="baseline ledger JSON")
-    bench_compare.add_argument("current", help="current ledger JSON")
-    bench_compare.add_argument(
-        "--alpha", type=float, default=0.01,
-        help="Welch-test significance level (default 0.01)",
-    )
-    bench_compare.add_argument(
-        "--min-effect", type=float, default=0.05, metavar="FRAC",
-        help="relative-change floor below which nothing gates "
-        "(default 0.05 = 5%%)",
-    )
-    bench_compare.add_argument(
-        "--cv-guard", type=float, default=2.0, metavar="K",
-        help="effect threshold grows to K x the case's coefficient of "
-        "variation (default 2.0)",
-    )
-    bench_compare.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the comparison report (markdown, or HTML if "
-        "PATH ends in .html)",
-    )
-    bench_compare.add_argument(
-        "--advisory", action="store_true",
-        help="report regressions but exit 0 anyway",
-    )
-
-    bench_report = bench_commands.add_parser(
-        "report", help="render a ledger as markdown or HTML"
-    )
-    bench_report.add_argument("ledger", help="ledger JSON to render")
-    bench_report.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the report here instead of stdout (HTML if PATH "
-        "ends in .html)",
-    )
-    bench_report.add_argument(
-        "--html", action="store_true",
-        help="render HTML regardless of the output extension",
-    )
-
-    bench_migrate = bench_commands.add_parser(
-        "migrate",
-        help="convert legacy BENCH_pr*.json ledgers to the v1 schema",
-    )
-    bench_migrate.add_argument(
-        "legacy", nargs="+", help="legacy ledger files to convert"
-    )
-    bench_migrate.add_argument(
-        "--out-dir", metavar="DIR", default=None,
-        help="directory for the converted ledgers (default: next to "
-        "each input, as <stem>.v1.json)",
-    )
-
     chaos = commands.add_parser(
         "chaos",
         help="inspect or replay a deterministic fault-injection plan",
@@ -874,125 +779,6 @@ def _cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
     return run_server(config, out=out)
 
 
-def _cmd_bench(args: argparse.Namespace, out=sys.stdout) -> int:
-    # Imported lazily: the bench subsystem is only needed here.
-    import dataclasses as _dataclasses
-
-    from .bench import (
-        GateConfig,
-        Ledger,
-        LedgerError,
-        MatrixError,
-        compare_ledgers,
-        convert_legacy_file,
-        load_matrix,
-        render_html,
-        render_markdown,
-        run_matrix,
-    )
-
-    if args.bench_command == "run":
-        try:
-            matrix = load_matrix(args.matrix)
-        except MatrixError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        overrides = {}
-        if args.repeats is not None:
-            overrides["repeats"] = args.repeats
-        if args.warmup is not None:
-            overrides["warmup"] = args.warmup
-        if overrides:
-            matrix = _dataclasses.replace(matrix, **overrides)
-        try:
-            ledger = run_matrix(
-                matrix,
-                only=args.only,
-                progress=lambda line: print(line, file=out),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        print(
-            f"measured {len(ledger.cases)} cases "
-            f"({matrix.repeats} repeats, {matrix.warmup} warmup each)",
-            file=out,
-        )
-        if args.out:
-            path = ledger.save(args.out)
-            print(f"wrote ledger to {path}", file=out)
-        return 0
-
-    if args.bench_command == "compare":
-        try:
-            baseline = Ledger.load(args.baseline)
-            current = Ledger.load(args.current)
-            config = GateConfig(
-                alpha=args.alpha,
-                min_effect=args.min_effect,
-                cv_guard=args.cv_guard,
-            )
-        except (OSError, LedgerError, ValueError) as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        comparison = compare_ledgers(baseline, current, config=config)
-        print(render_markdown(current, comparison), file=out)
-        if args.report:
-            render = (
-                render_html
-                if args.report.endswith(".html")
-                else render_markdown
-            )
-            Path(args.report).write_text(
-                render(current, comparison), encoding="utf-8"
-            )
-            print(f"wrote report to {args.report}", file=out)
-        if comparison.has_regressions:
-            names = ", ".join(c.id for c in comparison.regressions)
-            print(f"REGRESSED: {names}", file=out)
-            return 0 if args.advisory else 1
-        print("gate clean: no statistically significant regressions",
-              file=out)
-        return 0
-
-    if args.bench_command == "report":
-        try:
-            ledger = Ledger.load(args.ledger)
-        except (OSError, LedgerError) as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        html_wanted = args.html or (
-            args.out is not None and args.out.endswith(".html")
-        )
-        rendered = (render_html if html_wanted else render_markdown)(ledger)
-        if args.out:
-            Path(args.out).write_text(rendered, encoding="utf-8")
-            print(f"wrote report to {args.out}", file=out)
-        else:
-            print(rendered, file=out)
-        return 0
-
-    # migrate
-    for source in args.legacy:
-        source_path = Path(source)
-        try:
-            ledger = convert_legacy_file(source_path)
-        except (OSError, LedgerError, ValueError) as exc:
-            print(f"error: {source}: {exc}", file=out)
-            return 2
-        stem = source_path.stem
-        directory = (
-            Path(args.out_dir) if args.out_dir else source_path.parent
-        )
-        target = directory / f"{stem}.v1.json"
-        ledger.save(target)
-        print(
-            f"converted {source} -> {target} ({len(ledger.cases)} cases)",
-            file=out,
-        )
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace, out=sys.stdout) -> int:
     # Imported lazily: the chaos harness is only needed by this command.
     from .chaos import DEFAULT_SITES, FaultPlan, replay_plan, site_models
@@ -1034,8 +820,6 @@ def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
                 return _cmd_cache(args, out=out)
             if args.command == "serve":
                 return _cmd_serve(args, out=out)
-            if args.command == "bench":
-                return _cmd_bench(args, out=out)
             if args.command == "chaos":
                 return _cmd_chaos(args, out=out)
     finally:

@@ -277,8 +277,8 @@ class EnsembleSpec:
     """``num_runs`` independent replicates of one scenario.
 
     ``template.seed`` is ignored; run ``i`` gets
-    ``derive_seed(base_seed, i)``.  The convenience properties mirror the
-    old ``ExperimentSpec`` so study-level code reads the same.
+    ``derive_seed(base_seed, i)``.  The convenience properties expose
+    the template's scan rate and horizon to study-level code.
     """
 
     template: RunSpec

@@ -24,7 +24,8 @@ client ever talks to.  The router owns three jobs:
 The router speaks the same minimal HTTP/1.1 as the service transport
 and forwards with per-request upstream connections (``Connection:
 close``) — boring and allocation-heavy, but shard hops are loopback
-and the simulation dominates; the bench ledger keeps us honest.
+and the simulation dominates (sharded mode is not benchmarked; see the
+README's *Benchmarks* section).
 
 :class:`StaticShards` swaps in for the supervisor under test: routing
 logic runs against in-process :class:`~repro.service.app.ServiceThread`

@@ -1,9 +1,9 @@
 """Discrete-event packet-level worm simulator (the ns-2 substitute).
 
 Build a :class:`Network` (star or power-law), optionally deploy a defense
-from :mod:`repro.simulator.defense`, then run a :class:`WormSimulation` —
-or describe the whole thing as an :class:`ExperimentSpec` and let
-:func:`run_experiment` average the seeded runs like the paper does.
+from :mod:`repro.simulator.defense`, then run a :class:`WormSimulation`.
+Seeded multi-run ensembles are described and averaged by
+:mod:`repro.runner`.
 """
 
 from .diagnostics import LinkHotspot, NetworkReport, network_report
@@ -25,7 +25,6 @@ from .nodes import Host, HostError, HostState
 from .observers import CurveRecorder, average_trajectories
 from .packet import Packet, PacketKind
 from .routing import RoutingTables
-from .runner import ExperimentResult, ExperimentSpec, run_experiment
 from .simulation import WormSimulation
 from .telescope import DetectionReport, ScanDetector, Telescope
 from .worms import (
@@ -64,9 +63,6 @@ __all__ = [
     "Packet",
     "PacketKind",
     "RoutingTables",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "run_experiment",
     "WormSimulation",
     "FastWormSimulation",
     "DynamicQuarantine",

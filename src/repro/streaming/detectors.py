@@ -31,7 +31,7 @@ Families:
 
 :class:`DetectionEngine` fans one stream out to several detectors and
 collects events plus flow counts — the common core under the CLI, the
-``/v1/stream`` endpoint, the evaluation harness, and the bench scenario.
+``/v1/stream`` endpoint and the evaluation harness.
 """
 
 from __future__ import annotations
@@ -458,7 +458,7 @@ class ThrottleDetector(Detector):
 def make_detector(
     kind: str, *, internal: Callable[[int], bool], **kwargs
 ) -> Detector:
-    """Build a detector by short name (CLI / service / bench plumbing).
+    """Build a detector by short name (CLI / service plumbing).
 
     ``kind`` is one of ``contact-rate``, ``failure-ratio``,
     ``williamson``, ``dns-throttle``.

@@ -12,11 +12,11 @@ detector on the three axes the streaming work is judged by:
 * **throughput** — flows per second through the engine (wall clock).
 
 The result dict is JSON-stable (sorted keys, no object references) so
-it can feed the golden detection-latency fixture and the bench matrix
-unchanged.  :func:`throughput_run` is the bench-facing variant: it
-drives the online :class:`~repro.streaming.stream.SyntheticFlowStream`
-(no trace materialization) and reports only flow counts and timing —
-the flows/sec axis the bench-gate CI watches.
+it can feed the golden detection-latency fixture unchanged.
+:func:`throughput_run` is the throughput-only variant: it drives the
+online :class:`~repro.streaming.stream.SyntheticFlowStream` (no trace
+materialization) and reports only flow counts and timing — the
+flows/sec floor ``scripts/stream_smoke.py`` asserts.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def throughput_run(
     """Drive a synthetic online stream through ``engine``; time it.
 
     No trace is materialized: this is the memory-bounded load path the
-    smoke run and the ``stream_detect`` bench scenario measure.
+    smoke run measures.
     """
     stream = SyntheticFlowStream(config, max_flows=max_flows)
     started = _time.perf_counter()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.runner import (
+    DefenseSpec,
     EnsembleSpec,
     ResultCache,
     RunnerConfig,
@@ -173,6 +174,42 @@ class TestRunEnsemble:
         assert len(list(tmp_path.glob("*.json"))) == 1
         replay = run_ensemble(tiny_ensemble(), cache=ResultCache(tmp_path))
         assert replay.metrics.cache_hits == 1
+
+
+def powerlaw_ensemble(**template) -> EnsembleSpec:
+    return EnsembleSpec(
+        template=RunSpec(
+            topology=TopologySpec(kind="powerlaw", num_nodes=100),
+            initial_infections=3,
+            max_ticks=80,
+            **template,
+        ),
+        num_runs=3,
+        base_seed=10,
+    )
+
+
+class TestEnsembleResult:
+    def test_defense_applied_each_run(self):
+        result = run_ensemble(powerlaw_ensemble(
+            defense=DefenseSpec(kind="backbone", rate=0.05)
+        ), use_cache=False)
+        assert len(result.runs) == 3
+        for run in result.runs:
+            assert run.defense_name == "backbone_rl"
+            assert run.limited_links > 0
+
+    def test_seeds_vary_across_runs(self):
+        first, second, _ = run_ensemble(
+            powerlaw_ensemble(), use_cache=False
+        ).trajectories
+        n = min(first.infected.size, second.infected.size)
+        assert not np.array_equal(first.infected[:n], second.infected[:n])
+
+    def test_helpers(self):
+        result = run_ensemble(powerlaw_ensemble(), use_cache=False)
+        assert result.time_to_fraction(0.5) > 0
+        assert 0 < result.final_ever_infected() <= 1.0
 
 
 class TestConfiguration:

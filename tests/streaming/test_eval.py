@@ -1,4 +1,4 @@
-"""Evaluation harness and bench plumbing for the streaming subsystem."""
+"""Evaluation harness and throughput run for the streaming subsystem."""
 
 from __future__ import annotations
 
@@ -77,41 +77,3 @@ class TestThroughputRun:
         assert report["flows_per_sec"] > 0
         assert report["estimator_bytes_per_host"] is None
         assert "failure_ratio" in report["quarantined"]
-
-
-class TestBenchScenario:
-    def test_stream_detect_is_registered_with_axes(self):
-        from repro.bench.scenarios import scenario_def, scenario_names
-
-        assert "stream_detect" in scenario_names()
-        definition = scenario_def("stream_detect")
-        assert set(definition.axes) == {
-            "flows", "duration", "seed", "detectors", "compact",
-        }
-
-    def test_workload_runs_and_rebuilds_state_per_repeat(self):
-        from repro.bench.scenarios import scenario_def
-
-        workload = scenario_def("stream_detect").factory({
-            "flows": 1500, "duration": 600.0, "seed": 0,
-            "detectors": "failure-ratio", "compact": 1024,
-        })
-        workload.setup()
-        first = workload.run()
-        second = workload.run()  # a stale engine would raise here
-        for result in (first, second):
-            assert result["flows"] == 1500
-            assert result["estimator_bytes_per_host"] is not None
-
-    def test_streaming_matrix_loads(self):
-        from repro.bench.matrix import load_matrix
-
-        cases = load_matrix("streaming").expand()
-        assert len(cases) == 6
-        assert all(case.scenario == "stream_detect" for case in cases)
-
-    def test_ci_matrix_carries_a_streaming_case(self):
-        from repro.bench.matrix import load_matrix
-
-        cases = load_matrix("ci").expand()
-        assert any(case.scenario == "stream_detect" for case in cases)

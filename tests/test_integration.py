@@ -12,8 +12,10 @@ from repro.models.homogeneous import HomogeneousSIModel
 from repro.models.immunization import DelayedImmunizationModel
 from repro.models.leaf import LeafRateLimitModel
 from repro.simulator.immunization import ImmunizationPolicy
+from repro.models.base import Trajectory
 from repro.simulator.network import Network
-from repro.simulator.runner import ExperimentSpec, run_experiment
+from repro.simulator.observers import average_trajectories
+from repro.simulator.simulation import WormSimulation
 from repro.simulator.worms import RandomScanWorm
 from repro.topology.graphs import Topology
 from repro.traces.analysis import recommend_rate_limits
@@ -31,21 +33,30 @@ def complete_graph_network(n: int) -> Network:
     )
 
 
+def clique_mean(
+    n: int, *, num_runs: int, base_seed: int, max_ticks: int, **simulation
+) -> Trajectory:
+    """Mean curve of ``num_runs`` clique runs; run ``i`` is seeded
+    ``base_seed + i``, like the paper's ten-run averages."""
+    runs = [
+        WormSimulation(
+            complete_graph_network(n), RandomScanWorm(),
+            seed=base_seed + i, **simulation,
+        ).run(max_ticks)
+        for i in range(num_runs)
+    ]
+    return average_trajectories(runs)
+
+
 class TestModelSimulationAgreement:
     def test_clique_simulation_tracks_homogeneous_model(self):
         """On a complete graph with one-hop delivery, the simulated curve
         should match the logistic model within sampling noise."""
         n, beta = 150, 0.5
-        spec = ExperimentSpec(
-            network_factory=lambda seed: complete_graph_network(n),
-            worm_factory=RandomScanWorm,
-            scan_rate=beta,
-            initial_infections=3,
-            max_ticks=60,
-            num_runs=8,
-            base_seed=3,
+        mean = clique_mean(
+            n, scan_rate=beta, initial_infections=3,
+            max_ticks=60, num_runs=8, base_seed=3,
         )
-        mean = run_experiment(spec).mean
         model = HomogeneousSIModel(n, beta, initial_infected=3)
         t_sim = mean.time_to_fraction(0.5)
         t_model = model.exact_time_to_fraction(0.5)
@@ -83,17 +94,11 @@ class TestModelSimulationAgreement:
         """Ever-infected plateau: simulation vs Sec 6.1 model, same
         parameters, should land within a few points of each other."""
         n, beta, mu, level = 200, 0.8, 0.1, 0.2
-        spec = ExperimentSpec(
-            network_factory=lambda seed: complete_graph_network(n),
-            worm_factory=RandomScanWorm,
-            scan_rate=beta,
-            initial_infections=2,
+        sim_final = clique_mean(
+            n, scan_rate=beta, initial_infections=2,
             immunization=ImmunizationPolicy.at_fraction(level, mu),
-            max_ticks=150,
-            num_runs=6,
-            base_seed=9,
-        )
-        sim_final = run_experiment(spec).mean.final_fraction_ever_infected()
+            max_ticks=150, num_runs=6, base_seed=9,
+        ).final_fraction_ever_infected()
         model = DelayedImmunizationModel.from_infection_level(
             n, beta, mu, level, initial_infected=2
         )
