@@ -6,8 +6,8 @@ package turns the existing runner + cache + engines into something that
 can be *queried under load* — the online, reactive shape the paper's
 dynamic quarantine itself has:
 
-* :mod:`repro.service.http11` — a dependency-free asyncio HTTP/1.1
-  transport (stdlib only);
+* :mod:`repro.service.http11` — the one stdlib asyncio HTTP/1.1 server
+  both fronts are route tables on, plus their serve and thread runners;
 * :mod:`repro.service.protocol` — JSON in/out, validated through the
   runner's spec types; result payloads are canonical bytes, identical
   to an in-process ``run_ensemble``;

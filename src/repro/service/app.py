@@ -1,34 +1,32 @@
 """The simulation service: routes, lifecycle, and entry points.
 
-``SimulationService`` wires the pieces together: the asyncio HTTP
-transport (:mod:`repro.service.http11`) feeds requests to a small
-dispatcher; POST ``/v1/run`` validates the spec through the runner
-types and admits it to the :class:`~repro.service.scheduler.Scheduler`
-(429 + ``Retry-After`` when the queue is full, coalescing duplicates
-onto in-flight jobs); the scheduler's worker slots execute ensembles on
-the persistent :class:`~repro.service.workers.WorkerTier`; GET
+``SimulationService`` wires the pieces together: its route table runs
+on the shared HTTP front (:mod:`repro.service.http11`); POST
+``/v1/run`` validates the spec through the runner types and admits it
+to the :class:`~repro.service.scheduler.Scheduler` (429 +
+``Retry-After`` when the queue is full, coalescing duplicates onto
+in-flight jobs); the scheduler's worker slots execute ensembles on the
+persistent :class:`~repro.service.workers.WorkerTier`; GET
 ``/v1/result/<id>`` serves the canonical payload bytes; ``/healthz``
 and ``/metrics`` expose liveness and live counters.
 
 Three ways to run it:
 
-* ``repro serve`` → :func:`run_server` — blocks, installs
-  SIGTERM/SIGINT handlers, drains gracefully (stop accepting, finish
-  queued + running jobs, close the pool) before exiting 0;
+* ``repro serve`` → :func:`run_server` — blocks until SIGTERM/SIGINT,
+  then drains gracefully (stop accepting, finish queued + running jobs,
+  close the pool) before exiting 0;
 * :class:`ServiceThread` — the same service on a private event loop in
-  a daemon thread, for tests, notebooks, and the load benchmark;
+  a daemon thread (the shared :class:`~repro.service.http11.ServerThread`
+  runner), for tests, notebooks, and the load benchmark;
 * ``await SimulationService(config).start()`` — embed it in an
   existing event loop.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
-import signal
 import sys
-import threading
 from dataclasses import dataclass
 
 from ..chaos.controller import fault_point
@@ -36,15 +34,22 @@ from ..observability.hub import observability_hub
 from ..runner.api import expand_runs
 from ..runner.cache import ResultCache, default_cache_dir, spec_digest
 from ..runner.spec import EnsembleSpec, SpecError
-from .http11 import HttpError, Request, encode_response, read_request
+from .http11 import (
+    HttpFront,
+    Request,
+    Response,
+    ServerThread,
+    error,
+    run_until_signal,
+)
 from .jobstore import JobStore, default_job_store_dir
-from .metrics import ServiceMetrics
-from .protocol import ProtocolError, canonical_json, parse_run_request
+from .protocol import ProtocolError, parse_run_request
 from .quotas import QuotaConfig, QuotaTable
 from .scheduler import (
     DONE,
     EXPIRED,
     FAILED,
+    QUEUED,
     QueueFullError,
     Scheduler,
 )
@@ -133,7 +138,7 @@ class ServiceConfig:
                 f"got {self.shard_tag!r}"
             )
 
-    def quota_config(self) -> QuotaConfig | None:
+    def quota_table(self) -> QuotaTable | None:
         """The quota table this config asks for, or ``None`` (disabled)."""
         if self.quota_rate is None:
             return None
@@ -142,12 +147,14 @@ class ServiceConfig:
             if self.quota_burst is not None
             else max(1.0, 2.0 * self.quota_rate)
         )
-        return QuotaConfig(
-            rate=self.quota_rate,
-            burst=burst,
-            tenants={
-                name: (rate, b) for name, rate, b in self.quota_tenants
-            },
+        return QuotaTable(
+            QuotaConfig(
+                rate=self.quota_rate,
+                burst=burst,
+                tenants={
+                    name: (rate, b) for name, rate, b in self.quota_tenants
+                },
+            )
         )
 
     def resolved_store_dir(self) -> str | None:
@@ -176,8 +183,18 @@ def coalesce_key(spec) -> tuple:
     )
 
 
-class SimulationService:
+class SimulationService(HttpFront):
     """One running quarantine-simulation server."""
+
+    routes = (
+        ("POST", "/v1/run", "/v1/run", "_handle_run"),
+        ("GET", "/v1/result/*", "/v1/result", "_handle_result"),
+        ("POST", "/v1/stream", "/v1/stream", "_handle_stream_open"),
+        ("POST", "/v1/stream/*/close", "/v1/stream/close", "_handle_stream_close"),
+        ("POST", "/v1/stream/*", "/v1/stream/chunk", "_handle_stream_chunk"),
+        ("GET", "/healthz", "/healthz", "_handle_healthz"),
+        ("GET", "/metrics", "/metrics", "_handle_metrics"),
+    )
 
     def __init__(
         self, config: ServiceConfig, *, runner=None
@@ -202,34 +219,25 @@ class SimulationService:
             store=self.store,
             id_prefix=f"{config.shard_tag}-",
         )
-        quota_config = config.quota_config()
-        self.quotas = (
-            QuotaTable(quota_config) if quota_config is not None else None
-        )
+        self.quotas = config.quota_table()
         self.recovered = 0
-        self.metrics = ServiceMetrics()
         self.streams = StreamRegistry(
             max_streams=config.max_streams, ttl_s=config.stream_ttl_s
         )
-        self.port: int | None = None
-        self.draining = False
-        self._server: asyncio.base_events.Server | None = None
-        self._worker_tasks: list[asyncio.Task] = []
-        self._connections: set[asyncio.StreamWriter] = set()
+        super().__init__(config.host, config.port)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and spawn the worker slots."""
+        """Recover the journal, bind the listener, spawn the worker slots."""
         self._recover()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._worker_tasks = [
-            asyncio.ensure_future(self.scheduler.worker_loop())
+        await super().start()
+
+    def _background(self) -> list:
+        return [
+            self.scheduler.worker_loop()
             for _ in range(self.config.concurrency)
         ]
 
@@ -264,155 +272,32 @@ class SimulationService:
                 break  # admission bound still applies during recovery
             self.recovered += 1
 
-    async def stop(self, *, drain: bool = True) -> bool:
-        """Stop accepting, optionally drain, release the pool.
+    async def _drain(self) -> bool:
+        """Finish queued and running jobs within the drain timeout."""
+        return await self.scheduler.join(self.config.drain_timeout_s)
 
-        Returns True when every in-flight job finished inside the drain
-        timeout.
-        """
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        drained = True
-        if drain:
-            drained = await self.scheduler.join(
-                self.config.drain_timeout_s
-            )
-        for task in self._worker_tasks:
-            task.cancel()
-        await asyncio.gather(*self._worker_tasks, return_exceptions=True)
-        # Hang up idle keep-alive connections so their handler tasks
-        # see EOF and exit before the loop tears down.
-        for writer in list(self._connections):
-            writer.close()
-        await asyncio.sleep(0)
+    async def _release(self) -> None:
         self.workers.close()
         if self.store is not None:
             self.store.close()
-        return drained
 
     # ------------------------------------------------------------------
-    # HTTP handling
+    # Handlers
     # ------------------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    writer.write(
-                        encode_response(
-                            exc.status,
-                            canonical_json({"error": exc.message}),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                started = asyncio.get_running_loop().time()
-                endpoint, response = self._dispatch(request)
-                writer.write(response)
-                await writer.drain()
-                self.metrics.record(
-                    endpoint,
-                    asyncio.get_running_loop().time() - started,
-                )
-                if not request.keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange; nothing to salvage
-        except asyncio.CancelledError:
-            pass  # loop shutting down; the connection dies with it
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    def _dispatch(self, request: Request) -> tuple[str, bytes]:
-        """Route one request; returns (endpoint template, response bytes)."""
-        path = request.path
-        if path == "/v1/run":
-            if request.method != "POST":
-                return "/v1/run", self._error(405, "use POST")
-            return "/v1/run", self._handle_run(request)
-        if path.startswith("/v1/result/"):
-            if request.method != "GET":
-                return "/v1/result", self._error(405, "use GET")
-            job_id = path[len("/v1/result/"):]
-            return "/v1/result", self._handle_result(job_id)
-        if path == "/v1/stream":
-            if request.method != "POST":
-                return "/v1/stream", self._error(405, "use POST")
-            return "/v1/stream", self._handle_stream_open(request)
-        if path.startswith("/v1/stream/"):
-            rest = path[len("/v1/stream/"):]
-            if rest.endswith("/close"):
-                if request.method != "POST":
-                    return "/v1/stream/close", self._error(405, "use POST")
-                stream_id = rest[: -len("/close")]
-                return (
-                    "/v1/stream/close",
-                    self._handle_stream_close(stream_id),
-                )
-            if request.method != "POST":
-                return "/v1/stream/chunk", self._error(405, "use POST")
-            return (
-                "/v1/stream/chunk",
-                self._handle_stream_chunk(request, rest),
-            )
-        if path == "/healthz":
-            if request.method != "GET":
-                return "/healthz", self._error(405, "use GET")
-            return "/healthz", self._handle_healthz()
-        if path == "/metrics":
-            if request.method != "GET":
-                return "/metrics", self._error(405, "use GET")
-            return "/metrics", self._handle_metrics()
-        return "*", self._error(404, f"no such endpoint: {path}")
-
-    @staticmethod
-    def _error(status: int, message: str, **extra) -> bytes:
-        return encode_response(
-            status, canonical_json({"error": message, **extra})
-        )
-
-    @staticmethod
-    def _json(status: int, obj, headers: dict[str, str] | None = None) -> bytes:
-        return encode_response(
-            status, canonical_json(obj), extra_headers=headers
-        )
-
-    def _handle_run(self, request: Request) -> bytes:
+    async def _handle_run(self, request: Request) -> Response:
         if self.draining:
-            return self._error(503, "service is draining")
+            return error(503, "service is draining")
         if self.quotas is not None:
             decision = self.quotas.check(
                 request.headers.get("x-repro-tenant")
             )
             if not decision.allowed:
-                return self._json(
-                    429,
-                    {
-                        "error": "tenant quota exceeded",
-                        "tenant": decision.tenant,
-                        "retry_after_s": round(decision.retry_after_s, 3),
-                    },
-                    headers={"Retry-After": decision.retry_after_header},
-                )
+                return decision.refusal()
         try:
             spec, deadline_s = parse_run_request(request.body)
         except ProtocolError as exc:
-            return self._error(400, str(exc))
+            return error(400, str(exc))
         if deadline_s is None:
             deadline_s = self.config.deadline_s
         try:
@@ -420,16 +305,13 @@ class SimulationService:
                 spec, key=coalesce_key(spec), deadline_s=deadline_s
             )
         except QueueFullError as exc:
-            return self._json(
+            return error(
                 429,
-                {
-                    "error": "admission queue full",
-                    "queue_depth": exc.depth,
-                    "retry_after_s": exc.retry_after,
-                },
-                headers={"Retry-After": str(exc.retry_after)},
+                "admission queue full",
+                retry_after=exc.retry_after,
+                queue_depth=exc.depth,
             )
-        return self._json(
+        return (
             202,
             {
                 "id": job.id,
@@ -437,127 +319,101 @@ class SimulationService:
                 "coalesced": coalesced,
                 "queue_depth": self.scheduler.queue_depth,
             },
+            None,
         )
 
-    def _handle_result(self, job_id: str) -> bytes:
-        job = self.scheduler.get(job_id)
-        if job is None:
-            return self._stored_result(job_id)
-        if job.status == DONE:
-            assert job.payload is not None
-            return encode_response(200, job.payload)
-        if job.status == FAILED:
-            return self._json(
-                500, {"id": job.id, "status": FAILED, "error": job.error}
-            )
-        if job.status == EXPIRED:
-            return self._json(
-                504,
-                {"id": job.id, "status": EXPIRED, "error": job.error},
-            )
-        return self._json(202, {"id": job.id, "status": job.status})
+    async def _handle_result(self, request: Request, job_id: str) -> Response:
+        """Serve a job from the scheduler, else from the durable store.
 
-    def _stored_result(self, job_id: str) -> bytes:
-        """Serve an id the scheduler forgot from the durable store.
-
-        Covers two lives the in-memory table cannot: jobs finished
-        before a restart, and jobs aged past the retention window —
-        plus *any* shard's terminal jobs, since journals are shared.
+        The store covers lives the in-memory table cannot: jobs finished
+        before a restart, and jobs aged past the retention window — plus
+        *any* shard's terminal jobs, since journals are shared.
         """
-        if self.store is None:
-            return self._error(404, f"unknown job id: {job_id}")
-        stored = self.store.lookup_any(job_id)
-        if stored is None:
-            return self._error(404, f"unknown job id: {job_id}")
-        if stored.status == "done":
-            payload = self.store.payload_bytes(stored)
-            if payload is not None:
-                return encode_response(200, payload)
-            return self._error(
-                404, f"stored result missing for job id: {job_id}"
+        job = self.scheduler.get(job_id)
+        payload = job.payload if job is not None else None
+        if job is None and self.store is not None:
+            job = self.store.lookup_any(job_id)
+            if job is not None and job.status == DONE:
+                payload = self.store.payload_bytes(job)
+        if job is None:
+            return error(404, f"unknown job id: {job_id}")
+        if job.status == DONE:
+            if payload is None:
+                return error(
+                    404, f"stored result missing for job id: {job_id}"
+                )
+            return 200, payload, None
+        if job.status in (FAILED, EXPIRED):
+            return (
+                500 if job.status == FAILED else 504,
+                {"id": job_id, "status": job.status, "error": job.error},
+                None,
             )
-        if stored.status == "failed":
-            return self._json(
-                500,
-                {"id": job_id, "status": FAILED, "error": stored.error},
-            )
-        if stored.status == "expired":
-            return self._json(
-                504,
-                {"id": job_id, "status": EXPIRED, "error": stored.error},
-            )
-        # Submitted on some shard but not terminal yet: tell the client
-        # to keep polling (it is queued or running over there, or about
-        # to be recovered by that shard's restart).
-        return self._json(202, {"id": job_id, "status": "queued"})
+        # Not terminal yet.  A store-only "submitted" job is queued or
+        # running on some shard, or about to be recovered by that
+        # shard's restart: tell the client to keep polling.
+        status = QUEUED if job.status == "submitted" else job.status
+        return 202, {"id": job_id, "status": status}, None
 
-    def _handle_stream_open(self, request: Request) -> bytes:
+    async def _handle_stream_open(self, request: Request) -> Response:
         if self.draining:
-            return self._error(503, "service is draining")
+            return error(503, "service is draining")
         body = request.body.strip()
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (UnicodeDecodeError, ValueError) as exc:
-            return self._error(400, f"bad JSON body: {exc}")
+            return error(400, f"bad JSON body: {exc}")
         try:
             session = self.streams.open(payload)
         except StreamProtocolError as exc:
-            return self._error(400, str(exc))
+            return error(400, str(exc))
         except StreamLimitError as exc:
-            return self._json(
+            return error(
                 429,
-                {
-                    "error": "stream limit reached",
-                    "open_streams": exc.open_streams,
-                    "retry_after_s": exc.retry_after_s,
-                },
-                headers={"Retry-After": str(int(exc.retry_after_s))},
+                "stream limit reached",
+                retry_after=exc.retry_after_s,
+                open_streams=exc.open_streams,
             )
-        return self._json(
+        return (
             201,
             {
                 "id": session.id,
                 "detectors": [d.name for d in session.engine.detectors],
                 "max_streams": self.streams.max_streams,
             },
+            None,
         )
 
-    def _handle_stream_chunk(
+    async def _handle_stream_chunk(
         self, request: Request, stream_id: str
-    ) -> bytes:
+    ) -> Response:
         # Chaos seam: a mid-stream fault degrades this one chunk, never
         # the session — the client replays it after Retry-After.
         try:
             fault = fault_point("service.stream.chunk")
         except RuntimeError:
-            return self._json(
-                503,
-                {"error": "transient stream fault", "retry_after_s": 1.0},
-                headers={"Retry-After": "1"},
-            )
+            return error(503, "transient stream fault", retry_after=1.0)
         if fault is not None and fault.kind == "reject":
-            return self._json(
-                429,
-                {"error": "stream chunk rejected", "retry_after_s": 1.0},
-                headers={"Retry-After": "1"},
-            )
+            return error(429, "stream chunk rejected", retry_after=1.0)
         try:
             result = self.streams.chunk(
                 stream_id, request.body.decode("utf-8", "replace")
             )
         except KeyError:
-            return self._error(404, f"unknown stream id: {stream_id}")
-        return self._json(200, result)
+            return error(404, f"unknown stream id: {stream_id}")
+        return 200, result, None
 
-    def _handle_stream_close(self, stream_id: str) -> bytes:
+    async def _handle_stream_close(
+        self, request: Request, stream_id: str
+    ) -> Response:
         try:
             summary = self.streams.close(stream_id)
         except KeyError:
-            return self._error(404, f"unknown stream id: {stream_id}")
-        return self._json(200, summary)
+            return error(404, f"unknown stream id: {stream_id}")
+        return 200, summary, None
 
-    def _handle_healthz(self) -> bytes:
-        return self._json(
+    async def _handle_healthz(self, request: Request) -> Response:
+        return (
             200,
             {
                 "status": "draining" if self.draining else "ok",
@@ -565,9 +421,10 @@ class SimulationService:
                 "shard": self.config.shard_tag,
                 "pid": os.getpid(),
             },
+            None,
         )
 
-    def _handle_metrics(self) -> bytes:
+    async def _handle_metrics(self, request: Request) -> Response:
         hub = observability_hub()
         cache_stats = None
         if self.cache is not None:
@@ -610,7 +467,7 @@ class SimulationService:
             },
             "latency": self.metrics.snapshot(),
         }
-        return self._json(200, payload)
+        return 200, payload, None
 
 
 def run_server(config: ServiceConfig, out=sys.stdout) -> int:
@@ -619,42 +476,20 @@ def run_server(config: ServiceConfig, out=sys.stdout) -> int:
     Serves until SIGTERM/SIGINT, then drains gracefully: the listener
     closes first (new connections refused), queued and running jobs
     finish within ``drain_timeout_s``, the worker pool shuts down, and
-    the process exits 0.
+    the process exits 0 (1 on drain timeout).
     """
-
-    async def _serve() -> int:
-        service = SimulationService(config)
-        await service.start()
-        print(
-            f"repro.service listening on "
-            f"http://{config.host}:{service.port} "
-            f"(jobs={config.jobs}, max_queue={config.max_queue}, "
-            f"concurrency={config.concurrency})",
-            file=out,
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-main thread or exotic platform
-        await stop.wait()
-        print("repro.service draining...", file=out, flush=True)
-        drained = await service.stop(drain=True)
-        print(
-            "repro.service stopped "
-            f"({'clean' if drained else 'drain timeout'})",
-            file=out,
-            flush=True,
-        )
-        return 0 if drained else 1
-
-    return asyncio.run(_serve())
+    return run_until_signal(
+        lambda: SimulationService(config),
+        name="repro.service",
+        details=(
+            f"jobs={config.jobs}, max_queue={config.max_queue}, "
+            f"concurrency={config.concurrency}"
+        ),
+        out=out,
+    )
 
 
-class ServiceThread:
+class ServiceThread(ServerThread):
     """The service on a private event loop in a daemon thread.
 
     The shape tests and benchmarks want: ``with ServiceThread(config)
@@ -663,60 +498,9 @@ class ServiceThread:
     """
 
     def __init__(self, config: ServiceConfig, *, runner=None) -> None:
+        super().__init__(lambda: SimulationService(config, runner=runner))
         self.config = config
-        self.service: SimulationService | None = None
-        self.port: int | None = None
-        self._runner = runner
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
 
-    def start(self) -> "ServiceThread":
-        """Spawn the loop thread and wait for the listener to bind."""
-        self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("service failed to start within 30s")
-        if self._error is not None:
-            raise RuntimeError("service failed to start") from self._error
-        return self
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            self.service = SimulationService(
-                self.config, runner=self._runner
-            )
-            await self.service.start()
-            self.port = self.service.port
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop.wait()
-        await self.service.stop(drain=True)
-
-    def stop(self) -> None:
-        """Drain the service and join the loop thread (idempotent)."""
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already closed
-        if self._thread is not None:
-            self._thread.join(timeout=60)
-
-    def __enter__(self) -> "ServiceThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    @property
+    def service(self) -> SimulationService | None:
+        return self.server

@@ -98,6 +98,18 @@ class QuotaDecision:
         """``Retry-After`` value: the deficit rounded up to whole seconds."""
         return str(max(1, int(-(-self.retry_after_s // 1))))
 
+    def refusal(self) -> tuple[int, dict, dict[str, str]]:
+        """The 429 ``(status, body, headers)`` either front answers a denial with."""
+        return (
+            429,
+            {
+                "error": "tenant quota exceeded",
+                "tenant": self.tenant,
+                "retry_after_s": round(self.retry_after_s, 3),
+            },
+            {"Retry-After": self.retry_after_header},
+        )
+
 
 class TenantBucket:
     """One tenant's admission bucket on a wall clock.

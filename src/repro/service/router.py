@@ -21,11 +21,11 @@ client ever talks to.  The router owns three jobs:
   entry point, so N shards never multiply a tenant's budget (shards
   run with quotas disabled in sharded mode).
 
-The router speaks the same minimal HTTP/1.1 as the service transport
-and forwards with per-request upstream connections (``Connection:
-close``) — boring and allocation-heavy, but shard hops are loopback
-and the simulation dominates (sharded mode is not benchmarked; see the
-README's *Benchmarks* section).
+The router is a route table on the same HTTP server as the service
+(:mod:`repro.service.http11`) and forwards with per-request upstream
+connections (``Connection: close``) — boring and allocation-heavy, but
+shard hops are loopback and the simulation dominates (sharded mode is
+not benchmarked; see the README's *Benchmarks* section).
 
 :class:`StaticShards` swaps in for the supervisor under test: routing
 logic runs against in-process :class:`~repro.service.app.ServiceThread`
@@ -46,9 +46,16 @@ from dataclasses import dataclass
 
 from ..chaos.controller import fault_point
 from .app import ServiceConfig
-from .http11 import HttpError, Request, encode_response, read_request
-from .metrics import ServiceMetrics, merge_latency_tables
-from .protocol import canonical_json
+from .http11 import (
+    HttpFront,
+    Request,
+    Response,
+    encode_request,
+    error,
+    exchange,
+    run_until_signal,
+)
+from .metrics import merge_latency_tables
 from .quotas import QuotaTable
 
 __all__ = [
@@ -173,40 +180,26 @@ class ShardSupervisor:
 
     def _shard_argv(self, index: int) -> list[str]:
         cfg = self.config
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            "0",
-            "--shard-tag",
-            shard_tag(index),
-            "--jobs",
-            str(cfg.jobs),
-            "--max-queue",
-            str(cfg.max_queue),
-            "--concurrency",
-            str(cfg.concurrency),
-            "--drain-timeout",
-            str(cfg.drain_timeout_s),
-            "--max-streams",
-            str(cfg.max_streams),
-            "--stream-ttl",
-            str(cfg.stream_ttl_s),
-        ]
-        if cfg.deadline_s is not None:
-            argv += ["--deadline", str(cfg.deadline_s)]
+        argv = [sys.executable, "-m", "repro", "serve"]
+        for flag, value in (
+            ("--host", "127.0.0.1"),
+            ("--port", 0),
+            ("--shard-tag", shard_tag(index)),
+            ("--jobs", cfg.jobs),
+            ("--max-queue", cfg.max_queue),
+            ("--concurrency", cfg.concurrency),
+            ("--drain-timeout", cfg.drain_timeout_s),
+            ("--max-streams", cfg.max_streams),
+            ("--stream-ttl", cfg.stream_ttl_s),
+            ("--deadline", cfg.deadline_s),
+            ("--cache-dir", (cfg.cache_dir or None) if cfg.cache_enabled else None),
+            ("--store-dir", self.store_dir),
+            ("--engine", self.engine),
+        ):
+            if value is not None:
+                argv += [flag, str(value)]
         if not cfg.cache_enabled:
             argv.append("--no-cache")
-        elif cfg.cache_dir:
-            argv += ["--cache-dir", cfg.cache_dir]
-        if self.store_dir is not None:
-            argv += ["--store-dir", self.store_dir]
-        if self.engine is not None:
-            argv += ["--engine", self.engine]
         return argv
 
     def _spawn_env(self) -> dict[str, str]:
@@ -359,58 +352,18 @@ class ShardSupervisor:
         self._procs = [None] * self.shards
 
 
-async def _forward(
-    address: tuple[str, int], request_bytes: bytes
-) -> tuple[int, dict[str, str], bytes]:
-    """Send one upstream request; returns (status, headers, body)."""
-    reader, writer = await asyncio.open_connection(*address)
-    try:
-        writer.write(request_bytes)
-        await writer.drain()
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"bad status line: {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
-        return status, headers, body
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-def _encode_upstream(request: Request) -> bytes:
-    """Re-serialize a parsed request for one-shot upstream forwarding."""
-    target = request.path
-    if request.query:
-        target = f"{target}?{request.query}"
-    lines = [
-        f"{request.method} {target} HTTP/1.1",
-        "Host: shard",
-        "Connection: close",
-        f"Content-Length: {len(request.body)}",
-    ]
-    for name in ("content-type", "x-repro-tenant"):
-        value = request.headers.get(name)
-        if value:
-            lines.append(f"{name}: {value}")
-    head = "\r\n".join(lines) + "\r\n\r\n"
-    return head.encode("latin-1") + request.body
-
-
-class Router:
+class Router(HttpFront):
     """The sharded front door: one listener, N shards behind it."""
+
+    routes = (
+        ("POST", "/v1/run", "/v1/run", "_handle_run"),
+        ("GET", "/v1/result/*", "/v1/result", "_handle_result"),
+        # Streams are stateful and unsharded: the whole session API pins
+        # to the lowest-numbered healthy shard.
+        ("POST", "/v1/stream*", "/v1/stream", "_handle_stream"),
+        ("GET", "/healthz", "/healthz", "_handle_healthz"),
+        ("GET", "/metrics", "/metrics", "_handle_metrics"),
+    )
 
     def __init__(
         self,
@@ -423,12 +376,9 @@ class Router:
         proxy_timeout_s: float = PROXY_TIMEOUT_S,
     ) -> None:
         self.shards = shards
-        self.host = host
-        self.port: int | None = port
         self.quotas = quotas
         self.health_interval_s = health_interval_s
         self.proxy_timeout_s = proxy_timeout_s
-        self.metrics = ServiceMetrics()
         self.counters = {
             "forwarded": 0,
             "forward_errors": 0,
@@ -438,36 +388,16 @@ class Router:
             "restarts": 0,
         }
         self._rr = 0
-        self._server: asyncio.base_events.Server | None = None
-        self._health_task: asyncio.Task | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self.draining = False
+        super().__init__(host, port)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._health_task = asyncio.ensure_future(self._health_loop())
+    def _background(self) -> list:
+        return [self._health_loop()]
 
-    async def stop(self) -> None:
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-        for writer in list(self._connections):
-            writer.close()
-        await asyncio.sleep(0)
+    async def _release(self) -> None:
         await asyncio.to_thread(self.shards.stop)
 
     async def _health_loop(self) -> None:
@@ -509,151 +439,65 @@ class Router:
         return healthy
 
     # ------------------------------------------------------------------
-    # HTTP handling
+    # Handlers
     # ------------------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    writer.write(
-                        encode_response(
-                            exc.status,
-                            canonical_json({"error": exc.message}),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                started = asyncio.get_running_loop().time()
-                endpoint, response = await self._dispatch(request)
-                writer.write(response)
-                await writer.drain()
-                self.metrics.record(
-                    endpoint,
-                    asyncio.get_running_loop().time() - started,
-                )
-                if not request.keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    def _json(
-        status: int, obj, headers: dict[str, str] | None = None
-    ) -> bytes:
-        return encode_response(
-            status, canonical_json(obj), extra_headers=headers
-        )
-
-    async def _dispatch(self, request: Request) -> tuple[str, bytes]:
-        path = request.path
-        if path == "/v1/run":
-            return "/v1/run", await self._handle_run(request)
-        if path.startswith("/v1/result/"):
-            job_id = path[len("/v1/result/"):]
-            return "/v1/result", await self._proxy(
-                request, self._pick_result_order(job_id)
-            )
-        if path.startswith("/v1/stream"):
-            # Streams are stateful and unsharded: pin the whole session
-            # API to the lowest-numbered healthy shard.
-            healthy = self._healthy_indices()
-            return "/v1/stream", await self._proxy(request, healthy[:1])
-        if path == "/healthz":
-            return "/healthz", self._handle_healthz()
-        if path == "/metrics":
-            return "/metrics", await self._handle_metrics()
-        return "*", self._json(
-            404, {"error": f"no such endpoint: {path}"}
-        )
-
-    async def _handle_run(self, request: Request) -> bytes:
+    async def _handle_run(self, request: Request) -> Response:
         if self.draining:
-            return self._json(503, {"error": "router is draining"})
-        if request.method != "POST":
-            return self._json(405, {"error": "use POST"})
+            return error(503, "router is draining")
         if self.quotas is not None:
             decision = self.quotas.check(
                 request.headers.get("x-repro-tenant")
             )
             if not decision.allowed:
                 self.counters["quota_throttled"] += 1
-                return self._json(
-                    429,
-                    {
-                        "error": "tenant quota exceeded",
-                        "tenant": decision.tenant,
-                        "retry_after_s": round(decision.retry_after_s, 3),
-                    },
-                    headers={"Retry-After": decision.retry_after_header},
-                )
+                return decision.refusal()
         return await self._proxy(request, self._pick_run_order())
+
+    async def _handle_result(self, request: Request, job_id: str) -> Response:
+        return await self._proxy(request, self._pick_result_order(job_id))
+
+    async def _handle_stream(self, request: Request, _rest: str) -> Response:
+        return await self._proxy(request, self._healthy_indices()[:1])
 
     async def _proxy(
         self, request: Request, order: list[int]
-    ) -> bytes:
-        """Forward to the first shard in ``order`` that answers."""
-        upstream = _encode_upstream(request)
+    ) -> Response:
+        """Forward to the first shard in ``order`` that answers.
+
+        A refused connection, a timeout, or a broken response frame
+        counts as a ``forward_error`` and moves on to the next shard.
+        """
+        upstream = encode_request(request)
         for attempt, index in enumerate(order):
             address = self.shards.address(index)
             if address is None:
                 continue
             try:
                 status, headers, body = await asyncio.wait_for(
-                    _forward(address, upstream),
+                    exchange(address, upstream),
                     timeout=self.proxy_timeout_s,
                 )
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.IncompleteReadError,
-                asyncio.TimeoutError,
-            ):
+            except (OSError, asyncio.TimeoutError):
+                # read_response raises ConnectionError on a broken frame.
                 self.counters["forward_errors"] += 1
                 if attempt + 1 < len(order):
                     self.counters["retried"] += 1
                 continue
             self.counters["forwarded"] += 1
-            extra = {}
+            extra = {
+                "Content-Type": headers.get("content-type", "application/json")
+            }
             if "retry-after" in headers:
                 extra["Retry-After"] = headers["retry-after"]
-            return encode_response(
-                status,
-                body,
-                content_type=headers.get(
-                    "content-type", "application/json"
-                ),
-                extra_headers=extra or None,
-                keep_alive=request.keep_alive,
-            )
+            return status, body, extra
         self.counters["no_shard"] += 1
-        return self._json(
-            503,
-            {"error": "no healthy shard", "retry_after_s": 1.0},
-            headers={"Retry-After": "1"},
-        )
+        return error(503, "no healthy shard", retry_after=1.0)
 
-    def _handle_healthz(self) -> bytes:
+    async def _handle_healthz(self, request: Request) -> Response:
         shards = self.shards.describe()
         alive = sum(1 for s in shards if s["alive"])
-        return self._json(
+        return (
             200,
             {
                 "status": "draining"
@@ -664,33 +508,26 @@ class Router:
                 "shards": shards,
                 "alive": alive,
             },
+            None,
         )
 
-    async def _handle_metrics(self) -> bytes:
+    async def _handle_metrics(self, request: Request) -> Response:
         """Aggregate shard /metrics into one fleet-level document."""
+        probe = encode_request(Request("GET", "/metrics"))
+
         async def fetch(index: int):
             address = self.shards.address(index)
             if address is None:
                 return None
-            probe = (
-                b"GET /metrics HTTP/1.1\r\nHost: shard\r\n"
-                b"Connection: close\r\n\r\n"
-            )
             try:
                 status, _, body = await asyncio.wait_for(
-                    _forward(address, probe),
+                    exchange(address, probe),
                     timeout=self.proxy_timeout_s,
                 )
                 if status != 200:
                     return None
                 return json.loads(body)
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.IncompleteReadError,
-                asyncio.TimeoutError,
-                ValueError,
-            ):
+            except (OSError, asyncio.TimeoutError, ValueError):
                 return None
 
         snapshots = [
@@ -720,7 +557,7 @@ class Router:
                 [snap.get("latency") or {} for snap in snapshots]
             ),
         }
-        return self._json(200, payload)
+        return 200, payload, None
 
 
 def run_sharded_server(
@@ -743,36 +580,18 @@ def run_sharded_server(
         print(f"repro.router failed to start shards: {exc}", file=out)
         supervisor.stop(grace_s=5.0)
         return 1
-    quota_config = config.quota_config()
-    router = Router(
-        supervisor,
-        host=config.host,
-        port=config.port,
-        quotas=QuotaTable(quota_config) if quota_config else None,
-    )
-
-    async def _serve() -> int:
-        await router.start()
-        print(
-            f"repro.router listening on "
-            f"http://{config.host}:{router.port} "
-            f"(shards={shards}, jobs={config.jobs}, "
+    return run_until_signal(
+        lambda: Router(
+            supervisor,
+            host=config.host,
+            port=config.port,
+            quotas=config.quota_table(),
+        ),
+        name="repro.router",
+        details=(
+            f"shards={shards}, jobs={config.jobs}, "
             f"max_queue={config.max_queue}, "
-            f"concurrency={config.concurrency})",
-            file=out,
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await stop.wait()
-        print("repro.router draining...", file=out, flush=True)
-        await router.stop()
-        print("repro.router stopped (clean)", file=out, flush=True)
-        return 0
-
-    return asyncio.run(_serve())
+            f"concurrency={config.concurrency}"
+        ),
+        out=out,
+    )

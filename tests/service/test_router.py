@@ -9,12 +9,12 @@ sharded CI smoke.
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
 
 import pytest
 
-from repro.runner import EnsembleSpec, RunSpec, TopologySpec
+from repro.runner import EnsembleSpec, RunSpec, TopologySpec, run_ensemble
 from repro.service import (
     QueueFull,
     QuotaConfig,
@@ -24,6 +24,8 @@ from repro.service import (
     ServiceThread,
     StaticShards,
 )
+from repro.service.http11 import ServerThread
+from repro.service.protocol import result_payload
 from repro.service.router import Router, shard_index_for_job, shard_tag
 
 pytestmark = pytest.mark.service
@@ -41,43 +43,13 @@ def spec_with(label: str) -> EnsembleSpec:
     )
 
 
-class RouterThread:
-    """A started Router on a private loop thread (test harness)."""
-
-    def __init__(self, shards, *, quotas=None) -> None:
-        self.router = Router(
+def router_thread(shards, *, quotas=None) -> ServerThread:
+    """A Router on the shared loop-thread runner."""
+    return ServerThread(
+        lambda: Router(
             shards, port=0, quotas=quotas, health_interval_s=0.2
         )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    @property
-    def port(self) -> int:
-        assert self.router.port is not None
-        return self.router.port
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        await self.router.start()
-        self._ready.set()
-        await self._stop.wait()
-        await self.router.stop()
-
-    def __enter__(self) -> "RouterThread":
-        self._thread.start()
-        assert self._ready.wait(timeout=30)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=60)
+    )
 
 
 @pytest.fixture()
@@ -120,7 +92,7 @@ class TestIdRouting:
 class TestRouting:
     def test_run_round_robins_across_shards(self, two_shards):
         shards, _ = two_shards
-        with RouterThread(shards) as front:
+        with router_thread(shards) as front:
             with ServiceClient(port=front.port, timeout=60) as client:
                 ids = [
                     client.submit(spec_with(f"rr-{i}"))["id"]
@@ -131,7 +103,7 @@ class TestRouting:
 
     def test_result_polls_route_to_owner(self, two_shards):
         shards, threads = two_shards
-        with RouterThread(shards) as front:
+        with router_thread(shards) as front:
             with ServiceClient(port=front.port, timeout=60) as client:
                 job = client.submit(spec_with("owner"))
                 payload = client.wait(job["id"], timeout=60)
@@ -143,7 +115,7 @@ class TestRouting:
 
     def test_dead_owner_falls_back_to_store_via_sibling(self, two_shards):
         shards, threads = two_shards
-        with RouterThread(shards) as front:
+        with router_thread(shards) as front:
             with ServiceClient(port=front.port, timeout=60) as client:
                 job = client.submit(spec_with("fallback"))
                 payload = client.wait(job["id"], timeout=60)
@@ -156,7 +128,7 @@ class TestRouting:
 
     def test_no_healthy_shard_is_503_with_retry_after(self, two_shards):
         shards, _ = two_shards
-        with RouterThread(shards) as front:
+        with router_thread(shards) as front:
             shards.set_address(0, None)
             shards.set_address(1, None)
             with ServiceClient(port=front.port, timeout=60) as client:
@@ -170,7 +142,7 @@ class TestRouting:
         shards, _ = two_shards
         from repro.service import ServiceError
 
-        with RouterThread(shards) as front:
+        with router_thread(shards) as front:
             with ServiceClient(port=front.port, timeout=60) as client:
                 with pytest.raises(ServiceError) as excinfo:
                     client.poll("s0-feedfacedeadbeef")
@@ -181,7 +153,7 @@ class TestFrontDoorQuotas:
     def test_quota_429_with_deficit_retry_after(self, two_shards):
         shards, _ = two_shards
         quotas = QuotaTable(QuotaConfig(rate=0.5, burst=2.0))
-        with RouterThread(shards, quotas=quotas) as front:
+        with router_thread(shards, quotas=quotas) as front:
             with ServiceClient(
                 port=front.port, timeout=60, tenant="hammer"
             ) as client:
@@ -199,7 +171,7 @@ class TestFrontDoorQuotas:
     def test_tenants_isolated_at_the_front_door(self, two_shards):
         shards, _ = two_shards
         quotas = QuotaTable(QuotaConfig(rate=0.5, burst=1.0))
-        with RouterThread(shards, quotas=quotas) as front:
+        with router_thread(shards, quotas=quotas) as front:
             with ServiceClient(
                 port=front.port, timeout=60, tenant="greedy"
             ) as greedy:
@@ -215,7 +187,7 @@ class TestFrontDoorQuotas:
 class TestIntrospection:
     def test_healthz_reports_shard_liveness(self, two_shards):
         shards, _ = two_shards
-        with RouterThread(shards) as front:
+        with router_thread(shards) as front:
             with ServiceClient(port=front.port, timeout=60) as client:
                 health = client.healthz()
                 assert health["router"] is True
@@ -229,7 +201,7 @@ class TestIntrospection:
 
     def test_metrics_aggregates_shard_counters(self, two_shards):
         shards, _ = two_shards
-        with RouterThread(shards) as front:
+        with router_thread(shards) as front:
             with ServiceClient(port=front.port, timeout=60) as client:
                 for i in range(3):
                     job = client.submit(spec_with(f"agg-{i}"))
@@ -240,3 +212,136 @@ class TestIntrospection:
         assert "/v1/run" in metrics["latency"]
         # Router-side latency table tracks the front-door endpoints.
         assert "/v1/run" in metrics["router"]["latency"]
+
+
+class TestByteParity:
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_routed_bytes_match_in_process(self, two_shards, engine):
+        shards, _ = two_shards
+        spec = EnsembleSpec(
+            template=RunSpec(
+                topology=TopologySpec(kind="powerlaw", num_nodes=80),
+                max_ticks=25,
+                engine=engine,
+            ),
+            num_runs=3,
+            base_seed=41,
+            label=f"routed-parity-{engine}",
+        )
+        with router_thread(shards) as front:
+            with ServiceClient(port=front.port, timeout=120) as client:
+                served = client.run_bytes(spec, timeout=120)
+        assert served == result_payload(run_ensemble(spec, use_cache=False))
+
+
+class TestMethods:
+    @pytest.mark.parametrize("path", ["/healthz", "/metrics"])
+    def test_post_to_introspection_is_405(self, two_shards, path):
+        shards, _ = two_shards
+        with router_thread(shards) as front:
+            with ServiceClient(port=front.port, timeout=60) as client:
+                status, _headers, _payload = client._request(
+                    "POST", path, b"{}"
+                )
+        assert status == 405
+
+
+def exchange_raw(port: int, request: bytes) -> bytes:
+    """Send one raw request and read until the server hangs up."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestConnectionClose:
+    """Both fronts answer ``Connection: close`` in kind, then hang up."""
+
+    @pytest.mark.parametrize("front_kind", ["service", "router"])
+    @pytest.mark.parametrize(
+        "method, expected",
+        [("GET", b"HTTP/1.1 200 "), ("POST", b"HTTP/1.1 405 ")],
+    )
+    def test_close_is_echoed(self, two_shards, front_kind, method, expected):
+        shards, threads = two_shards
+        request = (
+            f"{method} /healthz HTTP/1.1\r\nHost: test\r\n"
+            "Content-Length: 0\r\nConnection: close\r\n\r\n"
+        ).encode("latin-1")
+        if front_kind == "service":
+            response = exchange_raw(threads[0].port, request)
+        else:
+            with router_thread(shards) as front:
+                response = exchange_raw(front.port, request)
+        head = response.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert head[0].startswith(expected)
+        assert b"Connection: close" in head
+        assert b"Connection: keep-alive" not in head
+
+
+class FakeUpstream:
+    """A loopback 'shard' that answers every request with one canned frame."""
+
+    def __init__(self, frame: bytes) -> None:
+        self.frame = frame
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self._sock.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return  # listener closed
+            with conn:
+                received = b""
+                while b"\r\n\r\n" not in received:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    received += chunk
+                conn.sendall(self.frame)
+
+    def __enter__(self) -> "FakeUpstream":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._sock.close()
+        self._thread.join(timeout=10)
+
+
+GOOD_HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+
+
+class TestUpstreamFrames:
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            # What the ``garble`` chaos fault makes: first byte flipped.
+            bytes([GOOD_HEAD[0] ^ 0xFF])
+            + GOOD_HEAD[1:]
+            + b"Content-Length: 2\r\n\r\n{}",
+            GOOD_HEAD + b"Content-Length: two\r\n\r\n{}",
+        ],
+        ids=["garbled-status-line", "bad-content-length"],
+    )
+    def test_broken_frame_is_a_forward_error(self, two_shards, frame):
+        shards, _ = two_shards
+        with FakeUpstream(frame) as fake:
+            # The fake owns s0's ids; the real s1 is the fallback.
+            front_shards = StaticShards([fake.address, shards.address(1)])
+            with router_thread(front_shards) as front:
+                with ServiceClient(port=front.port, timeout=60) as client:
+                    status, _headers, _payload = client._request(
+                        "GET", "/v1/result/s0-feedfacedeadbeef"
+                    )
+                counters = dict(front.server.counters)
+        # The sibling's honest answer, not the broken frame's 200.
+        assert status == 404
+        assert counters["forward_errors"] == 1
+        assert counters["retried"] == 1
+        assert counters["forwarded"] == 1
