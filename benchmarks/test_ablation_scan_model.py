@@ -8,7 +8,8 @@ compose the way Eq. (1) assumes.  In discrete time with delivery latency
 the fitted rate is ``lambda ~ ln(1 + beta*p) / (1 + latency_correction)``
 rather than ``beta*p`` itself, so halving the hit probability divides the
 rate by a factor somewhat *below* the mean-field 2 — the assertion bands
-account for that.
+account for that.  Runs are batch-sampled (width-1 vector groups), the
+engine paper-scale figures use.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from conftest import print_rows
 
 from repro.models.fitting import fit_logistic
+from repro.simulator.fastpath import VectorReplicaSimulation
 from repro.simulator.network import Network
 from repro.simulator.observers import average_trajectories
-from repro.simulator.simulation import WormSimulation
 from repro.simulator.worms import RandomScanWorm
 
 
@@ -26,15 +27,19 @@ def fitted_rate(hit_probability: float, *, num_runs: int = 5) -> float:
     runs = []
     for i in range(num_runs):
         seed = 50 + i
-        simulation = WormSimulation(
+        simulation = VectorReplicaSimulation(
             Network.from_powerlaw(1000, seed=seed),
             RandomScanWorm(hit_probability=hit_probability),
             scan_rate=2.0,
+            seeds=[seed],
             initial_infections=5,
             lan_delivery=True,
-            seed=seed,
+            writeback="stats",
         )
-        runs.append(simulation.run(600))
+        simulation.run(
+            600,
+            lambda _replica, state: runs.append(state.recorder.trajectory()),
+        )
     return fit_logistic(average_trajectories(runs)).rate
 
 

@@ -30,6 +30,7 @@ from ..simulator.defense import (
 )
 from ..simulator.dynamic import DynamicQuarantine
 from ..simulator.fastpath import FastWormSimulation, VectorReplicaSimulation
+from ..simulator.fastpath.vector import ReplicaState
 from ..simulator.network import Network
 from ..simulator.observers import subset_fraction_curve
 from ..simulator.simulation import WormSimulation
@@ -42,7 +43,14 @@ from ..simulator.worms import (
     WormStrategy,
 )
 from .results import RunMetrics, RunResult
-from .spec import DefenseSpec, QuarantineSpec, RunSpec, TopologySpec, WormSpec
+from .spec import (
+    BATCH_WORM_KINDS,
+    DefenseSpec,
+    QuarantineSpec,
+    RunSpec,
+    TopologySpec,
+    WormSpec,
+)
 
 __all__ = [
     "build_network",
@@ -52,6 +60,13 @@ __all__ = [
     "execute_run",
     "execute_replica_batch",
 ]
+
+#: ``engine="fast"`` switches from draw-for-draw mirroring to batch
+#: sampling (a width-1 vector group) at this many infectable hosts:
+#: below it, exact replay costs little and buys bit-identical
+#: differential testing; above it, the per-draw Python overhead
+#: dominates the tick.
+BATCH_MIN_HOSTS = 512
 
 
 def build_network(spec: TopologySpec, *, run_seed: int) -> Network:
@@ -129,17 +144,17 @@ def _seed_subnet_curve(
 
 
 def _run_metrics(
-    simulation: WormSimulation | FastWormSimulation,
+    simulation: WormSimulation | FastWormSimulation | ReplicaState,
     network: Network,
-    **extra,
+    instrumentation: Instrumentation | None,
+    wall_time: float,
 ) -> RunMetrics:
-    """Packet totals and link-stat histograms of a finished run.
+    """Packet totals, link-stat histograms and profile of a finished run.
 
     Fast runs read the transport's folded per-link arrays, so their
     links need no writeback; reference runs walk ``network.links``.
     Both list histogram buckets in ``network.links`` order, so solo and
-    grouped runs serialize to the same bytes.  ``extra`` fills the
-    remaining :class:`RunMetrics` fields.
+    grouped runs serialize to the same bytes.
     """
     if isinstance(simulation, WormSimulation):
         queue_counts = queue_histogram(network)
@@ -157,7 +172,32 @@ def _run_metrics(
         packets_dropped=stats.packets_dropped,
         queue_histogram=queue_counts,
         drop_histogram=drop_counts,
-        **extra,
+        wall_time=wall_time,
+        phase_seconds=(
+            dict(instrumentation.phase_seconds) if instrumentation else {}
+        ),
+        phase_calls=(
+            dict(instrumentation.phase_calls) if instrumentation else {}
+        ),
+        counters=dict(instrumentation.counters) if instrumentation else {},
+    )
+
+
+def _trace(instrumentation: Instrumentation | None):
+    """The run's tick records, when it ran with a trace sink."""
+    if instrumentation is None or instrumentation.sink is None:
+        return None
+    return instrumentation.trace_records
+
+
+def _batch_sampled(spec: RunSpec, network: Network) -> bool:
+    """Whether a run takes the vector engine (batch sampling)."""
+    if spec.engine == "fast-batched":
+        return True
+    return (
+        spec.engine == "fast"
+        and spec.worm.kind in BATCH_WORM_KINDS
+        and network.num_infectable >= BATCH_MIN_HOSTS
     )
 
 
@@ -172,9 +212,11 @@ def execute_run(
     queue/drop histograms are computed on every run either way.
     """
     start = time.perf_counter()
-    instrumentation = Instrumentation.from_options(options)
     network = build_network(spec.topology, run_seed=spec.seed)
     descriptor = apply_defense(network, spec.defense)
+    if _batch_sampled(spec, network):
+        return _run_vector([spec], network, descriptor, options, start)[0]
+    instrumentation = Instrumentation.from_options(options)
     quarantine = (
         build_quarantine(spec.quarantine)
         if spec.quarantine is not None
@@ -182,15 +224,9 @@ def execute_run(
     )
     if spec.engine == "reference":
         simulation_cls = WormSimulation
-        engine_kwargs = {}
         run_kwargs = {}
     else:
         simulation_cls = FastWormSimulation
-        # "fast-batched" solo means "force aggregated batch sampling";
-        # grouping replicas happens a layer up (execute_replica_batch).
-        engine_kwargs = (
-            {"scan_mode": "batch"} if spec.engine == "fast-batched" else {}
-        )
         # Metrics come from the transport's arrays; only figure 5's
         # seed-subnet curve reads hosts written back onto the network.
         run_kwargs = {
@@ -206,7 +242,6 @@ def execute_run(
         quarantine=quarantine,
         seed=spec.seed,
         instrumentation=instrumentation,
-        **engine_kwargs,
     )
     trajectory = simulation.run(spec.max_ticks, **run_kwargs)
     if spec.observe == "seed_subnets":
@@ -214,19 +249,8 @@ def execute_run(
     metrics = _run_metrics(
         simulation,
         network,
+        instrumentation,
         wall_time=time.perf_counter() - start,
-        phase_seconds=(
-            dict(instrumentation.phase_seconds) if instrumentation else {}
-        ),
-        phase_calls=(
-            dict(instrumentation.phase_calls) if instrumentation else {}
-        ),
-        counters=dict(instrumentation.counters) if instrumentation else {},
-    )
-    trace = (
-        instrumentation.trace_records
-        if instrumentation is not None and instrumentation.sink is not None
-        else None
     )
     return RunResult(
         spec=spec,
@@ -235,8 +259,85 @@ def execute_run(
         defense_name=descriptor.name,
         limited_links=descriptor.limited_links,
         throttled_hosts=descriptor.throttled_hosts,
-        trace=trace,
+        trace=_trace(instrumentation),
     )
+
+
+def _run_vector(
+    specs: Sequence[RunSpec],
+    network: Network,
+    descriptor: DefenseDescriptor,
+    options: InstrumentationOptions | None,
+    start: float,
+) -> list[RunResult]:
+    """Run specs differing only by seed as one vector group on ``network``.
+
+    ``wall_time`` reports the time since ``start`` split evenly over the
+    group (per-replica attribution inside an interleaved tick loop would
+    be noise anyway); a width-1 group keeps its whole build and run.
+    """
+    template = specs[0]
+    quarantine_factory = None
+    if template.quarantine is not None:
+        quarantine_spec = template.quarantine
+
+        def quarantine_factory() -> DynamicQuarantine:
+            return build_quarantine(quarantine_spec)
+
+    instrumentation = None
+    if options is not None and options.active:
+        instrumentation = [
+            Instrumentation.from_options(options) for _ in specs
+        ]
+    # Trajectories, aggregate packet counters and the transport's folded
+    # link arrays are all the harvest reads, so the per-replica
+    # whole-topology writeback is skipped — except for figure 5's
+    # seed-subnet observable, which recounts the written-back hosts.
+    writeback = "full" if template.observe == "seed_subnets" else "stats"
+    batch = VectorReplicaSimulation(
+        network,
+        build_worm(template.worm),
+        scan_rate=template.scan_rate,
+        seeds=[spec.seed for spec in specs],
+        initial_infections=template.initial_infections,
+        immunization=template.immunization,
+        lan_delivery=template.lan_delivery,
+        quarantine_factory=quarantine_factory,
+        writeback=writeback,
+        instrumentation=instrumentation,
+    )
+    harvested: list[tuple[Trajectory, RunMetrics] | None] = [None] * len(
+        specs
+    )
+
+    def harvest(replica: int, state: ReplicaState) -> None:
+        spec = specs[replica]
+        trajectory = state.recorder.trajectory()
+        if spec.observe == "seed_subnets":
+            trajectory = _seed_subnet_curve(network, spec.max_ticks)
+        harvested[replica] = (
+            trajectory,
+            _run_metrics(state, network, state.instrumentation, 0.0),
+        )
+
+    batch.run(template.max_ticks, harvest)
+    per_run = (time.perf_counter() - start) / len(specs)
+    results: list[RunResult] = []
+    for spec, state, (trajectory, metrics) in zip(
+        specs, batch.states, harvested
+    ):
+        results.append(
+            RunResult(
+                spec=spec,
+                trajectory=trajectory,
+                metrics=dataclasses.replace(metrics, wall_time=per_run),
+                defense_name=descriptor.name,
+                limited_links=descriptor.limited_links,
+                throttled_hosts=descriptor.throttled_hosts,
+                trace=_trace(state.instrumentation),
+            )
+        )
+    return results
 
 
 def execute_replica_batch(
@@ -252,20 +353,14 @@ def execute_replica_batch(
     :class:`~repro.simulator.fastpath.VectorReplicaSimulation`; each
     returned :class:`RunResult` is bit-identical to what
     :func:`execute_run` would produce for that spec alone, except
-    ``wall_time``, which reports the group's elapsed time split evenly
-    (per-replica attribution inside an interleaved tick loop would be
-    noise anyway).
+    ``wall_time`` and ``phase_seconds``, which report the group's time
+    split evenly over its replicas.
     """
     specs = list(specs)
     if not specs:
         return []
     if len(specs) == 1:
         return [execute_run(specs[0], options)]
-    if options is not None and options.active:
-        raise ValueError(
-            "replica batching does not support instrumented runs; "
-            "execute them individually"
-        )
     template = specs[0]
     if template.engine != "fast-batched":
         raise ValueError(
@@ -287,53 +382,4 @@ def execute_replica_batch(
     start = time.perf_counter()
     network = build_network(template.topology, run_seed=template.seed)
     descriptor = apply_defense(network, template.defense)
-    quarantine_factory = None
-    if template.quarantine is not None:
-        quarantine_spec = template.quarantine
-
-        def quarantine_factory() -> DynamicQuarantine:
-            return build_quarantine(quarantine_spec)
-
-    # The same harvest as a solo run: trajectories, aggregate packet
-    # counters and the transport's folded link arrays, so the per-replica
-    # whole-topology writeback is skipped — except for figure 5's
-    # seed-subnet observable, which recounts the written-back hosts.
-    writeback = "full" if template.observe == "seed_subnets" else "stats"
-    batch = VectorReplicaSimulation(
-        network,
-        build_worm(template.worm),
-        scan_rate=template.scan_rate,
-        seeds=[spec.seed for spec in specs],
-        initial_infections=template.initial_infections,
-        immunization=template.immunization,
-        lan_delivery=template.lan_delivery,
-        quarantine_factory=quarantine_factory,
-        writeback=writeback,
-    )
-    harvested: list[tuple[Trajectory, RunMetrics] | None] = [None] * len(
-        specs
-    )
-
-    def harvest(replica: int, sim: FastWormSimulation) -> None:
-        spec = specs[replica]
-        trajectory = sim.recorder.trajectory()
-        if spec.observe == "seed_subnets":
-            trajectory = _seed_subnet_curve(network, spec.max_ticks)
-        harvested[replica] = (trajectory, _run_metrics(sim, network))
-
-    batch.run(template.max_ticks, harvest)
-    per_run = (time.perf_counter() - start) / len(specs)
-    results: list[RunResult] = []
-    for spec, payload in zip(specs, harvested):
-        trajectory, metrics = payload
-        results.append(
-            RunResult(
-                spec=spec,
-                trajectory=trajectory,
-                metrics=dataclasses.replace(metrics, wall_time=per_run),
-                defense_name=descriptor.name,
-                limited_links=descriptor.limited_links,
-                throttled_hosts=descriptor.throttled_hosts,
-            )
-        )
-    return results
+    return _run_vector(specs, network, descriptor, options, start)

@@ -352,6 +352,11 @@ class PersistentExecutor(Executor):
                     ) from None
 
 
+#: Replicas per vector group: memory scales with the chunk, not the
+#: ensemble.
+REPLICA_CHUNK = 128
+
+
 def _replica_group_key(spec: RunSpec) -> str:
     """Canonical scenario identity of a spec, seed excluded."""
     return json.dumps(dict(spec.to_dict(), seed=None), sort_keys=True)
@@ -364,14 +369,15 @@ class ReplicaBatchExecutor(Executor):
     (identical apart from ``seed``), request the ``fast-batched``
     engine, and pin their topology seed are executed in replica groups
     via :func:`~repro.runner.build.execute_replica_batch`; everything
-    else — other engines, unpinned topologies, instrumented batches,
-    singleton groups — passes through to ``inner`` untouched.  Results
+    else — other engines, unpinned topologies, singleton groups —
+    passes through to ``inner`` untouched.  Results
     come back in spec order either way, and each grouped result is
     bit-identical to what the inner executor would have produced for
     that spec alone (modulo ``wall_time``).
 
-    Groups are chunked at ``chunk_size`` replicas so memory scales with
-    the chunk, not the ensemble; chunking does not change results.
+    Groups are chunked at :data:`REPLICA_CHUNK` replicas so memory
+    scales with the chunk, not the ensemble; chunking does not change
+    results.
 
     ``cancel`` is the service tier's cooperative cancellation event,
     checked between chunks (a chunk in flight finishes first — same
@@ -382,15 +388,9 @@ class ReplicaBatchExecutor(Executor):
         self,
         inner: Executor | None = None,
         *,
-        chunk_size: int = 128,
         cancel: threading.Event | None = None,
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
         self.inner = inner if inner is not None else SerialExecutor()
-        self.chunk_size = chunk_size
         self._cancel = cancel
 
     def run_specs(
@@ -400,15 +400,10 @@ class ReplicaBatchExecutor(Executor):
     ) -> list[RunResult]:
         specs = list(specs)
         results: list[RunResult | None] = [None] * len(specs)
-        groupable = options is None or not options.active
         passthrough: list[int] = []
         groups: dict[str, list[int]] = {}
         for index, spec in enumerate(specs):
-            if (
-                groupable
-                and spec.engine == "fast-batched"
-                and spec.topology.seed is not None
-            ):
+            if spec.engine == "fast-batched" and spec.topology.seed is not None:
                 groups.setdefault(_replica_group_key(spec), []).append(index)
             else:
                 passthrough.append(index)
@@ -416,8 +411,8 @@ class ReplicaBatchExecutor(Executor):
             if len(indices) == 1:
                 passthrough.append(indices[0])
                 continue
-            for at in range(0, len(indices), self.chunk_size):
-                chunk = indices[at : at + self.chunk_size]
+            for at in range(0, len(indices), REPLICA_CHUNK):
+                chunk = indices[at : at + REPLICA_CHUNK]
                 if self._cancel is not None and self._cancel.is_set():
                     raise RunCancelledError(
                         "batch cancelled between replica chunks"

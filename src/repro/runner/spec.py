@@ -45,16 +45,20 @@ OBSERVE_MODES = ("population", "seed_subnets")
 
 TOPOLOGY_KINDS = ("powerlaw", "star")
 WORM_KINDS = ("random", "local_preferential", "topological", "sequential")
+#: Worms with a batch sampling kernel (the vector engine's scan phase).
+BATCH_WORM_KINDS = ("random", "local_preferential")
 DEFENSE_KINDS = ("none", "hosts", "hub", "edge", "backbone")
 
 #: Simulation engines the run executor can build.  ``"reference"`` is
 #: the object-per-host :class:`~repro.simulator.simulation.WormSimulation`
 #: (the semantic oracle); ``"fast"`` is the struct-of-arrays
-#: :class:`~repro.simulator.fastpath.FastWormSimulation`;
-#: ``"fast-batched"`` forces the fast engine's aggregated batch sampling
-#: and lets the runner vectorize whole replica groups of an ensemble
-#: through one shared scenario build (see
-#: :class:`~repro.simulator.fastpath.VectorReplicaSimulation`).
+#: :class:`~repro.simulator.fastpath.FastWormSimulation` in mirror mode
+#: below ``BATCH_MIN_HOSTS`` infectable hosts (or for worms without a
+#: batch kernel) and a width-1 batch-sampled
+#: :class:`~repro.simulator.fastpath.VectorReplicaSimulation` group
+#: above; ``"fast-batched"`` forces batch sampling and lets the runner
+#: vectorize whole replica groups of an ensemble through one shared
+#: scenario build.
 ENGINE_KINDS = ("reference", "fast", "fast-batched")
 
 
@@ -215,9 +219,10 @@ class RunSpec:
         subnets holding the initial seeds (Figure 5's view).
     engine:
         Which simulation engine executes the run: ``"reference"`` (the
-        object-per-host oracle) or ``"fast"`` (struct-of-arrays).  Part
-        of the spec — and therefore the cache digest — because the fast
-        engine is only statistically equivalent on large populations.
+        object-per-host oracle), ``"fast"`` or ``"fast-batched"``
+        (struct-of-arrays; see :data:`ENGINE_KINDS`).  Part of the
+        spec — and therefore the cache digest — because batch sampling
+        is only statistically equivalent to the reference.
     """
 
     topology: TopologySpec = field(default_factory=TopologySpec)
@@ -250,6 +255,14 @@ class RunSpec:
         if self.engine not in ENGINE_KINDS:
             raise SpecError(
                 f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
+            )
+        if (
+            self.engine == "fast-batched"
+            and self.worm.kind not in BATCH_WORM_KINDS
+        ):
+            raise SpecError(
+                f"engine='fast-batched' requires a worm kind in "
+                f"{BATCH_WORM_KINDS}, got {self.worm.kind!r}"
             )
 
     def to_dict(self) -> dict[str, Any]:

@@ -1,47 +1,43 @@
-"""Opt-in high-performance simulation engine (``engine="fast"``).
+"""Opt-in high-performance simulation engines (``engine="fast"``).
 
 Same five-phase tick semantics as the reference
 :class:`~repro.simulator.simulation.WormSimulation`, with the
 object-per-host / object-per-packet inner loops replaced by
-struct-of-arrays state and batched transport:
+struct-of-arrays state and array transport:
 
 * host status, infection stamps and throttle tokens live in
   ``(replica, host)`` arrays (:mod:`.state`) — one row per run of a
-  vectorized ensemble, a single row for solo runs;
-* the scan phase walks a sorted active-infected index, so its cost is
-  O(infected), not O(N);
-* link queues hold bare destination ids; scalar paths drain them in the
-  reference's sorted-key order, vectorized paths move whole per-tick
-  waves through numpy routing lookups (:mod:`.transport`).
+  vector group, a single row for a mirror run;
+* link queues hold bare destination ids; the exact sweep drains them in
+  the reference's sorted-key order, the vector wave moves whole per-tick
+  packet arrays through numpy routing lookups (:mod:`.transport`).
 
-The engine runs in one of two scan modes (``scan_mode`` on
-:class:`.FastWormSimulation`, default ``"auto"``):
+Two engines share these pieces:
 
-* ``"mirror"`` draws from the run RNG in exactly the reference order, so
-  a fast run is *bit-identical* to a reference run for every supported
-  configuration — trajectories, per-link stats, instrumentation
-  counters, trace records, everything.  The differential test suite
-  asserts this.
-* ``"batch"`` (random-scan and local-preferential worms) samples
-  per-host scan counts in aggregate and pushes scans through vectorized
-  batched transport; dynamic immunization and quarantine/throttle
-  defenses batch alongside.  Runs are *statistically* equivalent — same
-  epidemic law, different random stream — and the documented transport
-  relaxations in :mod:`.transport` apply.
+* :class:`.FastWormSimulation` (:mod:`.engine`) is the *mirror* engine.
+  It draws from the run RNG in exactly the reference order, so a run is
+  *bit-identical* to a reference run for every supported configuration
+  — trajectories, per-link stats, instrumentation counters, trace
+  records, everything.  Its scan phase walks a sorted infected index,
+  so its cost is O(infected), not O(N).  The differential test suite
+  asserts the equivalence.
+* :class:`.VectorReplicaSimulation` (:mod:`.vector`) is the *batch
+  sampling* engine for random-scan and local-preferential worms.  It
+  draws per-host scan counts, targets and telescope observations in
+  bulk from a numpy generator per seed, and advances many seeded runs
+  of one scenario together: one network, routing table and transport
+  layout serve every replica, and one cross-replica numpy pass per
+  phase advances all live replicas.  Runs are *statistically*
+  equivalent to the reference — same epidemic law, different random
+  stream — and a replica's results do not depend on its group: a solo
+  batch run is a group of width one.
 
-``"auto"`` picks ``"batch"`` when the worm supports it and the
-population is large enough to amortize the numpy overhead, else
-``"mirror"``.  The reference engine stays untouched as the semantic
-oracle.
-
-:class:`.VectorReplicaSimulation` (:mod:`.vector`) stacks many seeded
-batch-mode runs of one scenario onto the replica axis: one network,
-routing table, and transport layout serve every replica, and one
-cross-replica numpy pass per phase advances all live replicas.  Each
-replica's results are bit-identical to running its spec alone in batch
-mode — replicas with node forwarding budgets included, which move their
-packets on the exact scalar sweep just as the solo batch engine does.
-The runner's ``engine="fast-batched"`` selects it for whole ensembles.
+The runner picks between them (``repro.runner.build.execute_run``):
+``engine="fast"`` takes the vector engine for batchable worms on at
+least ``BATCH_MIN_HOSTS`` infectable hosts and the mirror engine
+otherwise; ``engine="fast-batched"`` always takes the vector engine and
+groups the replicas of an ensemble.  The reference engine stays
+untouched as the semantic oracle.
 """
 
 from .engine import FastWormSimulation

@@ -1,4 +1,4 @@
-"""The fast worm simulation: reference semantics over flat arrays.
+"""The mirror engine: reference semantics over flat arrays.
 
 :class:`FastWormSimulation` is a drop-in replacement for
 :class:`~repro.simulator.simulation.WormSimulation` — same constructor,
@@ -7,6 +7,11 @@ same five-phase tick pipeline on the same
 same :class:`~repro.models.base.Trajectory` out — but host state lives
 in :class:`~repro.simulator.fastpath.state.HostArrays` and packet
 transport in :class:`~repro.simulator.fastpath.transport.FastTransport`.
+Given the same arguments and seed, a run is *bit-identical* to the
+reference engine — trajectories, traces, counters, final host and link
+state.  Batch-sampled runs go through
+:class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`
+instead.
 
 Bit-identical equivalence hinges on drawing from the run RNG in exactly
 the reference order:
@@ -32,8 +37,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from ...models.base import Trajectory
 from ...observability.instrumentation import Instrumentation
 from ...observability.trace import tick_record
@@ -42,126 +45,15 @@ from ..engine import Phase, TickSimulation
 from ..immunization import ImmunizationPolicy
 from ..network import Network
 from ..observers import CurveRecorder
-from ..worms import (
-    LocalPreferentialWorm,
-    RandomScanWorm,
-    WormStrategy,
-    scans_this_tick,
-)
-from .state import IMMUNE, INFECTED, SUSCEPTIBLE, HostArrays
+from ..worms import WormStrategy, scans_this_tick
+from .state import IMMUNE, INFECTED, HostArrays
 from .transport import FastTransport
 
-__all__ = [
-    "FastWormSimulation",
-    "FastBatchImmunization",
-    "SCAN_MODES",
-    "SubnetTables",
-    "WRITEBACK_MODES",
-    "pick_targets_local_pref",
-]
-
-#: Supported values for ``FastWormSimulation(scan_mode=...)``.
-SCAN_MODES = ("auto", "mirror", "batch")
+__all__ = ["FastWormSimulation", "WRITEBACK_MODES"]
 
 #: Supported values for ``run(writeback=...)``: what a finished run
 #: copies back onto the network (see :meth:`FastWormSimulation.run`).
 WRITEBACK_MODES = ("full", "stats")
-
-#: ``scan_mode="auto"`` switches from draw-for-draw mirroring to
-#: aggregated batch sampling above this population size: below it, exact
-#: replay costs little and buys bit-identical differential testing;
-#: above it, the per-draw Python overhead dominates the tick.
-BATCH_MIN_HOSTS = 512
-
-
-class SubnetTables:
-    """Subnet membership of the infectable population, sliced flat.
-
-    ``members`` lists infectable hosts grouped by subnet; ``start`` /
-    ``count`` index each subnet's slice.  Hosts outside any subnet (or
-    a network without subnets at all) take the uniform fallback,
-    matching the reference's lone-host fall-through to
-    :class:`RandomScanWorm`.  Pure function of the network, so one
-    instance serves every replica of a vectorized ensemble.
-    """
-
-    __slots__ = ("members", "start", "count")
-
-    def __init__(
-        self, infectable_arr: np.ndarray, subnet_arr: np.ndarray | None
-    ) -> None:
-        self.members: np.ndarray | None = None
-        self.start: np.ndarray | None = None
-        self.count: np.ndarray | None = None
-        if subnet_arr is None:
-            return
-        subs = subnet_arr[infectable_arr]
-        keep = subs >= 0
-        members = infectable_arr[keep]
-        subs = subs[keep]
-        if members.size == 0:
-            return
-        order = np.argsort(subs, kind="stable")
-        members = members[order]
-        counts = np.bincount(subs[order], minlength=int(subs.max()) + 1)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self.members = members
-        self.start = starts.astype(np.int64)
-        self.count = counts.astype(np.int64)
-
-
-def pick_targets_local_pref(
-    gen: np.random.Generator,
-    pool: np.ndarray,
-    subnet_arr: np.ndarray | None,
-    tables: SubnetTables,
-    local_pref: float,
-    origins: np.ndarray,
-) -> np.ndarray:
-    """Batch twin of :meth:`LocalPreferentialWorm.pick_target`.
-
-    With probability ``local_pref`` a scan draws uniformly from the
-    origin's subnet peers; lone hosts and the remaining scans draw
-    uniformly from the whole infectable pool minus the origin (the
-    reference's fallback random worm, hit 1.0).  The draw sequence is
-    a pure function of ``gen`` and ``origins``, which is what lets the
-    vectorized replica engine replay a solo run's stream exactly.
-    """
-    total = origins.size
-    targets = np.empty(total, dtype=np.int64)
-    local = np.zeros(total, dtype=bool)
-    if tables.members is not None:
-        subs = subnet_arr[origins]
-        valid = subs >= 0
-        cnt = np.zeros(total, dtype=np.int64)
-        cnt[valid] = tables.count[subs[valid]]
-        local = (gen.random(total) < local_pref) & (cnt >= 2)
-        if local.any():
-            size = cnt[local]
-            start = tables.start[subs[local]]
-            # Uniform over the subnet's ``size - 1`` peers: draw from
-            # the first ``size - 1`` slots and remap a self-draw to the
-            # slice's last member (a swap trick — every peer keeps
-            # probability 1/(size-1)).
-            j = gen.integers(0, size - 1)
-            cand = tables.members[start + j]
-            clash = cand == origins[local]
-            if clash.any():
-                cand[clash] = tables.members[(start + size - 1)[clash]]
-            targets[local] = cand
-    rest = ~local
-    n_rest = int(rest.sum())
-    if n_rest:
-        r_orig = origins[rest]
-        cand = pool[gen.integers(0, pool.size, size=n_rest)]
-        while True:
-            bad = cand == r_orig
-            misses = int(bad.sum())
-            if not misses:
-                break
-            cand[bad] = pool[gen.integers(0, pool.size, size=misses)]
-        targets[rest] = cand
-    return targets
 
 
 class FastImmunization:
@@ -222,97 +114,13 @@ class FastImmunization:
         return patched_now
 
 
-class FastBatchImmunization:
-    """Vectorized immunization process for batch-sampling mode.
-
-    Same activation logic as :class:`FastImmunization`, but the per-host
-    Bernoulli draws come in one bulk sample from the engine's numpy
-    generator (batch mode's own random stream) and patches land through
-    :meth:`HostArrays.immunize_many`.  Statistically equivalent to the
-    reference process — same per-host patch probability per active tick
-    — on a different stream, exactly like batch scanning itself.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        policy: ImmunizationPolicy,
-        gen: np.random.Generator,
-        infectable_arr: np.ndarray,
-    ) -> None:
-        self._network = network
-        self._policy = policy
-        self._gen = gen
-        self._infectable = infectable_arr
-        self._active = False
-        self.started_at: int | None = None
-        self.patched = 0
-
-    @property
-    def is_active(self) -> bool:
-        """Whether patching has begun."""
-        return self._active
-
-    def _should_start(self, tick: int, ever_infected: int) -> bool:
-        if self._policy.start_tick is not None:
-            return tick >= self._policy.start_tick
-        fraction = ever_infected / self._network.num_infectable
-        return fraction >= self._policy.start_fraction
-
-    def step(self, tick: int, ever_infected: int, hosts: HostArrays) -> int:
-        """Run one tick of patching; returns the number patched this tick."""
-        if not self._active:
-            if not self._should_start(tick, ever_infected):
-                return 0
-            self._active = True
-            self.started_at = tick
-        codes = hosts.status_row[self._infectable]
-        eligible = codes == SUSCEPTIBLE
-        if self._policy.patch_infected:
-            eligible |= codes == INFECTED
-        candidates = self._infectable[eligible]
-        if candidates.size == 0:
-            return 0
-        draws = self._gen.random(candidates.size)
-        chosen = candidates[draws < self._policy.mu]
-        patched_now = hosts.immunize_many(chosen, tick)
-        self.patched += patched_now
-        return patched_now
-
-
 class FastWormSimulation:
-    """A single seeded worm-outbreak run on the fast engine.
+    """A single seeded worm-outbreak run on the mirror engine.
 
     Accepts the arguments of
     :class:`~repro.simulator.simulation.WormSimulation` (see its
-    docstring for their semantics) plus ``scan_mode``:
-
-    ``"mirror"``
-        Draw from the run RNG in exactly the reference order.  Given
-        the same arguments and seed, the run is *bit-identical* to the
-        reference engine — trajectories, traces, counters, final host
-        and link state.
-    ``"batch"``
-        Aggregated sampling: per-tick scan counts, targets, and
-        telescope observations are drawn in bulk from a numpy generator
-        (seeded from the run RNG), and transport moves packet arrays.
-        Statistically equivalent, not bit-identical; supported for
-        :class:`RandomScanWorm` and :class:`LocalPreferentialWorm`
-        (dynamic immunization and quarantine/throttle defenses batch
-        alongside either).
-    ``"auto"`` (default)
-        ``batch`` when the worm supports it and the infectable
-        population is at least ``BATCH_MIN_HOSTS``, else ``mirror`` —
-        small scenarios keep exact replay, large ones keep speed.
-
-    ``hosts`` and ``transport`` are sharing hooks for the replica
-    engine (:class:`~repro.simulator.fastpath.VectorReplicaSimulation`):
-    a pre-built :class:`HostArrays` (with its active-replica cursor
-    already pointing at this run's row) and a :class:`FastTransport`
-    built over a shared :class:`TransportLayout`.  The replica engine
-    runs its own cross-replica tick loop and uses these instances for
-    per-replica state only.  Leave both ``None`` for the classic
-    single-run construction.
+    docstring for their semantics) and replays the reference run
+    draw for draw.
     """
 
     def __init__(
@@ -327,24 +135,9 @@ class FastWormSimulation:
         quarantine: DynamicQuarantine | None = None,
         seed: int | None = None,
         instrumentation: Instrumentation | None = None,
-        scan_mode: str = "auto",
-        hosts: HostArrays | None = None,
-        transport: FastTransport | None = None,
     ) -> None:
         if scan_rate <= 0:
             raise ValueError(f"scan_rate must be positive, got {scan_rate}")
-        if scan_mode not in SCAN_MODES:
-            raise ValueError(
-                f"scan_mode must be one of {SCAN_MODES}, got {scan_mode!r}"
-            )
-        batchable = isinstance(
-            worm, (RandomScanWorm, LocalPreferentialWorm)
-        )
-        if scan_mode == "batch" and not batchable:
-            raise ValueError(
-                f"scan_mode='batch' requires a RandomScanWorm or"
-                f" LocalPreferentialWorm, got {type(worm).__name__}"
-            )
         if not 1 <= initial_infections < network.num_infectable:
             raise ValueError(
                 f"initial_infections must be in [1, {network.num_infectable}),"
@@ -358,10 +151,8 @@ class FastWormSimulation:
         self.rng = random.Random(seed)
         self.recorder = CurveRecorder(network)
         self.instrumentation = instrumentation
-        self.hosts = hosts if hosts is not None else HostArrays(network)
-        self.transport = (
-            transport if transport is not None else FastTransport(network)
-        )
+        self.hosts = HostArrays(network)
+        self.transport = FastTransport(network)
         # Trace records report cumulative NetworkStats; the transport
         # counts from zero, so remember what the network already saw.
         stats = network.stats
@@ -379,59 +170,16 @@ class FastWormSimulation:
             if self.hosts.infect(node, tick=0):
                 self.recorder.note_infection()
 
-        self.batch_sampling = scan_mode == "batch" or (
-            scan_mode == "auto"
-            and batchable
-            and network.num_infectable >= BATCH_MIN_HOSTS
+        # The immunization process consumes no randomness at
+        # construction, so the draw order matches the reference's.
+        self.immunization = (
+            FastImmunization(network, immunization, self.rng)
+            if immunization is not None
+            else None
         )
-        if self.batch_sampling:
-            # Seeded from the run RNG after initial-infection placement,
-            # so the same seed attacks the same hosts on every engine.
-            self._gen = np.random.default_rng(self.rng.getrandbits(64))
-            self._infectable_arr = np.array(
-                network.infectable, dtype=np.int64
-            )
-            self._subnet_arr = (
-                np.array(network.subnets.subnet_of, dtype=np.int64)
-                if network.subnets is not None
-                else None
-            )
-            self._scan_whole = int(self.scan_rate)
-            self._scan_frac = self.scan_rate - self._scan_whole
-            if isinstance(worm, LocalPreferentialWorm):
-                # Local-pref batch kernel: a miss in the fallback branch
-                # never happens (the reference fallback scans with
-                # hit probability 1.0), and subnet membership tables
-                # vectorize the peer draws.
-                self._hit = 1.0
-                self._local_pref = worm.local_preference
-                self._subnet_tables = SubnetTables(
-                    self._infectable_arr, self._subnet_arr
-                )
-            else:
-                self._hit = worm.hit_probability
-                self._local_pref = None
-
-        # Created after batch setup because the batch process draws from
-        # the numpy generator; neither constructor consumes randomness,
-        # so mirror mode's draw order is unchanged.
-        if immunization is None:
-            self.immunization = None
-        elif self.batch_sampling:
-            self.immunization = FastBatchImmunization(
-                network, immunization, self._gen, self._infectable_arr
-            )
-        else:
-            self.immunization = FastImmunization(
-                network, immunization, self.rng
-            )
-
         self._arrived: list[int] = []
         self._sim = TickSimulation(instrumentation=instrumentation)
-        self._sim.on(
-            Phase.SCAN,
-            self._scan_phase_batch if self.batch_sampling else self._scan_phase,
-        )
+        self._sim.on(Phase.SCAN, self._scan_phase)
         self._sim.on(Phase.TRANSMIT, self._transmit_phase)
         self._sim.on(Phase.DELIVER, self._deliver_phase)
         self._sim.on(Phase.IMMUNIZE, self._immunize_phase)
@@ -495,117 +243,8 @@ class FastWormSimulation:
             if routed:
                 instr.count("scans_routed", routed)
 
-    def _scan_phase_batch(self, tick: int) -> None:
-        hosts = self.hosts
-        hosts.refill_throttles()
-        infected = hosts.infected_sorted()
-        if not infected:
-            return
-        gen = self._gen
-        origins_all = np.asarray(infected, dtype=np.int64)
-        count = origins_all.size
-        if self._scan_frac > 0.0:
-            counts = self._scan_whole + (
-                gen.random(count) < self._scan_frac
-            ).astype(np.int64)
-        else:
-            counts = np.full(count, self._scan_whole, dtype=np.int64)
-        throttled = 0
-        if hosts.throttle_pos:
-            pos = hosts.throttle_pos_arr[origins_all]
-            idx = np.flatnonzero(pos >= 0)
-            if idx.size:
-                tpos = pos[idx]
-                act = hosts.throttle_active[tpos]
-                if not act.all():
-                    # Latent columns (throttles pre-registered for a
-                    # quarantine deploy that hasn't fired on this
-                    # replica yet) gate nothing.
-                    idx = idx[act]
-                    tpos = tpos[act]
-            if idx.size:
-                tokens = hosts.throttle_tokens
-                usable = np.floor(tokens[tpos] + 1e-12).astype(np.int64)
-                np.maximum(usable, 0, out=usable)
-                want = counts[idx]
-                allowed = np.minimum(want, usable)
-                # One throttled event per host whose burst was cut, like
-                # the reference's per-host break.
-                throttled = int((want > allowed).sum())
-                tokens[tpos] -= allowed
-                counts[idx] = allowed
-        total = int(counts.sum())
-        dark = lan_count = routed = 0
-        if total:
-            origins = np.repeat(origins_all, counts)
-            if self._hit < 1.0:
-                hit_mask = gen.random(total) < self._hit
-                origins = origins[hit_mask]
-                dark = total - origins.size
-            pool = self._infectable_arr
-            if origins.size and pool.size >= 2:
-                if self._local_pref is not None:
-                    targets = self._pick_targets_local_pref(origins)
-                else:
-                    targets = pool[
-                        gen.integers(0, pool.size, size=origins.size)
-                    ]
-                    while True:
-                        bad = targets == origins
-                        misses = int(bad.sum())
-                        if not misses:
-                            break
-                        targets[bad] = pool[
-                            gen.integers(0, pool.size, size=misses)
-                        ]
-                if self.lan_delivery and self._subnet_arr is not None:
-                    origin_subnet = self._subnet_arr[origins]
-                    local = (origin_subnet != -1) & (
-                        origin_subnet == self._subnet_arr[targets]
-                    )
-                    if local.any():
-                        lan_targets = targets[local]
-                        self._lan_pending.extend(lan_targets.tolist())
-                        lan_count = lan_targets.size
-                        remote = ~local
-                        origins = origins[remote]
-                        targets = targets[remote]
-                if origins.size:
-                    self.transport.inject_batch(origins, targets)
-                    routed = origins.size
-            if dark and self.quarantine is not None:
-                telescope = self.quarantine.telescope
-                seen = int(gen.binomial(dark, telescope.coverage))
-                if seen:
-                    telescope.record_hits(seen)
-        instr = self.instrumentation
-        if instr is not None:
-            if throttled:
-                instr.count("scans_throttled", throttled)
-            if dark:
-                instr.count("scans_dark", dark)
-            if lan_count:
-                instr.count("scans_lan", lan_count)
-            if routed:
-                instr.count("scans_routed", routed)
-
-    def _pick_targets_local_pref(self, origins: np.ndarray) -> np.ndarray:
-        return pick_targets_local_pref(
-            self._gen,
-            self._infectable_arr,
-            self._subnet_arr,
-            self._subnet_tables,
-            self._local_pref,
-            origins,
-        )
-
     def _transmit_phase(self, tick: int) -> None:
-        transport = self.transport
-        self._arrived = (
-            transport.transmit_tick_batch()
-            if self.batch_sampling
-            else transport.transmit_tick()
-        )
+        self._arrived = self.transport.transmit_tick()
         if self._lan_ready:
             self._arrived.extend(self._lan_ready)
         self._lan_ready = self._lan_pending

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..defense import DefenseDescriptor
 from ..network import Network
+from .transport import TransportLayout
 
 __all__ = [
     "DeploymentPlan",
@@ -31,9 +32,9 @@ __all__ = [
 class DeploymentPlan:
     """One quarantine deployment, recorded as replayable data.
 
-    ``link_idx`` indexes into ``sorted(network.links)`` — the same
-    ordering :class:`TransportLayout` uses — so the plan applies
-    directly to a transport's flat arrays.
+    ``link_idx`` indexes into the :class:`TransportLayout` link order
+    (``sorted(network.links)``), so the plan applies directly to a
+    transport's flat arrays.
     """
 
     descriptor: DefenseDescriptor
@@ -49,10 +50,11 @@ class DeploymentPlan:
 
 
 def capture_deployment_plan(
-    network: Network,
+    layout: TransportLayout,
     response: Callable[[Network], DefenseDescriptor],
 ) -> DeploymentPlan:
-    """Deploy ``response`` once, record the diff, and undo it.
+    """Deploy ``response`` on the layout's network once, record the
+    diff against the layout's link buckets, and undo it.
 
     Deployers only ever *install* buckets (host throttles via
     :meth:`Host.install_throttle`, link limits via
@@ -63,12 +65,13 @@ def capture_deployment_plan(
     at their prior rate/burst — equivalent, since buckets start empty
     and nothing ran between capture and undo.
     """
+    network = layout.network
     hosts = network.hosts
     before_throttles = {
         node: hosts[node].scan_throttle for node in network.infectable
     }
-    keys = sorted(network.links)
-    before_buckets = [network.links[key].bucket for key in keys]
+    keys = layout.keys
+    before_buckets = layout.link_buckets
     before_budgets = dict(network.forward_budgets)
 
     descriptor = response(network)

@@ -8,15 +8,13 @@ maintained sorted index (O(infected) scan phase), and Williamson
 throttle tokens live in numpy arrays refilled in one vectorized step per
 tick.
 
-The replica axis is the vectorized-ensemble hook: ``replicas`` seeded
-runs of one scenario share a single state block, each replica owning one
-row of every array.  The scalar mutation API
-(``infect``/``immunize``/``infected_sorted``) and the row views
-(``status_row``, ``throttle_tokens``) address the *active* replica
-(:meth:`set_active`) — the replica engine uses them to seed each row —
-while the grouped API mutates ``(replica, node)`` pairs across rows.
-``replicas=1`` (the default) collapses to the single-run layout with
-zero extra indirection.
+The replica axis is the vector engine's hook: ``replicas`` seeded runs
+of one scenario share a single state block, each replica owning one row
+of every array, and the grouped API mutates ``(replica, node)`` pairs
+across rows.  The scalar mutation API
+(``infect``/``immunize``/``infected_sorted``), its running counters and
+the row views (``status_row``, ``throttle_tokens``) serve the mirror
+engine's single run and address row 0.
 
 The arrays are synced *from* the network's host objects at construction
 (and re-synced when a dynamic quarantine deploys filters mid-run), and
@@ -62,7 +60,7 @@ class HostArrays:
         self.replicas = replicas
         n = network.topology.num_nodes
         #: status[replica, node] — UNTRACKED for transit nodes, S/I/R
-        #: for hosts.  Use :attr:`status_row` for the active replica.
+        #: for hosts.  :attr:`status_row` is row 0.
         status0 = np.full(n, UNTRACKED, dtype=np.int8)
         infected0 = np.full(n, NEVER, dtype=np.int64)
         immunized0 = np.full(n, NEVER, dtype=np.int64)
@@ -84,6 +82,9 @@ class HostArrays:
         self.status = np.tile(status0, (replicas, 1))
         self.infected_at = np.tile(infected0, (replicas, 1))
         self.immunized_at = np.tile(immunized0, (replicas, 1))
+        # Flat views for the grouped API's ``replica * n + node`` keys.
+        self._status_flat = self.status.reshape(-1)
+        self._infected_at_flat = self.infected_at.reshape(-1)
         # Mirror of what the network's Host objects currently hold, so
         # writeback only touches hosts that differ.  Valid because
         # nothing mutates host state/stamps between construction and
@@ -92,29 +93,15 @@ class HostArrays:
         self._net_status = status0
         self._net_inf = infected0
         self._net_imm = immunized0
-        base_infected = {
-            node for node in network.infectable
-            if status0[node] == INFECTED
-        }
-        # Per-replica counters and infected indices; the active replica's
-        # live in the plain attributes below and are saved/restored by
-        # set_active.
-        self._susceptible_r = np.full(replicas, susceptible, dtype=np.int64)
-        self._infected_r = np.full(replicas, infected, dtype=np.int64)
-        self._immune_r = np.full(replicas, immune, dtype=np.int64)
-        self._infected_sets: list[set[int]] = [
-            set(base_infected) for _ in range(replicas)
-        ]
-        self._sorted_lists: list[list[int]] = [
-            sorted(base_infected) for _ in range(replicas)
-        ]
-        self._dirty_flags: list[bool] = [False] * replicas
-        self._active = 0
+        # Row 0's running counters and infected index (scalar API).
         self.susceptible = susceptible
         self.infected = infected
         self.immune = immune
-        self._infected_set: set[int] = self._infected_sets[0]
-        self._sorted_infected: list[int] = self._sorted_lists[0]
+        self._infected_set: set[int] = {
+            node for node in network.infectable
+            if status0[node] == INFECTED
+        }
+        self._sorted_infected: list[int] = sorted(self._infected_set)
         self._sorted_dirty = False
         self._row = self.status[0]
         self._inf_row = self.infected_at[0]
@@ -131,61 +118,16 @@ class HostArrays:
         self._latent_burst = np.zeros(0)
         self.sync_throttles()
 
-    # ------------------------------------------------------------------
-    # Replica cursor
-    # ------------------------------------------------------------------
-
-    @property
-    def active_replica(self) -> int:
-        """Index of the replica the scalar API currently addresses."""
-        return self._active
-
     @property
     def status_row(self) -> np.ndarray:
-        """The active replica's status row (length ``num_nodes``)."""
+        """Row 0's status (length ``num_nodes``)."""
         return self._row
 
-    def set_active(self, replica: int) -> None:
-        """Point the scalar API and row views at ``replica``."""
-        if replica == self._active:
-            return
-        if not 0 <= replica < self.replicas:
-            raise IndexError(
-                f"replica must be in [0, {self.replicas}), got {replica}"
-            )
-        self._save_active()
-        self._active = replica
-        self._load_active()
-
-    def _save_active(self) -> None:
-        a = self._active
-        self._susceptible_r[a] = self.susceptible
-        self._infected_r[a] = self.infected
-        self._immune_r[a] = self.immune
-        self._infected_sets[a] = self._infected_set
-        self._sorted_lists[a] = self._sorted_infected
-        self._dirty_flags[a] = self._sorted_dirty
-
-    def _load_active(self) -> None:
-        r = self._active
-        self.susceptible = int(self._susceptible_r[r])
-        self.infected = int(self._infected_r[r])
-        self.immune = int(self._immune_r[r])
-        self._infected_set = self._infected_sets[r]
-        self._sorted_infected = self._sorted_lists[r]
-        self._sorted_dirty = self._dirty_flags[r]
-        self._row = self.status[r]
-        self._inf_row = self.infected_at[r]
-        self._imm_row = self.immunized_at[r]
-        self._load_throttle_views()
-
     def _load_throttle_views(self) -> None:
-        r = self._active
-        self.throttle_tokens = self._t_tokens[r]
-        self.throttle_active = self._t_active[r]
+        self.throttle_tokens = self._t_tokens[0]
 
     # ------------------------------------------------------------------
-    # Epidemic state (active replica)
+    # Epidemic state (row 0, the mirror engine's run)
     # ------------------------------------------------------------------
 
     def infected_sorted(self) -> list[int]:
@@ -228,38 +170,32 @@ class HostArrays:
     # ------------------------------------------------------------------
     #
     # The grouped API addresses ``(replica, node)`` pairs directly and
-    # bypasses the active-replica cursor *and* the per-replica counters
-    # and infected indices: the vectorized engine keeps its own (R,)
-    # compartment counters and derives scan origins from the status
-    # matrix, so maintaining the python-side sets per mutation would be
-    # pure overhead.  Do not mix grouped mutation with the scalar API on
-    # the same replica mid-run.
+    # bypasses row 0's running counters and infected index: the vector
+    # engine keeps its own (R,) compartment counters and derives scan
+    # origins from the status matrix.  Do not mix grouped mutation with
+    # the scalar API on one state block.
 
     def infect_grouped(
         self, reps: np.ndarray, nodes: np.ndarray, tick: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """Cross-replica S → I over ``(replica, node)`` arrival pairs.
 
-        Duplicates collapse first (within one tick every duplicate
-        arrival after the first is a no-op in the scalar engine, and
-        the infection stamp is this tick either way), then susceptible
-        pairs flip.  Returns the newly infected ``(reps, nodes)`` pairs,
-        replica-ascending.
+        Arrivals at hosts that are not susceptible are dropped first
+        (usually most of them, so the sort below stays small), then
+        duplicates collapse (within one tick every duplicate arrival
+        after the first is a no-op in the scalar engine, and the
+        infection stamp is this tick either way).  Returns the replica
+        of each newly infected pair, ascending.
         """
-        if reps.size == 0:
-            return reps, nodes
         n = self.status.shape[1]
-        keys = np.unique(reps * n + nodes)
-        reps_u = keys // n
-        nodes_u = keys - reps_u * n
-        fresh = self.status[reps_u, nodes_u] == SUSCEPTIBLE
-        if not fresh.all():
-            reps_u = reps_u[fresh]
-            nodes_u = nodes_u[fresh]
-        if reps_u.size:
-            self.status[reps_u, nodes_u] = INFECTED
-            self.infected_at[reps_u, nodes_u] = tick
-        return reps_u, nodes_u
+        keys = reps * n + nodes
+        keys = keys[self._status_flat[keys] == SUSCEPTIBLE]
+        if keys.size == 0:
+            return keys
+        keys = np.unique(keys)
+        self._status_flat[keys] = INFECTED
+        self._infected_at_flat[keys] = tick
+        return keys // n
 
     def immunize_grouped(
         self, reps: np.ndarray, nodes: np.ndarray, tick: int
@@ -268,7 +204,7 @@ class HostArrays:
 
         Returns the pairs actually immunized plus a parallel
         ``was_infected`` mask so the caller can split its compartment
-        counter updates exactly as :meth:`immunize_many` would.
+        counter updates between the S and I compartments.
         """
         if reps.size == 0:
             return reps, np.zeros(0, dtype=bool)
@@ -288,11 +224,12 @@ class HostArrays:
     ) -> np.ndarray:
         """Cross-replica scan-throttle gating for unique (rep, node) pairs.
 
-        The grouped twin of the batch scan path's token clamp: floor the
-        pair's token balance (same ``1e-12`` epsilon), allow
+        The batch scan's token clamp: floor the pair's token balance
+        (the scalar path's ``1e-12`` epsilon), allow
         ``min(want, usable)``, debit the tokens, and return the allowed
-        counts aligned with the inputs.  Inactive (latent) columns gate
-        nothing, exactly like the per-replica path.
+        counts aligned with the inputs.  Inactive (latent) columns —
+        throttles a quarantine plan has not deployed on that replica yet
+        — gate nothing.
         """
         allowed = want.copy()
         if reps.size == 0 or not self.throttle_pos:
@@ -317,37 +254,6 @@ class HostArrays:
         tokens[rr, pp] -= grant
         allowed[sel] = grant
         return allowed
-
-    def immunize_many(self, nodes: np.ndarray, tick: int) -> int:
-        """Vectorized :meth:`immunize` over an array of host node ids.
-
-        Callers pass infectable nodes; already-immune entries are
-        skipped exactly as the scalar path would skip them.
-        """
-        if nodes.size == 0:
-            return 0
-        row = self._row
-        codes = row[nodes]
-        actionable = codes != IMMUNE
-        if not actionable.all():
-            nodes = nodes[actionable]
-            codes = codes[actionable]
-            if nodes.size == 0:
-                return 0
-        was_infected = codes == INFECTED
-        newly_immune = int(nodes.size)
-        from_infected = int(was_infected.sum())
-        row[nodes] = IMMUNE
-        self._imm_row[nodes] = tick
-        self.infected -= from_infected
-        self.susceptible -= newly_immune - from_infected
-        self.immune += newly_immune
-        if from_infected:
-            infected_set = self._infected_set
-            for node in nodes[was_infected].tolist():
-                infected_set.discard(node)
-            self._sorted_dirty = True
-        return newly_immune
 
     # ------------------------------------------------------------------
     # Scan throttles (Williamson host filters)
@@ -462,17 +368,16 @@ class HostArrays:
         self._t_tokens[replica, cols] = 0.0
 
     def refill_throttles(self) -> None:
-        """One tick of token accrual for the active replica's throttles.
+        """One tick of token accrual for row 0's throttles.
 
         Vectorized ``min(tokens + rate, burst)`` — IEEE-identical to the
         reference engine's per-host :meth:`TokenBucket.refill` calls.
         """
         if self._t_rate.shape[1]:
-            r = self._active
             np.minimum(
-                self._t_tokens[r] + self._t_rate[r],
-                self._t_burst[r],
-                out=self._t_tokens[r],
+                self._t_tokens[0] + self._t_rate[0],
+                self._t_burst[0],
+                out=self._t_tokens[0],
             )
 
     def refill_all_throttles(self) -> None:
@@ -493,29 +398,21 @@ class HostArrays:
     # Writeback
     # ------------------------------------------------------------------
 
-    def writeback(self, replica: int | None = None) -> None:
+    def writeback(self, replica: int = 0) -> None:
         """Copy one replica's final state onto the network's hosts.
 
-        ``replica`` defaults to the active replica; passing it
-        explicitly addresses a row without moving the cursor (the
-        vectorized engine never moves it).  Every host whose state or
-        stamps differ from what the network currently holds is written
-        — including runs whose infections all died at tick 0 and never
-        populated the active infected index — so stamp arrays
-        round-trip exactly as a reference run would have left them
-        (``NEVER`` becomes ``None``).  The diff against the
-        ``_net_*`` mirror makes harvesting a replica cost O(changed
-        hosts), which is what lets a 1000-replica die-out ensemble
-        finalize its mostly-untouched replicas cheaply.
+        Every host whose state or stamps differ from what the network
+        currently holds is written — including runs whose infections
+        all died at tick 0 — so stamp arrays round-trip exactly as a
+        reference run would have left them (``NEVER`` becomes
+        ``None``).  The diff against the ``_net_*`` mirror makes
+        harvesting a replica cost O(changed hosts), which is what lets
+        a 1000-replica die-out ensemble finalize its mostly-untouched
+        replicas cheaply.
         """
-        if replica is None or replica == self._active:
-            row = self._row
-            inf_row = self._inf_row
-            imm_row = self._imm_row
-        else:
-            row = self.status[replica]
-            inf_row = self.infected_at[replica]
-            imm_row = self.immunized_at[replica]
+        row = self.status[replica]
+        inf_row = self.infected_at[replica]
+        imm_row = self.immunized_at[replica]
         net_status = self._net_status
         net_inf = self._net_inf
         net_imm = self._net_imm

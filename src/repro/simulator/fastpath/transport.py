@@ -1,4 +1,4 @@
-"""Batched link transport for the fast engine.
+"""Array-backed link transport for the fast engines.
 
 Mirrors :meth:`Network.transmit_tick` over flat arrays:
 
@@ -12,16 +12,20 @@ Mirrors :meth:`Network.transmit_tick` over flat arrays:
   same operation sequence (refill once per tick, one subtraction per
   packet, same 1e-12 epsilon), so rate-limit behavior is bit-identical.
 
-Two transmit paths share this state: :meth:`transmit_tick` reproduces
-the reference sweep exactly (packet for packet, counter for counter) and
-backs the engine's RNG-mirroring mode; :meth:`transmit_tick_batch` moves
-packet arrays in bulk waves for the aggregated-sampling mode.
+Two transmit paths move packets over this state.  The exact sweep,
+:meth:`transmit_tick`, reproduces the reference packet for packet and
+counter for counter; it backs the mirror engine and the vector engine's
+budgeted replicas.  The vector wave lives in
+:class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`: it
+moves every replica's packet arrays through one cross-replica cascade
+per tick and uses the scalar helpers here (the limited-link trickle and
+per-packet enqueues) for each replica's rate-limited links.
 
 Per-link counters are kept on two tracks — plain python lists updated by
-the scalar paths and numpy vectors updated by the vectorized paths —
-because each representation is an order of magnitude faster for its
-access pattern.  Additive counters sum and peaks take the elementwise
-max at writeback, which folds both tracks exactly.
+the scalar paths and numpy vectors updated by the vector wave — because
+each representation is an order of magnitude faster for its access
+pattern.  Additive counters sum and peaks take the elementwise max at
+writeback, which folds both tracks exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import gc
 from collections import defaultdict, deque
 from heapq import heappop, heappush
-from itertools import chain
 
 import numpy as np
 
@@ -51,8 +54,8 @@ class TransportLayout:
     arrays and references the expensive ones.
 
     Build the layout *after* static defenses are applied and *before*
-    any dynamic deploy — the same point in time at which a solo
-    ``FastTransport(network)`` would have built the identical state.
+    any dynamic deploy — the same point in time at which a mirror run's
+    ``FastTransport(network)`` builds the identical state.
     """
 
     def __init__(self, network: Network) -> None:
@@ -70,7 +73,7 @@ class TransportLayout:
         self.min_cap = min(self.max_queue, default=0)
         #: Next-hop rows, indexable as rows[destination][node] -> int.
         self.rows = [network.routing.next_hop_table(d) for d in range(n)]
-        #: Whole next-hop matrix for vectorized gathers (batch path).
+        #: Whole next-hop matrix for vectorized gathers (vector wave).
         self.parent = network.routing.parent_matrix
         #: ``key_array[i] == u * n + v`` for link i; ascending because
         #: the keys list is sorted, so searchsorted inverts index_of.
@@ -114,8 +117,8 @@ class FastTransport:
     """Array-backed packet transport over a network's links.
 
     Pass ``layout`` to share one :class:`TransportLayout` across many
-    transports (the replica engine); omit it for the classic single-run
-    construction, which builds a private layout from the network.
+    transports (the vector engine's replicas); omit it for the mirror
+    engine's single run, which builds a private layout from the network.
     """
 
     def __init__(
@@ -137,10 +140,9 @@ class FastTransport:
         #: with traffic, not topology size.
         self.queues: defaultdict[int, deque[int]] = defaultdict(deque)
         self.max_queue = layout.max_queue
-        self._min_cap = layout.min_cap
-        #: Packets currently queued on *unlimited* links (batch paths
-        #: only) — lets inject_batch prove no queue can overflow without
-        #: measuring per-link depths.
+        #: Packets currently queued on *unlimited* links (vector engine
+        #: only) — lets its inject guard prove no queue can overflow
+        #: without measuring per-link depths.
         self.queued_u = 0
         # Per-link counters: scalar track (python lists) ...
         self.fwd_list = [0] * count
@@ -158,24 +160,18 @@ class FastTransport:
         self.delivered = 0
         self.dropped_total = 0
         self.queued_total = 0
-        #: Non-empty links, split by rate-limit status so the batch path
-        #: can sweep unlimited links without filtering every tick.
+        #: Non-empty links, split by rate-limit status so the vector
+        #: wave can sweep unlimited links without filtering every tick.
         self.nonempty_u: set[int] = set()
         self.nonempty_l: set[int] = set()
-        #: First-hop packets held out of the queues until this tick's
-        #: bulk wave (batch mode only; see inject_batch).
-        self._pending_li: list[np.ndarray] = []
-        self._pending_dst: list[np.ndarray] = []
-        #: Optional per-link count of packets the vectorized replica
-        #: engine holds for this replica in its global waiter store
-        #: (``None`` outside that engine).  Scalar enqueues add it to
-        #: the real deque depth so drop-tail bounds and peak-depth
-        #: tracking see the same queue the solo engine would.
+        #: Optional per-link count of packets the vector engine holds
+        #: for this replica in its global waiter store (``None``
+        #: outside that engine).  Scalar enqueues add it to the real
+        #: deque depth so drop-tail bounds and peak-depth tracking see
+        #: the replica's whole queue.  The store only holds packets
+        #: bound for unlimited links, so limited links skip the lookup.
         self.pending_depth: np.ndarray | None = None
         self.rows = layout.rows
-        self._parent = layout.parent
-        self.key_array = layout.key_array
-        self.link_dst_arr = layout.link_dst_arr
         # Rate-limit state: the layout's template — exactly what
         # sync_limits would mirror from the network with no prior token
         # state (new buckets adopt their own token counts).  Everything
@@ -328,7 +324,7 @@ class FastTransport:
             )
 
     # ------------------------------------------------------------------
-    # Exact packet movement (RNG-mirroring mode)
+    # Exact packet movement (the reference sweep)
     # ------------------------------------------------------------------
 
     def inject(self, src: int, dst: int) -> None:
@@ -444,82 +440,8 @@ class FastTransport:
         return arrived
 
     # ------------------------------------------------------------------
-    # Batched packet movement (aggregated-sampling mode)
+    # Per-replica helpers of the vector wave
     # ------------------------------------------------------------------
-    #
-    # The methods below move whole packet *arrays* per tick.  Totals
-    # (NetworkStats, per-link forwarded/enqueued/dropped, queue depths
-    # at tick end) match the exact path; what is relaxed is intra-tick
-    # interleaving: same-tick multi-hop cascades run in breadth waves
-    # rather than strict sorted-link order, so when several packets race
-    # into one rate-cut queue in a single tick, *which* of them waits
-    # can differ from the reference, and peak_queue does not track
-    # transient same-tick occupancy (first-hop scan bursts and
-    # pass-through) at exact per-packet depths — it records the batch
-    # size instead.  Both effects are statistically invisible; the
-    # differential suite checks them at distribution level.  Node
-    # forwarding budgets are not batched — transmit_tick_batch falls
-    # back to the exact path when any exist.
-
-    def inject_batch(self, srcs: np.ndarray, dsts: np.ndarray) -> None:
-        """Enter many packets at once (batch scan phase).
-
-        Packets whose first-hop link is rate-limited (or bounded by a
-        nearly full queue) join that queue for real; the rest — the vast
-        majority, one thin stream per scanning host — are held out as
-        arrays and merged straight into this tick's bulk wave, skipping
-        a per-packet queue round-trip that the reference's sorted sweep
-        would complete within the tick anyway.
-        """
-        count = srcs.size
-        if count == 0:
-            return
-        self.injected += count
-        next_hops = self._parent[dsts, srcs]
-        li = np.searchsorted(self.key_array, srcs * self.n + next_hops)
-        if self.budget_tokens:
-            # Budget scenarios use the exact transmit path, which only
-            # reads the real queues.
-            self._enqueue_pairs(li, dsts)
-            return
-        lim = self.limited_arr[li]
-        if lim.any():
-            self._enqueue_pairs(li[lim], dsts[lim])
-            keep = ~lim
-            li = li[keep]
-            dsts = dsts[keep]
-            if li.size == 0:
-                return
-        uniq, counts = np.unique(li, return_counts=True)
-        # Drop-tail guard: a link without room for its whole share gets
-        # the per-packet treatment.  Rare — unlimited queues drain fully
-        # every tick, so depth is nonzero only behind same-tick waiters;
-        # when even queuing *everything everywhere* could not overflow
-        # the smallest cap, skip measuring per-link depths.
-        if self.queued_u + li.size > self._min_cap:
-            queues = self.queues
-            max_queue = self.max_queue
-            tight = [
-                link
-                for link, incoming in zip(uniq.tolist(), counts.tolist())
-                if len(queues[link]) + incoming > max_queue[link]
-            ]
-            if tight:
-                mask = np.isin(li, np.asarray(tight, dtype=np.int64))
-                self._enqueue_pairs(li[mask], dsts[mask])
-                keep = ~mask
-                li = li[keep]
-                dsts = dsts[keep]
-                if li.size == 0:
-                    return
-                uniq, counts = np.unique(li, return_counts=True)
-        # Reference semantics: enqueued at inject, forwarded at this
-        # tick's transmit; both are certain here, so credit them now.
-        self.enq_vec[uniq] += counts
-        self.fwd_vec[uniq] += counts
-        self.peak_vec[uniq] = np.maximum(self.peak_vec[uniq], counts)
-        self._pending_li.append(li)
-        self._pending_dst.append(dsts)
 
     def _enqueue_pairs(self, li: np.ndarray, dsts: np.ndarray) -> None:
         """Append a batch of packets onto their links, drop-tail bounded.
@@ -543,7 +465,11 @@ class FastTransport:
         for link, dst in zip(li.tolist(), dsts.tolist()):
             queue = queues[link]
             real = len(queue)
-            extra = int(pend[link]) if pend is not None else 0
+            extra = (
+                int(pend[link])
+                if pend is not None and not limited[link]
+                else 0
+            )
             if real + extra >= max_queue[link]:
                 drop_list[link] += 1
                 overflowed += 1
@@ -566,70 +492,17 @@ class FastTransport:
         self.queued_u += added_u
         self.dropped_total += overflowed
 
-    def _enqueue_grouped(self, li: np.ndarray, dsts: np.ndarray) -> None:
-        """Append a batch of packets onto their links, grouped by link.
-
-        Per-link ``deque.extend`` instead of per-packet appends: used for
-        the wave-cascade wait set, which concentrates many packets onto
-        the few rate-limited links of the current deployment.  The
-        stable sort preserves FIFO order within each link.
-        """
-        order = np.argsort(li, kind="stable")
-        li_sorted = li[order]
-        dst_sorted = dsts[order].tolist()
-        uniq, starts = np.unique(li_sorted, return_index=True)
-        bounds = starts.tolist()
-        bounds.append(len(dst_sorted))
-        queues = self.queues
-        max_queue = self.max_queue
-        enq_list = self.enq_list
-        drop_list = self.drop_list
-        peak_list = self.peak_list
-        limited = self.limited
-        added = 0
-        added_u = 0
-        overflowed = 0
-        for j, link in enumerate(uniq.tolist()):
-            a = bounds[j]
-            incoming = bounds[j + 1] - a
-            queue = queues[link]
-            depth = len(queue)
-            space = max_queue[link] - depth
-            if incoming > space:
-                accepted = space if space > 0 else 0
-                drop_list[link] += incoming - accepted
-                overflowed += incoming - accepted
-            else:
-                accepted = incoming
-            if accepted:
-                queue.extend(dst_sorted[a : a + accepted])
-                enq_list[link] += accepted
-                depth += accepted
-                added += accepted
-                if limited[link]:
-                    # Peak depth for rate-limited links is tracked
-                    # lazily: queues only shrink at trickle drains, so
-                    # the high-water mark is read right before a drain
-                    # and once more at writeback.
-                    if depth == accepted:
-                        self.nonempty_l.add(link)
-                else:
-                    if depth > peak_list[link]:
-                        peak_list[link] = depth
-                    added_u += accepted
-                    if depth == accepted:
-                        self.nonempty_u.add(link)
-        self.queued_total += added
-        self.queued_u += added_u
-        self.dropped_total += overflowed
-
     def _enqueue_one(self, node: int, dst: int) -> None:
         """Scalar enqueue of one forwarded packet (trickle stage)."""
         next_hop = self.rows[dst][node]
         lj = self.index_of[node * self.n + next_hop]
         queue = self.queues[lj]
         pend = self.pending_depth
-        extra = int(pend[lj]) if pend is not None else 0
+        extra = (
+            int(pend[lj])
+            if pend is not None and not self.limited[lj]
+            else 0
+        )
         if len(queue) + extra >= self.max_queue[lj]:
             self.drop_list[lj] += 1
             self.dropped_total += 1
@@ -649,13 +522,13 @@ class FastTransport:
                 self.nonempty_u.add(lj)
 
     def _trickle_limited(self, arrived: list[int]) -> None:
-        """Stage 1 of the batch tick: drain rate-limited links scalarly.
+        """Drain this replica's rate-limited links, packet by packet.
 
         Rate-limited links holding a whole token move packets one by one
         (their aggregate throughput is tiny by construction); arrivals
-        append to ``arrived`` in sorted-link order.  Factored out so the
-        vectorized replica engine can run this per-replica stage between
-        the shared refill and the global wave cascade.
+        append to ``arrived`` in sorted-link order.  The vector engine
+        runs this per-replica stage between the shared token refill and
+        the global wave cascade.
         """
         queues = self.queues
         l_tokens = self.l_tokens
@@ -690,105 +563,6 @@ class FastTransport:
             self.queued_total -= moved
             if not queue:
                 self.nonempty_l.discard(li)
-
-    def transmit_tick_batch(self) -> list[int]:
-        """Advance every link one tick, moving packet arrays in bulk.
-
-        Two stages: rate-limited links holding a whole token drain first
-        (scalar — their aggregate throughput is tiny by construction),
-        then this tick's virtually-held injections plus every non-empty
-        unlimited link's queue enter a wave cascade: arrivals peel off,
-        packets bound for limited links queue up, and packets bound for
-        a *later-indexed* unlimited link keep moving within the tick —
-        the same per-tick reachability as the reference's sorted sweep.
-        """
-        if self.budget_tokens:
-            # Node budgets serialize per-packet decisions; use the
-            # exact path (these scenarios are small stars).
-            return self.transmit_tick()
-        self._refill_limited()
-        arrived: list[int] = []
-        queues = self.queues
-        # Stage 1: trickle through rate-limited links with >= 1 token.
-        if self.nonempty_l:
-            self._trickle_limited(arrived)
-        # Stage 2: bulk wave cascade — virtual injections plus queued
-        # packets on unlimited links.
-        chunks_dst = self._pending_dst
-        chunks_li = self._pending_li
-        if self.nonempty_u:
-            active = sorted(self.nonempty_u)
-            active_arr = np.array(active, dtype=np.int64)
-            counts = np.fromiter(
-                (len(queues[li]) for li in active),
-                dtype=np.int64,
-                count=len(active),
-            )
-            total = int(counts.sum())
-            chunks_dst.append(
-                np.fromiter(
-                    chain.from_iterable(queues[li] for li in active),
-                    dtype=np.int64,
-                    count=total,
-                )
-            )
-            chunks_li.append(np.repeat(active_arr, counts))
-            for li in active:
-                queues[li].clear()
-            self.fwd_vec[active_arr] += counts
-            self.nonempty_u.clear()
-            self.queued_total -= total
-            self.queued_u = 0
-        if not chunks_dst:
-            return arrived
-        dsts = (
-            chunks_dst[0]
-            if len(chunks_dst) == 1
-            else np.concatenate(chunks_dst)
-        )
-        src_li = (
-            chunks_li[0] if len(chunks_li) == 1 else np.concatenate(chunks_li)
-        )
-        self._pending_dst = []
-        self._pending_li = []
-        key_array = self.key_array
-        link_dst_arr = self.link_dst_arr
-        limited_arr = self.limited_arr
-        n = self.n
-        while dsts.size:
-            nodes = link_dst_arr[src_li]
-            at_dest = dsts == nodes
-            if at_dest.any():
-                done = dsts[at_dest]
-                arrived.extend(done.tolist())
-                self.delivered += done.size
-                keep = ~at_dest
-                dsts = dsts[keep]
-                src_li = src_li[keep]
-                nodes = nodes[keep]
-                if dsts.size == 0:
-                    break
-            next_hops = self._parent[dsts, nodes]
-            lj = np.searchsorted(key_array, nodes * n + next_hops)
-            # Packets whose next link is rate-limited, or an unlimited
-            # link already swept this tick (lj <= source), wait queued.
-            cascade = ~limited_arr[lj] & (lj > src_li)
-            if not cascade.all():
-                wait = ~cascade
-                self._enqueue_grouped(lj[wait], dsts[wait])
-                lj = lj[cascade]
-                dsts = dsts[cascade]
-            if dsts.size == 0:
-                break
-            # Pass-through: offered and drained within the same tick.
-            passing, pass_counts = np.unique(lj, return_counts=True)
-            self.enq_vec[passing] += pass_counts
-            self.fwd_vec[passing] += pass_counts
-            self.peak_vec[passing] = np.maximum(
-                self.peak_vec[passing], pass_counts
-            )
-            src_li = lj
-        return arrived
 
     # ------------------------------------------------------------------
     # Writeback
@@ -839,14 +613,6 @@ class FastTransport:
         Links this transport never moved a packet over are skipped
         entirely (their counter updates would all be ``+= 0``).
         """
-        # Virtually-held injections exist only mid-tick (a transmit
-        # always follows in the phase pipeline); flush defensively if a
-        # caller stopped between phases.
-        if self._pending_li:
-            for li, dsts in zip(self._pending_li, self._pending_dst):
-                self._enqueue_pairs(li, dsts)
-            self._pending_li = []
-            self._pending_dst = []
         stats = self.network.stats
         stats.packets_injected += self.injected
         stats.packets_delivered += self.delivered

@@ -1,27 +1,38 @@
-"""Replica-batched execution: many seeded runs over one scenario build.
+"""The batch-sampling engine: seeded runs of one scenario, advanced together.
 
-Monte-Carlo ensembles re-run *the same scenario* under different seeds.
-Building that scenario — topology sampling, routing tables, defense
-deployment — dominates small-run wall clock, and the per-run fast-engine
-state (host arrays, transport layout) is mostly scenario-determined too.
-:class:`VectorReplicaSimulation` amortizes all of it: one network, one
+Every batch-sampled run — a lone large-population ``engine="fast"`` run
+as much as a thousand-replica die-out ensemble — goes through
+:class:`VectorReplicaSimulation`; a solo run is a group of width one.
+Building a scenario — topology sampling, routing tables, defense
+deployment — dominates small-run wall clock, and the fast-engine state
+(host arrays, transport layout) is mostly scenario-determined too, so a
+group shares all of it: one network, one
 :class:`~repro.simulator.fastpath.transport.TransportLayout`, one 2-D
 :class:`~repro.simulator.fastpath.state.HostArrays` block with a
-``(replica, host)`` axis, and ``R`` ordinary
-:class:`~repro.simulator.fastpath.engine.FastWormSimulation` instances
-that own each replica's RNG, recorder, defenses and transport.  Its tick
-loop advances *all* live replicas through each phase in one pass over
-the shared ``(replica, host)`` and ``(replica, link)`` state.  A
-live-replica mask shrinks the working set as replicas die out, so a
-1000-replica near-critical sweep pays for the few replicas that take
-off, not the many that die at tick 2.
+``(replica, host)`` axis.  Each replica keeps only its private run state
+in a :class:`ReplicaState` record: RNG, recorder, quarantine loop,
+transport and optional instrumentation.  The tick loop advances *all*
+live replicas through each phase in one pass over the shared
+``(replica, host)`` and ``(replica, link)`` state.  A live-replica mask
+shrinks the working set as replicas die out, so a 1000-replica
+near-critical sweep pays for the few replicas that take off, not the
+many that die at tick 2.
 
-Bit-identity contract
----------------------
-Each replica owns an isolated ``numpy.random.Generator``, so only the
-*per-replica draw order within a tick* determines equivalence with a
-solo ``scan_mode="batch"`` run.  The vectorized loop draws each
-replica's per-phase arrays in exactly the solo order —
+Sampling model
+--------------
+Per-host scan counts, hit masks, targets, telescope observations and
+immunization draws come in bulk from each replica's numpy generator
+(seeded from ``random.Random(seed)`` right after the initial infections
+are placed, so a seed attacks the same hosts on every engine).  Runs are
+*statistically* equivalent to the reference engine — same epidemic law,
+different random stream — and the transport relaxations documented on
+the wave cascade below apply.
+
+Width invariance
+----------------
+Each replica owns an isolated ``numpy.random.Generator``, so a
+replica's results depend only on the *per-replica draw order within a
+tick*, which the loop fixes —
 
 1. scan counts (``gen.random(n_infected) < frac``, only when the scan
    rate has a fractional part),
@@ -36,87 +47,270 @@ replica's per-phase arrays in exactly the solo order —
 — while everything between draws (state flips, token arithmetic,
 packet transport) is computed cross-replica.  Transport waves are
 merged globally, but every per-replica *subsequence* of the global
-packet arrays preserves that replica's solo ordering, and all counter
-updates key on ``replica * L + link``, so per-link statistics, queue
-contents, and drop-tail victim identity match the solo batch engine
-bit for bit.  The equivalence suite asserts this across the defense
-grid.
+packet arrays keeps the order that replica would see alone, and all
+counter updates key on ``replica * L + link``, so a replica's per-link
+statistics, queue contents and drop-tail victims do not depend on its
+neighbours.  The equivalence suite pins width-1 and grouped runs to the
+same golden grid.
+
+Transport relaxations
+---------------------
+Totals (packet counters, per-link forwarded/enqueued/dropped, queue
+depths at tick end) follow the reference sweep; what is relaxed is
+intra-tick interleaving: same-tick multi-hop cascades run in breadth
+waves rather than strict sorted-link order, so when several packets race
+into one rate-cut queue in a single tick, *which* of them waits can
+differ from the reference, and peak depths of unlimited links record
+per-tick batch sizes rather than transient per-packet depths.
 
 Node forwarding budgets
 -----------------------
-Budgets serialize per-packet decisions, so the solo batch engine moves
-a budgeted run's packets on the exact scalar sweep
-(:meth:`FastTransport.transmit_tick`).  The vector loop applies the same
-rule per replica: a replica is *budgeted* from tick 0 when the static
-defense installs budgets, or from the tick its quarantine deploys a
-plan with budgets.  A budgeted replica's scan injections join its real
-queues, it skips the shared token refill and the global pending store,
-and it transmits on its own transport's exact sweep; everything else
-about it (draws, infection, immunization, harvest) stays vectorized.
+Budgets serialize per-packet decisions, so a budgeted replica moves its
+packets on the exact scalar sweep (:meth:`FastTransport.transmit_tick`).
+A replica is *budgeted* from tick 0 when the static defense installs
+budgets, or from the tick its quarantine deploys a plan with budgets.
+A budgeted replica's scan injections join its real queues, it skips the
+shared token refill and the global pending store, and it transmits on
+its own transport's exact sweep; everything else about it (draws,
+infection, immunization, harvest) stays vectorized.
 
 Dynamic quarantine
 ------------------
 Replicas share one network, so a deploy cannot touch it: each replica
 whose detector fires replays a plan captured at construction
-(:mod:`.replicas`) onto its private row and transport.  A solo run
-leaves deployed quarantine filters on the network's host and link
-objects after it finishes; a grouped run leaves the network undeployed.
-Host epidemic state, link statistics, and residual queues — everything
-the results layer reads — are written back identically.
+(:mod:`.replicas`) onto its private row and transport, and the network
+is left undeployed.  Host epidemic state, link statistics, and residual
+queues — everything the results layer reads — are written back per
+replica.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable, Sequence
 from itertools import chain
+from time import perf_counter
 
 import numpy as np
 
+from ...observability.instrumentation import Instrumentation
+from ...observability.trace import tick_record
 from ..dynamic import DynamicQuarantine
+from ..engine import PHASE_NAMES, Phase
 from ..immunization import ImmunizationPolicy
 from ..links import LinkStats
 from ..network import Network
-from ..worms import WormStrategy
-from .engine import (
-    WRITEBACK_MODES,
-    FastWormSimulation,
-    pick_targets_local_pref,
-)
+from ..observers import CurveRecorder
+from ..worms import LocalPreferentialWorm, RandomScanWorm, WormStrategy
+from .engine import WRITEBACK_MODES
 from .replicas import DeploymentPlan, capture_deployment_plan
 from .state import IMMUNE, INFECTED, SUSCEPTIBLE, HostArrays
 from .transport import FastTransport, TransportLayout
 
-__all__ = ["VectorReplicaSimulation"]
+__all__ = ["ReplicaState", "VectorReplicaSimulation"]
+
+_SCAN = PHASE_NAMES[Phase.SCAN]
+_TRANSMIT = PHASE_NAMES[Phase.TRANSMIT]
+_DELIVER = PHASE_NAMES[Phase.DELIVER]
+_IMMUNIZE = PHASE_NAMES[Phase.IMMUNIZE]
+_OBSERVE = PHASE_NAMES[Phase.OBSERVE]
+
+
+class SubnetTables:
+    """Subnet membership of the infectable population, sliced flat.
+
+    ``members`` lists infectable hosts grouped by subnet; ``start`` /
+    ``count`` index each subnet's slice.  Hosts outside any subnet (or
+    a network without subnets at all) take the uniform fallback,
+    matching the reference's lone-host fall-through to
+    :class:`RandomScanWorm`.  Pure function of the network, so one
+    instance serves every replica.
+    """
+
+    __slots__ = ("members", "start", "count")
+
+    def __init__(
+        self, infectable_arr: np.ndarray, subnet_arr: np.ndarray | None
+    ) -> None:
+        self.members: np.ndarray | None = None
+        self.start: np.ndarray | None = None
+        self.count: np.ndarray | None = None
+        if subnet_arr is None:
+            return
+        subs = subnet_arr[infectable_arr]
+        keep = subs >= 0
+        members = infectable_arr[keep]
+        subs = subs[keep]
+        if members.size == 0:
+            return
+        order = np.argsort(subs, kind="stable")
+        members = members[order]
+        counts = np.bincount(subs[order], minlength=int(subs.max()) + 1)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        self.members = members
+        self.start = starts.astype(np.int64)
+        self.count = counts.astype(np.int64)
+
+
+def pick_targets_local_pref(
+    gen: np.random.Generator,
+    pool: np.ndarray,
+    subnet_arr: np.ndarray | None,
+    tables: SubnetTables,
+    local_pref: float,
+    origins: np.ndarray,
+) -> np.ndarray:
+    """Batch twin of :meth:`LocalPreferentialWorm.pick_target`.
+
+    With probability ``local_pref`` a scan draws uniformly from the
+    origin's subnet peers; lone hosts and the remaining scans draw
+    uniformly from the whole infectable pool minus the origin (the
+    reference's fallback random worm, hit 1.0).  The draw sequence is
+    a pure function of ``gen`` and ``origins``.
+    """
+    total = origins.size
+    targets = np.empty(total, dtype=np.int64)
+    local = np.zeros(total, dtype=bool)
+    if tables.members is not None:
+        subs = subnet_arr[origins]
+        valid = subs >= 0
+        cnt = np.zeros(total, dtype=np.int64)
+        cnt[valid] = tables.count[subs[valid]]
+        local = (gen.random(total) < local_pref) & (cnt >= 2)
+        if local.any():
+            size = cnt[local]
+            start = tables.start[subs[local]]
+            # Uniform over the subnet's ``size - 1`` peers: draw from
+            # the first ``size - 1`` slots and remap a self-draw to the
+            # slice's last member (a swap trick — every peer keeps
+            # probability 1/(size-1)).
+            j = gen.integers(0, size - 1)
+            cand = tables.members[start + j]
+            clash = cand == origins[local]
+            if clash.any():
+                cand[clash] = tables.members[(start + size - 1)[clash]]
+            targets[local] = cand
+    rest = ~local
+    n_rest = int(rest.sum())
+    if n_rest:
+        r_orig = origins[rest]
+        cand = pool[gen.integers(0, pool.size, size=n_rest)]
+        while True:
+            bad = cand == r_orig
+            misses = int(bad.sum())
+            if not misses:
+                break
+            cand[bad] = pool[gen.integers(0, pool.size, size=misses)]
+        targets[rest] = cand
+    return targets
+
+
+class ReplicaState:
+    """One replica's private run state inside a vector group.
+
+    This is what the harvest callback receives: the replica's curve
+    (``recorder``), its transport (per-link arrays and packet totals),
+    its quarantine loop and its instrumentation.
+    """
+
+    __slots__ = (
+        "gen",
+        "recorder",
+        "quarantine",
+        "transport",
+        "instrumentation",
+        "patching",
+        "final_tick",
+    )
+
+    #: The vector loop schedules no ad-hoc events.
+    events_executed = 0
+
+    def __init__(
+        self,
+        gen: np.random.Generator,
+        recorder: CurveRecorder,
+        quarantine: DynamicQuarantine | None,
+        transport: FastTransport,
+        instrumentation: Instrumentation | None,
+    ) -> None:
+        self.gen = gen
+        self.recorder = recorder
+        self.quarantine = quarantine
+        self.transport = transport
+        self.instrumentation = instrumentation
+        #: Whether the immunization policy has started patching.
+        self.patching = False
+        self.final_tick = 0
+
+    @property
+    def ticks_executed(self) -> int:
+        """Ticks this replica ran (replicas stop individually)."""
+        return self.recorder.num_samples
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values of *sorted* ``keys``, each run's start and length.
+
+    ``np.unique`` without its re-sort and wrapper overhead, which
+    dominate on the small per-tick arrays of the wave cascade.
+    """
+    edge = np.empty(keys.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    starts = bounds[:-1]
+    return keys[starts], starts, bounds[1:] - starts
+
+
+def _credit_phase(
+    instrs: list[Instrumentation | None],
+    live_list: list[int],
+    name: str,
+    seconds: float,
+) -> None:
+    """Split one group phase's time evenly over its live replicas."""
+    share = seconds / len(live_list)
+    for r in live_list:
+        instr = instrs[r]
+        if instr is not None and instr.profile:
+            instr.record_phase(name, share)
 
 
 class VectorReplicaSimulation:
-    """``R`` seeded batch-mode runs of one scenario, advanced together.
+    """``R`` seeded batch-sampled runs of one scenario, advanced together.
 
-    Parameters mirror :class:`FastWormSimulation` where shared, plus:
+    Parameters mirror :class:`~repro.simulator.fastpath.FastWormSimulation`
+    where shared, plus:
 
     seeds:
-        One RNG seed per replica; ``len(seeds)`` is the batch width.
+        One RNG seed per replica; ``len(seeds)`` is the group width.
     quarantine_factory:
         Zero-argument callable producing a fresh
         :class:`DynamicQuarantine` (telescope + detector + response);
-        called once per replica, plus once at construction to capture
-        the deployment plan.  Each replica's control loop runs
+        called once per replica.  Each replica's control loop runs
         independently — detection tick and deployment are per replica.
     writeback:
         ``"full"`` (default) writes host stamps, per-link stats and
         residual queues back onto the network before each harvest —
-        the callback observes exactly what a solo run would have left
-        behind.  ``"stats"`` restores only the aggregate packet
-        counters (``network.stats``) and leaves hosts/links untouched:
-        for harvests that read trajectories, totals, and the
-        transport's arrays directly, it skips the per-replica
-        whole-topology writeback walk entirely.
+        the callback observes what the run left behind.  ``"stats"``
+        restores only the aggregate packet counters (``network.stats``)
+        and leaves hosts/links untouched: for harvests that read
+        trajectories, totals, and the transport's arrays directly, it
+        skips the per-replica whole-topology writeback walk entirely.
+    instrumentation:
+        Optional per-replica :class:`Instrumentation` (one entry per
+        seed, ``None`` entries allowed): scan/infection counters, tick
+        records, and per-phase timings, each group phase's time split
+        evenly over its live replicas.
 
-    Replicas stop individually under the solo stop condition and are
-    harvested — network writeback plus a caller callback — as they
-    finish; the network's mutable result state (stats, link stats,
-    queues) is reset between harvests so each callback observes exactly
-    what a solo run of that replica would have left behind.
+    The worm must be a :class:`RandomScanWorm` or a
+    :class:`LocalPreferentialWorm`, the two strategies with a batch
+    sampling kernel.  Replicas stop individually under the reference
+    stop condition and are harvested — network writeback plus a caller
+    callback — as they finish; the network's mutable result state
+    (stats, link stats, queues) is reset between harvests so each
+    callback observes only its own replica.
     """
 
     def __init__(
@@ -131,52 +325,104 @@ class VectorReplicaSimulation:
         lan_delivery: bool = False,
         quarantine_factory: Callable[[], DynamicQuarantine] | None = None,
         writeback: str = "full",
+        instrumentation: Sequence[Instrumentation | None] | None = None,
     ) -> None:
         if not seeds:
             raise ValueError("seeds must be non-empty")
+        if scan_rate <= 0:
+            raise ValueError(f"scan_rate must be positive, got {scan_rate}")
+        if not isinstance(worm, (RandomScanWorm, LocalPreferentialWorm)):
+            raise ValueError(
+                f"batch sampling requires a RandomScanWorm or"
+                f" LocalPreferentialWorm, got {type(worm).__name__}"
+            )
+        if not 1 <= initial_infections < network.num_infectable:
+            raise ValueError(
+                f"initial_infections must be in [1, {network.num_infectable}),"
+                f" got {initial_infections}"
+            )
         if writeback not in WRITEBACK_MODES:
             raise ValueError(
                 f"writeback must be one of {WRITEBACK_MODES}, got {writeback!r}"
             )
+        replicas = len(seeds)
+        if instrumentation is None:
+            instrumentation = [None] * replicas
         self.network = network
-        self.replicas = len(seeds)
+        self.replicas = replicas
+        self.lan_delivery = lan_delivery
         self._writeback = writeback
+        self._policy = immunization
+        # The layout templates the pre-deploy (static defenses only)
+        # rate-limit state, which the plan capture restores.
+        self.layout = TransportLayout(network)
+        quarantines: list[DynamicQuarantine | None] = [None] * replicas
         self._plan: DeploymentPlan | None = None
         if quarantine_factory is not None:
-            probe = quarantine_factory()
-            self._plan = capture_deployment_plan(network, probe.response)
-        # Layout after the plan capture's undo: it must template the
-        # pre-deploy (static defenses only) rate-limit state.
-        self.layout = TransportLayout(network)
-        self.hosts = HostArrays(network, replicas=self.replicas)
-        if self._plan is not None and self._plan.throttles:
-            self.hosts.register_latent_throttles(self._plan.throttles)
-        plan = self._plan
-        self.sims: list[FastWormSimulation] = []
-        for replica, seed in enumerate(seeds):
-            # Initial infections land on the active replica's row.
-            self.hosts.set_active(replica)
-            quarantine = None
-            if quarantine_factory is not None:
-                quarantine = quarantine_factory()
+            quarantines = [quarantine_factory() for _ in range(replicas)]
+            self._plan = capture_deployment_plan(
+                self.layout, quarantines[0].response
+            )
+            descriptor = self._plan.descriptor
+            for quarantine in quarantines:
                 # The replica replays the captured plan itself; the
                 # response just reports what "deployed".
-                quarantine.response = lambda _net: plan.descriptor
-            self.sims.append(
-                FastWormSimulation(
-                    network,
-                    worm,
-                    scan_rate=scan_rate,
-                    initial_infections=initial_infections,
-                    immunization=immunization,
-                    lan_delivery=lan_delivery,
-                    quarantine=quarantine,
-                    seed=seed,
-                    scan_mode="batch",
-                    hosts=self.hosts,
-                    transport=FastTransport(network, layout=self.layout),
+                quarantine.response = lambda _net: descriptor
+        self.hosts = HostArrays(network, replicas=replicas)
+        if self._plan is not None and self._plan.throttles:
+            self.hosts.register_latent_throttles(self._plan.throttles)
+
+        # Scan parameters are scenario-determined, shared by replicas.
+        self._whole = int(scan_rate)
+        self._frac = scan_rate - self._whole
+        self._pool = np.array(network.infectable, dtype=np.int64)
+        self._subnet_arr = (
+            np.array(network.subnets.subnet_of, dtype=np.int64)
+            if network.subnets is not None
+            else None
+        )
+        if isinstance(worm, LocalPreferentialWorm):
+            # A miss in the fallback branch never happens (the reference
+            # fallback scans with hit probability 1.0), and subnet
+            # membership tables vectorize the peer draws.
+            self._hit = 1.0
+            self._local_pref: float | None = worm.local_preference
+            self._tables: SubnetTables | None = SubnetTables(
+                self._pool, self._subnet_arr
+            )
+        else:
+            self._hit = worm.hit_probability
+            self._local_pref = None
+            self._tables = None
+
+        infectable = list(network.infectable)
+        seeded: list[int] = []
+        self.states: list[ReplicaState] = []
+        for replica, seed in enumerate(seeds):
+            rng = random.Random(seed)
+            seeded.extend(rng.sample(infectable, initial_infections))
+            # Seeded after initial-infection placement, so the same
+            # seed attacks the same hosts on every engine.
+            gen = np.random.default_rng(rng.getrandbits(64))
+            self.states.append(
+                ReplicaState(
+                    gen,
+                    CurveRecorder(network),
+                    quarantines[replica],
+                    FastTransport(network, layout=self.layout),
+                    instrumentation[replica],
                 )
             )
+        seed_reps = self.hosts.infect_grouped(
+            np.repeat(np.arange(replicas), initial_infections),
+            np.asarray(seeded, dtype=np.int64),
+            0,
+        )
+        for replica, count in enumerate(
+            np.bincount(seed_reps, minlength=replicas).tolist()
+        ):
+            if count:
+                self.states[replica].recorder.note_infection(count)
         stats = network.stats
         self._base_injected = stats.packets_injected
         self._base_delivered = stats.packets_delivered
@@ -205,15 +451,17 @@ class VectorReplicaSimulation:
     def _finalize(
         self,
         replica: int,
-        sim: FastWormSimulation,
-        harvest: Callable[[int, FastWormSimulation], None],
+        state: ReplicaState,
+        harvest: Callable[[int, ReplicaState], None],
     ) -> None:
         self._reset_network()
         full = self._writeback == "full"
         if full:
-            sim.hosts.writeback(replica)
-        self._touched = sim.transport.writeback(sim._final_tick, links=full)
-        harvest(replica, sim)
+            self.hosts.writeback(replica)
+        self._touched = state.transport.writeback(
+            state.final_tick, links=full
+        )
+        harvest(replica, state)
 
     @staticmethod
     def _inject_guarded(
@@ -225,12 +473,12 @@ class VectorReplicaSimulation:
         wave_dst: list[np.ndarray],
         wave_rep: list[np.ndarray],
     ) -> None:
-        """Solo drop-tail guard for one replica's unlimited injections.
+        """Drop-tail guard for one replica's unlimited injections.
 
-        Mirrors the tail of :meth:`FastTransport.inject_batch` when the
-        virtual hold-out could overflow a queue: links without room for
-        their whole share get the per-packet treatment, survivors are
-        credited and handed to the global wave.
+        Used when queuing the replica's whole share could overflow a
+        queue: links without room for their whole share get the
+        per-packet treatment, survivors are credited and handed to the
+        global wave.
         """
         uniq, counts = np.unique(li, return_counts=True)
         queues = t.queues
@@ -268,16 +516,17 @@ class VectorReplicaSimulation:
     ) -> None:
         """Queue cascade waiters bound for rate-limited links.
 
-        Grouped by ``(replica, link)`` with one global stable sort —
-        per-group semantics (drop-tail, enqueue credit, lazy peak,
-        non-empty tracking) mirror
-        :meth:`FastTransport._enqueue_grouped`'s limited branch, and the
-        stable sort preserves each replica's solo FIFO order per link.
+        Grouped by ``(replica, link)`` with one global stable sort, which
+        preserves each replica's FIFO order per link; each group is
+        drop-tail bounded and credited as enqueued.  Peak depth of a
+        rate-limited link is tracked lazily: its queue only shrinks at
+        trickle drains, so the high-water mark is read right before a
+        drain and once more at writeback.
         """
         key = w_rep * link_count + w_lj
         order = np.argsort(key, kind="stable")
         dst_s = w_dst[order].tolist()
-        uk, starts = np.unique(key[order], return_index=True)
+        uk, starts, _counts = _runs(key[order])
         bounds = starts.tolist()
         bounds.append(len(dst_s))
         for g, k in enumerate(uk.tolist()):
@@ -304,11 +553,11 @@ class VectorReplicaSimulation:
     def run(
         self,
         max_ticks: int,
-        harvest: Callable[[int, FastWormSimulation], None],
+        harvest: Callable[[int, ReplicaState], None],
     ) -> None:
         """Advance every replica to completion, harvesting each.
 
-        ``harvest(replica, sim)`` runs once per replica, immediately
+        ``harvest(replica, state)`` runs once per replica, immediately
         after that replica's state is written back onto the network;
         read trajectories, host state, and network statistics inside
         the callback — the next replica's harvest overwrites them.
@@ -322,7 +571,7 @@ class VectorReplicaSimulation:
                 "replica batch already ran; build a fresh one"
             )
         self._ran = True
-        sims = self.sims
+        states = self.states
         hosts = self.hosts
         network = self.network
         layout = self.layout
@@ -331,23 +580,27 @@ class VectorReplicaSimulation:
         link_count = len(layout.keys)
         n = layout.n
 
-        transports = [sim.transport for sim in sims]
-        gens = [sim._gen for sim in sims]
-        recorders = [sim.recorder for sim in sims]
-        quars = [sim.quarantine for sim in sims]
-        immus = [sim.immunization for sim in sims]
+        transports = [state.transport for state in states]
+        gens = [state.gen for state in states]
+        recorders = [state.recorder for state in states]
+        quars = [state.quarantine for state in states]
+        instrs = [state.instrumentation for state in states]
+        counting = any(instr is not None for instr in instrs)
+        tracing = any(
+            instr is not None and instr.sink is not None for instr in instrs
+        )
+        profiling = any(
+            instr is not None and instr.profile for instr in instrs
+        )
 
-        # Scan parameters are scenario-determined, identical across
-        # replicas by construction.
-        s0 = sims[0]
-        whole = s0._scan_whole
-        frac = s0._scan_frac
-        hit = s0._hit
-        local_pref = s0._local_pref
-        tables = getattr(s0, "_subnet_tables", None)
-        pool = s0._infectable_arr
-        subnet_arr = s0._subnet_arr
-        lan = s0.lan_delivery and subnet_arr is not None
+        whole = self._whole
+        frac = self._frac
+        hit = self._hit
+        local_pref = self._local_pref
+        tables = self._tables
+        pool = self._pool
+        subnet_arr = self._subnet_arr
+        lan = self.lan_delivery and subnet_arr is not None
 
         # Shared (replica, link) counter matrices: each transport's
         # vectorized-track arrays are rebound to one row, so global
@@ -372,20 +625,25 @@ class VectorReplicaSimulation:
         # either way — IEEE-identical to each transport's own refill.
         static_idx = layout.limited_idx
         static_limited = layout.limited_arr
+        rate_static = layout.l_rate[static_idx]
+        burst_static = layout.l_burst[static_idx]
         plan_member = np.zeros(link_count, dtype=bool)
-        rate_dep = layout.l_rate
-        burst_dep = layout.l_burst
         dep_idx = static_idx
         has_plan_links = plan is not None and plan.link_idx.size > 0
         if has_plan_links:
             plan_member[plan.link_idx] = True
-            rate_dep = layout.l_rate.copy()
-            burst_dep = layout.l_burst.copy()
-            rate_dep[plan.link_idx] = plan.link_rates
-            burst_dep[plan.link_idx] = plan.link_bursts
+            rate_all = layout.l_rate.copy()
+            burst_all = layout.l_burst.copy()
+            rate_all[plan.link_idx] = plan.link_rates
+            burst_all[plan.link_idx] = plan.link_bursts
             dep_idx = np.unique(
                 np.concatenate([static_idx, plan.link_idx])
             )
+        else:
+            rate_all = layout.l_rate
+            burst_all = layout.l_burst
+        rate_dep = rate_all[dep_idx]
+        burst_dep = burst_all[dep_idx]
         deployed = np.zeros(replicas, dtype=bool)
 
         # Budgeted replicas (see module docstring) run their transport on
@@ -406,8 +664,13 @@ class VectorReplicaSimulation:
         injected_arr = np.zeros(replicas, dtype=np.int64)
         delivered_arr = np.zeros(replicas, dtype=np.int64)
 
-        lan_pending: list[list[int]] = [[] for _ in range(replicas)]
-        lan_ready: list[list[int]] = [[] for _ in range(replicas)]
+        # LAN ring: same-subnet scans of tick t wait in ``lan_pending``
+        # as ``(replicas, destinations)``, rotate to ``lan_ready`` at
+        # delivery and land one tick later — the reference's one-tick
+        # LAN latency.
+        no_lan = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        lan_pending = no_lan
+        lan_ready_rep, lan_ready_dst = no_lan
 
         parent = layout.parent
         key_array = layout.key_array
@@ -415,17 +678,17 @@ class VectorReplicaSimulation:
         min_cap = layout.min_cap
         max_q_arr = np.asarray(layout.max_queue, dtype=np.int64)
 
-        # Global store for unlimited-link waiters.  In the solo engine a
-        # cascade waiter sits in its link's deque until the next tick's
-        # sweep; here the waiters of *all* replicas live in shared
-        # chunk arrays keyed by ``replica * L + link``, with per-key
-        # depths for the drop-tail bound, so both the enqueue and the
-        # next sweep are single sorted passes instead of per-replica
-        # loops.  Invariant: outside the guard/trickle window of a tick,
-        # every real unlimited deque is empty — the only scalar writers
-        # (the inject guard, the limited trickle, a deploy flush) mark
-        # their replica in ``dirty``, and the sweep drains those deques
-        # alongside the store, in solo chronological order.
+        # Global store for unlimited-link waiters.  A cascade waiter
+        # waits for the next tick's sweep; the waiters of *all*
+        # replicas live in shared chunk arrays keyed by
+        # ``replica * L + link``, with per-key depths for the drop-tail
+        # bound, so both the enqueue and the next sweep are single
+        # sorted passes instead of per-replica loops.  Invariant: outside
+        # the guard/trickle window of a tick, every real unlimited deque
+        # is empty — the only scalar writers (the inject guard, the
+        # limited trickle, a deploy flush) mark their replica in
+        # ``dirty``, and the sweep drains those deques alongside the
+        # store, in chronological order.
         depth2 = np.zeros((replicas, link_count), dtype=np.int64)
         depth_flat = depth2.reshape(-1)
         pend_count = np.zeros(replicas, dtype=np.int64)
@@ -438,73 +701,83 @@ class VectorReplicaSimulation:
         for r, t in enumerate(transports):
             t.pending_depth = None if budgeted[r] else depth2[r]
 
-        policy = next(
-            (im._policy for im in immus if im is not None), None
-        )
+        policy = self._policy
         if policy is not None:
             mu = policy.mu
             patch_infected = policy.patch_infected
-        infectable_arr = s0._infectable_arr
+            num_infectable = network.num_infectable
 
+        # Segment bounds of replica-sorted arrays: ``searchsorted`` of a
+        # live-position column against ``edges[: nlive + 1]``.
+        edges_all = np.arange(replicas + 1, dtype=np.int64)
+        zero_counts = np.zeros(replicas, dtype=np.int64)
         live = np.arange(replicas, dtype=np.int64)
         last_tick = max_ticks - 1
         for tick in range(max_ticks):
             live_list = live.tolist()
             nlive = live.size
-            hosts.refill_all_throttles()
+            edges = edges_all[: nlive + 1]
+            if profiling:
+                clock = perf_counter()
 
             # -------------------- scan phase --------------------
-            rows, cols = np.nonzero(status[live] == INFECTED)
+            hosts.refill_all_throttles()
+            rows, cols = np.nonzero(
+                (status if nlive == replicas else status[live]) == INFECTED
+            )
             wave_li: list[np.ndarray] = []
             wave_dst: list[np.ndarray] = []
             wave_rep: list[np.ndarray] = []
             arrive_rep: list[np.ndarray] = []
             arrive_dst: list[np.ndarray] = []
-            dark = None
             if rows.size:
+                zeros = zero_counts[:nlive]
+                throttled_n = dark = lan_n = routed_n = zeros
                 if frac > 0.0:
-                    seg = np.bincount(rows, minlength=nlive)
-                    bounds = np.zeros(nlive + 1, dtype=np.int64)
-                    np.cumsum(seg, out=bounds[1:])
+                    hb = np.searchsorted(rows, edges).tolist()
                     buf = np.empty(rows.size)
-                    for i in range(nlive):
-                        a, b = int(bounds[i]), int(bounds[i + 1])
+                    for i, r in enumerate(live_list):
+                        a, b = hb[i], hb[i + 1]
                         if a != b:
-                            buf[a:b] = gens[live_list[i]].random(b - a)
+                            buf[a:b] = gens[r].random(b - a)
                     counts = whole + (buf < frac).astype(np.int64)
                 else:
                     counts = np.full(rows.size, whole, dtype=np.int64)
-                counts = hosts.throttle_gate_grouped(
-                    live[rows], cols, counts
-                )
-                totals = np.bincount(
-                    rows, weights=counts, minlength=nlive
-                ).astype(np.int64)
+                if hosts.throttle_pos:
+                    allowed = hosts.throttle_gate_grouped(
+                        live[rows], cols, counts
+                    )
+                    if counting:
+                        # One throttled event per host whose burst was
+                        # cut, like the reference's per-host break.
+                        throttled_n = np.bincount(
+                            rows[counts > allowed], minlength=nlive
+                        )
+                    counts = allowed
                 origins = np.repeat(cols, counts)
                 rep_o = np.repeat(rows, counts)
+                tb = np.searchsorted(rep_o, edges)
                 if hit < 1.0 and origins.size:
-                    ob = np.zeros(nlive + 1, dtype=np.int64)
-                    np.cumsum(totals, out=ob[1:])
+                    ob = tb.tolist()
                     buf = np.empty(origins.size)
-                    for i in range(nlive):
-                        a, b = int(ob[i]), int(ob[i + 1])
+                    for i, r in enumerate(live_list):
+                        a, b = ob[i], ob[i + 1]
                         if a != b:
-                            buf[a:b] = gens[live_list[i]].random(b - a)
+                            buf[a:b] = gens[r].random(b - a)
                     keep = buf < hit
                     origins = origins[keep]
                     rep_o = rep_o[keep]
-                dark = totals - np.bincount(rep_o, minlength=nlive)
+                    scanned = np.diff(tb)
+                    tb = np.searchsorted(rep_o, edges)
+                    dark = scanned - np.diff(tb)
                 if origins.size and pool.size >= 2:
-                    tb = np.zeros(nlive + 1, dtype=np.int64)
-                    np.cumsum(
-                        np.bincount(rep_o, minlength=nlive), out=tb[1:]
-                    )
+                    bounds = tb.tolist()
                     targets = np.empty(origins.size, dtype=np.int64)
-                    for i in range(nlive):
-                        a, b = int(tb[i]), int(tb[i + 1])
+                    for i, r in enumerate(live_list):
+                        a, b = bounds[i], bounds[i + 1]
                         if a == b:
                             continue
-                        gen = gens[live_list[i]]
+                        gen = gens[r]
                         seg_orig = origins[a:b]
                         if local_pref is not None:
                             targets[a:b] = pick_targets_local_pref(
@@ -537,27 +810,19 @@ class VectorReplicaSimulation:
                         )
                         if local.any():
                             l_rep = rep_o[local]
-                            l_t = targets[local].tolist()
-                            lb = np.zeros(nlive + 1, dtype=np.int64)
-                            np.cumsum(
-                                np.bincount(l_rep, minlength=nlive),
-                                out=lb[1:],
-                            )
-                            for i in range(nlive):
-                                a, b = int(lb[i]), int(lb[i + 1])
-                                if a != b:
-                                    lan_pending[live_list[i]].extend(
-                                        l_t[a:b]
-                                    )
+                            lan_pending = (live[l_rep], targets[local])
+                            if counting:
+                                lan_n = np.bincount(l_rep, minlength=nlive)
                             remote = ~local
                             origins = origins[remote]
                             targets = targets[remote]
                             rep_o = rep_o[remote]
                     if origins.size:
                         reps_act = live[rep_o]
-                        injected_arr += np.bincount(
-                            reps_act, minlength=replicas
-                        )
+                        sent = np.bincount(rep_o, minlength=nlive)
+                        injected_arr[live] += sent
+                        if counting:
+                            routed_n = sent
                         next_hops = parent[targets, origins]
                         li = np.searchsorted(
                             key_array, origins * n + next_hops
@@ -573,16 +838,11 @@ class VectorReplicaSimulation:
                             l_rep = rep_o[lim]
                             l_li = li[lim]
                             l_dst = targets[lim]
-                            lb = np.zeros(nlive + 1, dtype=np.int64)
-                            np.cumsum(
-                                np.bincount(l_rep, minlength=nlive),
-                                out=lb[1:],
-                            )
-                            for i in range(nlive):
-                                a, b = int(lb[i]), int(lb[i + 1])
+                            lb = np.searchsorted(l_rep, edges).tolist()
+                            for i, r in enumerate(live_list):
+                                a, b = lb[i], lb[i + 1]
                                 if a == b:
                                     continue
-                                r = live_list[i]
                                 if r in exact:
                                     # Queued right before this replica's
                                     # exact sweep, while its queues are
@@ -598,21 +858,23 @@ class VectorReplicaSimulation:
                             rep_o = rep_o[keep]
                             reps_act = reps_act[keep]
                         if li.size:
-                            sizes = np.bincount(rep_o, minlength=nlive)
-                            ub = np.zeros(nlive + 1, dtype=np.int64)
-                            np.cumsum(sizes, out=ub[1:])
+                            ub = np.searchsorted(rep_o, edges).tolist()
+                            # Drop-tail guard: a replica whose whole
+                            # unlimited share could overflow the smallest
+                            # queue gets per-link checks; the rest skip
+                            # measuring depths.
                             guard = [
                                 i
-                                for i in range(nlive)
-                                if sizes[i]
-                                and transports[live_list[i]].queued_u
-                                + int(pend_count[live_list[i]])
-                                + int(sizes[i])
+                                for i, r in enumerate(live_list)
+                                if ub[i] != ub[i + 1]
+                                and transports[r].queued_u
+                                + int(pend_count[r])
+                                + (ub[i + 1] - ub[i])
                                 > min_cap
                             ]
                             if guard:
                                 for i in guard:
-                                    a, b = int(ub[i]), int(ub[i + 1])
+                                    a, b = ub[i], ub[i + 1]
                                     r = live_list[i]
                                     self._inject_guarded(
                                         transports[r],
@@ -634,9 +896,7 @@ class VectorReplicaSimulation:
                                 reps_act = reps_act[keep]
                         if li.size:
                             key = reps_act * link_count + li
-                            uk, cnt = np.unique(
-                                key, return_counts=True
-                            )
+                            uk, _starts, cnt = _runs(np.sort(key))
                             enq_flat[uk] += cnt
                             fwd_flat[uk] += cnt
                             peak_flat[uk] = np.maximum(
@@ -645,7 +905,7 @@ class VectorReplicaSimulation:
                             wave_li.append(li)
                             wave_dst.append(targets)
                             wave_rep.append(reps_act)
-                if quars[0] is not None:
+                if dark is not zeros and quars[0] is not None:
                     for i in np.flatnonzero(dark).tolist():
                         q = quars[live_list[i]]
                         seen = int(
@@ -655,6 +915,31 @@ class VectorReplicaSimulation:
                         )
                         if seen:
                             q.telescope.record_hits(seen)
+                if counting:
+                    tallies = zip(
+                        throttled_n.tolist(),
+                        dark.tolist(),
+                        lan_n.tolist(),
+                        routed_n.tolist(),
+                    )
+                    for r, (thr, drk, lan_c, rtd) in zip(
+                        live_list, tallies
+                    ):
+                        instr = instrs[r]
+                        if instr is None:
+                            continue
+                        if thr:
+                            instr.count("scans_throttled", thr)
+                        if drk:
+                            instr.count("scans_dark", drk)
+                        if lan_c:
+                            instr.count("scans_lan", lan_c)
+                        if rtd:
+                            instr.count("scans_routed", rtd)
+            if profiling:
+                now = perf_counter()
+                _credit_phase(instrs, live_list, _SCAN, now - clock)
+                clock = now
 
             # ------------------- transmit phase -------------------
             # Budgeted rows refill their own tokens in transmit_tick.
@@ -663,15 +948,10 @@ class VectorReplicaSimulation:
             nod_rows = vec_rows[~deployed[vec_rows]]
             if static_idx.size and nod_rows.size:
                 ix = np.ix_(nod_rows, static_idx)
-                tok2[ix] = np.minimum(
-                    tok2[ix] + layout.l_rate[static_idx],
-                    layout.l_burst[static_idx],
-                )
+                tok2[ix] = np.minimum(tok2[ix] + rate_static, burst_static)
             if dep_idx.size and dep_rows.size:
                 ix = np.ix_(dep_rows, dep_idx)
-                tok2[ix] = np.minimum(
-                    tok2[ix] + rate_dep[dep_idx], burst_dep[dep_idx]
-                )
+                tok2[ix] = np.minimum(tok2[ix] + rate_dep, burst_dep)
             for r in live_list:
                 t = transports[r]
                 if t.nonempty_l and r not in exact:
@@ -699,9 +979,9 @@ class VectorReplicaSimulation:
             # Sweep: every queued unlimited packet — the global pending
             # store plus the real deques of dirty replicas — enters the
             # wave in one sorted pass.  The stable sort by
-            # ``replica * L + link`` reproduces each replica's solo
-            # emission order (links ascending, FIFO per link, store
-            # content before same-tick scalar enqueues).
+            # ``replica * L + link`` fixes each replica's emission order
+            # (links ascending, FIFO per link, store content before
+            # same-tick scalar enqueues).
             if dirty:
                 for r in sorted(dirty):
                     t = transports[r]
@@ -755,7 +1035,7 @@ class VectorReplicaSimulation:
                 sw_rep = sw_rep[order]
                 sw_lj = sw_lj[order]
                 sw_dst = sw_dst[order]
-                uk, cnt = np.unique(key[order], return_counts=True)
+                uk, _starts, cnt = _runs(key[order])
                 fwd_flat[uk] += cnt
                 depth_flat[uk] = 0
                 pend_count[:] = 0
@@ -766,6 +1046,11 @@ class VectorReplicaSimulation:
                 wave_li.append(sw_lj)
                 wave_dst.append(sw_dst)
             if wave_dst:
+                # Wave cascade: arrivals peel off, packets bound for
+                # limited links queue up, and packets bound for a
+                # *later-indexed* unlimited link keep moving within the
+                # tick — the same per-tick reachability as the
+                # reference's sorted sweep.
                 dsts = (
                     wave_dst[0]
                     if len(wave_dst) == 1
@@ -835,11 +1120,7 @@ class VectorReplicaSimulation:
                             rep_s = w_rep[order]
                             lj_s = w_lj[order]
                             dst_s = w_dst[order]
-                            uk, starts, cnts = np.unique(
-                                key[order],
-                                return_index=True,
-                                return_counts=True,
-                            )
+                            uk, starts, cnts = _runs(key[order])
                             new_depth = depth_flat[uk] + cnts
                             over = new_depth > max_q_arr[uk % link_count]
                             if over.any():
@@ -884,24 +1165,22 @@ class VectorReplicaSimulation:
                         if dsts.size == 0:
                             break
                     key = reps * link_count + lj
-                    uk, cnt = np.unique(key, return_counts=True)
+                    uk, _starts, cnt = _runs(np.sort(key))
                     enq_flat[uk] += cnt
                     fwd_flat[uk] += cnt
                     peak_flat[uk] = np.maximum(peak_flat[uk], cnt)
                     src_li = lj
+            if profiling:
+                now = perf_counter()
+                _credit_phase(instrs, live_list, _TRANSMIT, now - clock)
+                clock = now
 
             # -------------------- deliver phase --------------------
-            for r in live_list:
-                ready = lan_ready[r]
-                if ready:
-                    arrive_rep.append(
-                        np.full(len(ready), r, dtype=np.int64)
-                    )
-                    arrive_dst.append(
-                        np.asarray(ready, dtype=np.int64)
-                    )
-                lan_ready[r] = lan_pending[r]
-                lan_pending[r] = []
+            if lan_ready_rep.size:
+                arrive_rep.append(lan_ready_rep)
+                arrive_dst.append(lan_ready_dst)
+            lan_ready_rep, lan_ready_dst = lan_pending
+            lan_pending = no_lan
             if arrive_dst:
                 a_rep = (
                     arrive_rep[0]
@@ -913,15 +1192,20 @@ class VectorReplicaSimulation:
                     if len(arrive_dst) == 1
                     else np.concatenate(arrive_dst)
                 )
-                reps_new, _nodes = hosts.infect_grouped(
-                    a_rep, a_dst, tick
-                )
+                reps_new = hosts.infect_grouped(a_rep, a_dst, tick)
                 if reps_new.size:
                     newc = np.bincount(reps_new, minlength=replicas)
                     sus_arr -= newc
                     inf_arr += newc
                     for r in np.flatnonzero(newc).tolist():
-                        recorders[r].note_infection(int(newc[r]))
+                        fresh = int(newc[r])
+                        recorders[r].note_infection(fresh)
+                        if instrs[r] is not None:
+                            instrs[r].count("infections", fresh)
+            if profiling:
+                now = perf_counter()
+                _credit_phase(instrs, live_list, _DELIVER, now - clock)
+                clock = now
 
             # -------------------- defense phase --------------------
             if quars[0] is not None:
@@ -987,40 +1271,40 @@ class VectorReplicaSimulation:
             if policy is not None:
                 act: list[int] = []
                 for r in live_list:
-                    im = immus[r]
-                    if not im._active:
-                        if not im._should_start(
-                            tick, recorders[r].ever_infected
-                        ):
+                    state = states[r]
+                    if not state.patching:
+                        if policy.start_tick is not None:
+                            start = tick >= policy.start_tick
+                        else:
+                            start = (
+                                recorders[r].ever_infected / num_infectable
+                                >= policy.start_fraction
+                            )
+                        if not start:
                             continue
-                        im._active = True
-                        im.started_at = tick
+                        state.patching = True
                     act.append(r)
                 if act:
                     act_arr = np.asarray(act, dtype=np.int64)
-                    sub = status[np.ix_(act_arr, infectable_arr)]
+                    sub = status[np.ix_(act_arr, pool)]
                     elig = sub == SUSCEPTIBLE
                     if patch_infected:
                         elig |= sub == INFECTED
                     err, ecc = np.nonzero(elig)
                     if err.size:
-                        eb = np.zeros(len(act) + 1, dtype=np.int64)
-                        np.cumsum(
-                            np.bincount(err, minlength=len(act)),
-                            out=eb[1:],
-                        )
+                        eb = np.searchsorted(
+                            err, edges_all[: len(act) + 1]
+                        ).tolist()
                         chosen_rep: list[np.ndarray] = []
                         chosen_node: list[np.ndarray] = []
                         for i, r in enumerate(act):
-                            a, b = int(eb[i]), int(eb[i + 1])
+                            a, b = eb[i], eb[i + 1]
                             if a == b:
                                 continue
                             draws = gens[r].random(b - a)
                             pick = draws < mu
                             if pick.any():
-                                nodes_sel = infectable_arr[
-                                    ecc[a:b][pick]
-                                ]
+                                nodes_sel = pool[ecc[a:b][pick]]
                                 chosen_rep.append(
                                     np.full(
                                         nodes_sel.size,
@@ -1044,17 +1328,54 @@ class VectorReplicaSimulation:
                             imm_arr += tot
                             inf_arr -= from_inf
                             sus_arr -= tot - from_inf
-                            for r in np.flatnonzero(tot).tolist():
-                                immus[r].patched += int(tot[r])
+            if profiling:
+                now = perf_counter()
+                _credit_phase(instrs, live_list, _IMMUNIZE, now - clock)
+                clock = now
 
-            # ----------------- observe / stop / harvest -----------------
+            # -------------------- observe phase --------------------
+            sus_l = sus_arr.tolist()
+            inf_l = inf_arr.tolist()
+            imm_l = imm_arr.tolist()
             for r in live_list:
                 recorders[r].record_counts(
-                    tick,
-                    int(sus_arr[r]),
-                    int(inf_arr[r]),
-                    int(imm_arr[r]),
+                    tick, sus_l[r], inf_l[r], imm_l[r]
                 )
+            if tracing:
+                lan_queue = np.bincount(
+                    lan_ready_rep, minlength=replicas
+                ).tolist()
+                for r in live_list:
+                    instr = instrs[r]
+                    if instr is None or instr.sink is None:
+                        continue
+                    t = transports[r]
+                    instr.emit(
+                        tick_record(
+                            tick=tick,
+                            susceptible=sus_l[r],
+                            infected=inf_l[r],
+                            immune=imm_l[r],
+                            ever_infected=recorders[r].ever_infected,
+                            packets_injected=self._base_injected
+                            + t.injected
+                            + int(injected_arr[r]),
+                            packets_delivered=self._base_delivered
+                            + t.delivered
+                            + int(delivered_arr[r]),
+                            packets_dropped=(
+                                self._base_dropped + t.dropped_total
+                            ),
+                            in_flight=t.queued_total + int(pend_count[r]),
+                            lan_queue=lan_queue[r],
+                        )
+                    )
+            if profiling:
+                _credit_phase(
+                    instrs, live_list, _OBSERVE, perf_counter() - clock
+                )
+
+            # -------------------- stop / harvest --------------------
             if tick == last_tick:
                 finished = live
             else:
@@ -1064,7 +1385,7 @@ class VectorReplicaSimulation:
             if finished.size and pend_rep:
                 # Residual in-flight packets: a finishing replica's
                 # pending waiters become its real queue contents, which
-                # writeback materializes exactly like the solo engine's.
+                # writeback materializes.
                 fin_look = np.zeros(replicas, dtype=bool)
                 fin_look[finished] = True
                 kept_r = []
@@ -1095,14 +1416,23 @@ class VectorReplicaSimulation:
                 pend_dst = kept_d
                 depth2[finished] = 0
                 pend_count[finished] = 0
+            if finished.size and lan_ready_rep.size:
+                # A finished replica's LAN scans are never delivered.
+                keep = ~np.isin(lan_ready_rep, finished)
+                lan_ready_rep = lan_ready_rep[keep]
+                lan_ready_dst = lan_ready_dst[keep]
             for r in finished.tolist():
-                sim = sims[r]
-                t = transports[r]
+                state = states[r]
+                t = state.transport
                 t.injected += int(injected_arr[r])
                 t.delivered += int(delivered_arr[r])
-                sim._final_tick = tick
+                state.final_tick = tick
+                instr = state.instrumentation
+                if instr is not None and instr.profile:
+                    instr.count("ticks", tick + 1)
+                    instr.count("scheduler_events", 0)
                 dirty.discard(r)
                 exact.discard(r)
-                self._finalize(r, sim, harvest)
+                self._finalize(r, state, harvest)
             if tick == last_tick or live.size == 0:
                 break

@@ -15,6 +15,7 @@ import pytest
 
 from repro.chaos import Fault, FaultPlan, chaos_active
 from repro.runner import EnsembleSpec, RunSpec, TopologySpec, run_ensemble
+from repro.runner import executors
 from repro.runner.cache import ResultCache
 from repro.runner.executors import (
     ParallelExecutor,
@@ -206,13 +207,16 @@ class TestReplicaBatchDegradation:
             label=label,
         )
 
-    def test_delayed_chunk_keeps_vectorized_payload_identical(self):
+    def test_delayed_chunk_keeps_vectorized_payload_identical(
+        self, monkeypatch
+    ):
         spec = self.replica_ensemble("replica-delay")
         expected = clean_payload(spec)
         plan = FaultPlan.single(
             "runner.executor.run", Fault("delay", delay_s=0.05), at=0
         )
-        executor = ReplicaBatchExecutor(SerialExecutor(), chunk_size=3)
+        monkeypatch.setattr(executors, "REPLICA_CHUNK", 3)
+        executor = ReplicaBatchExecutor(SerialExecutor())
         slept: list[float] = []
         with chaos_active(plan) as controller:
             controller.sleep = slept.append
@@ -226,14 +230,17 @@ class TestReplicaBatchDegradation:
         ]
         assert result_payload(result) == expected
 
-    def test_unwritable_cache_degrades_vectorized_batch(self, tmp_path):
+    def test_unwritable_cache_degrades_vectorized_batch(
+        self, tmp_path, monkeypatch
+    ):
         spec = self.replica_ensemble("replica-cache")
         expected = clean_payload(spec)
         cache = ResultCache(tmp_path)
         plan = FaultPlan.single(
             "runner.cache.store", Fault("io_error"), at=0
         )
-        executor = ReplicaBatchExecutor(SerialExecutor(), chunk_size=3)
+        monkeypatch.setattr(executors, "REPLICA_CHUNK", 3)
+        executor = ReplicaBatchExecutor(SerialExecutor())
         with chaos_active(plan):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

@@ -24,7 +24,7 @@ from repro.runner.spec import (
     TopologySpec,
     WormSpec,
 )
-from repro.simulator.fastpath import FastWormSimulation
+from repro.simulator.fastpath import FastWormSimulation, VectorReplicaSimulation
 
 #: One fig-4 seed column at reduced scale (300 nodes, 150 ticks).
 _TEMPLATE = RunSpec(
@@ -64,18 +64,29 @@ def _dumps(data: dict) -> str:
 
 
 def _full_writeback_bytes(spec: RunSpec, monkeypatch) -> str:
-    """The run's bytes with every host and link written back and walked."""
-    runs: list[FastWormSimulation] = []
-    original = FastWormSimulation.run
+    """The run's bytes with every host and link written back and walked.
+
+    Mirror runs write back at ``run``; batch-sampled runs (width-1
+    vector groups) at their replica's harvest, and the network keeps
+    that state after the group finishes.
+    """
+    networks = []
+    original_run = FastWormSimulation.run
+    original_init = VectorReplicaSimulation.__init__
 
     def run_full(self, max_ticks, *, writeback="full"):
-        runs.append(self)
-        return original(self, max_ticks, writeback="full")
+        networks.append(self.network)
+        return original_run(self, max_ticks, writeback="full")
+
+    def init_full(self, network, *args, **kwargs):
+        networks.append(network)
+        original_init(self, network, *args, **dict(kwargs, writeback="full"))
 
     with monkeypatch.context() as patch:
         patch.setattr(FastWormSimulation, "run", run_full)
+        patch.setattr(VectorReplicaSimulation, "__init__", init_full)
         data = execute_run(spec).to_dict()
-    network = runs[0].network
+    network = networks[0]
     data["metrics"].update(
         packets_injected=network.stats.packets_injected,
         packets_delivered=network.stats.packets_delivered,

@@ -109,6 +109,13 @@ class TestValidation:
         with pytest.raises(SpecError):
             RunSpec(engine="warp")
 
+    @pytest.mark.parametrize("kind", ["topological", "sequential"])
+    def test_fast_batched_rejects_worms_without_batch_kernel(self, kind):
+        with pytest.raises(SpecError, match="fast-batched"):
+            RunSpec(engine="fast-batched", worm=WormSpec(kind=kind))
+        # The other engines run every worm.
+        assert RunSpec(engine="fast", worm=WormSpec(kind=kind))
+
 
 class TestDefenseLabels:
     def test_labels_match_policy_conventions(self):

@@ -204,6 +204,19 @@ class TestHttpSurface:
         assert status == 400
         assert "invalid" in json.loads(payload)["error"]
 
+    def test_unrunnable_engine_worm_pair_is_400(self, gated_service):
+        """A spec no engine can run is refused before it is queued."""
+        _thread, client, _runner = gated_service
+        spec = spec_with("topological").to_dict()
+        spec["template"].update(
+            engine="fast-batched", worm={"kind": "topological"}
+        )
+        status, _headers, payload = client._request(
+            "POST", "/v1/run", json.dumps({"spec": spec}).encode()
+        )
+        assert status == 400
+        assert "fast-batched" in json.loads(payload)["error"]
+
     def test_wrong_method_is_405(self, gated_service):
         _thread, client, _runner = gated_service
         status, _headers, _payload = client._request("GET", "/v1/run")

@@ -24,7 +24,7 @@ from repro.simulator.defense import (
     deploy_edge_rate_limit,
     deploy_host_rate_limit,
 )
-from repro.simulator.fastpath import FastWormSimulation
+from repro.simulator.fastpath import FastWormSimulation, VectorReplicaSimulation
 from repro.simulator.immunization import ImmunizationPolicy
 from repro.simulator.links import TokenBucket
 from repro.simulator.network import Network
@@ -83,9 +83,10 @@ def test_token_bucket_never_exceeds_budget(rate, burst, demands):
 def test_limited_links_respect_budget_on_both_engines(rate, seed, ticks):
     """No rate-limited link forwards more than refill budget + burst."""
     for engine_cls, kwargs in (
-        (WormSimulation, {}),
-        (FastWormSimulation, {"scan_mode": "mirror"}),
-        (FastWormSimulation, {"scan_mode": "batch"}),
+        (WormSimulation, {"seed": seed}),
+        (FastWormSimulation, {"seed": seed}),
+        # Batch sampling: a width-1 vector group, written back in full.
+        (VectorReplicaSimulation, {"seeds": [seed]}),
     ):
         network = Network.from_powerlaw(80, seed=3)
         deploy_backbone_rate_limit(network, rate)
@@ -94,10 +95,12 @@ def test_limited_links_respect_budget_on_both_engines(rate, seed, ticks):
             RandomScanWorm(),
             scan_rate=1.5,
             initial_infections=2,
-            seed=seed,
             **kwargs,
         )
-        simulation.run(ticks)
+        if engine_cls is VectorReplicaSimulation:
+            simulation.run(ticks, lambda _replica, _state: None)
+        else:
+            simulation.run(ticks)
         for link in network.links.values():
             if not link.is_rate_limited:
                 continue
@@ -215,7 +218,7 @@ def _build_simulation(engine_cls, scenario, **kwargs):
 def test_mirror_mode_is_bit_identical_on_random_scenarios(scenario):
     net_r, sim_r = _build_simulation(WormSimulation, scenario)
     net_f, sim_f = _build_simulation(
-        FastWormSimulation, scenario, scan_mode="mirror"
+        FastWormSimulation, scenario
     )
     traj_r = sim_r.run(50)
     traj_f = sim_f.run(50)
@@ -256,7 +259,7 @@ def test_host_throttle_tokens_never_negative(seed, rate):
     deploy_host_rate_limit(network_f, 0.5, rate, seed=seed)
     sim_f = FastWormSimulation(
         network_f, RandomScanWorm(), scan_rate=1.5,
-        initial_infections=2, seed=seed, scan_mode="mirror",
+        initial_infections=2, seed=seed,
     )
 
     def audit_fast(tick: int) -> bool:

@@ -8,8 +8,8 @@ Three families:
   store never leak state across the replica axis;
 * **live-mask correctness** — under aggressive immunization replicas
   die out at staggered ticks, shrinking the live mask mid-run; each
-  survivor (and each casualty) still replays its solo batch run
-  bit-for-bit and is harvested exactly once;
+  survivor (and each casualty) still replays its solo run (a width-1
+  group) bit-for-bit and is harvested exactly once;
 * **RNG stream non-collision** — per-replica generators stay distinct
   streams at 1000 replicas: no two replicas share a bit-generator
   state, and their leading draws differ.
@@ -21,10 +21,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.fastpath import (
-    FastWormSimulation,
-    VectorReplicaSimulation,
-)
+from repro.simulator.fastpath import VectorReplicaSimulation
+from repro.simulator.fastpath.vector import ReplicaState
 from repro.simulator.immunization import ImmunizationPolicy
 from repro.simulator.network import Network
 from repro.simulator.worms import RandomScanWorm
@@ -65,7 +63,7 @@ def _state(network: Network) -> tuple:
     )
 
 
-def _harvest_tuple(network: Network, sim: FastWormSimulation) -> tuple:
+def _harvest_tuple(network: Network, sim: ReplicaState) -> tuple:
     try:
         trajectory = tuple(
             zip(
@@ -105,24 +103,8 @@ def _vector_batch(seeds, *, mu=None, start=1):
 
 
 def _solo_batch(seed, *, mu=None, start=1):
-    network = _network()
-    immunization = (
-        ImmunizationPolicy.at_tick(start, mu) if mu is not None else None
-    )
-    sim = FastWormSimulation(
-        network,
-        RandomScanWorm(hit_probability=0.5),
-        scan_rate=1.2,
-        initial_infections=2,
-        seed=seed,
-        immunization=immunization,
-        scan_mode="batch",
-    )
-    try:
-        sim.run(TICKS)
-    except Exception:
-        pass
-    return _harvest_tuple(network, sim)
+    (alone,) = _vector_batch([seed], mu=mu, start=start)
+    return alone
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +172,8 @@ def test_thousand_replica_streams_never_collide(base_seed):
     )
     states = set()
     draws = set()
-    for sim in batch.sims:
-        bg = sim._gen.bit_generator
+    for state in batch.states:
+        bg = state.gen.bit_generator
         state = bg.state["state"]
         states.add((state["state"], state["inc"]))
         clone = type(bg)()

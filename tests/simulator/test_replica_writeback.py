@@ -3,8 +3,8 @@
 An immunization policy with ``mu=1.0`` starting at tick 0 patches the
 whole population on the very first tick, so the epidemic is over after
 one recorder sample and ``Trajectory`` construction fails with
-:class:`~repro.models.base.ModelError`.  The fast engine (and the
-replica-batched engine) must have written the ``infected_at`` /
+:class:`~repro.models.base.ModelError`.  The mirror engine (and the
+vector engine, solo or grouped) must have written the ``infected_at`` /
 ``immunized_at`` stamps back onto the network *before* that failure —
 exactly what a reference run leaves behind — or post-mortem inspection
 of die-outs silently reads stale hosts.
@@ -74,26 +74,30 @@ def _run(engine_cls, seed: int, make_network=_powerlaw, **kwargs):
 
 @pytest.mark.parametrize("scan_mode", ["mirror", "batch"])
 def test_tick0_dieout_writes_back_stamps(scan_mode):
-    """Both fast scan modes leave the reference's exact stamps behind.
+    """Mirror and batch-sampled runs leave the reference's exact stamps.
 
     The outcome is deterministic across RNG streams — every host is
     immunized at tick 0, the seeds alone carry ``infected_at=0`` — so
-    mirror *and* batch mode must agree with the reference bit-for-bit.
+    the mirror engine *and* a batch-sampled run (a width-1 vector group)
+    must agree with the reference bit-for-bit.
     """
     for seed in SEEDS:
         reference = _run(WormSimulation, seed)
-        fast = _run(FastWormSimulation, seed, scan_mode=scan_mode)
+        if scan_mode == "mirror":
+            fast = _run(FastWormSimulation, seed)
+        else:
+            fast = _replica_batch_stamps(_powerlaw, [seed])[0]
         assert fast == reference, seed
 
 
-def _replica_batch_stamps(make_network) -> dict:
+def _replica_batch_stamps(make_network, seeds=SEEDS) -> dict:
     """Run a tick-0 die-out batch; return each replica's harvested stamps."""
     network = make_network()
     batch = VectorReplicaSimulation(
         network,
         RandomScanWorm(hit_probability=0.5),
         scan_rate=1.2,
-        seeds=list(SEEDS),
+        seeds=list(seeds),
         initial_infections=3,
         immunization=KILL_ALL,
     )
@@ -108,7 +112,7 @@ def _replica_batch_stamps(make_network) -> dict:
         harvested[replica] = _stamps(network)
 
     batch.run(MAX_TICKS, harvest)
-    assert sorted(harvested) == list(range(len(SEEDS)))
+    assert sorted(harvested) == list(range(len(seeds)))
     return harvested
 
 

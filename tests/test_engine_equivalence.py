@@ -1,18 +1,22 @@
-"""Differential tests: the fast engine against the reference oracle.
+"""Differential tests: the fast engines against the reference oracle.
 
-Two tiers of equivalence, matching the fast engine's two scan modes:
+Three tiers of equivalence:
 
-* **mirror** — the fast engine draws from the run RNG in exactly the
+* **mirror** — the mirror engine draws from the run RNG in exactly the
   reference order, so every observable must be *bit-identical*:
   trajectories, compartment counts, network/link packet statistics,
   per-host infection stamps, instrumentation counters, and full trace
   records.  The scenario grid below crosses topologies, worms, defenses,
   immunization, LAN delivery, and dynamic quarantine.
-* **batch** — aggregated sampling uses a different random stream, so
-  equivalence is *statistical*: over an ensemble of seeds the epidemic
-  law must match (final sizes within sampling tolerance), and per-run
-  conservation invariants (injected = delivered + dropped + in-flight)
-  must hold exactly at every tick.
+* **batch** — the vector engine's batch sampling uses a different
+  random stream, so equivalence with the reference is *statistical*:
+  over an ensemble of seeds the epidemic law must match (final sizes
+  within sampling tolerance), and per-run conservation invariants
+  (injected = delivered + dropped + in-flight) must hold exactly at
+  every tick.
+* **replica grid** — every batch-sampled run, at width 1 and grouped,
+  must reproduce ``tests/golden/replica_grid.json`` bit for bit: the
+  pinned results of the solo batch engine the vector loop replaced.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,8 +52,13 @@ from repro.simulator import (
     deploy_hub_rate_limit,
 )
 from repro.runner import build as build_module
+from repro.runner import executors as executors_module
 from repro.runner.api import run_ensemble
-from repro.runner.build import execute_replica_batch, execute_run
+from repro.runner.build import (
+    BATCH_MIN_HOSTS,
+    execute_replica_batch,
+    execute_run,
+)
 from repro.runner.cache import ResultCache
 from repro.runner.executors import ReplicaBatchExecutor, SerialExecutor
 from repro.runner.spec import (
@@ -59,12 +70,14 @@ from repro.runner.spec import (
     WormSpec,
 )
 from repro.simulator.fastpath import VectorReplicaSimulation
-from repro.simulator.fastpath.engine import BATCH_MIN_HOSTS
 from repro.simulator.fastpath.state import (
     IMMUNE,
     INFECTED,
     SUSCEPTIBLE,
 )
+from repro.simulator.nodes import HostState
+
+GRID_PATH = Path(__file__).parent / "golden" / "replica_grid.json"
 
 
 def _build_network(kind: str) -> Network:
@@ -73,7 +86,7 @@ def _build_network(kind: str) -> Network:
     return Network.from_powerlaw(120, seed=7)
 
 
-def _run(engine_cls, scenario, *, scan_mode=None, trace=True):
+def _run(engine_cls, scenario, *, trace=True):
     """Build the scenario fresh and run it on one engine."""
     network = _build_network(scenario["kind"])
     defense = scenario.get("defense")
@@ -85,9 +98,6 @@ def _run(engine_cls, scenario, *, scan_mode=None, trace=True):
         if trace
         else None
     )
-    kwargs = {}
-    if scan_mode is not None:
-        kwargs["scan_mode"] = scan_mode
     simulation = engine_cls(
         network,
         scenario["worm"](),
@@ -98,10 +108,29 @@ def _run(engine_cls, scenario, *, scan_mode=None, trace=True):
         immunization=scenario.get("immunization"),
         quarantine=quarantine_factory(network) if quarantine_factory else None,
         instrumentation=instrumentation,
-        **kwargs,
     )
     trajectory = simulation.run(scenario.get("max_ticks", 80))
     return network, simulation, trajectory, instrumentation
+
+
+def _run_width1(network, worm, max_ticks, *, seed, instrumentation=None,
+                **kwargs):
+    """One batch-sampled run: a width-1 vector group's trajectory."""
+    batch = VectorReplicaSimulation(
+        network,
+        worm,
+        seeds=[seed],
+        instrumentation=[instrumentation] if instrumentation else None,
+        **kwargs,
+    )
+    trajectories = []
+    batch.run(
+        max_ticks,
+        lambda _replica, state: trajectories.append(
+            state.recorder.trajectory()
+        ),
+    )
+    return trajectories[0]
 
 
 #: The mirror-mode differential grid: topology x worm x defense x
@@ -185,12 +214,12 @@ MIRROR_SCENARIOS = {
     "scenario", MIRROR_SCENARIOS.values(), ids=MIRROR_SCENARIOS.keys()
 )
 class TestMirrorBitIdentical:
-    """``scan_mode="mirror"`` replays the reference draw-for-draw."""
+    """The mirror engine replays the reference draw-for-draw."""
 
     @pytest.fixture()
     def pair(self, scenario):
         reference = _run(WormSimulation, scenario)
-        fast = _run(FastWormSimulation, scenario, scan_mode="mirror")
+        fast = _run(FastWormSimulation, scenario)
         return reference, fast
 
     def test_trajectories_identical(self, pair, scenario):
@@ -246,28 +275,28 @@ class TestMirrorBitIdentical:
 
 
 class TestBatchStatistical:
-    """``scan_mode="batch"`` preserves the epidemic law, not the bits."""
+    """Batch sampling preserves the epidemic law, not the bits."""
 
     NUM_SEEDS = 20
     MAX_TICKS = 150
     NODES = 300
 
-    def _final_sizes(self, engine_cls, *, defense, scan_mode=None):
+    def _final_sizes(self, batch, *, defense, worm=RandomScanWorm):
+        """Final sizes per seed: reference runs, or width-1 batch runs."""
         sizes = []
         for seed in range(100, 100 + self.NUM_SEEDS):
             network = Network.from_powerlaw(self.NODES, seed=7)
             if defense is not None:
                 defense(network)
-            kwargs = {"scan_mode": scan_mode} if scan_mode else {}
-            simulation = engine_cls(
-                network,
-                RandomScanWorm(),
-                scan_rate=0.8,
-                initial_infections=2,
-                seed=seed,
-                **kwargs,
-            )
-            trajectory = simulation.run(self.MAX_TICKS)
+            kwargs = dict(scan_rate=0.8, initial_infections=2)
+            if batch:
+                trajectory = _run_width1(
+                    network, worm(), self.MAX_TICKS, seed=seed, **kwargs
+                )
+            else:
+                trajectory = WormSimulation(
+                    network, worm(), seed=seed, **kwargs
+                ).run(self.MAX_TICKS)
             sizes.append(trajectory.ever_infected[-1])
         return np.asarray(sizes, dtype=float)
 
@@ -277,10 +306,8 @@ class TestBatchStatistical:
         ids=["undefended", "backbone-limited"],
     )
     def test_final_size_distribution_matches(self, defense):
-        reference = self._final_sizes(WormSimulation, defense=defense)
-        fast = self._final_sizes(
-            FastWormSimulation, defense=defense, scan_mode="batch"
-        )
+        reference = self._final_sizes(False, defense=defense)
+        fast = self._final_sizes(True, defense=defense)
         # Welch-style tolerance: the ensemble means must agree within
         # three standard errors (plus a small absolute floor so fully
         # saturating scenarios with zero variance still compare).
@@ -308,16 +335,15 @@ class TestBatchStatistical:
         instrumentation = Instrumentation.from_options(
             InstrumentationOptions(trace=True)
         )
-        simulation = FastWormSimulation(
+        _run_width1(
             network,
             RandomScanWorm(),
+            self.MAX_TICKS,
             scan_rate=0.8,
             initial_infections=2,
             seed=123,
-            scan_mode="batch",
             instrumentation=instrumentation,
         )
-        simulation.run(self.MAX_TICKS)
         records = [
             r for r in instrumentation.sink.records if r["type"] == "tick"
         ]
@@ -348,25 +374,11 @@ class TestBatchStatistical:
             previous = record
 
     def test_final_size_distribution_matches_local_pref(self):
-        def _sizes(engine_cls, scan_mode=None):
-            sizes = []
-            for seed in range(100, 100 + self.NUM_SEEDS):
-                network = Network.from_powerlaw(self.NODES, seed=7)
-                kwargs = {"scan_mode": scan_mode} if scan_mode else {}
-                simulation = engine_cls(
-                    network,
-                    LocalPreferentialWorm(local_preference=0.7),
-                    scan_rate=0.8,
-                    initial_infections=2,
-                    seed=seed,
-                    **kwargs,
-                )
-                trajectory = simulation.run(self.MAX_TICKS)
-                sizes.append(trajectory.ever_infected[-1])
-            return np.asarray(sizes, dtype=float)
+        def worm():
+            return LocalPreferentialWorm(local_preference=0.7)
 
-        reference = _sizes(WormSimulation)
-        fast = _sizes(FastWormSimulation, scan_mode="batch")
+        reference = self._final_sizes(False, defense=None, worm=worm)
+        fast = self._final_sizes(True, defense=None, worm=worm)
         stderr = math.sqrt(
             reference.var(ddof=1) / len(reference)
             + fast.var(ddof=1) / len(fast)
@@ -381,66 +393,67 @@ class TestBatchStatistical:
     def test_batch_requires_batchable_worm(self):
         network = Network.from_powerlaw(60, seed=7)
         with pytest.raises(ValueError, match="RandomScanWorm"):
-            FastWormSimulation(
-                network,
-                TopologicalWorm(),
-                scan_rate=0.8,
-                seed=1,
-                scan_mode="batch",
+            VectorReplicaSimulation(
+                network, TopologicalWorm(), scan_rate=0.8, seeds=[1]
             )
         with pytest.raises(ValueError, match="LocalPreferentialWorm"):
-            FastWormSimulation(
-                network,
-                SequentialScanWorm(),
-                scan_rate=0.8,
-                seed=1,
-                scan_mode="batch",
+            VectorReplicaSimulation(
+                network, SequentialScanWorm(), scan_rate=0.8, seeds=[1]
             )
 
     def test_batch_accepts_local_pref_worm(self):
         network = Network.from_powerlaw(60, seed=7)
-        simulation = FastWormSimulation(
+        trajectory = _run_width1(
             network,
             LocalPreferentialWorm(local_preference=0.7),
-            scan_rate=0.8,
-            seed=1,
-            scan_mode="batch",
-        )
-        assert simulation.batch_sampling
-
-    def test_auto_mode_picks_by_population(self):
-        small = Network.from_powerlaw(100, seed=7)
-        assert small.num_infectable < BATCH_MIN_HOSTS
-        sim_small = FastWormSimulation(
-            small, RandomScanWorm(), scan_rate=0.8, seed=1
-        )
-        assert not sim_small.batch_sampling
-
-        large = Network.from_powerlaw(700, seed=7)
-        assert large.num_infectable >= BATCH_MIN_HOSTS
-        sim_large = FastWormSimulation(
-            large, RandomScanWorm(), scan_rate=0.8, seed=1
-        )
-        assert sim_large.batch_sampling
-
-        sim_forced = FastWormSimulation(
-            large, RandomScanWorm(), scan_rate=0.8, seed=1,
-            scan_mode="mirror",
-        )
-        assert not sim_forced.batch_sampling
-
-        sim_localpref = FastWormSimulation(
-            large,
-            LocalPreferentialWorm(local_preference=0.7),
+            10,
             scan_rate=0.8,
             seed=1,
         )
-        assert sim_localpref.batch_sampling
+        assert trajectory.times.size > 1
 
-        sim_sequential = FastWormSimulation(
-            large, SequentialScanWorm(), scan_rate=0.8, seed=1
+    def test_auto_mode_picks_by_population(self, monkeypatch):
+        """``engine="fast"`` batch-samples large batchable runs only."""
+        built = []
+
+        class SpyVector(VectorReplicaSimulation):
+            def __init__(self, *args, **kwargs):
+                built.append("batch")
+                super().__init__(*args, **kwargs)
+
+        class SpyMirror(FastWormSimulation):
+            def __init__(self, *args, **kwargs):
+                built.append("mirror")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(build_module, "VectorReplicaSimulation", SpyVector)
+        monkeypatch.setattr(build_module, "FastWormSimulation", SpyMirror)
+
+        def engine_for(num_nodes, worm, engine="fast"):
+            built.clear()
+            execute_run(
+                RunSpec(
+                    topology=TopologySpec(num_nodes=num_nodes, seed=7),
+                    worm=worm,
+                    max_ticks=3,
+                    seed=1,
+                    engine=engine,
+                )
+            )
+            return built[0]
+
+        assert Network.from_powerlaw(100, seed=7).num_infectable < (
+            BATCH_MIN_HOSTS
         )
-        assert not sim_sequential.batch_sampling
+        assert engine_for(100, WormSpec()) == "mirror"
+        assert Network.from_powerlaw(700, seed=7).num_infectable >= (
+            BATCH_MIN_HOSTS
+        )
+        assert engine_for(700, WormSpec()) == "batch"
+        assert engine_for(100, WormSpec(), engine="fast-batched") == "batch"
+        local_pref = WormSpec(kind="local_preferential", local_preference=0.7)
+        assert engine_for(700, local_pref) == "batch"
+        assert engine_for(700, WormSpec(kind="sequential")) == "mirror"
 
 
 class TestRecorderConsistency:
@@ -485,7 +498,6 @@ class TestRecorderConsistency:
             initial_infections=2,
             immunization=ImmunizationPolicy.at_fraction(0.2, 0.05),
             seed=21,
-            scan_mode="mirror",
         )
         checked = 0
 
@@ -523,13 +535,13 @@ def _deploy_hub_budget_only(network: Network) -> DefenseDescriptor:
     return DefenseDescriptor(name="hub_budget")
 
 
-#: Scenario grids for the replica axis: every entry must produce, per
-#: replica, *bit-identical* results to a solo ``scan_mode="batch"`` run
-#: of the same seed.  ``quarantine`` entries are zero-argument factories
-#: (the :class:`VectorReplicaSimulation` calling convention) whose
-#: telescope is sized so the control loop really deploys.  This grid
-#: installs no node forwarding budget, so its replicas move packets on
-#: the shared vectorized transport and the global pending store.
+#: Scenario grids for the replica axis: every entry must reproduce, per
+#: seed and bit for bit, the solo batch run pinned in ``GRID_PATH``.
+#: ``quarantine`` entries are zero-argument factories (the
+#: :class:`VectorReplicaSimulation` calling convention) whose telescope
+#: is sized so the control loop really deploys.  This grid installs no
+#: node forwarding budget, so its replicas move packets on the shared
+#: vectorized transport and the global pending store.
 REPLICA_SCENARIOS = {
     "random-none": {
         "worm": lambda: RandomScanWorm(hit_probability=0.5),
@@ -568,8 +580,7 @@ REPLICA_SCENARIOS = {
 
 #: Replica grid whose entries install node forwarding budgets, statically
 #: or through a quarantine response; each must requeue packets.  Budgeted
-#: replicas leave the shared transport for their own exact scalar sweep,
-#: just as the solo batch engine does.
+#: replicas leave the shared transport for their own exact scalar sweep.
 BUDGET_REPLICA_SCENARIOS = {
     "star-hub": {
         "kind": "star",
@@ -669,29 +680,36 @@ def _deployed_at(quarantine) -> int | None:
     return quarantine.deployed_at if quarantine is not None else None
 
 
-def _solo_batch(scenario, seed: int):
-    network = _replica_network(scenario)
-    factory = scenario.get("quarantine")
-    simulation = FastWormSimulation(
-        network,
-        scenario["worm"](),
-        scan_rate=scenario.get("scan_rate", 1.2),
-        initial_infections=2,
-        seed=seed,
-        lan_delivery=scenario.get("lan", False),
-        immunization=scenario.get("immunization"),
-        quarantine=factory() if factory else None,
-        scan_mode="batch",
-    )
-    trajectory = simulation.run(_REPLICA_TICKS)
-    return (
-        _trajectory_tuple(trajectory),
-        _result_state(network),
-        _deployed_at(simulation.quarantine),
-    )
+@cache
+def _pinned_grid() -> dict:
+    """The solo batch engine's pinned grid results (``GRID_PATH``)."""
+    return json.loads(GRID_PATH.read_text(encoding="utf-8"))
 
 
-def _vector_batch(scenario, seeds):
+def _encode(trajectory, state, deployed_at) -> dict:
+    """A harvested replica in the fixture's form.
+
+    Hosts still susceptible and never stamped, and links that never
+    carried a packet, are left out; any other change to any field
+    changes the encoding.
+    """
+    untouched = (HostState.SUSCEPTIBLE, None, None)
+    return {
+        "trajectory": [[float(x) for x in series] for series in trajectory],
+        "stats": list(state["stats"]),
+        "hosts": [
+            [node, host[0].value, host[1], host[2]]
+            for node, host in state["hosts"].items()
+            if host != untouched
+        ],
+        "links": [
+            [u, v, *row] for (u, v), row in state["links"].items() if any(row)
+        ],
+        "deployed_at": deployed_at,
+    }
+
+
+def _vector_batch(scenario, seeds, instrumentation=None):
     network = _replica_network(scenario)
     batch = VectorReplicaSimulation(
         network,
@@ -702,6 +720,7 @@ def _vector_batch(scenario, seeds):
         immunization=scenario.get("immunization"),
         lan_delivery=scenario.get("lan", False),
         quarantine_factory=scenario.get("quarantine"),
+        instrumentation=instrumentation,
     )
     harvested = {}
 
@@ -716,10 +735,13 @@ def _vector_batch(scenario, seeds):
     return [harvested[i] for i in range(len(seeds))]
 
 
-def _assert_replicas_match_solo(scenario) -> None:
+def _assert_replicas_match_solo(name, scenario) -> None:
+    pinned = _pinned_grid()["grid"][name]
     grouped = _vector_batch(scenario, _REPLICA_SEEDS)
     for seed, got in zip(_REPLICA_SEEDS, grouped):
-        assert got == _solo_batch(scenario, seed), seed
+        (alone,) = _vector_batch(scenario, [seed])
+        assert _encode(*alone) == pinned[str(seed)], seed
+        assert _encode(*got) == pinned[str(seed)], seed
     for _trajectory, state, deployed_at in grouped:
         if "quarantine" in scenario:
             assert deployed_at is not None
@@ -739,36 +761,32 @@ def _assert_width_and_order_invariant(scenario) -> None:
     assert wide[3] == pair[0]
 
 
-@pytest.mark.parametrize(
-    "scenario", REPLICA_SCENARIOS.values(), ids=REPLICA_SCENARIOS.keys()
-)
+@pytest.mark.parametrize("name", list(REPLICA_SCENARIOS))
 class TestReplicaBatchBitIdentical:
-    """Grouped replicas on the shared transport replay solo batch runs.
+    """Width-1 and grouped replicas on the shared transport replay the
+    pinned solo batch runs.
 
     The replica engine advances *all* live replicas through each tick
     phase in single numpy passes (shared scan/transport/defense kernels
     with a global pending-packet store), yet per-replica RNG streams
-    draw in the solo order — so every scenario here asserts full
-    bit-identity against ``scan_mode="batch"`` solo runs: trajectories,
-    host stamps, per-link forwarded/dropped/enqueued/peak/requeued
-    counters, residual queue depths and the quarantine deploy tick.
+    draw in a fixed per-replica order — so every scenario here asserts
+    full bit-identity, at width 1 and grouped, against the solo batch
+    engine's pinned results: trajectories, host stamps, per-link
+    forwarded/dropped/enqueued/peak/requeued counters, residual queue
+    depths and the quarantine deploy tick.
     """
 
-    def test_each_replica_matches_its_solo_run(self, scenario):
-        _assert_replicas_match_solo(scenario)
+    def test_each_replica_matches_its_solo_run(self, name):
+        _assert_replicas_match_solo(name, REPLICA_SCENARIOS[name])
 
-    def test_grouping_is_width_invariant(self, scenario):
+    def test_grouping_is_width_invariant(self, name):
         """Batch width and member order leave each replica unchanged."""
-        _assert_width_and_order_invariant(scenario)
+        _assert_width_and_order_invariant(REPLICA_SCENARIOS[name])
 
 
-@pytest.mark.parametrize(
-    "scenario",
-    BUDGET_REPLICA_SCENARIOS.values(),
-    ids=BUDGET_REPLICA_SCENARIOS.keys(),
-)
+@pytest.mark.parametrize("name", list(BUDGET_REPLICA_SCENARIOS))
 class TestVectorReplicaBitIdentical:
-    """Budgeted replicas inside the vector loop replay solo batch runs.
+    """Budgeted replicas inside the vector loop replay the pinned runs.
 
     A replica with node forwarding budgets (from tick 0, or from the
     tick its quarantine deploys them) queues its scans for real, skips
@@ -778,12 +796,48 @@ class TestVectorReplicaBitIdentical:
     and every entry must requeue packets.
     """
 
-    def test_each_replica_matches_its_solo_run(self, scenario):
-        _assert_replicas_match_solo(scenario)
+    def test_each_replica_matches_its_solo_run(self, name):
+        _assert_replicas_match_solo(name, BUDGET_REPLICA_SCENARIOS[name])
 
-    def test_grouping_is_width_and_order_invariant(self, scenario):
+    def test_grouping_is_width_and_order_invariant(self, name):
         """A replica's results do not depend on its batch neighbours."""
-        _assert_width_and_order_invariant(scenario)
+        _assert_width_and_order_invariant(BUDGET_REPLICA_SCENARIOS[name])
+
+
+_TRACED = {**REPLICA_SCENARIOS, **BUDGET_REPLICA_SCENARIOS}
+
+
+@pytest.mark.parametrize("name", sorted(_pinned_grid()["traced"]))
+class TestVectorInstrumentation:
+    """Instrumented vector runs emit what the solo batch engine emitted.
+
+    Counters (in first-use order), per-phase call counts and tick
+    records match the pinned traced runs at width 1 and inside a group;
+    phase timings are reported under the tick engine's phase names.
+    """
+
+    def _traced(self, name, seeds):
+        instrumentation = [
+            Instrumentation.from_options(
+                InstrumentationOptions(profile=True, trace=True)
+            )
+            for _ in seeds
+        ]
+        _vector_batch(_TRACED[name], seeds, instrumentation)
+        return instrumentation[0]
+
+    @pytest.mark.parametrize("width", [1, len(_REPLICA_SEEDS)])
+    def test_telemetry_matches_pinned_solo_run(self, name, width):
+        pinned = _pinned_grid()["traced"][name]
+        assert pinned["seed"] == _REPLICA_SEEDS[0]
+        instr = self._traced(name, _REPLICA_SEEDS[:width])
+        assert [list(item) for item in instr.counters.items()] == (
+            pinned["counters"]
+        )
+        assert instr.phase_calls == pinned["phase_calls"]
+        assert list(instr.trace_records) == pinned["trace"]
+        assert set(instr.phase_seconds) == set(pinned["phase_calls"])
+        assert all(seconds > 0 for seconds in instr.phase_seconds.values())
 
 
 def _replica_ensemble(num_runs: int = 4, **template_overrides) -> EnsembleSpec:
@@ -874,13 +928,12 @@ class TestReplicaBatchRunner:
         for result in results:
             assert _normalized(result) == solo[result.spec.seed]
 
-    def test_executor_chunk_width_is_invariant(self):
+    def test_executor_chunk_width_is_invariant(self, monkeypatch):
         """Results do not depend on how the executor slices the batch."""
         runs = list(_replica_ensemble(num_runs=9).expand())
         full = ReplicaBatchExecutor(SerialExecutor()).run_specs(runs)
-        chunked = ReplicaBatchExecutor(
-            SerialExecutor(), chunk_size=4
-        ).run_specs(runs)
+        monkeypatch.setattr(executors_module, "REPLICA_CHUNK", 4)
+        chunked = ReplicaBatchExecutor(SerialExecutor()).run_specs(runs)
         assert [_normalized(r) for r in full] == [
             _normalized(r) for r in chunked
         ]

@@ -1,7 +1,7 @@
-"""Fast engine (batch mode) vs the pinned Figure-4 golden curves.
+"""Batch sampling (the vector engine) vs the pinned Figure-4 golden curves.
 
 ``tests/test_golden.py`` pins the *reference* engine's fig4 output
-byte-for-byte.  Batch mode is statistically equivalent, not
+byte-for-byte.  Batch sampling is statistically equivalent, not
 bit-identical, so this test closes the remaining gap: a 10-seed batch
 sweep of every fig4 deployment strategy must land within the Welch
 tolerance (the same ``3*stderr + 2%-of-population`` bound
@@ -23,16 +23,9 @@ import pytest
 from repro.core.policy import DeploymentStrategy
 from repro.core.quarantine import QuarantineStudy
 from repro.core.scenarios import HOST_RL_RATE, ROUTER_BASE_RATE
-from repro.runner.build import (
-    apply_defense,
-    build_network,
-    build_worm,
-    execute_replica_batch,
-    execute_run,
-)
+from repro.runner.build import execute_replica_batch, execute_run
 from repro.runner.spec import EnsembleSpec
 from repro.simulator import ImmunizationPolicy
-from repro.simulator.fastpath.engine import FastWormSimulation
 
 pytestmark = pytest.mark.slow
 
@@ -51,24 +44,14 @@ STRATEGIES = {
 
 
 def batch_final_ever_infected(run_spec) -> float:
-    """One seeded fig4 run on the fast engine, batch sampling forced.
+    """One seeded fig4 run, batch sampling forced (a width-1 vector group).
 
-    ``execute_run`` auto-selects mirror mode below the batch host
-    threshold, so the 150-node golden scenario must construct the
-    engine directly to exercise the batch path at all.
+    ``engine="fast"`` auto-selects the mirror engine below the batch
+    host threshold, so the 150-node golden scenario must ask for
+    ``fast-batched`` to exercise the batch path at all.
     """
-    network = build_network(run_spec.topology, run_seed=run_spec.seed)
-    apply_defense(network, run_spec.defense)
-    simulation = FastWormSimulation(
-        network,
-        build_worm(run_spec.worm),
-        scan_rate=run_spec.scan_rate,
-        initial_infections=run_spec.initial_infections,
-        lan_delivery=run_spec.lan_delivery,
-        seed=run_spec.seed,
-        scan_mode="batch",
-    )
-    return float(simulation.run(run_spec.max_ticks).ever_infected[-1])
+    result = execute_run(dataclasses.replace(run_spec, engine="fast-batched"))
+    return float(result.trajectory.ever_infected[-1])
 
 
 @pytest.mark.parametrize("label", sorted(STRATEGIES))
