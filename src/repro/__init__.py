@@ -42,10 +42,9 @@ from .models import Trajectory
 from .runner import (
     EnsembleResult,
     EnsembleSpec,
-    ParallelExecutor,
+    Executor,
     RunResult,
     RunSpec,
-    SerialExecutor,
     run_ensemble,
 )
 
@@ -56,12 +55,11 @@ __all__ = [
     "DeploymentStrategy",
     "EnsembleResult",
     "EnsembleSpec",
-    "ParallelExecutor",
+    "Executor",
     "QuarantineStudy",
     "RateLimitPolicy",
     "RunResult",
     "RunSpec",
-    "SerialExecutor",
     "SlowdownReport",
     "compare_times",
     "slowdown_factor",

@@ -2,7 +2,7 @@
 
 A chaos-test failure prints ``repro chaos --plan-seed N --replay``;
 this module is what that command runs.  It executes one small canned
-ensemble (30-host star, 4 seeded runs, a 2-worker persistent pool, a
+ensemble (30-host star, 4 seeded runs, a 2-worker process pool, a
 throwaway result cache) twice — once clean, once under the plan — and
 reports the faults that fired, the degradation warnings raised, and
 whether the chaotic result still matched the clean one byte-for-byte.
@@ -80,7 +80,7 @@ def replay_plan(plan: FaultPlan, out=sys.stdout) -> ReplayReport:
     # instrumented layers without a cycle.
     from ..runner.api import run_ensemble
     from ..runner.cache import ResultCache
-    from ..runner.executors import ExecutorError, PersistentExecutor, SerialExecutor
+    from ..runner.executors import Executor, ExecutorError
     from ..service.protocol import result_payload
 
     spec = CANNED_SPEC()
@@ -91,13 +91,12 @@ def replay_plan(plan: FaultPlan, out=sys.stdout) -> ReplayReport:
         ],
     )
 
-    clean = run_ensemble(spec, executor=SerialExecutor(), use_cache=False)
+    clean = run_ensemble(spec, executor=Executor(jobs=1), use_cache=False)
     clean_bytes = result_payload(clean)
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         cache = ResultCache(Path(tmp))
-        executor = PersistentExecutor(jobs=2, timeout=30.0)
-        try:
+        with Executor(jobs=2, timeout=30.0) as executor:
             with chaos_active(plan) as controller, warnings.catch_warnings(
                 record=True
             ) as caught:
@@ -111,8 +110,6 @@ def replay_plan(plan: FaultPlan, out=sys.stdout) -> ReplayReport:
                     chaotic = None
             report.fired = controller.fired_log()
             report.warnings = [str(item.message) for item in caught]
-        finally:
-            executor.close()
 
     if report.error is None and chaotic is not None:
         report.identical = result_payload(chaotic) == clean_bytes

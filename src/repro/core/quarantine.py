@@ -19,8 +19,6 @@ via :meth:`QuarantineStudy.analytical_model`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from ..models.backbone import BackboneRateLimitModel
 from ..models.base import EpidemicModel, Trajectory
 from ..models.homogeneous import HomogeneousSIModel
@@ -35,23 +33,11 @@ from ..runner import (
     WormSpec,
     run_ensemble,
 )
-from ..simulator.defense import (
-    DefenseDescriptor,
-    deploy_backbone_rate_limit,
-    deploy_edge_rate_limit,
-    deploy_host_rate_limit,
-    deploy_hub_rate_limit,
-    no_defense,
-)
 from ..simulator.immunization import ImmunizationPolicy
-from ..simulator.network import Network
-from ..simulator.worms import LocalPreferentialWorm, RandomScanWorm, WormStrategy
 from .policy import DeploymentLocation, DeploymentStrategy
 from .slowdown import SlowdownReport, compare_times
 
 __all__ = ["QuarantineStudy"]
-
-Deployer = Callable[[Network], DefenseDescriptor]
 
 
 class QuarantineStudy:
@@ -104,54 +90,6 @@ class QuarantineStudy:
             lan_delivery if lan_delivery is not None else topology == "powerlaw"
         )
         self.seed = seed
-
-    # ------------------------------------------------------------------
-    # Building blocks
-    # ------------------------------------------------------------------
-
-    def network_factory(self) -> Callable[[int], Network]:
-        """``seed -> Network`` builder matching this study's topology."""
-        if self.topology == "star":
-            num_nodes = self.num_nodes
-            return lambda seed: Network.from_star(num_nodes)
-        num_nodes = self.num_nodes
-        return lambda seed: Network.from_powerlaw(num_nodes, seed=seed)
-
-    def worm_factory(self) -> Callable[[], WormStrategy]:
-        """Builder for this study's worm strategy."""
-        if self.local_preference is None:
-            return RandomScanWorm
-        preference = self.local_preference
-        return lambda: LocalPreferentialWorm(preference)
-
-    def deployer_for(self, strategy: DeploymentStrategy) -> Deployer:
-        """Translate a :class:`DeploymentStrategy` to a network deployer."""
-        if strategy.location is DeploymentLocation.NONE:
-            return no_defense
-        policy = strategy.policy
-        assert policy is not None  # enforced by DeploymentStrategy
-        if strategy.location is DeploymentLocation.HOSTS:
-            coverage, rate, seed = strategy.coverage, policy.rate, self.seed
-            return lambda network: deploy_host_rate_limit(
-                network, coverage, rate, seed=seed
-            )
-        if strategy.location is DeploymentLocation.HUB:
-            budget = policy.node_budget
-            if budget is None:
-                raise ValueError("hub deployment needs a node_budget")
-            rate = policy.rate
-            return lambda network: deploy_hub_rate_limit(
-                network, link_rate=rate, hub_budget=budget
-            )
-        if strategy.location is DeploymentLocation.EDGE_ROUTERS:
-            rate, weighted = policy.rate, policy.weighted
-            return lambda network: deploy_edge_rate_limit(
-                network, rate, weighted=weighted
-            )
-        rate, weighted = policy.rate, policy.weighted
-        return lambda network: deploy_backbone_rate_limit(
-            network, rate, weighted=weighted
-        )
 
     # ------------------------------------------------------------------
     # Simulation side (declarative specs, executed by repro.runner)

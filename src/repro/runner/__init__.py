@@ -8,9 +8,9 @@ This package is the execution backbone under every experiment layer:
   :func:`derive_seed`;
 * :mod:`repro.runner.build` — spec → live simulation, and
   :func:`execute_run`, the unit of work;
-* :mod:`repro.runner.executors` — :class:`SerialExecutor` and the
-  process-pool :class:`ParallelExecutor` (bit-identical results, less
-  wall clock);
+* :mod:`repro.runner.executors` — :class:`Executor`: in-process or on
+  a lazy, reusable process pool (bit-identical results, less wall
+  clock), with ``fast-batched`` replicas grouped into vector batches;
 * :mod:`repro.runner.cache` — JSON result store keyed by spec digest;
 * :mod:`repro.runner.results` — :class:`RunResult` /
   :class:`EnsembleResult` with wall-time / tick / packet metrics;
@@ -34,11 +34,8 @@ from .config import RunnerConfig, configure, current_config, use_config
 from .executors import (
     Executor,
     ExecutorError,
-    ParallelExecutor,
-    PersistentExecutor,
     RunCancelledError,
     RunTimeoutError,
-    SerialExecutor,
     default_jobs,
 )
 from .results import (
@@ -69,8 +66,6 @@ __all__ = [
     "Executor",
     "ExecutorError",
     "InstrumentationOptions",
-    "ParallelExecutor",
-    "PersistentExecutor",
     "QuarantineSpec",
     "ResultCache",
     "RunCancelledError",
@@ -79,7 +74,6 @@ __all__ = [
     "RunSpec",
     "RunTimeoutError",
     "RunnerConfig",
-    "SerialExecutor",
     "SpecError",
     "TopologySpec",
     "WormSpec",

@@ -13,6 +13,7 @@ cache.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import warnings
 
 from ..observability.hub import observability_hub
@@ -20,12 +21,7 @@ from ..observability.instrumentation import InstrumentationOptions
 from .build import execute_run
 from .cache import ResultCache
 from .config import current_config
-from .executors import (
-    Executor,
-    ParallelExecutor,
-    ReplicaBatchExecutor,
-    SerialExecutor,
-)
+from .executors import Executor
 from .results import EnsembleResult, RunResult
 from .spec import EnsembleSpec, RunSpec
 
@@ -46,19 +42,9 @@ def run_one(
 
 
 def executor_from_config() -> Executor:
-    """The executor the process-wide configuration implies.
-
-    Always wrapped in a :class:`ReplicaBatchExecutor`: specs that don't
-    qualify for replica grouping pass through to the serial/parallel
-    executor unchanged, so the wrapper is free for every engine except
-    ``fast-batched``, where it vectorizes whole replica groups.
-    """
+    """The executor the process-wide configuration implies."""
     config = current_config()
-    if config.jobs <= 1:
-        inner: Executor = SerialExecutor()
-    else:
-        inner = ParallelExecutor(config.jobs, timeout=config.timeout)
-    return ReplicaBatchExecutor(inner)
+    return Executor(config.jobs, timeout=config.timeout)
 
 
 def cache_from_config() -> ResultCache | None:
@@ -98,6 +84,7 @@ def run_ensemble(
     cache: ResultCache | None = None,
     use_cache: bool | None = None,
     options: InstrumentationOptions | None = None,
+    cancel: threading.Event | None = None,
 ) -> EnsembleResult:
     """Execute an ensemble: expand seeds, consult cache, run, aggregate.
 
@@ -106,7 +93,9 @@ def run_ensemble(
     spec:
         The ensemble to run.
     executor:
-        Overrides the configured executor for this call.
+        Overrides the configured executor for this call.  Without one,
+        the call builds an executor from the configuration and closes
+        it before returning; a passed executor is left open.
     cache:
         Overrides the configured cache for this call.
     use_cache:
@@ -120,12 +109,14 @@ def run_ensemble(
         bypasses the result cache: cached entries carry no phase
         timings or trace records, so replaying them would silently
         produce empty telemetry.
+    cancel:
+        Cooperative cancellation handle, passed to the executor; once
+        set, the call raises
+        :class:`~repro.runner.executors.RunCancelledError`.
     """
     hub = observability_hub()
     if options is None:
         options = hub.options()
-    if executor is None:
-        executor = executor_from_config()
     if options is not None and options.active:
         cache = None
         use_cache = False
@@ -152,9 +143,14 @@ def run_ensemble(
         pending = list(enumerate(runs))
 
     if pending:
-        fresh = executor.run_specs(
-            [run_spec for _, run_spec in pending], options
-        )
+        runner = executor if executor is not None else executor_from_config()
+        try:
+            fresh = runner.run_specs(
+                [run_spec for _, run_spec in pending], options, cancel=cancel
+            )
+        finally:
+            if runner is not executor:
+                runner.close()
         for (index, _), result in zip(pending, fresh):
             results[index] = result
             if cache is not None:

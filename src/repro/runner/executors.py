@@ -1,19 +1,25 @@
-"""Pluggable run executors: serial and process-parallel.
+"""The run executor: one class for in-process, pooled and grouped runs.
 
 Monte-Carlo worm ensembles are embarrassingly parallel across seeds —
 every run rebuilds its whole scenario from its
-:class:`~repro.runner.spec.RunSpec` — so the
-:class:`ParallelExecutor` fans runs out to a
-:class:`~concurrent.futures.ProcessPoolExecutor` and gets near-linear
-speedup without any coordination.  Because workers execute the same
-:func:`~repro.runner.build.execute_run` on the same specs, parallel
-results are bit-identical to serial ones; the executors differ only in
-wall clock.
+:class:`~repro.runner.spec.RunSpec` — so :class:`Executor` can fan runs
+out to a :class:`~concurrent.futures.ProcessPoolExecutor` and get
+near-linear speedup without any coordination.  Workers execute the same
+:func:`~repro.runner.build.execute_run` on the same specs, so pooled
+results are bit-identical to in-process ones; the modes differ only in
+wall clock.  Pinned-topology ``fast-batched`` replicas are grouped into
+vectorized :func:`~repro.runner.build.execute_replica_batch` calls
+first, whatever the worker count.
 
-``ParallelExecutor`` degrades gracefully: ``jobs=1`` and pool-creation
-failures (sandboxes without working ``fork``/semaphores, pickling
-regressions) both fall back to in-process serial execution rather than
-failing the experiment.
+Every known failure ends in one outcome:
+
+* the pool cannot be created → one ``RuntimeWarning``, then serial;
+* a worker dies → the pool restarts and the batch is retried once; a
+  second death → serial, with a warning;
+* a run raises → the exception propagates;
+* a run outlives ``timeout`` → :class:`RunTimeoutError`, and the pool's
+  workers are stopped so nothing waits for the stuck run;
+* ``cancel`` is set → :class:`RunCancelledError`.
 """
 
 from __future__ import annotations
@@ -38,10 +44,6 @@ __all__ = [
     "RunTimeoutError",
     "RunCancelledError",
     "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "PersistentExecutor",
-    "ReplicaBatchExecutor",
     "default_jobs",
 ]
 
@@ -63,136 +65,41 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-class Executor:
-    """Executes a batch of runs; subclasses define *how*.
-
-    ``options`` requests per-run instrumentation (profiling/tracing); it
-    is plain picklable data, so the parallel executor ships it to its
-    workers unchanged and instrumented runs behave identically under
-    every executor.
-    """
-
-    def run_specs(
-        self,
-        specs: Sequence[RunSpec],
-        options: InstrumentationOptions | None = None,
-    ) -> list[RunResult]:
-        """Execute every spec and return results in spec order."""
-        raise NotImplementedError
-
-
-class SerialExecutor(Executor):
-    """Runs everything in-process, one spec at a time."""
-
-    def run_specs(
-        self,
-        specs: Sequence[RunSpec],
-        options: InstrumentationOptions | None = None,
-    ) -> list[RunResult]:
-        results: list[RunResult] = []
-        for spec in specs:
-            # Chaos: ``delay`` faults model a slow run.
-            fault_point("runner.executor.run")
-            results.append(execute_run(spec, options))
-        return results
-
-
-class ParallelExecutor(Executor):
-    """Fans runs out across worker processes.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes; ``None`` means one per CPU.  ``jobs=1`` runs
-        serially without spawning a pool at all.
-    timeout:
-        Optional per-run wall-clock limit in seconds; a run exceeding it
-        raises :class:`RunTimeoutError` (the pool is torn down, so no
-        zombie workers linger).
-    """
-
-    def __init__(self, jobs: int | None = None, *, timeout: float | None = None) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        self.jobs = jobs if jobs is not None else default_jobs()
-        self.timeout = timeout
-
-    def run_specs(
-        self,
-        specs: Sequence[RunSpec],
-        options: InstrumentationOptions | None = None,
-    ) -> list[RunResult]:
-        if self.jobs == 1 or len(specs) <= 1:
-            return SerialExecutor().run_specs(specs, options)
-        try:
-            return self._run_pooled(specs, options)
-        except (ExecutorError, KeyboardInterrupt):
-            raise
-        except Exception as exc:  # pool broke: degrade, don't fail
-            warnings.warn(
-                f"parallel execution failed ({exc!r}); "
-                "falling back to serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return SerialExecutor().run_specs(specs, options)
-
-    def _run_pooled(
-        self,
-        specs: Sequence[RunSpec],
-        options: InstrumentationOptions | None,
-    ) -> list[RunResult]:
-        # Chaos: ``break_pool`` faults model a worker death here, which
-        # the caller degrades to the serial fallback.
-        fault_point("runner.executor.pool")
-        workers = min(self.jobs, len(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(execute_run, spec, options) for spec in specs
-            ]
-            results: list[RunResult] = []
-            for spec, future in zip(specs, futures):
-                try:
-                    results.append(future.result(timeout=self.timeout))
-                except FutureTimeoutError:
-                    for pending in futures:
-                        pending.cancel()
-                    raise RunTimeoutError(
-                        f"run with seed {spec.seed} exceeded "
-                        f"{self.timeout}s timeout"
-                    ) from None
-        return results
-
+#: Replicas per vector group: memory scales with the chunk, not the
+#: ensemble.
+REPLICA_CHUNK = 128
 
 #: How often a cancellable batch checks its cancel event, in seconds.
 _CANCEL_POLL_SECONDS = 0.05
 
 
-class PersistentExecutor(Executor):
-    """A reusable process pool that survives across batches.
+def _replica_group_key(spec: RunSpec) -> str:
+    """Canonical scenario identity of a spec, seed excluded."""
+    return json.dumps(dict(spec.to_dict(), seed=None), sort_keys=True)
 
-    :class:`ParallelExecutor` tears its pool down after every
-    ``run_specs`` call — the right shape for one-shot CLI invocations,
-    but wasteful for anything long-lived: pool startup pays fork/spawn
-    latency on every ensemble.  ``PersistentExecutor`` creates its pool
-    lazily on first use, reuses it for every subsequent batch, restarts
-    it transparently when a worker dies (``BrokenProcessPool``), and
-    releases it in :meth:`close` / context-manager exit.  The service
-    worker tier holds exactly one of these for the life of the server.
 
-    Thread-safe: concurrent ``run_specs`` calls share the pool
-    (``ProcessPoolExecutor.submit`` is thread-safe); pool creation,
-    restart, and shutdown are serialized under a lock.
+def _cancelled(cancel: threading.Event | None, where: str) -> None:
+    if cancel is not None and cancel.is_set():
+        raise RunCancelledError(f"batch cancelled {where}")
+
+
+class Executor:
+    """Executes batches of runs in-process or on a reusable process pool.
+
+    The pool is created lazily, reused across batches, restarted when a
+    worker dies, and released by :meth:`close` (or leaving a ``with``
+    block).  ``jobs=1`` never builds one, and a one-spec batch runs
+    in-process while no pool is live.  Thread-safe: concurrent
+    ``run_specs`` calls share the pool; creating, retiring and closing
+    it happen under a lock.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` means one per CPU.  ``jobs=1`` runs
-        every batch in-process without a pool.
+        Worker processes; ``None`` means one per CPU.
     timeout:
-        Optional per-run wall-clock limit in seconds (pooled mode only).
+        Optional per-run wall-clock limit in seconds, enforced on pooled
+        runs.
     """
 
     def __init__(
@@ -209,7 +116,7 @@ class PersistentExecutor(Executor):
         self._lock = threading.Lock()
         self._closed = False
 
-    def __enter__(self) -> "PersistentExecutor":
+    def __enter__(self) -> "Executor":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -224,25 +131,9 @@ class PersistentExecutor(Executor):
         """Shut the pool down (idempotent); the executor is done after."""
         with self._lock:
             self._closed = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise ExecutorError("executor is closed")
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            return self._pool
-
-    def _retire_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Drop a broken pool so the next batch gets a fresh one."""
-        with self._lock:
-            if self._pool is broken:
-                self._pool = None
-                self.restarts += 1
-        broken.shutdown(wait=False, cancel_futures=True)
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def run_specs(
         self,
@@ -251,172 +142,30 @@ class PersistentExecutor(Executor):
         *,
         cancel: threading.Event | None = None,
     ) -> list[RunResult]:
-        """Execute a batch on the shared pool.
+        """Execute every spec and return results in spec order.
 
-        ``cancel`` is an optional cooperative cancellation handle: when
-        it becomes set mid-batch, not-yet-started runs are cancelled and
-        the call raises :class:`RunCancelledError` within
-        ``_CANCEL_POLL_SECONDS`` (runs already executing in a worker
-        process finish and are discarded).
+        ``options`` requests per-run instrumentation; it is plain
+        picklable data, so pooled runs see it unchanged.  ``cancel`` is
+        a cooperative cancellation handle, checked between runs and
+        replica chunks and every ``_CANCEL_POLL_SECONDS`` while awaiting
+        the pool (a run already executing finishes and is discarded).
         """
         specs = list(specs)
-        if not specs:
-            return []
-        if self.jobs == 1:
-            return self._run_serial(specs, options, cancel)
-        for attempt in (1, 2):
-            pool = self._ensure_pool()
-            try:
-                return self._run_on_pool(pool, specs, options, cancel)
-            except BrokenExecutor:
-                # A worker died (OOM kill, segfault, os._exit): restart
-                # the pool and retry the whole batch once — reruns are
-                # pure functions of their specs, so a retry is safe.
-                self._retire_pool(pool)
-                if attempt == 2:
-                    break
-        warnings.warn(
-            "worker pool died twice; falling back to serial execution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return self._run_serial(specs, options, cancel)
-
-    def _run_serial(
-        self,
-        specs: Sequence[RunSpec],
-        options: InstrumentationOptions | None,
-        cancel: threading.Event | None,
-    ) -> list[RunResult]:
-        results: list[RunResult] = []
-        for spec in specs:
-            if cancel is not None and cancel.is_set():
-                raise RunCancelledError(
-                    f"batch cancelled before seed {spec.seed} ran"
-                )
-            fault_point("runner.executor.run")
-            results.append(execute_run(spec, options))
-        return results
-
-    def _run_on_pool(
-        self,
-        pool: ProcessPoolExecutor,
-        specs: Sequence[RunSpec],
-        options: InstrumentationOptions | None,
-        cancel: threading.Event | None,
-    ) -> list[RunResult]:
-        # Chaos: ``break_pool`` faults model a worker death mid-batch;
-        # ``run_specs`` absorbs it by restarting the pool and retrying.
-        fault_point("runner.executor.pool")
-        futures = [pool.submit(execute_run, spec, options) for spec in specs]
-        results: list[RunResult] = []
-        try:
-            for spec, future in zip(specs, futures):
-                results.append(self._await(spec, future, cancel))
-        except BaseException:
-            for pending in futures:
-                pending.cancel()
-            raise
-        return results
-
-    def _await(self, spec: RunSpec, future, cancel: threading.Event | None):
-        if cancel is None:
-            try:
-                # Chaos: ``timeout`` faults model a run overrunning its
-                # limit; the handler below maps them to RunTimeoutError
-                # exactly like a real overrun.
-                fault_point("runner.executor.await")
-                return future.result(timeout=self.timeout)
-            except FutureTimeoutError:
-                raise RunTimeoutError(
-                    f"run with seed {spec.seed} exceeded "
-                    f"{self.timeout}s timeout"
-                ) from None
-        deadline = (
-            time.monotonic() + self.timeout
-            if self.timeout is not None
-            else None
-        )
-        while True:
-            if cancel.is_set():
-                raise RunCancelledError(
-                    f"batch cancelled while awaiting seed {spec.seed}"
-                )
-            try:
-                return future.result(timeout=_CANCEL_POLL_SECONDS)
-            except FutureTimeoutError:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise RunTimeoutError(
-                        f"run with seed {spec.seed} exceeded "
-                        f"{self.timeout}s timeout"
-                    ) from None
-
-
-#: Replicas per vector group: memory scales with the chunk, not the
-#: ensemble.
-REPLICA_CHUNK = 128
-
-
-def _replica_group_key(spec: RunSpec) -> str:
-    """Canonical scenario identity of a spec, seed excluded."""
-    return json.dumps(dict(spec.to_dict(), seed=None), sort_keys=True)
-
-
-class ReplicaBatchExecutor(Executor):
-    """Groups ``engine="fast-batched"`` replicas into vectorized batches.
-
-    A decorator over any other executor: specs that share a scenario
-    (identical apart from ``seed``), request the ``fast-batched``
-    engine, and pin their topology seed are executed in replica groups
-    via :func:`~repro.runner.build.execute_replica_batch`; everything
-    else — other engines, unpinned topologies, singleton groups —
-    passes through to ``inner`` untouched.  Results
-    come back in spec order either way, and each grouped result is
-    bit-identical to what the inner executor would have produced for
-    that spec alone (modulo ``wall_time``).
-
-    Groups are chunked at :data:`REPLICA_CHUNK` replicas so memory
-    scales with the chunk, not the ensemble; chunking does not change
-    results.
-
-    ``cancel`` is the service tier's cooperative cancellation event,
-    checked between chunks (a chunk in flight finishes first — same
-    granularity as a pooled run).
-    """
-
-    def __init__(
-        self,
-        inner: Executor | None = None,
-        *,
-        cancel: threading.Event | None = None,
-    ) -> None:
-        self.inner = inner if inner is not None else SerialExecutor()
-        self._cancel = cancel
-
-    def run_specs(
-        self,
-        specs: Sequence[RunSpec],
-        options: InstrumentationOptions | None = None,
-    ) -> list[RunResult]:
-        specs = list(specs)
         results: list[RunResult | None] = [None] * len(specs)
-        passthrough: list[int] = []
+        rest: list[int] = []
         groups: dict[str, list[int]] = {}
         for index, spec in enumerate(specs):
             if spec.engine == "fast-batched" and spec.topology.seed is not None:
                 groups.setdefault(_replica_group_key(spec), []).append(index)
             else:
-                passthrough.append(index)
+                rest.append(index)
         for indices in groups.values():
             if len(indices) == 1:
-                passthrough.append(indices[0])
+                rest.append(indices[0])
                 continue
             for at in range(0, len(indices), REPLICA_CHUNK):
                 chunk = indices[at : at + REPLICA_CHUNK]
-                if self._cancel is not None and self._cancel.is_set():
-                    raise RunCancelledError(
-                        "batch cancelled between replica chunks"
-                    )
+                _cancelled(cancel, "between replica chunks")
                 # Chaos: ``delay`` faults model a slow chunk.
                 fault_point("runner.executor.run")
                 fresh = execute_replica_batch(
@@ -424,11 +173,139 @@ class ReplicaBatchExecutor(Executor):
                 )
                 for index, result in zip(chunk, fresh):
                     results[index] = result
-        if passthrough:
-            passthrough.sort()
-            fresh = self.inner.run_specs(
-                [specs[i] for i in passthrough], options
-            )
-            for index, result in zip(passthrough, fresh):
+        if rest:
+            rest.sort()
+            fresh = self._run_solo([specs[i] for i in rest], options, cancel)
+            for index, result in zip(rest, fresh):
                 results[index] = result
         return results
+
+    def _run_solo(
+        self,
+        specs: list[RunSpec],
+        options: InstrumentationOptions | None,
+        cancel: threading.Event | None,
+    ) -> list[RunResult]:
+        if self.jobs > 1 and (len(specs) > 1 or self._pool is not None):
+            for _attempt in (1, 2):
+                pool = self._live_pool()
+                if pool is None:  # creation failed; it warned
+                    break
+                try:
+                    return self._run_on_pool(pool, specs, options, cancel)
+                except BrokenExecutor:
+                    # A worker died (OOM kill, segfault, os._exit):
+                    # runs are pure functions of their specs, so a
+                    # retry on a fresh pool is safe.
+                    self._retire(pool, restart=True)
+            else:
+                warnings.warn(
+                    "worker pool died twice; falling back to serial "
+                    "execution",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        results: list[RunResult] = []
+        for spec in specs:
+            _cancelled(cancel, f"before seed {spec.seed} ran")
+            # Chaos: ``delay`` faults model a slow run.
+            fault_point("runner.executor.run")
+            results.append(execute_run(spec, options))
+        return results
+
+    def _live_pool(self) -> ProcessPoolExecutor | None:
+        """The shared pool, created on first use; ``None`` means serial."""
+        with self._lock:
+            if self._closed:
+                raise ExecutorError("executor is closed")
+            if self._pool is None and self.jobs > 1:
+                try:
+                    self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                except Exception as exc:  # no fork/semaphores here
+                    warnings.warn(
+                        f"cannot start a worker pool ({exc!r}); "
+                        "falling back to serial",
+                        RuntimeWarning,
+                        stacklevel=4,
+                    )
+                    self.jobs = 1
+            return self._pool
+
+    def _retire(self, pool: ProcessPoolExecutor, *, restart: bool) -> None:
+        """Drop ``pool`` so the next batch gets a fresh one.
+
+        A restart follows a worker death, where the pool already reaps
+        its workers.  Otherwise a run is stuck, and shutting down would
+        wait for it: the workers are stopped first.  Python 3.14 adds
+        ``ProcessPoolExecutor.terminate_workers()``; earlier versions
+        have no public way, so this sends SIGTERM to each process in the
+        pool's private ``_processes`` map.  The pool's manager thread
+        then sees them die, reaps them without blocking anyone, and
+        fails the futures of batches still sharing the pool with
+        ``BrokenProcessPool``, so those retry on a fresh pool.
+        """
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+                if restart:
+                    self.restarts += 1
+        if not restart:
+            for process in list((pool._processes or {}).values()):
+                process.terminate()
+        pool.shutdown(wait=False)
+
+    def _run_on_pool(
+        self,
+        pool: ProcessPoolExecutor,
+        specs: list[RunSpec],
+        options: InstrumentationOptions | None,
+        cancel: threading.Event | None,
+    ) -> list[RunResult]:
+        # Chaos: ``break_pool`` faults model a worker death mid-batch,
+        # which ``_run_solo`` absorbs by restarting and retrying.
+        fault_point("runner.executor.pool")
+        futures = [pool.submit(execute_run, spec, options) for spec in specs]
+        try:
+            return [
+                self._await(spec, future, cancel)
+                for spec, future in zip(specs, futures)
+            ]
+        except BaseException as exc:
+            for pending in futures:
+                pending.cancel()
+            if isinstance(exc, RunTimeoutError):
+                self._retire(pool, restart=False)
+            raise
+
+    def _await(self, spec: RunSpec, future, cancel: threading.Event | None):
+        overrun = RunTimeoutError(
+            f"run with seed {spec.seed} exceeded {self.timeout}s timeout"
+        )
+        try:
+            # Chaos: ``timeout`` faults model a run overrunning its
+            # limit and map to RunTimeoutError like a real overrun.
+            fault_point("runner.executor.await")
+        except FutureTimeoutError:
+            raise overrun from None
+        deadline = (
+            time.monotonic() + self.timeout
+            if self.timeout is not None
+            else None
+        )
+        while True:
+            _cancelled(cancel, f"while awaiting seed {spec.seed}")
+            wait = _CANCEL_POLL_SECONDS if cancel is not None else None
+            if deadline is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise overrun
+                wait = left if wait is None else min(wait, left)
+            try:
+                return future.result(timeout=wait)
+            except FutureTimeoutError:
+                pass
+
+
+#: perfbench's ``runner.group`` layer wraps
+#: ``ReplicaBatchExecutor.run_specs``; this alias keeps that name live.
+ReplicaBatchExecutor = Executor

@@ -1,61 +1,34 @@
-"""The service's worker tier: one persistent pool, many ensembles.
+"""The service's worker tier: one shared executor, many ensembles.
 
-``run_ensemble`` historically built a fresh ``ParallelExecutor`` — and
-therefore a fresh process pool — per call (``executor_from_config``),
-which a one-shot CLI invocation never notices but a server pays on
-every request.  The tier instead owns a single
-:class:`~repro.runner.executors.PersistentExecutor`, created once at
-startup and closed on drain; every job shares it, each under its own
-cancellation event (bound per-job via :class:`CancellableExecutor`).
-Worker crashes are absorbed by the executor's restart path and surface
-in ``/metrics`` as ``workers.restarts``.
+The tier owns a single :class:`~repro.runner.executors.Executor`,
+created at startup and closed on drain, so its process pool is built
+once and reused by every job instead of per request.  Each job passes
+its own cancellation event with the call.  Worker crashes are absorbed
+by the executor's restart path and surface in ``/metrics`` as
+``workers.restarts``.
 
 Jobs still execute through :func:`repro.runner.run_ensemble`, so the
-engine/seed semantics, the engine override, and the shared result
-cache behave exactly as they do in-process — the service adds
-scheduling, not a second execution path.
+engine/seed semantics, the engine override, replica grouping and the
+shared result cache behave exactly as they do in-process — the service
+adds scheduling, not a second execution path.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
 
 from ..chaos.controller import fault_point
-from ..observability.instrumentation import InstrumentationOptions
 from ..runner.api import run_ensemble
 from ..runner.cache import ResultCache
-from ..runner.executors import (
-    Executor,
-    PersistentExecutor,
-    ReplicaBatchExecutor,
-)
-from ..runner.results import RunResult
-from ..runner.spec import EnsembleSpec, RunSpec
+from ..runner.executors import Executor
+from ..runner.spec import EnsembleSpec
 from .protocol import result_payload
 
-__all__ = ["CancellableExecutor", "WorkerTier"]
-
-
-class CancellableExecutor(Executor):
-    """A per-job view of the shared pool, bound to one cancel event."""
-
-    def __init__(
-        self, handle: PersistentExecutor, cancel: threading.Event
-    ) -> None:
-        self._handle = handle
-        self._cancel = cancel
-
-    def run_specs(
-        self,
-        specs: Sequence[RunSpec],
-        options: InstrumentationOptions | None = None,
-    ) -> list[RunResult]:
-        return self._handle.run_specs(specs, options, cancel=self._cancel)
+__all__ = ["WorkerTier"]
 
 
 class WorkerTier:
-    """Executes admitted jobs on the persistent pool and encodes them."""
+    """Executes admitted jobs on the shared executor and encodes them."""
 
     def __init__(
         self,
@@ -64,7 +37,7 @@ class WorkerTier:
         timeout: float | None = None,
         cache: ResultCache | None = None,
     ) -> None:
-        self.executor = PersistentExecutor(jobs, timeout=timeout)
+        self.executor = Executor(jobs, timeout=timeout)
         self.cache = cache
 
     @property
@@ -87,17 +60,12 @@ class WorkerTier:
         # Chaos: ``delay`` faults stall the job past its deadline (a
         # 504); ``error`` faults fail it outright (a 500).
         fault_point("service.worker.run")
-        # Replica grouping wraps the pool view: fast-batched ensembles
-        # vectorize in-process (cancel checked between chunks), all
-        # other specs pass through to the shared pool unchanged.
-        executor = ReplicaBatchExecutor(
-            CancellableExecutor(self.executor, cancel), cancel=cancel
-        )
         result = run_ensemble(
             spec,
-            executor=executor,
+            executor=self.executor,
             cache=self.cache,
             use_cache=self.cache is not None,
+            cancel=cancel,
         )
         return result_payload(result)
 

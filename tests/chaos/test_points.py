@@ -27,7 +27,7 @@ from repro.chaos import (
     uninstall,
 )
 from repro.runner import EnsembleSpec, RunSpec, TopologySpec, run_ensemble
-from repro.runner.executors import SerialExecutor
+from repro.runner.executors import Executor
 from repro.service.protocol import result_payload
 
 pytestmark = pytest.mark.chaos
@@ -58,12 +58,12 @@ class TestChaosOff:
     def test_empty_plan_is_equivalent_to_no_plan(self):
         spec = tiny_ensemble()
         plain = result_payload(
-            run_ensemble(spec, executor=SerialExecutor(), use_cache=False)
+            run_ensemble(spec, executor=Executor(1), use_cache=False)
         )
         with chaos_active(FaultPlan()) as controller:
             empty = result_payload(
                 run_ensemble(
-                    spec, executor=SerialExecutor(), use_cache=False
+                    spec, executor=Executor(1), use_cache=False
                 )
             )
             assert controller.fired == []

@@ -17,13 +17,7 @@ from repro.chaos import Fault, FaultPlan, chaos_active
 from repro.runner import EnsembleSpec, RunSpec, TopologySpec, run_ensemble
 from repro.runner import executors
 from repro.runner.cache import ResultCache
-from repro.runner.executors import (
-    ParallelExecutor,
-    PersistentExecutor,
-    ReplicaBatchExecutor,
-    RunTimeoutError,
-    SerialExecutor,
-)
+from repro.runner.executors import Executor, RunTimeoutError
 from repro.service.protocol import result_payload
 
 pytestmark = pytest.mark.chaos
@@ -43,7 +37,7 @@ def ensemble(label: str = "runner-chaos", num_runs: int = 2) -> EnsembleSpec:
 
 def clean_payload(spec: EnsembleSpec) -> bytes:
     return result_payload(
-        run_ensemble(spec, executor=SerialExecutor(), use_cache=False)
+        run_ensemble(spec, executor=Executor(1), use_cache=False)
     )
 
 
@@ -59,7 +53,7 @@ class TestCacheDegradation:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 result = run_ensemble(
-                    spec, executor=SerialExecutor(), cache=cache
+                    spec, executor=Executor(1), cache=cache
                 )
         unwritable = [
             w
@@ -84,7 +78,7 @@ class TestCacheDegradation:
         expected = clean_payload(spec)
         # Prime the cache with a clean pass.
         primer = ResultCache(tmp_path)
-        run_ensemble(spec, executor=SerialExecutor(), cache=primer)
+        run_ensemble(spec, executor=Executor(1), cache=primer)
         assert primer.stores == 2
         entries = sorted(p.name for p in tmp_path.glob("*.json"))
 
@@ -94,7 +88,7 @@ class TestCacheDegradation:
         )
         with chaos_active(plan) as controller:
             result = run_ensemble(
-                spec, executor=SerialExecutor(), cache=cache
+                spec, executor=Executor(1), cache=cache
             )
         assert controller.fired_log() == [
             ("runner.cache.load", 0, "io_error")
@@ -116,7 +110,7 @@ class TestPoolDegradation:
         plan = FaultPlan.single(
             "runner.executor.pool", Fault("break_pool"), at=0
         )
-        with PersistentExecutor(jobs=2) as executor:
+        with Executor(jobs=2) as executor:
             with chaos_active(plan) as controller:
                 result = run_ensemble(
                     spec, executor=executor, use_cache=False
@@ -138,7 +132,7 @@ class TestPoolDegradation:
                 }
             }
         )
-        with PersistentExecutor(jobs=2) as executor:
+        with Executor(jobs=2) as executor:
             with chaos_active(plan) as controller:
                 with pytest.warns(
                     RuntimeWarning, match="worker pool died twice"
@@ -153,29 +147,12 @@ class TestPoolDegradation:
         ]
         assert result_payload(result) == expected
 
-    def test_parallel_executor_falls_back_to_serial(self):
-        spec = ensemble("parallel-fallback")
-        expected = clean_payload(spec)
-        plan = FaultPlan.single(
-            "runner.executor.pool", Fault("break_pool"), at=0
-        )
-        with chaos_active(plan):
-            with pytest.warns(
-                RuntimeWarning, match="falling back to serial"
-            ):
-                result = run_ensemble(
-                    spec,
-                    executor=ParallelExecutor(jobs=2),
-                    use_cache=False,
-                )
-        assert result_payload(result) == expected
-
     def test_injected_timeout_maps_to_run_timeout_error(self):
         spec = ensemble("await-timeout")
         plan = FaultPlan.single(
             "runner.executor.await", Fault("timeout"), at=0
         )
-        with PersistentExecutor(jobs=2, timeout=5.0) as executor:
+        with Executor(jobs=2, timeout=5.0) as executor:
             with chaos_active(plan):
                 with pytest.raises(RunTimeoutError, match="exceeded"):
                     run_ensemble(spec, executor=executor, use_cache=False)
@@ -216,7 +193,7 @@ class TestReplicaBatchDegradation:
             "runner.executor.run", Fault("delay", delay_s=0.05), at=0
         )
         monkeypatch.setattr(executors, "REPLICA_CHUNK", 3)
-        executor = ReplicaBatchExecutor(SerialExecutor())
+        executor = Executor(1)
         slept: list[float] = []
         with chaos_active(plan) as controller:
             controller.sleep = slept.append
@@ -240,7 +217,7 @@ class TestReplicaBatchDegradation:
             "runner.cache.store", Fault("io_error"), at=0
         )
         monkeypatch.setattr(executors, "REPLICA_CHUNK", 3)
-        executor = ReplicaBatchExecutor(SerialExecutor())
+        executor = Executor(1)
         with chaos_active(plan):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -266,7 +243,7 @@ class TestSerialDelay:
         with chaos_active(plan) as controller:
             controller.sleep = slept.append
             result = run_ensemble(
-                spec, executor=SerialExecutor(), use_cache=False
+                spec, executor=Executor(1), use_cache=False
             )
             assert controller.invocations("runner.executor.run") == 3
         assert slept == [0.05]

@@ -20,7 +20,7 @@ import pytest
 
 from repro.chaos import Fault, FaultPlan, chaos_active
 from repro.runner import EnsembleSpec, RunSpec, TopologySpec, run_ensemble
-from repro.runner.executors import SerialExecutor
+from repro.runner.executors import Executor
 from repro.service import (
     QueueFull,
     ServiceClient,
@@ -224,7 +224,7 @@ class TestPoolDeath:
     def test_restart_is_visible_in_metrics_and_payload_unchanged(self):
         spec = spec_with("pool-death")
         expected = result_payload(
-            run_ensemble(spec, executor=SerialExecutor(), use_cache=False)
+            run_ensemble(spec, executor=Executor(1), use_cache=False)
         )
         plan = FaultPlan.single(
             "runner.executor.pool", Fault("break_pool"), at=0

@@ -10,6 +10,7 @@ from repro.models.backbone import BackboneRateLimitModel
 from repro.models.homogeneous import HomogeneousSIModel
 from repro.models.hub import HubRateLimitModel
 from repro.models.leaf import LeafRateLimitModel
+from repro.runner import build_network, build_worm
 
 
 @pytest.fixture()
@@ -25,16 +26,16 @@ class TestConstruction:
             QuarantineStudy(100, topology="torus")
 
     def test_network_factory_matches_topology(self, study):
-        network = study.network_factory()(seed=1)
+        network = build_network(study.topology_spec(), run_seed=1)
         assert network.topology.num_nodes == 120
         star_study = QuarantineStudy(50, topology="star")
-        star = star_study.network_factory()(seed=1)
+        star = build_network(star_study.topology_spec(), run_seed=1)
         assert star.roles.edge_routers == (0,)
 
     def test_worm_factory(self, study):
-        assert study.worm_factory()().name == "random"
+        assert build_worm(study.worm_spec()).name == "random"
         local = QuarantineStudy(100, local_preference=0.8)
-        assert local.worm_factory()().name == "local_preferential"
+        assert build_worm(local.worm_spec()).name == "local_preferential"
 
 
 class TestSimulation:

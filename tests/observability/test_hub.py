@@ -8,9 +8,9 @@ from repro.observability.hub import ObservabilityHub, observability_hub
 from repro.observability.trace import read_trace
 from repro.runner import (
     EnsembleSpec,
+    Executor,
     InstrumentationOptions,
     RunSpec,
-    SerialExecutor,
     TopologySpec,
     run_ensemble,
 )
@@ -74,7 +74,7 @@ class TestRecordEnsemble:
         hub.configure(profile=True)
         result = run_ensemble(
             tiny_ensemble(),
-            executor=SerialExecutor(),
+            executor=Executor(1),
             use_cache=False,
             options=hub.options(),
         )
@@ -91,7 +91,7 @@ class TestRecordEnsemble:
         hub.configure(trace_path=path)
         result = run_ensemble(
             tiny_ensemble(),
-            executor=SerialExecutor(),
+            executor=Executor(1),
             use_cache=False,
             options=hub.options(),
         )
@@ -106,7 +106,7 @@ class TestRecordEnsemble:
     def test_inactive_hub_ignores_ensembles(self):
         hub = ObservabilityHub()
         result = run_ensemble(
-            tiny_ensemble(), executor=SerialExecutor(), use_cache=False
+            tiny_ensemble(), executor=Executor(1), use_cache=False
         )
         hub.record_ensemble(result)
         assert hub.runs_recorded == 0

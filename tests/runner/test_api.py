@@ -12,8 +12,8 @@ from repro.runner import (
     EnsembleSpec,
     ResultCache,
     RunnerConfig,
+    Executor,
     RunSpec,
-    SerialExecutor,
     TopologySpec,
     run_ensemble,
     use_config,
@@ -226,13 +226,13 @@ class TestConfiguration:
     def test_explicit_executor_wins_over_config(self):
         calls = []
 
-        class SpyExecutor(SerialExecutor):
-            def run_specs(self, specs, options=None):
+        class SpyExecutor(Executor):
+            def run_specs(self, specs, options=None, *, cancel=None):
                 calls.append(len(specs))
-                return super().run_specs(specs, options)
+                return super().run_specs(specs, options, cancel=cancel)
 
         with use_config(RunnerConfig(jobs=4)):
-            run_ensemble(tiny_ensemble(), executor=SpyExecutor())
+            run_ensemble(tiny_ensemble(), executor=SpyExecutor(1))
         assert calls == [3]
 
     def test_config_disabled_cache_means_no_persistence(self, tmp_path):

@@ -1,30 +1,35 @@
-"""Tests for the serial and process-parallel executors.
+"""Tests for the run executor, in-process and on its process pool.
 
-The headline test is the parity one: ``ParallelExecutor(jobs=k)`` must
-produce bit-identical trajectories to ``SerialExecutor`` for the same
+The headline test is the parity one: ``Executor(jobs=k)`` must produce
+bit-identical trajectories to ``Executor(jobs=1)`` for the same
 ensemble, because each run rebuilds its scenario entirely from its spec
-and seed.
+and seed.  The other tests pin one outcome per failure: pool creation
+fails, a worker dies, a run overruns its timeout, a batch is cancelled.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
+
+import repro.runner.executors as executors
 
 from repro.runner import (
     DefenseSpec,
     EnsembleSpec,
+    Executor,
     InstrumentationOptions,
-    ParallelExecutor,
     RunSpec,
-    SerialExecutor,
     TopologySpec,
     WormSpec,
     run_ensemble,
 )
+from repro.runner.build import execute_run
 from repro.runner.executors import (
     ExecutorError,
-    PersistentExecutor,
     RunCancelledError,
     RunTimeoutError,
 )
@@ -49,8 +54,9 @@ def small_ensemble(num_runs: int = 3) -> EnsembleSpec:
 class TestParity:
     def test_parallel_bit_identical_to_serial(self):
         specs = small_ensemble(num_runs=3).expand()
-        serial = SerialExecutor().run_specs(specs)
-        parallel = ParallelExecutor(jobs=2).run_specs(specs)
+        serial = Executor(1).run_specs(specs)
+        with Executor(jobs=2) as executor:
+            parallel = executor.run_specs(specs)
 
         assert len(serial) == len(parallel) == 3
         for s, p in zip(serial, parallel):
@@ -72,7 +78,7 @@ class TestParity:
 
 
 class TestInstrumentedParity:
-    """Serial and parallel executors must aggregate identically.
+    """Serial and pooled runs must aggregate identically.
 
     Wall-clock fields (``wall_time``, ``phase_seconds``) are the only
     legitimately nondeterministic metrics; everything else — call
@@ -86,16 +92,17 @@ class TestInstrumentedParity:
         options = InstrumentationOptions(profile=True, trace=True)
         serial = run_ensemble(
             spec,
-            executor=SerialExecutor(),
+            executor=Executor(1),
             use_cache=False,
             options=options,
         )
-        parallel = run_ensemble(
-            spec,
-            executor=ParallelExecutor(jobs=2),
-            use_cache=False,
-            options=options,
-        )
+        with Executor(jobs=2) as executor:
+            parallel = run_ensemble(
+                spec,
+                executor=executor,
+                use_cache=False,
+                options=options,
+            )
         return serial, parallel
 
     def test_aggregated_metrics_identical(self):
@@ -129,57 +136,66 @@ class TestInstrumentedParity:
 
 
 class TestSerialExecutor:
+    """``Executor(jobs=1)``: every run in-process."""
+
     def test_results_in_spec_order(self):
         specs = small_ensemble(num_runs=3).expand()
-        results = SerialExecutor().run_specs(specs)
+        results = Executor(1).run_specs(specs)
         assert [r.spec.seed for r in results] == [s.seed for s in specs]
 
     def test_empty_batch(self):
-        assert SerialExecutor().run_specs([]) == []
+        assert Executor(1).run_specs([]) == []
 
 
 class TestParallelExecutor:
+    """When the pool is built, and what a failed pool turns into."""
+
     def test_jobs_one_runs_without_pool(self, monkeypatch):
         # jobs=1 must not even construct a pool.
-        import repro.runner.executors as executors
-
         def explode(*args, **kwargs):  # pragma: no cover
             raise AssertionError("pool should not be created for jobs=1")
 
         monkeypatch.setattr(executors, "ProcessPoolExecutor", explode)
-        results = ParallelExecutor(jobs=1).run_specs(
+        results = Executor(jobs=1).run_specs(
             small_ensemble(num_runs=2).expand()
         )
         assert len(results) == 2
 
     def test_single_spec_runs_without_pool(self, monkeypatch):
-        import repro.runner.executors as executors
-
         def explode(*args, **kwargs):  # pragma: no cover
             raise AssertionError("pool should not be created for one spec")
 
         monkeypatch.setattr(executors, "ProcessPoolExecutor", explode)
-        results = ParallelExecutor(jobs=4).run_specs(
-            small_ensemble(num_runs=1).expand()
-        )
+        with Executor(jobs=4) as executor:
+            results = executor.run_specs(small_ensemble(num_runs=1).expand())
         assert len(results) == 1
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        executor = ParallelExecutor(jobs=2)
+        import warnings
 
-        def broken_pool(specs):
+        def broken_pool(*args, **kwargs):
             raise OSError("no semaphores in this sandbox")
 
-        monkeypatch.setattr(executor, "_run_pooled", broken_pool)
-        specs = small_ensemble(num_runs=2).expand()
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            results = executor.run_specs(specs)
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", broken_pool)
+        specs = small_ensemble(num_runs=3).expand()
+        with Executor(jobs=2) as executor:
+            with pytest.warns(
+                RuntimeWarning, match="falling back to serial"
+            ):
+                results = executor.run_specs(specs)
+            # The failure is remembered: later batches run serially
+            # without trying (and warning) again.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                again = executor.run_specs(specs[::-1])
+            assert executor.jobs == 1
         assert [r.spec.seed for r in results] == [s.seed for s in specs]
+        assert [r.spec.seed for r in again] == [s.seed for s in specs[::-1]]
 
     def test_timeout_raises_run_timeout_error(self, monkeypatch):
         from concurrent.futures import TimeoutError as FutureTimeoutError
 
-        executor = ParallelExecutor(jobs=2, timeout=0.001)
+        executor = Executor(jobs=2, timeout=0.001)
 
         class StuckFuture:
             def result(self, timeout=None):
@@ -189,19 +205,16 @@ class TestParallelExecutor:
                 return True
 
         class StuckPool:
+            _processes: dict = {}
+
             def __init__(self, max_workers=None):
                 pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def submit(self, fn, *args):
                 return StuckFuture()
 
-        import repro.runner.executors as executors
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(executors, "ProcessPoolExecutor", StuckPool)
         with pytest.raises(RunTimeoutError, match="timeout"):
@@ -209,18 +222,18 @@ class TestParallelExecutor:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            ParallelExecutor(jobs=0)
+            Executor(jobs=0)
         with pytest.raises(ValueError):
-            ParallelExecutor(jobs=2, timeout=-1.0)
+            Executor(jobs=2, timeout=-1.0)
 
 
 class TestPersistentExecutor:
-    """The reusable pool behind the service worker tier."""
+    """The pool outlives a batch: the service worker tier shares one."""
 
     def test_parity_with_serial(self):
         specs = small_ensemble(num_runs=3).expand()
-        serial = SerialExecutor().run_specs(specs)
-        with PersistentExecutor(2) as executor:
+        serial = Executor(1).run_specs(specs)
+        with Executor(2) as executor:
             pooled = executor.run_specs(specs)
         for s, p in zip(serial, pooled):
             assert s.spec == p.spec
@@ -232,8 +245,6 @@ class TestPersistentExecutor:
     def test_pool_created_once_and_reused(self, monkeypatch):
         # The whole point of the executor: batch N+1 must not pay pool
         # startup again.
-        import repro.runner.executors as executors
-
         built = []
         real_pool = executors.ProcessPoolExecutor
 
@@ -243,7 +254,7 @@ class TestPersistentExecutor:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(executors, "ProcessPoolExecutor", CountingPool)
-        with PersistentExecutor(2) as executor:
+        with Executor(2) as executor:
             specs = small_ensemble(num_runs=2).expand()
             first = executor.run_specs(specs)
             second = executor.run_specs(specs)
@@ -254,13 +265,11 @@ class TestPersistentExecutor:
             )
 
     def test_jobs_one_never_builds_a_pool(self, monkeypatch):
-        import repro.runner.executors as executors
-
         def explode(*args, **kwargs):  # pragma: no cover
             raise AssertionError("pool should not be created for jobs=1")
 
         monkeypatch.setattr(executors, "ProcessPoolExecutor", explode)
-        with PersistentExecutor(1) as executor:
+        with Executor(1) as executor:
             results = executor.run_specs(
                 small_ensemble(num_runs=2).expand()
             )
@@ -270,10 +279,10 @@ class TestPersistentExecutor:
         import os
 
         specs = small_ensemble(num_runs=2).expand()
-        with PersistentExecutor(2) as executor:
+        with Executor(2) as executor:
             # Kill a worker out from under the pool: the next batch hits
             # BrokenProcessPool, retires the pool, and retries fresh.
-            pool = executor._ensure_pool()
+            pool = executor._live_pool()
             pool.submit(os._exit, 1)
             import concurrent.futures
             import time
@@ -297,8 +306,6 @@ class TestPersistentExecutor:
     ):
         import concurrent.futures
 
-        import repro.runner.executors as executors
-
         class DOAPool:
             def __init__(self, max_workers=None):
                 pass
@@ -311,7 +318,7 @@ class TestPersistentExecutor:
 
         monkeypatch.setattr(executors, "ProcessPoolExecutor", DOAPool)
         specs = small_ensemble(num_runs=2).expand()
-        with PersistentExecutor(2) as executor:
+        with Executor(2) as executor:
             with pytest.warns(
                 RuntimeWarning, match="falling back to serial"
             ):
@@ -320,7 +327,7 @@ class TestPersistentExecutor:
         assert [r.spec.seed for r in results] == [s.seed for s in specs]
 
     def test_closed_executor_refuses_work(self):
-        executor = PersistentExecutor(2)
+        executor = Executor(2)
         executor.close()
         assert executor.closed
         executor.close()  # idempotent
@@ -332,7 +339,7 @@ class TestPersistentExecutor:
 
         cancel = threading.Event()
         cancel.set()
-        with PersistentExecutor(1) as executor:
+        with Executor(1) as executor:
             with pytest.raises(RunCancelledError, match="cancelled"):
                 executor.run_specs(
                     small_ensemble(num_runs=2).expand(), cancel=cancel
@@ -343,7 +350,7 @@ class TestPersistentExecutor:
 
         cancel = threading.Event()
         cancel.set()
-        with PersistentExecutor(2) as executor:
+        with Executor(2) as executor:
             with pytest.raises(RunCancelledError, match="cancelled"):
                 executor.run_specs(
                     small_ensemble(num_runs=3).expand(), cancel=cancel
@@ -351,11 +358,86 @@ class TestPersistentExecutor:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            PersistentExecutor(0)
+            Executor(0)
         with pytest.raises(ValueError):
-            PersistentExecutor(2, timeout=0)
+            Executor(2, timeout=0)
+
+    def test_run_error_propagates_without_rerun(self, monkeypatch):
+        # A run that raises is a bug in the run, not in the pool: the
+        # exception surfaces as-is and nothing reruns the batch.
+        specs = small_ensemble(num_runs=2).expand()
+        monkeypatch.setattr(executors, "execute_run", failing_run)
+        with Executor(2) as executor:
+            with pytest.raises(ValueError, match="bad run"):
+                executor.run_specs(specs)
+            assert executor.restarts == 0
+
+    def test_timeout_bounds_wall_time_and_pool_recovers(self, monkeypatch):
+        specs = stuck_specs(2)
+        monkeypatch.setattr(executors, "execute_run", blocking_run)
+        executor = Executor(2, timeout=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(RunTimeoutError, match="exceeded"):
+                executor.run_specs(specs)
+            assert time.monotonic() - start < 2.0
+            # The stuck workers are gone: a fresh batch and the close
+            # that follows need not wait for them.
+            monkeypatch.undo()
+            results = executor.run_specs(specs)
+            assert [r.spec.seed for r in results] == [s.seed for s in specs]
+        finally:
+            executor.close()
+        assert time.monotonic() - start < 5.0
+
+    def test_timeout_spares_a_concurrent_batch(self, monkeypatch):
+        # Stopping the stuck workers breaks the shared pool under any
+        # batch queued behind them; that batch retries on a fresh pool
+        # instead of failing.
+        import threading
+
+        monkeypatch.setattr(executors, "execute_run", blocking_run)
+        specs = small_ensemble(num_runs=2).expand()
+        outcome: dict = {}
+        with Executor(2, timeout=1.0) as executor:
+
+            def queued_behind():
+                time.sleep(0.3)  # both workers are busy with stuck runs
+                outcome["results"] = executor.run_specs(specs)
+
+            thread = threading.Thread(target=queued_behind)
+            thread.start()
+            with pytest.raises(RunTimeoutError):
+                executor.run_specs(stuck_specs(2))
+            thread.join(timeout=30)
+        assert [r.spec.seed for r in outcome["results"]] == [
+            s.seed for s in specs
+        ]
 
 
 def execute_probe() -> int:
     """Picklable probe for the crash-restart test."""
     return 1
+
+
+def failing_run(spec, options=None):
+    """Picklable stand-in for ``execute_run`` that always raises."""
+    raise ValueError(f"bad run {spec.seed}")
+
+
+#: Seeds at or above this make :func:`blocking_run` hang.
+STUCK_SEED = 10_000
+
+
+def stuck_specs(num_runs: int) -> list[RunSpec]:
+    return [
+        dataclasses.replace(spec, seed=STUCK_SEED + spec.seed)
+        for spec in small_ensemble(num_runs=num_runs).expand()
+    ]
+
+
+def blocking_run(spec, options=None):
+    """Picklable ``execute_run`` that hangs 10 s on a stuck seed."""
+    if spec.seed >= STUCK_SEED:
+        time.sleep(10.0)
+    return execute_run(spec, options)

@@ -60,7 +60,7 @@ from repro.runner.build import (
     execute_run,
 )
 from repro.runner.cache import ResultCache
-from repro.runner.executors import ReplicaBatchExecutor, SerialExecutor
+from repro.runner.executors import Executor
 from repro.runner.spec import (
     DefenseSpec,
     EnsembleSpec,
@@ -922,7 +922,7 @@ class TestReplicaBatchRunner:
         # Interleave a non-groupable spec (different engine) and shuffle.
         outlier = dataclasses.replace(runs[0], engine="fast", seed=999)
         shuffled = [runs[3], outlier, runs[0], runs[4], runs[1], runs[2]]
-        results = ReplicaBatchExecutor(SerialExecutor()).run_specs(shuffled)
+        results = Executor(1).run_specs(shuffled)
         assert [r.spec for r in results] == shuffled
         solo = {s.seed: _normalized(execute_run(s)) for s in shuffled}
         for result in results:
@@ -931,9 +931,9 @@ class TestReplicaBatchRunner:
     def test_executor_chunk_width_is_invariant(self, monkeypatch):
         """Results do not depend on how the executor slices the batch."""
         runs = list(_replica_ensemble(num_runs=9).expand())
-        full = ReplicaBatchExecutor(SerialExecutor()).run_specs(runs)
+        full = Executor(1).run_specs(runs)
         monkeypatch.setattr(executors_module, "REPLICA_CHUNK", 4)
-        chunked = ReplicaBatchExecutor(SerialExecutor()).run_specs(runs)
+        chunked = Executor(1).run_specs(runs)
         assert [_normalized(r) for r in full] == [
             _normalized(r) for r in chunked
         ]
@@ -945,7 +945,7 @@ class TestReplicaBatchRunner:
         )
         spec = EnsembleSpec(template=unpinned, num_runs=3, base_seed=300)
         runs = list(spec.expand())
-        results = ReplicaBatchExecutor(SerialExecutor()).run_specs(runs)
+        results = Executor(1).run_specs(runs)
         solo = [execute_run(run_spec) for run_spec in runs]
         assert [_normalized(r) for r in results] == [
             _normalized(r) for r in solo
@@ -954,7 +954,7 @@ class TestReplicaBatchRunner:
     def test_cache_round_trip_is_byte_identical(self, tmp_path):
         spec = _replica_ensemble()
         cache = ResultCache(tmp_path)
-        executor = ReplicaBatchExecutor(SerialExecutor())
+        executor = Executor(1)
         run_ensemble(spec, executor=executor, cache=cache, use_cache=True)
         second = run_ensemble(
             spec, executor=executor, cache=cache, use_cache=True
