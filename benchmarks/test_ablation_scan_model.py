@@ -38,7 +38,7 @@ def fitted_rate(hit_probability: float, *, num_runs: int = 5) -> float:
         )
         simulation.run(
             600,
-            lambda _replica, state: runs.append(state.recorder.trajectory()),
+            lambda _replica, state: runs.append(state.trajectory()),
         )
     return fit_logistic(average_trajectories(runs)).rate
 

@@ -77,13 +77,23 @@ def histogram(values: Iterable[int]) -> dict[str, int]:
     negative = np.flatnonzero(arr < 0)
     if negative.size:
         bucket_label(int(arr[negative[0]]))  # raises with the bad value
-    codes = np.searchsorted(_BUCKET_BOUNDS, arr, side="right")
-    uniq, first, counts = np.unique(
-        codes, return_index=True, return_counts=True
-    )
-    order = np.argsort(first, kind="stable")
+    # Link statistics are mostly zeros, so only the nonzero values are
+    # bucketed; zeros are counted (and first found) in bulk.
+    zero = arr == 0
+    nonzero = np.flatnonzero(~zero)
+    codes = np.searchsorted(_BUCKET_BOUNDS, arr[nonzero], side="right")
+    counts = np.bincount(codes, minlength=len(_BUCKET_LABELS))
+    # First index of each bucket: a scatter-min of positions, so absent
+    # buckets keep ``arr.size`` and sort last.
+    first = np.full(len(_BUCKET_LABELS), arr.size, dtype=np.int64)
+    np.minimum.at(first, codes, nonzero)
+    if nonzero.size < arr.size:
+        counts[0] = arr.size - nonzero.size
+        first[0] = zero.argmax()
     return {
-        _BUCKET_LABELS[int(uniq[i])]: int(counts[i]) for i in order
+        _BUCKET_LABELS[code]: int(counts[code])
+        for code in np.argsort(first, kind="stable").tolist()
+        if counts[code]
     }
 
 

@@ -312,7 +312,7 @@ def _run_vector(
 
     def harvest(replica: int, state: ReplicaState) -> None:
         spec = specs[replica]
-        trajectory = state.recorder.trajectory()
+        trajectory = state.trajectory()
         if spec.observe == "seed_subnets":
             trajectory = _seed_subnet_curve(network, spec.max_ticks)
         harvested[replica] = (
@@ -372,9 +372,9 @@ def execute_replica_batch(
             "replica batching requires a pinned topology seed; "
             "unpinned topologies resample per run"
         )
-    base = dict(template.to_dict(), seed=None)
+    base = template.scenario_key()
     for spec in specs[1:]:
-        if dict(spec.to_dict(), seed=None) != base:
+        if spec.scenario_key() != base:
             raise ValueError(
                 "replica batching requires specs that differ only by seed"
             )

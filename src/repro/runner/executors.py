@@ -24,7 +24,6 @@ Every known failure ends in one outcome:
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -71,11 +70,6 @@ REPLICA_CHUNK = 128
 
 #: How often a cancellable batch checks its cancel event, in seconds.
 _CANCEL_POLL_SECONDS = 0.05
-
-
-def _replica_group_key(spec: RunSpec) -> str:
-    """Canonical scenario identity of a spec, seed excluded."""
-    return json.dumps(dict(spec.to_dict(), seed=None), sort_keys=True)
 
 
 def _cancelled(cancel: threading.Event | None, where: str) -> None:
@@ -156,7 +150,7 @@ class Executor:
         groups: dict[str, list[int]] = {}
         for index, spec in enumerate(specs):
             if spec.engine == "fast-batched" and spec.topology.seed is not None:
-                groups.setdefault(_replica_group_key(spec), []).append(index)
+                groups.setdefault(spec.scenario_key(), []).append(index)
             else:
                 rest.append(index)
         for indices in groups.values():

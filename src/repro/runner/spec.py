@@ -269,6 +269,17 @@ class RunSpec:
         """Canonical JSON-ready dict (the cache-digest input)."""
         return dataclasses.asdict(self)
 
+    def scenario_key(self) -> str:
+        """Hashable identity of the spec minus its ``seed``.
+
+        Specs that may share one vector group have equal keys.  The key
+        is the ``repr`` of the seedless spec, not the spec itself:
+        ``1 == 1.0`` and ``0.0 == -0.0``, yet their canonical JSON (and
+        so their cache digests) differ, and ``repr`` tells them apart
+        as JSON does.
+        """
+        return repr(dataclasses.replace(self, seed=0))
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunSpec":
         """Inverse of :meth:`to_dict`."""

@@ -6,7 +6,6 @@ Seeded multi-run ensembles are described and averaged by
 :mod:`repro.runner`.
 """
 
-from .diagnostics import LinkHotspot, NetworkReport, network_report
 from .dynamic import DynamicQuarantine
 from .defense import (
     DefenseDescriptor,
@@ -66,9 +65,6 @@ __all__ = [
     "WormSimulation",
     "FastWormSimulation",
     "DynamicQuarantine",
-    "LinkHotspot",
-    "NetworkReport",
-    "network_report",
     "DetectionReport",
     "ScanDetector",
     "Telescope",

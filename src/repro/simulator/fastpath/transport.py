@@ -154,6 +154,7 @@ class FastTransport:
         self.fwd_vec = np.zeros(count, dtype=np.int64)
         self.enq_vec = np.zeros(count, dtype=np.int64)
         self.peak_vec = np.zeros(count, dtype=np.int64)
+        self.drop_vec = np.zeros(count, dtype=np.int64)
         # NetworkStats mirror: totals *since this transport started*;
         # trace emission adds the network's pre-existing base counts.
         self.injected = 0
@@ -576,22 +577,25 @@ class FastTransport:
         high-water mark of rate-limited links still holding packets — for
         every link at once, so a caller that only needs link-stat
         *distributions* (the runner's histograms) can skip writing the
-        links back.  Call after writeback.
+        links back.  Call after writeback.  The scalar track is read
+        only at links holding a queue entry, which every scalar write
+        creates first (see :meth:`writeback`).
         """
-        peak = np.maximum(
-            np.asarray(self.peak_list, dtype=np.int64), self.peak_vec
-        )
-        limited = self._limited_idx
-        if limited.size:
-            queues = self.queues
-            depth = np.fromiter(
-                (len(queues.get(li, ())) for li in limited.tolist()),
-                dtype=np.int64,
-                count=limited.size,
-            )
-            peak[limited] = np.maximum(peak[limited], depth)
+        peak = self.peak_vec.copy()
+        dropped = self.drop_vec.copy()
+        touched = list(self.queues)
+        if touched:
+            at = np.asarray(touched, dtype=np.int64)
+            peak_list = self.peak_list
+            drop_list = self.drop_list
+            peak[at] = np.maximum(peak[at], [peak_list[i] for i in touched])
+            dropped[at] += [drop_list[i] for i in touched]
+            at = at[self.limited_arr[at]]
+            if at.size:
+                queues = self.queues
+                depth = [len(queues[i]) for i in at.tolist()]
+                peak[at] = np.maximum(peak[at], depth)
         order = self.layout.network_order
-        dropped = np.asarray(self.drop_list, dtype=np.int64)
         return peak[order], dropped[order]
 
     def writeback(self, final_tick: int, *, links: bool = True) -> list[int]:
@@ -627,13 +631,14 @@ class FastTransport:
         # packet over are skipped without a whole-topology walk.
         candidates = set(
             np.flatnonzero(
-                self.fwd_vec | self.enq_vec | self.peak_vec
+                self.fwd_vec | self.enq_vec | self.peak_vec | self.drop_vec
             ).tolist()
         )
         candidates.update(self.queues.keys())
         fwd_vec = self.fwd_vec
         enq_vec = self.enq_vec
         peak_vec = self.peak_vec
+        drop_vec = self.drop_vec
         infection = PacketKind.INFECTION
         new_packet = Packet.__new__
         touched: list[int] = []
@@ -648,7 +653,7 @@ class FastTransport:
                 key = keys[i]
                 forwarded = self.fwd_list[i] + int(fwd_vec[i])
                 enqueued = self.enq_list[i] + int(enq_vec[i])
-                dropped = self.drop_list[i]
+                dropped = self.drop_list[i] + int(drop_vec[i])
                 requeued = self.req_list[i]
                 peak = self.peak_list[i]
                 if peak_vec[i] > peak:

@@ -9,14 +9,14 @@ deployment — dominates small-run wall clock, and the fast-engine state
 group shares all of it: one network, one
 :class:`~repro.simulator.fastpath.transport.TransportLayout`, one 2-D
 :class:`~repro.simulator.fastpath.state.HostArrays` block with a
-``(replica, host)`` axis.  Each replica keeps only its private run state
-in a :class:`ReplicaState` record: RNG, recorder, quarantine loop,
-transport and optional instrumentation.  The tick loop advances *all*
-live replicas through each phase in one pass over the shared
-``(replica, host)`` and ``(replica, link)`` state.  A live-replica mask
-shrinks the working set as replicas die out, so a 1000-replica
-near-critical sweep pays for the few replicas that take off, not the
-many that die at tick 2.
+``(replica, host)`` axis, and one ``(tick, compartment, replica)`` curve
+array.  Each replica keeps only its private run state in a
+:class:`ReplicaState` record: RNG, quarantine loop, transport and
+optional instrumentation.  The tick loop advances *all* live replicas
+through each phase in one pass over the shared ``(replica, host)`` and
+``(replica, link)`` state.  A live-replica mask shrinks the working set
+as replicas die out, so a 1000-replica near-critical sweep pays for the
+few replicas that take off, not the many that die at tick 2.
 
 Sampling model
 --------------
@@ -38,20 +38,27 @@ tick*, which the loop fixes —
    rate has a fractional part),
 2. throttle gating (no draws),
 3. hit mask (``gen.random(total)``, only when hit probability < 1),
-4. targets (uniform with resample, or the local-preference kernel),
+4. targets: uniform (``gen.integers(0, pool, total)``, then one
+   ``gen.integers`` call per resample round over the scans that hit
+   their own origin) or the local-preference kernel,
 5. telescope observation (``gen.binomial``, only when scans went dark
    and a quarantine is watching),
-6. immunization draws (``gen.random(n_candidates)``, only when the
-   policy is active and candidates exist)
+6. immunization draws (``gen.random(n_candidates)`` over the eligible
+   hosts in node order, only when the policy is active and candidates
+   exist)
 
 — while everything between draws (state flips, token arithmetic,
-packet transport) is computed cross-replica.  Transport waves are
-merged globally, but every per-replica *subsequence* of the global
-packet arrays keeps the order that replica would see alone, and all
-counter updates key on ``replica * L + link``, so a replica's per-link
-statistics, queue contents and drop-tail victims do not depend on its
-neighbours.  The equivalence suite pins width-1 and grouped runs to the
-same golden grid.
+packet transport) is computed cross-replica.  A phase's uniforms fill
+one buffer, each live replica writing its own slice in replica order;
+uniform targets draw every replica's ``integers`` first, run one global
+self-hit test, and resample only the replicas that hit — a resample is
+still that replica's next draw.  Transport waves are merged globally,
+but every per-replica *subsequence* of the global packet arrays keeps
+the order that replica would see alone, and all counter updates key on
+``replica * L + link``, so a replica's per-link statistics, queue
+contents and drop-tail victims do not depend on its neighbours.  The
+equivalence suite pins width-1 and grouped runs to the same golden
+grid.
 
 Transport relaxations
 ---------------------
@@ -93,6 +100,7 @@ from time import perf_counter
 
 import numpy as np
 
+from ...models.base import ModelError, Trajectory
 from ...observability.instrumentation import Instrumentation
 from ...observability.trace import tick_record
 from ..dynamic import DynamicQuarantine
@@ -100,7 +108,6 @@ from ..engine import PHASE_NAMES, Phase
 from ..immunization import ImmunizationPolicy
 from ..links import LinkStats
 from ..network import Network
-from ..observers import CurveRecorder
 from ..worms import LocalPreferentialWorm, RandomScanWorm, WormStrategy
 from .engine import WRITEBACK_MODES
 from .replicas import DeploymentPlan, capture_deployment_plan
@@ -114,6 +121,10 @@ _TRANSMIT = PHASE_NAMES[Phase.TRANSMIT]
 _DELIVER = PHASE_NAMES[Phase.DELIVER]
 _IMMUNIZE = PHASE_NAMES[Phase.IMMUNIZE]
 _OBSERVE = PHASE_NAMES[Phase.OBSERVE]
+
+#: Row of the ever-infected count in the group's compartment tally,
+#: whose rows are susceptible, infected, immune and ever-infected.
+_EVER = 3
 
 
 class SubnetTables:
@@ -150,6 +161,51 @@ class SubnetTables:
         self.members = members
         self.start = starts.astype(np.int64)
         self.count = counts.astype(np.int64)
+
+
+def _uniforms(
+    gens: Sequence[np.random.Generator], sizes: list[int], total: int
+) -> np.ndarray:
+    """Each generator's next ``size`` uniforms, concatenated in order."""
+    buf = np.empty(total)
+    a = 0
+    for gen, k in zip(gens, sizes):
+        gen.random(out=buf[a : a + k])
+        a += k
+    return buf
+
+
+def _uniform_targets(
+    gens: Sequence[np.random.Generator],
+    sizes: list[int],
+    pool: np.ndarray,
+    origins: np.ndarray,
+) -> np.ndarray:
+    """Uniform targets over ``pool`` that never hit their own origin.
+
+    ``origins`` holds consecutive segments of ``sizes`` scans, one per
+    generator.  Every segment draws its targets first; one global test
+    then finds the self-hits, and only segments holding one redraw them,
+    round after round in position order — each generator sees the same
+    call sequence as a loop over segments would make.
+    """
+    psize = pool.size
+    idx = np.empty(origins.size, dtype=np.int64)
+    a = 0
+    for gen, k in zip(gens, sizes):
+        idx[a : a + k] = gen.integers(0, psize, size=k)
+        a += k
+    targets = pool[idx]
+    clash = np.flatnonzero(targets == origins)
+    if clash.size:
+        owner = np.searchsorted(np.cumsum(sizes), clash, side="right")
+        for seg in np.unique(owner).tolist():
+            bad = clash[owner == seg]
+            gen = gens[seg]
+            while bad.size:
+                targets[bad] = pool[gen.integers(0, psize, size=bad.size)]
+                bad = bad[targets[bad] == origins[bad]]
+    return targets
 
 
 def pick_targets_local_pref(
@@ -193,34 +249,46 @@ def pick_targets_local_pref(
     rest = ~local
     n_rest = int(rest.sum())
     if n_rest:
-        r_orig = origins[rest]
-        cand = pool[gen.integers(0, pool.size, size=n_rest)]
-        while True:
-            bad = cand == r_orig
-            misses = int(bad.sum())
-            if not misses:
-                break
-            cand[bad] = pool[gen.integers(0, pool.size, size=misses)]
-        targets[rest] = cand
+        targets[rest] = _uniform_targets([gen], [n_rest], pool, origins[rest])
     return targets
+
+
+def _segments(
+    pos: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Per-live-replica lengths of a live-position-sorted array.
+
+    Returns every live position's length plus the replica ids and
+    lengths of the non-empty segments, in order — the draw plan of a
+    per-replica sampling pass.
+    """
+    lengths = np.bincount(pos, minlength=live.size)
+    nonempty = np.flatnonzero(lengths)
+    return lengths, live[nonempty].tolist(), lengths[nonempty].tolist()
 
 
 class ReplicaState:
     """One replica's private run state inside a vector group.
 
     This is what the harvest callback receives: the replica's curve
-    (``recorder``), its transport (per-link arrays and packet totals),
-    its quarantine loop and its instrumentation.
+    (:meth:`trajectory`, :attr:`ever_infected`), its transport (per-link
+    arrays and packet totals), its quarantine loop and its
+    instrumentation.  The counts live in the group's compartment tally
+    and ``(tick, compartment, replica)`` sample array; the record holds
+    its column of both.
     """
 
     __slots__ = (
         "gen",
-        "recorder",
         "quarantine",
         "transport",
         "instrumentation",
-        "patching",
         "final_tick",
+        "ticks_executed",
+        "_row",
+        "_population",
+        "_tally",
+        "_samples",
     )
 
     #: The vector loop schedules no ad-hoc events.
@@ -228,25 +296,90 @@ class ReplicaState:
 
     def __init__(
         self,
+        row: int,
+        population: int,
+        tally: np.ndarray,
         gen: np.random.Generator,
-        recorder: CurveRecorder,
         quarantine: DynamicQuarantine | None,
         transport: FastTransport,
         instrumentation: Instrumentation | None,
     ) -> None:
+        self._row = row
+        self._population = population
+        self._tally = tally
+        #: The group's samples, bound when the run starts.
+        self._samples: np.ndarray | None = None
         self.gen = gen
-        self.recorder = recorder
         self.quarantine = quarantine
         self.transport = transport
         self.instrumentation = instrumentation
-        #: Whether the immunization policy has started patching.
-        self.patching = False
         self.final_tick = 0
+        #: Ticks this replica ran (replicas stop individually); set
+        #: when it finishes.
+        self.ticks_executed = 0
 
     @property
-    def ticks_executed(self) -> int:
-        """Ticks this replica ran (replicas stop individually)."""
-        return self.recorder.num_samples
+    def ever_infected(self) -> int:
+        """Hosts this replica ever infected, initial infections included."""
+        return int(self._tally[_EVER, self._row])
+
+    def trajectory(self) -> Trajectory:
+        """The replica's sampled curve, cut from the group's array."""
+        ticks = self.ticks_executed
+        if ticks < 2:
+            raise ModelError(
+                "need at least two sampled ticks to build a trajectory"
+            )
+        samples = self._samples[:ticks, :, self._row]
+        sus, inf, imm, ever = (samples[:, k].astype(float) for k in range(4))
+        return Trajectory(
+            times=np.arange(ticks, dtype=float),
+            infected=inf,
+            population=float(self._population),
+            susceptible=sus,
+            removed=imm,
+            ever_infected=ever,
+        )
+
+
+def _cat(chunks: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` that returns a lone chunk as is."""
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _owned(replica: int, dsts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """An arrival chunk: one replica's destination list."""
+    reps = np.full(len(dsts), replica, dtype=np.int64)
+    return reps, np.asarray(dsts, dtype=np.int64)
+
+
+def _flush_pending(
+    transports: list[FastTransport], owners: np.ndarray, pending: list[tuple]
+) -> list[tuple]:
+    """Move the store's waiters of ``owners`` into their real deques.
+
+    ``owners`` is a replica mask; ``pending`` holds the store's
+    ``(replica, link, destination)`` chunks, which are chronological,
+    so every deque receives its waiters in FIFO order.  Returns the
+    chunks of the other replicas.
+    """
+    kept = []
+    for chunk in pending:
+        mine = owners[chunk[0]]
+        if mine.any():
+            reps, links, dsts = (part[mine].tolist() for part in chunk)
+            for r, li, dst in zip(reps, links, dsts):
+                t = transports[r]
+                queue = t.queues[li]
+                if not queue:
+                    t.nonempty_u.add(li)
+                queue.append(dst)
+                t.queued_total += 1
+                t.queued_u += 1
+            chunk = tuple(part[~mine] for part in chunk)
+        if chunk[0].size:
+            kept.append(chunk)
+    return kept
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,32 +530,57 @@ class VectorReplicaSimulation:
 
         infectable = list(network.infectable)
         seeded: list[int] = []
-        self.states: list[ReplicaState] = []
-        for replica, seed in enumerate(seeds):
+        gens: list[np.random.Generator] = []
+        for seed in seeds:
             rng = random.Random(seed)
             seeded.extend(rng.sample(infectable, initial_infections))
             # Seeded after initial-infection placement, so the same
             # seed attacks the same hosts on every engine.
-            gen = np.random.default_rng(rng.getrandbits(64))
-            self.states.append(
-                ReplicaState(
-                    gen,
-                    CurveRecorder(network),
-                    quarantines[replica],
-                    FastTransport(network, layout=self.layout),
-                    instrumentation[replica],
-                )
-            )
+            gens.append(np.random.default_rng(rng.getrandbits(64)))
         seed_reps = self.hosts.infect_grouped(
             np.repeat(np.arange(replicas), initial_infections),
             np.asarray(seeded, dtype=np.int64),
             0,
         )
-        for replica, count in enumerate(
-            np.bincount(seed_reps, minlength=replicas).tolist()
-        ):
-            if count:
-                self.states[replica].recorder.note_infection(count)
+        # Compartment tally, one column per replica; the observe phase
+        # samples it once per tick.  States hold the group's arrays, not
+        # the group, so a finished group is freed without a cycle pass.
+        status = self.hosts.status
+        self._tally = np.stack(
+            [
+                (status == SUSCEPTIBLE).sum(axis=1),
+                (status == INFECTED).sum(axis=1),
+                (status == IMMUNE).sum(axis=1),
+                np.bincount(seed_reps, minlength=replicas),
+            ]
+        )
+        # Shared (replica, link) arrays: forwarded, enqueued, peak and
+        # dropped counts of the vectorized track, and token balances.
+        # Each transport's own arrays are rebound to its rows as it is
+        # built (freeing them before the next one), so global flat-key
+        # updates and the per-replica scalar paths (enqueue, trickle,
+        # writeback, apply_limit_plan) address one memory.
+        link_count = len(self.layout.keys)
+        self._link_counts = np.zeros((4, replicas, link_count), dtype=np.int64)
+        self._tokens = np.tile(self.layout.l_tokens0, (replicas, 1))
+        self.states: list[ReplicaState] = []
+        for replica, gen in enumerate(gens):
+            t = FastTransport(network, layout=self.layout)
+            t.fwd_vec, t.enq_vec, t.peak_vec, t.drop_vec = (
+                self._link_counts[:, replica]
+            )
+            t.l_tokens = self._tokens[replica]
+            self.states.append(
+                ReplicaState(
+                    replica,
+                    network.num_infectable,
+                    self._tally,
+                    gen,
+                    quarantines[replica],
+                    t,
+                    instrumentation[replica],
+                )
+            )
         stats = network.stats
         self._base_injected = stats.packets_injected
         self._base_delivered = stats.packets_delivered
@@ -469,9 +627,7 @@ class VectorReplicaSimulation:
         li: np.ndarray,
         dsts: np.ndarray,
         rep: int,
-        wave_li: list[np.ndarray],
-        wave_dst: list[np.ndarray],
-        wave_rep: list[np.ndarray],
+        wave: list[tuple],
     ) -> None:
         """Drop-tail guard for one replica's unlimited injections.
 
@@ -502,9 +658,7 @@ class VectorReplicaSimulation:
         t.enq_vec[uniq] += counts
         t.fwd_vec[uniq] += counts
         t.peak_vec[uniq] = np.maximum(t.peak_vec[uniq], counts)
-        wave_li.append(li)
-        wave_dst.append(dsts)
-        wave_rep.append(np.full(li.size, rep, dtype=np.int64))
+        wave.append((np.full(li.size, rep, dtype=np.int64), li, dsts))
 
     @staticmethod
     def _enqueue_limited_waiters(
@@ -582,7 +736,6 @@ class VectorReplicaSimulation:
 
         transports = [state.transport for state in states]
         gens = [state.gen for state in states]
-        recorders = [state.recorder for state in states]
         quars = [state.quarantine for state in states]
         instrs = [state.instrumentation for state in states]
         counting = any(instr is not None for instr in instrs)
@@ -602,22 +755,10 @@ class VectorReplicaSimulation:
         subnet_arr = self._subnet_arr
         lan = self.lan_delivery and subnet_arr is not None
 
-        # Shared (replica, link) counter matrices: each transport's
-        # vectorized-track arrays are rebound to one row, so global
-        # flat-key updates and the per-replica scalar paths (enqueue,
-        # trickle, writeback, apply_limit_plan) address one memory.
-        fwd2 = np.zeros((replicas, link_count), dtype=np.int64)
-        enq2 = np.zeros((replicas, link_count), dtype=np.int64)
-        peak2 = np.zeros((replicas, link_count), dtype=np.int64)
-        tok2 = np.tile(layout.l_tokens0, (replicas, 1))
-        for r, t in enumerate(transports):
-            t.fwd_vec = fwd2[r]
-            t.enq_vec = enq2[r]
-            t.peak_vec = peak2[r]
-            t.l_tokens = tok2[r]
-        fwd_flat = fwd2.reshape(-1)
-        enq_flat = enq2.reshape(-1)
-        peak_flat = peak2.reshape(-1)
+        fwd_flat, enq_flat, peak_flat, drop_flat = (
+            counts.reshape(-1) for counts in self._link_counts
+        )
+        tok2 = self._tokens
 
         # Token refill splits: pre-deploy rows refill the static
         # template columns; deployed rows refill static ∪ plan columns
@@ -645,6 +786,8 @@ class VectorReplicaSimulation:
         rate_dep = rate_all[dep_idx]
         burst_dep = burst_all[dep_idx]
         deployed = np.zeros(replicas, dtype=bool)
+        # Without rate-limited links there is no refill and no trickle.
+        any_limited = static_idx.size > 0 or has_plan_links
 
         # Budgeted replicas (see module docstring) run their transport on
         # the exact scalar sweep; ``exact`` holds the live ones, so an
@@ -658,11 +801,14 @@ class VectorReplicaSimulation:
             exact.update(range(replicas))
 
         status = hosts.status
-        sus_arr = (status == SUSCEPTIBLE).sum(axis=1)
-        inf_arr = (status == INFECTED).sum(axis=1)
-        imm_arr = (status == IMMUNE).sum(axis=1)
+        tally = self._tally
+        sus_arr, inf_arr, imm_arr, ever_arr = tally
+        samples = np.zeros((max_ticks, 4, replicas), dtype=np.int64)
+        for state in states:
+            state._samples = samples
         injected_arr = np.zeros(replicas, dtype=np.int64)
         delivered_arr = np.zeros(replicas, dtype=np.int64)
+        dropped_arr = np.zeros(replicas, dtype=np.int64)
 
         # LAN ring: same-subnet scans of tick t wait in ``lan_pending``
         # as ``(replicas, destinations)``, rotate to ``lan_ready`` at
@@ -692,9 +838,7 @@ class VectorReplicaSimulation:
         depth2 = np.zeros((replicas, link_count), dtype=np.int64)
         depth_flat = depth2.reshape(-1)
         pend_count = np.zeros(replicas, dtype=np.int64)
-        pend_rep: list[np.ndarray] = []
-        pend_lj: list[np.ndarray] = []
-        pend_dst: list[np.ndarray] = []
+        pending: list[tuple] = []
         dirty: set[int] = set()
         # Budgeted replicas never hold store packets, so their scalar
         # enqueues skip the per-packet store-depth lookup.
@@ -706,40 +850,38 @@ class VectorReplicaSimulation:
             mu = policy.mu
             patch_infected = policy.patch_infected
             num_infectable = network.num_infectable
+            patching = np.zeros(replicas, dtype=bool)
 
-        # Segment bounds of replica-sorted arrays: ``searchsorted`` of a
-        # live-position column against ``edges[: nlive + 1]``.
-        edges_all = np.arange(replicas + 1, dtype=np.int64)
         zero_counts = np.zeros(replicas, dtype=np.int64)
         live = np.arange(replicas, dtype=np.int64)
         last_tick = max_ticks - 1
         for tick in range(max_ticks):
             live_list = live.tolist()
             nlive = live.size
-            edges = edges_all[: nlive + 1]
             if profiling:
                 clock = perf_counter()
 
             # -------------------- scan phase --------------------
             hosts.refill_all_throttles()
-            rows, cols = np.nonzero(
-                (status if nlive == replicas else status[live]) == INFECTED
+            rows, cols = np.divmod(
+                np.flatnonzero(
+                    (status if nlive == replicas else status[live])
+                    == INFECTED
+                ),
+                n,
             )
-            wave_li: list[np.ndarray] = []
-            wave_dst: list[np.ndarray] = []
-            wave_rep: list[np.ndarray] = []
-            arrive_rep: list[np.ndarray] = []
-            arrive_dst: list[np.ndarray] = []
+            # Per-tick chunks: ``(replica, link, destination)`` packets
+            # entering the wave, ``(replica, destination)`` arrivals.
+            wave: list[tuple] = []
+            arrivals: list[tuple] = []
             if rows.size:
                 zeros = zero_counts[:nlive]
                 throttled_n = dark = lan_n = routed_n = zeros
                 if frac > 0.0:
-                    hb = np.searchsorted(rows, edges).tolist()
-                    buf = np.empty(rows.size)
-                    for i, r in enumerate(live_list):
-                        a, b = hb[i], hb[i + 1]
-                        if a != b:
-                            buf[a:b] = gens[r].random(b - a)
+                    _, owners, sizes = _segments(rows, live)
+                    buf = _uniforms(
+                        [gens[r] for r in owners], sizes, rows.size
+                    )
                     counts = whole + (buf < frac).astype(np.int64)
                 else:
                     counts = np.full(rows.size, whole, dtype=np.int64)
@@ -756,53 +898,34 @@ class VectorReplicaSimulation:
                     counts = allowed
                 origins = np.repeat(cols, counts)
                 rep_o = np.repeat(rows, counts)
-                tb = np.searchsorted(rep_o, edges)
                 if hit < 1.0 and origins.size:
-                    ob = tb.tolist()
-                    buf = np.empty(origins.size)
-                    for i, r in enumerate(live_list):
-                        a, b = ob[i], ob[i + 1]
-                        if a != b:
-                            buf[a:b] = gens[r].random(b - a)
+                    scanned, owners, sizes = _segments(rep_o, live)
+                    buf = _uniforms(
+                        [gens[r] for r in owners], sizes, origins.size
+                    )
                     keep = buf < hit
                     origins = origins[keep]
                     rep_o = rep_o[keep]
-                    scanned = np.diff(tb)
-                    tb = np.searchsorted(rep_o, edges)
-                    dark = scanned - np.diff(tb)
+                    dark = scanned - np.bincount(rep_o, minlength=nlive)
                 if origins.size and pool.size >= 2:
-                    bounds = tb.tolist()
-                    targets = np.empty(origins.size, dtype=np.int64)
-                    for i, r in enumerate(live_list):
-                        a, b = bounds[i], bounds[i + 1]
-                        if a == b:
-                            continue
-                        gen = gens[r]
-                        seg_orig = origins[a:b]
-                        if local_pref is not None:
-                            targets[a:b] = pick_targets_local_pref(
-                                gen,
+                    _, owners, sizes = _segments(rep_o, live)
+                    if local_pref is not None:
+                        targets = np.empty(origins.size, dtype=np.int64)
+                        a = 0
+                        for r, k in zip(owners, sizes):
+                            targets[a : a + k] = pick_targets_local_pref(
+                                gens[r],
                                 pool,
                                 subnet_arr,
                                 tables,
                                 local_pref,
-                                seg_orig,
+                                origins[a : a + k],
                             )
-                        else:
-                            cand = pool[
-                                gen.integers(0, pool.size, size=b - a)
-                            ]
-                            while True:
-                                bad = cand == seg_orig
-                                misses = int(bad.sum())
-                                if not misses:
-                                    break
-                                cand[bad] = pool[
-                                    gen.integers(
-                                        0, pool.size, size=misses
-                                    )
-                                ]
-                            targets[a:b] = cand
+                            a += k
+                    else:
+                        targets = _uniform_targets(
+                            [gens[r] for r in owners], sizes, pool, origins
+                        )
                     if lan:
                         osub = subnet_arr[origins]
                         local = (osub != -1) & (
@@ -838,59 +961,57 @@ class VectorReplicaSimulation:
                             l_rep = rep_o[lim]
                             l_li = li[lim]
                             l_dst = targets[lim]
-                            lb = np.searchsorted(l_rep, edges).tolist()
-                            for i, r in enumerate(live_list):
-                                a, b = lb[i], lb[i + 1]
-                                if a == b:
-                                    continue
+                            _, owners, sizes = _segments(l_rep, live)
+                            a = 0
+                            for r, k in zip(owners, sizes):
+                                pairs = (l_li[a : a + k], l_dst[a : a + k])
+                                a += k
                                 if r in exact:
                                     # Queued right before this replica's
                                     # exact sweep, while its queues are
                                     # still in cache.
-                                    held[r] = (l_li[a:b], l_dst[a:b])
+                                    held[r] = pairs
                                 else:
-                                    transports[r]._enqueue_pairs(
-                                        l_li[a:b], l_dst[a:b]
-                                    )
+                                    transports[r]._enqueue_pairs(*pairs)
                             keep = ~lim
                             li = li[keep]
                             targets = targets[keep]
                             rep_o = rep_o[keep]
                             reps_act = reps_act[keep]
                         if li.size:
-                            ub = np.searchsorted(rep_o, edges).tolist()
                             # Drop-tail guard: a replica whose whole
                             # unlimited share could overflow the smallest
                             # queue gets per-link checks; the rest skip
-                            # measuring depths.
-                            guard = [
-                                i
-                                for i, r in enumerate(live_list)
-                                if ub[i] != ub[i + 1]
-                                and transports[r].queued_u
-                                + int(pend_count[r])
-                                + (ub[i + 1] - ub[i])
-                                > min_cap
-                            ]
-                            if guard:
-                                for i in guard:
-                                    a, b = ub[i], ub[i + 1]
+                            # measuring depths.  Real unlimited deques
+                            # hold packets only in dirty replicas (the
+                            # store invariant above).
+                            share = np.bincount(rep_o, minlength=nlive)
+                            over = (share > 0) & (
+                                pend_count[live] + share > min_cap
+                            )
+                            for r in dirty:
+                                i = int(np.searchsorted(live, r))
+                                over[i] |= bool(share[i]) and (
+                                    transports[r].queued_u
+                                    + int(pend_count[r] + share[i])
+                                    > min_cap
+                                )
+                            guard = np.flatnonzero(over)
+                            if guard.size:
+                                ends = np.cumsum(share).tolist()
+                                for i in guard.tolist():
+                                    a, b = ends[i] - int(share[i]), ends[i]
                                     r = live_list[i]
                                     self._inject_guarded(
                                         transports[r],
                                         li[a:b],
                                         targets[a:b],
                                         r,
-                                        wave_li,
-                                        wave_dst,
-                                        wave_rep,
+                                        wave,
                                     )
                                     if transports[r].nonempty_u:
                                         dirty.add(r)
-                                keep = ~np.isin(
-                                    rep_o,
-                                    np.asarray(guard, dtype=np.int64),
-                                )
+                                keep = ~over[rep_o]
                                 li = li[keep]
                                 targets = targets[keep]
                                 reps_act = reps_act[keep]
@@ -902,9 +1023,7 @@ class VectorReplicaSimulation:
                             peak_flat[uk] = np.maximum(
                                 peak_flat[uk], cnt
                             )
-                            wave_li.append(li)
-                            wave_dst.append(targets)
-                            wave_rep.append(reps_act)
+                            wave.append((reps_act, li, targets))
                 if dark is not zeros and quars[0] is not None:
                     for i in np.flatnonzero(dark).tolist():
                         q = quars[live_list[i]]
@@ -942,28 +1061,27 @@ class VectorReplicaSimulation:
                 clock = now
 
             # ------------------- transmit phase -------------------
-            # Budgeted rows refill their own tokens in transmit_tick.
-            vec_rows = live[~budgeted[live]] if exact else live
-            dep_rows = vec_rows[deployed[vec_rows]]
-            nod_rows = vec_rows[~deployed[vec_rows]]
-            if static_idx.size and nod_rows.size:
-                ix = np.ix_(nod_rows, static_idx)
-                tok2[ix] = np.minimum(tok2[ix] + rate_static, burst_static)
-            if dep_idx.size and dep_rows.size:
-                ix = np.ix_(dep_rows, dep_idx)
-                tok2[ix] = np.minimum(tok2[ix] + rate_dep, burst_dep)
-            for r in live_list:
-                t = transports[r]
-                if t.nonempty_l and r not in exact:
+            if any_limited:
+                # Budgeted rows refill their own tokens in transmit_tick.
+                vec_rows = live[~budgeted[live]] if exact else live
+                dep_rows = vec_rows[deployed[vec_rows]]
+                nod_rows = vec_rows[~deployed[vec_rows]]
+                if static_idx.size and nod_rows.size:
+                    ix = np.ix_(nod_rows, static_idx)
+                    tok2[ix] = np.minimum(
+                        tok2[ix] + rate_static, burst_static
+                    )
+                if dep_rows.size:
+                    ix = np.ix_(dep_rows, dep_idx)
+                    tok2[ix] = np.minimum(tok2[ix] + rate_dep, burst_dep)
+                for r in live_list:
+                    t = transports[r]
+                    if not t.nonempty_l or r in exact:
+                        continue
                     trickled: list[int] = []
                     t._trickle_limited(trickled)
                     if trickled:
-                        arrive_rep.append(
-                            np.full(len(trickled), r, dtype=np.int64)
-                        )
-                        arrive_dst.append(
-                            np.asarray(trickled, dtype=np.int64)
-                        )
+                        arrivals.append(_owned(r, trickled))
                     if t.nonempty_u:
                         dirty.add(r)
             for r in sorted(exact):
@@ -972,10 +1090,7 @@ class VectorReplicaSimulation:
                     t._enqueue_pairs(*held.pop(r))
                 arrived = t.transmit_tick()
                 if arrived:
-                    arrive_rep.append(
-                        np.full(len(arrived), r, dtype=np.int64)
-                    )
-                    arrive_dst.append(np.asarray(arrived, dtype=np.int64))
+                    arrivals.append(_owned(r, arrived))
             # Sweep: every queued unlimited packet — the global pending
             # store plus the real deques of dirty replicas — enters the
             # wave in one sorted pass.  The stable sort by
@@ -995,84 +1110,48 @@ class VectorReplicaSimulation:
                         count=len(active),
                     )
                     total = int(cnts.sum())
-                    pend_dst.append(
-                        np.fromiter(
-                            chain.from_iterable(
-                                queues[li] for li in active
+                    pending.append(
+                        (
+                            np.full(total, r, dtype=np.int64),
+                            np.repeat(np.array(active, dtype=np.int64), cnts),
+                            np.fromiter(
+                                chain.from_iterable(
+                                    queues[li] for li in active
+                                ),
+                                dtype=np.int64,
+                                count=total,
                             ),
-                            dtype=np.int64,
-                            count=total,
                         )
                     )
-                    pend_lj.append(
-                        np.repeat(np.array(active, dtype=np.int64), cnts)
-                    )
-                    pend_rep.append(np.full(total, r, dtype=np.int64))
                     for li in active:
                         queues[li].clear()
                     t.nonempty_u.clear()
                     t.queued_total -= total
                     t.queued_u = 0
                 dirty.clear()
-            if pend_rep:
-                sw_rep = (
-                    pend_rep[0]
-                    if len(pend_rep) == 1
-                    else np.concatenate(pend_rep)
-                )
-                sw_lj = (
-                    pend_lj[0]
-                    if len(pend_lj) == 1
-                    else np.concatenate(pend_lj)
-                )
-                sw_dst = (
-                    pend_dst[0]
-                    if len(pend_dst) == 1
-                    else np.concatenate(pend_dst)
-                )
+            if pending:
+                sw_rep, sw_lj, sw_dst = map(_cat, zip(*pending))
                 key = sw_rep * link_count + sw_lj
                 order = np.argsort(key, kind="stable")
-                sw_rep = sw_rep[order]
-                sw_lj = sw_lj[order]
-                sw_dst = sw_dst[order]
                 uk, _starts, cnt = _runs(key[order])
                 fwd_flat[uk] += cnt
                 depth_flat[uk] = 0
                 pend_count[:] = 0
-                pend_rep = []
-                pend_lj = []
-                pend_dst = []
-                wave_rep.append(sw_rep)
-                wave_li.append(sw_lj)
-                wave_dst.append(sw_dst)
-            if wave_dst:
+                pending = []
+                wave.append((sw_rep[order], sw_lj[order], sw_dst[order]))
+            if wave:
                 # Wave cascade: arrivals peel off, packets bound for
                 # limited links queue up, and packets bound for a
                 # *later-indexed* unlimited link keep moving within the
                 # tick — the same per-tick reachability as the
                 # reference's sorted sweep.
-                dsts = (
-                    wave_dst[0]
-                    if len(wave_dst) == 1
-                    else np.concatenate(wave_dst)
-                )
-                src_li = (
-                    wave_li[0]
-                    if len(wave_li) == 1
-                    else np.concatenate(wave_li)
-                )
-                reps = (
-                    wave_rep[0]
-                    if len(wave_rep) == 1
-                    else np.concatenate(wave_rep)
-                )
+                reps, src_li, dsts = map(_cat, zip(*wave))
                 while dsts.size:
                     nodes = link_dst_arr[src_li]
                     at_dest = dsts == nodes
                     if at_dest.any():
                         done_rep = reps[at_dest]
-                        arrive_rep.append(done_rep)
-                        arrive_dst.append(dsts[at_dest])
+                        arrivals.append((done_rep, dsts[at_dest]))
                         delivered_arr += np.bincount(
                             done_rep, minlength=replicas
                         )
@@ -1111,51 +1190,41 @@ class VectorReplicaSimulation:
                             w_dst = w_dst[unl]
                         if w_rep.size:
                             # Unlimited waiters into the pending store:
-                            # one stable sort, vectorized credit, and a
-                            # per-group python pass only when a queue
-                            # would overflow (real deques are empty here
-                            # — see the store invariant above).
+                            # one stable sort, then drop-tail per
+                            # ``(replica, link)`` run — each run keeps
+                            # its first ``space`` packets, the rest
+                            # count on the vector-track drop row (real
+                            # deques are empty here — see the store
+                            # invariant above).
                             key = w_rep * link_count + w_lj
                             order = np.argsort(key, kind="stable")
                             rep_s = w_rep[order]
                             lj_s = w_lj[order]
                             dst_s = w_dst[order]
                             uk, starts, cnts = _runs(key[order])
-                            new_depth = depth_flat[uk] + cnts
-                            over = new_depth > max_q_arr[uk % link_count]
-                            if over.any():
-                                keep = np.ones(rep_s.size, dtype=bool)
-                                starts_l = starts.tolist()
-                                starts_l.append(rep_s.size)
-                                for g in np.flatnonzero(over).tolist():
-                                    k = int(uk[g])
-                                    link = k % link_count
-                                    space = int(max_q_arr[link]) - int(
-                                        depth_flat[k]
-                                    )
-                                    acc = space if space > 0 else 0
-                                    spilled = int(cnts[g]) - acc
-                                    t = transports[k // link_count]
-                                    t.drop_list[link] += spilled
-                                    t.dropped_total += spilled
-                                    keep[
-                                        starts_l[g]
-                                        + acc : starts_l[g + 1]
-                                    ] = False
-                                    cnts[g] = acc
+                            space = max_q_arr[uk % link_count] - depth_flat[uk]
+                            acc = np.minimum(cnts, np.maximum(space, 0))
+                            if (acc < cnts).any():
+                                spilled = cnts - acc
+                                drop_flat[uk] += spilled
+                                np.add.at(
+                                    dropped_arr, uk // link_count, spilled
+                                )
+                                rank = np.arange(rep_s.size) - np.repeat(
+                                    starts, cnts
+                                )
+                                keep = rank < np.repeat(acc, cnts)
                                 rep_s = rep_s[keep]
                                 lj_s = lj_s[keep]
                                 dst_s = dst_s[keep]
-                                new_depth = depth_flat[uk] + cnts
+                            new_depth = depth_flat[uk] + acc
                             depth_flat[uk] = new_depth
-                            enq_flat[uk] += cnts
+                            enq_flat[uk] += acc
                             peak_flat[uk] = np.maximum(
                                 peak_flat[uk], new_depth
                             )
                             if rep_s.size:
-                                pend_rep.append(rep_s)
-                                pend_lj.append(lj_s)
-                                pend_dst.append(dst_s)
+                                pending.append((rep_s, lj_s, dst_s))
                                 pend_count += np.bincount(
                                     rep_s, minlength=replicas
                                 )
@@ -1177,31 +1246,21 @@ class VectorReplicaSimulation:
 
             # -------------------- deliver phase --------------------
             if lan_ready_rep.size:
-                arrive_rep.append(lan_ready_rep)
-                arrive_dst.append(lan_ready_dst)
+                arrivals.append((lan_ready_rep, lan_ready_dst))
             lan_ready_rep, lan_ready_dst = lan_pending
             lan_pending = no_lan
-            if arrive_dst:
-                a_rep = (
-                    arrive_rep[0]
-                    if len(arrive_rep) == 1
-                    else np.concatenate(arrive_rep)
-                )
-                a_dst = (
-                    arrive_dst[0]
-                    if len(arrive_dst) == 1
-                    else np.concatenate(arrive_dst)
-                )
+            if arrivals:
+                a_rep, a_dst = map(_cat, zip(*arrivals))
                 reps_new = hosts.infect_grouped(a_rep, a_dst, tick)
                 if reps_new.size:
                     newc = np.bincount(reps_new, minlength=replicas)
                     sus_arr -= newc
                     inf_arr += newc
-                    for r in np.flatnonzero(newc).tolist():
-                        fresh = int(newc[r])
-                        recorders[r].note_infection(fresh)
-                        if instrs[r] is not None:
-                            instrs[r].count("infections", fresh)
+                    ever_arr += newc
+                    if counting:
+                        for r in np.flatnonzero(newc).tolist():
+                            if instrs[r] is not None:
+                                instrs[r].count("infections", int(newc[r]))
             if profiling:
                 now = perf_counter()
                 _credit_phase(instrs, live_list, _DELIVER, now - clock)
@@ -1220,38 +1279,9 @@ class VectorReplicaSimulation:
                             # sweep), so this replica's pending waiters
                             # must sit in its real deques first (chunk
                             # order is chronological).
-                            queues = t.queues
-                            moved = 0
-                            kept_r: list[np.ndarray] = []
-                            kept_l: list[np.ndarray] = []
-                            kept_d: list[np.ndarray] = []
-                            for pr, pl, pd in zip(
-                                pend_rep, pend_lj, pend_dst
-                            ):
-                                m = pr == r
-                                if m.any():
-                                    for l_, d_ in zip(
-                                        pl[m].tolist(), pd[m].tolist()
-                                    ):
-                                        queue = queues[l_]
-                                        if not queue:
-                                            t.nonempty_u.add(l_)
-                                        queue.append(d_)
-                                        moved += 1
-                                    keep = ~m
-                                    if keep.any():
-                                        kept_r.append(pr[keep])
-                                        kept_l.append(pl[keep])
-                                        kept_d.append(pd[keep])
-                                else:
-                                    kept_r.append(pr)
-                                    kept_l.append(pl)
-                                    kept_d.append(pd)
-                            pend_rep = kept_r
-                            pend_lj = kept_l
-                            pend_dst = kept_d
-                            t.queued_total += moved
-                            t.queued_u += moved
+                            pending = _flush_pending(
+                                transports, np.arange(replicas) == r, pending
+                            )
                             depth2[r] = 0
                             pend_count[r] = 0
                             if not plan_budgets:
@@ -1269,55 +1299,34 @@ class VectorReplicaSimulation:
                             exact.add(r)
                             t.pending_depth = None
             if policy is not None:
-                act: list[int] = []
-                for r in live_list:
-                    state = states[r]
-                    if not state.patching:
-                        if policy.start_tick is not None:
-                            start = tick >= policy.start_tick
-                        else:
-                            start = (
-                                recorders[r].ever_infected / num_infectable
-                                >= policy.start_fraction
-                            )
-                        if not start:
-                            continue
-                        state.patching = True
-                    act.append(r)
-                if act:
-                    act_arr = np.asarray(act, dtype=np.int64)
-                    sub = status[np.ix_(act_arr, pool)]
-                    elig = sub == SUSCEPTIBLE
+                if policy.start_tick is not None:
+                    patching |= tick >= policy.start_tick
+                else:
+                    patching |= (
+                        ever_arr / num_infectable >= policy.start_fraction
+                    )
+                act = live[patching[live]]
+                if act.size:
+                    # Row-major order over ``status[act]`` is (replica,
+                    # pool) order: the pool is sorted, and transit
+                    # columns are UNTRACKED, so never eligible.
+                    block = status if act.size == replicas else status[act]
+                    elig = block == SUSCEPTIBLE
                     if patch_infected:
-                        elig |= sub == INFECTED
-                    err, ecc = np.nonzero(elig)
-                    if err.size:
-                        eb = np.searchsorted(
-                            err, edges_all[: len(act) + 1]
-                        ).tolist()
-                        chosen_rep: list[np.ndarray] = []
-                        chosen_node: list[np.ndarray] = []
-                        for i, r in enumerate(act):
-                            a, b = eb[i], eb[i + 1]
-                            if a == b:
-                                continue
-                            draws = gens[r].random(b - a)
-                            pick = draws < mu
-                            if pick.any():
-                                nodes_sel = pool[ecc[a:b][pick]]
-                                chosen_rep.append(
-                                    np.full(
-                                        nodes_sel.size,
-                                        r,
-                                        dtype=np.int64,
-                                    )
-                                )
-                                chosen_node.append(nodes_sel)
-                        if chosen_rep:
+                        elig |= block == INFECTED
+                    sizes = np.count_nonzero(elig, axis=1)
+                    flat = np.flatnonzero(elig)
+                    if flat.size:
+                        drawing = np.flatnonzero(sizes)
+                        draws = _uniforms(
+                            [gens[r] for r in act[drawing].tolist()],
+                            sizes[drawing].tolist(),
+                            flat.size,
+                        )
+                        pos, nodes_sel = np.divmod(flat[draws < mu], n)
+                        if pos.size:
                             reps_i, was_inf = hosts.immunize_grouped(
-                                np.concatenate(chosen_rep),
-                                np.concatenate(chosen_node),
-                                tick,
+                                act[pos], nodes_sel, tick
                             )
                             tot = np.bincount(
                                 reps_i, minlength=replicas
@@ -1334,13 +1343,9 @@ class VectorReplicaSimulation:
                 clock = now
 
             # -------------------- observe phase --------------------
-            sus_l = sus_arr.tolist()
-            inf_l = inf_arr.tolist()
-            imm_l = imm_arr.tolist()
-            for r in live_list:
-                recorders[r].record_counts(
-                    tick, sus_l[r], inf_l[r], imm_l[r]
-                )
+            # Finished replicas' columns are written too; a harvest only
+            # reads the ticks its replica ran.
+            samples[tick] = tally
             if tracing:
                 lan_queue = np.bincount(
                     lan_ready_rep, minlength=replicas
@@ -1353,19 +1358,19 @@ class VectorReplicaSimulation:
                     instr.emit(
                         tick_record(
                             tick=tick,
-                            susceptible=sus_l[r],
-                            infected=inf_l[r],
-                            immune=imm_l[r],
-                            ever_infected=recorders[r].ever_infected,
+                            susceptible=int(sus_arr[r]),
+                            infected=int(inf_arr[r]),
+                            immune=int(imm_arr[r]),
+                            ever_infected=int(ever_arr[r]),
                             packets_injected=self._base_injected
                             + t.injected
                             + int(injected_arr[r]),
                             packets_delivered=self._base_delivered
                             + t.delivered
                             + int(delivered_arr[r]),
-                            packets_dropped=(
-                                self._base_dropped + t.dropped_total
-                            ),
+                            packets_dropped=self._base_dropped
+                            + t.dropped_total
+                            + int(dropped_arr[r]),
                             in_flight=t.queued_total + int(pend_count[r]),
                             lan_queue=lan_queue[r],
                         )
@@ -1382,38 +1387,13 @@ class VectorReplicaSimulation:
                 over = (inf_arr[live] == 0) | (sus_arr[live] == 0)
                 finished = live[over]
                 live = live[~over]
-            if finished.size and pend_rep:
+            if finished.size and pending:
                 # Residual in-flight packets: a finishing replica's
                 # pending waiters become its real queue contents, which
                 # writeback materializes.
                 fin_look = np.zeros(replicas, dtype=bool)
                 fin_look[finished] = True
-                kept_r = []
-                kept_l = []
-                kept_d = []
-                for pr, pl, pd in zip(pend_rep, pend_lj, pend_dst):
-                    m = fin_look[pr]
-                    if m.any():
-                        for rr, ll, dd in zip(
-                            pr[m].tolist(),
-                            pl[m].tolist(),
-                            pd[m].tolist(),
-                        ):
-                            t = transports[rr]
-                            t.queues[ll].append(dd)
-                            t.queued_total += 1
-                        keep = ~m
-                        if keep.any():
-                            kept_r.append(pr[keep])
-                            kept_l.append(pl[keep])
-                            kept_d.append(pd[keep])
-                    else:
-                        kept_r.append(pr)
-                        kept_l.append(pl)
-                        kept_d.append(pd)
-                pend_rep = kept_r
-                pend_lj = kept_l
-                pend_dst = kept_d
+                pending = _flush_pending(transports, fin_look, pending)
                 depth2[finished] = 0
                 pend_count[finished] = 0
             if finished.size and lan_ready_rep.size:
@@ -1426,7 +1406,9 @@ class VectorReplicaSimulation:
                 t = state.transport
                 t.injected += int(injected_arr[r])
                 t.delivered += int(delivered_arr[r])
+                t.dropped_total += int(dropped_arr[r])
                 state.final_tick = tick
+                state.ticks_executed = tick + 1
                 instr = state.instrumentation
                 if instr is not None and instr.profile:
                     instr.count("ticks", tick + 1)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observability.stats import (
     HISTOGRAM_BUCKETS,
@@ -48,6 +51,37 @@ class TestHistogram:
 
     def test_empty(self):
         assert histogram([]) == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-3, max_value=12),
+                st.integers(min_value=-(10**6), max_value=10**6),
+                st.sampled_from([0, 1, 9, 10, 99, 100, 999, 1_000, 10_000]),
+            ),
+            max_size=60,
+        ),
+        st.booleans(),
+    )
+    def test_matches_sequential_bucket_label_scan(self, values, as_array):
+        """Same keys, key order, counts and error as a scalar scan."""
+        expected: dict[str, int] = {}
+        error = None
+        try:
+            for value in values:
+                label = bucket_label(value)
+                expected[label] = expected.get(label, 0) + 1
+        except ValueError as exc:
+            error = str(exc)
+        data = np.asarray(values, dtype=np.int64) if as_array else values
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                histogram(data)
+            assert str(raised.value) == error
+        else:
+            got = histogram(data)
+            assert list(got.items()) == list(expected.items())
 
 
 class TestMerges:

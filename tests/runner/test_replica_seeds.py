@@ -16,18 +16,23 @@ The replica-batched engine hands every replica its own
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runner.executors import _replica_group_key
+from repro.runner import executors as executors_module
+from repro.runner.build import execute_replica_batch
+from repro.runner.executors import Executor
 from repro.runner.spec import (
     EnsembleSpec,
     RunSpec,
     SpecError,
     TopologySpec,
+    WormSpec,
     derive_seed,
 )
 
@@ -95,13 +100,58 @@ def test_group_key_is_order_and_seed_independent(permutation):
     """
     runs = _expanded(len(permutation))
     shuffled = [runs[index] for index in permutation]
-    keys = {_replica_group_key(spec) for spec in shuffled}
+    keys = {spec.scenario_key() for spec in shuffled}
     assert len(keys) == 1
     assert sorted(spec.seed for spec in shuffled) == [
         spec.seed for spec in runs
     ]
     # A spec differing in anything but the seed keys differently.
-    import dataclasses
-
     other = dataclasses.replace(runs[0], scan_rate=runs[0].scan_rate + 0.1)
-    assert _replica_group_key(other) not in keys
+    assert other.scenario_key() not in keys
+
+
+@pytest.mark.parametrize(
+    "field, a, b",
+    [
+        ("scan_rate", 1, 1.0),
+        ("worm", WormSpec(exploration=0.0), WormSpec(exploration=-0.0)),
+    ],
+    ids=["int-vs-float", "zero-vs-negative-zero"],
+)
+def test_group_key_never_merges_different_canonical_json(
+    field, a, b, monkeypatch
+):
+    """Specs equal under ``==`` but not in canonical JSON never group.
+
+    ``1 == 1.0`` and ``0.0 == -0.0``, so the frozen specs compare and
+    hash equal; their cache digests differ, so they must stay in
+    separate groups, and one replica batch must refuse the pair.
+    """
+    first, second = (
+        dataclasses.replace(_expanded(2)[index], **{field: value})
+        for index, value in enumerate((a, b))
+    )
+    assert dataclasses.replace(first, seed=0) == dataclasses.replace(
+        second, seed=0
+    )
+    assert json.dumps(dict(first.to_dict(), seed=None)) != json.dumps(
+        dict(second.to_dict(), seed=None)
+    )
+    assert first.scenario_key() != second.scenario_key()
+    with pytest.raises(ValueError, match="differ only by seed"):
+        execute_replica_batch([first, second])
+
+    batches = []
+    monkeypatch.setattr(
+        executors_module,
+        "execute_replica_batch",
+        lambda specs, options=None: batches.append(list(specs)) or [],
+    )
+    monkeypatch.setattr(
+        executors_module, "execute_run", lambda spec, options=None: spec
+    )
+    third = dataclasses.replace(_expanded(3)[2], **{field: a})
+    with Executor(jobs=1) as executor:
+        executor.run_specs([first, second, third])
+    # ``first`` and ``third`` share a key; ``second`` runs alone.
+    assert batches == [[first, third]]

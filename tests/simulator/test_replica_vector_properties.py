@@ -67,8 +67,8 @@ def _harvest_tuple(network: Network, sim: ReplicaState) -> tuple:
     try:
         trajectory = tuple(
             zip(
-                sim.recorder.trajectory().ticks,
-                sim.recorder.trajectory().infected,
+                sim.trajectory().ticks,
+                sim.trajectory().infected,
             )
         )
     except Exception:

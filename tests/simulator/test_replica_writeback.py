@@ -107,7 +107,7 @@ def _replica_batch_stamps(make_network, seeds=SEEDS) -> dict:
         # The one-sample trajectory is unbuildable; the stamps must be
         # on the network anyway.
         with pytest.raises(ModelError):
-            sim.recorder.trajectory()
+            sim.trajectory()
         assert replica not in harvested
         harvested[replica] = _stamps(network)
 

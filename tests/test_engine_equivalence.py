@@ -126,9 +126,7 @@ def _run_width1(network, worm, max_ticks, *, seed, instrumentation=None,
     trajectories = []
     batch.run(
         max_ticks,
-        lambda _replica, state: trajectories.append(
-            state.recorder.trajectory()
-        ),
+        lambda _replica, state: trajectories.append(state.trajectory()),
     )
     return trajectories[0]
 
@@ -559,6 +557,21 @@ REPLICA_SCENARIOS = {
         "worm": lambda: RandomScanWorm(hit_probability=0.5),
         "immunization": ImmunizationPolicy.at_fraction(0.2, 0.05),
     },
+    # Susceptible-only patching: infected hosts draw no uniforms.
+    "random-immunization-susceptible-only": {
+        "worm": lambda: RandomScanWorm(hit_probability=0.5),
+        "immunization": ImmunizationPolicy(
+            mu=0.05, start_tick=3, patch_infected=False
+        ),
+    },
+    # Three-packet queues: the inject guard, drop-tail in the pending
+    # store and on rate-cut links all discard packets.
+    "random-backbone-tiny-queues": {
+        "worm": lambda: RandomScanWorm(hit_probability=0.5),
+        "defense": lambda n: deploy_backbone_rate_limit(n, 2.0),
+        "scan_rate": 3.0,
+        "max_queue": 3,
+    },
     "random-quarantine": {
         "worm": lambda: RandomScanWorm(hit_probability=0.4),
         "quarantine": lambda: DynamicQuarantine(
@@ -670,6 +683,16 @@ def _trajectory_tuple(trajectory) -> tuple:
 
 def _replica_network(scenario) -> Network:
     network = _build_network(scenario.get("kind", "powerlaw"))
+    if "max_queue" in scenario:
+        # The same graph and routes with every link queue capped.
+        network = Network(
+            network.topology,
+            network.roles,
+            network.subnets,
+            infectable=network.infectable,
+            max_queue=scenario["max_queue"],
+            routing=network.routing,
+        )
     defense = scenario.get("defense")
     if defense is not None:
         defense(network)
@@ -726,7 +749,7 @@ def _vector_batch(scenario, seeds, instrumentation=None):
 
     def harvest(replica, sim):
         harvested[replica] = (
-            _trajectory_tuple(sim.recorder.trajectory()),
+            _trajectory_tuple(sim.trajectory()),
             _result_state(network),
             _deployed_at(sim.quarantine),
         )

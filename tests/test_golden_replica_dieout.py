@@ -57,7 +57,7 @@ def test_dieout_probability_within_binomial_welch_band():
     ever: dict[int, int] = {}
 
     def harvest(replica, sim):
-        ever[replica] = sim.recorder.ever_infected
+        ever[replica] = sim.ever_infected
 
     batch.run(scenario["max_ticks"], harvest)
     assert len(ever) == replicas
