@@ -562,7 +562,10 @@ class VectorReplicaSimulation:
         # writeback, apply_limit_plan) address one memory.
         link_count = len(self.layout.keys)
         self._link_counts = np.zeros((4, replicas, link_count), dtype=np.int64)
-        self._tokens = np.tile(self.layout.l_tokens0, (replicas, 1))
+        # Only rate-limited links hold tokens; the rest stay zero pages.
+        limited = self.layout.limited_idx
+        self._tokens = np.zeros((replicas, link_count))
+        self._tokens[:, limited] = self.layout.l_tokens0[limited]
         self.states: list[ReplicaState] = []
         for replica, gen in enumerate(gens):
             t = FastTransport(network, layout=self.layout)
