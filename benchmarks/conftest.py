@@ -21,11 +21,16 @@ harness honors its environment knobs:
   processes (bit-identical curves, less wall clock);
 * ``REPRO_CACHE=1`` — reuse cached run results across invocations;
 * ``REPRO_CACHE_DIR=...`` — where those results live.
+
+Every row :func:`print_rows` prints is also written, by table title, to
+``benchmarks/paper_shapes.json`` when the session ends.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +38,11 @@ import pytest
 from repro.core.scenarios import shared_trace
 from repro.models.base import Trajectory
 from repro.runner import configure, current_config
+
+#: Where a session leaves the rows :func:`print_rows` printed, by table
+#: title (git-ignored; CI's paper-shapes job uploads it).
+SHAPES_PATH = Path(__file__).parent / "paper_shapes.json"
+_PRINTED_ROWS: dict[str, list[list[object]]] = {}
 
 
 def pytest_collection_modifyitems(items):
@@ -95,5 +105,21 @@ def print_series(
 def print_rows(title: str, rows: list[tuple[str, object]]) -> None:
     """Print labeled scalar results (the in-text statistics)."""
     print(f"\n=== {title} ===")
+    recorded = _PRINTED_ROWS.setdefault(title, [])
     for label, value in rows:
         print(f"{label:<52} {value}")
+        recorded.append([label, value])
+
+
+def _plain(value: object) -> object:
+    """JSON stand-in for a printed value json cannot encode itself."""
+    return value.item() if isinstance(value, np.generic) else str(value)
+
+
+def pytest_sessionfinish(session):
+    """Write every row :func:`print_rows` printed to :data:`SHAPES_PATH`."""
+    if _PRINTED_ROWS:
+        SHAPES_PATH.write_text(
+            json.dumps(_PRINTED_ROWS, default=_plain, indent=1) + "\n",
+            encoding="utf-8",
+        )

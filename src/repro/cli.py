@@ -49,6 +49,7 @@ from .runner import ENGINE_KINDS
 from .runner import configure as configure_runner
 from .runner import current_config, use_config
 from .runner.cache import ResultCache, default_cache_dir
+from .streaming.detectors import DETECTORS
 from .traces.analysis import recommend_rate_limits
 from .traces.classify import census, classify_hosts
 from .traces.records import HostClass
@@ -276,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--detector", dest="detectors", action="append",
-        choices=["contact-rate", "failure-ratio", "williamson",
-                 "dns-throttle"],
+        choices=list(DETECTORS),
         default=None,
         help="repeatable; default: failure-ratio",
     )
@@ -557,7 +557,7 @@ def _cmd_trace(args: argparse.Namespace, out=sys.stdout) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace, out=sys.stdout) -> int:
-    # Imported lazily: the streaming subsystem is only needed here.
+    # Imported lazily: only this command reads flow streams.
     import json
     import time as _time
     from contextlib import ExitStack
@@ -565,40 +565,31 @@ def _cmd_stream(args: argparse.Namespace, out=sys.stdout) -> int:
     from .chaos.controller import corrupt
     from .chaos.controller import current as chaos_current
     from .observability.stats import merge_counts, merge_seconds
-    from .streaming import (
-        DetectionEngine,
-        JsonlFlowStream,
-        SyntheticFlowStream,
-        make_detector,
-    )
-    from .streaming.estimators import CountMinSketch, VirtualHyperLogLog
-    from .traces.records import TraceError
+    from .service.streams import StreamProtocolError, build_stream_engine
+    from .streaming import JsonlFlowStream, SyntheticFlowStream
 
     hub = observability_hub()
     hub.configure(profile=args.profile)
 
-    def build_detectors(internal):
-        kinds = list(dict.fromkeys(args.detectors or ["failure-ratio"]))
-        detectors = []
-        for kind in kinds:
-            kwargs: dict = {}
-            if kind == "contact-rate":
-                kwargs.update(window=args.window, threshold=args.threshold)
-                if args.compact is not None:
-                    kwargs["estimator"] = VirtualHyperLogLog(args.compact)
-            elif kind == "failure-ratio":
-                kwargs.update(
-                    timeout=args.timeout,
-                    min_failures=args.min_failures,
-                    ratio_threshold=args.ratio_threshold,
-                )
-                if args.compact is not None:
-                    kwargs["failures"] = CountMinSketch(args.compact)
-                    kwargs["attempts"] = CountMinSketch(args.compact)
-            else:
-                kwargs["detect_delay"] = args.detect_delay
-            detectors.append(make_detector(kind, internal=internal, **kwargs))
-        return detectors
+    # The same open-request body a /v1/stream session would send.
+    throttle = {"detect_delay": args.detect_delay}
+    params = {
+        "contact-rate": {"window": args.window, "threshold": args.threshold},
+        "failure-ratio": {
+            "timeout": args.timeout,
+            "min_failures": args.min_failures,
+            "ratio_threshold": args.ratio_threshold,
+        },
+        "williamson": throttle,
+        "dns-throttle": throttle,
+    }
+    open_body = {
+        "detectors": [
+            {"kind": kind, "params": params[kind]}
+            for kind in dict.fromkeys(args.detectors or ["failure-ratio"])
+        ],
+        "compact_capacity": args.compact,
+    }
 
     def emit(events) -> None:
         if args.quiet:
@@ -635,9 +626,11 @@ def _cmd_stream(args: argparse.Namespace, out=sys.stdout) -> int:
             stream = JsonlFlowStream(lines, corrupt=hook)
             capacity = args.compact
         try:
-            engine = DetectionEngine(build_detectors(stream.is_internal))
-        except TraceError as exc:
-            print(f"error: {exc}", file=out)
+            engine = build_stream_engine(
+                open_body, internal=stream.is_internal
+            )
+        except StreamProtocolError as exc:
+            print(f"error: {exc.__cause__ or exc}", file=out)
             return 2
         source_s = detect_s = 0.0
         started = _time.perf_counter()

@@ -35,16 +35,15 @@ from ..simulator.immunization import ImmunizationPolicy
 from ..traces.analysis import (
     RateLimitTable,
     empirical_cdf,
-    peak_scan_rate,
     recommend_rate_limits,
     window_size_study,
 )
 from ..traces.classify import census, classify_hosts
 from ..traces.records import HostClass, Trace
 from ..traces.synth import TraceConfig, generate_trace
-from ..traces.windows import Refinement, count_contacts
+from ..traces.windows import Refinement, count_contacts, per_host_counts
 from ..throttle.dns_throttle import DnsThrottle
-from ..throttle.replay import ReplayResult, replay_class, worm_slowdown
+from ..throttle.replay import ReplayResult, replay_hosts, worm_slowdown
 from ..throttle.williamson import WilliamsonThrottle
 from .policy import DeploymentStrategy
 from .quarantine import QuarantineStudy
@@ -616,15 +615,17 @@ def sec7_window_size_study(trace: Trace | None = None) -> dict[float, int]:
 def sec7_worm_peak_rates(trace: Trace | None = None) -> dict[str, int]:
     """Peak distinct-hosts-per-minute for Blaster and Welchia hosts."""
     trace = trace or shared_trace()
-    blaster = max(
-        peak_scan_rate(trace, host)
-        for host in trace.hosts_of_class(HostClass.WORM_BLASTER)
+    classes = {
+        "blaster": trace.hosts_of_class(HostClass.WORM_BLASTER),
+        "welchia": trace.hosts_of_class(HostClass.WORM_WELCHIA),
+    }
+    counts = per_host_counts(
+        trace, classes["blaster"] + classes["welchia"], window=60.0
     )
-    welchia = max(
-        peak_scan_rate(trace, host)
-        for host in trace.hosts_of_class(HostClass.WORM_WELCHIA)
-    )
-    return {"blaster": blaster, "welchia": welchia}
+    return {
+        label: max(counts[host].max() for host in hosts)
+        for label, hosts in classes.items()
+    }
 
 
 def sec7_throttle_replay(
@@ -632,25 +633,32 @@ def sec7_throttle_replay(
     *,
     normal_hosts: int = 40,
 ) -> dict[str, dict[str, ReplayResult | float]]:
-    """Replay the trace through both throttles; summarize the tradeoff."""
+    """Replay the trace through both throttles; summarize the tradeoff.
+
+    One pass over the trace per throttle replays the first
+    ``normal_hosts`` normal hosts and every worm host together.
+    """
     trace = trace or shared_trace()
+    normal = trace.hosts_of_class(HostClass.NORMAL)[:normal_hosts]
+    blaster = trace.hosts_of_class(HostClass.WORM_BLASTER)
+    welchia = trace.hosts_of_class(HostClass.WORM_WELCHIA)
     out: dict[str, dict[str, ReplayResult | float]] = {}
     for factory in (WilliamsonThrottle, DnsThrottle):
         name = factory().name
-        normal = replay_class(
-            trace, HostClass.NORMAL, factory, limit_hosts=normal_hosts
+        results = replay_hosts(
+            trace, {host: factory() for host in normal + blaster + welchia}
         )
-        with_contacts = [r for r in normal if r.contacts]
+        with_contacts = [
+            results[host] for host in normal if results[host].contacts
+        ]
         mean_delay = (
             float(np.mean([r.mean_delay for r in with_contacts]))
             if with_contacts
             else 0.0
         )
-        blaster = replay_class(trace, HostClass.WORM_BLASTER, factory)
-        welchia = replay_class(trace, HostClass.WORM_WELCHIA, factory)
         out[name] = {
             "normal_mean_delay": mean_delay,
-            "blaster_slowdown": worm_slowdown(blaster),
-            "welchia_slowdown": worm_slowdown(welchia),
+            "blaster_slowdown": worm_slowdown([results[h] for h in blaster]),
+            "welchia_slowdown": worm_slowdown([results[h] for h in welchia]),
         }
     return out

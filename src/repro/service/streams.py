@@ -25,7 +25,12 @@ import time
 import uuid
 from typing import Callable
 
-from ..streaming.detectors import DetectionEngine, Detector, make_detector
+from ..streaming.detectors import (
+    DETECTORS,
+    DetectionEngine,
+    Detector,
+    make_detector,
+)
 from ..streaming.estimators import CountMinSketch, VirtualHyperLogLog
 from ..streaming.stream import private_internal, record_from_json
 from ..traces.records import TraceError
@@ -40,12 +45,7 @@ __all__ = [
 ]
 
 #: Detector short names ``/v1/stream`` accepts (make_detector's kinds).
-DETECTOR_KINDS = (
-    "contact-rate",
-    "failure-ratio",
-    "williamson",
-    "dns-throttle",
-)
+DETECTOR_KINDS = tuple(DETECTORS)
 
 
 class StreamProtocolError(Exception):

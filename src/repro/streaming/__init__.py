@@ -17,6 +17,7 @@ from .detectors import (
     Detector,
     FailureRatioDetector,
     QuarantineAction,
+    DETECTORS,
     ThrottleDetector,
     Verdict,
     make_detector,
@@ -27,7 +28,7 @@ from .estimators import (
     ExactDistinct,
     VirtualHyperLogLog,
 )
-from .eval import evaluate_detectors, evaluate_synthetic, throughput_run
+from .eval import evaluate_detectors, throughput_run
 from .stream import (
     FlowStream,
     JsonlFlowStream,
@@ -44,6 +45,7 @@ __all__ = [
     "Detector",
     "FailureRatioDetector",
     "QuarantineAction",
+    "DETECTORS",
     "ThrottleDetector",
     "Verdict",
     "make_detector",
@@ -52,7 +54,6 @@ __all__ = [
     "ExactDistinct",
     "VirtualHyperLogLog",
     "evaluate_detectors",
-    "evaluate_synthetic",
     "throughput_run",
     "FlowStream",
     "JsonlFlowStream",

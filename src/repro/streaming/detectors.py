@@ -42,8 +42,9 @@ from typing import Callable, Iterable
 
 from ..throttle.base import Throttle
 from ..throttle.dns_throttle import DnsThrottle
+from ..throttle.replay import HostThrottles
 from ..throttle.williamson import WilliamsonThrottle
-from ..traces.dns import DEFAULT_DNS_TTL, DnsCache
+from ..traces.dns import DEFAULT_DNS_TTL, ContactClassifier
 from ..traces.records import (
     DEFAULT_FAILURE_TIMEOUT,
     FlowRecord,
@@ -60,6 +61,7 @@ __all__ = [
     "FailureRatioDetector",
     "ThrottleDetector",
     "DetectionEngine",
+    "DETECTORS",
     "make_detector",
 ]
 
@@ -197,6 +199,7 @@ class ContactRateDetector(Detector):
         self.window = window
         self.threshold = threshold
         self.estimator = estimator if estimator is not None else ExactDistinct()
+        self._contacts = ContactClassifier(internal)
         self._current_window = 0
         self._active_hosts: set[int] = set()
         #: per-host per-window counts kept only in exact mode (parity).
@@ -232,11 +235,7 @@ class ContactRateDetector(Detector):
                 self._flush_window((self._current_window + 1) * self.window)
             )
             self._current_window = index
-        if (
-            record.initiates_contact
-            and self._internal(record.src)
-            and not self._internal(record.dst)
-        ):
+        if self._contacts.outbound(record):
             self._active_hosts.add(record.src)
             self.estimator.add(record.src, record.dst)
         return events
@@ -384,11 +383,10 @@ class ThrottleDetector(Detector):
     initiated contacts are offered in time order.  A host whose contact
     is delayed by at least ``detect_delay`` seconds is flagged — the
     standard "a growing delay queue *is* the detection" reading of
-    Williamson's throttle.  DNS answers feed a shared
-    :class:`~repro.traces.dns.DnsCache` so the DNS throttle sees the
-    same translation state as the batch analysis; inbound initiations
-    are forwarded to ``note_inbound`` when the policy tracks
-    prior contacts.
+    Williamson's throttle.  Records step through
+    :class:`~repro.throttle.replay.HostThrottles`, the batch replay's
+    own per-record step, so the DNS throttle sees the same contact
+    classification and translation state as the batch analysis.
     """
 
     name = "throttle"
@@ -407,7 +405,9 @@ class ThrottleDetector(Detector):
         self.factory = factory
         self.detect_delay = detect_delay
         self._throttles: dict[int, Throttle] = {}
-        self._dns = DnsCache(ttl=dns_ttl)
+        self._hosts = HostThrottles(
+            internal, self._throttle_for, dns_ttl=dns_ttl
+        )
         probe = factory()
         self.name = f"throttle_{probe.name}"
 
@@ -418,33 +418,13 @@ class ThrottleDetector(Detector):
         return throttle
 
     def _observe(self, record: FlowRecord) -> list[Event]:
-        self._dns.observe(record)
-        src_internal = self._internal(record.src)
-        dst_internal = self._internal(record.dst)
-        if (
-            not src_internal and dst_internal and record.initiates_contact
-        ):
-            throttle = self._throttle_for(record.dst)
-            note = getattr(throttle, "note_inbound", None)
-            if note is not None:
-                note(record.src)
+        decision = self._hosts.offer(record)
+        if decision is None:
             return []
-        if not (
-            src_internal and not dst_internal and record.initiates_contact
-        ):
-            return []
-        host = record.src
-        throttle = self._throttle_for(host)
-        decision = throttle.offer(
-            record.time, record.dst,
-            dns_valid=self._dns.has_valid_translation(
-                host, record.dst, record.time
-            ),
-        )
         delay = decision.delay(record.time)
         if delay >= self.detect_delay:
             return self._quarantine(
-                record.time, host,
+                record.time, record.src,
                 f"delay>={self.detect_delay:g}s", delay,
             )
         return []
@@ -455,31 +435,38 @@ class ThrottleDetector(Detector):
         return throttle.stats if throttle is not None else None
 
 
+def _throttle_kind(policy: Callable[..., Throttle]):
+    """A :class:`ThrottleDetector` builder over one throttle policy."""
+
+    def build(
+        *, internal: Callable[[int], bool], detect_delay: float = 30.0,
+        **kwargs,
+    ) -> ThrottleDetector:
+        return ThrottleDetector(
+            internal=internal, factory=lambda: policy(**kwargs),
+            detect_delay=detect_delay,
+        )
+
+    return build
+
+
+#: Detector builders by short name (CLI and ``/v1/stream`` plumbing).
+DETECTORS: dict[str, Callable[..., Detector]] = {
+    "contact-rate": ContactRateDetector,
+    "failure-ratio": FailureRatioDetector,
+    "williamson": _throttle_kind(WilliamsonThrottle),
+    "dns-throttle": _throttle_kind(DnsThrottle),
+}
+
+
 def make_detector(
     kind: str, *, internal: Callable[[int], bool], **kwargs
 ) -> Detector:
-    """Build a detector by short name (CLI / service plumbing).
-
-    ``kind`` is one of ``contact-rate``, ``failure-ratio``,
-    ``williamson``, ``dns-throttle``.
-    """
-    if kind == "contact-rate":
-        return ContactRateDetector(internal=internal, **kwargs)
-    if kind == "failure-ratio":
-        return FailureRatioDetector(internal=internal, **kwargs)
-    if kind == "williamson":
-        detect_delay = kwargs.pop("detect_delay", 30.0)
-        return ThrottleDetector(
-            internal=internal, factory=lambda: WilliamsonThrottle(**kwargs),
-            detect_delay=detect_delay,
-        )
-    if kind == "dns-throttle":
-        detect_delay = kwargs.pop("detect_delay", 30.0)
-        return ThrottleDetector(
-            internal=internal, factory=lambda: DnsThrottle(**kwargs),
-            detect_delay=detect_delay,
-        )
-    raise TraceError(f"unknown detector kind: {kind!r}")
+    """Build a detector by short name: one of :data:`DETECTORS`."""
+    build = DETECTORS.get(kind)
+    if build is None:
+        raise TraceError(f"unknown detector kind: {kind!r}")
+    return build(internal=internal, **kwargs)
 
 
 class DetectionEngine:

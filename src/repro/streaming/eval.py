@@ -26,11 +26,11 @@ from statistics import mean, median
 from typing import Callable
 
 from ..traces.records import HostClass, Trace
-from ..traces.synth import TraceConfig, generate_trace
+from ..traces.synth import TraceConfig
 from .detectors import DetectionEngine, Detector, QuarantineAction
 from .stream import SyntheticFlowStream, TraceReplayStream
 
-__all__ = ["evaluate_detectors", "evaluate_synthetic", "throughput_run"]
+__all__ = ["evaluate_detectors", "throughput_run"]
 
 _BENIGN = (HostClass.NORMAL, HostClass.SERVER, HostClass.P2P)
 _WORM = (HostClass.WORM_BLASTER, HostClass.WORM_WELCHIA)
@@ -156,11 +156,3 @@ def throughput_run(
             round(bytes_per_host, 3) if bytes_per_host is not None else None
         ),
     }
-
-
-def evaluate_synthetic(
-    config: TraceConfig,
-    detector_factories: dict[str, Callable[[Callable[[int], bool]], Detector]],
-) -> dict:
-    """Generate the labeled trace for ``config`` and evaluate on it."""
-    return evaluate_detectors(generate_trace(config), detector_factories)

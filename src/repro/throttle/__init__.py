@@ -1,10 +1,16 @@
 """Working host-level rate limiters (Williamson IP throttle, Ganger DNS
-throttle, the hybrid dual-window proposal) and trace replay tooling."""
+throttle) and trace replay tooling."""
 
 from .base import Action, Decision, Throttle, ThrottleStats
 from .dns_throttle import DnsThrottle
-from .hybrid import HybridThrottle
-from .replay import ReplayResult, replay_class, replay_host, worm_slowdown
+from .replay import (
+    HostThrottles,
+    ReplayResult,
+    replay_class,
+    replay_host,
+    replay_hosts,
+    worm_slowdown,
+)
 from .williamson import WilliamsonThrottle
 
 __all__ = [
@@ -13,10 +19,11 @@ __all__ = [
     "Throttle",
     "ThrottleStats",
     "DnsThrottle",
-    "HybridThrottle",
+    "HostThrottles",
     "ReplayResult",
     "replay_class",
     "replay_host",
+    "replay_hosts",
     "worm_slowdown",
     "WilliamsonThrottle",
 ]

@@ -4,7 +4,9 @@ This closes the loop of Section 7: take the synthetic campus trace, run
 each host's outbound contacts through a candidate throttle, and compare
 the damage — legitimate hosts should see (almost) no delay, worm hosts
 should see their effective contact rate collapse to the throttle's service
-rate.
+rate.  Every replayed host shares one time-ordered pass over the trace;
+:class:`HostThrottles` is the per-record step, shared with the online
+``ThrottleDetector``.
 """
 
 from __future__ import annotations
@@ -12,12 +14,18 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ..traces.dns import DnsCache
-from ..traces.records import HostClass, Trace
-from .base import Action, Throttle
-from .dns_throttle import DnsThrottle
+from ..traces.dns import DEFAULT_DNS_TTL, ContactClassifier
+from ..traces.records import FlowRecord, HostClass, Trace
+from .base import Decision, Throttle
 
-__all__ = ["ReplayResult", "replay_host", "replay_class", "worm_slowdown"]
+__all__ = [
+    "HostThrottles",
+    "ReplayResult",
+    "replay_hosts",
+    "replay_host",
+    "replay_class",
+    "worm_slowdown",
+]
 
 ThrottleFactory = Callable[[], Throttle]
 
@@ -60,73 +68,108 @@ class ReplayResult:
         return self.natural_rate / self.effective_rate
 
 
+class HostThrottles:
+    """Per-host throttles fed one time-ordered stream, record by record.
+
+    ``throttle_for(host)`` returns the host's throttle, or ``None`` for
+    hosts that are not throttled.  Outbound contacts are offered with
+    the classifier's DNS state; inbound initiations reach
+    ``note_inbound`` when the target's throttle tracks prior contacts.
+    """
+
+    def __init__(
+        self,
+        internal: Callable[[int], bool],
+        throttle_for: Callable[[int], Throttle | None],
+        *,
+        dns_ttl: float = DEFAULT_DNS_TTL,
+    ) -> None:
+        self.contacts = ContactClassifier(internal, dns_ttl=dns_ttl)
+        self.throttle_for = throttle_for
+
+    def offer(self, record: FlowRecord) -> Decision | None:
+        """Step one record; the decision if it was offered to a throttle."""
+        contacts = self.contacts
+        if contacts.observe(record):
+            note = getattr(self.throttle_for(record.dst), "note_inbound", None)
+            if note is not None:
+                note(record.src)
+            return None
+        if not contacts.outbound(record):
+            return None
+        throttle = self.throttle_for(record.src)
+        if throttle is None:
+            return None
+        return throttle.offer(
+            record.time, record.dst,
+            dns_valid=contacts.dns.has_valid_translation(
+                record.src, record.dst, record.time
+            ),
+        )
+
+
+def replay_hosts(
+    trace: Trace, throttles: dict[int, Throttle]
+) -> dict[int, ReplayResult]:
+    """Run each host's outbound initiated contacts through its throttle.
+
+    One time-ordered pass over ``trace`` for every host in ``throttles``
+    (fresh instances: the results read their stats).
+    """
+    hosts = HostThrottles(trace.is_internal, throttles.get)
+    first_time: dict[int, float] = {}
+    last_release = dict.fromkeys(throttles, 0.0)
+    max_delay = dict.fromkeys(throttles, 0.0)
+    for record in trace:
+        decision = hosts.offer(record)
+        if decision is None:
+            continue
+        # A release is never before its offer (see Decision).
+        host, release = record.src, decision.release_time
+        if host not in first_time:
+            first_time[host] = record.time
+        if release > last_release[host]:
+            last_release[host] = release
+        if release - record.time > max_delay[host]:
+            max_delay[host] = release - record.time
+
+    natural_span = max(trace.duration, 1e-9)
+    results: dict[int, ReplayResult] = {}
+    for host, throttle in throttles.items():
+        stats = throttle.stats
+        if host not in first_time:
+            results[host] = ReplayResult(
+                scheme=throttle.name,
+                contacts=0,
+                delayed_fraction=0.0,
+                mean_delay=0.0,
+                max_delay=0.0,
+                natural_rate=0.0,
+                effective_rate=0.0,
+            )
+            continue
+        effective_span = max(
+            last_release[host] - first_time[host], natural_span, 1e-9
+        )
+        results[host] = ReplayResult(
+            scheme=throttle.name,
+            contacts=stats.offered,
+            delayed_fraction=stats.delay_fraction,
+            mean_delay=stats.mean_delay,
+            max_delay=max_delay[host],
+            natural_rate=stats.offered / natural_span,
+            effective_rate=stats.offered / effective_span,
+        )
+    return results
+
+
 def replay_host(
     trace: Trace,
     host: int,
     throttle: Throttle,
 ) -> ReplayResult:
-    """Run ``host``'s outbound initiated contacts through ``throttle``.
-
-    DNS answers observed for the host feed ``dns_valid``; inbound
-    initiations are reported to DNS-style throttles so replies stay
-    exempt.
-    """
-    dns = DnsCache()
-    offered = 0
-    max_delay = 0.0
-    total_delay = 0.0
-    delayed = 0
-    first_time: float | None = None
-    last_release = 0.0
-    for record in trace:
-        dns.observe(record)
-        if (
-            record.dst == host
-            and not trace.is_internal(record.src)
-            and record.initiates_contact
-            and isinstance(throttle, DnsThrottle)
-        ):
-            throttle.note_inbound(record.src)
-        if record.src != host or trace.is_internal(record.dst):
-            continue
-        if not record.initiates_contact:
-            continue
-        decision = throttle.offer(
-            record.time,
-            record.dst,
-            dns_valid=dns.has_valid_translation(host, record.dst, record.time),
-        )
-        offered += 1
-        if first_time is None:
-            first_time = record.time
-        last_release = max(last_release, decision.release_time, record.time)
-        if decision.action is Action.DELAY:
-            delayed += 1
-            d = decision.delay(record.time)
-            total_delay += d
-            max_delay = max(max_delay, d)
-
-    if offered == 0 or first_time is None:
-        return ReplayResult(
-            scheme=throttle.name,
-            contacts=0,
-            delayed_fraction=0.0,
-            mean_delay=0.0,
-            max_delay=0.0,
-            natural_rate=0.0,
-            effective_rate=0.0,
-        )
-    natural_span = max(trace.duration, 1e-9)
-    effective_span = max(last_release - first_time, natural_span, 1e-9)
-    return ReplayResult(
-        scheme=throttle.name,
-        contacts=offered,
-        delayed_fraction=delayed / offered,
-        mean_delay=total_delay / offered,
-        max_delay=max_delay,
-        natural_rate=offered / natural_span,
-        effective_rate=offered / effective_span,
-    )
+    """Run ``host``'s outbound initiated contacts through ``throttle``."""
+    return replay_hosts(trace, {host: throttle})[host]
 
 
 def replay_class(
@@ -137,10 +180,9 @@ def replay_class(
     limit_hosts: int | None = None,
 ) -> list[ReplayResult]:
     """Replay every host of a class through a fresh throttle instance."""
-    hosts = trace.hosts_of_class(host_class)
-    if limit_hosts is not None:
-        hosts = hosts[:limit_hosts]
-    return [replay_host(trace, host, throttle_factory()) for host in hosts]
+    hosts = trace.hosts_of_class(host_class)[:limit_hosts]
+    results = replay_hosts(trace, {host: throttle_factory() for host in hosts})
+    return [results[host] for host in hosts]
 
 
 def worm_slowdown(results: list[ReplayResult]) -> float:

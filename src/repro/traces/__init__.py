@@ -1,17 +1,17 @@
-"""Trace study substrate (Section 7): flow records, DNS translation model,
-synthetic campus-trace generation, windowed contact counting, rate-limit
-derivation, and behavioural host classification."""
+"""Trace study substrate (Section 7): flow records, DNS translation model
+and contact classification, synthetic campus-trace generation, windowed
+contact counting, rate-limit derivation, and behavioural host
+classification."""
 
 from .analysis import (
     RateLimitTable,
-    contact_rate_ratio,
     empirical_cdf,
     peak_scan_rate,
     recommend_rate_limits,
     window_size_study,
 )
 from .classify import HostProfile, census, classify_hosts, profile_hosts
-from .dns import DEFAULT_DNS_TTL, DnsCache
+from .dns import DEFAULT_DNS_TTL, ContactClassifier, DnsCache
 from .records import (
     DEFAULT_FAILURE_TIMEOUT,
     DNS_PORT,
@@ -36,12 +36,10 @@ from .windows import (
     WindowCounts,
     count_contacts,
     per_host_counts,
-    sliding_counts,
 )
 
 __all__ = [
     "RateLimitTable",
-    "contact_rate_ratio",
     "empirical_cdf",
     "peak_scan_rate",
     "recommend_rate_limits",
@@ -51,6 +49,7 @@ __all__ = [
     "classify_hosts",
     "profile_hosts",
     "DEFAULT_DNS_TTL",
+    "ContactClassifier",
     "DnsCache",
     "DEFAULT_FAILURE_TIMEOUT",
     "DNS_PORT",
@@ -71,5 +70,4 @@ __all__ = [
     "WindowCounts",
     "count_contacts",
     "per_host_counts",
-    "sliding_counts",
 ]

@@ -9,13 +9,12 @@ worm scanning peaks, and the window-size tradeoff (5 / 12 / 50 across
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .records import Trace, TraceError
-from .windows import Refinement, WindowCounts, count_contacts
+from .windows import Refinement, WindowCounts, count_contacts, per_host_counts
 
 __all__ = [
     "empirical_cdf",
@@ -23,7 +22,6 @@ __all__ = [
     "recommend_rate_limits",
     "window_size_study",
     "peak_scan_rate",
-    "contact_rate_ratio",
 ]
 
 
@@ -125,42 +123,4 @@ def peak_scan_rate(
     The paper's footnote: a Welchia instance scanned 7,068 hosts in a
     minute; Blaster peaked at 671.
     """
-    if host not in trace.internal_hosts:
-        raise TraceError(f"host {host} is not internal to the trace")
-    end_time = trace.records[-1].time if len(trace) else 0.0
-    num_windows = max(1, math.ceil(end_time / window)) if end_time else 1
-    distinct: list[set[int]] = [set() for _ in range(num_windows)]
-    for record in trace:
-        if record.src != host or not record.initiates_contact:
-            continue
-        if trace.is_internal(record.dst):
-            continue
-        index = min(int(record.time // window), num_windows - 1)
-        distinct[index].add(record.dst)
-    return max(len(s) for s in distinct)
-
-
-def contact_rate_ratio(
-    trace: Trace,
-    hosts: list[int],
-    *,
-    window: float = 5.0,
-    coverage: float = 0.999,
-) -> dict[str, float]:
-    """Throttle-budget ratios feeding the Figure 10 model.
-
-    The paper picks gamma:beta ratios of 1:2 for the DNS-based scheme and
-    1:6 for the plain IP throttle, because the DNS refinement admits an
-    aggregate limit 2–4x lower than counting all distinct addresses.  This
-    returns the measured equivalents: the ratio of each refined limit to
-    the unrefined one.
-    """
-    table = recommend_rate_limits(
-        trace, hosts, group="ratio", window=window, coverage=coverage
-    )
-    if table.all_contacts == 0:
-        raise TraceError("no contacts observed; cannot form ratios")
-    return {
-        "no_prior_over_all": table.no_prior_contact / table.all_contacts,
-        "no_dns_over_all": table.no_dns / table.all_contacts,
-    }
+    return per_host_counts(trace, [host], window=window)[host].max()

@@ -1,4 +1,4 @@
-"""DNS-translation cache model (the Ganger et al. refinement).
+"""DNS-translation cache model and the contact classification built on it.
 
 The DNS-based rate-limiting refinement counts only contacts to addresses
 *without* a valid DNS translation: worms pick pseudo-random 32-bit targets
@@ -6,15 +6,27 @@ and never resolve a name first, while almost all legitimate client traffic
 follows a lookup.  The cache here replays DNS answer records from a trace
 and answers the one question the analysis needs: *did this client hold a
 valid translation for that address at that moment?*
+
+:class:`ContactClassifier` is the one place that decides whether a
+record is an outbound contact and how the Section 7 refinements treat
+it; the window counters, throttle replay and online detectors all ask
+it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable
+from enum import Enum
 
 from .records import DNS_PORT, FlowRecord, Trace
 
-__all__ = ["DnsCache", "DEFAULT_DNS_TTL"]
+__all__ = [
+    "ContactClassifier",
+    "DnsCache",
+    "DEFAULT_DNS_TTL",
+    "Refinement",
+]
 
 #: Default translation lifetime, seconds.  Generous on purpose: the scheme
 #: errs toward not penalizing legitimate traffic.
@@ -73,9 +85,74 @@ class DnsCache:
 
         Note: the resulting cache holds *final* state; for time-accurate
         queries during a streaming pass, interleave :meth:`observe` calls
-        instead (the window counters do exactly that).
+        instead (:class:`ContactClassifier` does exactly that).
         """
         cache = cls(ttl=ttl)
         for record in trace:
             cache.observe(record)
         return cache
+
+
+class Refinement(Enum):
+    """Contact-classification refinement (Figure 9's three lines)."""
+
+    ALL = "distinct_ips"
+    NO_PRIOR = "no_prior_contact"
+    NO_DNS = "no_prior_no_dns"
+
+
+class ContactClassifier:
+    """Decides which records are outbound contacts, under each refinement.
+
+    Feed every record of a time-ordered stream to :meth:`observe`: DNS
+    answers go to :attr:`dns` and inbound initiations are remembered as
+    prior contacts of their internal target.  :meth:`counted` then
+    applies a refinement to the record just observed.
+    """
+
+    def __init__(
+        self,
+        internal: Callable[[int], bool],
+        *,
+        dns_ttl: float = DEFAULT_DNS_TTL,
+    ) -> None:
+        self.internal = internal
+        self.dns = DnsCache(ttl=dns_ttl)
+        #: internal host -> external addresses that contacted it first.
+        self.prior_contacts: dict[int, set[int]] = defaultdict(set)
+
+    def observe(self, record: FlowRecord) -> bool:
+        """Ingest the stream's next record; True for an inbound initiation."""
+        if record.dns_answer is not None:
+            self.dns.observe(record)
+        if (
+            self.internal(record.src)
+            or not self.internal(record.dst)
+            or not record.initiates_contact
+        ):
+            return False
+        self.prior_contacts[record.dst].add(record.src)
+        return True
+
+    def outbound(self, record: FlowRecord) -> bool:
+        """Whether an internal host initiated contact with an external one.
+
+        Needs no state: this is the ``Refinement.ALL`` decision.
+        """
+        return (
+            record.initiates_contact
+            and self.internal(record.src)
+            and not self.internal(record.dst)
+        )
+
+    def counted(self, record: FlowRecord, refinement: Refinement) -> bool:
+        """Whether ``refinement`` counts the record just observed."""
+        if not self.outbound(record):
+            return False
+        if refinement is Refinement.ALL:
+            return True
+        if record.dst in self.prior_contacts[record.src]:
+            return False
+        return refinement is Refinement.NO_PRIOR or not (
+            self.dns.has_valid_translation(record.src, record.dst, record.time)
+        )

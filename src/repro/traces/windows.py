@@ -1,4 +1,4 @@
-"""Sliding/tumbling-window contact counting with the paper's refinements.
+"""Tumbling-window contact counting with the paper's refinements.
 
 Figure 9 plots, for a set of hosts and a 5-second window, the CDF of the
 number of distinct foreign addresses contacted, under three progressively
@@ -17,11 +17,9 @@ the CDF's y axis is "fraction of time", so quiet windows matter.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass
-from enum import Enum
 
-from .dns import DEFAULT_DNS_TTL, DnsCache
+from .dns import DEFAULT_DNS_TTL, ContactClassifier, Refinement
 from .records import Trace, TraceError
 
 __all__ = [
@@ -29,16 +27,7 @@ __all__ = [
     "WindowCounts",
     "count_contacts",
     "per_host_counts",
-    "sliding_counts",
 ]
-
-
-class Refinement(Enum):
-    """Contact-classification refinement (Figure 9's three lines)."""
-
-    ALL = "distinct_ips"
-    NO_PRIOR = "no_prior_contact"
-    NO_DNS = "no_prior_no_dns"
 
 
 @dataclass(frozen=True)
@@ -80,13 +69,14 @@ class WindowCounts:
         return max(self.counts) if self.counts else 0
 
 
-def _num_windows(end_time: float, window: float) -> int:
-    """Windows needed so a record at exactly ``end_time`` has a bucket.
+def _num_windows(trace: Trace, window: float) -> int:
+    """Windows needed so the trace's last record has a bucket.
 
-    ``end_time`` is the last record's timestamp: a record at t falls in
-    window ``floor(t / window)``, so ``floor(end / window) + 1`` windows
-    cover every record including one sitting exactly on a boundary.
+    A record at t falls in window ``floor(t / window)``, so
+    ``floor(end / window) + 1`` windows cover every record, including
+    one sitting exactly on a window edge: it opens the next window.
     """
+    end_time = trace.records[-1].time if len(trace) else 0.0
     if end_time <= 0:
         return 1
     return int(end_time // window) + 1
@@ -102,59 +92,19 @@ def count_contacts(
 ) -> WindowCounts:
     """Aggregate distinct-destination counts over ``hosts`` per window.
 
-    One streaming pass: DNS answers update the translation cache, inbound
-    initiations update the prior-contact sets, and outbound initiations
-    from ``hosts`` to external destinations are counted after the
-    refinement filters.  Distinctness is per (source, destination) within
-    the window, matching an edge filter that tracks per-host contact sets.
+    The window-wise sum of :func:`per_host_counts`: distinctness is per
+    (source, destination) within the window, matching an edge filter
+    that tracks per-host contact sets.
     """
-    if window <= 0:
-        raise TraceError(f"window must be positive, got {window}")
-    bad = hosts - trace.internal_hosts
-    if bad:
-        raise TraceError(f"hosts not internal to the trace: {sorted(bad)[:5]}")
-
-    end_time = trace.records[-1].time if len(trace) else 0.0
-    counts = [0] * _num_windows(end_time, window)
-
-    dns = DnsCache(ttl=dns_ttl)
-    prior_contacts: dict[int, set[int]] = defaultdict(set)
-    seen_in_window: set[tuple[int, int]] = set()
-    current_window = 0
-
-    for record in trace:
-        index = min(int(record.time // window), len(counts) - 1)
-        if index != current_window:
-            seen_in_window.clear()
-            current_window = index
-
-        dns.observe(record)
-
-        internal_src = trace.is_internal(record.src)
-        internal_dst = trace.is_internal(record.dst)
-
-        if not internal_src and internal_dst and record.initiates_contact:
-            prior_contacts[record.dst].add(record.src)
-            continue
-
-        if not (internal_src and not internal_dst):
-            continue
-        if record.src not in hosts or not record.initiates_contact:
-            continue
-        if refinement in (Refinement.NO_PRIOR, Refinement.NO_DNS):
-            if record.dst in prior_contacts[record.src]:
-                continue
-        if refinement is Refinement.NO_DNS:
-            if dns.has_valid_translation(record.src, record.dst, record.time):
-                continue
-        key = (record.src, record.dst)
-        if key in seen_in_window:
-            continue
-        seen_in_window.add(key)
-        counts[index] += 1
-
+    per_host = per_host_counts(
+        trace, sorted(hosts), window=window, refinement=refinement,
+        dns_ttl=dns_ttl,
+    )
+    totals = [0] * _num_windows(trace, window)
+    for host_counts in per_host.values():
+        totals = [a + b for a, b in zip(totals, host_counts.counts)]
     return WindowCounts(
-        window=window, refinement=refinement, counts=tuple(counts)
+        window=window, refinement=refinement, counts=tuple(totals)
     )
 
 
@@ -168,53 +118,36 @@ def per_host_counts(
 ) -> dict[int, WindowCounts]:
     """Per-host windowed counts (the "individual host rates" analysis).
 
-    Equivalent to calling :func:`count_contacts` once per host but done in
-    a single streaming pass over the trace.
+    One streaming pass through a :class:`ContactClassifier`: a record at
+    time t falls in window ``floor(t / window)``, and each host's
+    distinct destinations that ``refinement`` counts are tallied there.
     """
     if window <= 0:
         raise TraceError(f"window must be positive, got {window}")
-    host_set = set(hosts)
-    bad = host_set - trace.internal_hosts
+    bad = set(hosts) - trace.internal_hosts
     if bad:
         raise TraceError(f"hosts not internal to the trace: {sorted(bad)[:5]}")
 
-    end_time = trace.records[-1].time if len(trace) else 0.0
-    num_windows = _num_windows(end_time, window)
+    num_windows = _num_windows(trace, window)
     counts: dict[int, list[int]] = {h: [0] * num_windows for h in hosts}
-
-    dns = DnsCache(ttl=dns_ttl)
-    prior_contacts: dict[int, set[int]] = defaultdict(set)
-    seen_in_window: dict[int, set[int]] = {h: set() for h in hosts}
+    classifier = ContactClassifier(trace.is_internal, dns_ttl=dns_ttl)
+    seen_in_window: set[tuple[int, int]] = set()
     current_window = 0
 
     for record in trace:
-        index = min(int(record.time // window), num_windows - 1)
+        classifier.observe(record)
+        if record.src not in counts or not classifier.counted(
+            record, refinement
+        ):
+            continue
+        index = int(record.time // window)
         if index != current_window:
-            for seen in seen_in_window.values():
-                seen.clear()
+            seen_in_window.clear()
             current_window = index
-
-        dns.observe(record)
-
-        internal_src = trace.is_internal(record.src)
-        internal_dst = trace.is_internal(record.dst)
-        if not internal_src and internal_dst and record.initiates_contact:
-            prior_contacts[record.dst].add(record.src)
-            continue
-        if not (internal_src and not internal_dst):
-            continue
-        if record.src not in host_set or not record.initiates_contact:
-            continue
-        if refinement in (Refinement.NO_PRIOR, Refinement.NO_DNS):
-            if record.dst in prior_contacts[record.src]:
-                continue
-        if refinement is Refinement.NO_DNS:
-            if dns.has_valid_translation(record.src, record.dst, record.time):
-                continue
-        if record.dst in seen_in_window[record.src]:
-            continue
-        seen_in_window[record.src].add(record.dst)
-        counts[record.src][index] += 1
+        key = (record.src, record.dst)
+        if key not in seen_in_window:
+            seen_in_window.add(key)
+            counts[record.src][index] += 1
 
     return {
         host: WindowCounts(
@@ -222,72 +155,3 @@ def per_host_counts(
         )
         for host in hosts
     }
-
-
-def sliding_counts(
-    trace: Trace,
-    hosts: set[int] | frozenset[int],
-    *,
-    window: float = 5.0,
-    refinement: Refinement = Refinement.ALL,
-    dns_ttl: float = DEFAULT_DNS_TTL,
-) -> dict[int, list[int]]:
-    """Trailing-window distinct-contact counts, sampled at every contact.
-
-    Tumbling windows (the default analysis) understate worst-case bursts
-    that straddle a boundary; a throttle enforcing "at most L distinct
-    addresses in any 5-second period" sees the *sliding* count.  For each
-    counted outbound contact this returns the number of distinct
-    destinations the source contacted in the trailing ``window`` seconds
-    (including this one), per host.
-
-    A burst admissible under tumbling limit ``L`` can reach at most
-    ``2 L`` in a sliding window (two adjacent tumbling windows overlap
-    any sliding one) — the property the test suite verifies.
-    """
-    if window <= 0:
-        raise TraceError(f"window must be positive, got {window}")
-    host_set = set(hosts)
-    bad = host_set - trace.internal_hosts
-    if bad:
-        raise TraceError(f"hosts not internal to the trace: {sorted(bad)[:5]}")
-
-    dns = DnsCache(ttl=dns_ttl)
-    prior_contacts: dict[int, set[int]] = defaultdict(set)
-    # Per host: trailing-window event log and per-destination counts.
-    event_log: dict[int, deque[tuple[float, int]]] = {
-        h: deque() for h in host_set
-    }
-    active: dict[int, dict[int, int]] = {h: defaultdict(int) for h in host_set}
-    out: dict[int, list[int]] = {h: [] for h in host_set}
-
-    for record in trace:
-        dns.observe(record)
-        internal_src = trace.is_internal(record.src)
-        internal_dst = trace.is_internal(record.dst)
-        if not internal_src and internal_dst and record.initiates_contact:
-            prior_contacts[record.dst].add(record.src)
-            continue
-        if not (internal_src and not internal_dst):
-            continue
-        src = record.src
-        if src not in host_set or not record.initiates_contact:
-            continue
-        if refinement in (Refinement.NO_PRIOR, Refinement.NO_DNS):
-            if record.dst in prior_contacts[src]:
-                continue
-        if refinement is Refinement.NO_DNS:
-            if dns.has_valid_translation(src, record.dst, record.time):
-                continue
-        log = event_log[src]
-        counts = active[src]
-        cutoff = record.time - window
-        while log and log[0][0] <= cutoff:
-            _old_time, old_dst = log.popleft()
-            counts[old_dst] -= 1
-            if counts[old_dst] == 0:
-                del counts[old_dst]
-        log.append((record.time, record.dst))
-        counts[record.dst] += 1
-        out[src].append(len(counts))
-    return out

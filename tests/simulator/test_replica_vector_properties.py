@@ -21,6 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models.base import ModelError
 from repro.simulator.fastpath import VectorReplicaSimulation
 from repro.simulator.fastpath.vector import ReplicaState
 from repro.simulator.immunization import ImmunizationPolicy
@@ -65,13 +66,9 @@ def _state(network: Network) -> tuple:
 
 def _harvest_tuple(network: Network, sim: ReplicaState) -> tuple:
     try:
-        trajectory = tuple(
-            zip(
-                sim.trajectory().ticks,
-                sim.trajectory().infected,
-            )
-        )
-    except Exception:
+        curve = sim.trajectory()
+        trajectory = tuple(zip(curve.times, curve.infected))
+    except ModelError:
         # Tick-0 die-outs have a one-sample recorder; the stamps below
         # still capture everything the run left behind.
         trajectory = ()

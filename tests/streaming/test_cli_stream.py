@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.streams import StreamRegistry
 from repro.streaming import SyntheticFlowStream, record_to_json
 from repro.traces.synth import TraceConfig
 
@@ -142,3 +143,56 @@ class TestJsonlRuns:
         )
         assert code == 0
         assert parse_summary(text)["flows"] == 100
+
+
+class TestSameEngineAsStreamSessions:
+    def test_cli_and_session_emit_equal_events(self, tmp_path):
+        """``repro stream`` and a ``/v1/stream`` session opened with the
+        same settings build the same engine: equal events, in order."""
+        config = TraceConfig(
+            duration=120.0, seed=6, num_normal=20, num_servers=2,
+            num_p2p=2, num_blaster=2, num_welchia=1,
+            service_reply_probability=0.9,
+            scan_unreachable_probability=0.3,
+        )
+        lines = [
+            record_to_json(r)
+            for r in SyntheticFlowStream(config, max_flows=4000)
+        ]
+        path = tmp_path / "flows.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, text = run_stream(
+            "--input", str(path),
+            "--detector", "contact-rate", "--detector", "failure-ratio",
+            "--detector", "williamson", "--detector", "dns-throttle",
+            "--threshold", "20", "--min-failures", "4",
+            "--detect-delay", "5", "--compact", "256",
+        )
+        assert code == 0
+        cli_events = [
+            json.loads(line)
+            for line in text.splitlines()
+            if '"summary"' not in line
+        ]
+
+        registry = StreamRegistry()
+        session = registry.open({
+            "detectors": [
+                {"kind": "contact-rate",
+                 "params": {"window": 5.0, "threshold": 20.0}},
+                {"kind": "failure-ratio",
+                 "params": {"timeout": 3.0, "min_failures": 4,
+                            "ratio_threshold": 0.5}},
+                {"kind": "williamson", "params": {"detect_delay": 5.0}},
+                {"kind": "dns-throttle", "params": {"detect_delay": 5.0}},
+            ],
+            "compact_capacity": 256,
+        })
+        events = registry.chunk(session.id, "\n".join(lines))["events"]
+        events += registry.close(session.id)["events"]
+
+        assert {e["detector"] for e in cli_events} == {
+            "contact_rate", "failure_ratio",
+            "throttle_williamson_ip_throttle", "throttle_dns_based_throttle",
+        }
+        assert cli_events == json.loads(json.dumps(events))

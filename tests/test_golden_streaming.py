@@ -25,8 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.streaming import evaluate_synthetic, make_detector
-from repro.traces.synth import TraceConfig
+from repro.streaming import evaluate_detectors, make_detector
+from repro.traces.synth import TraceConfig, generate_trace
 
 pytestmark = pytest.mark.streaming
 
@@ -75,8 +75,8 @@ def factories():
 
 
 def evaluate() -> dict:
-    result = evaluate_synthetic(
-        TraceConfig(**PARAMS["trace"]), factories()
+    result = evaluate_detectors(
+        generate_trace(TraceConfig(**PARAMS["trace"])), factories()
     )
     # Round-trip through JSON and drop wall-clock timing: the payload
     # must be exactly what the fixture file stores.

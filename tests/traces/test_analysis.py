@@ -6,14 +6,24 @@ import numpy as np
 import pytest
 
 from repro.traces.analysis import (
-    contact_rate_ratio,
     empirical_cdf,
     peak_scan_rate,
     recommend_rate_limits,
     window_size_study,
 )
-from repro.traces.records import HostClass, TraceError
-from repro.traces.windows import Refinement, WindowCounts, count_contacts
+from repro.traces.records import (
+    FlowRecord,
+    HostClass,
+    Protocol,
+    Trace,
+    TraceError,
+)
+from repro.traces.windows import (
+    Refinement,
+    WindowCounts,
+    count_contacts,
+    per_host_counts,
+)
 
 
 class TestEmpiricalCdf:
@@ -95,10 +105,22 @@ class TestPeakScanRate:
 
 
 class TestContactRateRatio:
-    def test_ratios_at_most_one(self, small_trace):
-        ratios = contact_rate_ratio(
-            small_trace, small_trace.hosts_of_class(HostClass.NORMAL)
+    """The refined-over-unrefined limit ratios behind Figure 10's model
+    (gamma:beta of 1:2 for the DNS scheme, 1:6 for the IP throttle)."""
+
+    @staticmethod
+    def ratios(trace) -> dict[str, float]:
+        table = recommend_rate_limits(
+            trace, trace.hosts_of_class(HostClass.NORMAL), group="ratio"
         )
+        assert table.all_contacts > 0
+        return {
+            "no_prior_over_all": table.no_prior_contact / table.all_contacts,
+            "no_dns_over_all": table.no_dns / table.all_contacts,
+        }
+
+    def test_ratios_at_most_one(self, small_trace):
+        ratios = self.ratios(small_trace)
         assert 0 <= ratios["no_dns_over_all"] <= 1.0
         assert 0 <= ratios["no_prior_over_all"] <= 1.0
         assert ratios["no_dns_over_all"] <= ratios["no_prior_over_all"]
@@ -106,10 +128,27 @@ class TestContactRateRatio:
     def test_dns_refinement_reduces_worm_budget_need(self, small_trace):
         """For normal hosts the DNS refinement cuts the needed limit by
         a factor ~2-4 (the paper's basis for the 1:2 vs 1:6 ratios)."""
-        ratios = contact_rate_ratio(
-            small_trace, small_trace.hosts_of_class(HostClass.NORMAL)
+        assert self.ratios(small_trace)["no_dns_over_all"] < 0.8
+
+
+class TestWindowEdge:
+    def test_record_on_an_edge_opens_the_next_window(self):
+        """A record at time t falls in window ``floor(t / window)``: one
+        sitting exactly on an edge is the first of the next window, for
+        the window counters and the peak scan rate alike."""
+        host = 10
+        trace = Trace(
+            [
+                FlowRecord(time=t, src=host, dst=dst, protocol=Protocol.TCP,
+                           src_port=40000, dst_port=135, tcp_syn=True)
+                for t, dst in ((0.0, 100), (30.0, 200), (60.0, 300))
+            ],
+            internal_hosts=[host],
         )
-        assert ratios["no_dns_over_all"] < 0.8
+        counts = per_host_counts(trace, [host], window=60.0)[host]
+        assert counts.counts == (2, 1)
+        assert count_contacts(trace, {host}, window=60.0).counts == (2, 1)
+        assert peak_scan_rate(trace, host, window=60.0) == 2
 
 
 class TestFigure9Shape:

@@ -194,83 +194,3 @@ class TestBruteForceProperty:
             buckets.setdefault(int(t // window), set()).add(dst)
         for index, count in enumerate(counts.counts):
             assert count == len(buckets.get(index, set()))
-
-
-class TestSlidingCounts:
-    def test_trailing_window_semantics(self):
-        from repro.traces.windows import sliding_counts
-
-        records = [
-            syn(0.0, HOST, 100),
-            syn(1.0, HOST, 200),
-            syn(4.0, HOST, 300),   # 100, 200 still in [t-5, t]
-            syn(9.5, HOST, 400),   # everything else aged out
-        ]
-        trace = make_trace(records)
-        counts = sliding_counts(trace, {HOST}, window=5.0)[HOST]
-        assert counts == [1, 2, 3, 1]
-
-    def test_duplicate_destination_counts_once(self):
-        from repro.traces.windows import sliding_counts
-
-        records = [syn(0.0, HOST, 100), syn(1.0, HOST, 100)]
-        trace = make_trace(records)
-        counts = sliding_counts(trace, {HOST})[HOST]
-        assert counts == [1, 1]
-
-    def test_refinement_applies(self):
-        from repro.traces.windows import sliding_counts
-
-        records = [
-            syn(0.0, 500, HOST),   # prior contacter
-            syn(1.0, HOST, 500),   # excluded under NO_PRIOR
-            syn(2.0, HOST, 600),
-        ]
-        trace = make_trace(records)
-        refined = sliding_counts(
-            trace, {HOST}, refinement=Refinement.NO_PRIOR
-        )[HOST]
-        assert refined == [1]
-
-    def test_rejects_bad_input(self):
-        from repro.traces.windows import sliding_counts
-
-        trace = make_trace([syn(0.0, HOST, 100)])
-        with pytest.raises(TraceError):
-            sliding_counts(trace, {HOST}, window=0)
-        with pytest.raises(TraceError):
-            sliding_counts(trace, {424242})
-
-    @given(synthetic_outbound())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_brute_force(self, events):
-        from repro.traces.windows import sliding_counts
-
-        records = [syn(t, HOST, dst) for t, dst in events]
-        trace = make_trace(records)
-        window = 5.0
-        counts = sliding_counts(trace, {HOST}, window=window)[HOST]
-        # Brute force over the *sorted* record times (trace sorts them).
-        ordered = sorted(events)
-        expected = []
-        for i, (t, _dst) in enumerate(ordered):
-            in_window = {
-                d for (u, d) in ordered[: i + 1] if t - window < u <= t
-            }
-            expected.append(len(in_window))
-        assert counts == expected
-
-    @given(synthetic_outbound())
-    @settings(max_examples=30, deadline=None)
-    def test_sliding_bounded_by_two_tumbling_windows(self, events):
-        """Any sliding window is covered by two adjacent tumbling ones."""
-        from repro.traces.windows import sliding_counts
-
-        records = [syn(t, HOST, dst) for t, dst in events]
-        trace = make_trace(records)
-        window = 5.0
-        tumbling = count_contacts(trace, {HOST}, window=window)
-        top_two = sorted(tumbling.counts, reverse=True)[:2]
-        bound = sum(top_two)
-        sliding = sliding_counts(trace, {HOST}, window=window)[HOST]
-        assert max(sliding, default=0) <= bound
