@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from conftest import print_rows
 
-from repro.core.policy import DeploymentStrategy
 from repro.core.quarantine import QuarantineStudy
+from repro.runner.spec import DefenseSpec
 
 
 def edge_slowdown(preference: float | None, *, num_runs: int = 5) -> float:
@@ -22,10 +22,10 @@ def edge_slowdown(preference: float | None, *, num_runs: int = 5) -> float:
         seed=42,
     )
     base = study.simulate_deployments(
-        [DeploymentStrategy.none()], max_ticks=200, num_runs=num_runs
+        [DefenseSpec(kind="none")], max_ticks=200, num_runs=num_runs
     )["no_rl"]
     defended = study.simulate_deployments(
-        [DeploymentStrategy.edge(0.02)], max_ticks=200, num_runs=num_runs
+        [DefenseSpec(kind="edge", rate=0.02)], max_ticks=200, num_runs=num_runs
     )["edge_rl"]
     return defended.time_to_fraction(0.5) / base.time_to_fraction(0.5)
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from conftest import print_rows
 
-from repro.core.policy import DeploymentStrategy
 from repro.core.quarantine import QuarantineStudy
 from repro.core.scenarios import (
     IMMUNIZATION_MU,
     IMMUNIZATION_SCAN_RATE,
     ROUTER_BASE_RATE,
 )
-from repro.runner import run_ensemble
+from repro.runner import DefenseSpec, run_ensemble
 from repro.simulator.immunization import ImmunizationPolicy
 
 
@@ -28,7 +27,7 @@ def run_cases(num_runs: int = 5) -> dict[str, float]:
         1000, scan_rate=IMMUNIZATION_SCAN_RATE, seed=42
     )
     unlimited = study.simulate_deployments(
-        [DeploymentStrategy.none()], max_ticks=60, num_runs=num_runs
+        [DefenseSpec(kind="none")], max_ticks=60, num_runs=num_runs
     )["no_rl"]
     start = round(unlimited.time_to_fraction(0.2))
     policy = ImmunizationPolicy.at_tick(start, IMMUNIZATION_MU)
@@ -36,7 +35,7 @@ def run_cases(num_runs: int = 5) -> dict[str, float]:
     finals: dict[str, float] = {
         "patching_only": run_ensemble(
             study.spec_for(
-                DeploymentStrategy.none(),
+                DefenseSpec(kind="none"),
                 max_ticks=200,
                 num_runs=num_runs,
                 immunization=policy,
@@ -45,7 +44,7 @@ def run_cases(num_runs: int = 5) -> dict[str, float]:
     }
     finals["patching_plus_strong_backbone"] = run_ensemble(
         study.spec_for(
-            DeploymentStrategy.backbone(ROUTER_BASE_RATE),
+            DefenseSpec(kind="backbone", rate=ROUTER_BASE_RATE),
             max_ticks=400,
             num_runs=num_runs,
             immunization=policy,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro import DeploymentStrategy
+from repro import DefenseSpec
 from repro.models.base import Trajectory
 from repro.simulator import (
     Network,
@@ -97,8 +97,8 @@ def main() -> None:
         "\nThe hit list accelerates the undefended worm (no wasted\n"
         "scans), but its packets still cross the backbone — the filters'\n"
         "advantage is positional, not informational, so the slowdown\n"
-        "factor survives even a smarter worm.  DeploymentStrategy: "
-        f"{DeploymentStrategy.backbone(0.02).label}"
+        "factor survives even a smarter worm.  DefenseSpec: "
+        f"{DefenseSpec(kind='backbone', rate=0.02).label}"
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from repro import DeploymentStrategy, QuarantineStudy
+from repro import DefenseSpec, QuarantineStudy
 
 
 def fmt(t: float) -> str:
@@ -26,10 +26,10 @@ def main() -> None:
     )
 
     strategies = [
-        DeploymentStrategy.none(),
-        DeploymentStrategy.hosts(coverage=0.50, rate=0.01),
-        DeploymentStrategy.hosts(coverage=1.00, rate=0.01),
-        DeploymentStrategy.backbone(base_rate=0.02),
+        DefenseSpec(kind="none"),
+        DefenseSpec(kind="hosts", coverage=0.50, rate=0.01),
+        DefenseSpec(kind="hosts", coverage=1.00, rate=0.01),
+        DefenseSpec(kind="backbone", rate=0.02),
     ]
 
     print("running simulations (4 strategies x 5 runs) ...\n")

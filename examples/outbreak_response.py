@@ -12,7 +12,7 @@ Run:  python examples/outbreak_response.py
 
 from __future__ import annotations
 
-from repro import DeploymentStrategy, QuarantineStudy
+from repro import DefenseSpec, QuarantineStudy
 from repro.models.homogeneous import HomogeneousSIModel
 from repro.simulator.immunization import ImmunizationPolicy
 
@@ -39,13 +39,13 @@ def main() -> None:
         policy = ImmunizationPolicy.at_tick(start_tick, mu)
 
         undefended = study.simulate_deployments(
-            [DeploymentStrategy.none()],
+            [DefenseSpec(kind="none")],
             max_ticks=200,
             num_runs=5,
             immunization=policy,
         )["no_rl"]
         defended = study.simulate_deployments(
-            [DeploymentStrategy.backbone(0.02)],
+            [DefenseSpec(kind="backbone", rate=0.02)],
             max_ticks=400,
             num_runs=5,
             immunization=policy,

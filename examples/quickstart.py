@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import DeploymentStrategy, QuarantineStudy
+from repro import DefenseSpec, QuarantineStudy
 
 
 def main() -> None:
@@ -23,10 +23,10 @@ def main() -> None:
     )
 
     strategies = [
-        DeploymentStrategy.none(),
-        DeploymentStrategy.hosts(coverage=0.05, rate=0.01),
-        DeploymentStrategy.edge(base_rate=0.02),
-        DeploymentStrategy.backbone(base_rate=0.02),
+        DefenseSpec(kind="none"),
+        DefenseSpec(kind="hosts", coverage=0.05, rate=0.01),
+        DefenseSpec(kind="edge", rate=0.02),
+        DefenseSpec(kind="backbone", rate=0.02),
     ]
 
     print("simulating 4 deployment strategies x 5 runs ...")

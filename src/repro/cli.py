@@ -40,12 +40,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import scenarios
-from .core.policy import DeploymentStrategy
 from .observability import observability_hub
 from .core.quarantine import QuarantineStudy
 from .core.slowdown import compare_times
 from .models.base import Trajectory
-from .runner import ENGINE_KINDS
+from .runner import ENGINE_KINDS, DefenseSpec
 from .runner import configure as configure_runner
 from .runner import current_config, use_config
 from .runner.cache import ResultCache, default_cache_dir
@@ -112,22 +111,24 @@ def _print_curves(
         )
 
 
-def _parse_strategy(text: str) -> DeploymentStrategy:
+def _parse_strategy(text: str) -> DefenseSpec:
     """Parse ``none`` / ``hosts:Q:RATE`` / ``edge:RATE`` / ``backbone:RATE``
     / ``hub:LINK:BUDGET``."""
     parts = text.split(":")
     kind = parts[0]
     try:
         if kind == "none":
-            return DeploymentStrategy.none()
+            return DefenseSpec(kind="none")
         if kind == "hosts":
-            return DeploymentStrategy.hosts(float(parts[1]), float(parts[2]))
-        if kind == "edge":
-            return DeploymentStrategy.edge(float(parts[1]))
-        if kind == "backbone":
-            return DeploymentStrategy.backbone(float(parts[1]))
+            return DefenseSpec(
+                kind="hosts", coverage=float(parts[1]), rate=float(parts[2])
+            )
+        if kind in ("edge", "backbone"):
+            return DefenseSpec(kind=kind, rate=float(parts[1]))
         if kind == "hub":
-            return DeploymentStrategy.hub(float(parts[1]), float(parts[2]))
+            return DefenseSpec(
+                kind="hub", rate=float(parts[1]), node_budget=float(parts[2])
+            )
     except (IndexError, ValueError) as exc:
         raise argparse.ArgumentTypeError(
             f"bad strategy {text!r}: {exc}"

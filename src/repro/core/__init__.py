@@ -1,10 +1,10 @@
-"""The paper's primary contribution as a library: deployment-strategy
-analysis for worm rate limiting (policies, the QuarantineStudy front door,
-slowdown metrics, and canned per-figure scenarios)."""
+"""The paper's primary contribution as a library: deployment analysis
+for worm rate limiting (the QuarantineStudy front door over
+:class:`~repro.runner.DefenseSpec` deployments, slowdown metrics, and
+canned per-figure scenarios)."""
 
-from .policy import DeploymentLocation, DeploymentStrategy, RateLimitPolicy
 from .quarantine import QuarantineStudy
-from .slowdown import SlowdownReport, compare_times, slowdown_factor
+from .slowdown import SlowdownReport, compare_times
 from .sweeps import (
     SweepPoint,
     SweepResult,
@@ -14,13 +14,9 @@ from .sweeps import (
 )
 
 __all__ = [
-    "DeploymentLocation",
-    "DeploymentStrategy",
-    "RateLimitPolicy",
     "QuarantineStudy",
     "SlowdownReport",
     "compare_times",
-    "slowdown_factor",
     "SweepPoint",
     "SweepResult",
     "sweep_backbone_rate",

@@ -4,20 +4,22 @@ The paper's method is always the same two-step: write down the ODE model
 for a deployment strategy, then check it against packet-level simulation.
 ``QuarantineStudy`` packages that workflow:
 
->>> from repro import QuarantineStudy, DeploymentStrategy
+>>> from repro import DefenseSpec, QuarantineStudy
 >>> study = QuarantineStudy(num_nodes=1000, scan_rate=0.8, seed=7)
 >>> curves = study.simulate_deployments(
-...     [DeploymentStrategy.none(), DeploymentStrategy.backbone(0.02)],
+...     [DefenseSpec(kind="none"), DefenseSpec(kind="backbone", rate=0.02)],
 ...     max_ticks=300, num_runs=3)
 >>> report = study.slowdown_report(curves, level=0.5)
 
-Deployment strategies translate to declarative runner specs via
-:meth:`QuarantineStudy.defense_spec_for` / :meth:`QuarantineStudy.spec_for`
-(executed by :func:`repro.runner.run_ensemble`), and to analytical models
-via :meth:`QuarantineStudy.analytical_model`.
+A deployment is a :class:`~repro.runner.DefenseSpec`.  The study turns
+it into a declarative runner spec via :meth:`QuarantineStudy.spec_for`
+(executed by :func:`repro.runner.run_ensemble`), and into an analytical
+model via :meth:`QuarantineStudy.analytical_model`.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from ..models.backbone import BackboneRateLimitModel
 from ..models.base import EpidemicModel, Trajectory
@@ -34,14 +36,13 @@ from ..runner import (
     run_ensemble,
 )
 from ..simulator.immunization import ImmunizationPolicy
-from .policy import DeploymentLocation, DeploymentStrategy
 from .slowdown import SlowdownReport, compare_times
 
 __all__ = ["QuarantineStudy"]
 
 
 class QuarantineStudy:
-    """Compare rate-limiting deployment strategies on one scenario.
+    """Compare rate-limiting deployments on one scenario.
 
     Parameters
     ----------
@@ -108,52 +109,26 @@ class QuarantineStudy:
             local_preference=self.local_preference,
         )
 
-    def defense_spec_for(self, strategy: DeploymentStrategy) -> DefenseSpec:
-        """Translate a :class:`DeploymentStrategy` to a runner spec.
-
-        Host deployment pins its filter-placement seed to the study seed
-        so every run of an ensemble throttles the same hosts (the fixed-
-        deployment reading of the paper).
-        """
-        if strategy.location is DeploymentLocation.NONE:
-            return DefenseSpec(kind="none")
-        policy = strategy.policy
-        assert policy is not None  # enforced by DeploymentStrategy
-        if strategy.location is DeploymentLocation.HOSTS:
-            return DefenseSpec(
-                kind="hosts",
-                rate=policy.rate,
-                coverage=strategy.coverage,
-                seed=self.seed,
-            )
-        if strategy.location is DeploymentLocation.HUB:
-            if policy.node_budget is None:
-                raise ValueError("hub deployment needs a node_budget")
-            return DefenseSpec(
-                kind="hub", rate=policy.rate, node_budget=policy.node_budget
-            )
-        kind = (
-            "edge"
-            if strategy.location is DeploymentLocation.EDGE_ROUTERS
-            else "backbone"
-        )
-        return DefenseSpec(
-            kind=kind, rate=policy.rate, weighted=policy.weighted
-        )
-
     def spec_for(
         self,
-        strategy: DeploymentStrategy,
+        defense: DefenseSpec,
         *,
         max_ticks: int = 200,
         num_runs: int = 10,
         immunization: ImmunizationPolicy | None = None,
     ) -> EnsembleSpec:
-        """Full :class:`EnsembleSpec` for one deployment strategy."""
+        """Full :class:`EnsembleSpec` for one deployment.
+
+        Host deployment without a placement seed takes the study seed,
+        so every run of an ensemble throttles the same hosts (the fixed-
+        deployment reading of the paper).
+        """
+        if defense.kind == "hosts" and defense.seed is None:
+            defense = dataclasses.replace(defense, seed=self.seed)
         template = RunSpec(
             topology=self.topology_spec(),
             worm=self.worm_spec(),
-            defense=self.defense_spec_for(strategy),
+            defense=defense,
             scan_rate=self.scan_rate,
             initial_infections=self.initial_infections,
             immunization=immunization,
@@ -164,23 +139,23 @@ class QuarantineStudy:
             template=template,
             num_runs=num_runs,
             base_seed=self.seed,
-            label=strategy.label,
+            label=defense.label,
         )
 
     def run_deployments(
         self,
-        strategies: list[DeploymentStrategy],
+        defenses: list[DefenseSpec],
         *,
         max_ticks: int = 200,
         num_runs: int = 10,
         immunization: ImmunizationPolicy | None = None,
     ) -> dict[str, EnsembleResult]:
-        """Full :class:`EnsembleResult` per strategy, keyed by label."""
+        """Full :class:`EnsembleResult` per deployment, keyed by label."""
         results: dict[str, EnsembleResult] = {}
-        for strategy in strategies:
-            results[strategy.label] = run_ensemble(
+        for defense in defenses:
+            results[defense.label] = run_ensemble(
                 self.spec_for(
-                    strategy,
+                    defense,
                     max_ticks=max_ticks,
                     num_runs=num_runs,
                     immunization=immunization,
@@ -190,15 +165,15 @@ class QuarantineStudy:
 
     def simulate_deployments(
         self,
-        strategies: list[DeploymentStrategy],
+        defenses: list[DefenseSpec],
         *,
         max_ticks: int = 200,
         num_runs: int = 10,
         immunization: ImmunizationPolicy | None = None,
     ) -> dict[str, Trajectory]:
-        """Averaged infection curve per strategy, keyed by label."""
+        """Averaged infection curve per deployment, keyed by label."""
         results = self.run_deployments(
-            strategies,
+            defenses,
             max_ticks=max_ticks,
             num_runs=num_runs,
             immunization=immunization,
@@ -209,10 +184,8 @@ class QuarantineStudy:
     # Analytical side
     # ------------------------------------------------------------------
 
-    def analytical_model(
-        self, strategy: DeploymentStrategy
-    ) -> EpidemicModel:
-        """The paper's ODE model matching a deployment strategy.
+    def analytical_model(self, defense: DefenseSpec) -> EpidemicModel:
+        """The paper's ODE model matching a deployment.
 
         Host/leaf deployment maps to Eq. (3); hub deployment to
         Eqs. (4)–(5); backbone deployment to Eq. (6) with the link base
@@ -221,37 +194,33 @@ class QuarantineStudy:
         :class:`repro.models.EdgeRouterModel` directly.
         """
         n = float(self.num_nodes)
-        if strategy.location is DeploymentLocation.NONE:
+        if defense.kind == "none":
             return HomogeneousSIModel(
                 n, self.scan_rate, initial_infected=self.initial_infections
             )
-        policy = strategy.policy
-        assert policy is not None
-        if strategy.location is DeploymentLocation.HOSTS:
+        if defense.kind == "hosts":
             return LeafRateLimitModel(
                 n,
-                strategy.coverage,
+                defense.coverage,
                 self.scan_rate,
-                policy.rate,
+                defense.rate,
                 initial_infected=self.initial_infections,
             )
-        if strategy.location is DeploymentLocation.HUB:
-            if policy.node_budget is None:
-                raise ValueError("hub deployment needs a node_budget")
+        if defense.kind == "hub":
             return HubRateLimitModel(
                 n,
-                min(policy.rate, self.scan_rate),
-                policy.node_budget,
+                min(defense.rate, self.scan_rate),
+                defense.node_budget,
                 initial_infected=self.initial_infections,
             )
-        if strategy.location is DeploymentLocation.BACKBONE_ROUTERS:
+        if defense.kind == "backbone":
             # Backbone filters cover nearly all paths; the residual spread
             # comes from paths that dodge the backbone plus the leak.
             return BackboneRateLimitModel(
                 n,
                 self.scan_rate,
                 path_coverage=0.95,
-                residual_rate=policy.rate * n,
+                residual_rate=defense.rate * n,
                 initial_infected=self.initial_infections,
             )
         raise ValueError(

@@ -45,7 +45,6 @@ from ..traces.windows import Refinement, count_contacts, per_host_counts
 from ..throttle.dns_throttle import DnsThrottle
 from ..throttle.replay import ReplayResult, replay_hosts, worm_slowdown
 from ..throttle.williamson import WilliamsonThrottle
-from .policy import DeploymentStrategy
 from .quarantine import QuarantineStudy
 
 __all__ = [
@@ -120,10 +119,12 @@ def fig1b_star_simulation(
         seed=42,
     )
     strategies = [
-        DeploymentStrategy.none(),
-        DeploymentStrategy.hosts(0.10, STAR_BETA2),
-        DeploymentStrategy.hosts(0.30, STAR_BETA2),
-        DeploymentStrategy.hub(STAR_LINK_RATE, STAR_HUB_BUDGET),
+        DefenseSpec(kind="none"),
+        DefenseSpec(kind="hosts", coverage=0.10, rate=STAR_BETA2),
+        DefenseSpec(kind="hosts", coverage=0.30, rate=STAR_BETA2),
+        DefenseSpec(
+            kind="hub", rate=STAR_LINK_RATE, node_budget=STAR_HUB_BUDGET
+        ),
     ]
     curves = study.simulate_deployments(
         strategies, max_ticks=max_ticks, num_runs=num_runs
@@ -231,10 +232,10 @@ def fig4_powerlaw_simulation(
     """Figure 4: random worm; none vs 5% hosts vs edge vs backbone."""
     study = QuarantineStudy(num_nodes, scan_rate=0.8, seed=42)
     strategies = [
-        DeploymentStrategy.none(),
-        DeploymentStrategy.hosts(0.05, HOST_RL_RATE),
-        DeploymentStrategy.edge(ROUTER_BASE_RATE),
-        DeploymentStrategy.backbone(ROUTER_BASE_RATE),
+        DefenseSpec(kind="none"),
+        DefenseSpec(kind="hosts", coverage=0.05, rate=HOST_RL_RATE),
+        DefenseSpec(kind="edge", rate=ROUTER_BASE_RATE),
+        DefenseSpec(kind="backbone", rate=ROUTER_BASE_RATE),
     ]
     return study.simulate_deployments(
         strategies, max_ticks=max_ticks, num_runs=num_runs
@@ -327,10 +328,10 @@ def fig6_localpref_deployments(
         num_nodes, scan_rate=0.8, local_preference=0.8, seed=42
     )
     strategies = [
-        DeploymentStrategy.none(),
-        DeploymentStrategy.hosts(0.05, HOST_RL_RATE),
-        DeploymentStrategy.hosts(0.30, HOST_RL_RATE),
-        DeploymentStrategy.backbone(ROUTER_BASE_RATE),
+        DefenseSpec(kind="none"),
+        DefenseSpec(kind="hosts", coverage=0.05, rate=HOST_RL_RATE),
+        DefenseSpec(kind="hosts", coverage=0.30, rate=HOST_RL_RATE),
+        DefenseSpec(kind="backbone", rate=ROUTER_BASE_RATE),
     ]
     return study.simulate_deployments(
         strategies, max_ticks=max_ticks, num_runs=num_runs
@@ -439,14 +440,14 @@ def fig8a_immunization_simulation(
     )
     curves: dict[str, Trajectory] = {}
     base = study.simulate_deployments(
-        [DeploymentStrategy.none()], max_ticks=max_ticks, num_runs=num_runs
+        [DefenseSpec(kind="none")], max_ticks=max_ticks, num_runs=num_runs
     )
     curves["no_immunization"] = base["no_rl"]
     for level in IMMUNIZATION_LEVELS:
         policy = ImmunizationPolicy.at_fraction(level, IMMUNIZATION_MU)
         result = run_ensemble(
             study.spec_for(
-                DeploymentStrategy.none(),
+                DefenseSpec(kind="none"),
                 max_ticks=max_ticks,
                 num_runs=num_runs,
                 immunization=policy,
@@ -472,7 +473,7 @@ def fig8b_immunization_rl_simulation(
     study = QuarantineStudy(
         num_nodes, scan_rate=IMMUNIZATION_SCAN_RATE, seed=42
     )
-    backbone = DeploymentStrategy.backbone(FIG8B_BACKBONE_RATE)
+    backbone = DefenseSpec(kind="backbone", rate=FIG8B_BACKBONE_RATE)
     curves: dict[str, Trajectory] = {}
     base = study.simulate_deployments(
         [backbone], max_ticks=max_ticks, num_runs=num_runs
@@ -480,7 +481,7 @@ def fig8b_immunization_rl_simulation(
     curves["no_immunization"] = base["backbone_rl"]
     # Anchor start ticks to the simulated un-rate-limited baseline.
     unlimited = study.simulate_deployments(
-        [DeploymentStrategy.none()],
+        [DefenseSpec(kind="none")],
         max_ticks=max_ticks,
         num_runs=num_runs,
     )["no_rl"]

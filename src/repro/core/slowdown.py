@@ -14,27 +14,7 @@ from dataclasses import dataclass
 
 from ..models.base import ModelError, Trajectory
 
-__all__ = ["slowdown_factor", "SlowdownReport", "compare_times"]
-
-
-def slowdown_factor(
-    baseline: Trajectory, defended: Trajectory, level: float
-) -> float:
-    """How many times longer the defended curve takes to reach ``level``.
-
-    Returns ``inf`` if the defended curve never gets there within its
-    horizon (the defense contained the worm) and raises if the *baseline*
-    never reaches the level (the comparison would be meaningless).
-    """
-    t_base = baseline.time_to_fraction(level)
-    if math.isinf(t_base):
-        raise ModelError(
-            f"baseline never reaches {level:.0%}; cannot compute slowdown"
-        )
-    t_defended = defended.time_to_fraction(level)
-    if t_base <= 0:
-        raise ModelError("baseline reaches the level at t=0")
-    return t_defended / t_base
+__all__ = ["SlowdownReport", "compare_times"]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from ..runner import (
     WormSpec,
     run_ensemble,
 )
-from .policy import DeploymentStrategy
 from .quarantine import QuarantineStudy
 
 __all__ = [
@@ -88,7 +87,7 @@ class SweepResult:
 
 def _baseline_curve(study: QuarantineStudy, *, max_ticks: int, num_runs: int) -> Trajectory:
     return study.simulate_deployments(
-        [DeploymentStrategy.none()], max_ticks=max_ticks, num_runs=num_runs
+        [DefenseSpec(kind="none")], max_ticks=max_ticks, num_runs=num_runs
     )["no_rl"]
 
 
@@ -111,7 +110,7 @@ def sweep_backbone_rate(
     points = []
     for rate in rates:
         curve = study.simulate_deployments(
-            [DeploymentStrategy.backbone(rate)],
+            [DefenseSpec(kind="backbone", rate=rate)],
             max_ticks=max_ticks,
             num_runs=num_runs,
         )["backbone_rl"]
@@ -141,11 +140,10 @@ def sweep_host_coverage(
     t_base = baseline.time_to_fraction(0.5)
     points = []
     for coverage in coverages:
+        hosts = DefenseSpec(kind="hosts", coverage=coverage, rate=rate)
         curve = study.simulate_deployments(
-            [DeploymentStrategy.hosts(coverage, rate)],
-            max_ticks=max_ticks,
-            num_runs=num_runs,
-        )[DeploymentStrategy.hosts(coverage, rate).label]
+            [hosts], max_ticks=max_ticks, num_runs=num_runs
+        )[hosts.label]
         t50 = curve.time_to_fraction(0.5)
         points.append(
             SweepPoint(

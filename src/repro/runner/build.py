@@ -166,7 +166,6 @@ def _run_metrics(
     stats = network.stats
     return RunMetrics(
         ticks_executed=simulation.ticks_executed,
-        events_executed=simulation.events_executed,
         packets_injected=stats.packets_injected,
         packets_delivered=stats.packets_delivered,
         packets_dropped=stats.packets_dropped,

@@ -78,7 +78,8 @@ class RunMetrics:
     ticks_executed:
         Simulation ticks actually run (stop conditions can end early).
     events_executed:
-        Ad-hoc scheduler events run (0 for purely tick-driven scenarios).
+        Always 0: every engine is tick-driven.  Kept so payloads and
+        cache entries keep their shape.
     packets_injected / packets_delivered / packets_dropped:
         The network's packet counters: scans entering the routed graph,
         scans reaching their destination, and scans lost to full queues.
@@ -168,7 +169,9 @@ class EnsembleMetrics:
     The histogram/profile aggregates are key-wise sums of the per-run
     dicts, so they are a pure function of the run list — serial and
     parallel executions of the same ensemble aggregate identically
-    (asserted in the test suite).
+    (asserted in the test suite).  ``total_events`` sums the runs'
+    ``events_executed`` and so is always 0; it stays for the payload's
+    shape.
     """
 
     total_wall_time: float = 0.0

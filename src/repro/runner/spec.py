@@ -131,12 +131,18 @@ class WormSpec:
 class DefenseSpec:
     """Where rate-limiting filters go and how hard they throttle.
 
-    Mirrors :class:`repro.core.policy.DeploymentStrategy` but as pure
-    data the simulator layer can consume without importing the policy
-    layer.  ``seed`` only matters for host deployment (which filters a
-    random fraction of hosts); it is deliberately independent of the run
-    seed so the *same* hosts are filtered in every run of an ensemble,
-    matching the fixed-deployment reading of the paper.
+    The paper's design axis as data: ``kind`` is the location (no
+    filters, end hosts, the star hub, edge routers or backbone routers);
+    ``rate`` is the allowed contact/packet rate per tick (the
+    analytical ``beta2`` for host filters, the per-link base rate for
+    router filters); ``coverage`` is the fraction of hosts filtered
+    (host deployment only); ``node_budget`` is the star hub's forwarding
+    budget; ``weighted`` scales router-link capacities with
+    routing-table occupancy (the paper's scheme).  ``seed`` only matters
+    for host deployment (which filters a random fraction of hosts); it
+    is deliberately independent of the run seed so the *same* hosts are
+    filtered in every run of an ensemble, matching the fixed-deployment
+    reading of the paper.
     """
 
     kind: str = "none"
@@ -156,10 +162,20 @@ class DefenseSpec:
             raise SpecError(f"{self.kind} defense needs a rate")
         if self.kind == "hub" and self.node_budget is None:
             raise SpecError("hub defense needs a node_budget")
+        if self.rate is not None and self.rate <= 0:
+            raise SpecError(f"rate must be positive, got {self.rate}")
+        if self.node_budget is not None and self.node_budget <= 0:
+            raise SpecError(
+                f"node_budget must be positive, got {self.node_budget}"
+            )
+        if not 0.0 <= self.coverage <= 1.0:
+            raise SpecError(
+                f"coverage must be in [0, 1], got {self.coverage}"
+            )
 
     @property
     def label(self) -> str:
-        """Display label matching the policy layer's conventions."""
+        """Display label, e.g. ``host_rl_30pct`` or ``backbone_rl``."""
         if self.kind == "none":
             return "no_rl"
         if self.kind == "hosts":

@@ -1,4 +1,4 @@
-"""Discrete-event packet-level worm simulator (the ns-2 substitute).
+"""Tick-driven packet-level worm simulator (the ns-2 substitute).
 
 Build a :class:`Network` (star or power-law), optionally deploy a defense
 from :mod:`repro.simulator.defense`, then run a :class:`WormSimulation`.
@@ -15,7 +15,7 @@ from .defense import (
     deploy_hub_rate_limit,
     no_defense,
 )
-from .engine import Event, EventScheduler, Phase, SimulationError, TickSimulation
+from .engine import Phase, SimulationError, TickSimulation
 from .fastpath import FastWormSimulation
 from .immunization import ImmunizationPolicy, ImmunizationProcess
 from .links import DirectedLink, LinkStats, TokenBucket
@@ -42,8 +42,6 @@ __all__ = [
     "deploy_host_rate_limit",
     "deploy_hub_rate_limit",
     "no_defense",
-    "Event",
-    "EventScheduler",
     "Phase",
     "SimulationError",
     "TickSimulation",

@@ -1,122 +1,25 @@
-"""Discrete-event simulation engine (the ns-2 substitute's core).
+"""Tick-synchronous simulation engine (the ns-2 substitute's core).
 
-The paper runs its experiments on ns-2 in *simulation ticks*.  This module
-provides the two layers our simulator needs:
-
-* :class:`EventScheduler` — a classic priority-queue discrete-event loop
-  with cancellable events and deterministic FIFO ordering for ties.
-* :class:`TickSimulation` — the tick-synchronous harness the worm
-  experiments use, built on the scheduler: components register handlers on
-  named phases, and every tick runs the phases in a fixed order (scan →
-  transmit → deliver → immunize → observe), which makes runs reproducible
-  for a given seed.
+The paper runs its experiments on ns-2 in *simulation ticks*.
+:class:`TickSimulation` is the harness the worm experiments use:
+components register handlers on named phases, and every tick runs the
+phases in a fixed order (scan → transmit → deliver → immunize →
+observe), which makes runs reproducible for a given seed.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import IntEnum
 from time import perf_counter
 
 from ..observability.instrumentation import Instrumentation
 
-__all__ = ["Event", "EventScheduler", "Phase", "TickSimulation", "SimulationError"]
+__all__ = ["Phase", "TickSimulation", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
-    """Raised for invalid scheduler or simulation usage."""
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.  Ordering: time, then insertion sequence."""
-
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the scheduler skips it."""
-        self.cancelled = True
-
-
-class EventScheduler:
-    """Priority-queue event loop with a monotonically advancing clock."""
-
-    def __init__(self) -> None:
-        self._queue: list[Event] = []
-        self._sequence = itertools.count()
-        self._now = 0.0
-        self._executed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Number of events run so far (for diagnostics)."""
-        return self._executed
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        event = Event(self._now + delay, next(self._sequence), callback)
-        heapq.heappush(self._queue, event)
-        return event
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at an absolute time ``>= now``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time}, clock is already at {self._now}"
-            )
-        event = Event(time, next(self._sequence), callback)
-        heapq.heappush(self._queue, event)
-        return event
-
-    def peek_time(self) -> float | None:
-        """Time of the next pending event, or ``None`` when idle."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.callback()
-            self._executed += 1
-            return True
-        return False
-
-    def run_until(self, t_end: float) -> None:
-        """Run events with time ``<= t_end``; leaves the clock at ``t_end``."""
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > t_end:
-                break
-            self.step()
-        self._now = max(self._now, t_end)
-
-    def run(self, max_events: int | None = None) -> None:
-        """Run until the queue drains (or ``max_events`` is hit)."""
-        count = 0
-        while self.step():
-            count += 1
-            if max_events is not None and count >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; runaway simulation?"
-                )
+    """Raised for invalid simulation usage."""
 
 
 class Phase(IntEnum):
@@ -143,7 +46,7 @@ PHASE_NAMES: dict[Phase, str] = {phase: phase.name.lower() for phase in Phase}
 
 
 class TickSimulation:
-    """Tick-synchronous simulation harness over :class:`EventScheduler`.
+    """Tick-synchronous simulation harness.
 
     Components register handlers on :class:`Phase` slots; :meth:`run`
     executes ticks ``0, 1, 2, ...`` until a stop condition fires or
@@ -155,7 +58,6 @@ class TickSimulation:
     def __init__(
         self, *, instrumentation: Instrumentation | None = None
     ) -> None:
-        self._scheduler = EventScheduler()
         self._handlers: dict[Phase, list[TickHandler]] = {
             phase: [] for phase in Phase
         }
@@ -170,11 +72,6 @@ class TickSimulation:
     def current_tick(self) -> int:
         """The tick currently executing (or about to execute)."""
         return self._tick
-
-    @property
-    def scheduler(self) -> EventScheduler:
-        """The underlying event scheduler (for ad-hoc one-shot events)."""
-        return self._scheduler
 
     def on(self, phase: Phase, handler: TickHandler) -> None:
         """Register ``handler(tick)`` to run during ``phase`` each tick."""
@@ -206,7 +103,6 @@ class TickSimulation:
         executed = 0
         for tick in range(max_ticks):
             self._tick = tick
-            self._scheduler.run_until(float(tick))
             self._run_tick(tick)
             executed += 1
             if any(predicate(tick) for predicate in self._stop_conditions):
@@ -215,5 +111,4 @@ class TickSimulation:
         instr = self.instrumentation
         if instr is not None and instr.profile:
             instr.count("ticks", executed)
-            instr.count("scheduler_events", self._scheduler.events_executed)
         return executed

@@ -291,9 +291,6 @@ class ReplicaState:
         "_samples",
     )
 
-    #: The vector loop schedules no ad-hoc events.
-    events_executed = 0
-
     def __init__(
         self,
         row: int,
@@ -1415,7 +1412,6 @@ class VectorReplicaSimulation:
                 instr = state.instrumentation
                 if instr is not None and instr.profile:
                     instr.count("ticks", tick + 1)
-                    instr.count("scheduler_events", 0)
                 dirty.discard(r)
                 exact.discard(r)
                 self._finalize(r, state, harvest)

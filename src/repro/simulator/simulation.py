@@ -244,11 +244,6 @@ class WormSimulation:
         """Ticks run so far (stop conditions can end a run early)."""
         return self.recorder.num_samples
 
-    @property
-    def events_executed(self) -> int:
-        """Ad-hoc scheduler events run (0 for purely tick-driven runs)."""
-        return self._sim.scheduler.events_executed
-
     def run(self, max_ticks: int) -> Trajectory:
         """Run up to ``max_ticks`` ticks and return the infection curve."""
         self._sim.run(max_ticks)

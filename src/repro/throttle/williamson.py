@@ -62,16 +62,6 @@ class WilliamsonThrottle(Throttle):
     def name(self) -> str:
         return "williamson_ip_throttle"
 
-    @property
-    def working_set(self) -> tuple[int, ...]:
-        """Current working-set addresses, LRU first."""
-        return tuple(self._working_set)
-
-    @property
-    def queue_depth_at(self) -> float:
-        """Backlog, expressed in periods, still waiting to drain."""
-        return max(0.0, (self._next_release - self._last_offer) / self._period)
-
     def _touch(self, dst: int) -> None:
         self._working_set[dst] = self._last_offer
         self._working_set.move_to_end(dst)

@@ -3,12 +3,7 @@ degree-rank role classification, and subnet partitioning."""
 
 from .classify import NodeRole, RoleAssignment, classify_roles
 from .graphs import Edge, Topology, TopologyError
-from .powerlaw import (
-    barabasi_albert,
-    degree_histogram,
-    powerlaw_configuration,
-    powerlaw_tail_exponent,
-)
+from .powerlaw import barabasi_albert, powerlaw_configuration
 from .star import HUB_NODE, StarTopology, star_graph
 from .subnets import NO_SUBNET, SubnetMap, partition_subnets
 
@@ -21,8 +16,6 @@ __all__ = [
     "classify_roles",
     "barabasi_albert",
     "powerlaw_configuration",
-    "degree_histogram",
-    "powerlaw_tail_exponent",
     "HUB_NODE",
     "StarTopology",
     "star_graph",

@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
 
 from .graphs import Topology, TopologyError
 
 __all__ = [
     "barabasi_albert",
     "powerlaw_configuration",
-    "degree_histogram",
-    "powerlaw_tail_exponent",
 ]
 
 
@@ -166,31 +163,3 @@ def powerlaw_configuration(
             edge_set.add(edge)
         topology = Topology(num_nodes, sorted(edge_set))
     return topology
-
-
-def degree_histogram(topology: Topology) -> dict[int, int]:
-    """Map each observed degree to the number of nodes with that degree."""
-    histogram: dict[int, int] = {}
-    for degree in topology.degrees():
-        histogram[degree] = histogram.get(degree, 0) + 1
-    return histogram
-
-
-def powerlaw_tail_exponent(
-    degrees: Sequence[int], *, k_min: int = 3
-) -> float:
-    """Estimate the power-law exponent of a degree tail via Hill's MLE.
-
-    Uses the discrete maximum-likelihood estimator
-    ``alpha = 1 + n / sum(ln(k_i / (k_min - 0.5)))`` over degrees
-    ``>= k_min``.  Used by tests to confirm the BA generator produces a
-    scale-free tail (alpha in roughly [2, 3.8]).
-    """
-    tail = [k for k in degrees if k >= k_min]
-    if len(tail) < 10:
-        raise ValueError(
-            f"need at least 10 tail samples with degree >= {k_min}, "
-            f"got {len(tail)}"
-        )
-    log_sum = sum(math.log(k / (k_min - 0.5)) for k in tail)
-    return 1.0 + len(tail) / log_sum

@@ -19,7 +19,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from enum import Enum
 
-from .records import DNS_PORT, FlowRecord, Trace
+from .records import DNS_PORT, FlowRecord
 
 __all__ = [
     "ContactClassifier",
@@ -37,8 +37,7 @@ class DnsCache:
     """Per-client cache of (resolved address, expiry) pairs.
 
     Feed it DNS answer records in time order (:meth:`observe`); query with
-    :meth:`has_valid_translation`.  ``build_from_trace`` replays a whole
-    trace in one call.
+    :meth:`has_valid_translation`.
     """
 
     def __init__(self, ttl: float = DEFAULT_DNS_TTL) -> None:
@@ -47,7 +46,6 @@ class DnsCache:
         self._ttl = ttl
         # client -> {resolved address -> expiry time}
         self._entries: dict[int, dict[int, float]] = defaultdict(dict)
-        self.answers_observed = 0
 
     @property
     def ttl(self) -> float:
@@ -64,33 +62,12 @@ class DnsCache:
             return False
         client = record.dst
         self._entries[client][record.dns_answer] = record.time + self._ttl
-        self.answers_observed += 1
         return True
 
     def has_valid_translation(self, client: int, address: int, now: float) -> bool:
         """Whether ``client`` held a live translation for ``address``."""
         expiry = self._entries.get(client, {}).get(address)
         return expiry is not None and now <= expiry
-
-    def entries_for(self, client: int, now: float) -> set[int]:
-        """Addresses with live translations for ``client`` (diagnostics)."""
-        table = self._entries.get(client, {})
-        return {address for address, expiry in table.items() if now <= expiry}
-
-    @classmethod
-    def build_from_trace(
-        cls, trace: Trace, *, ttl: float = DEFAULT_DNS_TTL
-    ) -> "DnsCache":
-        """Replay every DNS answer in ``trace`` into a fresh cache.
-
-        Note: the resulting cache holds *final* state; for time-accurate
-        queries during a streaming pass, interleave :meth:`observe` calls
-        instead (:class:`ContactClassifier` does exactly that).
-        """
-        cache = cls(ttl=ttl)
-        for record in trace:
-            cache.observe(record)
-        return cache
 
 
 class Refinement(Enum):

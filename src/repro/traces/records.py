@@ -279,12 +279,6 @@ class Trace:
         """Whether ``ip`` belongs to the monitored network."""
         return ip in self._internal
 
-    def outbound_records(self) -> Iterator[FlowRecord]:
-        """Records leaving the network (internal src, external dst)."""
-        for record in self._records:
-            if record.src in self._internal and record.dst not in self._internal:
-                yield record
-
     def inbound_records(self) -> Iterator[FlowRecord]:
         """Records entering the network (external src, internal dst)."""
         for record in self._records:

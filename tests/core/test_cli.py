@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.cli import _parse_strategy, build_parser, main
-from repro.core.policy import DeploymentLocation
+from repro.runner.spec import DefenseSpec
 
 
 def run_cli(*argv: str) -> str:
@@ -45,17 +45,19 @@ class TestParser:
 
 class TestParseStrategy:
     def test_all_kinds(self):
-        assert _parse_strategy("none").location is DeploymentLocation.NONE
-        hosts = _parse_strategy("hosts:0.3:0.01")
-        assert hosts.coverage == 0.3
-        assert hosts.policy.rate == 0.01
-        assert _parse_strategy("edge:0.02").policy.rate == 0.02
-        assert (
-            _parse_strategy("backbone:0.05").location
-            is DeploymentLocation.BACKBONE_ROUTERS
+        assert _parse_strategy("none") == DefenseSpec(kind="none")
+        assert _parse_strategy("hosts:0.3:0.01") == DefenseSpec(
+            kind="hosts", coverage=0.3, rate=0.01
         )
-        hub = _parse_strategy("hub:10:4")
-        assert hub.policy.node_budget == 4.0
+        assert _parse_strategy("edge:0.02") == DefenseSpec(
+            kind="edge", rate=0.02
+        )
+        assert _parse_strategy("backbone:0.05") == DefenseSpec(
+            kind="backbone", rate=0.05
+        )
+        assert _parse_strategy("hub:10:4") == DefenseSpec(
+            kind="hub", rate=10.0, node_budget=4.0
+        )
 
     def test_bad_inputs(self):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -64,6 +66,8 @@ class TestParseStrategy:
             _parse_strategy("hosts:0.3")  # missing rate
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_strategy("edge:not-a-number")
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_strategy("hosts:1.5:0.01")  # coverage above 1
 
 
 class TestCommands:

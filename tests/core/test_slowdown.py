@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.slowdown import compare_times, slowdown_factor
+from repro.core.slowdown import compare_times
 from repro.models.base import ModelError, Trajectory
 
 
@@ -18,19 +18,33 @@ def ramp(speed: float, population: float = 100.0) -> Trajectory:
 
 
 class TestSlowdownFactor:
+    """The per-curve factor :func:`compare_times` reports."""
+
+    def factor(self, baseline: Trajectory, defended: Trajectory) -> float:
+        curves = {"no_rl": baseline, "defended": defended}
+        report = compare_times(curves, baseline="no_rl", level=0.5)
+        return report.factors["defended"]
+
     def test_basic_ratio(self):
         fast = ramp(10.0)   # reaches 50% at t = 5
         slow = ramp(2.0)    # reaches 50% at t = 25
-        assert slowdown_factor(fast, slow, 0.5) == pytest.approx(5.0)
+        assert self.factor(fast, slow) == pytest.approx(5.0)
 
     def test_contained_worm_is_inf(self):
         fast = ramp(10.0)
         contained = ramp(0.1)  # never reaches 50% in horizon
-        assert math.isinf(slowdown_factor(fast, contained, 0.5))
+        assert math.isinf(self.factor(fast, contained))
 
     def test_baseline_must_reach_level(self):
-        with pytest.raises(ModelError, match="never reaches"):
-            slowdown_factor(ramp(0.1), ramp(10.0), 0.5)
+        """The baseline must reach the level, and only after t=0."""
+        with pytest.raises(ModelError, match="positive time"):
+            self.factor(ramp(0.1), ramp(10.0))
+        times = np.linspace(0, 100, 200)
+        saturated = Trajectory(
+            times=times, infected=np.full_like(times, 60.0), population=100.0
+        )
+        with pytest.raises(ModelError, match="positive time"):
+            self.factor(saturated, ramp(10.0))
 
 
 class TestCompareTimes:

@@ -89,6 +89,18 @@ class TestValidation:
         with pytest.raises(SpecError):
             DefenseSpec(kind="hub", rate=10.0)
 
+    def test_defense_rejects_zero_rate(self):
+        with pytest.raises(SpecError, match="rate must be positive"):
+            DefenseSpec(kind="edge", rate=0.0)
+
+    def test_defense_rejects_coverage_above_one(self):
+        with pytest.raises(SpecError, match="coverage"):
+            DefenseSpec(kind="hosts", rate=0.01, coverage=1.5)
+
+    def test_defense_rejects_zero_node_budget(self):
+        with pytest.raises(SpecError, match="node_budget must be positive"):
+            DefenseSpec(kind="hub", rate=1.0, node_budget=0.0)
+
     def test_quarantine_response_must_deploy(self):
         with pytest.raises(SpecError):
             QuarantineSpec(response=DefenseSpec(kind="none"))
@@ -118,6 +130,15 @@ class TestValidation:
 
 
 class TestDefenseLabels:
+    def test_defaults(self):
+        defense = DefenseSpec()
+        assert defense.kind == "none"
+        assert defense.rate is None
+        assert defense.coverage == 1.0
+        assert defense.node_budget is None
+        assert defense.weighted
+        assert defense.seed is None
+
     def test_labels_match_policy_conventions(self):
         assert DefenseSpec(kind="none").label == "no_rl"
         assert (

@@ -54,6 +54,22 @@ class TestSpecRoundTrip:
         with pytest.raises(ProtocolError, match="invalid ensemble spec"):
             decode_ensemble_spec(data)
 
+    @pytest.mark.parametrize(
+        "defense",
+        [
+            {"kind": "edge", "rate": 0.0},
+            {"kind": "hosts", "rate": 0.01, "coverage": 1.5},
+            {"kind": "hub", "rate": 1.0, "node_budget": 0.0},
+        ],
+        ids=["zero-rate", "coverage-above-one", "zero-node-budget"],
+    )
+    def test_decode_rejects_out_of_range_defense(self, defense):
+        """A bad defense is refused at admission, not inside a job."""
+        data = tiny_ensemble().to_dict()
+        data["template"]["defense"] = defense
+        with pytest.raises(ProtocolError, match="invalid ensemble spec"):
+            decode_ensemble_spec(data)
+
     def test_decode_rejects_unknown_keys(self):
         data = tiny_ensemble().to_dict()
         data["surprise"] = 1

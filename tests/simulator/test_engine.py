@@ -1,101 +1,10 @@
-"""Tests for the discrete-event engine and tick harness."""
+"""Tests for the tick harness."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simulator.engine import (
-    EventScheduler,
-    Phase,
-    SimulationError,
-    TickSimulation,
-)
-
-
-class TestEventScheduler:
-    def test_events_run_in_time_order(self):
-        scheduler = EventScheduler()
-        log: list[str] = []
-        scheduler.schedule(2.0, lambda: log.append("late"))
-        scheduler.schedule(1.0, lambda: log.append("early"))
-        scheduler.run()
-        assert log == ["early", "late"]
-
-    def test_ties_run_in_insertion_order(self):
-        scheduler = EventScheduler()
-        log: list[int] = []
-        for i in range(5):
-            scheduler.schedule(1.0, lambda i=i: log.append(i))
-        scheduler.run()
-        assert log == [0, 1, 2, 3, 4]
-
-    def test_clock_advances(self):
-        scheduler = EventScheduler()
-        seen: list[float] = []
-        scheduler.schedule(3.5, lambda: seen.append(scheduler.now))
-        scheduler.run()
-        assert seen == [3.5]
-        assert scheduler.now == 3.5
-
-    def test_cancelled_events_skipped(self):
-        scheduler = EventScheduler()
-        log: list[str] = []
-        event = scheduler.schedule(1.0, lambda: log.append("cancelled"))
-        scheduler.schedule(2.0, lambda: log.append("kept"))
-        event.cancel()
-        scheduler.run()
-        assert log == ["kept"]
-
-    def test_run_until_stops_at_boundary(self):
-        scheduler = EventScheduler()
-        log: list[float] = []
-        for t in (1.0, 2.0, 3.0):
-            scheduler.schedule(t, lambda t=t: log.append(t))
-        scheduler.run_until(2.0)
-        assert log == [1.0, 2.0]
-        assert scheduler.now == 2.0
-
-    def test_schedule_in_past_rejected(self):
-        scheduler = EventScheduler()
-        with pytest.raises(SimulationError):
-            scheduler.schedule(-1.0, lambda: None)
-
-    def test_schedule_at_absolute(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(5.0, lambda: None)
-        scheduler.run()
-        with pytest.raises(SimulationError):
-            scheduler.schedule_at(1.0, lambda: None)
-
-    def test_events_scheduled_during_run(self):
-        scheduler = EventScheduler()
-        log: list[str] = []
-
-        def first():
-            log.append("first")
-            scheduler.schedule(1.0, lambda: log.append("second"))
-
-        scheduler.schedule(1.0, first)
-        scheduler.run()
-        assert log == ["first", "second"]
-
-    def test_runaway_guard(self):
-        scheduler = EventScheduler()
-
-        def forever():
-            scheduler.schedule(1.0, forever)
-
-        scheduler.schedule(0.0, forever)
-        with pytest.raises(SimulationError, match="max_events"):
-            scheduler.run(max_events=100)
-
-    def test_peek_time(self):
-        scheduler = EventScheduler()
-        assert scheduler.peek_time() is None
-        event = scheduler.schedule(4.0, lambda: None)
-        assert scheduler.peek_time() == 4.0
-        event.cancel()
-        assert scheduler.peek_time() is None
+from repro.simulator.engine import Phase, SimulationError, TickSimulation
 
 
 class TestTickSimulation:
@@ -133,114 +42,3 @@ class TestTickSimulation:
     def test_rejects_nonpositive_ticks(self):
         with pytest.raises(SimulationError):
             TickSimulation().run(0)
-
-    def test_scheduler_events_interleave_with_ticks(self):
-        sim = TickSimulation()
-        log: list[str] = []
-        sim.scheduler.schedule_at(1.0, lambda: log.append("event@1"))
-        sim.on(Phase.SCAN, lambda t: log.append(f"tick{t}"))
-        sim.run(3)
-        assert log == ["tick0", "event@1", "tick1", "tick2"]
-
-
-class TestEventBookkeeping:
-    def test_events_executed_counter(self):
-        scheduler = EventScheduler()
-        for i in range(5):
-            scheduler.schedule(float(i), lambda: None)
-        scheduler.run()
-        assert scheduler.events_executed == 5
-
-    def test_event_ordering_dataclass(self):
-        from repro.simulator.engine import Event
-
-        early = Event(1.0, 0, lambda: None)
-        late = Event(2.0, 0, lambda: None)
-        tie_first = Event(1.0, 1, lambda: None)
-        tie_second = Event(1.0, 2, lambda: None)
-        assert early < late
-        assert tie_first < tie_second
-
-    def test_run_until_advances_clock_even_when_idle(self):
-        scheduler = EventScheduler()
-        scheduler.run_until(7.5)
-        assert scheduler.now == 7.5
-
-
-class TestSchedulerEdgeCases:
-    def test_step_skips_cancelled_and_runs_next_live_event(self):
-        scheduler = EventScheduler()
-        log: list[str] = []
-        scheduler.schedule(1.0, lambda: log.append("cancelled")).cancel()
-        scheduler.schedule(2.0, lambda: log.append("live"))
-        assert scheduler.step() is True
-        assert log == ["live"]
-        assert scheduler.now == 2.0
-
-    def test_step_returns_false_when_only_cancelled_events_remain(self):
-        scheduler = EventScheduler()
-        for t in (1.0, 2.0):
-            scheduler.schedule(t, lambda: None).cancel()
-        assert scheduler.step() is False
-        assert scheduler.events_executed == 0
-
-    def test_cancelled_events_do_not_count_as_executed(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(1.0, lambda: None)
-        scheduler.schedule(2.0, lambda: None).cancel()
-        scheduler.schedule(3.0, lambda: None)
-        scheduler.run()
-        assert scheduler.events_executed == 2
-
-    def test_peek_time_skips_cancelled_head(self):
-        scheduler = EventScheduler()
-        head = scheduler.schedule(1.0, lambda: None)
-        scheduler.schedule(5.0, lambda: None)
-        head.cancel()
-        assert scheduler.peek_time() == 5.0
-
-    def test_schedule_at_exactly_now_allowed(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(3.0, lambda: None)
-        scheduler.run()
-        assert scheduler.now == 3.0
-        log: list[str] = []
-        scheduler.schedule_at(3.0, lambda: log.append("now"))
-        scheduler.run()
-        assert log == ["now"]
-        assert scheduler.now == 3.0
-
-    def test_schedule_at_in_past_rejected_mid_run(self):
-        scheduler = EventScheduler()
-        errors: list[Exception] = []
-
-        def try_rewind():
-            try:
-                scheduler.schedule_at(0.5, lambda: None)
-            except SimulationError as exc:
-                errors.append(exc)
-
-        scheduler.schedule(2.0, try_rewind)
-        scheduler.run()
-        assert len(errors) == 1
-
-    def test_run_until_never_rewinds_clock(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(5.0, lambda: None)
-        scheduler.run()
-        scheduler.run_until(3.0)
-        assert scheduler.now == 5.0
-
-    def test_run_under_max_events_completes(self):
-        scheduler = EventScheduler()
-        for i in range(9):
-            scheduler.schedule(float(i), lambda: None)
-        scheduler.run(max_events=10)
-        assert scheduler.events_executed == 9
-
-    def test_zero_delay_event_runs_at_current_time(self):
-        scheduler = EventScheduler()
-        seen: list[float] = []
-        scheduler.schedule(0.0, lambda: seen.append(scheduler.now))
-        scheduler.run()
-        assert seen == [0.0]

@@ -20,11 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.policy import DeploymentStrategy
 from repro.core.quarantine import QuarantineStudy
 from repro.core.scenarios import HOST_RL_RATE, ROUTER_BASE_RATE
 from repro.runner.build import execute_replica_batch, execute_run
-from repro.runner.spec import EnsembleSpec
+from repro.runner.spec import DefenseSpec, EnsembleSpec
 from repro.simulator import ImmunizationPolicy
 
 pytestmark = pytest.mark.slow
@@ -36,10 +35,10 @@ NUM_FAST_RUNS = 10
 
 #: The fig4 deployment grid, keyed by the labels the fixture stores.
 STRATEGIES = {
-    "no_rl": DeploymentStrategy.none(),
-    "host_rl_5pct": DeploymentStrategy.hosts(0.05, HOST_RL_RATE),
-    "edge_rl": DeploymentStrategy.edge(ROUTER_BASE_RATE),
-    "backbone_rl": DeploymentStrategy.backbone(ROUTER_BASE_RATE),
+    "no_rl": DefenseSpec(kind="none"),
+    "host_rl_5pct": DefenseSpec(kind="hosts", coverage=0.05, rate=HOST_RL_RATE),
+    "edge_rl": DefenseSpec(kind="edge", rate=ROUTER_BASE_RATE),
+    "backbone_rl": DefenseSpec(kind="backbone", rate=ROUTER_BASE_RATE),
 }
 
 
@@ -102,7 +101,7 @@ def _dieout_template():
     params = golden["params"]
     study = QuarantineStudy(params["num_nodes"], scan_rate=0.8, seed=42)
     spec = study.spec_for(
-        DeploymentStrategy.none(), max_ticks=params["max_ticks"]
+        DefenseSpec(kind="none"), max_ticks=params["max_ticks"]
     )
     template = dataclasses.replace(
         spec.template,

@@ -6,11 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.policy import DeploymentStrategy
 from repro.core.quarantine import QuarantineStudy
 from repro.models.homogeneous import HomogeneousSIModel
 from repro.models.immunization import DelayedImmunizationModel
 from repro.models.leaf import LeafRateLimitModel
+from repro.runner.spec import DefenseSpec
 from repro.simulator.immunization import ImmunizationPolicy
 from repro.models.base import Trajectory
 from repro.simulator.network import Network
@@ -73,9 +73,9 @@ class TestModelSimulationAgreement:
                 200, scan_rate=beta, initial_infections=3, seed=5
             )
             strategy = (
-                DeploymentStrategy.none()
+                DefenseSpec(kind="none")
                 if q == 0
-                else DeploymentStrategy.hosts(q, beta2)
+                else DefenseSpec(kind="hosts", coverage=q, rate=beta2)
             )
             curves = study.simulate_deployments(
                 [strategy], max_ticks=200, num_runs=4
@@ -136,7 +136,7 @@ class TestDeterminismEndToEnd:
                 150, scan_rate=0.8, initial_infections=3, seed=21
             )
             curves = study.simulate_deployments(
-                [DeploymentStrategy.backbone(0.05)],
+                [DefenseSpec(kind="backbone", rate=0.05)],
                 max_ticks=100,
                 num_runs=2,
             )

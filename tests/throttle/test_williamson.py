@@ -22,19 +22,22 @@ class TestWorkingSet:
         throttle = WilliamsonThrottle(working_set_size=2, service_period=1.0)
         throttle.offer(0.0, dst=1)
         throttle.offer(10.0, dst=2)
-        throttle.offer(20.0, dst=3)  # evicts 1
-        assert throttle.working_set == (2, 3)
-        # Re-contacting 1 is now a "new" address again.
-        decision = throttle.offer(20.1, dst=1)
-        assert decision.action is Action.DELAY
+        throttle.offer(20.0, dst=3)  # evicts 1; backlog until t=21
+        # Residents pass despite the backlog ...
+        assert throttle.offer(20.1, dst=2).action is Action.FORWARD
+        assert throttle.offer(20.2, dst=3).action is Action.FORWARD
+        # ... while re-contacting 1 is a "new" address again and queues.
+        assert throttle.offer(20.3, dst=1).action is Action.DELAY
 
     def test_touch_refreshes_lru_order(self):
         throttle = WilliamsonThrottle(working_set_size=2)
         throttle.offer(0.0, dst=1)
         throttle.offer(10.0, dst=2)
         throttle.offer(20.0, dst=1)  # refresh 1
-        throttle.offer(30.0, dst=3)  # evicts 2, not 1
-        assert set(throttle.working_set) == {1, 3}
+        throttle.offer(30.0, dst=3)  # evicts 2, not 1; backlog until t=31
+        assert throttle.offer(30.1, dst=1).action is Action.FORWARD
+        assert throttle.offer(30.2, dst=3).action is Action.FORWARD
+        assert throttle.offer(30.3, dst=2).action is Action.DELAY
 
 
 class TestDelayQueue:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.traces.dns import DnsCache
-from repro.traces.records import FlowRecord, Protocol, Trace
+from repro.traces.records import FlowRecord, Protocol
 
 
 def answer(t: float, client: int, resolved: int, resolver: int = 999) -> FlowRecord:
@@ -37,7 +37,6 @@ class TestDnsCache:
         query = FlowRecord(time=0, src=1, dst=999, protocol=Protocol.UDP,
                            src_port=33000, dst_port=53)
         assert not cache.observe(query)
-        assert cache.answers_observed == 0
 
     def test_answer_must_come_from_port_53(self):
         cache = DnsCache()
@@ -50,20 +49,6 @@ class TestDnsCache:
         cache.observe(answer(0.0, client=1, resolved=500))
         cache.observe(answer(50.0, client=1, resolved=500))
         assert cache.has_valid_translation(1, 500, now=100.0)
-
-    def test_entries_for(self):
-        cache = DnsCache(ttl=60)
-        cache.observe(answer(0.0, client=1, resolved=500))
-        cache.observe(answer(0.0, client=1, resolved=600))
-        assert cache.entries_for(1, now=30.0) == {500, 600}
-        assert cache.entries_for(1, now=100.0) == set()
-
-    def test_build_from_trace(self):
-        records = [answer(1.0, client=10, resolved=500)]
-        trace = Trace(records, internal_hosts=[10])
-        cache = DnsCache.build_from_trace(trace)
-        assert cache.answers_observed == 1
-        assert cache.has_valid_translation(10, 500, now=100.0)
 
     def test_rejects_bad_ttl(self):
         with pytest.raises(ValueError):
