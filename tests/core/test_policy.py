@@ -1,54 +1,44 @@
-"""Tests for deployment policies."""
+"""Tests for rate-limit deployments as DefenseSpec describes them."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.policy import (
-    DeploymentLocation,
-    DeploymentStrategy,
-    RateLimitPolicy,
-)
+from repro.runner import DefenseSpec, SpecError
 
 
 class TestRateLimitPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RateLimitPolicy(rate=0.0)
-        with pytest.raises(ValueError):
-            RateLimitPolicy(rate=1.0, node_budget=0.0)
-
     def test_defaults(self):
-        policy = RateLimitPolicy(rate=0.5)
-        assert policy.weighted
-        assert policy.node_budget is None
+        defense = DefenseSpec(kind="edge", rate=0.5)
+        assert defense.weighted
+        assert defense.node_budget is None
 
 
 class TestDeploymentStrategy:
     def test_none_needs_no_policy(self):
-        strategy = DeploymentStrategy.none()
-        assert strategy.location is DeploymentLocation.NONE
-        assert strategy.label == "no_rl"
+        defense = DefenseSpec()
+        assert defense.kind == "none"
+        assert defense.rate is None
+        assert defense.label == "no_rl"
 
     def test_other_locations_need_policy(self):
-        with pytest.raises(ValueError, match="needs a policy"):
-            DeploymentStrategy(location=DeploymentLocation.HOSTS)
-
-    def test_coverage_validation(self):
-        with pytest.raises(ValueError):
-            DeploymentStrategy.hosts(1.5, 0.01)
+        for kind in ("hosts", "edge", "backbone", "hub"):
+            with pytest.raises(SpecError, match="needs a rate"):
+                DefenseSpec(kind=kind)
 
     def test_labels(self):
-        assert DeploymentStrategy.hosts(0.30, 0.01).label == "host_rl_30pct"
-        assert DeploymentStrategy.hub(10.0, 4.0).label == "hub_rl"
-        assert DeploymentStrategy.edge(0.02).label == "edge_rl"
-        assert DeploymentStrategy.backbone(0.02).label == "backbone_rl"
+        assert (
+            DefenseSpec(kind="hosts", rate=0.01, coverage=0.30).label
+            == "host_rl_30pct"
+        )
+        assert (
+            DefenseSpec(kind="hub", rate=10.0, node_budget=4.0).label
+            == "hub_rl"
+        )
+        assert DefenseSpec(kind="edge", rate=0.02).label == "edge_rl"
+        assert DefenseSpec(kind="backbone", rate=0.02).label == "backbone_rl"
 
     def test_hub_carries_node_budget(self):
-        strategy = DeploymentStrategy.hub(10.0, 4.0)
-        assert strategy.policy.rate == 10.0
-        assert strategy.policy.node_budget == 4.0
-
-    def test_unweighted_variant(self):
-        strategy = DeploymentStrategy.backbone(0.02, weighted=False)
-        assert not strategy.policy.weighted
+        defense = DefenseSpec(kind="hub", rate=10.0, node_budget=4.0)
+        assert defense.rate == 10.0
+        assert defense.node_budget == 4.0
