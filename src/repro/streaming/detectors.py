@@ -53,6 +53,8 @@ from ..traces.records import (
 )
 from .estimators import ExactCounter, ExactDistinct
 
+_TCP, _UDP = Protocol.TCP, Protocol.UDP  # bound once: see traces/records.py
+
 __all__ = [
     "Verdict",
     "QuarantineAction",
@@ -336,8 +338,13 @@ class FailureRatioDetector(Detector):
         return events
 
     def _observe(self, record: FlowRecord) -> list[Event]:
-        events = self._expire(record.time)
-        if record.protocol is Protocol.TCP and not record.tcp_syn:
+        queue = self._queue
+        if queue and queue[0][0] + self.timeout < record.time:
+            events = self._expire(record.time)
+        else:
+            events = []
+        protocol = record.protocol
+        if protocol is _TCP and not record.tcp_syn:
             for entry in self._by_pair.pop((record.dst, record.src), ()):
                 entry[4] = False
         elif record.icmp_unreachable:
@@ -348,13 +355,12 @@ class FailureRatioDetector(Detector):
                     )
         elif (
             record.initiates_contact
-            and record.protocol is not Protocol.UDP
+            and protocol is not _UDP
             and self._internal(record.src)
         ):
             self.attempts.add(record.src)
             entry = [
-                record.time, record.src, record.dst,
-                record.protocol is Protocol.TCP, True,
+                record.time, record.src, record.dst, protocol is _TCP, True,
             ]
             self._queue.append(entry)
             self._by_pair.setdefault(

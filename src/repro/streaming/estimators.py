@@ -35,11 +35,13 @@ work (PAPERS.md: Zhou/Zhou/Chen/Kreidl), per-host state here is a few
 
 Both sketches take a ``capacity`` (the host population they are sized
 for) and report ``bytes_per_host`` so callers can assert the memory
-budget; both have numpy-vectorized batch paths (``add_pairs`` /
-``add_keys``) for chunked ingest.  The exact references
-(:class:`ExactDistinct`, :class:`ExactCounter`) share the same API for
-differential testing and for small-scale runs where exactness matters
-more than memory.
+budget.  The per-flow paths (``add`` on both, count-min's
+``estimate``) are pure integer arithmetic: splitmix64 runs on Python
+ints, and cells are read and written through a flat ``memoryview`` of
+the numpy buffer, so a flow costs no numpy call.  The exact
+references (:class:`ExactDistinct`, :class:`ExactCounter`) share the
+same API for differential testing and for small-scale runs where
+exactness matters more than memory.
 """
 
 from __future__ import annotations
@@ -68,10 +70,16 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _mix64_scalar(x: int) -> int:
+    """:func:`_mix64` on one Python int (wraps like ``uint64``)."""
     z = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return z ^ (z >> 31)
+
+
+def _cells(array: np.ndarray) -> memoryview:
+    """A flat view of ``array``'s buffer whose items are Python ints."""
+    return memoryview(array).cast("B").cast(array.dtype.char)
 
 
 def _hll_estimate(registers: np.ndarray) -> float:
@@ -124,6 +132,7 @@ class VirtualHyperLogLog:
         self._m = m
         self._s = s
         self._registers = np.zeros(m, dtype=np.uint8)
+        self._cells = _cells(self._registers)
         self._capacity = capacity
 
     @property
@@ -141,34 +150,19 @@ class VirtualHyperLogLog:
 
     # -- updates ---------------------------------------------------------
 
+    def _slot(self, host: int, item: int) -> tuple[int, int]:
+        """(physical register, rank) that ``host`` contacting ``item`` hits."""
+        he = _mix64_scalar(item)
+        w = he >> 6
+        rho = 59 if w == 0 else (w & -w).bit_length()  # tz + 1, <= 59
+        j = he & (self._s - 1)
+        return _mix64_scalar(_mix64_scalar(host) + j) % self._m, rho
+
     def add(self, host: int, item: int) -> None:
         """Record that ``host`` contacted ``item``."""
-        s = self._s
-        he = _mix64_scalar(item)
-        j = he & (s - 1)
-        w = he >> 6
-        rho = 59 if w == 0 else ((w & -w).bit_length())  # tz + 1
-        phys = _mix64_scalar((_mix64_scalar(host) + j)) % self._m
-        if rho > self._registers[phys]:
-            self._registers[phys] = min(rho, 255)
-
-    def add_pairs(self, hosts: np.ndarray, items: np.ndarray) -> None:
-        """Vectorized :meth:`add` over parallel host/item arrays."""
-        if hosts.size == 0:
-            return
-        hosts64 = hosts.astype(np.uint64)
-        he = _mix64(items.astype(np.uint64))
-        j = he & np.uint64(self._s - 1)
-        w = he >> np.uint64(6)
-        lsb = w & (~w + np.uint64(1))
-        # log2 of a power of two is exact in float64.
-        rho = np.where(
-            w == 0, 59, np.log2(lsb.astype(np.float64) + (w == 0)) + 1
-        ).astype(np.uint8)
-        phys = (_mix64(_mix64(hosts64) + j) % np.uint64(self._m)).astype(
-            np.int64
-        )
-        np.maximum.at(self._registers, phys, rho)
+        phys, rho = self._slot(host, item)
+        if rho > self._cells[phys]:
+            self._cells[phys] = rho
 
     # -- estimates -------------------------------------------------------
 
@@ -218,14 +212,15 @@ class CountMinSketch:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
-        self._rows = rows
         self._width = width if width is not None else max(capacity, 16)
         self._table = np.zeros((rows, self._width), dtype=dtype)
+        self._cells = _cells(self._table)
         self._capacity = capacity
         self._max = int(np.iinfo(dtype).max)
-        self._salts = np.array(
-            [_mix64_scalar(0xABCD + r) for r in range(rows)], dtype=np.uint64
-        )
+        #: (flat offset of the row, the row's hash salt), per row.
+        self._row_salts = [
+            (r * self._width, _mix64_scalar(0xABCD + r)) for r in range(rows)
+        ]
 
     @property
     def bytes_per_host(self) -> float:
@@ -238,47 +233,29 @@ class CountMinSketch:
     def reset(self) -> None:
         self._table.fill(0)
 
-    def _columns(self, key: int) -> np.ndarray:
-        h = _mix64(np.uint64(key) + self._salts)
-        return (h % np.uint64(self._width)).astype(np.int64)
+    def _index(self, key: int) -> list[int]:
+        """Flat ``_table`` index of ``key``'s cell in every row."""
+        width = self._width
+        return [
+            offset + _mix64_scalar((key + salt) & 0xFFFFFFFFFFFFFFFF) % width
+            for offset, salt in self._row_salts
+        ]
 
     def add(self, key: int, count: int = 1) -> int:
         """Count ``count`` occurrences of ``key``; returns new estimate."""
-        cols = self._columns(key)
-        cells = self._table[np.arange(self._rows), cols]
-        new = min(int(cells.min()) + count, self._max)
+        cells = self._cells
+        index = self._index(key)
+        new = min(min([cells[i] for i in index]) + count, self._max)
         # Conservative update: only cells below the new floor move.
-        np.maximum(cells, new, out=cells)
-        self._table[np.arange(self._rows), cols] = cells
+        for i in index:
+            if cells[i] < new:
+                cells[i] = new
         return new
-
-    def add_keys(self, keys: np.ndarray) -> None:
-        """Vectorized unit-count updates (non-conservative, still >=).
-
-        Batch mode raises every hashed cell by the key's batch
-        multiplicity — a plain count-min update.  It keeps the
-        never-underestimate guarantee but is looser than the scalar
-        conservative path; chunked ingest uses it for throughput.
-        """
-        if keys.size == 0:
-            return
-        keys64 = keys.astype(np.uint64)
-        for r in range(self._rows):
-            cols = (
-                _mix64(keys64 + self._salts[r]) % np.uint64(self._width)
-            ).astype(np.int64)
-            counts = np.bincount(cols, minlength=self._width).astype(
-                self._table.dtype
-            )
-            row = self._table[r]
-            headroom = self._max - row
-            np.minimum(counts, headroom.astype(counts.dtype), out=counts)
-            row += counts
 
     def estimate(self, key: int) -> int:
         """Estimated count for ``key`` (never below the true count)."""
-        cols = self._columns(key)
-        return int(self._table[np.arange(self._rows), cols].min())
+        cells = self._cells
+        return min([cells[i] for i in self._index(key)])
 
     def decay(self) -> None:
         """Halve every counter (sliding exposure for long streams)."""
@@ -300,10 +277,6 @@ class ExactDistinct:
 
     def add(self, host: int, item: int) -> None:
         self._sets.setdefault(host, set()).add(item)
-
-    def add_pairs(self, hosts: np.ndarray, items: np.ndarray) -> None:
-        for host, item in zip(hosts.tolist(), items.tolist()):
-            self.add(host, item)
 
     def estimate(self, host: int) -> float:
         return float(len(self._sets.get(host, ())))
@@ -329,10 +302,6 @@ class ExactCounter:
         new = self._counts.get(key, 0) + count
         self._counts[key] = new
         return new
-
-    def add_keys(self, keys: np.ndarray) -> None:
-        for key in keys.tolist():
-            self.add(key)
 
     def estimate(self, key: int) -> int:
         return self._counts.get(key, 0)

@@ -25,7 +25,13 @@ class Action(Enum):
     DELAY = "delay"
 
 
-@dataclass(frozen=True)
+# Enum member lookups cost ~0.2 us each on Python 3.11; the per-offer
+# paths (here and in the ``_decide`` implementations) compare against
+# module-level bindings instead.
+_FORWARD = Action.FORWARD
+
+
+@dataclass(slots=True, frozen=True)
 class Decision:
     """Outcome of offering one contact to a throttle.
 
@@ -100,7 +106,7 @@ class Throttle(abc.ABC):
         self._last_offer = t
         decision = self._decide(t, dst, dns_valid)
         self.stats.offered += 1
-        if decision.action is Action.FORWARD:
+        if decision.action is _FORWARD:
             self.stats.forwarded += 1
         else:
             self.stats.delayed += 1

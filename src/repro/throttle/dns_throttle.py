@@ -20,6 +20,8 @@ from .base import Action, Decision, Throttle
 
 __all__ = ["DnsThrottle"]
 
+_FORWARD, _DELAY = Action.FORWARD, Action.DELAY  # see base.py
+
 
 class DnsThrottle(Throttle):
     """Rate limiter for contacts to non-DNS-translated addresses.
@@ -67,9 +69,9 @@ class DnsThrottle(Throttle):
 
     def _decide(self, t: float, dst: int, dns_valid: bool) -> Decision:
         if dns_valid or dst in self._prior_contacts:
-            return Decision(action=Action.FORWARD, release_time=t)
+            return Decision(action=_FORWARD, release_time=t)
         release = self._next_slot(t)
         self._recent.append(release)
         if release <= t:
-            return Decision(action=Action.FORWARD, release_time=t)
-        return Decision(action=Action.DELAY, release_time=release)
+            return Decision(action=_FORWARD, release_time=t)
+        return Decision(action=_DELAY, release_time=release)

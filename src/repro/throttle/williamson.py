@@ -21,6 +21,8 @@ from .base import Action, Decision, Throttle
 
 __all__ = ["WilliamsonThrottle"]
 
+_FORWARD, _DELAY = Action.FORWARD, Action.DELAY  # see base.py
+
 
 class WilliamsonThrottle(Throttle):
     """IP contact-rate throttle with an LRU working set.
@@ -71,7 +73,7 @@ class WilliamsonThrottle(Throttle):
     def _decide(self, t: float, dst: int, dns_valid: bool) -> Decision:
         if dst in self._working_set:
             self._touch(dst)
-            return Decision(action=Action.FORWARD, release_time=t)
+            return Decision(action=_FORWARD, release_time=t)
         # New address: serviced at rate 1/period.  If the server is idle
         # (no release pending), the contact passes immediately; otherwise
         # it queues behind the backlog.
@@ -79,5 +81,5 @@ class WilliamsonThrottle(Throttle):
         self._next_release = release + self._period
         self._touch(dst)
         if release <= t:
-            return Decision(action=Action.FORWARD, release_time=t)
-        return Decision(action=Action.DELAY, release_time=release)
+            return Decision(action=_FORWARD, release_time=t)
+        return Decision(action=_DELAY, release_time=release)

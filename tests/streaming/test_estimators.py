@@ -21,6 +21,7 @@ from repro.streaming.estimators import (
     ExactCounter,
     ExactDistinct,
     VirtualHyperLogLog,
+    _mix64,
 )
 
 pytestmark = pytest.mark.streaming
@@ -38,6 +39,38 @@ pairs = st.lists(
     ),
     max_size=200,
 )
+
+#: 32-bit keys (host addresses), always with the edge values.
+EDGES = [0, 1, 2**32 - 1]
+keys32 = st.lists(
+    st.integers(min_value=0, max_value=2**32 - 1), max_size=100
+).map(lambda keys: keys + EDGES)
+#: Table widths: powers of two and not.
+WIDTHS = [16, 64, 1024, 17, 48, 1000, 2047]
+
+
+def numpy_add_pairs(
+    sketch: VirtualHyperLogLog, hosts: np.ndarray, items: np.ndarray
+) -> None:
+    """The vectorized vHLL update: the oracle for the integer ``add``."""
+    he = _mix64(items.astype(np.uint64))
+    j = he & np.uint64(sketch._s - 1)
+    w = he >> np.uint64(6)
+    lsb = w & (~w + np.uint64(1))
+    # log2 of a power of two is exact in float64.
+    rho = np.where(
+        w == 0, 59, np.log2(lsb.astype(np.float64) + (w == 0)) + 1
+    ).astype(np.uint8)
+    phys = _mix64(_mix64(hosts.astype(np.uint64)) + j) % np.uint64(sketch._m)
+    np.maximum.at(sketch._registers, phys.astype(np.int64), rho)
+
+
+def numpy_cms_index(keys: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """(key, row) flat table indices, hashed with numpy ``uint64``."""
+    row = np.arange(rows, dtype=np.uint64)
+    salts = _mix64(row + np.uint64(0xABCD))
+    columns = _mix64(keys[:, None] + salts[None, :]) % np.uint64(width)
+    return (columns + row * np.uint64(width)).astype(np.int64)
 
 
 class TestVirtualHyperLogLog:
@@ -69,11 +102,30 @@ class TestVirtualHyperLogLog:
             scalar.add(host, item)
         if items:
             hosts, values = zip(*items)
-            batched.add_pairs(
+            numpy_add_pairs(
+                batched,
                 np.array(hosts, dtype=np.uint64),
                 np.array(values, dtype=np.uint64),
             )
         assert np.array_equal(scalar._registers, batched._registers)
+
+    @given(keys32)
+    @settings(max_examples=30, deadline=None)
+    @pytest.mark.parametrize("capacity,bytes_per_host", [
+        (64, 8), (1024, 8), (100, 8), (37, 3),
+    ])
+    def test_integer_slot_matches_numpy_hash(
+        self, capacity, bytes_per_host, keys
+    ):
+        sketch = VirtualHyperLogLog(capacity, bytes_per_host=bytes_per_host)
+        hosts, items = keys, keys[::-1]
+        he = _mix64(np.array(items, dtype=np.uint64))
+        j = he & np.uint64(sketch._s - 1)
+        phys = _mix64(
+            _mix64(np.array(hosts, dtype=np.uint64)) + j
+        ) % np.uint64(sketch._m)
+        slots = [sketch._slot(h, i) for h, i in zip(hosts, items)]
+        assert [p for p, _ in slots] == phys.tolist()
 
     @given(pairs, st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
@@ -161,16 +213,16 @@ class TestCountMinSketch:
         for key in set(keys):
             assert sketch.estimate(key) >= exact.estimate(key)
 
-    @given(st.lists(st.integers(min_value=0, max_value=500), max_size=300))
-    @settings(max_examples=40, deadline=None)
-    def test_batch_updates_never_underestimate(self, keys):
-        sketch = CountMinSketch(64)
-        exact = ExactCounter()
-        sketch.add_keys(np.array(keys, dtype=np.uint64))
-        for key in keys:
-            exact.add(key)
-        for key in set(keys):
-            assert sketch.estimate(key) >= exact.estimate(key)
+    @given(keys32)
+    @settings(max_examples=30, deadline=None)
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_integer_index_matches_numpy_hash(self, rows, width, keys):
+        sketch = CountMinSketch(64, rows=rows, width=width)
+        expected = numpy_cms_index(
+            np.array(keys, dtype=np.uint64), rows, width
+        )
+        assert [sketch._index(key) for key in keys] == expected.tolist()
 
     def test_exact_at_light_load(self):
         # Distinct keys far below width: conservative update is exact.
@@ -211,7 +263,8 @@ class TestExactReferences:
         exact.add(1, 10)
         exact.add(1, 10)
         exact.add(1, 11)
-        exact.add_pairs(np.array([2, 2]), np.array([5, 6]))
+        exact.add(2, 5)
+        exact.add(2, 6)
         assert exact.estimate(1) == 2.0
         assert exact.estimate(2) == 2.0
         assert exact.estimate(3) == 0.0
@@ -222,7 +275,8 @@ class TestExactReferences:
         exact = ExactCounter()
         exact.add(1)
         exact.add(2, count=4)
-        exact.add_keys(np.array([2, 2]))
+        exact.add(2)
+        exact.add(2)
         exact.decay()
         assert exact.estimate(1) == 0
         assert exact.estimate(2) == 3
