@@ -280,6 +280,20 @@ class RunSpec:
                 f"engine='fast-batched' requires a worm kind in "
                 f"{BATCH_WORM_KINDS}, got {self.worm.kind!r}"
             )
+        # A seedless host deployment would draw its filtered hosts from
+        # OS entropy, so the run would not be a function of its spec
+        # (nor of its cache key).
+        response = self.quarantine.response if self.quarantine else None
+        for name, defense in (
+            ("defense", self.defense),
+            ("quarantine.response", response),
+        ):
+            if defense is not None and defense.kind == "hosts":
+                if defense.seed is None:
+                    raise SpecError(
+                        f"{name}: a hosts deployment needs a seed, which"
+                        " picks the filtered hosts"
+                    )
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-ready dict (the cache-digest input)."""

@@ -9,8 +9,9 @@ struct-of-arrays state and array transport:
   ``(replica, host)`` arrays (:mod:`.state`) — one row per run of a
   vector group, a single row for a mirror run;
 * link queues hold bare destination ids; the exact sweep drains them in
-  the reference's sorted-key order, the vector wave moves whole per-tick
-  packet arrays through numpy routing lookups (:mod:`.transport`).
+  the reference's sorted-key order (:mod:`.transport`), the vector wave
+  moves whole per-tick packet arrays through next-link gathers and
+  keeps its waiting packets in arrays (:mod:`.vector`).
 
 Two engines share these pieces:
 

@@ -2,8 +2,10 @@
 
 Mirrors :meth:`Network.transmit_tick` over flat arrays:
 
-* links are indexed in sorted-key order, so "process links in sorted key
-  order" becomes "process indices ascending";
+* links are indexed by their routing slot, which is sorted-key order, so
+  "process links in sorted key order" becomes "process indices
+  ascending", and a packet's next link is one read of the routing
+  tables' next-link rows (``link_rows[destination][node]``);
 * queues hold bare destination node ids instead of
   :class:`~repro.simulator.packet.Packet` objects;
 * non-empty links are tracked in two sets (unlimited / rate-limited) so
@@ -12,20 +14,23 @@ Mirrors :meth:`Network.transmit_tick` over flat arrays:
   same operation sequence (refill once per tick, one subtraction per
   packet, same 1e-12 epsilon), so rate-limit behavior is bit-identical.
 
-Two transmit paths move packets over this state.  The exact sweep,
-:meth:`transmit_tick`, reproduces the reference packet for packet and
-counter for counter; it backs the mirror engine and the vector engine's
-budgeted replicas.  The vector wave lives in
-:class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`: it
-moves every replica's packet arrays through one cross-replica cascade
-per tick and uses the scalar helpers here (the limited-link trickle and
-per-packet enqueues) for each replica's rate-limited links.
+Two transmit paths move packets.  The exact sweep, :meth:`transmit_tick`,
+reproduces the reference packet for packet and counter for counter; it
+backs the mirror engine and the vector engine's budgeted replicas, and
+:meth:`enqueue` is its one enqueue routine (drop-tail, credit, eager
+peak, non-empty tracking).  The vector wave lives in
+:class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`, which
+keeps every other replica's waiting packets in its own arrays and uses
+a transport only for counters, token balances and writeback; a replica
+it hands to the exact sweep has its waiting packets placed into the
+deques with :meth:`hold`, which credits nothing a second time.
 
-Per-link counters are kept on two tracks — plain python lists updated by
-the scalar paths and numpy vectors updated by the vector wave — because
-each representation is an order of magnitude faster for its access
-pattern.  Additive counters sum and peaks take the elementwise max at
-writeback, which folds both tracks exactly.
+Per-link counters are kept on two tracks: plain python lists, written
+by the exact sweep, and numpy vectors, written by the vector engine
+(views into its ``(replica, link)`` arrays).  Each representation is an
+order of magnitude faster for its access pattern.  Additive counters
+sum and peaks take the elementwise max at writeback, which folds both
+tracks exactly.
 """
 
 from __future__ import annotations
@@ -62,31 +67,28 @@ class TransportLayout:
         self.network = network
         n = network.topology.num_nodes
         self.n = n
-        keys = sorted(network.links)
+        routing = network.routing
+        # Links are numbered by routing slot, which is (source,
+        # destination) order: sorted key order, so a next-link gather
+        # yields a layout index.  The lookups below fail on a key the
+        # network lacks, so equal counts mean equal key sets.
+        src = routing.link_src.tolist()
+        dst = routing.link_dst.tolist()
+        keys = list(zip(src, dst))
+        assert len(keys) == len(network.links)
         self.keys = keys
         count = len(keys)
-        self.link_dst = [v for _u, v in keys]
-        #: (u * n + v) -> link index; int keys avoid tuple allocation in
-        #: the forwarding hot loop.
-        self.index_of = {u * n + v: i for i, (u, v) in enumerate(keys)}
+        self.link_dst = dst
         self.max_queue = [network.links[key].max_queue for key in keys]
-        self.min_cap = min(self.max_queue, default=0)
-        #: Next-hop rows, indexable as rows[destination][node] -> int.
-        self.rows = [network.routing.next_hop_table(d) for d in range(n)]
-        #: Whole next-hop matrix for vectorized gathers (vector wave).
-        self.parent = network.routing.parent_matrix
-        #: ``key_array[i] == u * n + v`` for link i; ascending because
-        #: the keys list is sorted, so searchsorted inverts index_of.
-        self.key_array = np.fromiter(
-            (u * n + v for u, v in keys), dtype=np.int64, count=count
-        )
-        self.link_dst_arr = np.fromiter(
-            self.link_dst, dtype=np.int64, count=count
-        )
+        #: Next-link rows, indexable as link_rows[destination][node].
+        self.link_rows = routing.link_rows
+        #: Whole next-link matrix for vectorized gathers (vector wave).
+        self.next_link = routing.next_link
+        self.link_dst_arr = routing.link_dst.astype(np.int64)
         #: Layout index of each link in ``network.links`` order — the
         #: order the link-stat histograms list their buckets in.
         self.network_order = np.searchsorted(
-            self.key_array,
+            routing.link_src.astype(np.int64) * n + self.link_dst_arr,
             np.fromiter(
                 (u * n + v for u, v in network.links),
                 dtype=np.int64,
@@ -128,22 +130,14 @@ class FastTransport:
         if layout is None:
             layout = TransportLayout(network)
         self.layout = layout
-        n = layout.n
-        self.n = n
-        keys = layout.keys
-        self.keys = keys
-        count = len(keys)
+        self.keys = layout.keys
+        count = len(self.keys)
         self.link_dst = layout.link_dst
-        self.index_of = layout.index_of
         #: Lazy queue map: only links that ever held a packet get a
         #: deque, so per-replica construction and writeback cost scale
         #: with traffic, not topology size.
         self.queues: defaultdict[int, deque[int]] = defaultdict(deque)
         self.max_queue = layout.max_queue
-        #: Packets currently queued on *unlimited* links (vector engine
-        #: only) — lets its inject guard prove no queue can overflow
-        #: without measuring per-link depths.
-        self.queued_u = 0
         # Per-link counters: scalar track (python lists) ...
         self.fwd_list = [0] * count
         self.drop_list = [0] * count
@@ -161,18 +155,10 @@ class FastTransport:
         self.delivered = 0
         self.dropped_total = 0
         self.queued_total = 0
-        #: Non-empty links, split by rate-limit status so the vector
-        #: wave can sweep unlimited links without filtering every tick.
+        #: Non-empty links, split by rate-limit status.
         self.nonempty_u: set[int] = set()
         self.nonempty_l: set[int] = set()
-        #: Optional per-link count of packets the vector engine holds
-        #: for this replica in its global waiter store (``None``
-        #: outside that engine).  Scalar enqueues add it to the real
-        #: deque depth so drop-tail bounds and peak-depth tracking see
-        #: the replica's whole queue.  The store only holds packets
-        #: bound for unlimited links, so limited links skip the lookup.
-        self.pending_depth: np.ndarray | None = None
-        self.rows = layout.rows
+        self.link_rows = layout.link_rows
         # Rate-limit state: the layout's template — exactly what
         # sync_limits would mirror from the network with no prior token
         # state (new buckets adopt their own token counts).  Everything
@@ -242,7 +228,6 @@ class FastTransport:
         occupied = self.nonempty_u | self.nonempty_l
         self.nonempty_l = {li for li in occupied if self.limited[li]}
         self.nonempty_u = occupied - self.nonempty_l
-        self.queued_u = sum(len(self.queues[li]) for li in self.nonempty_u)
         old_budget_tokens = {
             id(bucket): self.budget_tokens[node]
             for node, bucket in self._budget_buckets.items()
@@ -302,9 +287,6 @@ class FastTransport:
             occupied = self.nonempty_u | self.nonempty_l
             self.nonempty_l = {li for li in occupied if limited[li]}
             self.nonempty_u = occupied - self.nonempty_l
-            self.queued_u = sum(
-                len(self.queues[li]) for li in self.nonempty_u
-            )
         for node, (rate, burst) in budgets.items():
             self.budget_rate[node] = rate
             self.budget_burst[node] = burst
@@ -331,8 +313,10 @@ class FastTransport:
     def inject(self, src: int, dst: int) -> None:
         """Enter a packet at ``src`` en route to ``dst`` (scan phase)."""
         self.injected += 1
-        next_hop = self.rows[dst][src]
-        li = self.index_of[src * self.n + next_hop]
+        self.enqueue(self.link_rows[dst][src], dst)
+
+    def enqueue(self, li: int, dst: int) -> None:
+        """Append a packet bound for ``dst`` to link ``li``, drop-tail."""
         queue = self.queues[li]
         if len(queue) >= self.max_queue[li]:
             self.drop_list[li] += 1
@@ -346,6 +330,21 @@ class FastTransport:
         self.queued_total += 1
         if depth == 1:
             (self.nonempty_l if self.limited[li] else self.nonempty_u).add(li)
+
+    def hold(self, li: int, dsts: list[int]) -> None:
+        """Append packets already credited elsewhere to link ``li``.
+
+        No counter moves: the vector engine counted these packets when
+        it accepted them into its own store, and calls this to hand them
+        to the exact sweep or to writeback.
+        """
+        if dsts:
+            queue = self.queues[li]
+            if not queue:
+                held = self.nonempty_l if self.limited[li] else self.nonempty_u
+                held.add(li)
+            queue.extend(dsts)
+            self.queued_total += len(dsts)
 
     def transmit_tick(self) -> list[int]:
         """Advance every link one tick; returns arrived destination ids.
@@ -367,15 +366,13 @@ class FastTransport:
         self._refill_limited()
         l_tokens = self.l_tokens
         queues = self.queues
-        rows = self.rows
-        index_of = self.index_of
+        link_rows = self.link_rows
         limited = self.limited
         nonempty_u = self.nonempty_u
         nonempty_l = self.nonempty_l
         fwd_list = self.fwd_list
         enq_list = self.enq_list
         peak_list = self.peak_list
-        n = self.n
         arrived: list[int] = []
         heap = sorted(nonempty_u | nonempty_l)
         in_heap = set(heap)
@@ -418,8 +415,7 @@ class FastTransport:
                         self.req_list[li] += backed
                         self.queued_total += backed
                         break
-                next_hop = rows[dst][node]
-                lj = index_of[node * n + next_hop]
+                lj = link_rows[dst][node]
                 target_queue = queues[lj]
                 if len(target_queue) >= self.max_queue[lj]:
                     self.drop_list[lj] += 1
@@ -439,131 +435,6 @@ class FastTransport:
             if not queue:
                 (nonempty_l if limited[li] else nonempty_u).discard(li)
         return arrived
-
-    # ------------------------------------------------------------------
-    # Per-replica helpers of the vector wave
-    # ------------------------------------------------------------------
-
-    def _enqueue_pairs(self, li: np.ndarray, dsts: np.ndarray) -> None:
-        """Append a batch of packets onto their links, drop-tail bounded.
-
-        Scalar per-packet appends over python-list counters: these
-        batches fan out over many links in groups of one or two packets,
-        where per-group numpy slicing costs more than the work it saves.
-        """
-        queues = self.queues
-        max_queue = self.max_queue
-        enq_list = self.enq_list
-        drop_list = self.drop_list
-        peak_list = self.peak_list
-        limited = self.limited
-        nonempty_u = self.nonempty_u
-        nonempty_l = self.nonempty_l
-        pend = self.pending_depth
-        added = 0
-        added_u = 0
-        overflowed = 0
-        for link, dst in zip(li.tolist(), dsts.tolist()):
-            queue = queues[link]
-            real = len(queue)
-            extra = (
-                int(pend[link])
-                if pend is not None and not limited[link]
-                else 0
-            )
-            if real + extra >= max_queue[link]:
-                drop_list[link] += 1
-                overflowed += 1
-                continue
-            queue.append(dst)
-            enq_list[link] += 1
-            real += 1
-            depth = real + extra
-            if depth > peak_list[link]:
-                peak_list[link] = depth
-            added += 1
-            if limited[link]:
-                if real == 1:
-                    nonempty_l.add(link)
-            else:
-                added_u += 1
-                if real == 1:
-                    nonempty_u.add(link)
-        self.queued_total += added
-        self.queued_u += added_u
-        self.dropped_total += overflowed
-
-    def _enqueue_one(self, node: int, dst: int) -> None:
-        """Scalar enqueue of one forwarded packet (trickle stage)."""
-        next_hop = self.rows[dst][node]
-        lj = self.index_of[node * self.n + next_hop]
-        queue = self.queues[lj]
-        pend = self.pending_depth
-        extra = (
-            int(pend[lj])
-            if pend is not None and not self.limited[lj]
-            else 0
-        )
-        if len(queue) + extra >= self.max_queue[lj]:
-            self.drop_list[lj] += 1
-            self.dropped_total += 1
-            return
-        queue.append(dst)
-        self.enq_list[lj] += 1
-        depth = len(queue) + extra
-        if depth > self.peak_list[lj]:
-            self.peak_list[lj] = depth
-        self.queued_total += 1
-        if self.limited[lj]:
-            if len(queue) == 1:
-                self.nonempty_l.add(lj)
-        else:
-            self.queued_u += 1
-            if len(queue) == 1:
-                self.nonempty_u.add(lj)
-
-    def _trickle_limited(self, arrived: list[int]) -> None:
-        """Drain this replica's rate-limited links, packet by packet.
-
-        Rate-limited links holding a whole token move packets one by one
-        (their aggregate throughput is tiny by construction); arrivals
-        append to ``arrived`` in sorted-link order.  The vector engine
-        runs this per-replica stage between the shared token refill and
-        the global wave cascade.
-        """
-        queues = self.queues
-        l_tokens = self.l_tokens
-        held = np.fromiter(
-            self.nonempty_l, dtype=np.int64, count=len(self.nonempty_l)
-        )
-        ready = held[l_tokens[held] + 1e-12 >= 1.0]
-        ready.sort()
-        fwd_list = self.fwd_list
-        peak_list = self.peak_list
-        for li in ready.tolist():
-            queue = queues[li]
-            # Lazy peak for rate-limited links: the queue only grew
-            # since the last drain, so this is its high-water mark.
-            depth = len(queue)
-            if depth > peak_list[li]:
-                peak_list[li] = depth
-            tokens = l_tokens[li]
-            node = self.link_dst[li]
-            moved = 0
-            while queue and tokens + 1e-12 >= 1.0:
-                tokens -= 1.0
-                dst = queue.popleft()
-                moved += 1
-                if dst == node:
-                    arrived.append(dst)
-                    self.delivered += 1
-                else:
-                    self._enqueue_one(node, dst)
-            l_tokens[li] = tokens
-            fwd_list[li] += moved
-            self.queued_total -= moved
-            if not queue:
-                self.nonempty_l.discard(li)
 
     # ------------------------------------------------------------------
     # Writeback

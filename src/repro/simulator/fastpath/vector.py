@@ -70,6 +70,32 @@ into one rate-cut queue in a single tick, *which* of them waits can
 differ from the reference, and peak depths of unlimited links record
 per-tick batch sizes rather than transient per-packet depths.
 
+Waiting packets
+---------------
+Every packet a vectorized replica leaves waiting on a link lives in the
+group's arrays, keyed ``replica * L + link``, with one depth per key.
+Packets bound for unlimited links wait in the *pending* store: chunks
+that the next tick's sweep forwards whole.  Packets on rate-limited
+links wait in the :class:`LimitedStore`'s FIFO lists.  An append is
+accepted when it happens, in arrival order: drop-tail against the
+key's depth (deferred packets included), enqueue credit, and the peak
+depth — raised at once, except for cascade waiters on rate-limited
+links, whose high-water mark is read right before each drain.  Store
+appends are threaded onto their lists lazily, by one stable sort right
+before the next drain.  No per-packet Python touches a vectorized
+replica, so its transport holds no queues until writeback.
+
+The trickle drains the rate-limited keys holding a packet and a whole
+token in array passes.  It must equal the sequential drain (ready keys
+ascending, forwards appended at once), which the array pass reproduces
+unless a forward enters a ready key later in the order that has a token
+to spare (it would leave again this tick) or a forward could meet a
+full queue (drop-tail would see mid-drain depths).  A tick with either
+falls back to one sequential pass over the store.  The array pass also
+counts, in each drained key's high-water mark, the arrivals from lower
+ready keys.  The waiters of a vectorized replica never sit in its
+transport's deques, so the sweep has no per-replica deques to visit.
+
 Node forwarding budgets
 -----------------------
 Budgets serialize per-packet decisions, so a budgeted replica moves its
@@ -77,7 +103,7 @@ packets on the exact scalar sweep (:meth:`FastTransport.transmit_tick`).
 A replica is *budgeted* from tick 0 when the static defense installs
 budgets, or from the tick its quarantine deploys a plan with budgets.
 A budgeted replica's scan injections join its real queues, it skips the
-shared token refill and the global pending store, and it transmits on
+shared token refill and both waiting-packet stores, and it transmits on
 its own transport's exact sweep; everything else about it (draws,
 infection, immunization, harvest) stays vectorized.
 
@@ -95,7 +121,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
-from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -350,35 +375,6 @@ def _owned(replica: int, dsts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.asarray(dsts, dtype=np.int64)
 
 
-def _flush_pending(
-    transports: list[FastTransport], owners: np.ndarray, pending: list[tuple]
-) -> list[tuple]:
-    """Move the store's waiters of ``owners`` into their real deques.
-
-    ``owners`` is a replica mask; ``pending`` holds the store's
-    ``(replica, link, destination)`` chunks, which are chronological,
-    so every deque receives its waiters in FIFO order.  Returns the
-    chunks of the other replicas.
-    """
-    kept = []
-    for chunk in pending:
-        mine = owners[chunk[0]]
-        if mine.any():
-            reps, links, dsts = (part[mine].tolist() for part in chunk)
-            for r, li, dst in zip(reps, links, dsts):
-                t = transports[r]
-                queue = t.queues[li]
-                if not queue:
-                    t.nonempty_u.add(li)
-                queue.append(dst)
-                t.queued_total += 1
-                t.queued_u += 1
-            chunk = tuple(part[~mine] for part in chunk)
-        if chunk[0].size:
-            kept.append(chunk)
-    return kept
-
-
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct values of *sorted* ``keys``, each run's start and length.
 
@@ -391,6 +387,131 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bounds = np.flatnonzero(edge)
     starts = bounds[:-1]
     return keys[starts], starts, bounds[1:] - starts
+
+
+def _extract(
+    chunks: list[tuple[np.ndarray, np.ndarray]],
+    mask_of: Callable[[np.ndarray], np.ndarray],
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+    """Split ``(key, destination)`` chunks on a key mask.
+
+    Returns the chunks of the unmasked packets and the masked packets'
+    keys and destinations, both in chunk (chronological) order.
+    """
+    kept = []
+    taken: list[tuple[np.ndarray, np.ndarray]] = []
+    for keys, dsts in chunks:
+        mine = mask_of(keys)
+        if mine.any():
+            taken.append((keys[mine], dsts[mine]))
+            keys, dsts = keys[~mine], dsts[~mine]
+        if keys.size:
+            kept.append((keys, dsts))
+    if not taken:
+        empty = np.zeros(0, dtype=np.int64)
+        return kept, empty, empty
+    keys, dsts = map(_cat, zip(*taken))
+    return kept, keys, dsts
+
+
+class LimitedStore:
+    """FIFO queues of the packets waiting on rate-limited links.
+
+    One singly linked list per ``replica * L + link`` key, over growable
+    node arrays (``nxt``, ``dst``) with a ``head`` and a ``tail`` node
+    per key (``-1`` when empty).  Appends are accepted — drop-tail,
+    counters — by the engine when they happen and parked in
+    ``deferred`` as key-sorted ``(key, destination)`` chunks;
+    :meth:`link` threads all of them onto the lists with one stable
+    sort, so every list keeps arrival order.  Popped nodes are not
+    reused: a run allocates one node per accepted packet.
+    """
+
+    def __init__(self, keys: int) -> None:
+        self.head = np.full(keys, -1, dtype=np.int64)
+        self.tail = np.full(keys, -1, dtype=np.int64)
+        self.nxt = np.empty(1024, dtype=np.int64)
+        self.dst = np.empty(1024, dtype=np.int64)
+        self.size = 0
+        self.deferred: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def _alloc(self, count: int) -> int:
+        """Reserve ``count`` fresh nodes; returns the first id."""
+        first = self.size
+        self.size += count
+        if self.size > self.nxt.size:
+            spare = np.empty(max(self.size, self.nxt.size), dtype=np.int64)
+            self.nxt = np.concatenate((self.nxt, spare))
+            self.dst = np.concatenate((self.dst, spare))
+        return first
+
+    def link(self) -> None:
+        """Thread the deferred appends onto their lists, in arrival order."""
+        # Each chunk is key-sorted already; several need merging.
+        chunks = len(self.deferred)
+        keys, dsts = map(_cat, zip(*self.deferred))
+        self.deferred = []
+        if chunks > 1:
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            dsts = dsts[order]
+        first = self._alloc(keys.size)
+        self.dst[first : self.size] = dsts
+        self.nxt[first : self.size] = np.arange(first + 1, self.size + 1)
+        uk, starts, counts = _runs(keys)
+        heads = starts + first
+        tails = heads + counts - 1
+        self.nxt[tails] = -1
+        old = self.tail[uk]
+        joined = old >= 0
+        self.nxt[old[joined]] = heads[joined]
+        self.head[uk[~joined]] = heads[~joined]
+        self.tail[uk] = tails
+
+    def push(self, key: int, dst: int) -> None:
+        """Link one packet at the back of ``key`` at once."""
+        node = self._alloc(1)
+        self.dst[node] = dst
+        self.nxt[node] = -1
+        tail = self.tail[key]
+        if tail >= 0:
+            self.nxt[tail] = node
+        else:
+            self.head[key] = node
+        self.tail[key] = node
+
+    def pop(self, key: int) -> int:
+        """Unlink the front packet of ``key``; returns its destination."""
+        node = self.head[key]
+        after = self.nxt[node]
+        self.head[key] = after
+        if after < 0:
+            self.tail[key] = -1
+        return int(self.dst[node])
+
+    def take(self, lo: int, hi: int) -> dict[int, list[int]]:
+        """Remove every packet of keys ``lo <= key < hi``.
+
+        Returns each non-empty key's destinations, in FIFO order, keyed
+        by ``key - lo``; the deferred appends follow the linked ones.
+        """
+        queues: dict[int, list[int]] = {}
+        nxt = self.nxt
+        dst = self.dst
+        for offset, node in enumerate(self.head[lo:hi].tolist()):
+            if node >= 0:
+                queue = queues[offset] = []
+                while node >= 0:
+                    queue.append(int(dst[node]))
+                    node = int(nxt[node])
+        self.head[lo:hi] = -1
+        self.tail[lo:hi] = -1
+        self.deferred, keys, dsts = _extract(
+            self.deferred, lambda k: (k >= lo) & (k < hi)
+        )
+        for key, d in zip((keys - lo).tolist(), dsts.tolist()):
+            queues.setdefault(key, []).append(d)
+        return queues
 
 
 def _credit_phase(
@@ -621,89 +742,6 @@ class VectorReplicaSimulation:
         )
         harvest(replica, state)
 
-    @staticmethod
-    def _inject_guarded(
-        t: FastTransport,
-        li: np.ndarray,
-        dsts: np.ndarray,
-        rep: int,
-        wave: list[tuple],
-    ) -> None:
-        """Drop-tail guard for one replica's unlimited injections.
-
-        Used when queuing the replica's whole share could overflow a
-        queue: links without room for their whole share get the
-        per-packet treatment, survivors are credited and handed to the
-        global wave.
-        """
-        uniq, counts = np.unique(li, return_counts=True)
-        queues = t.queues
-        max_queue = t.max_queue
-        pend = t.pending_depth
-        tight = [
-            link
-            for link, incoming in zip(uniq.tolist(), counts.tolist())
-            if len(queues[link]) + int(pend[link]) + incoming
-            > max_queue[link]
-        ]
-        if tight:
-            mask = np.isin(li, np.asarray(tight, dtype=np.int64))
-            t._enqueue_pairs(li[mask], dsts[mask])
-            keep = ~mask
-            li = li[keep]
-            dsts = dsts[keep]
-            if li.size == 0:
-                return
-            uniq, counts = np.unique(li, return_counts=True)
-        t.enq_vec[uniq] += counts
-        t.fwd_vec[uniq] += counts
-        t.peak_vec[uniq] = np.maximum(t.peak_vec[uniq], counts)
-        wave.append((np.full(li.size, rep, dtype=np.int64), li, dsts))
-
-    @staticmethod
-    def _enqueue_limited_waiters(
-        transports: list[FastTransport],
-        w_rep: np.ndarray,
-        w_lj: np.ndarray,
-        w_dst: np.ndarray,
-        link_count: int,
-    ) -> None:
-        """Queue cascade waiters bound for rate-limited links.
-
-        Grouped by ``(replica, link)`` with one global stable sort, which
-        preserves each replica's FIFO order per link; each group is
-        drop-tail bounded and credited as enqueued.  Peak depth of a
-        rate-limited link is tracked lazily: its queue only shrinks at
-        trickle drains, so the high-water mark is read right before a
-        drain and once more at writeback.
-        """
-        key = w_rep * link_count + w_lj
-        order = np.argsort(key, kind="stable")
-        dst_s = w_dst[order].tolist()
-        uk, starts, _counts = _runs(key[order])
-        bounds = starts.tolist()
-        bounds.append(len(dst_s))
-        for g, k in enumerate(uk.tolist()):
-            t = transports[k // link_count]
-            link = k % link_count
-            a = bounds[g]
-            incoming = bounds[g + 1] - a
-            queue = t.queues[link]
-            depth = len(queue)
-            space = t.max_queue[link] - depth
-            if incoming > space:
-                accepted = space if space > 0 else 0
-                t.drop_list[link] += incoming - accepted
-                t.dropped_total += incoming - accepted
-            else:
-                accepted = incoming
-            if accepted:
-                queue.extend(dst_s[a : a + accepted])
-                t.enq_list[link] += accepted
-                t.queued_total += accepted
-                if depth == 0:
-                    t.nonempty_l.add(link)
-
     def run(
         self,
         max_ticks: int,
@@ -731,6 +769,7 @@ class VectorReplicaSimulation:
         layout = self.layout
         plan = self._plan
         replicas = self.replicas
+        full = self._writeback == "full"
         link_count = len(layout.keys)
         n = layout.n
 
@@ -758,7 +797,8 @@ class VectorReplicaSimulation:
         fwd_flat, enq_flat, peak_flat, drop_flat = (
             counts.reshape(-1) for counts in self._link_counts
         )
-        tok2 = self._tokens
+        peak2 = self._link_counts[2]
+        tok_flat = self._tokens.reshape(-1)
 
         # Token refill splits: pre-deploy rows refill the static
         # template columns; deployed rows refill static ∪ plan columns
@@ -818,32 +858,218 @@ class VectorReplicaSimulation:
         lan_pending = no_lan
         lan_ready_rep, lan_ready_dst = no_lan
 
-        parent = layout.parent
-        key_array = layout.key_array
+        next_link = layout.next_link
+        link_rows = layout.link_rows
+        link_dst = layout.link_dst
         link_dst_arr = layout.link_dst_arr
-        min_cap = layout.min_cap
-        max_q_arr = np.asarray(layout.max_queue, dtype=np.int64)
+        max_queue = layout.max_queue
+        max_q_arr = np.asarray(max_queue, dtype=np.int64)
+        min_cap = min(max_queue, default=0)
 
-        # Global store for unlimited-link waiters.  A cascade waiter
-        # waits for the next tick's sweep; the waiters of *all*
-        # replicas live in shared chunk arrays keyed by
-        # ``replica * L + link``, with per-key depths for the drop-tail
-        # bound, so both the enqueue and the next sweep are single
-        # sorted passes instead of per-replica loops.  Invariant: outside
-        # the guard/trickle window of a tick, every real unlimited deque
-        # is empty — the only scalar writers (the inject guard, the
-        # limited trickle, a deploy flush) mark their replica in
-        # ``dirty``, and the sweep drains those deques alongside the
-        # store, in chronological order.
+        # Waiting packets of the vectorized replicas (see the module
+        # docstring), keyed ``replica * L + link``.  ``depth_flat``
+        # counts every packet accepted onto a key and not yet forwarded.
+        # ``pending`` holds ``(key, destination)`` chunks bound for
+        # unlimited links, all forwarded by the next sweep; ``store``
+        # queues the packets on rate-limited links.
         depth2 = np.zeros((replicas, link_count), dtype=np.int64)
         depth_flat = depth2.reshape(-1)
-        pend_count = np.zeros(replicas, dtype=np.int64)
-        pending: list[tuple] = []
-        dirty: set[int] = set()
-        # Budgeted replicas never hold store packets, so their scalar
-        # enqueues skip the per-packet store-depth lookup.
-        for r, t in enumerate(transports):
-            t.pending_depth = None if budgeted[r] else depth2[r]
+        pending: list[tuple[np.ndarray, np.ndarray]] = []
+        store = (
+            LimitedStore(replicas * link_count)
+            if any_limited and not layout.budget_buckets
+            else None
+        )
+
+        def limited_at(reps: np.ndarray, links: np.ndarray) -> np.ndarray:
+            """Whether each ``(replica, link)`` is rate-limited now."""
+            lim = static_limited[links]
+            if has_plan_links:
+                lim = lim | (plan_member[links] & deployed[reps])
+            return lim
+
+        def append(
+            keys: np.ndarray,
+            dsts: np.ndarray,
+            lim: np.ndarray,
+            lazy: bool = False,
+        ) -> None:
+            """Drop-tail acceptance of appends, filed by kind of link.
+
+            Each key keeps its first ``max_queue - depth`` arrivals, in
+            order, and credits them as enqueued; the peak rises to the
+            new depth, except on rate-limited keys when ``lazy`` (their
+            high-water mark is read before each drain instead).  The
+            accepted packets of rate-limited keys (``lim``) wait in the
+            store, the others in the pending store, each key in arrival
+            order.
+            """
+            order = np.argsort(keys, kind="stable")
+            uk, starts, cnts = _runs(keys[order])
+            acc = np.minimum(
+                cnts, np.maximum(max_q_arr[uk % link_count] - depth_flat[uk], 0)
+            )
+            raised = acc > 0
+            if lazy:
+                raised &= ~lim[order[starts]]
+            if (acc < cnts).any():
+                spilled = cnts - acc
+                drop_flat[uk] += spilled
+                np.add.at(dropped_arr, uk // link_count, spilled)
+                rank = np.arange(order.size) - np.repeat(starts, cnts)
+                order = order[rank < np.repeat(acc, cnts)]
+            depth = depth_flat[uk] + acc
+            depth_flat[uk] = depth
+            enq_flat[uk] += acc
+            peak_flat[uk] = np.maximum(peak_flat[uk], depth * raised)
+            keys, dsts, lim = keys[order], dsts[order], lim[order]
+            if lim.any():
+                store.deferred.append((keys[lim], dsts[lim]))
+                lim = ~lim
+                keys, dsts = keys[lim], dsts[lim]
+            if keys.size:
+                pending.append((keys, dsts))
+
+        def trickle(keys: np.ndarray, tokens: np.ndarray, arrivals: list) -> bool:
+            """Drain the ready rate-limited ``keys`` in array passes.
+
+            Reproduces the sequential trickle (ready keys ascending,
+            FIFO per key, each forward appended at once) when no forward
+            can leave again this tick or overflow; otherwise changes
+            nothing and returns False.
+            """
+            d0 = depth_flat[keys]
+            # Token rounds, each popping the front of every key still
+            # holding a packet and a token (all of them, the first time).
+            tok = tokens.copy()
+            pops = np.zeros(keys.size, dtype=np.int64)
+            cur = store.head[keys]
+            owners = []
+            nodes = []
+            active = np.arange(keys.size)
+            while active.size:
+                at = cur[active]
+                owners.append(active)
+                nodes.append(at)
+                cur[active] = store.nxt[at]
+                tok[active] -= 1.0
+                pops[active] += 1
+                active = active[
+                    (pops[active] < d0[active])
+                    & (tok[active] + 1e-12 >= 1.0)
+                ]
+            # The sequential order: keys ascending, FIFO per key.
+            owner = _cat(owners)
+            at = _cat(nodes)
+            if len(owners) > 1:
+                order = np.argsort(owner, kind="stable")
+                owner, at = owner[order], at[order]
+            dsts = store.dst[at]
+            reps = keys[owner] // link_count
+            links = keys[owner] - reps * link_count
+            nodes = link_dst_arr[links]
+            home = dsts == nodes
+            on = ~home
+            reps_f, links_f, dsts_f = reps[on], links[on], dsts[on]
+            lj = next_link[dsts_f, nodes[on]]
+            keys_f = reps_f * link_count + lj
+            lim = limited_at(reps_f, lj)
+            low = 0
+            if lim.any():
+                # Rule 1: a forward into a ready key later in the order
+                # leaves again this tick if that key has a token to
+                # spare.  Rule 2: drop-tail must see the sequential
+                # depths, so no forward may come near a full queue.
+                lk = keys_f[lim]
+                pos = np.minimum(np.searchsorted(keys, lk), keys.size - 1)
+                lower = (keys[pos] == lk) & (links_f[lim] < lj[lim])
+                spare = (pops == d0) & (tok + 1e-12 >= 1.0)
+                if spare[pos[lower]].any() or (
+                    depth_flat[lk].max() + lk.size > min_cap
+                ):
+                    return False
+                # Rule 3: the high-water mark read right before a drain
+                # counts the arrivals from lower ready links.
+                low = np.bincount(pos[lower], minlength=keys.size)
+            store.head[keys] = cur
+            store.tail[keys[cur < 0]] = -1
+            depth_flat[keys] = d0 - pops
+            tok_flat[keys] = tok
+            fwd_flat[keys] += pops
+            peak_flat[keys] = np.maximum(peak_flat[keys], d0 + low)
+            if home.any():
+                arrivals.append((reps[home], dsts[home]))
+                delivered_arr[:] += np.bincount(reps[home], minlength=replicas)
+            if keys_f.size:
+                append(keys_f, dsts_f, lim)
+            return True
+
+        def trickle_in_order(keys: np.ndarray, arrivals: list) -> None:
+            """The sequential trickle: one packet at a time, keys ascending.
+
+            The high-water mark is read before each drain; forwards are
+            appended (and may leave again from a later key) at once.
+            """
+            reps_a: list[int] = []
+            dsts_a: list[int] = []
+            keys_p: list[int] = []
+            dsts_p: list[int] = []
+            for key in keys.tolist():
+                r, link = divmod(key, link_count)
+                depth = int(depth_flat[key])
+                if depth > peak_flat[key]:
+                    peak_flat[key] = depth
+                tokens = float(tok_flat[key])
+                node = link_dst[link]
+                moved = 0
+                while depth and tokens + 1e-12 >= 1.0:
+                    tokens -= 1.0
+                    depth -= 1
+                    moved += 1
+                    dst = store.pop(key)
+                    if dst == node:
+                        reps_a.append(r)
+                        dsts_a.append(dst)
+                        continue
+                    lj = link_rows[dst][node]
+                    out = r * link_count + lj
+                    if depth_flat[out] >= max_queue[lj]:
+                        drop_flat[out] += 1
+                        dropped_arr[r] += 1
+                        continue
+                    depth_flat[out] += 1
+                    enq_flat[out] += 1
+                    peak_flat[out] = max(peak_flat[out], depth_flat[out])
+                    if static_limited[lj] or (
+                        plan_member[lj] and deployed[r]
+                    ):
+                        store.push(out, dst)
+                    else:
+                        keys_p.append(out)
+                        dsts_p.append(dst)
+                depth_flat[key] = depth
+                tok_flat[key] = tokens
+                fwd_flat[key] += moved
+            if reps_a:
+                reps_a = np.asarray(reps_a, dtype=np.int64)
+                arrivals.append((reps_a, np.asarray(dsts_a, dtype=np.int64)))
+                delivered_arr[:] += np.bincount(reps_a, minlength=replicas)
+            if keys_p:
+                pending.append((np.asarray(keys_p), np.asarray(dsts_p)))
+
+        def take(r: int) -> dict[int, list[int]]:
+            """Remove replica ``r``'s waiting packets, FIFO per link."""
+            nonlocal pending
+            lo = r * link_count
+            hi = lo + link_count
+            queues = store.take(lo, hi) if store is not None else {}
+            pending, keys, dsts = _extract(
+                pending, lambda k: (k >= lo) & (k < hi)
+            )
+            for key, dst in zip((keys - lo).tolist(), dsts.tolist()):
+                queues.setdefault(key, []).append(dst)
+            depth2[r] = 0
+            return queues
 
         policy = self._policy
         if policy is not None:
@@ -946,84 +1172,64 @@ class VectorReplicaSimulation:
                         injected_arr[live] += sent
                         if counting:
                             routed_n = sent
-                        next_hops = parent[targets, origins]
-                        li = np.searchsorted(
-                            key_array, origins * n + next_hops
-                        )
-                        lim = static_limited[li]
-                        if has_plan_links:
-                            lim = lim | (
-                                plan_member[li] & deployed[reps_act]
-                            )
+                        li = next_link[targets, origins]
                         if exact:
-                            lim = lim | budgeted[reps_act]
-                        if lim.any():
-                            l_rep = rep_o[lim]
-                            l_li = li[lim]
-                            l_dst = targets[lim]
-                            _, owners, sizes = _segments(l_rep, live)
-                            a = 0
-                            for r, k in zip(owners, sizes):
-                                pairs = (l_li[a : a + k], l_dst[a : a + k])
-                                a += k
-                                if r in exact:
-                                    # Queued right before this replica's
-                                    # exact sweep, while its queues are
-                                    # still in cache.
-                                    held[r] = pairs
-                                else:
-                                    transports[r]._enqueue_pairs(*pairs)
-                            keep = ~lim
-                            li = li[keep]
-                            targets = targets[keep]
-                            rep_o = rep_o[keep]
-                            reps_act = reps_act[keep]
-                        if li.size:
-                            # Drop-tail guard: a replica whose whole
-                            # unlimited share could overflow the smallest
-                            # queue gets per-link checks; the rest skip
-                            # measuring depths.  Real unlimited deques
-                            # hold packets only in dirty replicas (the
-                            # store invariant above).
-                            share = np.bincount(rep_o, minlength=nlive)
-                            over = (share > 0) & (
-                                pend_count[live] + share > min_cap
-                            )
-                            for r in dirty:
-                                i = int(np.searchsorted(live, r))
-                                over[i] |= bool(share[i]) and (
-                                    transports[r].queued_u
-                                    + int(pend_count[r] + share[i])
-                                    > min_cap
-                                )
-                            guard = np.flatnonzero(over)
-                            if guard.size:
-                                ends = np.cumsum(share).tolist()
-                                for i in guard.tolist():
-                                    a, b = ends[i] - int(share[i]), ends[i]
-                                    r = live_list[i]
-                                    self._inject_guarded(
-                                        transports[r],
-                                        li[a:b],
-                                        targets[a:b],
-                                        r,
-                                        wave,
+                            ex = budgeted[reps_act]
+                            if ex.any():
+                                # Queued right before each replica's
+                                # exact sweep, while its queues are
+                                # still in cache.
+                                x_li = li[ex]
+                                x_dst = targets[ex]
+                                _, owners, sizes = _segments(rep_o[ex], live)
+                                a = 0
+                                for r, k in zip(owners, sizes):
+                                    held[r] = (
+                                        x_li[a : a + k],
+                                        x_dst[a : a + k],
                                     )
-                                    if transports[r].nonempty_u:
-                                        dirty.add(r)
-                                keep = ~over[rep_o]
+                                    a += k
+                                keep = ~ex
                                 li = li[keep]
                                 targets = targets[keep]
                                 reps_act = reps_act[keep]
+                        key = reps_act * link_count + li
+                        lim = limited_at(reps_act, li)
+                        if lim.any():
+                            append(key[lim], targets[lim], lim[lim])
+                            keep = ~lim
+                            li = li[keep]
+                            targets = targets[keep]
+                            reps_act = reps_act[keep]
+                            key = key[keep]
                         if li.size:
-                            key = reps_act * link_count + li
                             uk, _starts, cnt = _runs(np.sort(key))
+                            # Drop-tail guard: a link that cannot take
+                            # its whole share on top of its waiting
+                            # packets accepts its share in order into
+                            # the pending store; the sweep forwards it
+                            # after the earlier waiters.
+                            tight = (
+                                depth_flat[uk] + cnt
+                                > max_q_arr[uk % link_count]
+                            )
+                            if tight.any():
+                                cut = np.isin(key, uk[tight])
+                                append(key[cut], targets[cut], ~cut[cut])
+                                keep = ~cut
+                                li = li[keep]
+                                targets = targets[keep]
+                                reps_act = reps_act[keep]
+                                keep = ~tight
+                                uk = uk[keep]
+                                cnt = cnt[keep]
                             enq_flat[uk] += cnt
                             fwd_flat[uk] += cnt
                             peak_flat[uk] = np.maximum(
                                 peak_flat[uk], cnt
                             )
-                            wave.append((reps_act, li, targets))
+                            if li.size:
+                                wave.append((reps_act, li, targets))
                 if dark is not zeros and quars[0] is not None:
                     for i in np.flatnonzero(dark).tolist():
                         q = quars[live_list[i]]
@@ -1063,82 +1269,55 @@ class VectorReplicaSimulation:
             # ------------------- transmit phase -------------------
             if any_limited:
                 # Budgeted rows refill their own tokens in transmit_tick.
+                # A key is ready to drain when it holds packets and a
+                # whole token after the refill.
                 vec_rows = live[~budgeted[live]] if exact else live
-                dep_rows = vec_rows[deployed[vec_rows]]
-                nod_rows = vec_rows[~deployed[vec_rows]]
-                if static_idx.size and nod_rows.size:
-                    ix = np.ix_(nod_rows, static_idx)
-                    tok2[ix] = np.minimum(
-                        tok2[ix] + rate_static, burst_static
-                    )
-                if dep_rows.size:
-                    ix = np.ix_(dep_rows, dep_idx)
-                    tok2[ix] = np.minimum(tok2[ix] + rate_dep, burst_dep)
-                for r in live_list:
-                    t = transports[r]
-                    if not t.nonempty_l or r in exact:
+                ready = []
+                for rows_r, cols, rate, burst in (
+                    (vec_rows[~deployed[vec_rows]], static_idx,
+                     rate_static, burst_static),
+                    (vec_rows[deployed[vec_rows]], dep_idx, rate_dep,
+                     burst_dep),
+                ):
+                    if not (rows_r.size and cols.size):
                         continue
-                    trickled: list[int] = []
-                    t._trickle_limited(trickled)
-                    if trickled:
-                        arrivals.append(_owned(r, trickled))
-                    if t.nonempty_u:
-                        dirty.add(r)
+                    keys = (rows_r * link_count)[:, None] + cols
+                    tokens = np.minimum(tok_flat[keys] + rate, burst)
+                    tok_flat[keys] = tokens
+                    at = (tokens + 1e-12 >= 1.0) & (depth_flat[keys] > 0)
+                    if at.any():
+                        ready.append((keys[at], tokens[at]))
+                if ready:
+                    keys, tokens = map(_cat, zip(*ready))
+                    if len(ready) > 1:
+                        order = np.argsort(keys)
+                        keys, tokens = keys[order], tokens[order]
+                    if store.deferred:
+                        store.link()
+                    if not trickle(keys, tokens, arrivals):
+                        trickle_in_order(keys, arrivals)
             for r in sorted(exact):
                 t = transports[r]
                 if r in held:
-                    t._enqueue_pairs(*held.pop(r))
+                    for li, dst in zip(*(part.tolist() for part in held.pop(r))):
+                        t.enqueue(li, dst)
                 arrived = t.transmit_tick()
                 if arrived:
                     arrivals.append(_owned(r, arrived))
-            # Sweep: every queued unlimited packet — the global pending
-            # store plus the real deques of dirty replicas — enters the
-            # wave in one sorted pass.  The stable sort by
-            # ``replica * L + link`` fixes each replica's emission order
-            # (links ascending, FIFO per link, store content before
-            # same-tick scalar enqueues).
-            if dirty:
-                for r in sorted(dirty):
-                    t = transports[r]
-                    if not t.nonempty_u:
-                        continue
-                    active = sorted(t.nonempty_u)
-                    queues = t.queues
-                    cnts = np.fromiter(
-                        (len(queues[li]) for li in active),
-                        dtype=np.int64,
-                        count=len(active),
-                    )
-                    total = int(cnts.sum())
-                    pending.append(
-                        (
-                            np.full(total, r, dtype=np.int64),
-                            np.repeat(np.array(active, dtype=np.int64), cnts),
-                            np.fromiter(
-                                chain.from_iterable(
-                                    queues[li] for li in active
-                                ),
-                                dtype=np.int64,
-                                count=total,
-                            ),
-                        )
-                    )
-                    for li in active:
-                        queues[li].clear()
-                    t.nonempty_u.clear()
-                    t.queued_total -= total
-                    t.queued_u = 0
-                dirty.clear()
+            # Sweep: every packet waiting on an unlimited link enters
+            # the wave in one sorted pass.  The stable sort by key fixes
+            # each replica's emission order (links ascending, FIFO per
+            # link).
             if pending:
-                sw_rep, sw_lj, sw_dst = map(_cat, zip(*pending))
-                key = sw_rep * link_count + sw_lj
-                order = np.argsort(key, kind="stable")
-                uk, _starts, cnt = _runs(key[order])
+                keys, dsts = map(_cat, zip(*pending))
+                pending = []
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                uk, _starts, cnt = _runs(keys)
                 fwd_flat[uk] += cnt
                 depth_flat[uk] = 0
-                pend_count[:] = 0
-                pending = []
-                wave.append((sw_rep[order], sw_lj[order], sw_dst[order]))
+                sw_rep = keys // link_count
+                wave.append((sw_rep, keys - sw_rep * link_count, dsts[order]))
             if wave:
                 # Wave cascade: arrivals peel off, packets bound for
                 # limited links queue up, and packets bound for a
@@ -1162,72 +1341,17 @@ class VectorReplicaSimulation:
                         nodes = nodes[keep]
                         if dsts.size == 0:
                             break
-                    next_hops = parent[dsts, nodes]
-                    lj = np.searchsorted(
-                        key_array, nodes * n + next_hops
-                    )
-                    lim = static_limited[lj]
-                    if has_plan_links:
-                        lim = lim | (plan_member[lj] & deployed[reps])
+                    lj = next_link[dsts, nodes]
+                    lim = limited_at(reps, lj)
                     cascade = ~lim & (lj > src_li)
                     if not cascade.all():
                         wait = ~cascade
-                        w_rep = reps[wait]
-                        w_lj = lj[wait]
-                        w_dst = dsts[wait]
-                        w_lim = lim[wait]
-                        if w_lim.any():
-                            self._enqueue_limited_waiters(
-                                transports,
-                                w_rep[w_lim],
-                                w_lj[w_lim],
-                                w_dst[w_lim],
-                                link_count,
-                            )
-                            unl = ~w_lim
-                            w_rep = w_rep[unl]
-                            w_lj = w_lj[unl]
-                            w_dst = w_dst[unl]
-                        if w_rep.size:
-                            # Unlimited waiters into the pending store:
-                            # one stable sort, then drop-tail per
-                            # ``(replica, link)`` run — each run keeps
-                            # its first ``space`` packets, the rest
-                            # count on the vector-track drop row (real
-                            # deques are empty here — see the store
-                            # invariant above).
-                            key = w_rep * link_count + w_lj
-                            order = np.argsort(key, kind="stable")
-                            rep_s = w_rep[order]
-                            lj_s = w_lj[order]
-                            dst_s = w_dst[order]
-                            uk, starts, cnts = _runs(key[order])
-                            space = max_q_arr[uk % link_count] - depth_flat[uk]
-                            acc = np.minimum(cnts, np.maximum(space, 0))
-                            if (acc < cnts).any():
-                                spilled = cnts - acc
-                                drop_flat[uk] += spilled
-                                np.add.at(
-                                    dropped_arr, uk // link_count, spilled
-                                )
-                                rank = np.arange(rep_s.size) - np.repeat(
-                                    starts, cnts
-                                )
-                                keep = rank < np.repeat(acc, cnts)
-                                rep_s = rep_s[keep]
-                                lj_s = lj_s[keep]
-                                dst_s = dst_s[keep]
-                            new_depth = depth_flat[uk] + acc
-                            depth_flat[uk] = new_depth
-                            enq_flat[uk] += acc
-                            peak_flat[uk] = np.maximum(
-                                peak_flat[uk], new_depth
-                            )
-                            if rep_s.size:
-                                pending.append((rep_s, lj_s, dst_s))
-                                pend_count += np.bincount(
-                                    rep_s, minlength=replicas
-                                )
+                        append(
+                            reps[wait] * link_count + lj[wait],
+                            dsts[wait],
+                            lim[wait],
+                            lazy=True,
+                        )
                         dsts = dsts[cascade]
                         lj = lj[cascade]
                         reps = reps[cascade]
@@ -1271,21 +1395,24 @@ class VectorReplicaSimulation:
                 for r in live_list:
                     if quars[r].step(tick, network):
                         t = transports[r]
-                        if pend_count[r] and (
-                            has_plan_links or plan_budgets
-                        ):
-                            # The deploy re-buckets links that already
-                            # hold packets (or hands them to the exact
-                            # sweep), so this replica's pending waiters
-                            # must sit in its real deques first (chunk
-                            # order is chronological).
-                            pending = _flush_pending(
-                                transports, np.arange(replicas) == r, pending
+                        if plan_budgets:
+                            # The exact sweep takes over this replica's
+                            # waiting packets.
+                            for li, dsts in take(r).items():
+                                t.hold(li, dsts)
+                        elif has_plan_links and pending:
+                            # Waiters on newly rate-limited links join
+                            # the store, already counted and in order.
+                            pending, keys, dsts = _extract(
+                                pending,
+                                lambda k: (k // link_count == r)
+                                & plan_member[k % link_count],
                             )
-                            depth2[r] = 0
-                            pend_count[r] = 0
-                            if not plan_budgets:
-                                dirty.add(r)
+                            if keys.size:
+                                order = np.argsort(keys, kind="stable")
+                                store.deferred.append(
+                                    (keys[order], dsts[order])
+                                )
                         hosts.activate_latent(r)
                         t.apply_limit_plan(
                             plan.link_idx,
@@ -1297,7 +1424,6 @@ class VectorReplicaSimulation:
                         if plan_budgets:
                             budgeted[r] = True
                             exact.add(r)
-                            t.pending_depth = None
             if policy is not None:
                 if policy.start_tick is not None:
                     patching |= tick >= policy.start_tick
@@ -1371,7 +1497,7 @@ class VectorReplicaSimulation:
                             packets_dropped=self._base_dropped
                             + t.dropped_total
                             + int(dropped_arr[r]),
-                            in_flight=t.queued_total + int(pend_count[r]),
+                            in_flight=t.queued_total + int(depth2[r].sum()),
                             lan_queue=lan_queue[r],
                         )
                     )
@@ -1387,15 +1513,6 @@ class VectorReplicaSimulation:
                 over = (inf_arr[live] == 0) | (sus_arr[live] == 0)
                 finished = live[over]
                 live = live[~over]
-            if finished.size and pending:
-                # Residual in-flight packets: a finishing replica's
-                # pending waiters become its real queue contents, which
-                # writeback materializes.
-                fin_look = np.zeros(replicas, dtype=bool)
-                fin_look[finished] = True
-                pending = _flush_pending(transports, fin_look, pending)
-                depth2[finished] = 0
-                pend_count[finished] = 0
             if finished.size and lan_ready_rep.size:
                 # A finished replica's LAN scans are never delivered.
                 keep = ~np.isin(lan_ready_rep, finished)
@@ -1412,8 +1529,24 @@ class VectorReplicaSimulation:
                 instr = state.instrumentation
                 if instr is not None and instr.profile:
                     instr.count("ticks", tick + 1)
-                dirty.discard(r)
+                if depth2[r].any():
+                    # Close the lazy high-water marks of rate-limited
+                    # links; a full writeback also gets the residual
+                    # packets, which it materializes.
+                    lim = t.limited_arr
+                    peak2[r, lim] = np.maximum(peak2[r, lim], depth2[r, lim])
+                    if full:
+                        for li, dsts in take(r).items():
+                            t.hold(li, dsts)
                 exact.discard(r)
                 self._finalize(r, state, harvest)
+            if finished.size and not full:
+                gone = np.zeros(replicas, dtype=bool)
+                gone[finished] = True
+                pending = _extract(pending, lambda k: gone[k // link_count])[0]
+                if store is not None:
+                    store.deferred = _extract(
+                        store.deferred, lambda k: gone[k // link_count]
+                    )[0]
             if tick == last_tick or live.size == 0:
                 break

@@ -5,31 +5,39 @@ The paper's simulator routes every infection packet over shortest paths
 number of routing table entries the link occupies".  This module computes
 both from the topology:
 
-* next-hop tables — one deterministic BFS tree per destination, ties broken
-  toward the lowest-numbered neighbor (adjacency lists are sorted);
+* next-link tables — one deterministic BFS tree per destination, ties
+  broken toward the lowest-numbered neighbor (adjacency lists are
+  sorted), stored as the *link* each node forwards on rather than the
+  neighbor it forwards to;
 * per-directed-link *occupancy* — the number of ordered (source,
   destination) pairs whose shortest path crosses the link, computed from
   BFS-tree subtree sizes.
 
-One builder does both in a single pass.  Each destination's tree comes
+Links are numbered by their slot in the CSR adjacency: source ascending,
+then destination ascending, which is also the sorted order of
+``network.links`` keys, so a slot is the transport's link index.  One
+builder does everything in a single pass.  Each destination's tree comes
 from ``scipy.sparse.csgraph.breadth_first_order`` over the CSR adjacency:
 a FIFO queue scanning neighbors in CSR (ascending) order, the same
 discovery rule as a textbook queue BFS, so each node's parent is its
 earliest-dequeued neighbor.  Roots are taken in blocks; after each block
 the subtree sizes of its trees are summed bottom-up level by level (depths
 come from pointer jumping over the parent rows) and folded into per-link
-occupancy.  The link weights the rate-limit defenses read are tabulated
-once at the end.  ``tests/simulator/test_routing_differential.py`` checks
-parents and occupancy bit for bit against a queue-BFS specification on
-random graphs, and the golden fixtures pin the tie-breaking on the paper
-scenarios.
+occupancy, and matching each parent against the CSR neighbor lists yields
+the link slots of the block's rows.  The link weights the rate-limit
+defenses read are tabulated once at the end.
+``tests/simulator/test_routing_differential.py`` checks parents, slots and
+occupancy bit for bit against a queue-BFS specification on random graphs,
+and the golden fixtures pin the tie-breaking on the paper scenarios.
 
-Memory: tables are one ``(N, N)`` int32 matrix (row ``d`` holds the next
-hop toward destination ``d`` from every node), ~4 MB at the paper's 1,000
-nodes and ~400 MB at 10,000.  The per-block temporaries are bounded by
+Memory: the tables are one ``(N, N)`` int32 matrix of link slots (row
+``d`` holds, for every node, the slot of the link it forwards on toward
+destination ``d``; the diagonal is ``-1``), ~4 MB at the paper's 1,000
+nodes and ~400 MB at 10,000.  The next hop is the slot's destination
+node.  The per-block temporaries are bounded by
 :attr:`RoutingTables.BLOCK_ELEMENTS` entries (about 1 MB) at any size.
 
-Build time, parents and occupancy together, on a 2-core Xeon VM for
+Build time, tables and occupancy together, on a 2-core Xeon VM for
 Barabási–Albert graphs with m = 2: ~0.12 s at 1,000 nodes, ~1.3 s at
 3,000 and ~10 s at 10,000.
 """
@@ -44,11 +52,9 @@ from ..topology.graphs import Topology, TopologyError
 
 __all__ = ["RoutingTables"]
 
-DirectedLink = tuple[int, int]
-
 
 class RoutingTables:
-    """All-pairs next-hop routing derived from per-destination BFS trees."""
+    """All-pairs next-link routing derived from per-destination BFS trees."""
 
     #: Work-array entries per block of roots: the occupancy fold builds a
     #: ``(block, links)`` array, so this bounds its temporaries.  Blocks
@@ -77,37 +83,37 @@ class RoutingTables:
         graph = csr_matrix(
             (np.ones(links), self._link_dst, indptr), shape=(n, n)
         )
-        # _parent[d][v] = next hop from v toward destination d.
-        self._parent = np.empty((n, n), dtype=np.int32)
+        # _next_link[d][v] = slot of the link v forwards on toward d.
+        self._next_link = np.empty((n, n), dtype=np.int32)
         occupancy = np.zeros(links, dtype=np.int64)
         block = max(1, min(n, self.BLOCK_ELEMENTS // max(n, links)))
+        parents = np.empty((block, n), dtype=np.int32)
         for start in range(0, n, block):
             stop = min(start + block, n)
+            rows = parents[: stop - start]
             for root in range(start, stop):
-                _order, parents = breadth_first_order(
+                _order, tree = breadth_first_order(
                     graph, root, directed=True, return_predecessors=True
                 )
-                parents[root] = root
-                self._parent[root] = parents
-            occupancy += self._block_occupancy(self._parent[start:stop])
-        self._occ = occupancy
+                tree[root] = root
+                rows[root - start] = tree
+            occupancy += self._block_fold(
+                rows, self._next_link[start:stop]
+            )
         # Link weights, normalized so the mean used link weighs 1.0.
         used = int(np.count_nonzero(occupancy))
         mean = int(occupancy.sum()) / used if used else 1.0
         self._weights = (occupancy / mean).tolist()
-        self._slot_of = {
-            key: slot
-            for slot, key in enumerate(
-                (self._link_src.astype(np.int64) * n + self._link_dst).tolist()
-            )
-        }
+        self._link_dst_list = self._link_dst.tolist()
         # memoryview rows hand out plain Python ints on indexing — the
         # transport hot loops read these, not numpy scalars.
-        self._row_views = [row.data for row in self._parent]
+        self._link_rows = [row.data for row in self._next_link]
 
-    def _block_occupancy(self, rows: np.ndarray) -> np.ndarray:
-        """Per-link path counts over the BFS trees toward a block of roots.
+    def _block_fold(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Link slots and per-link path counts of a block of BFS trees.
 
+        ``rows`` holds the parents toward a block of roots (a root is its
+        own parent); ``out`` receives each (root, node)'s link slot.
         The number of sources routed over directed link ``(v, parent)``
         toward one destination is the size of ``v``'s subtree in that
         destination's tree.  Node depths come from pointer jumping (each
@@ -141,6 +147,9 @@ class RoutingTables:
         # counts are exact (every total is at most N**2 < 2**53).
         match = np.repeat(rows, self._degrees, axis=1) == self._link_dst
         slots = np.flatnonzero(match) % self._link_dst.size
+        flat = out.reshape(-1)
+        flat[:] = -1
+        flat[nonroot] = slots
         return np.bincount(
             slots,
             weights=size[nonroot],
@@ -156,36 +165,44 @@ class RoutingTables:
         """The topology these tables were computed from."""
         return self._topology
 
+    @property
+    def link_src(self) -> np.ndarray:
+        """Source node of every link slot (read-only)."""
+        return self._link_src
+
+    @property
+    def link_dst(self) -> np.ndarray:
+        """Destination node of every link slot (read-only)."""
+        return self._link_dst
+
+    @property
+    def next_link(self) -> np.ndarray:
+        """The full next-link matrix: ``matrix[destination, node]``.
+
+        ``matrix[d, v]`` is the slot of the link ``v`` forwards on toward
+        ``d`` (``-1`` when ``v == d``).  The vector engine gathers the
+        links of whole packet batches with one fancy index.  Treat it as
+        read-only.
+        """
+        return self._next_link
+
+    @property
+    def link_rows(self) -> list:
+        """Next-link rows, indexable as ``rows[destination][node]``.
+
+        Flat int views (indexing yields a plain Python int) for the
+        per-packet transport loops.  Treat them as read-only.
+        """
+        return self._link_rows
+
     def next_hop(self, node: int, destination: int) -> int:
         """Next hop from ``node`` toward ``destination``.
 
         Returns ``destination`` itself when ``node == destination``.
         """
-        hop = self._row_views[destination][node]
-        if hop < 0:
-            raise TopologyError(f"no route from {node} to {destination}")
-        return hop
-
-    def next_hop_table(self, destination: int):
-        """Next-hop row toward ``destination``, indexable by node id.
-
-        Returns a flat int view (``table[node]`` is a plain Python int);
-        the fast engine's transport reads these directly instead of
-        paying a method call per forwarded packet.  Treat it as
-        read-only.
-        """
-        return self._row_views[destination]
-
-    @property
-    def parent_matrix(self) -> np.ndarray:
-        """The full next-hop matrix: ``matrix[destination, node]``.
-
-        ``matrix[d, v]`` is the next hop from ``v`` toward ``d`` (``d``
-        itself when ``v == d``).  Exposed for the fast engine's
-        vectorized transport, which gathers next hops for whole packet
-        batches with one fancy index.  Treat it as read-only.
-        """
-        return self._parent
+        if node == destination:
+            return destination
+        return self._link_dst_list[self._link_rows[destination][node]]
 
     def path(self, src: int, dst: int) -> list[int]:
         """Full node sequence of the routed path, endpoints included."""
@@ -201,36 +218,6 @@ class RoutingTables:
                 )
         return path
 
-    def path_length(self, src: int, dst: int) -> int:
-        """Hop count of the routed path."""
-        return len(self.path(src, dst)) - 1
-
-    def link_occupancy(self, u: int, v: int) -> int:
-        """Ordered (src, dst) pairs whose path crosses directed link u→v."""
-        slot = self._slot_of.get(u * self._topology.num_nodes + v)
-        return 0 if slot is None else int(self._occ[slot])
-
-    def occupancy_map(self) -> dict[DirectedLink, int]:
-        """Directed-link occupancy for every link some path uses."""
-        used = np.flatnonzero(self._occ)
-        return dict(
-            zip(
-                zip(
-                    self._link_src[used].tolist(),
-                    self._link_dst[used].tolist(),
-                ),
-                self._occ[used].tolist(),
-            )
-        )
-
-    def total_occupancy(self) -> int:
-        """Sum of occupancy over all directed links.
-
-        Equals the sum of all pairwise shortest-path lengths, a useful
-        cross-check for the tests.
-        """
-        return int(self._occ.sum())
-
     def link_weight(self, u: int, v: int) -> float:
         """Occupancy of u→v relative to the mean used directed link.
 
@@ -239,5 +226,9 @@ class RoutingTables:
         used link has weight 1.0 — multiply by a base rate to get the
         simulated link rate.  Non-links weigh 0.0.
         """
-        slot = self._slot_of.get(u * self._topology.num_nodes + v)
-        return 0.0 if slot is None else self._weights[slot]
+        if u == v:
+            return 0.0
+        # A neighbor's shortest path is the direct link, so u's slot
+        # toward v is u→v exactly when the two are adjacent.
+        slot = self._link_rows[v][u]
+        return self._weights[slot] if self._link_dst_list[slot] == v else 0.0

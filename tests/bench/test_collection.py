@@ -21,7 +21,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: ``--collect-only -q`` summary rows: ``path/to/file.py: <count>``.
+#: ``--collect-only -qq`` summary rows: ``path/to/file.py: <count>``
+#: (``-qq`` spelled out, so the rows do not depend on ``addopts``).
 _ROW = re.compile(r"^(\S+\.py): \d+$")
 
 
@@ -29,7 +30,7 @@ def collect(*args):
     """Collected-per-file rows of one pytest invocation in the repo."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", *args],
+        [sys.executable, "-m", "pytest", "--collect-only", "-qq", *args],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,

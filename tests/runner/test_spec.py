@@ -17,6 +17,8 @@ from repro.runner import (
     WormSpec,
     derive_seed,
 )
+from repro.runner.api import run_ensemble
+from repro.service.protocol import result_payload
 from repro.simulator.immunization import ImmunizationPolicy
 
 
@@ -127,6 +129,64 @@ class TestValidation:
             RunSpec(engine="fast-batched", worm=WormSpec(kind=kind))
         # The other engines run every worm.
         assert RunSpec(engine="fast", worm=WormSpec(kind=kind))
+
+    def test_seedless_host_deployment_is_refused(self):
+        """``DefenseSpec`` takes ``seed=None`` (a study fills it in), but
+        a run spec refuses it: its hosts would come from OS entropy."""
+        seedless = DefenseSpec(kind="hosts", rate=0.01, coverage=0.3)
+        with pytest.raises(SpecError, match="defense: .*needs a seed"):
+            RunSpec(defense=seedless)
+        with pytest.raises(SpecError, match="quarantine.response: "):
+            RunSpec(quarantine=QuarantineSpec(response=seedless))
+        seeded = dataclasses.replace(seedless, seed=3)
+        assert RunSpec(defense=seeded, quarantine=QuarantineSpec(seeded))
+
+
+#: One deployment of every defense kind, plus a quarantine, for the
+#: run-twice property below.
+_EVERY_DEPLOYMENT = {
+    "none": {},
+    "hosts": {
+        "defense": DefenseSpec(kind="hosts", rate=0.1, coverage=0.3, seed=5)
+    },
+    "hub": {
+        "topology": TopologySpec(kind="star", num_nodes=60),
+        "defense": DefenseSpec(kind="hub", rate=2.0, node_budget=1.0),
+    },
+    "edge": {"defense": DefenseSpec(kind="edge", rate=0.5)},
+    "backbone": {"defense": DefenseSpec(kind="backbone", rate=0.5)},
+    "quarantine": {
+        "quarantine": QuarantineSpec(
+            response=DefenseSpec(kind="hosts", rate=0.1, coverage=0.5, seed=9),
+            telescope_coverage=0.25,
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast-batched"])
+@pytest.mark.parametrize("name", list(_EVERY_DEPLOYMENT))
+def test_a_spec_determines_its_payload(name, engine):
+    """Run twice in-process without the cache: the same bytes."""
+    fields = {
+        "topology": TopologySpec(num_nodes=120, seed=11),
+        **_EVERY_DEPLOYMENT[name],
+    }
+    spec = EnsembleSpec(
+        template=RunSpec(
+            scan_rate=1.5,
+            initial_infections=2,
+            max_ticks=40,
+            engine=engine,
+            **fields,
+        ),
+        num_runs=2,
+        base_seed=21,
+    )
+    first, second = (
+        result_payload(run_ensemble(spec, use_cache=False)) for _ in range(2)
+    )
+    assert first == second
 
 
 class TestDefenseLabels:

@@ -70,6 +70,21 @@ class TestSpecRoundTrip:
         with pytest.raises(ProtocolError, match="invalid ensemble spec"):
             decode_ensemble_spec(data)
 
+    @pytest.mark.parametrize("field", ["defense", "quarantine"])
+    def test_decode_rejects_seedless_host_deployment(self, field):
+        """Seedless host filters would be drawn from OS entropy, so the
+        payload would not be a function of the spec: refused."""
+        data = tiny_ensemble().to_dict()
+        hosts = {"kind": "hosts", "rate": 0.01, "coverage": 0.3}
+        if field == "defense":
+            data["template"]["defense"] = hosts
+        else:
+            data["template"]["quarantine"] = {"response": hosts}
+        with pytest.raises(ProtocolError, match="needs a seed"):
+            decode_ensemble_spec(data)
+        hosts["seed"] = 7
+        decode_ensemble_spec(data)
+
     def test_decode_rejects_unknown_keys(self):
         data = tiny_ensemble().to_dict()
         data["surprise"] = 1

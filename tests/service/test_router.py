@@ -310,6 +310,10 @@ class FakeUpstream:
         return self
 
     def __exit__(self, *exc) -> None:
+        # Shut the listener down first: that wakes the accept() the
+        # serving thread is blocked in, so the join returns at once
+        # (a bare close() leaves it waiting out the join timeout).
+        self._sock.shutdown(socket.SHUT_RDWR)
         self._sock.close()
         self._thread.join(timeout=10)
 

@@ -6,8 +6,9 @@ Three families of properties:
   link, on either engine) can never forward more than its refill budget,
   and its token level never goes meaningfully negative;
 * **routing** — every next-hop chain terminates at its destination in
-  exactly the BFS hop count, and the vectorized ``parent_matrix`` agrees
-  with the scalar ``next_hop`` on every (destination, node) pair;
+  exactly the BFS hop count, and the next-link table the vectorized
+  transport gathers from agrees with the scalar ``next_hop`` on every
+  (destination, node) pair;
 * **engine agreement** — on randomly drawn small scenarios the fast
   engine in mirror mode replays the reference bit-for-bit, and both
   engines keep host-throttle tokens non-negative throughout the run.
@@ -36,6 +37,8 @@ from repro.simulator.worms import (
     SequentialScanWorm,
 )
 from repro.topology.powerlaw import barabasi_albert
+
+from .test_routing_differential import parent_matrix
 
 #: Tolerance for accumulated float error in token arithmetic; matches
 #: the bucket's own consume epsilon scale.
@@ -153,13 +156,16 @@ def test_next_hop_chains_terminate_in_bfs_distance(num_nodes, seed):
 def test_parent_matrix_agrees_with_scalar_next_hop(num_nodes, seed):
     topology = barabasi_albert(num_nodes, 2, seed=seed)
     tables = RoutingTables(topology)
-    matrix = tables.parent_matrix
+    matrix = parent_matrix(tables)
     for destination in range(num_nodes):
-        row = np.asarray(tables.next_hop_table(destination))
-        np.testing.assert_array_equal(matrix[destination], row)
+        rows = tables.link_rows[destination]
         for node in range(num_nodes):
+            slot = tables.next_link[destination, node]
+            assert rows[node] == slot
             if node == destination:
+                assert slot == -1
                 continue
+            assert tables.link_src[slot] == node
             assert matrix[destination, node] == tables.next_hop(
                 node, destination
             )

@@ -12,6 +12,8 @@ from repro.topology.graphs import Topology, TopologyError
 from repro.topology.powerlaw import barabasi_albert
 from repro.topology.star import star_graph
 
+from .test_routing_differential import occupancy_map
+
 
 def path_graph(n: int) -> Topology:
     return Topology(n, [(i, i + 1) for i in range(n - 1)])
@@ -51,7 +53,7 @@ class TestShortestness:
         lengths = dict(nx.all_pairs_shortest_path_length(reference))
         for src in range(0, n, max(1, n // 7)):
             for dst in range(0, n, max(1, n // 5)):
-                assert tables.path_length(src, dst) == lengths[src][dst]
+                assert len(tables.path(src, dst)) - 1 == lengths[src][dst]
 
     def test_loop_free_on_powerlaw(self):
         topology = barabasi_albert(150, 2, seed=5)
@@ -66,31 +68,27 @@ class TestOccupancy:
     def test_path_graph_occupancy_by_hand(self):
         # 0-1-2: (0,1) carries 0->1 and 0->2; (1,2) carries 1->2 and
         # 0->2; by symmetry every directed link carries two pairs.
-        tables = RoutingTables(path_graph(3))
-        assert tables.link_occupancy(0, 1) == 2
-        assert tables.link_occupancy(1, 2) == 2
-        assert tables.link_occupancy(1, 0) == 2
-        assert tables.link_occupancy(2, 1) == 2
-        assert tables.total_occupancy() == 8
+        occupancy = occupancy_map(RoutingTables(path_graph(3)))
+        assert occupancy == {(0, 1): 2, (1, 2): 2, (1, 0): 2, (2, 1): 2}
 
     def test_total_occupancy_equals_sum_of_path_lengths(self):
         topology = barabasi_albert(60, 2, seed=3)
         tables = RoutingTables(topology)
         total = sum(
-            tables.path_length(s, d)
+            len(tables.path(s, d)) - 1
             for s in range(60)
             for d in range(60)
             if s != d
         )
-        assert tables.total_occupancy() == total
+        assert sum(occupancy_map(tables).values()) == total
 
     def test_star_hub_links_carry_everything(self):
         star = star_graph(6)
-        tables = RoutingTables(star.graph)
+        occupancy = occupancy_map(RoutingTables(star.graph))
         # Leaf 1's outgoing link carries its 5 destinations.
-        assert tables.link_occupancy(1, 0) == 5
+        assert occupancy[(1, 0)] == 5
         # Hub->leaf 1 carries traffic from 4 other leaves + the hub.
-        assert tables.link_occupancy(0, 1) == 5
+        assert occupancy[(0, 1)] == 5
 
     def test_unused_link_weight_zero(self):
         tables = RoutingTables(path_graph(3))
@@ -99,7 +97,7 @@ class TestOccupancy:
     def test_link_weights_mean_one(self):
         topology = barabasi_albert(80, 2, seed=9)
         tables = RoutingTables(topology)
-        occupancy = tables.occupancy_map()
+        occupancy = occupancy_map(tables)
         weights = [tables.link_weight(u, v) for (u, v) in occupancy]
         assert sum(weights) / len(weights) == pytest.approx(1.0)
 

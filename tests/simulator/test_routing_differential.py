@@ -6,9 +6,15 @@ subtree sizes in blocks of roots.  The oracle below is the textbook
 version of the same rule, one destination at a time: a FIFO queue,
 neighbors scanned in ascending order (so ties go to the earliest-dequeued
 neighbor), and one reverse sweep of the visit order for subtree sizes.
-Parents and occupancy must agree bit for bit, on graph families chosen to
-exercise tie-breaking: power-law graphs with several attachment counts,
-random trees, stars, paths and rings, all under random node labels.
+Parents, each node's link slot and occupancy must agree bit for bit, on
+graph families chosen to exercise tie-breaking: power-law graphs with
+several attachment counts, random trees, stars, paths and rings, all
+under random node labels.
+
+The tables store only next-link slots; :func:`parent_matrix` and
+:func:`occupancy_map` are the test oracles that read next hops and
+per-link path counts back out of them (``tests/simulator/test_routing.py``
+uses them too).
 """
 
 from __future__ import annotations
@@ -57,6 +63,39 @@ def scalar_tree(
     return parents
 
 
+def parent_matrix(tables: RoutingTables) -> np.ndarray:
+    """Next hops read off the next-link table: ``[d, v]`` is ``v``'s next
+    hop toward ``d`` (``d`` itself on the diagonal)."""
+    n = tables.topology.num_nodes
+    parents = np.repeat(np.arange(n, dtype=np.int32)[:, None], n, axis=1)
+    routed = tables.next_link >= 0
+    parents[routed] = tables.link_dst[tables.next_link[routed]]
+    return parents
+
+
+def occupancy_map(tables: RoutingTables) -> dict[tuple[int, int], int]:
+    """Ordered (source, destination) pairs per directed link, counted by
+    walking every routed path over the next-link table."""
+    n = tables.topology.num_nodes
+    dst = np.repeat(np.arange(n), n)
+    node = np.tile(np.arange(n), n)
+    counts = np.zeros(tables.link_dst.size, dtype=np.int64)
+    for _hop in range(n):
+        moving = node != dst
+        dst, node = dst[moving], node[moving]
+        if not dst.size:
+            break
+        slots = tables.next_link[dst, node]
+        assert (tables.link_src[slots] == node).all()
+        counts += np.bincount(slots, minlength=counts.size)
+        node = tables.link_dst[slots]
+    assert not dst.size, "routing loop"
+    return {
+        (int(tables.link_src[s]), int(tables.link_dst[s])): int(counts[s])
+        for s in np.flatnonzero(counts)
+    }
+
+
 def relabel(topology: Topology, seed: int) -> Topology:
     """The same graph under a random node permutation."""
     perm = list(range(topology.num_nodes))
@@ -99,14 +138,25 @@ def assert_matches_spec(topology: Topology) -> None:
         ],
         dtype=np.int32,
     )
-    assert tables.parent_matrix.dtype == np.int32
-    np.testing.assert_array_equal(tables.parent_matrix, parents)
-    assert tables.occupancy_map() == occupancy
+    # Slots are CSR order: (source, destination) ascending.
+    links = sorted({(u, v) for u, v in topology.edges} | {
+        (v, u) for u, v in topology.edges
+    })
+    assert list(zip(tables.link_src.tolist(), tables.link_dst.tolist())) == links
+    # Each node's slot is the link to its spec parent; -1 at the root.
+    n = topology.num_nodes
+    link_keys = np.array([u * n + v for u, v in links], dtype=np.int64)
+    nodes = np.arange(n, dtype=np.int64)[None, :]
+    slots = np.searchsorted(link_keys, nodes * n + parents)
+    slots[parents == nodes] = -1
+    assert tables.next_link.dtype == np.int32
+    np.testing.assert_array_equal(tables.next_link, slots)
+    np.testing.assert_array_equal(parent_matrix(tables), parents)
+    assert occupancy_map(tables) == occupancy
     used = len(occupancy)
     mean = sum(occupancy.values()) / used if used else 1.0
     for u, v in topology.edges:
         for link in ((u, v), (v, u)):
-            assert tables.link_occupancy(*link) == occupancy.get(link, 0)
             assert tables.link_weight(*link) == occupancy.get(link, 0) / mean
 
 

@@ -572,6 +572,16 @@ REPLICA_SCENARIOS = {
         "scan_rate": 3.0,
         "max_queue": 3,
     },
+    # Three-packet queues behind slow backbone filters: full rate-cut
+    # queues take forwards from lower-indexed rate-cut links in the
+    # trickle, so drop-tail must see each queue's depth before its own
+    # drain.
+    "random-backbone-slow-tiny-queues": {
+        "worm": lambda: RandomScanWorm(hit_probability=0.5),
+        "defense": lambda n: deploy_backbone_rate_limit(n, 0.5),
+        "scan_rate": 3.0,
+        "max_queue": 3,
+    },
     "random-quarantine": {
         "worm": lambda: RandomScanWorm(hit_probability=0.4),
         "quarantine": lambda: DynamicQuarantine(
