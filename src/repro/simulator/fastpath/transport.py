@@ -14,16 +14,18 @@ Mirrors :meth:`Network.transmit_tick` over flat arrays:
   same operation sequence (refill once per tick, one subtraction per
   packet, same 1e-12 epsilon), so rate-limit behavior is bit-identical.
 
-Two transmit paths move packets.  The exact sweep, :meth:`transmit_tick`,
-reproduces the reference packet for packet and counter for counter; it
-backs the mirror engine and the vector engine's budgeted replicas, and
-:meth:`enqueue` is its one enqueue routine (drop-tail, credit, eager
-peak, non-empty tracking).  The vector wave lives in
+Two transmit paths move packets, each with one enqueue routine that
+applies drop-tail, enqueue credit, peak depth and non-empty tracking.
+The exact sweep, :meth:`transmit_tick`, reproduces the reference packet
+for packet and counter for counter; it backs the mirror engine and the
+vector engine's budgeted replicas, and enqueues through
+:meth:`enqueue`.  The vector wave lives in
 :class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`, which
-keeps every other replica's waiting packets in its own arrays and uses
-a transport only for counters, token balances and writeback; a replica
-it hands to the exact sweep has its waiting packets placed into the
-deques with :meth:`hold`, which credits nothing a second time.
+keeps every other replica's waiting packets in its own arrays, enqueues
+them in array passes, and uses a transport only for counters, token
+balances and writeback; a replica it hands to the exact sweep has its
+waiting packets placed into the deques with :meth:`hold`, which credits
+nothing a second time.
 
 Per-link counters are kept on two tracks: plain python lists, written
 by the exact sweep, and numpy vectors, written by the vector engine
