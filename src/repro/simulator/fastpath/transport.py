@@ -21,9 +21,8 @@ for packet and counter for counter; it backs the mirror engine and the
 vector engine's budgeted replicas, and enqueues through
 :meth:`enqueue`.  The vector wave lives in
 :class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`, which
-keeps every other replica's waiting packets in its own arrays, enqueues
-them in array passes, and uses a transport only for counters, token
-balances and writeback; a replica it hands to the exact sweep has its
+keeps every other replica's waiting packets in its own arrays and uses
+a transport only for counters, token balances and writeback; a replica it hands to the exact sweep has its
 waiting packets placed into the deques with :meth:`hold`, which credits
 nothing a second time.
 
@@ -336,9 +335,11 @@ class FastTransport:
     def hold(self, li: int, dsts: list[int]) -> None:
         """Append packets already credited elsewhere to link ``li``.
 
-        No counter moves: the vector engine counted these packets when
-        it accepted them into its own store, and calls this to hand them
-        to the exact sweep or to writeback.
+        No enqueue, drop or peak counter moves: the vector engine
+        counted these packets when it accepted them into its own store,
+        and calls this to hand them to the exact sweep or to writeback.
+        ``queued_total`` takes over their in-flight count from the
+        engine's depth array, which the engine zeroes for the replica.
         """
         if dsts:
             queue = self.queues[li]

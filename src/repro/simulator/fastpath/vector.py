@@ -82,19 +82,19 @@ key's depth (deferred packets included), enqueue credit, and the peak
 depth — raised at once, except for cascade waiters on rate-limited
 links, whose high-water mark is read right before each drain.  Store
 appends are threaded onto their lists lazily, by one stable sort right
-before the next drain.  No per-packet Python touches a vectorized
-replica, so its transport holds no queues until writeback.
+before the next drain.  A vectorized replica's transport holds no
+queues until writeback.
 
 The trickle drains the rate-limited keys holding a packet and a whole
-token in array passes.  It must equal the sequential drain (ready keys
-ascending, forwards appended at once), which the array pass reproduces
-unless a forward enters a ready key later in the order that has a token
-to spare (it would leave again this tick) or a forward could meet a
-full queue (drop-tail would see mid-drain depths).  A tick with either
-falls back to one sequential pass over the store.  The array pass also
-counts, in each drained key's high-water mark, the arrivals from lower
-ready keys.  The waiters of a vectorized replica never sit in its
-transport's deques, so the sweep has no per-replica deques to visit.
+token, ascending, one packet per token, like the reference sweep: the
+high-water mark is read right before each drain, and each forward is
+accepted at once, so it counts toward the depth a later key's drain
+and drop-tail see, and leaves again this tick if it enters a later
+ready key with a token to spare.  Only the ready keys' fronts are
+visited: a few dozen packets a tick at paper scale, far fewer than
+the queues behind them hold.  This is the only per-packet Python a
+vectorized replica runs; its waiters never sit in its transport's
+deques, so the sweep has no per-replica deques to visit.
 
 Node forwarding budgets
 -----------------------
@@ -473,7 +473,7 @@ class LimitedStore:
         node = self._alloc(1)
         self.dst[node] = dst
         self.nxt[node] = -1
-        tail = self.tail[key]
+        tail = self.tail.item(key)
         if tail >= 0:
             self.nxt[tail] = node
         else:
@@ -482,12 +482,12 @@ class LimitedStore:
 
     def pop(self, key: int) -> int:
         """Unlink the front packet of ``key``; returns its destination."""
-        node = self.head[key]
-        after = self.nxt[node]
+        node = self.head.item(key)
+        after = self.nxt.item(node)
         self.head[key] = after
         if after < 0:
             self.tail[key] = -1
-        return int(self.dst[node])
+        return self.dst.item(node)
 
     def take(self, lo: int, hi: int) -> dict[int, list[int]]:
         """Remove every packet of keys ``lo <= key < hi``.
@@ -864,7 +864,6 @@ class VectorReplicaSimulation:
         link_dst_arr = layout.link_dst_arr
         max_queue = layout.max_queue
         max_q_arr = np.asarray(max_queue, dtype=np.int64)
-        min_cap = min(max_queue, default=0)
 
         # Waiting packets of the vectorized replicas (see the module
         # docstring), keyed ``replica * L + link``.  ``depth_flat``
@@ -880,6 +879,9 @@ class VectorReplicaSimulation:
             if any_limited and not layout.budget_buckets
             else None
         )
+
+        limited_list = static_limited.tolist()
+        plan_list = plan_member.tolist()
 
         def limited_at(reps: np.ndarray, links: np.ndarray) -> np.ndarray:
             """Whether each ``(replica, link)`` is rate-limited now."""
@@ -930,126 +932,63 @@ class VectorReplicaSimulation:
             if keys.size:
                 pending.append((keys, dsts))
 
-        def trickle(keys: np.ndarray, tokens: np.ndarray, arrivals: list) -> bool:
-            """Drain the ready rate-limited ``keys`` in array passes.
+        def trickle(
+            keys: np.ndarray, balances: np.ndarray, arrivals: list
+        ) -> None:
+            """Drain the ready rate-limited ``keys``, ascending, FIFO per key.
 
-            Reproduces the sequential trickle (ready keys ascending,
-            FIFO per key, each forward appended at once) when no forward
-            can leave again this tick or overflow; otherwise changes
-            nothing and returns False.
-            """
-            d0 = depth_flat[keys]
-            # Token rounds, each popping the front of every key still
-            # holding a packet and a token (all of them, the first time).
-            tok = tokens.copy()
-            pops = np.zeros(keys.size, dtype=np.int64)
-            cur = store.head[keys]
-            owners = []
-            nodes = []
-            active = np.arange(keys.size)
-            while active.size:
-                at = cur[active]
-                owners.append(active)
-                nodes.append(at)
-                cur[active] = store.nxt[at]
-                tok[active] -= 1.0
-                pops[active] += 1
-                active = active[
-                    (pops[active] < d0[active])
-                    & (tok[active] + 1e-12 >= 1.0)
-                ]
-            # The sequential order: keys ascending, FIFO per key.
-            owner = _cat(owners)
-            at = _cat(nodes)
-            if len(owners) > 1:
-                order = np.argsort(owner, kind="stable")
-                owner, at = owner[order], at[order]
-            dsts = store.dst[at]
-            reps = keys[owner] // link_count
-            links = keys[owner] - reps * link_count
-            nodes = link_dst_arr[links]
-            home = dsts == nodes
-            on = ~home
-            reps_f, links_f, dsts_f = reps[on], links[on], dsts[on]
-            lj = next_link[dsts_f, nodes[on]]
-            keys_f = reps_f * link_count + lj
-            lim = limited_at(reps_f, lj)
-            low = 0
-            if lim.any():
-                # Rule 1: a forward into a ready key later in the order
-                # leaves again this tick if that key has a token to
-                # spare.  Rule 2: drop-tail must see the sequential
-                # depths, so no forward may come near a full queue.
-                lk = keys_f[lim]
-                pos = np.minimum(np.searchsorted(keys, lk), keys.size - 1)
-                lower = (keys[pos] == lk) & (links_f[lim] < lj[lim])
-                spare = (pops == d0) & (tok + 1e-12 >= 1.0)
-                if spare[pos[lower]].any() or (
-                    depth_flat[lk].max() + lk.size > min_cap
-                ):
-                    return False
-                # Rule 3: the high-water mark read right before a drain
-                # counts the arrivals from lower ready links.
-                low = np.bincount(pos[lower], minlength=keys.size)
-            store.head[keys] = cur
-            store.tail[keys[cur < 0]] = -1
-            depth_flat[keys] = d0 - pops
-            tok_flat[keys] = tok
-            fwd_flat[keys] += pops
-            peak_flat[keys] = np.maximum(peak_flat[keys], d0 + low)
-            if home.any():
-                arrivals.append((reps[home], dsts[home]))
-                delivered_arr[:] += np.bincount(reps[home], minlength=replicas)
-            if keys_f.size:
-                append(keys_f, dsts_f, lim)
-            return True
-
-        def trickle_in_order(keys: np.ndarray, arrivals: list) -> None:
-            """The sequential trickle: one packet at a time, keys ascending.
-
-            The high-water mark is read before each drain; forwards are
-            appended (and may leave again from a later key) at once.
+            One packet per whole token.  The high-water mark is read
+            before each drain, so it counts the arrivals from lower
+            keys; each forward is accepted at once (drop-tail against
+            the current depth) and leaves again this tick if it enters
+            a later ready key with a token to spare.
             """
             reps_a: list[int] = []
             dsts_a: list[int] = []
             keys_p: list[int] = []
             dsts_p: list[int] = []
-            for key in keys.tolist():
+            pop = store.pop
+            push = store.push
+            moves: list[int] = []
+            left: list[float] = []
+            for key, tokens in zip(keys.tolist(), balances.tolist()):
                 r, link = divmod(key, link_count)
-                depth = int(depth_flat[key])
-                if depth > peak_flat[key]:
+                depth = depth_flat.item(key)
+                if depth > peak_flat.item(key):
                     peak_flat[key] = depth
-                tokens = float(tok_flat[key])
                 node = link_dst[link]
                 moved = 0
                 while depth and tokens + 1e-12 >= 1.0:
                     tokens -= 1.0
                     depth -= 1
                     moved += 1
-                    dst = store.pop(key)
+                    dst = pop(key)
                     if dst == node:
                         reps_a.append(r)
                         dsts_a.append(dst)
                         continue
                     lj = link_rows[dst][node]
                     out = r * link_count + lj
-                    if depth_flat[out] >= max_queue[lj]:
+                    queued = depth_flat.item(out)
+                    if queued >= max_queue[lj]:
                         drop_flat[out] += 1
                         dropped_arr[r] += 1
                         continue
-                    depth_flat[out] += 1
+                    queued += 1
+                    depth_flat[out] = queued
                     enq_flat[out] += 1
-                    peak_flat[out] = max(peak_flat[out], depth_flat[out])
-                    if static_limited[lj] or (
-                        plan_member[lj] and deployed[r]
-                    ):
-                        store.push(out, dst)
+                    if queued > peak_flat.item(out):
+                        peak_flat[out] = queued
+                    if limited_list[lj] or (plan_list[lj] and deployed[r]):
+                        push(out, dst)
                     else:
                         keys_p.append(out)
                         dsts_p.append(dst)
                 depth_flat[key] = depth
-                tok_flat[key] = tokens
-                fwd_flat[key] += moved
+                moves.append(moved)
+                left.append(tokens)
+            tok_flat[keys] = left
+            fwd_flat[keys] += moves
             if reps_a:
                 reps_a = np.asarray(reps_a, dtype=np.int64)
                 arrivals.append((reps_a, np.asarray(dsts_a, dtype=np.int64)))
@@ -1294,8 +1233,7 @@ class VectorReplicaSimulation:
                         keys, tokens = keys[order], tokens[order]
                     if store.deferred:
                         store.link()
-                    if not trickle(keys, tokens, arrivals):
-                        trickle_in_order(keys, arrivals)
+                    trickle(keys, tokens, arrivals)
             for r in sorted(exact):
                 t = transports[r]
                 if r in held:

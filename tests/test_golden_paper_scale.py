@@ -8,7 +8,8 @@ scale they do not: on the fig-4 scenario a backbone filter leaves
 ~150k packets waiting on its links.  This test pins the served bytes
 (``result_payload``) of that regime: every fig-4 deployment on two
 never-reused topology seeds (width-1 vector groups), plus one 4-wide
-``fast-batched`` backbone group on a pinned topology.
+``fast-batched`` backbone group on a pinned topology.  The fixture was
+generated by the engine that predates the array-native queues.
 
 To bless an intentional behavior change:
 
@@ -32,6 +33,7 @@ from repro.runner.spec import (
     QuarantineSpec,
     RunSpec,
     TopologySpec,
+    WormSpec,
 )
 from repro.service.protocol import result_payload
 
@@ -62,8 +64,17 @@ DEPLOYMENTS = {
         _TEMPLATE, defense=DefenseSpec(kind="edge", rate=0.02)
     ),
     "backbone": dataclasses.replace(_TEMPLATE, defense=_BACKBONE),
+    # Fig 4's own quarantine never deploys here: with every scan hitting
+    # a host, none goes dark, so its telescope sees nothing and the run
+    # repeats "none".  Half the scans miss in this variant, and the
+    # backbone filter goes up mid-epidemic (tick 28-31 on both seeds)
+    # over a few hundred packets already waiting on its links.
     "quarantine": dataclasses.replace(
-        _TEMPLATE, quarantine=QuarantineSpec(response=_BACKBONE)
+        _TEMPLATE,
+        worm=WormSpec(hit_probability=0.5),
+        quarantine=QuarantineSpec(
+            response=_BACKBONE, telescope_coverage=1 / 64, reaction_delay=5
+        ),
     ),
 }
 
