@@ -9,9 +9,11 @@ Three families of properties:
   exactly the BFS hop count, and the next-link table the vectorized
   transport gathers from agrees with the scalar ``next_hop`` on every
   (destination, node) pair;
-* **engine agreement** — on randomly drawn small scenarios the fast
-  engine in mirror mode replays the reference bit-for-bit, and both
-  engines keep host-throttle tokens non-negative throughout the run.
+* **engine agreement** — on randomly drawn small scenarios the mirror
+  engine replays the reference oracle (``tests/oracle.py``)
+  bit-for-bit, ``execute_run`` of a random :class:`RunSpec` over every
+  field equals the oracle's run of it, and both engines keep
+  host-throttle tokens non-negative throughout the run.
 """
 
 from __future__ import annotations
@@ -20,6 +22,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.observability import InstrumentationOptions
+from repro.runner.build import BATCH_MIN_HOSTS, execute_run
+from repro.runner.spec import (
+    DEFENSE_KINDS,
+    OBSERVE_MODES,
+    WORM_KINDS,
+    DefenseSpec,
+    QuarantineSpec,
+    RunSpec,
+    TopologySpec,
+    WormSpec,
+)
+from repro.service.protocol import canonical_json, encode_run_result
 from repro.simulator.defense import (
     deploy_backbone_rate_limit,
     deploy_edge_rate_limit,
@@ -30,7 +45,6 @@ from repro.simulator.immunization import ImmunizationPolicy
 from repro.simulator.links import TokenBucket
 from repro.simulator.network import Network
 from repro.simulator.routing import RoutingTables
-from repro.simulator.simulation import WormSimulation
 from repro.simulator.worms import (
     LocalPreferentialWorm,
     RandomScanWorm,
@@ -38,6 +52,7 @@ from repro.simulator.worms import (
 )
 from repro.topology.powerlaw import barabasi_albert
 
+from ..oracle import WormSimulation, count_states, run_oracle
 from .test_routing_differential import parent_matrix
 
 #: Tolerance for accumulated float error in token arithmetic; matches
@@ -230,7 +245,7 @@ def test_mirror_mode_is_bit_identical_on_random_scenarios(scenario):
     traj_f = sim_f.run(50)
     np.testing.assert_array_equal(traj_r.infected, traj_f.infected)
     np.testing.assert_array_equal(traj_r.ever_infected, traj_f.ever_infected)
-    assert net_r.count_states() == net_f.count_states()
+    assert count_states(net_r) == count_states(net_f)
     assert net_r.stats.packets_injected == net_f.stats.packets_injected
     assert net_r.stats.packets_delivered == net_f.stats.packets_delivered
     assert net_r.stats.packets_dropped == net_f.stats.packets_dropped
@@ -287,3 +302,133 @@ def test_host_throttle_tokens_never_negative(seed, rate):
             host.scan_throttle.tokens
             - sim_f.hosts.throttle_tokens[position]
         ) <= TOKEN_EPSILON
+
+
+# ----------------------------------------------------------------------
+# execute_run against the oracle, over every RunSpec field
+# ----------------------------------------------------------------------
+
+@st.composite
+def defense_specs(draw, kinds):
+    """A valid deployment of one of ``kinds``."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "none":
+        return DefenseSpec()
+    return DefenseSpec(
+        kind=kind,
+        rate=draw(st.floats(min_value=0.005, max_value=3.0)),
+        coverage=draw(st.floats(min_value=0.0, max_value=1.0)),
+        node_budget=(
+            draw(st.floats(min_value=0.05, max_value=5.0))
+            if kind == "hub"
+            else None
+        ),
+        weighted=draw(st.booleans()),
+        seed=draw(st.integers(0, 1000)) if kind == "hosts" else None,
+    )
+
+
+@st.composite
+def exact_run_specs(draw):
+    """A random RunSpec the exact engine runs (< BATCH_MIN_HOSTS hosts).
+
+    Every field is drawn: topology (star or power-law, every shape
+    knob, pinned or per-run), worm, defense, scan rate, seeds,
+    immunization, quarantine, LAN delivery, horizon, observable, and
+    the two labels that take the exact path at this size.
+    """
+    if draw(st.booleans()):
+        topology = TopologySpec(
+            kind="star", num_nodes=draw(st.integers(8, 150))
+        )
+        defense_kinds = ("none", "hosts", "hub")
+    else:
+        topology = TopologySpec(
+            num_nodes=draw(st.integers(40, 250)),
+            edges_per_node=draw(st.integers(1, 3)),
+            backbone_fraction=draw(st.sampled_from((0.05, 0.1))),
+            edge_fraction=draw(st.sampled_from((0.1, 0.2))),
+            infect_routers=draw(st.booleans()),
+            seed=draw(st.one_of(st.none(), st.integers(0, 50))),
+        )
+        defense_kinds = DEFENSE_KINDS
+    immunization = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                ImmunizationPolicy,
+                mu=st.floats(min_value=0.0, max_value=1.0),
+                start_tick=st.integers(0, 30),
+                patch_infected=st.booleans(),
+            ),
+            st.builds(
+                ImmunizationPolicy,
+                mu=st.floats(min_value=0.0, max_value=1.0),
+                start_fraction=st.floats(min_value=0.05, max_value=0.9),
+                patch_infected=st.booleans(),
+            ),
+        )
+    )
+    quarantine = None
+    if draw(st.booleans()):
+        quarantine = QuarantineSpec(
+            response=draw(
+                defense_specs([k for k in defense_kinds if k != "none"])
+            ),
+            telescope_coverage=draw(
+                st.floats(min_value=0.01, max_value=1.0)
+            ),
+            detector_scans_per_infected=draw(
+                st.floats(min_value=0.5, max_value=3.0)
+            ),
+            reaction_delay=draw(st.integers(0, 5)),
+        )
+    return RunSpec(
+        topology=topology,
+        worm=WormSpec(
+            kind=draw(st.sampled_from(WORM_KINDS)),
+            local_preference=draw(st.floats(min_value=0.0, max_value=1.0)),
+            hit_probability=draw(st.floats(min_value=0.05, max_value=1.0)),
+            radius=draw(st.integers(1, 3)),
+            exploration=draw(st.floats(min_value=0.0, max_value=0.5)),
+        ),
+        defense=draw(defense_specs(defense_kinds)),
+        scan_rate=draw(st.floats(min_value=0.2, max_value=3.0)),
+        initial_infections=draw(st.integers(1, 5)),
+        immunization=immunization,
+        quarantine=quarantine,
+        lan_delivery=draw(st.booleans()),
+        max_ticks=draw(st.integers(2, 60)),
+        seed=draw(st.integers(0, 10**6)),
+        observe=draw(st.sampled_from(OBSERVE_MODES)),
+        engine=draw(st.sampled_from(("reference", "fast"))),
+    )
+
+
+def _outcome(run, spec, options):
+    """A run's served bytes and trace, or the error it raised."""
+    try:
+        result = run(spec, options)
+    except Exception as exc:  # both sides must fail alike
+        return ("error", type(exc).__name__, str(exc))
+    return canonical_json(encode_run_result(result)), result.trace
+
+
+@given(
+    spec=exact_run_specs(),
+    options=st.sampled_from(
+        (
+            None,
+            InstrumentationOptions(profile=True),
+            InstrumentationOptions(trace=True),
+            InstrumentationOptions(profile=True, trace=True),
+        )
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_execute_run_matches_the_oracle_on_random_specs(spec, options):
+    """Metrics (minus wall-clock fields), curves and traces all agree."""
+    assert spec.topology.num_nodes < BATCH_MIN_HOSTS
+    assert _outcome(execute_run, spec, options) == _outcome(
+        run_oracle, spec, options
+    )
