@@ -15,9 +15,9 @@ from conftest import print_rows
 
 from repro.simulator.defense import deploy_backbone_rate_limit
 from repro.simulator.dynamic import DynamicQuarantine
+from repro.simulator.fastpath import FastWormSimulation
 from repro.simulator.network import Network
 from repro.simulator.observers import average_trajectories
-from repro.simulator.simulation import WormSimulation
 from repro.simulator.telescope import ScanDetector, Telescope
 from repro.simulator.worms import RandomScanWorm
 
@@ -36,7 +36,7 @@ def run_case(reaction_delay: int | None, *, num_runs: int = 5):
                 detector=ScanDetector(scans_per_infected=0.8),
                 reaction_delay=reaction_delay,
             )
-        simulation = WormSimulation(
+        simulation = FastWormSimulation(
             Network.from_powerlaw(1000, seed=seed),
             RandomScanWorm(hit_probability=0.5),
             scan_rate=1.6,

@@ -14,9 +14,9 @@ from conftest import print_rows
 
 from repro.simulator.defense import deploy_backbone_rate_limit
 from repro.simulator.dynamic import DynamicQuarantine
+from repro.simulator.fastpath import FastWormSimulation
 from repro.simulator.network import Network
 from repro.simulator.observers import average_trajectories
-from repro.simulator.simulation import WormSimulation
 from repro.simulator.telescope import ScanDetector, Telescope
 from repro.simulator.worms import RandomScanWorm, TopologicalWorm, WormStrategy
 
@@ -36,7 +36,7 @@ def run_case(worm_factory, *, dynamic: bool, predeploy: bool, num_runs: int = 5)
                 telescope=Telescope(coverage=0.1),
                 detector=ScanDetector(scans_per_infected=0.8),
             )
-        simulation = WormSimulation(
+        simulation = FastWormSimulation(
             network,
             worm_factory(),
             scan_rate=1.6,

@@ -17,9 +17,9 @@ import random
 from repro import DefenseSpec
 from repro.models.base import Trajectory
 from repro.simulator import (
+    FastWormSimulation,
     Network,
     RandomScanWorm,
-    WormSimulation,
     WormStrategy,
     average_trajectories,
     deploy_backbone_rate_limit,
@@ -69,7 +69,7 @@ def run_case(defended: bool, worm_kind: str, num_runs: int = 5) -> Trajectory:
             worm: WormStrategy = HitListWorm(hit_list)
         else:
             worm = RandomScanWorm()
-        simulation = WormSimulation(
+        simulation = FastWormSimulation(
             network,
             worm,
             scan_rate=0.8,

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from repro.simulator import (
     DynamicQuarantine,
+    FastWormSimulation,
     Network,
     RandomScanWorm,
     ScanDetector,
     Telescope,
-    WormSimulation,
     average_trajectories,
     deploy_backbone_rate_limit,
 )
@@ -36,7 +36,7 @@ def run(reaction_delay: int | None, num_runs: int = 5):
                 detector=ScanDetector(scans_per_infected=0.8),
                 reaction_delay=reaction_delay,
             )
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             Network.from_powerlaw(1000, seed=seed),
             RandomScanWorm(hit_probability=0.5),
             scan_rate=1.6,

@@ -106,10 +106,6 @@ class Trajectory:
             raise ModelError("this trajectory does not track ever-infected")
         return self.ever_infected / self.population
 
-    def final_fraction_infected(self) -> float:
-        """Fraction infected at the last sample."""
-        return float(self.fraction_infected[-1])
-
     def final_fraction_ever_infected(self) -> float:
         """Ever-infected fraction at the last sample."""
         return float(self.fraction_ever_infected[-1])
@@ -137,10 +133,6 @@ class Trajectory:
         if y1 == y0:
             return float(t1)
         return float(t0 + (level - y0) * (t1 - t0) / (y1 - y0))
-
-    def sample_fraction(self, t: float) -> float:
-        """Infected fraction at time ``t`` (linear interpolation)."""
-        return float(np.interp(t, self.times, self.fraction_infected))
 
     # -- Export -----------------------------------------------------------
 

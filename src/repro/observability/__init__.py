@@ -28,10 +28,8 @@ from .instrumentation import Instrumentation, InstrumentationOptions
 from .stats import (
     HISTOGRAM_BUCKETS,
     bucket_label,
-    drop_histogram,
     histogram,
     merge_counts,
-    queue_histogram,
 )
 from .trace import (
     TRACE_SCHEMA_VERSION,
@@ -52,11 +50,9 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TraceSink",
     "bucket_label",
-    "drop_histogram",
     "histogram",
     "merge_counts",
     "observability_hub",
-    "queue_histogram",
     "read_trace",
     "tick_record",
 ]

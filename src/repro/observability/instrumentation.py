@@ -1,6 +1,6 @@
 """Per-run instrumentation: phase timings, counters, and a trace sink.
 
-A :class:`WormSimulation` optionally carries one :class:`Instrumentation`
+A simulation run optionally carries one :class:`Instrumentation`
 object.  The tick engine times each phase into it, the simulation phases
 count events on it (scans emitted/blocked/dark, LAN deliveries,
 infections), and the observe phase emits a structured per-tick record to

@@ -12,12 +12,8 @@ executions.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simulator.network import Network
 
 __all__ = [
     "HISTOGRAM_BUCKETS",
@@ -25,8 +21,6 @@ __all__ = [
     "histogram",
     "merge_counts",
     "merge_seconds",
-    "queue_histogram",
-    "drop_histogram",
 ]
 
 #: Decade bucket lower bounds (0 gets its own bucket).
@@ -118,14 +112,3 @@ def merge_seconds(
             merged[key] = merged.get(key, 0.0) + value
     return merged
 
-
-def queue_histogram(network: "Network") -> dict[str, int]:
-    """Distribution of per-link *peak* queue depths after a run."""
-    return histogram(
-        link.stats.peak_queue for link in network.links.values()
-    )
-
-
-def drop_histogram(network: "Network") -> dict[str, int]:
-    """Distribution of per-link drop-tail discard counts after a run."""
-    return histogram(link.stats.dropped for link in network.links.values())

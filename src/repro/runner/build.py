@@ -19,7 +19,7 @@ import numpy as np
 
 from ..models.base import Trajectory
 from ..observability.instrumentation import Instrumentation, InstrumentationOptions
-from ..observability.stats import drop_histogram, histogram, queue_histogram
+from ..observability.stats import histogram
 from ..simulator.defense import (
     DefenseDescriptor,
     deploy_backbone_rate_limit,
@@ -33,7 +33,6 @@ from ..simulator.fastpath import FastWormSimulation, VectorReplicaSimulation
 from ..simulator.fastpath.vector import ReplicaState
 from ..simulator.network import Network
 from ..simulator.observers import subset_fraction_curve
-from ..simulator.simulation import WormSimulation
 from ..simulator.telescope import ScanDetector, Telescope
 from ..simulator.worms import (
     LocalPreferentialWorm,
@@ -144,33 +143,26 @@ def _seed_subnet_curve(
 
 
 def _run_metrics(
-    simulation: WormSimulation | FastWormSimulation | ReplicaState,
+    simulation: FastWormSimulation | ReplicaState,
     network: Network,
     instrumentation: Instrumentation | None,
     wall_time: float,
 ) -> RunMetrics:
     """Packet totals, link-stat histograms and profile of a finished run.
 
-    Fast runs read the transport's folded per-link arrays, so their
-    links need no writeback; reference runs walk ``network.links``.
-    Both list histogram buckets in ``network.links`` order, so solo and
-    grouped runs serialize to the same bytes.
+    The histograms read the transport's folded per-link arrays, so the
+    links need no writeback.  They list buckets in ``network.links``
+    order, so solo and grouped runs serialize to the same bytes.
     """
-    if isinstance(simulation, WormSimulation):
-        queue_counts = queue_histogram(network)
-        drop_counts = drop_histogram(network)
-    else:
-        peak, dropped = simulation.transport.link_stat_arrays()
-        queue_counts = histogram(peak)
-        drop_counts = histogram(dropped)
+    peak, dropped = simulation.transport.link_stat_arrays()
     stats = network.stats
     return RunMetrics(
         ticks_executed=simulation.ticks_executed,
         packets_injected=stats.packets_injected,
         packets_delivered=stats.packets_delivered,
         packets_dropped=stats.packets_dropped,
-        queue_histogram=queue_counts,
-        drop_histogram=drop_counts,
+        queue_histogram=histogram(peak),
+        drop_histogram=histogram(dropped),
         wall_time=wall_time,
         phase_seconds=(
             dict(instrumentation.phase_seconds) if instrumentation else {}
@@ -221,17 +213,10 @@ def execute_run(
         if spec.quarantine is not None
         else None
     )
-    if spec.engine == "reference":
-        simulation_cls = WormSimulation
-        run_kwargs = {}
-    else:
-        simulation_cls = FastWormSimulation
-        # Metrics come from the transport's arrays; only figure 5's
-        # seed-subnet curve reads hosts written back onto the network.
-        run_kwargs = {
-            "writeback": "full" if spec.observe == "seed_subnets" else "stats"
-        }
-    simulation = simulation_cls(
+    # Every run that is not batch-sampled takes the exact path:
+    # "reference" always, "fast" below BATCH_MIN_HOSTS or for a worm
+    # the vector engine does not sample.
+    simulation = FastWormSimulation(
         network,
         build_worm(spec.worm),
         scan_rate=spec.scan_rate,
@@ -242,7 +227,12 @@ def execute_run(
         seed=spec.seed,
         instrumentation=instrumentation,
     )
-    trajectory = simulation.run(spec.max_ticks, **run_kwargs)
+    # Metrics come from the transport's arrays; only figure 5's
+    # seed-subnet curve reads hosts written back onto the network.
+    trajectory = simulation.run(
+        spec.max_ticks,
+        writeback="full" if spec.observe == "seed_subnets" else "stats",
+    )
     if spec.observe == "seed_subnets":
         trajectory = _seed_subnet_curve(network, spec.max_ticks)
     metrics = _run_metrics(

@@ -16,8 +16,8 @@ dataclasses of primitives.  That buys three things at once:
   the scenario builders.
 
 Specs only *describe*; the builders in :mod:`repro.runner.build` turn
-them into live :class:`~repro.simulator.network.Network` /
-:class:`~repro.simulator.simulation.WormSimulation` objects.
+them into live :class:`~repro.simulator.network.Network` and engine
+objects (:mod:`repro.simulator.fastpath`).
 """
 
 from __future__ import annotations
@@ -49,12 +49,15 @@ WORM_KINDS = ("random", "local_preferential", "topological", "sequential")
 BATCH_WORM_KINDS = ("random", "local_preferential")
 DEFENSE_KINDS = ("none", "hosts", "hub", "edge", "backbone")
 
-#: Simulation engines the run executor can build.  ``"reference"`` is
-#: the object-per-host :class:`~repro.simulator.simulation.WormSimulation`
-#: (the semantic oracle); ``"fast"`` is the struct-of-arrays
-#: :class:`~repro.simulator.fastpath.FastWormSimulation` in mirror mode
-#: below ``BATCH_MIN_HOSTS`` infectable hosts (or for worms without a
-#: batch kernel) and a width-1 batch-sampled
+#: Engine labels a spec can carry.  ``"reference"`` names the exact
+#: path: :class:`~repro.simulator.fastpath.FastWormSimulation`, the
+#: mirror, which draws from the run RNG in the paper's per-host,
+#: per-packet order at every size.  (The object-per-host engine that
+#: first carried the label is now the test suite's oracle; the label
+#: kept its name, so spec digests, cache entries and payloads did not
+#: change.)  ``"fast"`` takes the same exact path below
+#: ``BATCH_MIN_HOSTS`` infectable hosts (or for worms without a batch
+#: kernel) and a width-1 batch-sampled
 #: :class:`~repro.simulator.fastpath.VectorReplicaSimulation` group
 #: above; ``"fast-batched"`` forces batch sampling and lets the runner
 #: vectorize whole replica groups of an ensemble through one shared
@@ -223,7 +226,7 @@ class RunSpec:
         Optional dynamic-quarantine loop configuration.
     lan_delivery:
         Deliver same-subnet scans over the local LAN; see
-        :class:`~repro.simulator.simulation.WormSimulation`.
+        :class:`~repro.simulator.fastpath.FastWormSimulation`.
     max_ticks:
         Tick horizon.
     seed:
@@ -234,11 +237,11 @@ class RunSpec:
         ``"seed_subnets"`` records the infected fraction within the
         subnets holding the initial seeds (Figure 5's view).
     engine:
-        Which simulation engine executes the run: ``"reference"`` (the
-        object-per-host oracle), ``"fast"`` or ``"fast-batched"``
-        (struct-of-arrays; see :data:`ENGINE_KINDS`).  Part of the
-        spec — and therefore the cache digest — because batch sampling
-        is only statistically equivalent to the reference.
+        Which engine path executes the run: ``"reference"`` (always the
+        exact path), ``"fast"`` or ``"fast-batched"`` (see
+        :data:`ENGINE_KINDS`).  Part of the spec — and therefore the
+        cache digest — because batch sampling is only statistically
+        equivalent to the exact path.
     """
 
     topology: TopologySpec = field(default_factory=TopologySpec)
@@ -255,6 +258,10 @@ class RunSpec:
     engine: str = "reference"
 
     def __post_init__(self) -> None:
+        if self.seed is None:
+            # A seedless run would draw its topology, seeds and worm
+            # from OS entropy under a deterministic digest.
+            raise SpecError("a run needs a seed")
         if self.scan_rate <= 0:
             raise SpecError(
                 f"scan_rate must be positive, got {self.scan_rate}"
@@ -341,6 +348,8 @@ class EnsembleSpec:
     label: str = "experiment"
 
     def __post_init__(self) -> None:
+        if self.base_seed is None:
+            raise SpecError("an ensemble needs a base_seed")
         if self.num_runs < 1:
             raise SpecError(
                 f"num_runs must be >= 1, got {self.num_runs}"

@@ -205,9 +205,22 @@ def encode_response(response: Response, *, keep_alive: bool = True) -> bytes:
     ]
     lines += [f"{name}: {value}" for name, value in extra.items()]
     head = "\r\n".join(lines) + "\r\n\r\n"
-    # Chaos: ``truncate``/``garble`` faults ship a damaged frame so
-    # client-resilience tests see real short reads and bad status lines.
-    return corrupt("service.http.response", head.encode("latin-1") + body)
+    return head.encode("latin-1") + body
+
+
+async def _send_response(writer: asyncio.StreamWriter, frame: bytes) -> bool:
+    """Write one response frame; ``False`` when it went out short.
+
+    Chaos: ``truncate``/``garble`` faults ship a damaged frame so
+    client-resilience tests see real short reads and bad status lines.
+    A short frame ends the connection, as a real short write does;
+    left open, the client would wait out its socket timeout for bytes
+    that never come.
+    """
+    sent = corrupt("service.http.response", frame)
+    writer.write(sent)
+    await writer.drain()
+    return len(sent) == len(frame)
 
 
 def encode_request(request: Request) -> bytes:
@@ -328,23 +341,23 @@ class HttpFront:
                 try:
                     request = await read_request(reader)
                 except HttpError as exc:
-                    writer.write(
+                    await _send_response(
+                        writer,
                         encode_response(
                             error(exc.status, str(exc)), keep_alive=False
-                        )
+                        ),
                     )
-                    await writer.drain()
                     break
                 if request is None:
                     break
                 started = loop.time()
                 endpoint, response = await self._dispatch(request)
-                writer.write(
-                    encode_response(response, keep_alive=request.keep_alive)
+                whole = await _send_response(
+                    writer,
+                    encode_response(response, keep_alive=request.keep_alive),
                 )
-                await writer.drain()
                 self.metrics.record(endpoint, loop.time() - started)
-                if not request.keep_alive:
+                if not request.keep_alive or not whole:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to salvage

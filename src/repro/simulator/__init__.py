@@ -1,9 +1,10 @@
 """Tick-driven packet-level worm simulator (the ns-2 substitute).
 
 Build a :class:`Network` (star or power-law), optionally deploy a defense
-from :mod:`repro.simulator.defense`, then run a :class:`WormSimulation`.
-Seeded multi-run ensembles are described and averaged by
-:mod:`repro.runner`.
+from :mod:`repro.simulator.defense`, then run a
+:class:`FastWormSimulation`, the exact engine (the vector engine in
+:mod:`repro.simulator.fastpath` batch-samples large ensembles).  Seeded
+multi-run ensembles are described and averaged by :mod:`repro.runner`.
 """
 
 from .dynamic import DynamicQuarantine
@@ -17,14 +18,13 @@ from .defense import (
 )
 from .engine import Phase, SimulationError, TickSimulation
 from .fastpath import FastWormSimulation
-from .immunization import ImmunizationPolicy, ImmunizationProcess
+from .immunization import ImmunizationPolicy
 from .links import DirectedLink, LinkStats, TokenBucket
 from .network import Network, NetworkStats
 from .nodes import Host, HostError, HostState
 from .observers import CurveRecorder, average_trajectories
 from .packet import Packet, PacketKind
 from .routing import RoutingTables
-from .simulation import WormSimulation
 from .telescope import DetectionReport, ScanDetector, Telescope
 from .worms import (
     LocalPreferentialWorm,
@@ -46,7 +46,6 @@ __all__ = [
     "SimulationError",
     "TickSimulation",
     "ImmunizationPolicy",
-    "ImmunizationProcess",
     "DirectedLink",
     "LinkStats",
     "TokenBucket",
@@ -60,7 +59,6 @@ __all__ = [
     "Packet",
     "PacketKind",
     "RoutingTables",
-    "WormSimulation",
     "FastWormSimulation",
     "DynamicQuarantine",
     "DetectionReport",

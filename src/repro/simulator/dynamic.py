@@ -17,8 +17,8 @@ Usage::
         response=lambda net: deploy_backbone_rate_limit(net, 0.02),
         reaction_delay=2,
     )
-    sim = WormSimulation(network, RandomScanWorm(hit_probability=0.5),
-                         scan_rate=1.6, quarantine=quarantine, seed=1)
+    sim = FastWormSimulation(network, RandomScanWorm(hit_probability=0.5),
+                             scan_rate=1.6, quarantine=quarantine, seed=1)
     curve = sim.run(300)
     print(quarantine.deployed_at)
 """

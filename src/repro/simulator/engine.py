@@ -62,16 +62,10 @@ class TickSimulation:
             phase: [] for phase in Phase
         }
         self._stop_conditions: list[Callable[[int], bool]] = []
-        self._tick = 0
         self._stopped = False
         #: Optional profiling/trace collector; None keeps the tick loop
         #: on its original fast path (one attribute check per tick).
         self.instrumentation = instrumentation
-
-    @property
-    def current_tick(self) -> int:
-        """The tick currently executing (or about to execute)."""
-        return self._tick
 
     def on(self, phase: Phase, handler: TickHandler) -> None:
         """Register ``handler(tick)`` to run during ``phase`` each tick."""
@@ -102,7 +96,6 @@ class TickSimulation:
             raise SimulationError("simulation already ran; build a fresh one")
         executed = 0
         for tick in range(max_ticks):
-            self._tick = tick
             self._run_tick(tick)
             executed += 1
             if any(predicate(tick) for predicate in self._stop_conditions):

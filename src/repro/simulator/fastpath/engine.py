@@ -1,36 +1,46 @@
-"""The mirror engine: reference semantics over flat arrays.
+"""The exact engine (the *mirror*): per-host semantics over flat arrays.
 
-:class:`FastWormSimulation` is a drop-in replacement for
-:class:`~repro.simulator.simulation.WormSimulation` — same constructor,
-same five-phase tick pipeline on the same
-:class:`~repro.simulator.engine.TickSimulation`, same stop condition,
-same :class:`~repro.models.base.Trajectory` out — but host state lives
-in :class:`~repro.simulator.fastpath.state.HostArrays` and packet
-transport in :class:`~repro.simulator.fastpath.transport.FastTransport`.
-Given the same arguments and seed, a run is *bit-identical* to the
-reference engine — trajectories, traces, counters, final host and link
-state.  Batch-sampled runs go through
-:class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`
+:class:`FastWormSimulation` runs one seeded outbreak through the
+paper's ns-2-style tick pipeline on a
+:class:`~repro.simulator.engine.TickSimulation`:
+
+1. **scan** — every infected host emits scans at expected rate ``beta``
+   per tick (subject to its host-level filter, if one is deployed), each
+   addressed to a target chosen by the worm strategy;
+2. **transmit** — every link forwards at most its rate limit's worth of
+   queued packets one hop; leftovers stay queued;
+3. **deliver** — infection packets arriving at susceptible hosts infect
+   them;
+4. **immunize** — the dynamic-quarantine control loop (when configured)
+   and delayed patching run;
+5. **observe** — the recorder samples the state.
+
+Host state lives in :class:`~repro.simulator.fastpath.state.HostArrays`
+and packet transport in
+:class:`~repro.simulator.fastpath.transport.FastTransport`.  A run is a
+pure function of its arguments and seed: it draws from the run RNG in
+the order of the object-per-host formulation — one host object per
+host, one packet object per scan — that the test suite keeps as its
+oracle (``tests/oracle.py``) and matches bit for bit: trajectories,
+traces, counters, final host and link state.  Batch-sampled runs go
+through :class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`
 instead.
 
-Bit-identical equivalence hinges on drawing from the run RNG in exactly
-the reference order:
+The draw order:
 
 * constructor: ``random.Random(seed)`` → immunization process (no
   draws) → ``rng.sample`` for the initial infections;
-* scan phase: the reference walks every infectable host in sorted order
-  but only *infected* hosts draw (``scans_this_tick`` then one draw per
-  scan from the worm / telescope); since ``Network.infectable`` is
-  sorted, walking the sorted infected index reproduces the identical
-  draw sequence while skipping the O(N) susceptible walk;
-* immunization: the reference draws once per non-immune host in
-  ``network.infectable`` order — the fast process walks the same tuple
-  and consults the status array instead of the host objects.
+* scan phase: hosts are visited in sorted order and only *infected*
+  hosts draw (``scans_this_tick`` then one draw per scan from the worm /
+  telescope); since ``Network.infectable`` is sorted, walking the
+  sorted infected index gives that sequence without an O(N) walk of
+  the susceptible hosts;
+* immunization: one draw per patch-eligible host in
+  ``network.infectable`` order, read from the status array.
 
 Host throttles refill vectorized before the scan loop instead of
 interleaved with it; buckets are per-host independent and each still
-refills exactly once before its own consumption, so token trajectories
-are bit-identical.
+refills exactly once before its own consumption.
 """
 
 from __future__ import annotations
@@ -57,12 +67,11 @@ WRITEBACK_MODES = ("full", "stats")
 
 
 class FastImmunization:
-    """Array-backed twin of :class:`ImmunizationProcess`.
+    """Executes an :class:`ImmunizationPolicy` on :class:`HostArrays`.
 
-    Same activation logic and the same RNG draw sequence (one draw per
-    patch-eligible host per active tick, in ``network.infectable``
-    order), reading and writing :class:`HostArrays` instead of host
-    objects.
+    Patching starts at the policy's tick, or the first tick the
+    ever-infected fraction reaches its trigger; then it draws once per
+    patch-eligible host per tick, in ``network.infectable`` order.
     """
 
     def __init__(
@@ -115,12 +124,40 @@ class FastImmunization:
 
 
 class FastWormSimulation:
-    """A single seeded worm-outbreak run on the mirror engine.
+    """A single seeded worm-outbreak run on the exact engine.
 
-    Accepts the arguments of
-    :class:`~repro.simulator.simulation.WormSimulation` (see its
-    docstring for their semantics) and replays the reference run
-    draw for draw.
+    Parameters
+    ----------
+    network:
+        The (already defense-configured) network to attack.
+    worm:
+        Target-selection strategy.
+    scan_rate:
+        ``beta`` — expected scans per infected host per tick.
+    initial_infections:
+        Number of hosts infected at tick 0, chosen uniformly by ``seed``.
+    immunization:
+        Optional delayed-patching policy.
+    lan_delivery:
+        When true, scans aimed at a target in the *same subnet* are
+        delivered over the local LAN (one tick, no routed links) instead
+        of through the graph.  This models a subnet as a broadcast domain
+        — the reason edge-router filters never see intra-subnet worm
+        traffic (Sections 5.2/5.4).  Leave false for the star topology,
+        where the hub *is* the local interconnect being rate limited.
+    quarantine:
+        Optional :class:`~repro.simulator.dynamic.DynamicQuarantine`
+        control loop: missed scans feed its telescope, and once its
+        detector fires (plus reaction delay) its response deploys filters
+        mid-run.
+    seed:
+        Seed for this run's private RNG; same seed, same run.
+    instrumentation:
+        Optional :class:`~repro.observability.Instrumentation`: the tick
+        engine times each phase into it, the phases count scan outcomes
+        on it, and the observe phase emits one structured trace record
+        per tick to its sink.  ``None`` (the default) keeps the run on
+        the uninstrumented path.
     """
 
     def __init__(
@@ -160,8 +197,7 @@ class FastWormSimulation:
         self._base_delivered = stats.packets_delivered
         self._base_dropped = stats.packets_dropped
         #: LAN ring: scans land in ``_lan_pending`` and rotate to
-        #: ``_lan_ready`` at transmit, delivering one tick later —
-        #: identical latency to the reference's ``created_tick`` check.
+        #: ``_lan_ready`` at transmit, delivering one tick later.
         self._lan_pending: list[int] = []
         self._lan_ready: list[int] = []
 
@@ -171,7 +207,7 @@ class FastWormSimulation:
                 self.recorder.note_infection()
 
         # The immunization process consumes no randomness at
-        # construction, so the draw order matches the reference's.
+        # construction.
         self.immunization = (
             FastImmunization(network, immunization, self.rng)
             if immunization is not None
@@ -322,8 +358,8 @@ class FastWormSimulation:
 
         ``writeback="full"`` (default) writes the array state back onto
         the network's host and link objects, so post-run inspection
-        (state counts, ``infected_at`` curves, link stats, queue depths)
-        matches a reference run.  ``"stats"`` writes only the aggregate
+        (host states, ``infected_at`` curves, link stats, queue depths)
+        reads the run's final state.  ``"stats"`` writes only the aggregate
         ``network.stats`` counters; per-link results stay readable
         through ``transport.link_stat_arrays()``.
         """

@@ -19,8 +19,8 @@ engine's single run and address row 0.
 The arrays are synced *from* the network's host objects at construction
 (and re-synced when a dynamic quarantine deploys filters mid-run), and
 written *back* at the end of the run, so everything downstream that
-inspects hosts — ``count_states``, ``infected_at`` curves, reports —
-sees exactly what a reference run would have left behind.
+inspects hosts — host states, ``infected_at`` curves, reports — sees
+the run's final state.
 """
 
 from __future__ import annotations
@@ -370,8 +370,8 @@ class HostArrays:
     def refill_throttles(self) -> None:
         """One tick of token accrual for row 0's throttles.
 
-        Vectorized ``min(tokens + rate, burst)`` — IEEE-identical to the
-        reference engine's per-host :meth:`TokenBucket.refill` calls.
+        Vectorized ``min(tokens + rate, burst)`` — IEEE-identical to
+        per-host :meth:`TokenBucket.refill` calls.
         """
         if self._t_rate.shape[1]:
             np.minimum(
@@ -403,9 +403,8 @@ class HostArrays:
 
         Every host whose state or stamps differ from what the network
         currently holds is written — including runs whose infections
-        all died at tick 0 — so stamp arrays round-trip exactly as a
-        reference run would have left them (``NEVER`` becomes
-        ``None``).  The diff against the ``_net_*`` mirror makes
+        all died at tick 0 — so stamp arrays round-trip exactly as an
+        exact run leaves them (``NEVER`` becomes ``None``).  The diff against the ``_net_*`` mirror makes
         harvesting a replica cost O(changed hosts), which is what lets
         a 1000-replica die-out ensemble finalize its mostly-untouched
         replicas cheaply.

@@ -16,7 +16,8 @@ Mirrors :meth:`Network.transmit_tick` over flat arrays:
 
 Two transmit paths move packets, each with one enqueue routine that
 applies drop-tail, enqueue credit, peak depth and non-empty tracking.
-The exact sweep, :meth:`transmit_tick`, reproduces the reference packet
+The exact sweep, :meth:`transmit_tick`, reproduces the object-model
+sweep (:meth:`~repro.simulator.network.Network.transmit_tick`) packet
 for packet and counter for counter; it backs the mirror engine and the
 vector engine's budgeted replicas, and enqueues through
 :meth:`enqueue`.  The vector wave lives in
@@ -478,7 +479,7 @@ class FastTransport:
         Residual queued packets are materialized as
         :class:`~repro.simulator.packet.Packet` objects so post-run
         inspection (``total_queued``, ``queue_depths``, reports) matches
-        a reference run; only the destination survives the int encoding,
+        an object-model run; only the destination survives the int encoding,
         so the materialized packets carry the holding link's source node
         and the final tick as their provenance.
 

@@ -24,7 +24,7 @@ Per-host scan counts, hit masks, targets, telescope observations and
 immunization draws come in bulk from each replica's numpy generator
 (seeded from ``random.Random(seed)`` right after the initial infections
 are placed, so a seed attacks the same hosts on every engine).  Runs are
-*statistically* equivalent to the reference engine — same epidemic law,
+*statistically* equivalent to the exact mirror engine — same epidemic law,
 different random stream — and the transport relaxations documented on
 the wave cascade below apply.
 

@@ -1,19 +1,19 @@
 """Delayed dynamic immunization for the simulator (Section 6).
 
-The process starts at an absolute tick, or when the infection first
+Patching starts at an absolute tick, or when the infection first
 reaches a trigger fraction (the paper parameterizes both ways).  Once
 active, every non-immune host — susceptible or infected — is patched with
-probability ``mu`` each tick.
+probability ``mu`` each tick.  :class:`ImmunizationPolicy` describes
+when and how fast; the engines execute it
+(``fastpath.engine.FastImmunization`` draw for draw, the vector engine
+in bulk).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .network import Network
-
-__all__ = ["ImmunizationPolicy", "ImmunizationProcess"]
+__all__ = ["ImmunizationPolicy"]
 
 
 @dataclass(frozen=True)
@@ -69,52 +69,3 @@ class ImmunizationPolicy:
         """Patching begins when infection reaches a fraction of hosts."""
         return cls(mu=mu, start_fraction=start_fraction)
 
-
-class ImmunizationProcess:
-    """Executes an :class:`ImmunizationPolicy` against a network."""
-
-    def __init__(
-        self,
-        network: Network,
-        policy: ImmunizationPolicy,
-        rng: random.Random,
-    ) -> None:
-        self._network = network
-        self._policy = policy
-        self._rng = rng
-        self._active = False
-        self.started_at: int | None = None
-        self.patched = 0
-
-    @property
-    def is_active(self) -> bool:
-        """Whether patching has begun."""
-        return self._active
-
-    def _should_start(self, tick: int, ever_infected: int) -> bool:
-        if self._policy.start_tick is not None:
-            return tick >= self._policy.start_tick
-        fraction = ever_infected / self._network.num_infectable
-        return fraction >= self._policy.start_fraction
-
-    def step(self, tick: int, ever_infected: int) -> int:
-        """Run one tick of patching; returns the number patched this tick."""
-        if not self._active:
-            if not self._should_start(tick, ever_infected):
-                return 0
-            self._active = True
-            self.started_at = tick
-        rng = self._rng
-        mu = self._policy.mu
-        patched_now = 0
-        for node in self._network.infectable:
-            host = self._network.host(node)
-            if host.is_immune:
-                continue
-            if host.is_infected and not self._policy.patch_infected:
-                continue
-            if rng.random() < mu:
-                host.immunize(tick)
-                patched_now += 1
-        self.patched += patched_now
-        return patched_now

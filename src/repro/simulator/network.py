@@ -205,22 +205,6 @@ class Network:
         """The :class:`Host` for an infectable node."""
         return self.hosts[node]
 
-    def infected_nodes(self) -> list[int]:
-        """Currently infected node ids, sorted."""
-        return [n for n in self.infectable if self.hosts[n].is_infected]
-
-    def count_states(self) -> tuple[int, int, int]:
-        """(susceptible, infected, immune) counts."""
-        susceptible = infected = immune = 0
-        for host in self.hosts.values():
-            if host.is_susceptible:
-                susceptible += 1
-            elif host.is_infected:
-                infected += 1
-            else:
-                immune += 1
-        return susceptible, infected, immune
-
     def subnet_peers(self, node: int) -> tuple[int, ...]:
         """Infectable hosts sharing ``node``'s subnet, excluding ``node``."""
         if self.subnets is None:
@@ -260,10 +244,6 @@ class Network:
         else:
             self.forward_budgets[node] = TokenBucket(rate)
 
-    def rate_limited_links(self) -> list[DirectedLink]:
-        """All directed links that currently carry a rate limit."""
-        return [link for link in self.links.values() if link.is_rate_limited]
-
     # ------------------------------------------------------------------
     # Observability queries
     # ------------------------------------------------------------------
@@ -282,7 +262,8 @@ class Network:
         return [self.links[key].queue_length for key in sorted(self.links)]
 
     # ------------------------------------------------------------------
-    # Packet movement (driven by WormSimulation's transmit phase)
+    # Packet movement: typed packets hop by hop over the link objects
+    # (the engines carry bare destinations in their own transports)
     # ------------------------------------------------------------------
 
     def inject(self, packet: Packet) -> None:

@@ -99,13 +99,3 @@ class Host:
             raise HostError(f"throttle rate must be positive, got {rate}")
         self.scan_throttle = TokenBucket(rate)
 
-    def allow_scan(self) -> bool:
-        """Whether the host-level filter permits emitting one more scan."""
-        if self.scan_throttle is None:
-            return True
-        return self.scan_throttle.try_consume()
-
-    def tick_throttle(self) -> None:
-        """Advance the host filter's token bucket by one tick."""
-        if self.scan_throttle is not None:
-            self.scan_throttle.refill()

@@ -33,19 +33,13 @@ class CurveRecorder:
         """Credit ``count`` new infections to the ever-infected tally."""
         self.ever_infected += count
 
-    def sample(self, tick: int) -> None:
-        """Record the network state at the end of ``tick``."""
-        susceptible, infected, immune = self._network.count_states()
-        self.record_counts(tick, susceptible, infected, immune)
-
     def record_counts(
         self, tick: int, susceptible: int, infected: int, immune: int
     ) -> None:
-        """Record externally computed compartment counts for ``tick``.
+        """Record the compartment counts at the end of ``tick``.
 
-        The fast engine maintains running S/I/R totals and feeds them
-        here directly, skipping :meth:`sample`'s O(N) host walk; both
-        paths append identical rows.
+        The engine maintains running S/I/R totals and feeds them here
+        directly, so sampling never walks the hosts.
         """
         self._ticks.append(tick)
         self._susceptible.append(susceptible)
@@ -57,29 +51,6 @@ class CurveRecorder:
     def num_samples(self) -> int:
         """Ticks recorded so far."""
         return len(self._ticks)
-
-    def last_sample(self) -> tuple[int, int, int, int, int] | None:
-        """The most recent ``(tick, S, I, R, ever_infected)`` sample.
-
-        Lets the trace layer reuse the counts :meth:`sample` already
-        computed instead of re-walking every host; ``None`` before the
-        first sample.
-        """
-        if not self._ticks:
-            return None
-        return (
-            self._ticks[-1],
-            self._susceptible[-1],
-            self._infected[-1],
-            self._immune[-1],
-            self._ever_infected[-1],
-        )
-
-    def current_infected_fraction(self) -> float:
-        """Infected fraction at the latest sample (0.0 before sampling)."""
-        if not self._infected:
-            return 0.0
-        return self._infected[-1] / self._network.num_infectable
 
     def trajectory(self) -> Trajectory:
         """Package the samples as a :class:`Trajectory`."""

@@ -65,7 +65,7 @@ class TestDynamics:
     def test_full_coverage_zero_residual_contains_worm(self):
         model = BackboneRateLimitModel(1000, 0.8, 1.0)
         trajectory = model.solve(500)
-        assert trajectory.final_fraction_infected() < 0.01
+        assert trajectory.fraction_infected[-1] < 0.01
 
     def test_residual_rate_lets_worm_leak_through(self):
         sealed = BackboneRateLimitModel(1000, 0.8, 1.0).solve(3000)
@@ -73,8 +73,8 @@ class TestDynamics:
             1000, 0.8, 1.0, residual_rate=ADDRESS_SPACE / 100
         ).solve(3000)
         assert (
-            leaky.final_fraction_infected()
-            > sealed.final_fraction_infected() + 0.1
+            leaky.fraction_infected[-1]
+            > sealed.fraction_infected[-1] + 0.1
         )
 
     @given(st.floats(min_value=0.0, max_value=0.95))

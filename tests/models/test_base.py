@@ -93,14 +93,6 @@ class TestTrajectory:
         with pytest.raises(ModelError, match="does not track"):
             make_trajectory().fraction_ever_infected
 
-    def test_sample_fraction(self):
-        trajectory = Trajectory(
-            times=np.array([0.0, 2.0]),
-            infected=np.array([0.0, 100.0]),
-            population=100.0,
-        )
-        assert trajectory.sample_fraction(1.0) == pytest.approx(0.5)
-
 
 class TestSolvePlumbing:
     def test_solve_rejects_bad_horizon(self):

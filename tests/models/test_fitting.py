@@ -61,10 +61,10 @@ class TestFitLogistic:
 
     def test_fits_noisy_simulated_curve(self):
         from repro.simulator.network import Network
-        from repro.simulator.simulation import WormSimulation
+        from repro.simulator.fastpath import FastWormSimulation
         from repro.simulator.worms import RandomScanWorm
 
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             Network.from_powerlaw(300, seed=3),
             RandomScanWorm(),
             scan_rate=0.8,

@@ -48,7 +48,7 @@ class TestDynamics:
     def test_saturates_at_population(self):
         model = HomogeneousSIModel(500, 1.0)
         trajectory = model.solve(100)
-        assert trajectory.final_fraction_infected() == pytest.approx(1.0, abs=1e-6)
+        assert trajectory.fraction_infected[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_time_to_fraction_inverts_solution(self):
         model = HomogeneousSIModel(1000, 0.8)

@@ -106,7 +106,7 @@ class TestDynamics:
     def test_zero_mu_means_no_removal(self):
         model = DelayedImmunizationModel(1000, 0.8, 0.0, start_time=5.0)
         trajectory = model.solve(60)
-        assert trajectory.final_fraction_infected() == pytest.approx(
+        assert trajectory.fraction_infected[-1] == pytest.approx(
             1.0, abs=1e-3
         )
 

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from repro.observability.stats import (
     HISTOGRAM_BUCKETS,
     bucket_label,
-    drop_histogram,
     histogram,
     merge_counts,
     merge_seconds,
-    queue_histogram,
 )
+from repro.simulator.fastpath import FastWormSimulation
 from repro.simulator.network import Network
-from repro.simulator.simulation import WormSimulation
 from repro.simulator.worms import RandomScanWorm
+
+from ..oracle import drop_histogram, queue_histogram
 
 
 class TestBucketLabel:
@@ -109,7 +109,7 @@ class TestNetworkHistograms:
 
     def test_histograms_cover_every_link_after_run(self):
         network = Network.from_powerlaw(120, seed=5)
-        WormSimulation(
+        FastWormSimulation(
             network,
             RandomScanWorm(),
             scan_rate=0.8,

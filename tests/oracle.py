@@ -65,6 +65,7 @@ __all__ = [
     "allow_scan",
     "count_states",
     "drop_histogram",
+    "last_sample",
     "queue_histogram",
     "rate_limited_links",
     "run_oracle",
@@ -107,6 +108,24 @@ def drop_histogram(network: Network) -> dict[str, int]:
     return histogram(link.stats.dropped for link in network.links.values())
 
 
+def last_sample(
+    recorder: CurveRecorder,
+) -> tuple[int, int, int, int, int] | None:
+    """A recorder's latest ``(tick, S, I, R, ever_infected)`` row.
+
+    ``None`` before the first sample.
+    """
+    if not recorder.num_samples:
+        return None
+    return (
+        recorder._ticks[-1],
+        recorder._susceptible[-1],
+        recorder._infected[-1],
+        recorder._immune[-1],
+        recorder._ever_infected[-1],
+    )
+
+
 def allow_scan(host: Host) -> bool:
     """Whether the host-level filter permits emitting one more scan."""
     if host.scan_throttle is None:
@@ -131,18 +150,6 @@ class SamplingRecorder(CurveRecorder):
     def sample(self, tick: int) -> None:
         """Record the network state at the end of ``tick``."""
         self.record_counts(tick, *count_states(self._network))
-
-    def last_sample(self) -> tuple[int, int, int, int, int] | None:
-        """The most recent ``(tick, S, I, R, ever_infected)`` sample."""
-        if not self._ticks:
-            return None
-        return (
-            self._ticks[-1],
-            self._susceptible[-1],
-            self._infected[-1],
-            self._immune[-1],
-            self._ever_infected[-1],
-        )
 
     def current_infected_fraction(self) -> float:
         """Infected fraction at the latest sample (0.0 before sampling)."""
@@ -171,13 +178,6 @@ class ImmunizationProcess:
         self._policy = policy
         self._rng = rng
         self._active = False
-        self.started_at: int | None = None
-        self.patched = 0
-
-    @property
-    def is_active(self) -> bool:
-        """Whether patching has begun."""
-        return self._active
 
     def _should_start(self, tick: int, ever_infected: int) -> bool:
         if self._policy.start_tick is not None:
@@ -185,16 +185,14 @@ class ImmunizationProcess:
         fraction = ever_infected / self._network.num_infectable
         return fraction >= self._policy.start_fraction
 
-    def step(self, tick: int, ever_infected: int) -> int:
-        """Run one tick of patching; returns the number patched this tick."""
+    def step(self, tick: int, ever_infected: int) -> None:
+        """Run one tick of patching."""
         if not self._active:
             if not self._should_start(tick, ever_infected):
-                return 0
+                return
             self._active = True
-            self.started_at = tick
         rng = self._rng
         mu = self._policy.mu
-        patched_now = 0
         for node in self._network.infectable:
             host = self._network.host(node)
             if host.is_immune:
@@ -203,9 +201,6 @@ class ImmunizationProcess:
                 continue
             if rng.random() < mu:
                 host.immunize(tick)
-                patched_now += 1
-        self.patched += patched_now
-        return patched_now
 
 
 # ----------------------------------------------------------------------
@@ -350,8 +345,8 @@ class WormSimulation:
         self.recorder.sample(tick)
         instr = self.instrumentation
         if instr is not None and instr.sink is not None:
-            _, susceptible, infected, immune, ever = (
-                self.recorder.last_sample()
+            _, susceptible, infected, immune, ever = last_sample(
+                self.recorder
             )
             stats = self.network.stats
             instr.emit(
@@ -370,7 +365,7 @@ class WormSimulation:
             )
 
     def _epidemic_over(self, tick: int) -> bool:
-        _, susceptible, infected, _immune, _ever = self.recorder.last_sample()
+        _, susceptible, infected, _immune, _ever = last_sample(self.recorder)
         if susceptible == 0:
             return True
         # With patching, the worm can die out before saturating.

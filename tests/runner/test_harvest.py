@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.observability.stats import drop_histogram, queue_histogram
 from repro.runner.build import execute_run
 from repro.runner.spec import (
     DefenseSpec,
@@ -25,6 +24,8 @@ from repro.runner.spec import (
     WormSpec,
 )
 from repro.simulator.fastpath import FastWormSimulation, VectorReplicaSimulation
+
+from ..oracle import drop_histogram, queue_histogram
 
 #: One fig-4 seed column at reduced scale (300 nodes, 150 ticks).
 _TEMPLATE = RunSpec(

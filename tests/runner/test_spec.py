@@ -141,6 +141,16 @@ class TestValidation:
         seeded = dataclasses.replace(seedless, seed=3)
         assert RunSpec(defense=seeded, quarantine=QuarantineSpec(seeded))
 
+    def test_seedless_run_is_refused(self):
+        """The run seed drives the topology, the initial infections and
+        every worm draw; without one they would come from OS entropy."""
+        with pytest.raises(SpecError, match="a run needs a seed"):
+            RunSpec(seed=None)
+
+    def test_seedless_ensemble_is_refused(self):
+        with pytest.raises(SpecError, match="an ensemble needs a base_seed"):
+            EnsembleSpec(template=RunSpec(), base_seed=None)
+
 
 #: One deployment of every defense kind, plus a quarantine, for the
 #: run-twice property below.

@@ -85,6 +85,17 @@ class TestSpecRoundTrip:
         hosts["seed"] = 7
         decode_ensemble_spec(data)
 
+    @pytest.mark.parametrize("field", ["base_seed", "template.seed"])
+    def test_decode_rejects_null_seed(self, field):
+        """A null seed is refused at admission, not inside the job."""
+        data = tiny_ensemble().to_dict()
+        if field == "base_seed":
+            data["base_seed"] = None
+        else:
+            data["template"]["seed"] = None
+        with pytest.raises(ProtocolError, match="needs a"):
+            decode_ensemble_spec(data)
+
     def test_decode_rejects_unknown_keys(self):
         data = tiny_ensemble().to_dict()
         data["surprise"] = 1

@@ -204,6 +204,16 @@ class TestHttpSurface:
         assert status == 400
         assert "invalid" in json.loads(payload)["error"]
 
+    def test_null_base_seed_is_400(self, gated_service):
+        _thread, client, _runner = gated_service
+        spec = spec_with("seedless").to_dict()
+        spec["base_seed"] = None
+        status, _headers, payload = client._request(
+            "POST", "/v1/run", json.dumps({"spec": spec}).encode()
+        )
+        assert status == 400
+        assert "needs a base_seed" in json.loads(payload)["error"]
+
     def test_unrunnable_engine_worm_pair_is_400(self, gated_service):
         """A spec no engine can run is refused before it is queued."""
         _thread, client, _runner = gated_service

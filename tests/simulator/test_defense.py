@@ -14,12 +14,14 @@ from repro.simulator.defense import (
 from repro.simulator.network import Network
 from repro.topology.subnets import NO_SUBNET
 
+from ..oracle import rate_limited_links
+
 
 class TestNoDefense:
     def test_leaves_network_untouched(self, small_network):
         descriptor = no_defense(small_network)
         assert descriptor.name == "no_rl"
-        assert small_network.rate_limited_links() == []
+        assert rate_limited_links(small_network) == []
 
 
 class TestHostRateLimit:
@@ -36,7 +38,7 @@ class TestHostRateLimit:
 
     def test_no_links_touched(self, small_network):
         deploy_host_rate_limit(small_network, 0.5, 0.01, seed=1)
-        assert small_network.rate_limited_links() == []
+        assert rate_limited_links(small_network) == []
 
     def test_deterministic_selection(self):
         a = Network.from_powerlaw(120, seed=7)
@@ -79,7 +81,7 @@ class TestEdgeRateLimit:
     def test_limits_only_boundary_links(self, small_network):
         deploy_edge_rate_limit(small_network, 0.5)
         subnets = small_network.subnets
-        for link in small_network.rate_limited_links():
+        for link in rate_limited_links(small_network):
             u, v = link.src, link.dst
             roles = small_network.roles
             router = u if u in roles.edge_routers else v
@@ -102,13 +104,13 @@ class TestEdgeRateLimit:
 
     def test_weighted_rates_scale_with_occupancy(self, small_network):
         deploy_edge_rate_limit(small_network, 1.0, weighted=True)
-        limited = small_network.rate_limited_links()
+        limited = rate_limited_links(small_network)
         rates = {link.rate_limit for link in limited}
         assert len(rates) > 1  # not all the same: weights differ
 
     def test_unweighted_rates_uniform(self, small_network):
         deploy_edge_rate_limit(small_network, 1.0, weighted=False)
-        rates = {l.rate_limit for l in small_network.rate_limited_links()}
+        rates = {l.rate_limit for l in rate_limited_links(small_network)}
         assert rates == {1.0}
 
 

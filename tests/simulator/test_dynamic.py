@@ -6,10 +6,12 @@ import pytest
 
 from repro.simulator.defense import deploy_backbone_rate_limit
 from repro.simulator.dynamic import DynamicQuarantine
+from repro.simulator.fastpath import FastWormSimulation
 from repro.simulator.network import Network
-from repro.simulator.simulation import WormSimulation
 from repro.simulator.telescope import ScanDetector, Telescope
 from repro.simulator.worms import RandomScanWorm
+
+from ..oracle import rate_limited_links
 
 
 def build_quarantine(reaction_delay: int = 0) -> DynamicQuarantine:
@@ -25,7 +27,7 @@ def run_outbreak(
     quarantine: DynamicQuarantine | None, *, seed: int = 5, max_ticks: int = 300
 ):
     network = Network.from_powerlaw(400, seed=seed)
-    simulation = WormSimulation(
+    simulation = FastWormSimulation(
         network,
         RandomScanWorm(hit_probability=0.5),
         scan_rate=1.6,
@@ -60,7 +62,7 @@ class TestDynamicQuarantine:
     def test_filters_actually_installed(self):
         quarantine = build_quarantine()
         _, network = run_outbreak(quarantine)
-        assert len(network.rate_limited_links()) > 0
+        assert len(rate_limited_links(network)) > 0
 
     def test_quarantine_slows_outbreak(self):
         undefended, _ = run_outbreak(None)
@@ -82,7 +84,7 @@ class TestDynamicQuarantine:
         telescope is blind — detection must not fire."""
         quarantine = build_quarantine()
         network = Network.from_powerlaw(400, seed=9)
-        simulation = WormSimulation(
+        simulation = FastWormSimulation(
             network,
             RandomScanWorm(hit_probability=1.0),
             scan_rate=1.6,

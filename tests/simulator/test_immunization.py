@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from repro.simulator.immunization import ImmunizationPolicy, ImmunizationProcess
+from repro.simulator.fastpath.engine import FastImmunization
+from repro.simulator.fastpath.state import HostArrays
+from repro.simulator.immunization import ImmunizationPolicy
 
 
 class TestPolicyValidation:
@@ -31,10 +33,28 @@ class TestPolicyValidation:
         assert by_fraction.start_fraction == 0.2
 
 
+class ArrayPatching:
+    """The engine's patching process on host arrays, written back to the
+    host objects after every step so the tests can read them."""
+
+    def __init__(self, network, policy, rng):
+        self.network = network
+        self.hosts = HostArrays(network)
+        self.process = FastImmunization(network, policy, rng)
+
+    def step(self, tick, ever_infected):
+        patched = self.process.step(tick, ever_infected, self.hosts)
+        self.hosts.writeback()
+        return patched
+
+    def __getattr__(self, name):
+        return getattr(self.process, name)
+
+
 class TestProcess:
     def test_tick_trigger(self, star_network):
         policy = ImmunizationPolicy.at_tick(3, mu=1.0)
-        process = ImmunizationProcess(star_network, policy, random.Random(0))
+        process = ArrayPatching(star_network, policy, random.Random(0))
         for tick in range(3):
             assert process.step(tick, ever_infected=0) == 0
             assert not process.is_active
@@ -45,14 +65,14 @@ class TestProcess:
 
     def test_fraction_trigger(self, star_network):
         policy = ImmunizationPolicy.at_fraction(0.5, mu=1.0)
-        process = ImmunizationProcess(star_network, policy, random.Random(0))
+        process = ArrayPatching(star_network, policy, random.Random(0))
         assert process.step(0, ever_infected=10) == 0
         n = star_network.num_infectable
         assert process.step(1, ever_infected=(n // 2) + 1) == n
 
     def test_mu_rate_statistics(self, small_network):
         policy = ImmunizationPolicy.at_tick(0, mu=0.25)
-        process = ImmunizationProcess(small_network, policy, random.Random(1))
+        process = ArrayPatching(small_network, policy, random.Random(1))
         patched = process.step(0, ever_infected=0)
         n = small_network.num_infectable
         assert 0.1 * n < patched < 0.45 * n
@@ -60,21 +80,21 @@ class TestProcess:
     def test_infected_patched_by_default(self, star_network):
         star_network.host(1).infect(0)
         policy = ImmunizationPolicy.at_tick(0, mu=1.0)
-        process = ImmunizationProcess(star_network, policy, random.Random(0))
+        process = ArrayPatching(star_network, policy, random.Random(0))
         process.step(0, ever_infected=1)
         assert star_network.host(1).is_immune
 
     def test_patch_infected_false_spares_infected(self, star_network):
         star_network.host(1).infect(0)
         policy = ImmunizationPolicy(mu=1.0, start_tick=0, patch_infected=False)
-        process = ImmunizationProcess(star_network, policy, random.Random(0))
+        process = ArrayPatching(star_network, policy, random.Random(0))
         process.step(0, ever_infected=1)
         assert star_network.host(1).is_infected
         assert star_network.host(2).is_immune
 
     def test_already_immune_not_recounted(self, star_network):
         policy = ImmunizationPolicy.at_tick(0, mu=1.0)
-        process = ImmunizationProcess(star_network, policy, random.Random(0))
+        process = ArrayPatching(star_network, policy, random.Random(0))
         first = process.step(0, ever_infected=0)
         second = process.step(1, ever_infected=0)
         assert first == star_network.num_infectable

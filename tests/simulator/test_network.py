@@ -8,6 +8,8 @@ from repro.simulator.network import Network
 from repro.simulator.packet import Packet, PacketKind
 from repro.topology.graphs import Topology, TopologyError
 
+from ..oracle import count_states, rate_limited_links
+
 
 def infection(src: int, dst: int, tick: int = 0) -> Packet:
     return Packet(src=src, dst=dst, kind=PacketKind.INFECTION, created_tick=tick)
@@ -48,12 +50,16 @@ class TestFactories:
 
 class TestStateCounting:
     def test_counts(self, star_network):
-        susceptible, infected, immune = star_network.count_states()
+        susceptible, infected, immune = count_states(star_network)
         assert (susceptible, infected, immune) == (49, 0, 0)
         star_network.host(1).infect(0)
         star_network.host(2).immunize(0)
-        assert star_network.count_states() == (47, 1, 1)
-        assert star_network.infected_nodes() == [1]
+        assert count_states(star_network) == (47, 1, 1)
+        assert [
+            node
+            for node in star_network.infectable
+            if star_network.host(node).is_infected
+        ] == [1]
 
     def test_subnet_peers(self, small_network):
         host = small_network.infectable[0]
@@ -111,9 +117,9 @@ class TestPacketMovement:
         assert star_network.stats.packets_delivered == 1
 
     def test_rate_limited_links_listing(self, small_network):
-        assert small_network.rate_limited_links() == []
+        assert rate_limited_links(small_network) == []
         u, v = small_network.topology.edges[0]
         small_network.set_link_rate(u, v, 2.0)
-        limited = small_network.rate_limited_links()
+        limited = rate_limited_links(small_network)
         assert len(limited) == 1
         assert (limited[0].src, limited[0].dst) == (u, v)

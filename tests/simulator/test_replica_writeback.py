@@ -6,7 +6,7 @@ one recorder sample and ``Trajectory`` construction fails with
 :class:`~repro.models.base.ModelError`.  The mirror engine (and the
 vector engine, solo or grouped) must have written the ``infected_at`` /
 ``immunized_at`` stamps back onto the network *before* that failure —
-exactly what a reference run leaves behind — or post-mortem inspection
+exactly what the reference oracle leaves behind — or post-mortem inspection
 of die-outs silently reads stale hosts.
 """
 
@@ -20,10 +20,11 @@ from repro.simulator import (
     ImmunizationPolicy,
     Network,
     RandomScanWorm,
-    WormSimulation,
     deploy_hub_rate_limit,
 )
 from repro.simulator.fastpath import VectorReplicaSimulation
+
+from ..oracle import WormSimulation
 
 #: Patch everyone (including the infected seeds) on tick 0.
 KILL_ALL = ImmunizationPolicy.at_tick(0, 1.0)

@@ -1,4 +1,4 @@
-"""Tests for the end-to-end WormSimulation."""
+"""Tests for the end-to-end FastWormSimulation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.simulator.defense import (
 )
 from repro.simulator.immunization import ImmunizationPolicy
 from repro.simulator.network import Network
-from repro.simulator.simulation import WormSimulation
+from repro.simulator.fastpath import FastWormSimulation
 from repro.simulator.worms import LocalPreferentialWorm, RandomScanWorm
 
 
@@ -21,17 +21,17 @@ def fresh_network() -> Network:
 
 class TestBasicRuns:
     def test_undefended_worm_saturates(self):
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             fresh_network(), RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, seed=1,
         )
         trajectory = sim.run(200)
-        assert trajectory.final_fraction_infected() == pytest.approx(1.0)
+        assert trajectory.fraction_infected[-1] == pytest.approx(1.0)
 
     def test_deterministic_for_seed(self):
         runs = []
         for _ in range(2):
-            sim = WormSimulation(
+            sim = FastWormSimulation(
                 fresh_network(), RandomScanWorm(), scan_rate=0.8,
                 initial_infections=3, seed=5,
             )
@@ -41,7 +41,7 @@ class TestBasicRuns:
     def test_different_seeds_differ(self):
         curves = []
         for seed in (1, 2):
-            sim = WormSimulation(
+            sim = FastWormSimulation(
                 fresh_network(), RandomScanWorm(), scan_rate=0.8,
                 initial_infections=3, seed=seed,
             )
@@ -49,7 +49,7 @@ class TestBasicRuns:
         assert not np.array_equal(curves[0], curves[1])
 
     def test_initial_infections_recorded(self):
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             fresh_network(), RandomScanWorm(), scan_rate=0.8,
             initial_infections=7, seed=1,
         )
@@ -58,7 +58,7 @@ class TestBasicRuns:
         assert trajectory.ever_infected[0] >= 7
 
     def test_monotone_infection_without_patching(self):
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             fresh_network(), RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, seed=2,
         )
@@ -66,7 +66,7 @@ class TestBasicRuns:
         assert np.all(np.diff(trajectory.infected) >= 0)
 
     def test_stops_early_at_saturation(self):
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             fresh_network(), RandomScanWorm(), scan_rate=3.0,
             initial_infections=10, seed=3,
         )
@@ -76,9 +76,9 @@ class TestBasicRuns:
     def test_validation(self):
         network = fresh_network()
         with pytest.raises(ValueError):
-            WormSimulation(network, RandomScanWorm(), scan_rate=0.0)
+            FastWormSimulation(network, RandomScanWorm(), scan_rate=0.0)
         with pytest.raises(ValueError):
-            WormSimulation(
+            FastWormSimulation(
                 network, RandomScanWorm(), scan_rate=0.5,
                 initial_infections=0,
             )
@@ -88,42 +88,42 @@ class TestDefendedRuns:
     def test_host_throttle_limits_scan_emission(self):
         network = fresh_network()
         deploy_host_rate_limit(network, 1.0, 0.01, seed=1)
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             network, RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, seed=4,
         )
         trajectory = sim.run(100)
         # With every host throttled to 1% of beta, spread is crawling.
-        assert trajectory.final_fraction_infected() < 0.5
+        assert trajectory.fraction_infected[-1] < 0.5
 
     def test_backbone_limit_slows_spread(self):
         base_net = fresh_network()
-        base = WormSimulation(
+        base = FastWormSimulation(
             base_net, RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, seed=4,
         ).run(300)
 
         defended_net = fresh_network()
         deploy_backbone_rate_limit(defended_net, 0.02)
-        defended = WormSimulation(
+        defended = FastWormSimulation(
             defended_net, RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, seed=4,
         ).run(300)
         assert defended.time_to_fraction(0.5) > 1.5 * base.time_to_fraction(0.5)
 
     def test_local_preferential_worm_runs(self):
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             fresh_network(), LocalPreferentialWorm(0.8), scan_rate=0.8,
             initial_infections=3, seed=5,
         )
         trajectory = sim.run(300)
-        assert trajectory.final_fraction_infected() > 0.9
+        assert trajectory.fraction_infected[-1] > 0.9
 
 
 class TestImmunizedRuns:
     def test_immunization_caps_ever_infected(self):
         policy = ImmunizationPolicy.at_fraction(0.2, 0.1)
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             fresh_network(), RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, immunization=policy, seed=6,
         )
@@ -135,7 +135,7 @@ class TestImmunizedRuns:
     def test_conservation_with_patching(self):
         policy = ImmunizationPolicy.at_fraction(0.3, 0.2)
         network = fresh_network()
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             network, RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, immunization=policy, seed=7,
         )
@@ -147,7 +147,7 @@ class TestImmunizedRuns:
 
     def test_worm_dies_out_stops_run(self):
         policy = ImmunizationPolicy.at_tick(0, 0.5)
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             fresh_network(), RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, immunization=policy, seed=8,
         )

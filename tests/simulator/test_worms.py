@@ -189,10 +189,10 @@ class TestTopologicalWorm:
             TopologicalWorm(exploration=1.5)
 
     def test_spreads_in_simulation(self, small_network):
-        from repro.simulator.simulation import WormSimulation
+        from repro.simulator.fastpath import FastWormSimulation
         from repro.simulator.worms import TopologicalWorm
 
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             small_network,
             TopologicalWorm(radius=2, exploration=0.05),
             scan_rate=0.8,
@@ -200,7 +200,7 @@ class TestTopologicalWorm:
             seed=15,
         )
         trajectory = sim.run(300)
-        assert trajectory.final_fraction_infected() > 0.9
+        assert trajectory.fraction_infected[-1] > 0.9
 
 
 class TestSequentialScanWorm:
@@ -249,10 +249,10 @@ class TestSequentialScanWorm:
         assert hits / 5000 == pytest.approx(0.3, abs=0.04)
 
     def test_saturates_simulation(self, small_network):
-        from repro.simulator.simulation import WormSimulation
+        from repro.simulator.fastpath import FastWormSimulation
         from repro.simulator.worms import SequentialScanWorm
 
-        sim = WormSimulation(
+        sim = FastWormSimulation(
             small_network,
             SequentialScanWorm(),
             scan_rate=0.8,
@@ -260,7 +260,7 @@ class TestSequentialScanWorm:
             seed=19,
         )
         trajectory = sim.run(300)
-        assert trajectory.final_fraction_infected() > 0.9
+        assert trajectory.fraction_infected[-1] > 0.9
 
     def test_validation(self):
         from repro.simulator.worms import SequentialScanWorm

@@ -1,4 +1,6 @@
-"""Differential tests: the fast engines against the reference oracle.
+"""Differential tests: the engines against the reference oracle.
+
+The oracle is the object-per-host engine in ``tests/oracle.py``.
 
 Three tiers of equivalence:
 
@@ -45,7 +47,6 @@ from repro.simulator import (
     SequentialScanWorm,
     Telescope,
     TopologicalWorm,
-    WormSimulation,
     deploy_backbone_rate_limit,
     deploy_edge_rate_limit,
     deploy_host_rate_limit,
@@ -76,6 +77,8 @@ from repro.simulator.fastpath.state import (
     SUSCEPTIBLE,
 )
 from repro.simulator.nodes import HostState
+
+from .oracle import WormSimulation, count_states, last_sample
 
 GRID_PATH = Path(__file__).parent / "golden" / "replica_grid.json"
 
@@ -234,7 +237,7 @@ class TestMirrorBitIdentical:
 
     def test_network_state_identical(self, pair, scenario):
         (net_r, _, _, _), (net_f, _, _, _) = pair
-        assert net_r.count_states() == net_f.count_states()
+        assert count_states(net_r) == count_states(net_f)
         assert net_r.total_queued() == net_f.total_queued()
         for node in net_r.infectable:
             host_r, host_f = net_r.hosts[node], net_f.hosts[node]
@@ -457,9 +460,10 @@ class TestBatchStatistical:
 class TestRecorderConsistency:
     """The running totals the stop condition reads stay truthful mid-run.
 
-    ``_epidemic_over`` reads :meth:`CurveRecorder.last_sample` instead of
-    rescanning every host, which is only sound if the observe-phase
-    sample always reflects the *current* tick's post-immunization state.
+    Both engines' ``_epidemic_over`` read running totals instead of
+    rescanning every host (the oracle its latest recorder sample, the
+    mirror its host-array counters), which is only sound if they always
+    reflect the *current* tick's post-immunization state.
     """
 
     def test_reference_sample_matches_recount_mid_run(self):
@@ -476,10 +480,10 @@ class TestRecorderConsistency:
 
         def audit(tick: int) -> bool:
             nonlocal checked
-            sample = simulation.recorder.last_sample()
+            sample = last_sample(simulation.recorder)
             assert sample is not None
             assert sample[0] == tick
-            assert sample[1:4] == network.count_states()
+            assert sample[1:4] == count_states(network)
             checked += 1
             return False
 
@@ -508,7 +512,7 @@ class TestRecorderConsistency:
             assert hosts.susceptible == tallies[SUSCEPTIBLE]
             assert hosts.infected == tallies[INFECTED]
             assert hosts.immune == tallies[IMMUNE]
-            sample = simulation.recorder.last_sample()
+            sample = last_sample(simulation.recorder)
             assert sample is not None
             assert sample[1:4] == (
                 hosts.susceptible,

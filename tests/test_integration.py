@@ -15,7 +15,7 @@ from repro.simulator.immunization import ImmunizationPolicy
 from repro.models.base import Trajectory
 from repro.simulator.network import Network
 from repro.simulator.observers import average_trajectories
-from repro.simulator.simulation import WormSimulation
+from repro.simulator.fastpath import FastWormSimulation
 from repro.simulator.worms import RandomScanWorm
 from repro.topology.graphs import Topology
 from repro.traces.analysis import recommend_rate_limits
@@ -39,7 +39,7 @@ def clique_mean(
     """Mean curve of ``num_runs`` clique runs; run ``i`` is seeded
     ``base_seed + i``, like the paper's ten-run averages."""
     runs = [
-        WormSimulation(
+        FastWormSimulation(
             complete_graph_network(n), RandomScanWorm(),
             seed=base_seed + i, **simulation,
         ).run(max_ticks)

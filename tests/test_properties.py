@@ -20,7 +20,7 @@ from repro.simulator.defense import (
 )
 from repro.simulator.immunization import ImmunizationPolicy
 from repro.simulator.network import Network
-from repro.simulator.simulation import WormSimulation
+from repro.simulator.fastpath import FastWormSimulation
 from repro.simulator.worms import (
     LocalPreferentialWorm,
     RandomScanWorm,
@@ -56,7 +56,7 @@ def build_and_run(seed, worm_kind, defense, immunize, scan_rate):
     policy = (
         ImmunizationPolicy.at_fraction(0.3, 0.15) if immunize else None
     )
-    simulation = WormSimulation(
+    simulation = FastWormSimulation(
         network,
         worm,
         scan_rate=scan_rate,
