@@ -43,7 +43,8 @@ __all__ = [
 #: ``reject``      — site-interpreted: the scheduler refuses admission
 #:                   as if the queue were saturated (a 429 burst)
 #: ``truncate``    — site-interpreted: drop the last ``trim`` bytes of
-#:                   an encoded HTTP response (short frame)
+#:                   an encoded HTTP response (a short frame, after
+#:                   which the server closes the connection)
 #: ``garble``      — site-interpreted: corrupt the first byte of an
 #:                   encoded HTTP response (malformed status line)
 FAULT_KINDS = (

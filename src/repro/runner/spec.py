@@ -52,10 +52,9 @@ DEFENSE_KINDS = ("none", "hosts", "hub", "edge", "backbone")
 #: Engine labels a spec can carry.  ``"reference"`` names the exact
 #: path: :class:`~repro.simulator.fastpath.FastWormSimulation`, the
 #: mirror, which draws from the run RNG in the paper's per-host,
-#: per-packet order at every size.  (The object-per-host engine that
-#: first carried the label is now the test suite's oracle; the label
-#: kept its name, so spec digests, cache entries and payloads did not
-#: change.)  ``"fast"`` takes the same exact path below
+#: per-packet order at every size.  (The label is older than the
+#: mirror; keeping it keeps spec digests, cache entries and payloads
+#: stable.)  ``"fast"`` takes the same exact path below
 #: ``BATCH_MIN_HOSTS`` infectable hosts (or for worms without a batch
 #: kernel) and a width-1 batch-sampled
 #: :class:`~repro.simulator.fastpath.VectorReplicaSimulation` group

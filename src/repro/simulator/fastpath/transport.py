@@ -478,8 +478,8 @@ class FastTransport:
 
         Residual queued packets are materialized as
         :class:`~repro.simulator.packet.Packet` objects so post-run
-        inspection (``total_queued``, ``queue_depths``, reports) matches
-        an object-model run; only the destination survives the int encoding,
+        inspection (queue lengths, reports) matches an object-model
+        run; only the destination survives the int encoding,
         so the materialized packets carry the holding link's source node
         and the final tick as their provenance.
 

@@ -245,23 +245,6 @@ class Network:
             self.forward_budgets[node] = TokenBucket(rate)
 
     # ------------------------------------------------------------------
-    # Observability queries
-    # ------------------------------------------------------------------
-
-    def total_queued(self) -> int:
-        """Packets currently in flight (queued on any directed link).
-
-        Together with the cumulative counters this closes the packet
-        conservation law ``injected == delivered + dropped + queued``,
-        which the invariant test suite asserts every tick.
-        """
-        return sum(link.queue_length for link in self.links.values())
-
-    def queue_depths(self) -> list[int]:
-        """Current queue length of every directed link (sorted key order)."""
-        return [self.links[key].queue_length for key in sorted(self.links)]
-
-    # ------------------------------------------------------------------
     # Packet movement: typed packets hop by hop over the link objects
     # (the engines carry bare destinations in their own transports)
     # ------------------------------------------------------------------

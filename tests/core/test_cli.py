@@ -165,25 +165,26 @@ class TestRunnerKnobs:
             build_parser().parse_args(["figure", "fig1b", "--engine", "warp"])
 
     def test_engine_flag_selects_fast_engine(self, monkeypatch):
-        import repro.runner.build as build
+        import repro.runner.executors as executors
 
-        instantiated = []
+        engines = []
+        execute_run = executors.execute_run
 
-        class SpyFastSimulation(build.FastWormSimulation):
-            def __init__(self, *args, **kwargs):
-                instantiated.append(1)
-                super().__init__(*args, **kwargs)
+        def spy(spec, options=None):
+            engines.append(spec.engine)
+            return execute_run(spec, options)
 
-        monkeypatch.setattr(build, "FastWormSimulation", SpyFastSimulation)
+        monkeypatch.setattr(executors, "execute_run", spy)
         argv = (
             "figure", "fig1b", "--runs", "2", "--ticks", "30", "--no-cache"
         )
         reference = run_cli(*argv)
-        assert not instantiated
+        assert set(engines) == {"reference"}
+        engines.clear()
         fast = run_cli(*argv, "--engine", "fast")
-        assert instantiated
-        # fig 1b is small enough that the fast engine mirrors the
-        # reference RNG: the printed curves must be identical.
+        assert set(engines) == {"fast"}
+        # fig 1b is small enough that the fast engine takes the exact
+        # path too: the printed curves must be identical.
         assert fast == reference
 
 

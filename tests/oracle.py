@@ -28,9 +28,9 @@ The per-tick pipeline follows the paper's ns-2 setup:
 
 :func:`run_oracle` is the oracle counterpart of
 :func:`repro.runner.build.execute_run` for the specs the exact engine
-runs.  The module also holds the network-walk queries only the oracle
-and the tests read: state counts, rate-limited links and the per-link
-histograms.
+runs.  The module also holds the host and link walks only the oracle
+and the tests read: state counts, rate-limited links, queued packets,
+the per-link histograms and the host scan throttle.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ __all__ = [
     "rate_limited_links",
     "run_oracle",
     "tick_throttle",
+    "total_queued",
 ]
 
 
@@ -94,6 +95,11 @@ def count_states(network: Network) -> tuple[int, int, int]:
 def rate_limited_links(network: Network) -> list[DirectedLink]:
     """All directed links that currently carry a rate limit."""
     return [link for link in network.links.values() if link.is_rate_limited]
+
+
+def total_queued(network: Network) -> int:
+    """Packets queued on any directed link, by walking the links."""
+    return sum(link.queue_length for link in network.links.values())
 
 
 def queue_histogram(network: Network) -> dict[str, int]:
@@ -150,12 +156,6 @@ class SamplingRecorder(CurveRecorder):
     def sample(self, tick: int) -> None:
         """Record the network state at the end of ``tick``."""
         self.record_counts(tick, *count_states(self._network))
-
-    def current_infected_fraction(self) -> float:
-        """Infected fraction at the latest sample (0.0 before sampling)."""
-        if not self._infected:
-            return 0.0
-        return self._infected[-1] / self._network.num_infectable
 
 
 class ImmunizationProcess:
@@ -359,7 +359,7 @@ class WormSimulation:
                     packets_injected=stats.packets_injected,
                     packets_delivered=stats.packets_delivered,
                     packets_dropped=stats.packets_dropped,
-                    in_flight=self.network.total_queued(),
+                    in_flight=total_queued(self.network),
                     lan_queue=len(self._lan_queue),
                 )
             )

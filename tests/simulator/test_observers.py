@@ -29,13 +29,6 @@ class TestCurveRecorder:
         with pytest.raises(ModelError):
             recorder.trajectory()
 
-    def test_current_infected_fraction(self, star_network):
-        recorder = SamplingRecorder(star_network)
-        assert recorder.current_infected_fraction() == 0.0
-        star_network.host(1).infect(0)
-        recorder.sample(0)
-        assert recorder.current_infected_fraction() == pytest.approx(1 / 49)
-
     def test_ever_infected_survives_patching(self, star_network):
         recorder = SamplingRecorder(star_network)
         star_network.host(1).infect(0)

@@ -425,7 +425,7 @@ def _outcome(run, spec, options):
         )
     ),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_execute_run_matches_the_oracle_on_random_specs(spec, options):
     """Metrics (minus wall-clock fields), curves and traces all agree."""
     assert spec.topology.num_nodes < BATCH_MIN_HOSTS

@@ -78,7 +78,7 @@ from repro.simulator.fastpath.state import (
 )
 from repro.simulator.nodes import HostState
 
-from .oracle import WormSimulation, count_states, last_sample
+from .oracle import WormSimulation, count_states, last_sample, total_queued
 
 GRID_PATH = Path(__file__).parent / "golden" / "replica_grid.json"
 
@@ -238,7 +238,7 @@ class TestMirrorBitIdentical:
     def test_network_state_identical(self, pair, scenario):
         (net_r, _, _, _), (net_f, _, _, _) = pair
         assert count_states(net_r) == count_states(net_f)
-        assert net_r.total_queued() == net_f.total_queued()
+        assert total_queued(net_r) == total_queued(net_f)
         for node in net_r.infectable:
             host_r, host_f = net_r.hosts[node], net_f.hosts[node]
             assert host_r.state == host_f.state, node
