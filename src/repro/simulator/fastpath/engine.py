@@ -17,7 +17,7 @@ paper's ns-2-style tick pipeline on a
 
 Host state lives in :class:`~repro.simulator.fastpath.state.HostArrays`
 and packet transport in
-:class:`~repro.simulator.fastpath.transport.FastTransport`.  A run is a
+:class:`~repro.simulator.fastpath.transport.MirrorTransport`.  A run is a
 pure function of its arguments and seed: it draws from the run RNG in
 the order of the object-per-host formulation — one host object per
 host, one packet object per scan — that the test suite keeps as its
@@ -57,7 +57,7 @@ from ..network import Network
 from ..observers import CurveRecorder
 from ..worms import WormStrategy, scans_this_tick
 from .state import IMMUNE, INFECTED, HostArrays
-from .transport import FastTransport
+from .transport import MirrorTransport
 
 __all__ = ["FastWormSimulation", "WRITEBACK_MODES"]
 
@@ -189,7 +189,7 @@ class FastWormSimulation:
         self.recorder = CurveRecorder(network)
         self.instrumentation = instrumentation
         self.hosts = HostArrays(network)
-        self.transport = FastTransport(network)
+        self.transport = MirrorTransport(network)
         # Trace records report cumulative NetworkStats; the transport
         # counts from zero, so remember what the network already saw.
         stats = network.stats

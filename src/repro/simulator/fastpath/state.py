@@ -138,7 +138,7 @@ class HostArrays:
         return self._sorted_infected
 
     def infect(self, node: int, tick: int) -> bool:
-        """S → I transition; mirrors :meth:`Host.infect` exactly."""
+        """S → I transition; False unless ``node`` is susceptible."""
         if self._row[node] != SUSCEPTIBLE:
             return False
         self._row[node] = INFECTED
@@ -150,7 +150,7 @@ class HostArrays:
         return True
 
     def immunize(self, node: int, tick: int) -> bool:
-        """S/I → R transition; mirrors :meth:`Host.immunize` exactly."""
+        """S/I → R transition; False if ``node`` is immune or untracked."""
         code = self._row[node]
         if code == IMMUNE or code == UNTRACKED:
             return False

@@ -14,25 +14,40 @@ Mirrors :meth:`Network.transmit_tick` over flat arrays:
   same operation sequence (refill once per tick, one subtraction per
   packet, same 1e-12 epsilon), so rate-limit behavior is bit-identical.
 
-Two transmit paths move packets, each with one enqueue routine that
-applies drop-tail, enqueue credit, peak depth and non-empty tracking.
-The exact sweep, :meth:`transmit_tick`, reproduces the object-model
-sweep (:meth:`~repro.simulator.network.Network.transmit_tick`) packet
-for packet and counter for counter; it backs the mirror engine and the
-vector engine's budgeted replicas, and enqueues through
-:meth:`enqueue`.  The vector wave lives in
-:class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`, which
-keeps every other replica's waiting packets in its own arrays and uses
-a transport only for counters, token balances and writeback; a replica it hands to the exact sweep has its
-waiting packets placed into the deques with :meth:`hold`, which credits
-nothing a second time.
+Three ways move packets:
+
+* **The array sweep**, :meth:`MirrorTransport.transmit_tick`, backs the
+  mirror engine while no link has a token bucket, no node has a
+  forwarding budget and fewer packets are in flight than the smallest
+  queue bound.  Then every link drains its whole queue and nothing is
+  dropped, so the tick's waiting and injected packets move through the
+  next-link table in waves, a packet moving on within the tick only
+  onto a higher-indexed link (one the sweep has not reached yet);
+  counters are bincounts, and the packets left waiting are sorted into
+  the FIFO order the per-packet sweep would give them.  The first limit,
+  budget, :meth:`~FastTransport.hold`, full writeback or drop risk hands
+  them to the deques, and the transport stays on the per-packet sweep.
+* **The per-packet sweep**, :meth:`FastTransport.transmit_tick`,
+  reproduces the object-model sweep
+  (:meth:`~repro.simulator.network.Network.transmit_tick`) packet for
+  packet and counter for counter, token buckets, budgets and drop-tail
+  included; it backs rate-limited, budgeted or near-full mirror runs
+  and the vector engine's budgeted replicas, and enqueues through
+  :meth:`~FastTransport.enqueue`.
+* **The vector wave** lives in
+  :class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`,
+  which keeps every other replica's waiting packets in its own arrays
+  and uses a transport only for counters, token balances and
+  writeback; a replica it hands to the per-packet sweep has its waiting
+  packets placed into the deques with :meth:`~FastTransport.hold`,
+  which credits nothing a second time.
 
 Per-link counters are kept on two tracks: plain python lists, written
-by the exact sweep, and numpy vectors, written by the vector engine
-(views into its ``(replica, link)`` arrays).  Each representation is an
-order of magnitude faster for its access pattern.  Additive counters
-sum and peaks take the elementwise max at writeback, which folds both
-tracks exactly.
+by the per-packet sweep, and numpy vectors, written by the array sweep
+and the vector engine (views into its ``(replica, link)`` arrays).
+Each representation is an order of magnitude faster for its access
+pattern.  Additive counters sum and peaks take the elementwise max at
+writeback, which folds both tracks exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +61,7 @@ import numpy as np
 from ..network import Network
 from ..packet import Packet, PacketKind
 
-__all__ = ["FastTransport", "TransportLayout"]
+__all__ = ["FastTransport", "MirrorTransport", "TransportLayout"]
 
 
 class TransportLayout:
@@ -82,6 +97,9 @@ class TransportLayout:
         count = len(keys)
         self.link_dst = dst
         self.max_queue = [network.links[key].max_queue for key in keys]
+        #: Smallest queue bound: the array sweep runs only while fewer
+        #: packets are in flight, so no queue can overflow.
+        self.min_queue = min(self.max_queue, default=0)
         #: Next-link rows, indexable as link_rows[destination][node].
         self.link_rows = routing.link_rows
         #: Whole next-link matrix for vectorized gathers (vector wave).
@@ -569,3 +587,195 @@ class FastTransport:
             if gc_was_enabled:
                 gc.enable()
         return touched
+
+
+class MirrorTransport(FastTransport):
+    """The mirror engine's transport: the array sweep while it is exact.
+
+    While no link has a token bucket, no node has a forwarding budget and
+    fewer packets are in flight than the smallest queue bound, every
+    link drains its whole queue each tick and no queue can overflow, so
+    :meth:`transmit_tick` moves the tick's packets as arrays instead of
+    one at a time (see the module docstring).  Waiting packets live in
+    two arrays sorted by link and FIFO position, and scans injected
+    before the tick wait in two lists.
+
+    The switch to the per-packet sweep is one-way: the first rate limit
+    or budget (:meth:`sync_limits`, :meth:`apply_limit_plan`), the first
+    :meth:`hold` or full :meth:`writeback`, or an injection that would
+    bring the packets in flight up to the smallest queue bound puts the
+    waiting packets into the deques in the per-packet sweep's FIFO
+    order, and every later tick runs :meth:`FastTransport.transmit_tick`.
+    """
+
+    def __init__(self, network: Network) -> None:
+        super().__init__(network)
+        layout = self.layout
+        self._inj_src: list[int] = []
+        self._inj_dst: list[int] = []
+        #: Waiting packets of the array sweep; ``None`` once the
+        #: deques hold them.
+        self._wait_link: np.ndarray | None = None
+        self._wait_dst: np.ndarray | None = None
+        #: Injections stay on the arrays while ``queued_total`` is below
+        #: this; 0 sends every injection to the deques.
+        self._room = 0
+        if not (layout.limited_idx.size or layout.budget_buckets):
+            self._wait_link = self._wait_dst = np.empty(0, dtype=np.int64)
+            self._room = layout.min_queue - 1
+
+    def _to_deques(self) -> None:
+        """Hand the array sweep's packets to the per-packet sweep."""
+        if self._wait_link is None:
+            return
+        links = self._wait_link.tolist()
+        dsts = self._wait_dst.tolist()
+        self._wait_link = self._wait_dst = None
+        self._room = 0
+        queues = self.queues
+        limited = self.limited
+        for li, dst in zip(links, dsts):
+            queue = queues[li]
+            if not queue:
+                (self.nonempty_l if limited[li] else self.nonempty_u).add(li)
+            queue.append(dst)
+        pending = list(zip(self._inj_src, self._inj_dst))
+        self._inj_src = []
+        self._inj_dst = []
+        # Injections not yet swept were counted in flight but never
+        # enqueued: enqueue them now, in injection order.
+        self.queued_total -= len(pending)
+        for src, dst in pending:
+            self.enqueue(self.link_rows[dst][src], dst)
+
+    def sync_limits(self) -> None:
+        super().sync_limits()
+        if self._limited_idx.size or self.budget_tokens:
+            self._to_deques()
+
+    def apply_limit_plan(
+        self,
+        link_idx: np.ndarray,
+        rates: np.ndarray,
+        bursts: np.ndarray,
+        budgets: dict[int, tuple[float, float]],
+    ) -> None:
+        super().apply_limit_plan(link_idx, rates, bursts, budgets)
+        if self._limited_idx.size or self.budget_tokens:
+            self._to_deques()
+
+    def hold(self, li: int, dsts: list[int]) -> None:
+        self._to_deques()
+        super().hold(li, dsts)
+
+    def writeback(self, final_tick: int, *, links: bool = True) -> list[int]:
+        if links:
+            self._to_deques()
+        return super().writeback(final_tick, links=links)
+
+    def inject(self, src: int, dst: int) -> None:
+        if self.queued_total < self._room:
+            self.injected += 1
+            self.queued_total += 1
+            self._inj_src.append(src)
+            self._inj_dst.append(dst)
+        else:
+            self._to_deques()
+            super().inject(src, dst)
+
+    def transmit_tick(self) -> list[int]:
+        """Advance every link one tick; returns arrived destination ids.
+
+        On the arrays, wave ``k`` drains every packet still moving from
+        its current link: it arrives, waits on a lower-indexed next link
+        (already drained this tick), or moves on to a higher-indexed one
+        (drained later this tick) in wave ``k + 1``.  Counters are
+        bincounts of the drains and moves; a link's peak is the larger
+        of what it drained (its depth when the sweep reached it) and
+        what it is left holding.  Waiting packets are ordered as the
+        per-packet sweep queues them: by link, then by the chain of
+        links each drained from this tick, last link first, a chain
+        that starts at a link ahead of one that reached it, then by
+        FIFO position at the start of the tick.
+        """
+        if self._wait_link is None:
+            return super().transmit_tick()
+        layout = self.layout
+        link_dst = layout.link_dst_arr
+        next_link = layout.next_link
+        carried = self._wait_link.size
+        links = self._wait_link
+        dsts = self._wait_dst
+        if self._inj_dst:
+            injected = np.array(self._inj_dst)
+            links = np.concatenate(
+                (links, next_link[injected, self._inj_src])
+            )
+            dsts = np.concatenate((dsts, injected))
+            self._inj_src = []
+            self._inj_dst = []
+        if not links.size:
+            return []
+        count = len(self.keys)
+        # Per wave: which packets drained (by index into links/dsts) and
+        # from where; where forwarded packets went; who stopped where.
+        steps: list[tuple[np.ndarray, np.ndarray]] = []
+        moved: list[np.ndarray] = [links[carried:]]
+        arrived: list[np.ndarray] = []
+        stopped: list[tuple[np.ndarray, np.ndarray, int]] = []
+        at = links
+        to = dsts
+        who = np.arange(links.size)
+        while at.size:
+            steps.append((who, at))
+            nodes = link_dst[at]
+            home = nodes == to
+            if home.any():
+                arrived.append(to[home])
+                away = ~home
+                at, to, who, nodes = at[away], to[away], who[away], nodes[away]
+            nxt = next_link[to, nodes]
+            moved.append(nxt)
+            on = nxt > at
+            if not on.all():
+                off = ~on
+                stopped.append((who[off], nxt[off], len(steps) - 1))
+                at, to, who = nxt[on], to[on], who[on]
+            else:
+                at = nxt
+        drained = np.bincount(
+            np.concatenate([step[1] for step in steps]), minlength=count
+        )
+        self.fwd_vec += drained
+        self.enq_vec += np.bincount(np.concatenate(moved), minlength=count)
+        peak = self.peak_vec
+        np.maximum(peak, drained, out=peak)
+        if stopped:
+            who = np.concatenate([w for w, _, _ in stopped])
+            wait = np.concatenate([link for _, link, _ in stopped])
+            last = np.concatenate(
+                [np.full(w.size, k) for w, _, k in stopped]
+            )
+            np.maximum(peak, np.bincount(wait, minlength=count), out=peak)
+            depth = stopped[-1][2] + 1
+            chain = np.full((depth, links.size), -1, dtype=np.int64)
+            for k in range(depth):
+                chain[k, steps[k][0]] = steps[k][1]
+            keys = [who]
+            for back in range(depth - 1, -1, -1):
+                k = last - back
+                keys.append(
+                    np.where(k >= 0, chain[np.maximum(k, 0), who], -1)
+                )
+            keys.append(wait)
+            order = np.lexsort(keys)
+            self._wait_link = wait[order]
+            self._wait_dst = dsts[who[order]]
+        else:
+            self._wait_link = self._wait_dst = np.empty(0, dtype=np.int64)
+        if not arrived:
+            return []
+        out = np.concatenate(arrived)
+        self.delivered += out.size
+        self.queued_total -= out.size
+        return out.tolist()

@@ -1,9 +1,10 @@
-"""Host state machines for the worm simulation.
+"""Host records for the worm simulation.
 
 Each infectable node is a :class:`Host` in one of three states, following
 the SIR-with-delayed-patching dynamics of the paper: susceptible hosts can
 be infected; infected hosts scan; immunized hosts (patched susceptible
-*or* patched infected) are permanently out of the game.
+*or* patched infected) are permanently out of the game.  The engines run
+these transitions on arrays and write the final state back here.
 """
 
 from __future__ import annotations
@@ -56,42 +57,6 @@ class Host:
     infected_at: int | None = None
     immunized_at: int | None = None
     scan_throttle: TokenBucket | None = field(default=None, repr=False)
-
-    @property
-    def is_susceptible(self) -> bool:
-        return self.state is HostState.SUSCEPTIBLE
-
-    @property
-    def is_infected(self) -> bool:
-        return self.state is HostState.INFECTED
-
-    @property
-    def is_immune(self) -> bool:
-        return self.state is HostState.IMMUNE
-
-    def infect(self, tick: int) -> bool:
-        """Attempt infection; returns True if the host became infected.
-
-        Infection attempts against infected or immune hosts are wasted
-        scans (the common case for a random worm late in an outbreak).
-        """
-        if self.state is not HostState.SUSCEPTIBLE:
-            return False
-        self.state = HostState.INFECTED
-        self.infected_at = tick
-        return True
-
-    def immunize(self, tick: int) -> bool:
-        """Patch the host; returns True if the state changed.
-
-        Both susceptible and infected hosts can be patched — the paper's
-        dynamic-immunization model removes either kind from play.
-        """
-        if self.state is HostState.IMMUNE:
-            return False
-        self.state = HostState.IMMUNE
-        self.immunized_at = tick
-        return True
 
     def install_throttle(self, rate: float) -> None:
         """Install a host-level scan-rate filter of ``rate`` scans/tick."""

@@ -51,7 +51,7 @@ from ..traces.records import (
     Protocol,
     TraceError,
 )
-from .estimators import ExactCounter, ExactDistinct
+from .estimators import CountMinSketch, ExactCounter, ExactDistinct
 
 _TCP, _UDP = Protocol.TCP, Protocol.UDP  # bound once: see traces/records.py
 
@@ -295,6 +295,11 @@ class FailureRatioDetector(Detector):
         self.ratio_threshold = ratio_threshold
         self.failures = failures if failures is not None else ExactCounter()
         self.attempts = attempts if attempts is not None else ExactCounter()
+        # Sketches that share their cells (the compact mode's pair) are
+        # hashed once per failure for both.
+        self._shared_cells = isinstance(
+            self.failures, CountMinSketch
+        ) and self.failures.shares_cells(self.attempts)
         # Pending-contact tracking (mirrors Trace.failed_contacts).
         # Entry: [time, src, dst, is_tcp, alive]
         self._queue: deque[list] = deque()
@@ -307,8 +312,14 @@ class FailureRatioDetector(Detector):
         entry[4] = False
         host = entry[1]
         self.failure_log.append((detected_at, host, entry[2], reason))
-        fail_count = self.failures.add(host)
-        attempt_count = max(self.attempts.estimate(host), fail_count)
+        if self._shared_cells:
+            index = self.failures.index(host)
+            fail_count = self.failures.add_at(index)
+            attempt_count = self.attempts.estimate_at(index)
+        else:
+            fail_count = self.failures.add(host)
+            attempt_count = self.attempts.estimate(host)
+        attempt_count = max(attempt_count, fail_count)
         ratio = fail_count / attempt_count
         if fail_count >= self.min_failures and ratio >= self.ratio_threshold:
             return self._quarantine(

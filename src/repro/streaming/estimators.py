@@ -233,7 +233,7 @@ class CountMinSketch:
     def reset(self) -> None:
         self._table.fill(0)
 
-    def _index(self, key: int) -> list[int]:
+    def index(self, key: int) -> list[int]:
         """Flat ``_table`` index of ``key``'s cell in every row."""
         width = self._width
         return [
@@ -241,10 +241,25 @@ class CountMinSketch:
             for offset, salt in self._row_salts
         ]
 
+    def shares_cells(self, other: object) -> bool:
+        """Whether ``other`` puts every key in the same cells as this one.
+
+        Then one :meth:`index` serves both sketches, through
+        :meth:`add_at` and :meth:`estimate_at`.
+        """
+        return (
+            isinstance(other, CountMinSketch)
+            and other._width == self._width
+            and other._row_salts == self._row_salts
+        )
+
     def add(self, key: int, count: int = 1) -> int:
         """Count ``count`` occurrences of ``key``; returns new estimate."""
+        return self.add_at(self.index(key), count)
+
+    def add_at(self, index: list[int], count: int = 1) -> int:
+        """:meth:`add` for the key whose cells are ``index``."""
         cells = self._cells
-        index = self._index(key)
         new = min(min([cells[i] for i in index]) + count, self._max)
         # Conservative update: only cells below the new floor move.
         for i in index:
@@ -254,8 +269,12 @@ class CountMinSketch:
 
     def estimate(self, key: int) -> int:
         """Estimated count for ``key`` (never below the true count)."""
+        return self.estimate_at(self.index(key))
+
+    def estimate_at(self, index: list[int]) -> int:
+        """:meth:`estimate` for the key whose cells are ``index``."""
         cells = self._cells
-        return min([cells[i] for i in self._index(key)])
+        return min([cells[i] for i in index])
 
     def decay(self) -> None:
         """Halve every counter (sliding exposure for long streams)."""

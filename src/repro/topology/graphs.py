@@ -10,7 +10,7 @@ bit-for-bit across runs.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 __all__ = ["Edge", "Topology", "TopologyError"]
 
@@ -105,10 +105,6 @@ class Topology:
         """Degrees of all nodes, indexed by node id."""
         return [len(neighbors) for neighbors in self._adjacency]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge ``{u, v}`` exists."""
-        return v in self._adjacency[u]
-
     def __contains__(self, node: int) -> bool:
         return 0 <= node < self._num_nodes
 
@@ -140,27 +136,6 @@ class Topology:
                     queue.append(neighbor)
         return distances
 
-    def bfs_tree(self, root: int) -> list[int]:
-        """Parent pointers of a deterministic BFS tree rooted at ``root``.
-
-        ``parents[root] == root``; unreachable nodes get ``-1``.  Because
-        adjacency lists are sorted, ties between equally short paths are
-        always broken toward the lowest-numbered neighbor, making routing
-        tables derived from these trees reproducible.
-        """
-        if root not in self:
-            raise TopologyError(f"root {root} not in graph")
-        parents = [-1] * self._num_nodes
-        parents[root] = root
-        queue: deque[int] = deque([root])
-        while queue:
-            node = queue.popleft()
-            for neighbor in self._adjacency[node]:
-                if parents[neighbor] < 0:
-                    parents[neighbor] = node
-                    queue.append(neighbor)
-        return parents
-
     def is_connected(self) -> bool:
         """Whether every node is reachable from node 0."""
         return all(d >= 0 for d in self.bfs_distances(0))
@@ -184,15 +159,3 @@ class Topology:
                         queue.append(neighbor)
             components.append(sorted(component))
         return components
-
-    # ------------------------------------------------------------------
-    # Convenience constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_edge_list(cls, edges: Sequence[Edge]) -> "Topology":
-        """Build a topology sized to the highest node id in ``edges``."""
-        if not edges:
-            raise TopologyError("cannot infer node count from an empty edge list")
-        highest = max(max(u, v) for u, v in edges)
-        return cls(highest + 1, edges)

@@ -36,11 +36,6 @@ class StarTopology:
     hub: int = HUB_NODE
     leaves: tuple[int, ...] = field(default_factory=tuple)
 
-    @property
-    def num_leaves(self) -> int:
-        """Number of leaf nodes."""
-        return len(self.leaves)
-
 
 def star_graph(num_nodes: int) -> StarTopology:
     """Build a star with ``num_nodes`` total nodes (1 hub + N-1 leaves).

@@ -51,26 +51,6 @@ class SubnetMap:
         """Number of subnets."""
         return len(self.members)
 
-    def subnet_members(self, node: int) -> tuple[int, ...]:
-        """All nodes sharing ``node``'s subnet (including ``node``).
-
-        Raises
-        ------
-        TopologyError
-            If ``node`` is a transit node with no subnet.
-        """
-        subnet = self.subnet_of[node]
-        if subnet == NO_SUBNET:
-            raise TopologyError(f"node {node} is transit-only (no subnet)")
-        return self.members[subnet]
-
-    def peers_of(self, node: int) -> tuple[int, ...]:
-        """Subnet members other than ``node`` (empty for transit nodes)."""
-        subnet = self.subnet_of[node]
-        if subnet == NO_SUBNET:
-            return ()
-        return tuple(m for m in self.members[subnet] if m != node)
-
 
 def partition_subnets(
     topology: Topology, roles: RoleAssignment

@@ -53,7 +53,7 @@ from repro.simulator.engine import Phase, TickSimulation
 from repro.simulator.immunization import ImmunizationPolicy
 from repro.simulator.links import DirectedLink
 from repro.simulator.network import Network
-from repro.simulator.nodes import Host
+from repro.simulator.nodes import Host, HostState
 from repro.simulator.observers import CurveRecorder
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.worms import WormStrategy, scans_this_tick
@@ -64,6 +64,8 @@ __all__ = [
     "WormSimulation",
     "allow_scan",
     "count_states",
+    "immunize",
+    "infect",
     "drop_histogram",
     "last_sample",
     "queue_histogram",
@@ -79,13 +81,39 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
+def infect(host: Host, tick: int) -> bool:
+    """S → I; True if ``host`` was susceptible and is now infected.
+
+    Infection attempts against infected or immune hosts are wasted
+    scans (the common case for a random worm late in an outbreak).
+    """
+    if host.state is not HostState.SUSCEPTIBLE:
+        return False
+    host.state = HostState.INFECTED
+    host.infected_at = tick
+    return True
+
+
+def immunize(host: Host, tick: int) -> bool:
+    """S/I → R; True if ``host`` was not immune yet.
+
+    Both susceptible and infected hosts can be patched: the paper's
+    dynamic-immunization model removes either kind from play.
+    """
+    if host.state is HostState.IMMUNE:
+        return False
+    host.state = HostState.IMMUNE
+    host.immunized_at = tick
+    return True
+
+
 def count_states(network: Network) -> tuple[int, int, int]:
     """(susceptible, infected, immune) counts, by walking every host."""
     susceptible = infected = immune = 0
     for host in network.hosts.values():
-        if host.is_susceptible:
+        if host.state is HostState.SUSCEPTIBLE:
             susceptible += 1
-        elif host.is_infected:
+        elif host.state is HostState.INFECTED:
             infected += 1
         else:
             immune += 1
@@ -195,12 +223,15 @@ class ImmunizationProcess:
         mu = self._policy.mu
         for node in self._network.infectable:
             host = self._network.host(node)
-            if host.is_immune:
+            if host.state is HostState.IMMUNE:
                 continue
-            if host.is_infected and not self._policy.patch_infected:
+            if (
+                host.state is HostState.INFECTED
+                and not self._policy.patch_infected
+            ):
                 continue
             if rng.random() < mu:
-                host.immunize(tick)
+                immunize(host, tick)
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +285,7 @@ class WormSimulation:
 
         seeds = self.rng.sample(list(network.infectable), initial_infections)
         for node in seeds:
-            if network.host(node).infect(tick=0):
+            if infect(network.host(node), tick=0):
                 self.recorder.note_infection()
 
         self._arrived: list[Packet] = []
@@ -273,7 +304,7 @@ class WormSimulation:
         for node in network.infectable:
             host = network.hosts[node]
             tick_throttle(host)
-            if not host.is_infected:
+            if host.state is not HostState.INFECTED:
                 continue
             for _ in range(scans_this_tick(rng, self.scan_rate)):
                 if not allow_scan(host):
@@ -329,7 +360,7 @@ class WormSimulation:
             if packet.kind is not PacketKind.INFECTION:
                 continue
             host = self.network.hosts.get(packet.dst)
-            if host is not None and host.infect(tick):
+            if host is not None and infect(host, tick):
                 self.recorder.note_infection()
                 if instr is not None:
                     instr.count("infections")

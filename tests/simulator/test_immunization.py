@@ -9,6 +9,9 @@ import pytest
 from repro.simulator.fastpath.engine import FastImmunization
 from repro.simulator.fastpath.state import HostArrays
 from repro.simulator.immunization import ImmunizationPolicy
+from repro.simulator.nodes import HostState
+
+from ..oracle import infect
 
 
 class TestPolicyValidation:
@@ -78,19 +81,19 @@ class TestProcess:
         assert 0.1 * n < patched < 0.45 * n
 
     def test_infected_patched_by_default(self, star_network):
-        star_network.host(1).infect(0)
+        infect(star_network.host(1), 0)
         policy = ImmunizationPolicy.at_tick(0, mu=1.0)
         process = ArrayPatching(star_network, policy, random.Random(0))
         process.step(0, ever_infected=1)
-        assert star_network.host(1).is_immune
+        assert star_network.host(1).state is HostState.IMMUNE
 
     def test_patch_infected_false_spares_infected(self, star_network):
-        star_network.host(1).infect(0)
+        infect(star_network.host(1), 0)
         policy = ImmunizationPolicy(mu=1.0, start_tick=0, patch_infected=False)
         process = ArrayPatching(star_network, policy, random.Random(0))
         process.step(0, ever_infected=1)
-        assert star_network.host(1).is_infected
-        assert star_network.host(2).is_immune
+        assert star_network.host(1).state is HostState.INFECTED
+        assert star_network.host(2).state is HostState.IMMUNE
 
     def test_already_immune_not_recounted(self, star_network):
         policy = ImmunizationPolicy.at_tick(0, mu=1.0)

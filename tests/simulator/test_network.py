@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.simulator.network import Network
+from repro.simulator.nodes import HostState
 from repro.simulator.packet import Packet, PacketKind
 from repro.topology.graphs import Topology, TopologyError
 
-from ..oracle import count_states, rate_limited_links
+from ..oracle import count_states, immunize, infect, rate_limited_links
 
 
 def infection(src: int, dst: int, tick: int = 0) -> Packet:
@@ -52,13 +53,13 @@ class TestStateCounting:
     def test_counts(self, star_network):
         susceptible, infected, immune = count_states(star_network)
         assert (susceptible, infected, immune) == (49, 0, 0)
-        star_network.host(1).infect(0)
-        star_network.host(2).immunize(0)
+        infect(star_network.host(1), 0)
+        immunize(star_network.host(2), 0)
         assert count_states(star_network) == (47, 1, 1)
         assert [
             node
             for node in star_network.infectable
-            if star_network.host(node).is_infected
+            if star_network.host(node).state is HostState.INFECTED
         ] == [1]
 
     def test_subnet_peers(self, small_network):

@@ -6,48 +6,46 @@ import pytest
 
 from repro.simulator.nodes import Host, HostError, HostState
 
-from ..oracle import allow_scan, tick_throttle
+from ..oracle import allow_scan, immunize, infect, tick_throttle
 
 
 class TestStateMachine:
+    """The oracle's host transitions (``tests/oracle.py``)."""
+
     def test_starts_susceptible(self):
-        host = Host(node=1)
-        assert host.is_susceptible
-        assert not host.is_infected
-        assert not host.is_immune
+        assert Host(node=1).state is HostState.SUSCEPTIBLE
 
     def test_infect_transitions_once(self):
         host = Host(node=1)
-        assert host.infect(tick=3)
-        assert host.is_infected
+        assert infect(host, tick=3)
+        assert host.state is HostState.INFECTED
         assert host.infected_at == 3
         # Re-infection is a wasted scan, not an error.
-        assert not host.infect(tick=4)
+        assert not infect(host, tick=4)
         assert host.infected_at == 3
 
     def test_immune_hosts_cannot_be_infected(self):
         host = Host(node=1)
-        host.immunize(tick=1)
-        assert not host.infect(tick=2)
-        assert host.is_immune
+        immunize(host, tick=1)
+        assert not infect(host, tick=2)
+        assert host.state is HostState.IMMUNE
 
     def test_immunize_susceptible(self):
         host = Host(node=1)
-        assert host.immunize(tick=5)
+        assert immunize(host, tick=5)
         assert host.immunized_at == 5
 
     def test_immunize_infected(self):
         """The paper's model patches infected hosts too."""
         host = Host(node=1)
-        host.infect(tick=1)
-        assert host.immunize(tick=2)
-        assert host.is_immune
-        assert not host.is_infected
+        infect(host, tick=1)
+        assert immunize(host, tick=2)
+        assert host.state is HostState.IMMUNE
 
     def test_immunize_idempotent(self):
         host = Host(node=1)
-        host.immunize(tick=1)
-        assert not host.immunize(tick=2)
+        immunize(host, tick=1)
+        assert not immunize(host, tick=2)
         assert host.immunized_at == 1
 
 

@@ -8,14 +8,14 @@ import pytest
 from repro.models.base import ModelError, Trajectory
 from repro.simulator.observers import average_trajectories
 
-from ..oracle import SamplingRecorder
+from ..oracle import SamplingRecorder, immunize, infect
 
 
 class TestCurveRecorder:
     def test_samples_network_state(self, star_network):
         recorder = SamplingRecorder(star_network)
         recorder.sample(0)
-        star_network.host(1).infect(1)
+        infect(star_network.host(1), 1)
         recorder.note_infection()
         recorder.sample(1)
         trajectory = recorder.trajectory()
@@ -31,10 +31,10 @@ class TestCurveRecorder:
 
     def test_ever_infected_survives_patching(self, star_network):
         recorder = SamplingRecorder(star_network)
-        star_network.host(1).infect(0)
+        infect(star_network.host(1), 0)
         recorder.note_infection()
         recorder.sample(0)
-        star_network.host(1).immunize(1)
+        immunize(star_network.host(1), 1)
         recorder.sample(1)
         trajectory = recorder.trajectory()
         assert trajectory.infected[-1] == 0.0
@@ -92,8 +92,8 @@ class TestSubsetFractionCurve:
     def test_counts_infections_by_stamp(self, star_network):
         from repro.simulator.observers import subset_fraction_curve
 
-        star_network.host(1).infect(2)
-        star_network.host(2).infect(5)
+        infect(star_network.host(1), 2)
+        infect(star_network.host(2), 5)
         ticks = np.arange(8, dtype=float)
         curve = subset_fraction_curve(star_network, {1, 2, 3}, ticks)
         assert curve[0] == 0.0
@@ -104,7 +104,7 @@ class TestSubsetFractionCurve:
     def test_ignores_non_host_nodes(self, star_network):
         from repro.simulator.observers import subset_fraction_curve
 
-        star_network.host(1).infect(0)
+        infect(star_network.host(1), 0)
         ticks = np.arange(3, dtype=float)
         # Node 0 is the hub (not infectable) and must not dilute the set.
         curve = subset_fraction_curve(star_network, {0, 1}, ticks)

@@ -13,7 +13,10 @@ Three families of properties:
   engine replays the reference oracle (``tests/oracle.py``)
   bit-for-bit, ``execute_run`` of a random :class:`RunSpec` over every
   field equals the oracle's run of it, and both engines keep
-  host-throttle tokens non-negative throughout the run.
+  host-throttle tokens non-negative throughout the run;
+* **determinism** — a random :class:`EnsembleSpec` on any engine,
+  run twice in-process without the cache, serves the same payload
+  bytes.
 """
 
 from __future__ import annotations
@@ -23,18 +26,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability import InstrumentationOptions
+from repro.runner.api import run_ensemble
 from repro.runner.build import BATCH_MIN_HOSTS, execute_run
 from repro.runner.spec import (
+    BATCH_WORM_KINDS,
     DEFENSE_KINDS,
+    ENGINE_KINDS,
     OBSERVE_MODES,
     WORM_KINDS,
     DefenseSpec,
+    EnsembleSpec,
     QuarantineSpec,
     RunSpec,
     TopologySpec,
     WormSpec,
 )
-from repro.service.protocol import canonical_json, encode_run_result
+from repro.service.protocol import (
+    canonical_json,
+    encode_run_result,
+    result_payload,
+)
 from repro.simulator.defense import (
     deploy_backbone_rate_limit,
     deploy_edge_rate_limit,
@@ -329,14 +340,17 @@ def defense_specs(draw, kinds):
 
 
 @st.composite
-def exact_run_specs(draw):
-    """A random RunSpec the exact engine runs (< BATCH_MIN_HOSTS hosts).
+def exact_run_specs(draw, engines=("reference", "fast")):
+    """A random RunSpec below BATCH_MIN_HOSTS hosts.
 
     Every field is drawn: topology (star or power-law, every shape
     knob, pinned or per-run), worm, defense, scan rate, seeds,
     immunization, quarantine, LAN delivery, horizon, observable, and
-    the two labels that take the exact path at this size.
+    an engine label from ``engines``; the default two take the exact
+    path at this size.  A ``"fast-batched"`` spec draws a worm with a
+    batch kernel.
     """
+    engine = draw(st.sampled_from(engines))
     if draw(st.booleans()):
         topology = TopologySpec(
             kind="star", num_nodes=draw(st.integers(8, 150))
@@ -386,7 +400,9 @@ def exact_run_specs(draw):
     return RunSpec(
         topology=topology,
         worm=WormSpec(
-            kind=draw(st.sampled_from(WORM_KINDS)),
+            kind=draw(st.sampled_from(
+                BATCH_WORM_KINDS if engine == "fast-batched" else WORM_KINDS
+            )),
             local_preference=draw(st.floats(min_value=0.0, max_value=1.0)),
             hit_probability=draw(st.floats(min_value=0.05, max_value=1.0)),
             radius=draw(st.integers(1, 3)),
@@ -401,7 +417,7 @@ def exact_run_specs(draw):
         max_ticks=draw(st.integers(2, 60)),
         seed=draw(st.integers(0, 10**6)),
         observe=draw(st.sampled_from(OBSERVE_MODES)),
-        engine=draw(st.sampled_from(("reference", "fast"))),
+        engine=engine,
     )
 
 
@@ -432,3 +448,33 @@ def test_execute_run_matches_the_oracle_on_random_specs(spec, options):
     assert _outcome(execute_run, spec, options) == _outcome(
         run_oracle, spec, options
     )
+
+
+# ----------------------------------------------------------------------
+# A spec determines its payload
+# ----------------------------------------------------------------------
+
+@st.composite
+def ensemble_specs(draw):
+    """A random EnsembleSpec on any engine, below BATCH_MIN_HOSTS hosts."""
+    return EnsembleSpec(
+        template=draw(exact_run_specs(ENGINE_KINDS)),
+        num_runs=draw(st.integers(1, 3)),
+        base_seed=draw(st.integers(0, 10**6)),
+        label=draw(st.sampled_from(("experiment", "fuzz"))),
+    )
+
+
+def _served(spec):
+    """The payload an ensemble serves, or the error it raised."""
+    try:
+        return result_payload(run_ensemble(spec, use_cache=False))
+    except Exception as exc:  # both runs must fail alike
+        return ("error", type(exc).__name__, str(exc))
+
+
+@given(spec=ensemble_specs())
+@settings(max_examples=100, deadline=None)
+def test_an_ensemble_spec_determines_its_payload(spec):
+    """Run twice in-process without the cache: the same bytes."""
+    assert _served(spec) == _served(spec)

@@ -222,7 +222,7 @@ class TestCountMinSketch:
         expected = numpy_cms_index(
             np.array(keys, dtype=np.uint64), rows, width
         )
-        assert [sketch._index(key) for key in keys] == expected.tolist()
+        assert [sketch.index(key) for key in keys] == expected.tolist()
 
     def test_exact_at_light_load(self):
         # Distinct keys far below width: conservative update is exact.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simulator.routing import RoutingTables
 from repro.topology.graphs import Topology, TopologyError
 
 
@@ -41,27 +42,12 @@ class TestConstruction:
         graph = Topology(4, [(2, 0), (0, 3), (0, 1)])
         assert graph.neighbors(0) == (1, 2, 3)
 
-    def test_from_edge_list_infers_size(self):
-        graph = Topology.from_edge_list([(0, 4)])
-        assert graph.num_nodes == 5
-
-    def test_from_edge_list_rejects_empty(self):
-        with pytest.raises(TopologyError, match="empty"):
-            Topology.from_edge_list([])
-
 
 class TestQueries:
     def test_degree_and_degrees(self):
         graph = Topology(4, [(0, 1), (0, 2), (0, 3)])
         assert graph.degree(0) == 3
         assert graph.degrees() == [3, 1, 1, 1]
-
-    def test_has_edge(self):
-        graph = triangle()
-        assert graph.has_edge(0, 1)
-        assert graph.has_edge(1, 0)
-        graph2 = Topology(3, [(0, 1)])
-        assert not graph2.has_edge(1, 2)
 
     def test_contains_and_iter(self):
         graph = triangle()
@@ -86,14 +72,16 @@ class TestTraversals:
             triangle().bfs_distances(9)
 
     def test_bfs_tree_parents(self):
+        """Routing keeps one BFS tree per destination: a node's next hop
+        toward the root is its parent (the root's is itself)."""
         graph = Topology(4, [(0, 1), (1, 2), (2, 3)])
-        parents = graph.bfs_tree(0)
-        assert parents == [0, 0, 1, 2]
+        routing = RoutingTables(graph)
+        assert [routing.next_hop(node, 0) for node in graph] == [0, 0, 1, 2]
 
     def test_bfs_tree_deterministic_tie_break(self):
         # Node 3 reachable via 1 or 2 at equal distance; lowest wins.
         graph = Topology(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert graph.bfs_tree(0)[3] == 1
+        assert RoutingTables(graph).next_hop(3, 0) == 1
 
     def test_is_connected(self):
         assert triangle().is_connected()

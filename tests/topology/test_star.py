@@ -12,7 +12,7 @@ class TestStarGraph:
     def test_paper_size(self):
         star = star_graph(200)
         assert star.graph.num_nodes == 200
-        assert star.num_leaves == 199
+        assert len(star.leaves) == 199
         assert star.graph.num_edges == 199
 
     def test_hub_degree_is_all_leaves(self):
@@ -33,7 +33,7 @@ class TestStarGraph:
 
     def test_minimum_size(self):
         star = star_graph(2)
-        assert star.num_leaves == 1
+        assert len(star.leaves) == 1
 
     def test_rejects_too_small(self):
         with pytest.raises(TopologyError, match="at least 2"):

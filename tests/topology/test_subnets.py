@@ -64,20 +64,11 @@ class TestPartitionSubnets:
         assert subnets.subnet_of[2] == 0
         assert subnets.subnet_of[3] == 0
 
-    def test_peers_of(self):
+    def test_members_are_router_and_hosts(self):
         graph = Topology(4, [(0, 1), (0, 2), (0, 3)])
         roles = manual_roles(graph, edge_routers=(0,))
         subnets = partition_subnets(graph, roles)
-        assert subnets.peers_of(1) == (0, 2, 3)
-        assert subnets.subnet_members(1) == (0, 1, 2, 3)
-
-    def test_peers_of_transit_is_empty(self):
-        graph = Topology(4, [(0, 1), (1, 2), (2, 3)])
-        roles = manual_roles(graph, edge_routers=(0,), backbone=(1,))
-        subnets = partition_subnets(graph, roles)
-        assert subnets.peers_of(1) == ()
-        with pytest.raises(TopologyError):
-            subnets.subnet_members(1)
+        assert subnets.members[subnets.subnet_of[1]] == (0, 1, 2, 3)
 
     def test_requires_edge_routers(self):
         graph = Topology(3, [(0, 1), (1, 2)])
