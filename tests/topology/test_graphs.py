@@ -49,6 +49,15 @@ class TestQueries:
         assert graph.degree(0) == 3
         assert graph.degrees() == [3, 1, 1, 1]
 
+    def test_has_edge(self):
+        """An undirected edge shows in both endpoints' neighbor lists."""
+        graph = triangle()
+        assert 1 in graph.neighbors(0)
+        assert 0 in graph.neighbors(1)
+        graph2 = Topology(3, [(0, 1)])
+        assert 2 not in graph2.neighbors(1)
+        assert (1, 2) not in graph2.edges
+
     def test_contains_and_iter(self):
         graph = triangle()
         assert 2 in graph

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.simulator.network import Network
 from repro.topology.classify import NodeRole, RoleAssignment, classify_roles
 from repro.topology.graphs import Topology, TopologyError
 from repro.topology.powerlaw import barabasi_albert
@@ -69,6 +70,24 @@ class TestPartitionSubnets:
         roles = manual_roles(graph, edge_routers=(0,))
         subnets = partition_subnets(graph, roles)
         assert subnets.members[subnets.subnet_of[1]] == (0, 1, 2, 3)
+
+    def test_peers_of(self):
+        """A host's subnet peers are the other infectable members."""
+        graph = Topology(4, [(0, 1), (0, 2), (0, 3)])
+        roles = manual_roles(graph, edge_routers=(0,))
+        subnets = partition_subnets(graph, roles)
+        network = Network(graph, roles, subnets, infectable=roles.hosts)
+        assert network.subnet_peers(1) == (2, 3)
+        assert network.subnet_peers(3) == (1, 2)
+
+    def test_peers_of_transit_is_empty(self):
+        graph = Topology(4, [(0, 1), (1, 2), (2, 3)])
+        roles = manual_roles(graph, edge_routers=(0,), backbone=(1,))
+        subnets = partition_subnets(graph, roles)
+        assert all(1 not in members for members in subnets.members)
+        network = Network(graph, roles, subnets, infectable=roles.hosts)
+        assert network.subnet_peers(1) == ()
+        assert network.subnet_peers(2) == (3,)
 
     def test_requires_edge_routers(self):
         graph = Topology(3, [(0, 1), (1, 2)])
