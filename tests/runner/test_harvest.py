@@ -2,30 +2,33 @@
 
 ``execute_run`` leaves a fast run's per-link state in the transport
 (``writeback="stats"``) and builds histograms from its folded arrays.
-These tests pin that harvest to the bytes of the one it replaced: the
-same run written back onto the network in full, with packet totals and
-histograms read off ``network.links`` — key order included, since the
-serialized result is what the cache and the service hand out.
+These tests pin the served bytes of that harvest on one fig-4 seed
+column, every deployment plus figure 5's seed-subnet observable, on the
+mirror (``fast`` below 512 hosts) and on a width-1 vector group
+(``fast-batched``).  The digests were taken while a full writeback of
+each run onto the network, with packet totals and histograms read off
+``network.links``, still produced the same bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import hashlib
 
 import pytest
 
 from repro.runner.build import execute_run
+from repro.runner.results import EnsembleResult
 from repro.runner.spec import (
     DefenseSpec,
+    EnsembleSpec,
     QuarantineSpec,
     RunSpec,
     TopologySpec,
     WormSpec,
 )
-from repro.simulator.fastpath import FastWormSimulation, VectorReplicaSimulation
-
-from ..oracle import drop_histogram, queue_histogram
+from repro.service.protocol import result_payload
+from repro.simulator.fastpath import FastWormSimulation
 
 #: One fig-4 seed column at reduced scale (300 nodes, 150 ticks).
 _TEMPLATE = RunSpec(
@@ -59,51 +62,40 @@ _COLUMN = {
 }
 
 
-def _dumps(data: dict) -> str:
-    data["metrics"]["wall_time"] = 0.0
-    return json.dumps(data)
+#: sha256 of each case's ``result_payload``, keyed ``deployment@engine``.
+#: Generated at the commit whose harvest these tests compared against a
+#: full writeback of the run onto the network; to regenerate after an
+#: intended change, print ``_digest`` for every case.
+PINNED = {
+    "none@fast": "1e8c27649e18314e52223457af4a9251b1f224e5e90cdc787ad7593777fb62de",
+    "hosts@fast": "81e7a59f3beca6fe09815f9bf9753dff2777518e2495b650546d256b4bf7afcc",
+    "edge@fast": "c1c50b5ac791911bac4042d94de8e6a53d68e316d6a8221f6df60c16ae44cae6",
+    "backbone@fast": "9539d88404ddd50f927c7f5c6b2e4ef4b1017f97675ac69088f188ae9e4e859a",
+    "quarantine@fast": "534e3675ae276ca612872688c85c9425d5f35efe3c44d4f72b39f16241b8d481",
+    "seed_subnets@fast": "a5eb6a5d1a414c0088d36f701ed91b44f63750344ebd395afdb9e15f99d4e921",
+    "none@fast-batched": "ae17e33f53ab35509d18a67869a0be22900a3fed434e3aa530d00865f113bc6d",
+    "hosts@fast-batched": "7644867aab2b98738320991c1ba33ddaab23cb5ea30f0db213541e297a0c0f22",
+    "edge@fast-batched": "cfa2f2a7e2a847931ca46338156082d606721a0b146df7414126f2031b40c2d1",
+    "backbone@fast-batched": "41b07a53e37db24ff299e1661e89826cf7701b241e236e4f6cdbf75a862d071f",
+    "quarantine@fast-batched": "f8ccb57a05118b3be8f207ed0a8ddbbfc924de2f211e75ecc5f361aa3df230de",
+    "seed_subnets@fast-batched": "fe5f15048a61d913606c252742468bb93307fdbb980bc4daa785a166bf8de0bb",
+}
 
 
-def _full_writeback_bytes(spec: RunSpec, monkeypatch) -> str:
-    """The run's bytes with every host and link written back and walked.
-
-    Mirror runs write back at ``run``; batch-sampled runs (width-1
-    vector groups) at their replica's harvest, and the network keeps
-    that state after the group finishes.
-    """
-    networks = []
-    original_run = FastWormSimulation.run
-    original_init = VectorReplicaSimulation.__init__
-
-    def run_full(self, max_ticks, *, writeback="full"):
-        networks.append(self.network)
-        return original_run(self, max_ticks, writeback="full")
-
-    def init_full(self, network, *args, **kwargs):
-        networks.append(network)
-        original_init(self, network, *args, **dict(kwargs, writeback="full"))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(FastWormSimulation, "run", run_full)
-        patch.setattr(VectorReplicaSimulation, "__init__", init_full)
-        data = execute_run(spec).to_dict()
-    network = networks[0]
-    data["metrics"].update(
-        packets_injected=network.stats.packets_injected,
-        packets_delivered=network.stats.packets_delivered,
-        packets_dropped=network.stats.packets_dropped,
-        queue_histogram=queue_histogram(network),
-        drop_histogram=drop_histogram(network),
+def _digest(spec: RunSpec) -> str:
+    """sha256 of the bytes the service would serve for ``spec`` alone."""
+    result = EnsembleResult(
+        spec=EnsembleSpec(template=spec, num_runs=1, base_seed=spec.seed),
+        runs=[execute_run(spec)],
     )
-    return _dumps(data)
+    return hashlib.sha256(result_payload(result)).hexdigest()
 
 
 @pytest.mark.parametrize("engine", ["fast", "fast-batched"])
 @pytest.mark.parametrize("deployment", list(_COLUMN))
-def test_array_harvest_matches_full_writeback(engine, deployment, monkeypatch):
+def test_harvest_payload_bytes_are_pinned(engine, deployment):
     spec = dataclasses.replace(_COLUMN[deployment], engine=engine)
-    harvested = _dumps(execute_run(spec).to_dict())
-    assert harvested == _full_writeback_bytes(spec, monkeypatch)
+    assert _digest(spec) == PINNED[f"{deployment}@{engine}"]
 
 
 def test_solo_run_leaves_links_unwritten(monkeypatch):
