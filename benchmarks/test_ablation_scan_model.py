@@ -34,7 +34,6 @@ def fitted_rate(hit_probability: float, *, num_runs: int = 5) -> float:
             seeds=[seed],
             initial_infections=5,
             lan_delivery=True,
-            writeback="stats",
         )
         simulation.run(
             600,

@@ -79,11 +79,6 @@ class SweepResult:
             )
         return "\n".join(lines)
 
-    def monotone_decreasing_slowdown(self) -> bool:
-        """Whether slowdown falls (weakly) as the parameter grows."""
-        slowdowns = [p.slowdown for p in self.points]
-        return all(a >= b - 1e-9 for a, b in zip(slowdowns, slowdowns[1:]))
-
 
 def _baseline_curve(study: QuarantineStudy, *, max_ticks: int, num_runs: int) -> Trajectory:
     return study.simulate_deployments(

@@ -127,42 +127,41 @@ def build_quarantine(spec: QuarantineSpec) -> DynamicQuarantine:
 
 
 def _seed_subnet_curve(
-    network: Network, max_ticks: int
+    network: Network, infected_at: np.ndarray, max_ticks: int
 ) -> Trajectory:
-    """Figure 5's observable: infected fraction in the seeds' subnets."""
-    seeds = [
-        n for n in network.infectable if network.hosts[n].infected_at == 0
-    ]
+    """Figure 5's observable: infected fraction in the seeds' subnets.
+
+    ``infected_at`` is the run's infection tick per node (-1: never).
+    """
     members: set[int] = set()
-    for seed_node in seeds:
+    for seed_node in np.flatnonzero(infected_at == 0).tolist():
         members.add(seed_node)
         members.update(network.subnet_peers(seed_node))
     ticks = np.arange(max_ticks, dtype=float)
-    fraction = subset_fraction_curve(network, members, ticks)
+    fraction = subset_fraction_curve(network, infected_at, members, ticks)
     return Trajectory(times=ticks, infected=fraction, population=1.0)
 
 
 def _run_metrics(
     simulation: FastWormSimulation | ReplicaState,
-    network: Network,
     instrumentation: Instrumentation | None,
     wall_time: float,
 ) -> RunMetrics:
     """Packet totals, link-stat histograms and profile of a finished run.
 
-    The histograms read the transport's folded per-link arrays, so the
-    links need no writeback.  They list buckets in ``network.links``
-    order, so solo and grouped runs serialize to the same bytes.
+    All of it comes from the run's transport.  The histograms list
+    buckets in ``network.links`` order, so solo and grouped runs
+    serialize to the same bytes.
     """
-    peak, dropped = simulation.transport.link_stat_arrays()
-    stats = network.stats
+    transport = simulation.transport
+    links = transport.link_arrays()
     return RunMetrics(
         ticks_executed=simulation.ticks_executed,
-        packets_injected=stats.packets_injected,
-        packets_delivered=stats.packets_delivered,
-        packets_dropped=stats.packets_dropped,
-        queue_histogram=histogram(peak),
-        drop_histogram=histogram(dropped),
+        packets_injected=transport.injected,
+        packets_delivered=transport.delivered,
+        packets_dropped=transport.dropped_total,
+        queue_histogram=histogram(links.peak),
+        drop_histogram=histogram(links.dropped),
         wall_time=wall_time,
         phase_seconds=(
             dict(instrumentation.phase_seconds) if instrumentation else {}
@@ -227,17 +226,13 @@ def execute_run(
         seed=spec.seed,
         instrumentation=instrumentation,
     )
-    # Metrics come from the transport's arrays; only figure 5's
-    # seed-subnet curve reads hosts written back onto the network.
-    trajectory = simulation.run(
-        spec.max_ticks,
-        writeback="full" if spec.observe == "seed_subnets" else "stats",
-    )
+    trajectory = simulation.run(spec.max_ticks)
     if spec.observe == "seed_subnets":
-        trajectory = _seed_subnet_curve(network, spec.max_ticks)
+        trajectory = _seed_subnet_curve(
+            network, simulation.hosts.infected_at[0], spec.max_ticks
+        )
     metrics = _run_metrics(
         simulation,
-        network,
         instrumentation,
         wall_time=time.perf_counter() - start,
     )
@@ -278,11 +273,6 @@ def _run_vector(
         instrumentation = [
             Instrumentation.from_options(options) for _ in specs
         ]
-    # Trajectories, aggregate packet counters and the transport's folded
-    # link arrays are all the harvest reads, so the per-replica
-    # whole-topology writeback is skipped — except for figure 5's
-    # seed-subnet observable, which recounts the written-back hosts.
-    writeback = "full" if template.observe == "seed_subnets" else "stats"
     batch = VectorReplicaSimulation(
         network,
         build_worm(template.worm),
@@ -292,7 +282,6 @@ def _run_vector(
         immunization=template.immunization,
         lan_delivery=template.lan_delivery,
         quarantine_factory=quarantine_factory,
-        writeback=writeback,
         instrumentation=instrumentation,
     )
     harvested: list[tuple[Trajectory, RunMetrics] | None] = [None] * len(
@@ -303,10 +292,12 @@ def _run_vector(
         spec = specs[replica]
         trajectory = state.trajectory()
         if spec.observe == "seed_subnets":
-            trajectory = _seed_subnet_curve(network, spec.max_ticks)
+            trajectory = _seed_subnet_curve(
+                network, state.infected_at, spec.max_ticks
+            )
         harvested[replica] = (
             trajectory,
-            _run_metrics(state, network, state.instrumentation, 0.0),
+            _run_metrics(state, state.instrumentation, 0.0),
         )
 
     batch.run(template.max_ticks, harvest)

@@ -104,11 +104,6 @@ class StaticShards:
     def address(self, index: int) -> tuple[str, int] | None:
         return self._addresses[index]
 
-    def set_address(
-        self, index: int, address: tuple[str, int] | None
-    ) -> None:
-        self._addresses[index] = address
-
     def check(self) -> int:
         """Static shards never restart; returns restarts performed (0)."""
         return 0

@@ -16,11 +16,13 @@ paper's ns-2-style tick pipeline on a
 5. **observe** — the recorder samples the state.
 
 Host state lives in :class:`~repro.simulator.fastpath.state.HostArrays`
-and packet transport in
-:class:`~repro.simulator.fastpath.transport.MirrorTransport`.  A run is a
-pure function of its arguments and seed: it draws from the run RNG in
-the order of the object-per-host formulation — one host object per
-host, one packet object per scan — that the test suite keeps as its
+(:attr:`FastWormSimulation.hosts`) and packet transport in
+:class:`~repro.simulator.fastpath.transport.MirrorTransport`
+(:attr:`FastWormSimulation.transport`); they are also where a finished
+run's results are read, since the network is only the run's input.  A
+run is a pure function of its arguments and seed: it draws from the run
+RNG in the order of the object-per-host formulation — one host object
+per host, one packet object per scan — that the test suite keeps as its
 oracle (``tests/oracle.py``) and matches bit for bit: trajectories,
 traces, counters, final host and link state.  Batch-sampled runs go
 through :class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`
@@ -59,11 +61,7 @@ from ..worms import WormStrategy, scans_this_tick
 from .state import IMMUNE, INFECTED, HostArrays
 from .transport import MirrorTransport
 
-__all__ = ["FastWormSimulation", "WRITEBACK_MODES"]
-
-#: Supported values for ``run(writeback=...)``: what a finished run
-#: copies back onto the network (see :meth:`FastWormSimulation.run`).
-WRITEBACK_MODES = ("full", "stats")
+__all__ = ["FastWormSimulation"]
 
 
 class FastImmunization:
@@ -190,12 +188,6 @@ class FastWormSimulation:
         self.instrumentation = instrumentation
         self.hosts = HostArrays(network)
         self.transport = MirrorTransport(network)
-        # Trace records report cumulative NetworkStats; the transport
-        # counts from zero, so remember what the network already saw.
-        stats = network.stats
-        self._base_injected = stats.packets_injected
-        self._base_delivered = stats.packets_delivered
-        self._base_dropped = stats.packets_dropped
         #: LAN ring: scans land in ``_lan_pending`` and rotate to
         #: ``_lan_ready`` at transmit, delivering one tick later.
         self._lan_pending: list[int] = []
@@ -326,13 +318,9 @@ class FastWormSimulation:
                     infected=hosts.infected,
                     immune=hosts.immune,
                     ever_infected=self.recorder.ever_infected,
-                    packets_injected=self._base_injected + transport.injected,
-                    packets_delivered=(
-                        self._base_delivered + transport.delivered
-                    ),
-                    packets_dropped=(
-                        self._base_dropped + transport.dropped_total
-                    ),
+                    packets_injected=transport.injected,
+                    packets_delivered=transport.delivered,
+                    packets_dropped=transport.dropped_total,
                     in_flight=transport.queued_total,
                     lan_queue=len(self._lan_ready),
                 )
@@ -353,23 +341,13 @@ class FastWormSimulation:
         """Ticks run so far (stop conditions can end a run early)."""
         return self.recorder.num_samples
 
-    def run(self, max_ticks: int, *, writeback: str = "full") -> Trajectory:
+    def run(self, max_ticks: int) -> Trajectory:
         """Run up to ``max_ticks`` ticks and return the infection curve.
 
-        ``writeback="full"`` (default) writes the array state back onto
-        the network's host and link objects, so post-run inspection
-        (host states, ``infected_at`` curves, link stats, queue depths)
-        reads the run's final state.  ``"stats"`` writes only the aggregate
-        ``network.stats`` counters; per-link results stay readable
-        through ``transport.link_stat_arrays()``.
+        Everything else the run produced stays where it ran: host state
+        in :attr:`hosts`, packet totals and per-link results in
+        :attr:`transport` (:meth:`~repro.simulator.fastpath.transport.
+        FastTransport.link_arrays`).
         """
-        if writeback not in WRITEBACK_MODES:
-            raise ValueError(
-                f"writeback must be one of {WRITEBACK_MODES}, got {writeback!r}"
-            )
         self._sim.run(max_ticks)
-        full = writeback == "full"
-        if full:
-            self.hosts.writeback()
-        self.transport.writeback(self._final_tick, links=full)
         return self.recorder.trajectory()

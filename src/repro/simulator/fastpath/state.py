@@ -17,10 +17,10 @@ the row views (``status_row``, ``throttle_tokens``) serve the mirror
 engine's single run and address row 0.
 
 The arrays are synced *from* the network's host objects at construction
-(and re-synced when a dynamic quarantine deploys filters mid-run), and
-written *back* at the end of the run, so everything downstream that
-inspects hosts — host states, ``infected_at`` curves, reports — sees
-the run's final state.
+(and the throttles re-synced when a dynamic quarantine deploys filters
+mid-run) and are the only place a run's host state lives: the host
+objects keep their built state, and results — compartment counts,
+``infected_at`` curves — are read from the arrays.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ INFECTED = 1
 IMMUNE = 2
 
 #: Sentinel for "never" in the infected_at/immunized_at stamp arrays
-#: (the object model uses ``None``; writeback converts).
+#: (the object model uses ``None``).
 NEVER = -1
 
-_STATE_OF = {
-    SUSCEPTIBLE: HostState.SUSCEPTIBLE,
-    INFECTED: HostState.INFECTED,
-    IMMUNE: HostState.IMMUNE,
+_CODE_OF = {
+    HostState.SUSCEPTIBLE: SUSCEPTIBLE,
+    HostState.INFECTED: INFECTED,
+    HostState.IMMUNE: IMMUNE,
 }
-_CODE_OF = {state: code for code, state in _STATE_OF.items()}
 
 
 class HostArrays:
@@ -85,14 +84,6 @@ class HostArrays:
         # Flat views for the grouped API's ``replica * n + node`` keys.
         self._status_flat = self.status.reshape(-1)
         self._infected_at_flat = self.infected_at.reshape(-1)
-        # Mirror of what the network's Host objects currently hold, so
-        # writeback only touches hosts that differ.  Valid because
-        # nothing mutates host state/stamps between construction and
-        # writeback except writeback itself (fast engines run entirely
-        # on the arrays; defense deploys only attach buckets).
-        self._net_status = status0
-        self._net_inf = infected0
-        self._net_imm = immunized0
         # Row 0's running counters and infected index (scalar API).
         self.susceptible = susceptible
         self.infected = infected
@@ -393,44 +384,3 @@ class HostArrays:
                 self._t_burst,
                 out=self._t_tokens,
             )
-
-    # ------------------------------------------------------------------
-    # Writeback
-    # ------------------------------------------------------------------
-
-    def writeback(self, replica: int = 0) -> None:
-        """Copy one replica's final state onto the network's hosts.
-
-        Every host whose state or stamps differ from what the network
-        currently holds is written — including runs whose infections
-        all died at tick 0 — so stamp arrays round-trip exactly as an
-        exact run leaves them (``NEVER`` becomes ``None``).  The diff against the ``_net_*`` mirror makes
-        harvesting a replica cost O(changed hosts), which is what lets
-        a 1000-replica die-out ensemble finalize its mostly-untouched
-        replicas cheaply.
-        """
-        row = self.status[replica]
-        inf_row = self.infected_at[replica]
-        imm_row = self.immunized_at[replica]
-        net_status = self._net_status
-        net_inf = self._net_inf
-        net_imm = self._net_imm
-        changed = np.flatnonzero(
-            (row != net_status)
-            | (inf_row != net_inf)
-            | (imm_row != net_imm)
-        )
-        if changed.size == 0:
-            return
-        state_of = _STATE_OF
-        hosts = self.network.hosts
-        for node in changed.tolist():
-            host = hosts[node]
-            host.state = state_of[int(row[node])]
-            stamp = inf_row[node]
-            host.infected_at = int(stamp) if stamp >= 0 else None
-            stamp = imm_row[node]
-            host.immunized_at = int(stamp) if stamp >= 0 else None
-        net_status[changed] = row[changed]
-        net_inf[changed] = inf_row[changed]
-        net_imm[changed] = imm_row[changed]

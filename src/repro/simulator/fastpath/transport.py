@@ -25,8 +25,8 @@ Three ways move packets:
   onto a higher-indexed link (one the sweep has not reached yet);
   counters are bincounts, and the packets left waiting are sorted into
   the FIFO order the per-packet sweep would give them.  The first limit,
-  budget, :meth:`~FastTransport.hold`, full writeback or drop risk hands
-  them to the deques, and the transport stays on the per-packet sweep.
+  budget, :meth:`~FastTransport.hold` or drop risk hands them to the
+  deques, and the transport stays on the per-packet sweep.
 * **The per-packet sweep**, :meth:`FastTransport.transmit_tick`,
   reproduces the object-model sweep
   (:meth:`~repro.simulator.network.Network.transmit_tick`) packet for
@@ -37,31 +37,48 @@ Three ways move packets:
 * **The vector wave** lives in
   :class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`,
   which keeps every other replica's waiting packets in its own arrays
-  and uses a transport only for counters, token balances and
-  writeback; a replica it hands to the per-packet sweep has its waiting
-  packets placed into the deques with :meth:`~FastTransport.hold`,
-  which credits nothing a second time.
+  and uses a transport only for counters, token balances and results;
+  a replica it hands to the per-packet sweep has its waiting packets
+  placed into the deques with :meth:`~FastTransport.hold`, which
+  credits nothing a second time.
 
-Per-link counters are kept on two tracks: plain python lists, written
-by the per-packet sweep, and numpy vectors, written by the array sweep
-and the vector engine (views into its ``(replica, link)`` arrays).
-Each representation is an order of magnitude faster for its access
-pattern.  Additive counters sum and peaks take the elementwise max at
-writeback, which folds both tracks exactly.
+A run's results live in its transport and nowhere else: the network is
+input only.  Per-link counters are kept on two tracks: plain python
+lists, written by the per-packet sweep, and numpy vectors, written by
+the array sweep and the vector engine (views into its
+``(replica, link)`` arrays).  Each representation is an order of
+magnitude faster for its access pattern.  Additive counters sum and
+peaks take the elementwise max in :meth:`~FastTransport.link_arrays`,
+which folds both tracks exactly and adds the residual queue depths.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import defaultdict, deque
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
 from ..network import Network
-from ..packet import Packet, PacketKind
 
-__all__ = ["FastTransport", "MirrorTransport", "TransportLayout"]
+__all__ = ["FastTransport", "LinkArrays", "MirrorTransport", "TransportLayout"]
+
+
+class LinkArrays(NamedTuple):
+    """A run's per-link results, one entry per link in ``network.links`` order.
+
+    The counters and high-water mark a
+    :class:`~repro.simulator.links.LinkStats` keeps, plus ``depth``:
+    the packets the link was left holding.
+    """
+
+    forwarded: np.ndarray
+    dropped: np.ndarray
+    enqueued: np.ndarray
+    peak: np.ndarray
+    requeued: np.ndarray
+    depth: np.ndarray
 
 
 class TransportLayout:
@@ -143,6 +160,11 @@ class FastTransport:
     engine's single run, which builds a private layout from the network.
     """
 
+    #: Per-link count of packets left waiting outside the deques, in
+    #: layout order; the vector engine records a replica's when it
+    #: finishes.
+    waiting: np.ndarray | None = None
+
     def __init__(
         self, network: Network, layout: TransportLayout | None = None
     ) -> None:
@@ -154,7 +176,7 @@ class FastTransport:
         count = len(self.keys)
         self.link_dst = layout.link_dst
         #: Lazy queue map: only links that ever held a packet get a
-        #: deque, so per-replica construction and writeback cost scale
+        #: deque, so per-replica construction and results cost scale
         #: with traffic, not topology size.
         self.queues: defaultdict[int, deque[int]] = defaultdict(deque)
         self.max_queue = layout.max_queue
@@ -164,13 +186,13 @@ class FastTransport:
         self.enq_list = [0] * count
         self.peak_list = [0] * count
         self.req_list = [0] * count
-        # ... and vectorized track (numpy), folded at writeback.
+        # ... and vectorized track (numpy), folded by link_arrays.
         self.fwd_vec = np.zeros(count, dtype=np.int64)
         self.enq_vec = np.zeros(count, dtype=np.int64)
         self.peak_vec = np.zeros(count, dtype=np.int64)
         self.drop_vec = np.zeros(count, dtype=np.int64)
-        # NetworkStats mirror: totals *since this transport started*;
-        # trace emission adds the network's pre-existing base counts.
+        # The run's packet totals (the fields of NetworkStats) and the
+        # packets in flight.
         self.injected = 0
         self.delivered = 0
         self.dropped_total = 0
@@ -356,7 +378,7 @@ class FastTransport:
 
         No enqueue, drop or peak counter moves: the vector engine
         counted these packets when it accepted them into its own store,
-        and calls this to hand them to the exact sweep or to writeback.
+        and calls this to hand them to the exact sweep.
         ``queued_total`` takes over their in-flight count from the
         engine's depth array, which the engine zeroes for the replica.
         """
@@ -459,134 +481,49 @@ class FastTransport:
         return arrived
 
     # ------------------------------------------------------------------
-    # Writeback
+    # Results
     # ------------------------------------------------------------------
 
-    def link_stat_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Folded per-link ``(peak_queue, dropped)`` in ``network.links`` order.
+    def link_arrays(self) -> LinkArrays:
+        """A finished run's per-link results, in ``network.links`` order.
 
-        The values :meth:`writeback` adds onto a fresh network's link
-        stats — scalar track max/plus vectorized track, and the lazy
-        high-water mark of rate-limited links still holding packets — for
-        every link at once, so a caller that only needs link-stat
-        *distributions* (the runner's histograms) can skip writing the
-        links back.  Call after writeback.  The scalar track is read
-        only at links holding a queue entry, which every scalar write
-        creates first (see :meth:`writeback`).
+        Folds the scalar track into the vectorized one (counters sum,
+        peaks take the larger), counts residual depth from the deques
+        plus :attr:`waiting`, and closes out the lazy high-water mark
+        of rate-limited links still holding packets in their deques.
+        The scalar track is read only at links holding a queue entry,
+        which every scalar write creates first.
         """
-        peak = self.peak_vec.copy()
-        dropped = self.drop_vec.copy()
+        count = len(self.keys)
+        zeros = np.zeros(count, dtype=np.int64)
+        waiting = self.waiting
+        arrays = [
+            self.fwd_vec,
+            self.drop_vec,
+            self.enq_vec,
+            self.peak_vec,
+            zeros,
+            zeros if waiting is None else waiting,
+        ]
         touched = list(self.queues)
         if touched:
+            arrays = [array.copy() for array in arrays]
+            fwd, drop, enq, peak, req, depth = arrays
             at = np.asarray(touched, dtype=np.int64)
-            peak_list = self.peak_list
-            drop_list = self.drop_list
-            peak[at] = np.maximum(peak[at], [peak_list[i] for i in touched])
-            dropped[at] += [drop_list[i] for i in touched]
-            at = at[self.limited_arr[at]]
-            if at.size:
-                queues = self.queues
-                depth = [len(queues[i]) for i in at.tolist()]
-                peak[at] = np.maximum(peak[at], depth)
+            fwd[at] += [self.fwd_list[i] for i in touched]
+            drop[at] += [self.drop_list[i] for i in touched]
+            enq[at] += [self.enq_list[i] for i in touched]
+            req[at] = [self.req_list[i] for i in touched]
+            peak[at] = np.maximum(peak[at], [self.peak_list[i] for i in touched])
+            queued = np.array(
+                [len(self.queues[i]) for i in touched], dtype=np.int64
+            )
+            depth[at] += queued
+            lim = self.limited_arr[at]
+            at = at[lim]
+            peak[at] = np.maximum(peak[at], queued[lim])
         order = self.layout.network_order
-        return peak[order], dropped[order]
-
-    def writeback(self, final_tick: int, *, links: bool = True) -> list[int]:
-        """Copy accumulated counters and residual queues onto the network.
-
-        Residual queued packets are materialized as
-        :class:`~repro.simulator.packet.Packet` objects so post-run
-        inspection (queue lengths, reports) matches an object-model
-        run; only the destination survives the int encoding,
-        so the materialized packets carry the holding link's source node
-        and the final tick as their provenance.
-
-        With ``links=False`` only the aggregate ``network.stats``
-        counters are written; per-link state stays in this transport
-        (see :meth:`link_stat_arrays`).
-
-        Returns the indices of links whose stats or queues were touched,
-        so the replica engine can reset exactly those between replicas.
-        Links this transport never moved a packet over are skipped
-        entirely (their counter updates would all be ``+= 0``).
-        """
-        stats = self.network.stats
-        stats.packets_injected += self.injected
-        stats.packets_delivered += self.delivered
-        stats.packets_dropped += self.dropped_total
-        if not links:
-            return []
-        # Candidate links: the vectorized track's nonzero entries plus
-        # every link that ever got a queue.  The scalar-track counters
-        # (fwd/drop/enq/peak/req lists) are only written after a
-        # ``queues[li]`` access, which creates the defaultdict entry —
-        # so this set covers them, and links the run never moved a
-        # packet over are skipped without a whole-topology walk.
-        candidates = set(
-            np.flatnonzero(
-                self.fwd_vec | self.enq_vec | self.peak_vec | self.drop_vec
-            ).tolist()
-        )
-        candidates.update(self.queues.keys())
-        fwd_vec = self.fwd_vec
-        enq_vec = self.enq_vec
-        peak_vec = self.peak_vec
-        drop_vec = self.drop_vec
-        infection = PacketKind.INFECTION
-        new_packet = Packet.__new__
-        touched: list[int] = []
-        keys = self.keys
-        # Residual queues can hold 100k+ packets on rate-limited links;
-        # pause collection while materializing them so the allocation
-        # burst does not trigger repeated whole-heap scans.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for i in sorted(candidates):
-                key = keys[i]
-                forwarded = self.fwd_list[i] + int(fwd_vec[i])
-                enqueued = self.enq_list[i] + int(enq_vec[i])
-                dropped = self.drop_list[i] + int(drop_vec[i])
-                requeued = self.req_list[i]
-                peak = self.peak_list[i]
-                if peak_vec[i] > peak:
-                    peak = int(peak_vec[i])
-                queue = self.queues.get(i)
-                if not (
-                    forwarded or enqueued or dropped or requeued
-                    or peak or queue
-                ):
-                    continue
-                touched.append(i)
-                link = self.network.links[key]
-                link_stats = link.stats
-                link_stats.forwarded += forwarded
-                link_stats.dropped += dropped
-                link_stats.enqueued += enqueued
-                link_stats.requeued += requeued
-                if queue:
-                    # Close out the lazy high-water mark for limited
-                    # links (queues only grew since their last drain).
-                    depth = len(queue)
-                    if self.limited[i] and depth > peak:
-                        peak = depth
-                    src = link.src
-                    packets = []
-                    for dst in queue:
-                        packet = new_packet(Packet)
-                        packet.src = src
-                        packet.dst = dst
-                        packet.kind = infection
-                        packet.created_tick = final_tick
-                        packet.hops = 0
-                        packets.append(packet)
-                    link.load_queue(packets)
-                if peak > link_stats.peak_queue:
-                    link_stats.peak_queue = peak
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return touched
+        return LinkArrays(*(array[order] for array in arrays))
 
 
 class MirrorTransport(FastTransport):
@@ -602,10 +539,10 @@ class MirrorTransport(FastTransport):
 
     The switch to the per-packet sweep is one-way: the first rate limit
     or budget (:meth:`sync_limits`, :meth:`apply_limit_plan`), the first
-    :meth:`hold` or full :meth:`writeback`, or an injection that would
-    bring the packets in flight up to the smallest queue bound puts the
-    waiting packets into the deques in the per-packet sweep's FIFO
-    order, and every later tick runs :meth:`FastTransport.transmit_tick`.
+    :meth:`hold`, or an injection that would bring the packets in flight
+    up to the smallest queue bound puts the waiting packets into the
+    deques in the per-packet sweep's FIFO order, and every later tick
+    runs :meth:`FastTransport.transmit_tick`.
     """
 
     def __init__(self, network: Network) -> None:
@@ -668,10 +605,12 @@ class MirrorTransport(FastTransport):
         self._to_deques()
         super().hold(li, dsts)
 
-    def writeback(self, final_tick: int, *, links: bool = True) -> list[int]:
-        if links:
-            self._to_deques()
-        return super().writeback(final_tick, links=links)
+    @property
+    def waiting(self) -> np.ndarray | None:
+        """Per-link count of the array sweep's waiting packets."""
+        if self._wait_link is None:
+            return None
+        return np.bincount(self._wait_link, minlength=len(self.keys))
 
     def inject(self, src: int, dst: int) -> None:
         if self.queued_total < self._room:

@@ -83,7 +83,9 @@ depth — raised at once, except for cascade waiters on rate-limited
 links, whose high-water mark is read right before each drain.  Store
 appends are threaded onto their lists lazily, by one stable sort right
 before the next drain.  A vectorized replica's transport holds no
-queues until writeback.
+queues: when the replica finishes, its depth row is recorded on the
+transport (:attr:`~repro.simulator.fastpath.transport.FastTransport.
+waiting`) and its packets are dropped from the stores.
 
 The trickle drains the rate-limited keys holding a packet and a whole
 token, ascending, one packet per token, like the reference sweep: the
@@ -112,9 +114,9 @@ Dynamic quarantine
 Replicas share one network, so a deploy cannot touch it: each replica
 whose detector fires replays a plan captured at construction
 (:mod:`.replicas`) onto its private row and transport, and the network
-is left undeployed.  Host epidemic state, link statistics, and residual
-queues — everything the results layer reads — are written back per
-replica.
+is left undeployed.  Nor do results touch it: a replica's host stamps,
+link statistics and residual queue depths — everything the results
+layer reads — stay in its :class:`ReplicaState` (host rows, transport).
 """
 
 from __future__ import annotations
@@ -131,10 +133,8 @@ from ...observability.trace import tick_record
 from ..dynamic import DynamicQuarantine
 from ..engine import PHASE_NAMES, Phase
 from ..immunization import ImmunizationPolicy
-from ..links import LinkStats
 from ..network import Network
 from ..worms import LocalPreferentialWorm, RandomScanWorm, WormStrategy
-from .engine import WRITEBACK_MODES
 from .replicas import DeploymentPlan, capture_deployment_plan
 from .state import IMMUNE, INFECTED, SUSCEPTIBLE, HostArrays
 from .transport import FastTransport, TransportLayout
@@ -296,21 +296,23 @@ class ReplicaState:
     """One replica's private run state inside a vector group.
 
     This is what the harvest callback receives: the replica's curve
-    (:meth:`trajectory`, :attr:`ever_infected`), its transport (per-link
-    arrays and packet totals), its quarantine loop and its
-    instrumentation.  The counts live in the group's compartment tally
-    and ``(tick, compartment, replica)`` sample array; the record holds
-    its column of both.
+    (:meth:`trajectory`, :attr:`ever_infected`), its host state (row
+    :attr:`replica` of the group's :attr:`hosts`, :attr:`infected_at`),
+    its transport (per-link arrays and packet totals), its quarantine
+    loop and its instrumentation.  The counts live in the group's
+    compartment tally and ``(tick, compartment, replica)`` sample array;
+    the record holds its column of both.
     """
 
     __slots__ = (
+        "replica",
+        "hosts",
         "gen",
         "quarantine",
         "transport",
         "instrumentation",
         "final_tick",
         "ticks_executed",
-        "_row",
         "_population",
         "_tally",
         "_samples",
@@ -318,7 +320,8 @@ class ReplicaState:
 
     def __init__(
         self,
-        row: int,
+        replica: int,
+        hosts: HostArrays,
         population: int,
         tally: np.ndarray,
         gen: np.random.Generator,
@@ -326,7 +329,8 @@ class ReplicaState:
         transport: FastTransport,
         instrumentation: Instrumentation | None,
     ) -> None:
-        self._row = row
+        self.replica = replica
+        self.hosts = hosts
         self._population = population
         self._tally = tally
         #: The group's samples, bound when the run starts.
@@ -343,7 +347,12 @@ class ReplicaState:
     @property
     def ever_infected(self) -> int:
         """Hosts this replica ever infected, initial infections included."""
-        return int(self._tally[_EVER, self._row])
+        return int(self._tally[_EVER, self.replica])
+
+    @property
+    def infected_at(self) -> np.ndarray:
+        """The replica's infection tick per node (-1: never), a view."""
+        return self.hosts.infected_at[self.replica]
 
     def trajectory(self) -> Trajectory:
         """The replica's sampled curve, cut from the group's array."""
@@ -352,7 +361,7 @@ class ReplicaState:
             raise ModelError(
                 "need at least two sampled ticks to build a trajectory"
             )
-        samples = self._samples[:ticks, :, self._row]
+        samples = self._samples[:ticks, :, self.replica]
         sus, inf, imm, ever = (samples[:, k].astype(float) for k in range(4))
         return Trajectory(
             times=np.arange(ticks, dtype=float),
@@ -541,14 +550,6 @@ class VectorReplicaSimulation:
         :class:`DynamicQuarantine` (telescope + detector + response);
         called once per replica.  Each replica's control loop runs
         independently — detection tick and deployment are per replica.
-    writeback:
-        ``"full"`` (default) writes host stamps, per-link stats and
-        residual queues back onto the network before each harvest —
-        the callback observes what the run left behind.  ``"stats"``
-        restores only the aggregate packet counters (``network.stats``)
-        and leaves hosts/links untouched: for harvests that read
-        trajectories, totals, and the transport's arrays directly, it
-        skips the per-replica whole-topology writeback walk entirely.
     instrumentation:
         Optional per-replica :class:`Instrumentation` (one entry per
         seed, ``None`` entries allowed): scan/infection counters, tick
@@ -558,10 +559,9 @@ class VectorReplicaSimulation:
     The worm must be a :class:`RandomScanWorm` or a
     :class:`LocalPreferentialWorm`, the two strategies with a batch
     sampling kernel.  Replicas stop individually under the reference
-    stop condition and are harvested — network writeback plus a caller
-    callback — as they finish; the network's mutable result state
-    (stats, link stats, queues) is reset between harvests so each
-    callback observes only its own replica.
+    stop condition and are harvested — a caller callback on the
+    replica's :class:`ReplicaState` — as they finish.  The network is
+    input only: no run writes host, link or packet state onto it.
     """
 
     def __init__(
@@ -575,7 +575,6 @@ class VectorReplicaSimulation:
         immunization: ImmunizationPolicy | None = None,
         lan_delivery: bool = False,
         quarantine_factory: Callable[[], DynamicQuarantine] | None = None,
-        writeback: str = "full",
         instrumentation: Sequence[Instrumentation | None] | None = None,
     ) -> None:
         if not seeds:
@@ -592,17 +591,12 @@ class VectorReplicaSimulation:
                 f"initial_infections must be in [1, {network.num_infectable}),"
                 f" got {initial_infections}"
             )
-        if writeback not in WRITEBACK_MODES:
-            raise ValueError(
-                f"writeback must be one of {WRITEBACK_MODES}, got {writeback!r}"
-            )
         replicas = len(seeds)
         if instrumentation is None:
             instrumentation = [None] * replicas
         self.network = network
         self.replicas = replicas
         self.lan_delivery = lan_delivery
-        self._writeback = writeback
         self._policy = immunization
         # The layout templates the pre-deploy (static defenses only)
         # rate-limit state, which the plan capture restores.
@@ -677,7 +671,7 @@ class VectorReplicaSimulation:
         # Each transport's own arrays are rebound to its rows as it is
         # built (freeing them before the next one), so global flat-key
         # updates and the per-replica scalar paths (enqueue, trickle,
-        # writeback, apply_limit_plan) address one memory.
+        # link_arrays, apply_limit_plan) address one memory.
         link_count = len(self.layout.keys)
         self._link_counts = np.zeros((4, replicas, link_count), dtype=np.int64)
         # Only rate-limited links hold tokens; the rest stay zero pages.
@@ -694,6 +688,7 @@ class VectorReplicaSimulation:
             self.states.append(
                 ReplicaState(
                     replica,
+                    self.hosts,
                     network.num_infectable,
                     self._tally,
                     gen,
@@ -702,45 +697,7 @@ class VectorReplicaSimulation:
                     instrumentation[replica],
                 )
             )
-        stats = network.stats
-        self._base_injected = stats.packets_injected
-        self._base_delivered = stats.packets_delivered
-        self._base_dropped = stats.packets_dropped
-        self._touched: list[int] = []
         self._ran = False
-
-    def _reset_network(self) -> None:
-        """Clear the previous harvest's writeback off the network."""
-        stats = self.network.stats
-        stats.packets_injected = self._base_injected
-        stats.packets_delivered = self._base_delivered
-        stats.packets_dropped = self._base_dropped
-        if self._touched:
-            links = self.network.links
-            keys = self.layout.keys
-            for i in self._touched:
-                link = links[keys[i]]
-                link.stats = LinkStats()
-                # Most touched links only carried counters; rebuilding
-                # an empty deque per link per replica adds up.
-                if link._queue:
-                    link.load_queue([])
-            self._touched = []
-
-    def _finalize(
-        self,
-        replica: int,
-        state: ReplicaState,
-        harvest: Callable[[int, ReplicaState], None],
-    ) -> None:
-        self._reset_network()
-        full = self._writeback == "full"
-        if full:
-            self.hosts.writeback(replica)
-        self._touched = state.transport.writeback(
-            state.final_tick, links=full
-        )
-        harvest(replica, state)
 
     def run(
         self,
@@ -749,10 +706,9 @@ class VectorReplicaSimulation:
     ) -> None:
         """Advance every replica to completion, harvesting each.
 
-        ``harvest(replica, state)`` runs once per replica, immediately
-        after that replica's state is written back onto the network;
-        read trajectories, host state, and network statistics inside
-        the callback — the next replica's harvest overwrites them.
+        ``harvest(replica, state)`` runs once per replica, as soon as
+        that replica finishes.  Its curve, host row and transport hold
+        the replica's final state from then on.
         """
         if max_ticks <= 0:
             raise ValueError(
@@ -769,7 +725,6 @@ class VectorReplicaSimulation:
         layout = self.layout
         plan = self._plan
         replicas = self.replicas
-        full = self._writeback == "full"
         link_count = len(layout.keys)
         n = layout.n
 
@@ -1426,14 +1381,11 @@ class VectorReplicaSimulation:
                             infected=int(inf_arr[r]),
                             immune=int(imm_arr[r]),
                             ever_infected=int(ever_arr[r]),
-                            packets_injected=self._base_injected
-                            + t.injected
+                            packets_injected=t.injected
                             + int(injected_arr[r]),
-                            packets_delivered=self._base_delivered
-                            + t.delivered
+                            packets_delivered=t.delivered
                             + int(delivered_arr[r]),
-                            packets_dropped=self._base_dropped
-                            + t.dropped_total
+                            packets_dropped=t.dropped_total
                             + int(dropped_arr[r]),
                             in_flight=t.queued_total + int(depth2[r].sum()),
                             lan_queue=lan_queue[r],
@@ -1469,16 +1421,14 @@ class VectorReplicaSimulation:
                     instr.count("ticks", tick + 1)
                 if depth2[r].any():
                     # Close the lazy high-water marks of rate-limited
-                    # links; a full writeback also gets the residual
-                    # packets, which it materializes.
+                    # links and record the residual depths; the packets
+                    # themselves leave the stores below.
                     lim = t.limited_arr
                     peak2[r, lim] = np.maximum(peak2[r, lim], depth2[r, lim])
-                    if full:
-                        for li, dsts in take(r).items():
-                            t.hold(li, dsts)
+                    t.waiting = depth2[r].copy()
                 exact.discard(r)
-                self._finalize(r, state, harvest)
-            if finished.size and not full:
+                harvest(r, state)
+            if finished.size:
                 gone = np.zeros(replicas, dtype=bool)
                 gone[finished] = True
                 pending = _extract(pending, lambda k: gone[k // link_count])[0]

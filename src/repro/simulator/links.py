@@ -177,16 +177,6 @@ class DirectedLink:
         self.stats.requeued += 1
         self._queue.appendleft(packet)
 
-    def load_queue(self, packets: list[Packet]) -> None:
-        """Replace the queue contents without touching stats.
-
-        A state-restore hook for the fast engine's end-of-run writeback:
-        the packets were already counted (enqueued/forwarded/...) by the
-        fast transport's own accounting, so re-offering them would
-        double-count.
-        """
-        self._queue = deque(packets)
-
     def drain(self) -> list[Packet]:
         """Forward this tick's worth of packets (token-bucket limited)."""
         if self._bucket is not None:

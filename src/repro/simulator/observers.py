@@ -69,24 +69,24 @@ class CurveRecorder:
 
 
 def subset_fraction_curve(
-    network: Network, nodes: set[int], ticks: np.ndarray
+    network: Network,
+    infected_at: np.ndarray,
+    nodes: set[int],
+    ticks: np.ndarray,
 ) -> np.ndarray:
     """Infected fraction over time within a node subset, post hoc.
 
-    Rebuilt from each host's ``infected_at`` stamp after a run — used for
-    the paper's *within-subnet* views (Figures 3(b) and 5), where the
-    population of interest is the subnet of an initial seed rather than
-    the whole network.
+    Rebuilt from a run's infection tick per node (``infected_at``,
+    negative for never) — used for the paper's *within-subnet* views
+    (Figures 3(b) and 5), where the population of interest is the subnet
+    of an initial seed rather than the whole network.  Nodes that are
+    not infectable hosts of ``network`` are left out.
     """
-    members = [network.hosts[n] for n in nodes if n in network.hosts]
+    members = [n for n in nodes if n in network.hosts]
     if not members:
         raise ModelError("subset contains no infectable hosts")
-    infection_ticks = np.array(
-        [
-            host.infected_at if host.infected_at is not None else np.inf
-            for host in members
-        ]
-    )
+    stamps = np.asarray(infected_at)[members]
+    infection_ticks = np.where(stamps >= 0, stamps, np.inf)
     ticks = np.asarray(ticks, dtype=float)
     counts = (infection_ticks[None, :] <= ticks[:, None]).sum(axis=1)
     return counts / len(members)

@@ -446,11 +446,6 @@ class ThrottleDetector(Detector):
             )
         return []
 
-    def stats_for(self, host: int):
-        """The underlying throttle's stats (None if never offered)."""
-        throttle = self._throttles.get(host)
-        return throttle.stats if throttle is not None else None
-
 
 def _throttle_kind(policy: Callable[..., Throttle]):
     """A :class:`ThrottleDetector` builder over one throttle policy."""
@@ -512,13 +507,6 @@ class DetectionEngine:
             new.extend(detector.observe(record))
         self.events.extend(new)
         return new
-
-    def feed_many(self, records: Iterable[FlowRecord]) -> list[Event]:
-        """Process a chunk of records; returns the chunk's events."""
-        before = len(self.events)
-        for record in records:
-            self.feed(record)
-        return self.events[before:]
 
     def finish(self) -> list[Event]:
         """Flush every detector; idempotent."""

@@ -71,11 +71,6 @@ class HostClass(Enum):
     WORM_BLASTER = "worm_blaster"
     WORM_WELCHIA = "worm_welchia"
 
-    @property
-    def is_worm(self) -> bool:
-        """Whether this class is one of the two worm infections."""
-        return self in (HostClass.WORM_BLASTER, HostClass.WORM_WELCHIA)
-
 
 def ip_to_str(ip: int) -> str:
     """Render a 32-bit address as dotted quad."""
@@ -146,11 +141,6 @@ class FlowRecord:
                 raise TraceError(f"{label} out of range: {port}")
         if self.dns_answer is not None and self.protocol is not Protocol.UDP:
             raise TraceError("dns_answer only valid on UDP records")
-
-    @property
-    def is_dns_answer(self) -> bool:
-        """Whether this is a DNS response carrying a resolution."""
-        return self.dns_answer is not None
 
     @property
     def icmp_unreachable(self) -> bool:
@@ -284,16 +274,6 @@ class Trace:
     def is_internal(self, ip: int) -> bool:
         """Whether ``ip`` belongs to the monitored network."""
         return ip in self._internal
-
-    def inbound_records(self) -> Iterator[FlowRecord]:
-        """Records entering the network (external src, internal dst)."""
-        for record in self._records:
-            if record.src not in self._internal and record.dst in self._internal:
-                yield record
-
-    def records_from(self, host: int) -> list[FlowRecord]:
-        """All records originated by ``host``."""
-        return [r for r in self._records if r.src == host]
 
     def hosts_of_class(self, host_class: HostClass) -> list[int]:
         """Internal hosts labeled with ``host_class`` (ground truth)."""

@@ -48,12 +48,6 @@ class WindowCounts:
     refinement: Refinement
     counts: tuple[int, ...]
 
-    def fraction_of_time_at_or_below(self, limit: int) -> float:
-        """Fraction of windows with count <= ``limit`` (Figure 9 y-axis)."""
-        if not self.counts:
-            return 1.0
-        return sum(1 for c in self.counts if c <= limit) / len(self.counts)
-
     def percentile(self, q: float) -> int:
         """Smallest count covering fraction ``q`` of windows."""
         if not 0.0 < q <= 1.0:

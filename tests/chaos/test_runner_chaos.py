@@ -164,8 +164,8 @@ class TestReplicaBatchDegradation:
     The replica-batched executor shares one chaos point per chunk
     (``runner.executor.run``); these scenarios assert that faults fired
     there degrade exactly like solo runs — same warnings, same
-    counters — while the vectorized engine's stats-only writeback still
-    yields payloads byte-identical to clean solo execution.
+    counters — while the vectorized engine's harvest still yields
+    payloads byte-identical to clean solo execution.
     """
 
     def replica_ensemble(

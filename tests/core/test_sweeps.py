@@ -43,18 +43,6 @@ class TestSweepResultFormatting:
         assert points[0].contained
         assert not points[2].contained
 
-    def test_monotonicity_helper(self):
-        assert self.make().monotone_decreasing_slowdown()
-        increasing = SweepResult(
-            parameter_name="x",
-            baseline_time_to_half=1.0,
-            points=(
-                SweepPoint(parameter=0.0, time_to_half=1.0, slowdown=1.0),
-                SweepPoint(parameter=1.0, time_to_half=2.0, slowdown=2.0),
-            ),
-        )
-        assert not increasing.monotone_decreasing_slowdown()
-
 
 class TestBackboneRateSweep:
     def test_tighter_budget_slows_more(self):
@@ -64,7 +52,8 @@ class TestBackboneRateSweep:
             num_runs=2,
             max_ticks=400,
         )
-        assert result.monotone_decreasing_slowdown()
+        slowdowns = [point.slowdown for point in result.points]
+        assert all(a >= b - 1e-9 for a, b in zip(slowdowns, slowdowns[1:]))
         assert result.points[0].slowdown > 1.5
         assert result.points[-1].slowdown < result.points[0].slowdown
 

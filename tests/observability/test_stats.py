@@ -109,15 +109,17 @@ class TestNetworkHistograms:
 
     def test_histograms_cover_every_link_after_run(self):
         network = Network.from_powerlaw(120, seed=5)
-        FastWormSimulation(
+        simulation = FastWormSimulation(
             network,
             RandomScanWorm(),
             scan_rate=0.8,
             initial_infections=2,
             seed=5,
-        ).run(40)
-        queues = queue_histogram(network)
-        drops = drop_histogram(network)
+        )
+        simulation.run(40)
+        links = simulation.transport.link_arrays()
+        queues = histogram(links.peak)
+        drops = histogram(links.dropped)
         assert sum(queues.values()) == len(network.links)
         assert sum(drops.values()) == len(network.links)
         # A worm outbreak queues packets somewhere.

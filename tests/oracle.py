@@ -30,13 +30,17 @@ The per-tick pipeline follows the paper's ns-2 setup:
 :func:`repro.runner.build.execute_run` for the specs the exact engine
 runs.  The module also holds the host and link walks only the oracle
 and the tests read: state counts, rate-limited links, queued packets,
-the per-link histograms and the host scan throttle.
+the per-link histograms and the host scan throttle; and
+:func:`result_state`, which reads a finished run in one form whether
+the oracle left it on the network objects or an engine in its arrays.
 """
 
 from __future__ import annotations
 
 import random
 import time
+
+import numpy as np
 
 from repro.models.base import Trajectory
 from repro.observability.instrumentation import (
@@ -59,6 +63,7 @@ from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.worms import WormStrategy, scans_this_tick
 
 __all__ = [
+    "HOST_STATES",
     "ImmunizationProcess",
     "SamplingRecorder",
     "WormSimulation",
@@ -66,10 +71,12 @@ __all__ = [
     "count_states",
     "immunize",
     "infect",
+    "infected_at_row",
     "drop_histogram",
     "last_sample",
     "queue_histogram",
     "rate_limited_links",
+    "result_state",
     "run_oracle",
     "tick_throttle",
     "total_queued",
@@ -140,6 +147,82 @@ def queue_histogram(network: Network) -> dict[str, int]:
 def drop_histogram(network: Network) -> dict[str, int]:
     """Distribution of per-link drop-tail discard counts, from the links."""
     return histogram(link.stats.dropped for link in network.links.values())
+
+
+#: :class:`HostState` by the engines' status code.
+HOST_STATES = (HostState.SUSCEPTIBLE, HostState.INFECTED, HostState.IMMUNE)
+
+
+def result_state(network: Network, run=None) -> dict:
+    """Everything the results layer reads of a finished run.
+
+    ``"stats"`` holds the injected, delivered and dropped packet totals;
+    ``"hosts"`` maps each infectable node to its state and infection and
+    patch ticks; ``"links"`` maps each link key, in ``network.links``
+    order, to its forwarded, dropped, enqueued, peak, requeued and
+    residual queued counts.  Without ``run`` these are read off the
+    objects of a network the oracle ran on.  With a
+    :class:`~repro.simulator.fastpath.FastWormSimulation` or a vector
+    :class:`~repro.simulator.fastpath.vector.ReplicaState` they are
+    read from the run's host row and transport, in the same form.
+    """
+    if run is None:
+        stats = network.stats
+        return {
+            "stats": (
+                stats.packets_injected,
+                stats.packets_delivered,
+                stats.packets_dropped,
+            ),
+            "hosts": {
+                node: (host.state, host.infected_at, host.immunized_at)
+                for node, host in sorted(network.hosts.items())
+            },
+            "links": {
+                key: (
+                    link.stats.forwarded,
+                    link.stats.dropped,
+                    link.stats.enqueued,
+                    link.stats.peak_queue,
+                    link.stats.requeued,
+                    link.queue_length,
+                )
+                for key, link in network.links.items()
+            },
+        }
+    row = getattr(run, "replica", 0)
+    hosts = run.hosts
+    status, infected_at, immunized_at = (
+        array[row].tolist()
+        for array in (hosts.status, hosts.infected_at, hosts.immunized_at)
+    )
+    transport = run.transport
+    columns = zip(*(array.tolist() for array in transport.link_arrays()))
+    return {
+        "stats": (
+            transport.injected,
+            transport.delivered,
+            transport.dropped_total,
+        ),
+        "hosts": {
+            node: (
+                HOST_STATES[status[node]],
+                infected_at[node] if infected_at[node] >= 0 else None,
+                immunized_at[node] if immunized_at[node] >= 0 else None,
+            )
+            for node in network.infectable
+        },
+        "links": dict(zip(network.links, columns)),
+    }
+
+
+def infected_at_row(network: Network) -> np.ndarray:
+    """The hosts' infection ticks by node (-1: never), as engines keep them."""
+    row = np.full(network.topology.num_nodes, -1, dtype=np.int64)
+    for node, host in network.hosts.items():
+        if host.infected_at is not None:
+            row[node] = host.infected_at
+    return row
 
 
 def last_sample(
@@ -445,7 +528,9 @@ def run_oracle(
     )
     trajectory = simulation.run(spec.max_ticks)
     if spec.observe == "seed_subnets":
-        trajectory = build._seed_subnet_curve(network, spec.max_ticks)
+        trajectory = build._seed_subnet_curve(
+            network, infected_at_row(network), spec.max_ticks
+        )
     stats = network.stats
     metrics = RunMetrics(
         ticks_executed=simulation.ticks_executed,

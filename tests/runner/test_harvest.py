@@ -1,13 +1,14 @@
-"""Solo fast runs harvest their metrics from the transport's arrays.
+"""Fast runs harvest their results from the engines' arrays.
 
-``execute_run`` leaves a fast run's per-link state in the transport
-(``writeback="stats"``) and builds histograms from its folded arrays.
-These tests pin the served bytes of that harvest on one fig-4 seed
-column, every deployment plus figure 5's seed-subnet observable, on the
-mirror (``fast`` below 512 hosts) and on a width-1 vector group
-(``fast-batched``).  The digests were taken while a full writeback of
-each run onto the network, with packet totals and histograms read off
-``network.links``, still produced the same bytes.
+A run's results live in its host arrays and transport, never on the
+network it attacked.  These tests pin the served bytes of the harvest
+on one fig-4 seed column, every deployment plus figure 5's seed-subnet
+observable, on the mirror (``fast`` below 512 hosts) and on a width-1
+vector group (``fast-batched``).  The digests were taken while a full
+writeback of each run onto the network, with packet totals and
+histograms read off ``network.links``, still produced the same bytes.
+They also check that a finished run, on either engine and in a group,
+leaves the network as it was built.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 
 import pytest
 
+from repro.runner import build
 from repro.runner.build import execute_run
 from repro.runner.results import EnsembleResult
 from repro.runner.spec import (
@@ -28,7 +30,6 @@ from repro.runner.spec import (
     WormSpec,
 )
 from repro.service.protocol import result_payload
-from repro.simulator.fastpath import FastWormSimulation
 
 #: One fig-4 seed column at reduced scale (300 nodes, 150 ticks).
 _TEMPLATE = RunSpec(
@@ -98,21 +99,51 @@ def test_harvest_payload_bytes_are_pinned(engine, deployment):
     assert _digest(spec) == PINNED[f"{deployment}@{engine}"]
 
 
-def test_solo_run_leaves_links_unwritten(monkeypatch):
-    """Only the aggregate counters reach the network in a stats harvest."""
-    runs: list[FastWormSimulation] = []
-    original = FastWormSimulation.run
+def _as_built(network) -> tuple:
+    """What a run could leave on a network: hosts, links and totals.
 
-    def spy(self, max_ticks, **kwargs):
-        runs.append(self)
-        return original(self, max_ticks, **kwargs)
-
-    monkeypatch.setattr(FastWormSimulation, "run", spy)
-    result = execute_run(dataclasses.replace(_COLUMN["backbone"], engine="fast"))
-    network = runs[0].network
-    assert network.stats.packets_injected == result.metrics.packets_injected
-    assert all(
-        link.stats.forwarded == 0 and link.queue_length == 0
-        for link in network.links.values()
+    Buckets and throttles are left out: a quarantine that deploys on
+    the mirror installs its filters on the network it runs on.
+    """
+    return (
+        vars(network.stats),
+        [
+            (host.state, host.infected_at, host.immunized_at)
+            for host in network.hosts.values()
+        ],
+        [
+            (vars(link.stats), link.queue_length)
+            for link in network.links.values()
+        ],
     )
-    assert sum(result.metrics.queue_histogram.values()) == len(network.links)
+
+
+@pytest.mark.parametrize("engine", ["mirror", "width-1", "grouped"])
+@pytest.mark.parametrize("deployment", list(_COLUMN))
+def test_finished_runs_leave_the_network_as_built(
+    engine, deployment, monkeypatch
+):
+    """Runs read the network and keep their results to themselves."""
+    spec = dataclasses.replace(
+        _COLUMN[deployment],
+        topology=TopologySpec(num_nodes=300, seed=11),
+        engine="fast" if engine == "mirror" else "fast-batched",
+    )
+    networks = []
+    build_network = build.build_network
+
+    def recording_build_network(*args, **kwargs):
+        networks.append(build_network(*args, **kwargs))
+        return networks[-1]
+
+    monkeypatch.setattr(build, "build_network", recording_build_network)
+    if engine == "grouped":
+        ensemble = EnsembleSpec(template=spec, num_runs=3, base_seed=11)
+        results = build.execute_replica_batch(ensemble.expand())
+    else:
+        results = [build.execute_run(spec)]
+    (network,) = networks
+    fresh = build_network(spec.topology, run_seed=spec.seed)
+    build.apply_defense(fresh, spec.defense)
+    assert _as_built(network) == _as_built(fresh)
+    assert all(result.metrics.packets_injected for result in results)

@@ -123,14 +123,14 @@ class TestRouting:
                 # answered byte-identically from the shared store by
                 # the surviving sibling.
                 owner = int(job["id"].split("-", 1)[0][1:])
-                shards.set_address(owner, None)
+                shards._addresses[owner] = None
                 assert client.wait(job["id"], timeout=60) == payload
 
     def test_no_healthy_shard_is_503_with_retry_after(self, two_shards):
         shards, _ = two_shards
         with router_thread(shards) as front:
-            shards.set_address(0, None)
-            shards.set_address(1, None)
+            shards._addresses[0] = None
+            shards._addresses[1] = None
             with ServiceClient(port=front.port, timeout=60) as client:
                 with pytest.raises(Exception) as excinfo:
                     client.submit(spec_with("nobody-home"))
@@ -192,7 +192,7 @@ class TestIntrospection:
                 health = client.healthz()
                 assert health["router"] is True
                 assert health["alive"] == 2
-                shards.set_address(1, None)
+                shards._addresses[1] = None
                 health = client.healthz()
                 assert health["alive"] == 1
                 assert health["status"] == "ok"

@@ -11,7 +11,7 @@ from repro.simulator.fastpath.state import HostArrays
 from repro.simulator.immunization import ImmunizationPolicy
 from repro.simulator.nodes import HostState
 
-from ..oracle import infect
+from ..oracle import HOST_STATES, infect
 
 
 class TestPolicyValidation:
@@ -37,8 +37,8 @@ class TestPolicyValidation:
 
 
 class ArrayPatching:
-    """The engine's patching process on host arrays, written back to the
-    host objects after every step so the tests can read them."""
+    """The engine's patching process on host arrays, which the tests
+    read back through :meth:`state`."""
 
     def __init__(self, network, policy, rng):
         self.network = network
@@ -46,9 +46,11 @@ class ArrayPatching:
         self.process = FastImmunization(network, policy, rng)
 
     def step(self, tick, ever_infected):
-        patched = self.process.step(tick, ever_infected, self.hosts)
-        self.hosts.writeback()
-        return patched
+        return self.process.step(tick, ever_infected, self.hosts)
+
+    def state(self, node):
+        """The host's state in the arrays."""
+        return HOST_STATES[self.hosts.status_row[node]]
 
     def __getattr__(self, name):
         return getattr(self.process, name)
@@ -85,15 +87,15 @@ class TestProcess:
         policy = ImmunizationPolicy.at_tick(0, mu=1.0)
         process = ArrayPatching(star_network, policy, random.Random(0))
         process.step(0, ever_infected=1)
-        assert star_network.host(1).state is HostState.IMMUNE
+        assert process.state(1) is HostState.IMMUNE
 
     def test_patch_infected_false_spares_infected(self, star_network):
         infect(star_network.host(1), 0)
         policy = ImmunizationPolicy(mu=1.0, start_tick=0, patch_infected=False)
         process = ArrayPatching(star_network, policy, random.Random(0))
         process.step(0, ever_infected=1)
-        assert star_network.host(1).state is HostState.INFECTED
-        assert star_network.host(2).state is HostState.IMMUNE
+        assert process.state(1) is HostState.INFECTED
+        assert process.state(2) is HostState.IMMUNE
 
     def test_already_immune_not_recounted(self, star_network):
         policy = ImmunizationPolicy.at_tick(0, mu=1.0)

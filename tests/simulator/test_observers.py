@@ -8,7 +8,7 @@ import pytest
 from repro.models.base import ModelError, Trajectory
 from repro.simulator.observers import average_trajectories
 
-from ..oracle import SamplingRecorder, immunize, infect
+from ..oracle import SamplingRecorder, immunize, infect, infected_at_row
 
 
 class TestCurveRecorder:
@@ -95,7 +95,9 @@ class TestSubsetFractionCurve:
         infect(star_network.host(1), 2)
         infect(star_network.host(2), 5)
         ticks = np.arange(8, dtype=float)
-        curve = subset_fraction_curve(star_network, {1, 2, 3}, ticks)
+        curve = subset_fraction_curve(
+            star_network, infected_at_row(star_network), {1, 2, 3}, ticks
+        )
         assert curve[0] == 0.0
         assert curve[2] == pytest.approx(1 / 3)
         assert curve[5] == pytest.approx(2 / 3)
@@ -107,11 +109,18 @@ class TestSubsetFractionCurve:
         infect(star_network.host(1), 0)
         ticks = np.arange(3, dtype=float)
         # Node 0 is the hub (not infectable) and must not dilute the set.
-        curve = subset_fraction_curve(star_network, {0, 1}, ticks)
+        curve = subset_fraction_curve(
+            star_network, infected_at_row(star_network), {0, 1}, ticks
+        )
         assert curve[-1] == pytest.approx(1.0)
 
     def test_empty_subset_rejected(self, star_network):
         from repro.simulator.observers import subset_fraction_curve
 
         with pytest.raises(ModelError, match="no infectable"):
-            subset_fraction_curve(star_network, {0}, np.arange(3.0))
+            subset_fraction_curve(
+                star_network,
+                infected_at_row(star_network),
+                {0},
+                np.arange(3.0),
+            )

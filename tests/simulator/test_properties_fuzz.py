@@ -63,7 +63,7 @@ from repro.simulator.worms import (
 )
 from repro.topology.powerlaw import barabasi_albert
 
-from ..oracle import WormSimulation, count_states, run_oracle
+from ..oracle import WormSimulation, count_states, result_state, run_oracle
 from .test_routing_differential import parent_matrix
 
 #: Tolerance for accumulated float error in token arithmetic; matches
@@ -114,7 +114,7 @@ def test_limited_links_respect_budget_on_both_engines(rate, seed, ticks):
     for engine_cls, kwargs in (
         (WormSimulation, {"seed": seed}),
         (FastWormSimulation, {"seed": seed}),
-        # Batch sampling: a width-1 vector group, written back in full.
+        # Batch sampling: a width-1 vector group.
         (VectorReplicaSimulation, {"seeds": [seed]}),
     ):
         network = Network.from_powerlaw(80, seed=3)
@@ -126,15 +126,24 @@ def test_limited_links_respect_budget_on_both_engines(rate, seed, ticks):
             initial_infections=2,
             **kwargs,
         )
+        links: dict = {}
         if engine_cls is VectorReplicaSimulation:
-            simulation.run(ticks, lambda _replica, _state: None)
+            simulation.run(
+                ticks,
+                lambda _replica, state: links.update(
+                    result_state(network, state)["links"]
+                ),
+            )
         else:
             simulation.run(ticks)
-        for link in network.links.values():
+            links = result_state(
+                network, simulation if engine_cls is FastWormSimulation else None
+            )["links"]
+        for key, link in network.links.items():
             if not link.is_rate_limited:
                 continue
             budget = link.bucket.rate * ticks + link.bucket.burst
-            assert link.stats.forwarded <= budget + TOKEN_EPSILON, (
+            assert links[key][0] <= budget + TOKEN_EPSILON, (
                 engine_cls.__name__,
                 kwargs,
                 (link.src, link.dst),
@@ -256,10 +265,11 @@ def test_mirror_mode_is_bit_identical_on_random_scenarios(scenario):
     traj_f = sim_f.run(50)
     np.testing.assert_array_equal(traj_r.infected, traj_f.infected)
     np.testing.assert_array_equal(traj_r.ever_infected, traj_f.ever_infected)
-    assert count_states(net_r) == count_states(net_f)
-    assert net_r.stats.packets_injected == net_f.stats.packets_injected
-    assert net_r.stats.packets_delivered == net_f.stats.packets_delivered
-    assert net_r.stats.packets_dropped == net_f.stats.packets_dropped
+    hosts_f = sim_f.hosts
+    assert count_states(net_r) == (
+        hosts_f.susceptible, hosts_f.infected, hosts_f.immune
+    )
+    assert result_state(net_r)["stats"] == result_state(net_f, sim_f)["stats"]
 
 
 @given(

@@ -28,6 +28,8 @@ from repro.simulator.immunization import ImmunizationPolicy
 from repro.simulator.network import Network
 from repro.simulator.worms import RandomScanWorm
 
+from ..oracle import result_state
+
 TICKS = 40
 
 
@@ -35,33 +37,13 @@ def _network() -> Network:
     return Network.from_powerlaw(60, seed=5)
 
 
-def _state(network: Network) -> tuple:
-    hosts = tuple(
-        (
-            network.hosts[node].state,
-            network.hosts[node].infected_at,
-            network.hosts[node].immunized_at,
-        )
-        for node in network.infectable
-    )
+def _state(network: Network, sim: ReplicaState) -> tuple:
+    state = result_state(network, sim)
+    hosts = tuple(state["hosts"].values())
     links = tuple(
-        (
-            key,
-            link.stats.forwarded,
-            link.stats.dropped,
-            link.stats.enqueued,
-            link.stats.peak_queue,
-        )
-        for key, link in sorted(network.links.items())
+        (key, *counts[:4]) for key, counts in sorted(state["links"].items())
     )
-    stats = network.stats
-    return (
-        hosts,
-        links,
-        stats.packets_injected,
-        stats.packets_delivered,
-        stats.packets_dropped,
-    )
+    return (hosts, links, *state["stats"])
 
 
 def _harvest_tuple(network: Network, sim: ReplicaState) -> tuple:
@@ -72,7 +54,7 @@ def _harvest_tuple(network: Network, sim: ReplicaState) -> tuple:
         # Tick-0 die-outs have a one-sample recorder; the stamps below
         # still capture everything the run left behind.
         trajectory = ()
-    return (trajectory, _state(network))
+    return (trajectory, _state(network, sim))
 
 
 def _vector_batch(seeds, *, mu=None, start=1):

@@ -1,13 +1,13 @@
-"""Regression: runs that die at tick 0 still write back host stamps.
+"""Regression: runs that die at tick 0 still leave their host stamps.
 
 An immunization policy with ``mu=1.0`` starting at tick 0 patches the
 whole population on the very first tick, so the epidemic is over after
 one recorder sample and ``Trajectory`` construction fails with
-:class:`~repro.models.base.ModelError`.  The mirror engine (and the
-vector engine, solo or grouped) must have written the ``infected_at`` /
-``immunized_at`` stamps back onto the network *before* that failure —
-exactly what the reference oracle leaves behind — or post-mortem inspection
-of die-outs silently reads stale hosts.
+:class:`~repro.models.base.ModelError`.  The mirror engine's host arrays
+(and a vector replica's host row, solo or grouped) must hold the
+``infected_at`` / ``immunized_at`` stamps after that failure — exactly
+what the reference oracle leaves on the host objects — or post-mortem
+inspection of die-outs silently reads stale hosts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.simulator import (
 )
 from repro.simulator.fastpath import VectorReplicaSimulation
 
-from ..oracle import WormSimulation
+from ..oracle import WormSimulation, result_state
 
 #: Patch everyone (including the infected seeds) on tick 0.
 KILL_ALL = ImmunizationPolicy.at_tick(0, 1.0)
@@ -32,15 +32,8 @@ MAX_TICKS = 40
 SEEDS = (11, 12, 13)
 
 
-def _stamps(network: Network) -> dict:
-    return {
-        node: (
-            network.hosts[node].state,
-            network.hosts[node].infected_at,
-            network.hosts[node].immunized_at,
-        )
-        for node in network.infectable
-    }
+def _stamps(network: Network, run=None) -> dict:
+    return result_state(network, run)["hosts"]
 
 
 def _powerlaw() -> Network:
@@ -70,7 +63,9 @@ def _run(engine_cls, seed: int, make_network=_powerlaw, **kwargs):
     )
     with pytest.raises(ModelError):
         simulation.run(MAX_TICKS)
-    return _stamps(network)
+    if engine_cls is WormSimulation:
+        return _stamps(network)
+    return _stamps(network, simulation)
 
 
 @pytest.mark.parametrize("scan_mode", ["mirror", "batch"])
@@ -106,11 +101,11 @@ def _replica_batch_stamps(make_network, seeds=SEEDS) -> dict:
 
     def harvest(replica, sim):
         # The one-sample trajectory is unbuildable; the stamps must be
-        # on the network anyway.
+        # in the replica's host row anyway.
         with pytest.raises(ModelError):
             sim.trajectory()
         assert replica not in harvested
-        harvested[replica] = _stamps(network)
+        harvested[replica] = _stamps(network, sim)
 
     batch.run(MAX_TICKS, harvest)
     assert sorted(harvested) == list(range(len(seeds)))
@@ -118,12 +113,12 @@ def _replica_batch_stamps(make_network, seeds=SEEDS) -> dict:
 
 
 def test_tick0_dieout_replica_batch_writes_back_stamps():
-    """Every replica of a batch dying at tick 0 is still written back.
+    """Every replica of a batch dying at tick 0 still keeps its stamps.
 
     Every replica dies on the very first tick, so the replica engine's
     finished-detection fires for the whole batch at once: each replica
-    must still flush its pending-store packets, write its stamps back,
-    and reach its harvest callback exactly once.
+    must still drop its pending-store packets, keep its stamps, and
+    reach its harvest callback exactly once.
     """
     harvested = _replica_batch_stamps(_powerlaw)
     for replica, seed in enumerate(SEEDS):

@@ -183,9 +183,8 @@ class TestThrottleDetector:
             ))
         assert INTERNAL in detector.quarantined
         assert any(isinstance(e, Verdict) for e in events)
-        stats = detector.stats_for(INTERNAL)
-        assert stats is not None and stats.delayed > 0
-        assert detector.stats_for(INTERNAL + 1) is None
+        assert detector._throttles[INTERNAL].stats.delayed > 0
+        assert INTERNAL + 1 not in detector._throttles
 
     def test_slow_contacts_never_flag(self):
         detector = ThrottleDetector(
@@ -241,7 +240,8 @@ class TestDetectionEngine:
                 "failure-ratio", internal=small_trace.is_internal,
             ),
         ])
-        engine.feed_many(TraceReplayStream(small_trace))
+        for record in TraceReplayStream(small_trace):
+            engine.feed(record)
         engine.finish()
         assert engine.flows == len(small_trace)
         quarantined = engine.quarantined()

@@ -78,7 +78,13 @@ from repro.simulator.fastpath.state import (
 )
 from repro.simulator.nodes import HostState
 
-from .oracle import WormSimulation, count_states, last_sample, total_queued
+from .oracle import (
+    WormSimulation,
+    count_states,
+    last_sample,
+    result_state,
+    total_queued,
+)
 
 GRID_PATH = Path(__file__).parent / "golden" / "replica_grid.json"
 
@@ -236,36 +242,26 @@ class TestMirrorBitIdentical:
         np.testing.assert_array_equal(ref.ever_infected, fast.ever_infected)
 
     def test_network_state_identical(self, pair, scenario):
-        (net_r, _, _, _), (net_f, _, _, _) = pair
-        assert count_states(net_r) == count_states(net_f)
-        assert total_queued(net_r) == total_queued(net_f)
+        (net_r, _, _, _), (net_f, sim_f, _, _) = pair
+        state_r = result_state(net_r)
+        state_f = result_state(net_f, sim_f)
+        hosts_f = sim_f.hosts
+        assert count_states(net_r) == (
+            hosts_f.susceptible, hosts_f.infected, hosts_f.immune
+        )
+        assert total_queued(net_r) == sum(
+            link[5] for link in state_f["links"].values()
+        )
         for node in net_r.infectable:
-            host_r, host_f = net_r.hosts[node], net_f.hosts[node]
-            assert host_r.state == host_f.state, node
-            assert host_r.infected_at == host_f.infected_at, node
-            assert host_r.immunized_at == host_f.immunized_at, node
+            assert state_r["hosts"][node] == state_f["hosts"][node], node
 
     def test_packet_accounting_identical(self, pair, scenario):
-        (net_r, _, _, _), (net_f, _, _, _) = pair
-        stats_r, stats_f = net_r.stats, net_f.stats
-        assert stats_r.packets_injected == stats_f.packets_injected
-        assert stats_r.packets_delivered == stats_f.packets_delivered
-        assert stats_r.packets_dropped == stats_f.packets_dropped
+        (net_r, _, _, _), (net_f, sim_f, _, _) = pair
+        state_r = result_state(net_r)
+        state_f = result_state(net_f, sim_f)
+        assert state_r["stats"] == state_f["stats"]
         for key in net_r.links:
-            link_r, link_f = net_r.links[key].stats, net_f.links[key].stats
-            assert (
-                link_r.forwarded,
-                link_r.dropped,
-                link_r.enqueued,
-                link_r.peak_queue,
-                link_r.requeued,
-            ) == (
-                link_f.forwarded,
-                link_f.dropped,
-                link_f.enqueued,
-                link_f.peak_queue,
-                link_f.requeued,
-            ), key
+            assert state_r["links"][key] == state_f["links"][key], key
 
     def test_telemetry_identical(self, pair, scenario):
         (_, _, _, instr_r), (_, _, _, instr_f) = pair
@@ -655,36 +651,6 @@ _REPLICA_SEEDS = (201, 202, 203, 204)
 _REPLICA_TICKS = 70
 
 
-def _result_state(network: Network) -> dict:
-    """Everything the results layer reads off a finished network."""
-    return {
-        "stats": (
-            network.stats.packets_injected,
-            network.stats.packets_delivered,
-            network.stats.packets_dropped,
-        ),
-        "hosts": {
-            node: (
-                network.hosts[node].state,
-                network.hosts[node].infected_at,
-                network.hosts[node].immunized_at,
-            )
-            for node in network.infectable
-        },
-        "links": {
-            key: (
-                link.stats.forwarded,
-                link.stats.dropped,
-                link.stats.enqueued,
-                link.stats.peak_queue,
-                link.stats.requeued,
-                link.queue_length,
-            )
-            for key, link in network.links.items()
-        },
-    }
-
-
 def _trajectory_tuple(trajectory) -> tuple:
     return (
         tuple(trajectory.times),
@@ -764,7 +730,7 @@ def _vector_batch(scenario, seeds, instrumentation=None):
     def harvest(replica, sim):
         harvested[replica] = (
             _trajectory_tuple(sim.trajectory()),
-            _result_state(network),
+            result_state(network, sim),
             _deployed_at(sim.quarantine),
         )
 

@@ -65,15 +65,15 @@ def build_and_run(seed, worm_kind, defense, immunize, scan_rate):
         lan_delivery=True,
         seed=seed,
     )
-    return simulation.run(60), network
+    return simulation.run(60), simulation
 
 
 class TestOutbreakInvariants:
     @given(outbreak_configs())
     @settings(max_examples=25, deadline=None)
     def test_conservation_and_bounds(self, config):
-        trajectory, network = build_and_run(*config)
-        n = network.num_infectable
+        trajectory, simulation = build_and_run(*config)
+        n = simulation.network.num_infectable
         # S + I + R == N at every sample.
         total = (
             trajectory.susceptible + trajectory.infected + trajectory.removed
@@ -100,10 +100,10 @@ class TestOutbreakInvariants:
     @given(outbreak_configs())
     @settings(max_examples=15, deadline=None)
     def test_packet_accounting(self, config):
-        _, network = build_and_run(*config)
-        stats = network.stats
-        assert stats.packets_delivered <= stats.packets_injected
-        assert stats.packets_dropped >= 0
+        _, simulation = build_and_run(*config)
+        transport = simulation.transport
+        assert transport.delivered <= transport.injected
+        assert transport.dropped_total >= 0
 
 
 class TestTraceCsvFuzz:

@@ -8,6 +8,19 @@ from repro.traces.records import HostClass, Protocol, TraceError
 from repro.traces.synth import INTERNAL_BASE, TraceConfig, generate_trace
 
 
+def records_from(trace, host: int) -> list:
+    """All records originated by ``host``."""
+    return [r for r in trace if r.src == host]
+
+
+def inbound_records(trace) -> list:
+    """Records entering the network (external src, internal dst)."""
+    return [
+        r for r in trace
+        if not trace.is_internal(r.src) and trace.is_internal(r.dst)
+    ]
+
+
 class TestConfig:
     def test_defaults_match_paper_census(self):
         config = TraceConfig()
@@ -59,7 +72,7 @@ class TestGeneration:
 
     def test_blaster_hosts_scan_dcom_port(self, small_trace):
         for host in small_trace.hosts_of_class(HostClass.WORM_BLASTER):
-            records = small_trace.records_from(host)
+            records = records_from(small_trace, host)
             dcom = [r for r in records if r.dst_port == 135 and r.tcp_syn]
             assert len(dcom) > 50
             # Sequential scanning: destinations mostly distinct.
@@ -69,7 +82,7 @@ class TestGeneration:
         welchia = small_trace.hosts_of_class(HostClass.WORM_WELCHIA)
         echoes = {
             host: sum(
-                1 for r in small_trace.records_from(host)
+                1 for r in records_from(small_trace, host)
                 if r.protocol is Protocol.ICMP and r.icmp_echo
             )
             for host in welchia
@@ -81,7 +94,7 @@ class TestGeneration:
         lookups = 0
         syns = 0
         for host in normal:
-            for r in small_trace.records_from(host):
+            for r in records_from(small_trace, host):
                 if r.protocol is Protocol.UDP and r.dst_port == 53:
                     lookups += 1
                 elif r.tcp_syn:
@@ -91,10 +104,10 @@ class TestGeneration:
     def test_servers_inbound_dominated(self, small_trace):
         for host in small_trace.hosts_of_class(HostClass.SERVER):
             inbound = sum(
-                1 for r in small_trace.inbound_records() if r.dst == host
+                1 for r in inbound_records(small_trace) if r.dst == host
             )
             outbound_initiated = sum(
-                1 for r in small_trace.records_from(host)
+                1 for r in records_from(small_trace, host)
                 if r.initiates_contact
             )
             assert inbound > outbound_initiated
@@ -102,7 +115,7 @@ class TestGeneration:
     def test_worm_traffic_dwarfs_normal_per_host(self, small_trace):
         def initiated(host: int) -> int:
             return sum(
-                1 for r in small_trace.records_from(host)
+                1 for r in records_from(small_trace, host)
                 if r.initiates_contact
             )
 

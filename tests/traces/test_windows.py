@@ -44,14 +44,9 @@ class TestWindowCounts:
         with pytest.raises(TraceError):
             counts.percentile(0.0)
 
-    def test_fraction_at_or_below(self):
-        counts = WindowCounts(5.0, Refinement.ALL, (0, 1, 2, 3))
-        assert counts.fraction_of_time_at_or_below(1) == 0.5
-
     def test_empty(self):
         counts = WindowCounts(5.0, Refinement.ALL, ())
         assert counts.max() == 0
-        assert counts.fraction_of_time_at_or_below(0) == 1.0
 
 
 class TestCountContacts:
