@@ -1422,10 +1422,12 @@ class VectorReplicaSimulation:
                 if depth2[r].any():
                     # Close the lazy high-water marks of rate-limited
                     # links and record the residual depths; the packets
-                    # themselves leave the stores below.
+                    # themselves leave the stores below.  Nothing writes
+                    # a finished replica's depth row again, so the
+                    # transport keeps a view, not a copy per replica.
                     lim = t.limited_arr
                     peak2[r, lim] = np.maximum(peak2[r, lim], depth2[r, lim])
-                    t.waiting = depth2[r].copy()
+                    t.waiting = depth2[r]
                 exact.discard(r)
                 harvest(r, state)
             if finished.size:
