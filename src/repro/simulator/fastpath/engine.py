@@ -213,7 +213,6 @@ class FastWormSimulation:
         self._sim.on(Phase.IMMUNIZE, self._immunize_phase)
         self._sim.on(Phase.OBSERVE, self._observe_phase)
         self._sim.add_stop_condition(self._epidemic_over)
-        self._final_tick = 0
 
     # ------------------------------------------------------------------
     # Phases
@@ -307,7 +306,6 @@ class FastWormSimulation:
         self.recorder.record_counts(
             tick, hosts.susceptible, hosts.infected, hosts.immune
         )
-        self._final_tick = tick
         instr = self.instrumentation
         if instr is not None and instr.sink is not None:
             transport = self.transport

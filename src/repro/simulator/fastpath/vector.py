@@ -311,7 +311,6 @@ class ReplicaState:
         "quarantine",
         "transport",
         "instrumentation",
-        "final_tick",
         "ticks_executed",
         "_population",
         "_tally",
@@ -339,7 +338,6 @@ class ReplicaState:
         self.quarantine = quarantine
         self.transport = transport
         self.instrumentation = instrumentation
-        self.final_tick = 0
         #: Ticks this replica ran (replicas stop individually); set
         #: when it finishes.
         self.ticks_executed = 0
@@ -1414,7 +1412,6 @@ class VectorReplicaSimulation:
                 t.injected += int(injected_arr[r])
                 t.delivered += int(delivered_arr[r])
                 t.dropped_total += int(dropped_arr[r])
-                state.final_tick = tick
                 state.ticks_executed = tick + 1
                 instr = state.instrumentation
                 if instr is not None and instr.profile:
