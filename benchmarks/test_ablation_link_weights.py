@@ -26,7 +26,9 @@ from repro.simulator.packet import Packet, PacketKind
 def run_mixed_load(weighted: bool, *, ticks: int = 60, seed: int = 5):
     """Drive worm-scale load plus legitimate pairs; return delivery stats."""
     network = Network.from_powerlaw(1000, seed=seed)
-    deploy_backbone_rate_limit(network, 0.05, weighted=weighted)
+    network.install_plan(
+        deploy_backbone_rate_limit(network, 0.05, weighted=weighted)
+    )
     rng = random.Random(seed)
     hosts = network.infectable
     legit_sent = legit_arrived = 0

@@ -27,8 +27,7 @@ def run_case(worm_factory, *, dynamic: bool, predeploy: bool, num_runs: int = 5)
     for i in range(num_runs):
         seed = 90 + i
         network = Network.from_powerlaw(1000, seed=seed)
-        if predeploy:
-            deploy_backbone_rate_limit(network, 0.02)
+        plan = deploy_backbone_rate_limit(network, 0.02) if predeploy else None
         quarantine = None
         if dynamic:
             quarantine = DynamicQuarantine(
@@ -42,6 +41,7 @@ def run_case(worm_factory, *, dynamic: bool, predeploy: bool, num_runs: int = 5)
             scan_rate=1.6,
             initial_infections=5,
             lan_delivery=True,
+            defense=plan,
             quarantine=quarantine,
             seed=seed,
         )

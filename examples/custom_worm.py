@@ -59,8 +59,8 @@ def run_case(defended: bool, worm_kind: str, num_runs: int = 5) -> Trajectory:
     for i in range(num_runs):
         seed = 100 + i
         network = Network.from_powerlaw(1000, seed=seed)
-        if defended:
-            deploy_backbone_rate_limit(network, 0.02)
+        # A deployer returns a plan; the engine applies it to its arrays.
+        plan = deploy_backbone_rate_limit(network, 0.02) if defended else None
         if worm_kind == "hit_list":
             rng = random.Random(seed)
             hit_list = rng.sample(
@@ -75,6 +75,7 @@ def run_case(defended: bool, worm_kind: str, num_runs: int = 5) -> Trajectory:
             scan_rate=0.8,
             initial_infections=5,
             lan_delivery=True,
+            defense=plan,
             seed=seed,
         )
         runs.append(simulation.run(400))

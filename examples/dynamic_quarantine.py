@@ -5,7 +5,10 @@ A random-scanning worm probes mostly unused address space; a network
 telescope watching a slice of that dark space notices the scan spike; an
 anomaly detector declares an outbreak; and — after a configurable human/
 operational reaction delay — backbone rate-limiting filters deploy
-mid-outbreak.  The sweep below shows what every tick of hesitation costs.
+mid-outbreak.  The response is a deployer: when the loop triggers, the
+engine asks it for a plan and applies the plan to its own arrays, so the
+network stays as built.  The sweep below shows what every tick of
+hesitation costs.
 
 Run:  python examples/dynamic_quarantine.py
 """

@@ -21,7 +21,7 @@ from ..models.base import Trajectory
 from ..observability.instrumentation import Instrumentation, InstrumentationOptions
 from ..observability.stats import histogram
 from ..simulator.defense import (
-    DefenseDescriptor,
+    DefensePlan,
     deploy_backbone_rate_limit,
     deploy_edge_rate_limit,
     deploy_host_rate_limit,
@@ -92,8 +92,8 @@ def build_worm(spec: WormSpec) -> WormStrategy:
     return SequentialScanWorm(hit_probability=spec.hit_probability)
 
 
-def apply_defense(network: Network, spec: DefenseSpec) -> DefenseDescriptor:
-    """Deploy the filters a spec describes onto a freshly built network."""
+def apply_defense(network: Network, spec: DefenseSpec) -> DefensePlan:
+    """The plan of the filters a spec describes, for ``network``."""
     if spec.kind == "none":
         return no_defense(network)
     if spec.kind == "hosts":
@@ -203,9 +203,9 @@ def execute_run(
     """
     start = time.perf_counter()
     network = build_network(spec.topology, run_seed=spec.seed)
-    descriptor = apply_defense(network, spec.defense)
+    plan = apply_defense(network, spec.defense)
     if _batch_sampled(spec, network):
-        return _run_vector([spec], network, descriptor, options, start)[0]
+        return _run_vector([spec], network, plan, options, start)[0]
     instrumentation = Instrumentation.from_options(options)
     quarantine = (
         build_quarantine(spec.quarantine)
@@ -222,6 +222,7 @@ def execute_run(
         initial_infections=spec.initial_infections,
         immunization=spec.immunization,
         lan_delivery=spec.lan_delivery,
+        defense=plan,
         quarantine=quarantine,
         seed=spec.seed,
         instrumentation=instrumentation,
@@ -240,9 +241,9 @@ def execute_run(
         spec=spec,
         trajectory=trajectory,
         metrics=metrics,
-        defense_name=descriptor.name,
-        limited_links=descriptor.limited_links,
-        throttled_hosts=descriptor.throttled_hosts,
+        defense_name=plan.name,
+        limited_links=plan.limited_links,
+        throttled_hosts=plan.throttled_hosts,
         trace=_trace(instrumentation),
     )
 
@@ -250,12 +251,13 @@ def execute_run(
 def _run_vector(
     specs: Sequence[RunSpec],
     network: Network,
-    descriptor: DefenseDescriptor,
+    plan: DefensePlan,
     options: InstrumentationOptions | None,
     start: float,
 ) -> list[RunResult]:
     """Run specs differing only by seed as one vector group on ``network``.
 
+    ``plan`` is the static defense every replica runs under.
     ``wall_time`` reports the time since ``start`` split evenly over the
     group (per-replica attribution inside an interleaved tick loop would
     be noise anyway); a width-1 group keeps its whole build and run.
@@ -281,6 +283,7 @@ def _run_vector(
         initial_infections=template.initial_infections,
         immunization=template.immunization,
         lan_delivery=template.lan_delivery,
+        defense=plan,
         quarantine_factory=quarantine_factory,
         instrumentation=instrumentation,
     )
@@ -311,9 +314,9 @@ def _run_vector(
                 spec=spec,
                 trajectory=trajectory,
                 metrics=dataclasses.replace(metrics, wall_time=per_run),
-                defense_name=descriptor.name,
-                limited_links=descriptor.limited_links,
-                throttled_hosts=descriptor.throttled_hosts,
+                defense_name=plan.name,
+                limited_links=plan.limited_links,
+                throttled_hosts=plan.throttled_hosts,
                 trace=_trace(state.instrumentation),
             )
         )
@@ -361,5 +364,5 @@ def execute_replica_batch(
 
     start = time.perf_counter()
     network = build_network(template.topology, run_seed=template.seed)
-    descriptor = apply_defense(network, template.defense)
-    return _run_vector(specs, network, descriptor, options, start)
+    plan = apply_defense(network, template.defense)
+    return _run_vector(specs, network, plan, options, start)

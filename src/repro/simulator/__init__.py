@@ -1,15 +1,16 @@
 """Tick-driven packet-level worm simulator (the ns-2 substitute).
 
-Build a :class:`Network` (star or power-law), optionally deploy a defense
-from :mod:`repro.simulator.defense`, then run a
-:class:`FastWormSimulation`, the exact engine (the vector engine in
-:mod:`repro.simulator.fastpath` batch-samples large ensembles).  Seeded
-multi-run ensembles are described and averaged by :mod:`repro.runner`.
+Build a :class:`Network` (star or power-law), optionally plan a defense
+with :mod:`repro.simulator.defense`, then run a
+:class:`FastWormSimulation` on the network and the plan, the exact
+engine (the vector engine in :mod:`repro.simulator.fastpath`
+batch-samples large ensembles).  Seeded multi-run ensembles are
+described and averaged by :mod:`repro.runner`.
 """
 
 from .dynamic import DynamicQuarantine
 from .defense import (
-    DefenseDescriptor,
+    DefensePlan,
     deploy_backbone_rate_limit,
     deploy_edge_rate_limit,
     deploy_host_rate_limit,
@@ -21,7 +22,7 @@ from .fastpath import FastWormSimulation
 from .immunization import ImmunizationPolicy
 from .links import DirectedLink, LinkStats, TokenBucket
 from .network import Network, NetworkStats
-from .nodes import Host, HostError, HostState
+from .nodes import Host, HostState
 from .observers import CurveRecorder, average_trajectories
 from .packet import Packet, PacketKind
 from .routing import RoutingTables
@@ -36,7 +37,7 @@ from .worms import (
 )
 
 __all__ = [
-    "DefenseDescriptor",
+    "DefensePlan",
     "deploy_backbone_rate_limit",
     "deploy_edge_rate_limit",
     "deploy_host_rate_limit",
@@ -52,7 +53,6 @@ __all__ = [
     "Network",
     "NetworkStats",
     "Host",
-    "HostError",
     "HostState",
     "CurveRecorder",
     "average_trajectories",

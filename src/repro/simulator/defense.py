@@ -1,8 +1,11 @@
 """Rate-limiting deployment strategies (who gets the filters).
 
-Each function configures a :class:`~repro.simulator.network.Network` for
-one of the paper's deployment cases and returns a small descriptor for the
-experiment reports.  Strategies:
+Each deployer reads a :class:`~repro.simulator.network.Network` for one
+of the paper's deployment cases and returns a :class:`DefensePlan`: which
+links, forwarding nodes and hosts get a filter, and at what rate.  A
+deployer installs nothing; the engines take the plan as input next to
+the network, and :meth:`Network.install_plan` puts one on the network's
+link and host objects for the typed-packet sweep.  Strategies:
 
 * :func:`no_defense` — baseline.
 * :func:`deploy_host_rate_limit` — filters on a fraction ``q`` of end
@@ -19,13 +22,16 @@ experiment reports.  Strategies:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..topology.graphs import TopologyError
 from .network import Network
 
 __all__ = [
-    "DefenseDescriptor",
+    "DefensePlan",
+    "filter_columns",
     "no_defense",
     "deploy_host_rate_limit",
     "deploy_hub_rate_limit",
@@ -33,20 +39,59 @@ __all__ = [
     "deploy_backbone_rate_limit",
 ]
 
+#: One filter: ``(key, rate, burst)``, a token bucket's configuration.
+Filter = tuple[int, float, float]
+
+
+def _filter(key: int, rate: float) -> Filter:
+    """A filter of ``rate`` per tick with a fresh bucket's default burst."""
+    rate = float(rate)
+    return (key, rate, rate + 1.0)
+
 
 @dataclass(frozen=True)
-class DefenseDescriptor:
-    """What was deployed, for labeling experiment outputs."""
+class DefensePlan:
+    """One deployment as data: which filters go where, at what rate.
 
+    Every filter is a ``(key, rate, burst)`` token-bucket configuration,
+    each starting empty where it is applied.
+    """
+
+    #: Label the run results report.
     name: str
-    limited_links: int = 0
-    throttled_hosts: int = 0
-    parameters: dict[str, float] = field(default_factory=dict)
+    #: Rate-limited links, keyed by routing slot, ascending: the link
+    #: order of :class:`~repro.simulator.routing.RoutingTables` and the
+    #: engines' transport layout.
+    links: tuple[Filter, ...] = ()
+    #: Node forwarding budgets, keyed by node, ascending.
+    budgets: tuple[Filter, ...] = ()
+    #: Host scan throttles, keyed by node, ascending.
+    throttles: tuple[Filter, ...] = ()
+
+    @property
+    def limited_links(self) -> int:
+        """Directed links the plan rate-limits."""
+        return len(self.links)
+
+    @property
+    def throttled_hosts(self) -> int:
+        """Hosts whose outgoing scans the plan throttles."""
+        return len(self.throttles)
 
 
-def no_defense(network: Network) -> DefenseDescriptor:
+def filter_columns(
+    filters: tuple[Filter, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Filters as the engines index them: keys, rates and bursts."""
+    keys = np.array([key for key, _, _ in filters], dtype=np.int64)
+    rates = np.array([rate for _, rate, _ in filters], dtype=float)
+    bursts = np.array([burst for _, _, burst in filters], dtype=float)
+    return keys, rates, bursts
+
+
+def no_defense(network: Network) -> DefensePlan:
     """Baseline: no filters anywhere."""
-    return DefenseDescriptor(name="no_rl")
+    return DefensePlan(name="no_rl")
 
 
 def deploy_host_rate_limit(
@@ -55,8 +100,8 @@ def deploy_host_rate_limit(
     rate: float,
     *,
     seed: int | None = None,
-) -> DefenseDescriptor:
-    """Install outgoing-scan throttles on a random ``fraction`` of hosts.
+) -> DefensePlan:
+    """Throttle the outgoing scans of a random ``fraction`` of hosts.
 
     The filtered hosts' worm scans are capped at ``rate`` per tick (a
     token bucket), matching the ``beta2`` of the analytical model; their
@@ -71,13 +116,58 @@ def deploy_host_rate_limit(
     population = list(network.infectable)
     count = round(fraction * len(population))
     chosen = rng.sample(population, count) if count else []
-    for node in chosen:
-        network.host(node).install_throttle(rate)
-    return DefenseDescriptor(
+    return DefensePlan(
         name=f"host_rl_{int(round(fraction * 100))}pct",
-        throttled_hosts=len(chosen),
-        parameters={"fraction": fraction, "rate": rate},
+        throttles=tuple(_filter(node, rate) for node in sorted(chosen)),
     )
+
+
+def _link_plan(
+    network: Network,
+    name: str,
+    pairs,
+    base_rate: float,
+    weighted: bool,
+    budgets: tuple[Filter, ...] = (),
+) -> DefensePlan:
+    """Rate-limit the directed links ``(u, v)`` in ``pairs``.
+
+    When ``weighted`` is true each direction's capacity is
+    ``base_rate * link_weight`` — the paper's scheme: "compute a link
+    weight that is proportional to the number of routing table entries the
+    link occupies [and] multiply this weight to the base rate", so the
+    most utilized links get the highest throughput and normal traffic is
+    mostly unharmed.  A small floor of ``0.1 * base_rate`` keeps barely
+    used links usable.  A link listed twice is limited once.
+    """
+    if base_rate <= 0:
+        raise ValueError(f"base_rate must be positive, got {base_rate}")
+    routing = network.routing
+    # A neighbor's shortest path is the direct link, so u's next link
+    # toward v is the slot of u→v.
+    rows = routing.link_rows
+    limits: dict[int, float] = {}
+    for u, v in pairs:
+        slot = rows[v][u]
+        if slot in limits:
+            continue
+        if weighted:
+            weight = routing.link_weight(u, v)
+            limits[slot] = max(base_rate * weight, 0.1 * base_rate)
+        else:
+            limits[slot] = base_rate
+    return DefensePlan(
+        name=name,
+        links=tuple(_filter(slot, limits[slot]) for slot in sorted(limits)),
+        budgets=budgets,
+    )
+
+
+def _both_ways(router: int, neighbors):
+    """Both directions of the links from ``router`` to ``neighbors``."""
+    for neighbor in neighbors:
+        yield router, neighbor
+        yield neighbor, router
 
 
 def deploy_hub_rate_limit(
@@ -85,7 +175,7 @@ def deploy_hub_rate_limit(
     *,
     link_rate: float,
     hub_budget: float,
-) -> DefenseDescriptor:
+) -> DefensePlan:
     """Star-topology hub filters: per-link ``gamma`` + node budget ``beta``.
 
     Mirrors the paper's star simulation ("we limited the links to 10
@@ -101,57 +191,13 @@ def deploy_hub_rate_limit(
     if not network.roles.edge_routers:
         raise TopologyError("hub rate limiting needs a hub (edge router)")
     hub = network.roles.edge_routers[0]
-    limited = 0
-    for neighbor in network.topology.neighbors(hub):
-        network.set_link_rate(hub, neighbor, link_rate)
-        network.set_link_rate(neighbor, hub, link_rate)
-        limited += 2
-    network.set_node_forward_budget(hub, hub_budget)
-    return DefenseDescriptor(
-        name="hub_rl",
-        limited_links=limited,
-        parameters={"link_rate": link_rate, "hub_budget": hub_budget},
-    )
-
-
-def _deploy_router_limits(
-    network: Network,
-    routers: tuple[int, ...],
-    base_rate: float,
-    weighted: bool,
-    name: str,
-) -> DefenseDescriptor:
-    """Rate-limit every link incident to ``routers``.
-
-    When ``weighted`` is true each direction's capacity is
-    ``base_rate * link_weight`` — the paper's scheme: "compute a link
-    weight that is proportional to the number of routing table entries the
-    link occupies [and] multiply this weight to the base rate", so the
-    most utilized links get the highest throughput and normal traffic is
-    mostly unharmed.  A small floor of ``0.1 * base_rate`` keeps barely
-    used links usable.
-    """
-    if base_rate <= 0:
-        raise ValueError(f"base_rate must be positive, got {base_rate}")
-    limited = 0
-    seen: set[tuple[int, int]] = set()
-    for router in routers:
-        for neighbor in network.topology.neighbors(router):
-            for u, v in ((router, neighbor), (neighbor, router)):
-                if (u, v) in seen:
-                    continue
-                seen.add((u, v))
-                if weighted:
-                    weight = network.routing.link_weight(u, v)
-                    rate = max(base_rate * weight, 0.1 * base_rate)
-                else:
-                    rate = base_rate
-                network.set_link_rate(u, v, rate)
-                limited += 1
-    return DefenseDescriptor(
-        name=name,
-        limited_links=limited,
-        parameters={"base_rate": base_rate},
+    return _link_plan(
+        network,
+        "hub_rl",
+        _both_ways(hub, network.topology.neighbors(hub)),
+        link_rate,
+        False,
+        budgets=(_filter(hub, hub_budget),),
     )
 
 
@@ -160,7 +206,7 @@ def deploy_edge_rate_limit(
     base_rate: float,
     *,
     weighted: bool = True,
-) -> DefenseDescriptor:
+) -> DefensePlan:
     """Rate-limit edge routers' subnet-boundary links (Section 5.2).
 
     An edge-router filter polices traffic *entering or leaving* the
@@ -171,37 +217,16 @@ def deploy_edge_rate_limit(
     """
     if not network.roles.edge_routers:
         raise TopologyError("network has no edge routers to deploy on")
-    if base_rate <= 0:
-        raise ValueError(f"base_rate must be positive, got {base_rate}")
     subnets = network.subnets
-    limited = 0
-    seen: set[tuple[int, int]] = set()
+    pairs = []
     for router in network.roles.edge_routers:
-        own_subnet = (
-            subnets.subnet_of[router] if subnets is not None else -1
-        )
-        for neighbor in network.topology.neighbors(router):
-            if (
-                subnets is not None
-                and subnets.subnet_of[neighbor] == own_subnet
-            ):
-                continue  # intra-subnet link: the filter never sees it
-            for u, v in ((router, neighbor), (neighbor, router)):
-                if (u, v) in seen:
-                    continue
-                seen.add((u, v))
-                if weighted:
-                    weight = network.routing.link_weight(u, v)
-                    rate = max(base_rate * weight, 0.1 * base_rate)
-                else:
-                    rate = base_rate
-                network.set_link_rate(u, v, rate)
-                limited += 1
-    return DefenseDescriptor(
-        name="edge_rl",
-        limited_links=limited,
-        parameters={"base_rate": base_rate},
-    )
+        neighbors = network.topology.neighbors(router)
+        if subnets is not None:
+            # Intra-subnet links: the filter never sees them.
+            own = subnets.subnet_of[router]
+            neighbors = [n for n in neighbors if subnets.subnet_of[n] != own]
+        pairs.extend(_both_ways(router, neighbors))
+    return _link_plan(network, "edge_rl", pairs, base_rate, weighted)
 
 
 def deploy_backbone_rate_limit(
@@ -209,10 +234,11 @@ def deploy_backbone_rate_limit(
     base_rate: float,
     *,
     weighted: bool = True,
-) -> DefenseDescriptor:
+) -> DefensePlan:
     """Rate-limit all links incident to backbone routers (Section 5.3)."""
     if not network.roles.backbone:
         raise TopologyError("network has no backbone routers to deploy on")
-    return _deploy_router_limits(
-        network, network.roles.backbone, base_rate, weighted, "backbone_rl"
-    )
+    pairs = []
+    for router in network.roles.backbone:
+        pairs.extend(_both_ways(router, network.topology.neighbors(router)))
+    return _link_plan(network, "backbone_rl", pairs, base_rate, weighted)

@@ -21,6 +21,11 @@ Usage::
                              scan_rate=1.6, quarantine=quarantine, seed=1)
     curve = sim.run(300)
     print(quarantine.deployed_at)
+
+The loop only decides *when* to deploy.  The response is a deployer
+that returns a :class:`~repro.simulator.defense.DefensePlan`; the engine
+that runs the loop computes the plan and applies it to its own state,
+so the network stays as built.
 """
 
 from __future__ import annotations
@@ -28,13 +33,13 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
-from .defense import DefenseDescriptor
+from .defense import DefensePlan
 from .network import Network
 from .telescope import ScanDetector, Telescope
 
 __all__ = ["DynamicQuarantine"]
 
-Response = Callable[[Network], DefenseDescriptor]
+Response = Callable[[Network], DefensePlan]
 
 
 class DynamicQuarantine:
@@ -43,9 +48,8 @@ class DynamicQuarantine:
     Parameters
     ----------
     response:
-        Deployment function run against the network when the quarantine
-        triggers (any of the :mod:`repro.simulator.defense` deployers,
-        partially applied).
+        The deployment to engage when the quarantine triggers: any of
+        the :mod:`repro.simulator.defense` deployers, partially applied.
     telescope:
         Dark-space monitor; defaults to a /8-equivalent telescope.
     detector:
@@ -67,12 +71,16 @@ class DynamicQuarantine:
             raise ValueError(
                 f"reaction_delay must be non-negative, got {reaction_delay}"
             )
-        self.response = response
+        self._response = response
         self.telescope = telescope if telescope is not None else Telescope()
         self.detector = detector if detector is not None else ScanDetector()
         self.reaction_delay = reaction_delay
         self.deployed_at: int | None = None
-        self.descriptor: DefenseDescriptor | None = None
+
+    @property
+    def response(self) -> Response:
+        """The deployer whose plan engages when the loop triggers."""
+        return self._response
 
     @property
     def detected_at(self) -> int | None:
@@ -89,14 +97,13 @@ class DynamicQuarantine:
         """Called by the simulation for every scan that hit dark space."""
         self.telescope.observe_missed_scan(rng)
 
-    def step(self, tick: int, network: Network) -> bool:
-        """Run one tick of the control loop; True if filters deployed now."""
+    def step(self, tick: int) -> bool:
+        """Run one tick of the control loop; True if the response engages now."""
         self.telescope.end_tick()
         self.detector.update(tick, self.telescope)
         if self.is_deployed or not self.detector.has_detected:
             return False
         if tick < self.detector.report.detected_at + self.reaction_delay:
             return False
-        self.descriptor = self.response(network)
         self.deployed_at = tick
         return True

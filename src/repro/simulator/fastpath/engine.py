@@ -18,14 +18,16 @@ paper's ns-2-style tick pipeline on a
 Host state lives in :class:`~repro.simulator.fastpath.state.HostArrays`
 (:attr:`FastWormSimulation.hosts`) and packet transport in
 :class:`~repro.simulator.fastpath.transport.MirrorTransport`
-(:attr:`FastWormSimulation.transport`); they are also where a finished
-run's results are read, since the network is only the run's input.  A
-run is a pure function of its arguments and seed: it draws from the run
-RNG in the order of the object-per-host formulation — one host object
-per host, one packet object per scan — that the test suite keeps as its
-oracle (``tests/oracle.py``) and matches bit for bit: trajectories,
-traces, counters, final host and link state.  Batch-sampled runs go
-through :class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`
+(:attr:`FastWormSimulation.transport`), built from the network and the
+static defense plan; a quarantine's plan deploys onto them, and they
+are where a finished run's results are read, since the network is only
+the run's input.  A run is a pure function of its arguments and seed:
+it draws from the run RNG in the order of the object-per-host
+formulation — one host object per host, one packet object per scan —
+that the test suite keeps as its oracle (``tests/oracle.py``) and
+matches bit for bit: trajectories, traces, counters, final host and
+link state.  Batch-sampled runs go through
+:class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`
 instead.
 
 The draw order:
@@ -52,6 +54,7 @@ import random
 from ...models.base import Trajectory
 from ...observability.instrumentation import Instrumentation
 from ...observability.trace import tick_record
+from ..defense import DefensePlan
 from ..dynamic import DynamicQuarantine
 from ..engine import Phase, TickSimulation
 from ..immunization import ImmunizationPolicy
@@ -127,7 +130,7 @@ class FastWormSimulation:
     Parameters
     ----------
     network:
-        The (already defense-configured) network to attack.
+        The network to attack.
     worm:
         Target-selection strategy.
     scan_rate:
@@ -143,11 +146,14 @@ class FastWormSimulation:
         — the reason edge-router filters never see intra-subnet worm
         traffic (Sections 5.2/5.4).  Leave false for the star topology,
         where the hub *is* the local interconnect being rate limited.
+    defense:
+        Optional static :class:`~repro.simulator.defense.DefensePlan`,
+        in force from tick 0.
     quarantine:
         Optional :class:`~repro.simulator.dynamic.DynamicQuarantine`
         control loop: missed scans feed its telescope, and once its
-        detector fires (plus reaction delay) its response deploys filters
-        mid-run.
+        detector fires (plus reaction delay) its response's plan
+        deploys mid-run.
     seed:
         Seed for this run's private RNG; same seed, same run.
     instrumentation:
@@ -167,6 +173,7 @@ class FastWormSimulation:
         initial_infections: int = 1,
         immunization: ImmunizationPolicy | None = None,
         lan_delivery: bool = False,
+        defense: DefensePlan | None = None,
         quarantine: DynamicQuarantine | None = None,
         seed: int | None = None,
         instrumentation: Instrumentation | None = None,
@@ -186,8 +193,8 @@ class FastWormSimulation:
         self.rng = random.Random(seed)
         self.recorder = CurveRecorder(network)
         self.instrumentation = instrumentation
-        self.hosts = HostArrays(network)
-        self.transport = MirrorTransport(network)
+        self.hosts = HostArrays(network, defense=defense)
+        self.transport = MirrorTransport(network, defense)
         #: LAN ring: scans land in ``_lan_pending`` and rotate to
         #: ``_lan_ready`` at transmit, delivering one tick later.
         self._lan_pending: list[int] = []
@@ -290,12 +297,12 @@ class FastWormSimulation:
         self._arrived = []
 
     def _immunize_phase(self, tick: int) -> None:
-        if self.quarantine is not None:
-            if self.quarantine.step(tick, self.network):
-                # Filters just deployed onto the network objects; fold
-                # the new buckets/budgets into the array mirrors.
-                self.hosts.sync_throttles()
-                self.transport.sync_limits()
+        quarantine = self.quarantine
+        if quarantine is not None and quarantine.step(tick):
+            plan = quarantine.response(self.network)
+            self.hosts.register_latent_throttles(plan.throttles)
+            self.hosts.activate_latent(0)
+            self.transport.apply_limit_plan(plan)
         if self.immunization is not None:
             self.immunization.step(
                 tick, self.recorder.ever_infected, self.hosts

@@ -16,17 +16,20 @@ across rows.  The scalar mutation API
 the row views (``status_row``, ``throttle_tokens``) serve the mirror
 engine's single run and address row 0.
 
-The arrays are synced *from* the network's host objects at construction
-(and the throttles re-synced when a dynamic quarantine deploys filters
-mid-run) and are the only place a run's host state lives: the host
-objects keep their built state, and results — compartment counts,
-``infected_at`` curves — are read from the arrays.
+The arrays are built from the network's host objects as built and
+from the static defense plan's throttles, and a quarantine plan adds
+its throttles per row when it deploys (:meth:`HostArrays.
+register_latent_throttles`, :meth:`HostArrays.activate_latent`).  They
+are the only place a run's host state lives: the host objects keep
+their built state, and results — compartment counts, ``infected_at``
+curves — are read from the arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..defense import DefensePlan, filter_columns
 from ..network import Network
 from ..nodes import HostState
 
@@ -52,7 +55,12 @@ _CODE_OF = {
 class HostArrays:
     """Replica-batched flat-array mirror of a network's host population."""
 
-    def __init__(self, network: Network, replicas: int = 1) -> None:
+    def __init__(
+        self,
+        network: Network,
+        replicas: int = 1,
+        defense: DefensePlan | None = None,
+    ) -> None:
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.network = network
@@ -97,17 +105,27 @@ class HostArrays:
         self._row = self.status[0]
         self._inf_row = self.infected_at[0]
         self._imm_row = self.immunized_at[0]
-        # Throttle mirror (see sync_throttles).
-        self.throttle_pos: dict[int, int] = {}
-        self._throttle_buckets: list = []
-        self._t_rate = np.zeros((replicas, 0))
-        self._t_burst = np.zeros((replicas, 0))
-        self._t_tokens = np.zeros((replicas, 0))
-        self._t_active = np.zeros((replicas, 0), dtype=bool)
+        # Scan throttles: one column per throttled host, the static
+        # plan's first (ascending by node), then any a quarantine plan
+        # registers.  ``throttle_pos_arr`` is the vectorized twin of
+        # ``throttle_pos``: each node's column, -1 for unthrottled nodes.
+        nodes, rates, bursts = filter_columns(
+            defense.throttles if defense is not None else ()
+        )
+        count = nodes.size
+        self.throttle_pos: dict[int, int] = {
+            node: pos for pos, node in enumerate(nodes.tolist())
+        }
+        self.throttle_pos_arr = np.full(n, -1, dtype=np.int64)
+        self.throttle_pos_arr[nodes] = np.arange(count)
+        self._t_rate = np.tile(rates, (replicas, 1))
+        self._t_burst = np.tile(bursts, (replicas, 1))
+        self._t_tokens = np.zeros((replicas, count))
+        self._t_active = np.ones((replicas, count), dtype=bool)
         self._latent_cols = np.zeros(0, dtype=np.int64)
         self._latent_rate = np.zeros(0)
         self._latent_burst = np.zeros(0)
-        self.sync_throttles()
+        self._load_throttle_views()
 
     @property
     def status_row(self) -> np.ndarray:
@@ -250,71 +268,17 @@ class HostArrays:
     # Scan throttles (Williamson host filters)
     # ------------------------------------------------------------------
 
-    def sync_throttles(self) -> None:
-        """Mirror every host's scan-throttle bucket into flat arrays.
-
-        Called at construction and again when a mid-run quarantine
-        response installs new filters.  A bucket whose object identity is
-        unchanged keeps the token balance the fast engine accrued for it
-        (the network-side object is never updated mid-run); new buckets
-        adopt their own (freshly zero) token count.  Token balances are
-        per replica: each existing bucket's whole token *column* carries
-        over.
-        """
-        previous = {
-            id(bucket): self._t_tokens[:, pos].copy()
-            for pos, bucket in enumerate(self._throttle_buckets)
-            if bucket is not None
-        }
-        replicas = self.replicas
-        nodes: list[int] = []
-        buckets: list = []
-        for node in self.network.infectable:
-            bucket = self.network.hosts[node].scan_throttle
-            if bucket is not None:
-                nodes.append(node)
-                buckets.append(bucket)
-        self.throttle_pos = {node: pos for pos, node in enumerate(nodes)}
-        #: Vectorized twin of ``throttle_pos``: position per node, -1 for
-        #: unthrottled nodes (batch scan path).
-        self.throttle_pos_arr = np.full(
-            self.network.topology.num_nodes, -1, dtype=np.int64
-        )
-        if nodes:
-            self.throttle_pos_arr[nodes] = np.arange(len(nodes))
-        self._throttle_buckets = buckets
-        count = len(buckets)
-        self._t_rate = np.tile(
-            np.array([b.rate for b in buckets], dtype=float), (replicas, 1)
-        )
-        self._t_burst = np.tile(
-            np.array([b.burst for b in buckets], dtype=float), (replicas, 1)
-        )
-        self._t_tokens = np.empty((replicas, count))
-        for pos, bucket in enumerate(buckets):
-            column = previous.get(id(bucket))
-            self._t_tokens[:, pos] = (
-                column if column is not None else bucket.tokens
-            )
-        self._t_active = np.ones((replicas, count), dtype=bool)
-        self._latent_cols = np.zeros(0, dtype=np.int64)
-        self._latent_rate = np.zeros(0)
-        self._latent_burst = np.zeros(0)
-        self._load_throttle_views()
-
     def register_latent_throttles(
-        self, entries: list[tuple[int, float, float]]
+        self, entries: tuple[tuple[int, float, float], ...]
     ) -> None:
         """Pre-allocate throttle columns a quarantine plan *may* deploy.
 
-        ``entries`` is ``[(node, rate, burst), ...]`` — the host filters
-        one captured deployment of the quarantine response would
-        install.  Columns for nodes without an existing bucket start
+        ``entries`` is the plan's ``(node, rate, burst)`` host
+        throttles.  Columns for nodes without a throttle yet start
         inactive (no refill, no clamping) so undeployed replicas behave
         as unthrottled; :meth:`activate_latent` flips one replica's
-        columns live with fresh-bucket semantics (zero tokens, plan
-        rate/burst), exactly what a real deploy plus ``sync_throttles``
-        would produce.
+        columns live with fresh-bucket semantics: zero tokens, the
+        plan's rate and burst.
         """
         new_nodes = [
             node for node, _, _ in entries if node not in self.throttle_pos
@@ -336,16 +300,11 @@ class HostArrays:
                 axis=1,
             )
             for node in new_nodes:
-                pos = len(self._throttle_buckets)
-                self._throttle_buckets.append(None)
+                pos = len(self.throttle_pos)
                 self.throttle_pos[node] = pos
                 self.throttle_pos_arr[node] = pos
-        self._latent_cols = np.array(
-            [self.throttle_pos[node] for node, _, _ in entries],
-            dtype=np.int64,
-        )
-        self._latent_rate = np.array([rate for _, rate, _ in entries])
-        self._latent_burst = np.array([burst for _, _, burst in entries])
+        nodes, self._latent_rate, self._latent_burst = filter_columns(entries)
+        self._latent_cols = self.throttle_pos_arr[nodes]
         self._load_throttle_views()
 
     def activate_latent(self, replica: int) -> None:

@@ -12,7 +12,10 @@ Mirrors :meth:`Network.transmit_tick` over flat arrays:
   a tick only touches links that can actually move packets;
 * token buckets and forwarding budgets are plain floats updated with the
   same operation sequence (refill once per tick, one subtraction per
-  packet, same 1e-12 epsilon), so rate-limit behavior is bit-identical.
+  packet, same 1e-12 epsilon), so rate-limit behavior is bit-identical;
+  they come from defense plans, never from the network: the static
+  plan's in the :class:`TransportLayout` template, a quarantine plan's
+  through :meth:`FastTransport.apply_limit_plan` when it deploys.
 
 Three ways move packets:
 
@@ -25,8 +28,8 @@ Three ways move packets:
   onto a higher-indexed link (one the sweep has not reached yet);
   counters are bincounts, and the packets left waiting are sorted into
   the FIFO order the per-packet sweep would give them.  The first limit,
-  budget, :meth:`~FastTransport.hold` or drop risk hands them to the
-  deques, and the transport stays on the per-packet sweep.
+  budget or drop risk hands them to the deques, and the transport stays
+  on the per-packet sweep.
 * **The per-packet sweep**, :meth:`FastTransport.transmit_tick`,
   reproduces the object-model sweep
   (:meth:`~repro.simulator.network.Network.transmit_tick`) packet for
@@ -60,6 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..defense import DefensePlan, filter_columns, no_defense
 from ..network import Network
 
 __all__ = ["FastTransport", "LinkArrays", "MirrorTransport", "TransportLayout"]
@@ -84,21 +88,18 @@ class LinkArrays(NamedTuple):
 class TransportLayout:
     """The immutable, shareable half of a :class:`FastTransport`.
 
-    Link ordering, routing tables, queue capacities, and the *initial*
-    rate-limit/budget mirror are pure functions of the network as built
-    (topology + static defense); every replica of a vectorized ensemble
+    Link ordering, routing tables, queue capacities, and the static
+    defense plan's rate-limit and budget templates are pure functions of
+    the network and the plan; every replica of a vectorized ensemble
     transports packets over the same network, so one layout serves all
     of them.  Mutable per-replica state (queues, counters, token
     balances) stays in :class:`FastTransport`, which copies the cheap
     arrays and references the expensive ones.
-
-    Build the layout *after* static defenses are applied and *before*
-    any dynamic deploy — the same point in time at which a mirror run's
-    ``FastTransport(network)`` builds the identical state.
     """
 
-    def __init__(self, network: Network) -> None:
-        self.network = network
+    def __init__(
+        self, network: Network, defense: DefensePlan | None = None
+    ) -> None:
         n = network.topology.num_nodes
         self.n = n
         routing = network.routing
@@ -132,32 +133,30 @@ class TransportLayout:
                 count=count,
             ),
         )
-        # Rate-limit template: the network's bucket/budget state at
-        # layout time, which each transport copies instead of re-reading
-        # the links (sync_limits semantics with no prior token state).
-        buckets = [network.links[key].bucket for key in keys]
-        self.link_buckets = buckets
-        self.limited = [bucket is not None for bucket in buckets]
-        self.limited_arr = np.array(self.limited, dtype=bool)
-        self.l_rate = np.array(
-            [b.rate if b is not None else 0.0 for b in buckets]
-        )
-        self.l_burst = np.array(
-            [b.burst if b is not None else 0.0 for b in buckets]
-        )
-        self.l_tokens0 = np.array(
-            [b.tokens if b is not None else 0.0 for b in buckets]
-        )
+        # Rate-limit template: the static plan's links, each bucket
+        # starting empty; unlimited links carry zero rate and burst.
+        if defense is None:
+            defense = no_defense(network)
+        slots, rates, bursts = filter_columns(defense.links)
+        self.limited_arr = np.zeros(count, dtype=bool)
+        self.limited_arr[slots] = True
+        self.limited = self.limited_arr.tolist()
+        self.l_rate = np.zeros(count)
+        self.l_rate[slots] = rates
+        self.l_burst = np.zeros(count)
+        self.l_burst[slots] = bursts
         self.limited_idx = np.flatnonzero(self.limited_arr)
-        self.budget_buckets = dict(network.forward_budgets)
+        #: Node forwarding budgets: ``node -> (rate, burst)``.
+        self.budgets = {
+            node: (rate, burst) for node, rate, burst in defense.budgets
+        }
 
 
 class FastTransport:
     """Array-backed packet transport over a network's links.
 
-    Pass ``layout`` to share one :class:`TransportLayout` across many
-    transports (the vector engine's replicas); omit it for the mirror
-    engine's single run, which builds a private layout from the network.
+    One :class:`TransportLayout` may serve many transports (the vector
+    engine's replicas); the mirror engine's single run builds its own.
     """
 
     #: Per-link count of packets left waiting outside the deques, in
@@ -165,12 +164,7 @@ class FastTransport:
     #: finishes.
     waiting: np.ndarray | None = None
 
-    def __init__(
-        self, network: Network, layout: TransportLayout | None = None
-    ) -> None:
-        self.network = network
-        if layout is None:
-            layout = TransportLayout(network)
+    def __init__(self, layout: TransportLayout) -> None:
         self.layout = layout
         self.keys = layout.keys
         count = len(self.keys)
@@ -201,112 +195,37 @@ class FastTransport:
         self.nonempty_u: set[int] = set()
         self.nonempty_l: set[int] = set()
         self.link_rows = layout.link_rows
-        # Rate-limit state: the layout's template — exactly what
-        # sync_limits would mirror from the network with no prior token
-        # state (new buckets adopt their own token counts).  Everything
-        # except the token balance is shared copy-on-write: the only
-        # in-place mutators (apply_limit_plan) and wholesale rebuilders
-        # (sync_limits) replace these attributes first, so a thousand
-        # replicas sharing one template never alias a write.
-        self._link_buckets = layout.link_buckets
+        # Rate-limit state: the layout's template.  Everything except
+        # the token balances is shared copy-on-write: the only in-place
+        # mutator (apply_limit_plan) replaces these attributes first, so
+        # a thousand replicas sharing one template never alias a write.
         self.limited = layout.limited
         self.limited_arr = layout.limited_arr
         self.l_rate = layout.l_rate
         self.l_burst = layout.l_burst
-        self.l_tokens = layout.l_tokens0.copy()
+        self.l_tokens = np.zeros(count)
         self._limited_idx = layout.limited_idx
-        self._budget_buckets: dict[int, object] = dict(layout.budget_buckets)
         self.budget_rate = {
-            node: bucket.rate
-            for node, bucket in self._budget_buckets.items()
+            node: rate for node, (rate, _) in layout.budgets.items()
         }
         self.budget_burst = {
-            node: bucket.burst
-            for node, bucket in self._budget_buckets.items()
+            node: burst for node, (_, burst) in layout.budgets.items()
         }
-        self.budget_tokens = {
-            node: bucket.tokens
-            for node, bucket in self._budget_buckets.items()
-        }
+        self.budget_tokens = dict.fromkeys(layout.budgets, 0.0)
 
     # ------------------------------------------------------------------
     # Rate-limit configuration
     # ------------------------------------------------------------------
 
-    def sync_limits(self) -> None:
-        """Mirror link buckets and node forwarding budgets into arrays.
+    def apply_limit_plan(self, plan: DefensePlan) -> None:
+        """Deploy a quarantine plan on this transport, network untouched.
 
-        Called at construction and after a mid-run quarantine deploy.
-        Buckets whose object identity is unchanged keep the token balance
-        this transport accrued (the network-side objects are not updated
-        during a fast run); newly installed buckets adopt their own
-        (freshly zero) token count.
+        Each of the plan's links and budgets gets a fresh, empty bucket
+        (replacing any the static plan put there), and links already
+        holding packets are re-bucketed into the limited set.
         """
-        old_tokens = {
-            id(bucket): tokens
-            for bucket, tokens in zip(self._link_buckets, self.l_tokens)
-            if bucket is not None
-        }
-        network = self.network
-        buckets = [network.links[key].bucket for key in self.keys]
-        self._link_buckets = buckets
-        self.limited = [bucket is not None for bucket in buckets]
-        self.limited_arr = np.array(self.limited, dtype=bool)
-        self.l_rate = np.array(
-            [b.rate if b is not None else 0.0 for b in buckets]
-        )
-        self.l_burst = np.array(
-            [b.burst if b is not None else 0.0 for b in buckets]
-        )
-        self.l_tokens = np.array(
-            [
-                old_tokens.get(id(b), b.tokens) if b is not None else 0.0
-                for b in buckets
-            ]
-        )
-        self._limited_idx = np.flatnonzero(self.limited_arr)
-        # A deploy may have installed buckets on links that already hold
-        # queued packets; re-bucket the non-empty sets to match.
-        occupied = self.nonempty_u | self.nonempty_l
-        self.nonempty_l = {li for li in occupied if self.limited[li]}
-        self.nonempty_u = occupied - self.nonempty_l
-        old_budget_tokens = {
-            id(bucket): self.budget_tokens[node]
-            for node, bucket in self._budget_buckets.items()
-            if node in self.budget_tokens
-        }
-        self._budget_buckets = dict(network.forward_budgets)
-        self.budget_rate = {}
-        self.budget_burst = {}
-        self.budget_tokens = {}
-        for node, bucket in self._budget_buckets.items():
-            self.budget_rate[node] = bucket.rate
-            self.budget_burst[node] = bucket.burst
-            self.budget_tokens[node] = old_budget_tokens.get(
-                id(bucket), bucket.tokens
-            )
-
-    def apply_limit_plan(
-        self,
-        link_idx: np.ndarray,
-        rates: np.ndarray,
-        bursts: np.ndarray,
-        budgets: dict[int, tuple[float, float]],
-    ) -> None:
-        """Install a captured quarantine deployment, network untouched.
-
-        The replica engine records one real deploy of the quarantine
-        response as a *plan* (link indices + rates, node budgets) and
-        undoes it; each replica that triggers its own quarantine replays
-        the plan here.  Semantically identical to deploying onto the
-        network and calling :meth:`sync_limits`: fresh buckets start at
-        zero tokens, links already holding packets are re-bucketed into
-        the limited set.  (The ``_link_buckets``/``_budget_buckets``
-        identity mirrors are *not* updated — they only serve
-        ``sync_limits``'s token carry-over, which the plan path never
-        invokes mid-run.)
-        """
-        if link_idx.size:
+        slots, rates, bursts = filter_columns(plan.links)
+        if slots.size:
             # Un-share the copy-on-write rate-limit template before the
             # first in-place write (see __init__).
             layout = self.layout
@@ -319,17 +238,17 @@ class FastTransport:
             if self.l_burst is layout.l_burst:
                 self.l_burst = layout.l_burst.copy()
             limited = self.limited
-            for li in link_idx.tolist():
+            for li in slots.tolist():
                 limited[li] = True
-            self.limited_arr[link_idx] = True
-            self.l_rate[link_idx] = rates
-            self.l_burst[link_idx] = bursts
-            self.l_tokens[link_idx] = 0.0
+            self.limited_arr[slots] = True
+            self.l_rate[slots] = rates
+            self.l_burst[slots] = bursts
+            self.l_tokens[slots] = 0.0
             self._limited_idx = np.flatnonzero(self.limited_arr)
             occupied = self.nonempty_u | self.nonempty_l
             self.nonempty_l = {li for li in occupied if limited[li]}
             self.nonempty_u = occupied - self.nonempty_l
-        for node, (rate, burst) in budgets.items():
+        for node, rate, burst in plan.budgets:
             self.budget_rate[node] = rate
             self.budget_burst[node] = burst
             self.budget_tokens[node] = 0.0
@@ -538,16 +457,18 @@ class MirrorTransport(FastTransport):
     before the tick wait in two lists.
 
     The switch to the per-packet sweep is one-way: the first rate limit
-    or budget (:meth:`sync_limits`, :meth:`apply_limit_plan`), the first
-    :meth:`hold`, or an injection that would bring the packets in flight
-    up to the smallest queue bound puts the waiting packets into the
-    deques in the per-packet sweep's FIFO order, and every later tick
-    runs :meth:`FastTransport.transmit_tick`.
+    or budget (in the static plan, or one :meth:`apply_limit_plan`
+    deploys) or an injection that would bring the packets in flight up
+    to the smallest queue bound puts the waiting packets into the deques
+    in the per-packet sweep's FIFO order, and every later tick runs
+    :meth:`FastTransport.transmit_tick`.
     """
 
-    def __init__(self, network: Network) -> None:
-        super().__init__(network)
-        layout = self.layout
+    def __init__(
+        self, network: Network, defense: DefensePlan | None = None
+    ) -> None:
+        layout = TransportLayout(network, defense)
+        super().__init__(layout)
         self._inj_src: list[int] = []
         self._inj_dst: list[int] = []
         #: Waiting packets of the array sweep; ``None`` once the
@@ -557,7 +478,7 @@ class MirrorTransport(FastTransport):
         #: Injections stay on the arrays while ``queued_total`` is below
         #: this; 0 sends every injection to the deques.
         self._room = 0
-        if not (layout.limited_idx.size or layout.budget_buckets):
+        if not (layout.limited_idx.size or layout.budgets):
             self._wait_link = self._wait_dst = np.empty(0, dtype=np.int64)
             self._room = layout.min_queue - 1
 
@@ -585,25 +506,10 @@ class MirrorTransport(FastTransport):
         for src, dst in pending:
             self.enqueue(self.link_rows[dst][src], dst)
 
-    def sync_limits(self) -> None:
-        super().sync_limits()
+    def apply_limit_plan(self, plan: DefensePlan) -> None:
+        super().apply_limit_plan(plan)
         if self._limited_idx.size or self.budget_tokens:
             self._to_deques()
-
-    def apply_limit_plan(
-        self,
-        link_idx: np.ndarray,
-        rates: np.ndarray,
-        bursts: np.ndarray,
-        budgets: dict[int, tuple[float, float]],
-    ) -> None:
-        super().apply_limit_plan(link_idx, rates, bursts, budgets)
-        if self._limited_idx.size or self.budget_tokens:
-            self._to_deques()
-
-    def hold(self, li: int, dsts: list[int]) -> None:
-        self._to_deques()
-        super().hold(li, dsts)
 
     @property
     def waiting(self) -> np.ndarray | None:

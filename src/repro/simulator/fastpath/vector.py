@@ -102,7 +102,7 @@ Node forwarding budgets
 -----------------------
 Budgets serialize per-packet decisions, so a budgeted replica moves its
 packets on the exact scalar sweep (:meth:`FastTransport.transmit_tick`).
-A replica is *budgeted* from tick 0 when the static defense installs
+A replica is *budgeted* from tick 0 when the static defense plan has
 budgets, or from the tick its quarantine deploys a plan with budgets.
 A budgeted replica's scan injections join its real queues, it skips the
 shared token refill and both waiting-packet stores, and it transmits on
@@ -111,12 +111,15 @@ infection, immunization, harvest) stays vectorized.
 
 Dynamic quarantine
 ------------------
-Replicas share one network, so a deploy cannot touch it: each replica
-whose detector fires replays a plan captured at construction
-(:mod:`.replicas`) onto its private row and transport, and the network
-is left undeployed.  Nor do results touch it: a replica's host stamps,
-link statistics and residual queue depths — everything the results
-layer reads — stay in its :class:`ReplicaState` (host rows, transport).
+A deploy is data, like the static defense: the group calls the
+quarantine response once, at construction, for its
+:class:`~repro.simulator.defense.DefensePlan`, and each replica whose
+detector fires deploys that plan on its private row and transport
+(:meth:`HostArrays.activate_latent`, :meth:`FastTransport.
+apply_limit_plan`), as a mirror run does.  Nor do results touch the
+network: a replica's host stamps, link statistics and residual queue
+depths — everything the results layer reads — stay in its
+:class:`ReplicaState` (host rows, transport).
 """
 
 from __future__ import annotations
@@ -130,12 +133,12 @@ import numpy as np
 from ...models.base import ModelError, Trajectory
 from ...observability.instrumentation import Instrumentation
 from ...observability.trace import tick_record
+from ..defense import DefensePlan, filter_columns
 from ..dynamic import DynamicQuarantine
 from ..engine import PHASE_NAMES, Phase
 from ..immunization import ImmunizationPolicy
 from ..network import Network
 from ..worms import LocalPreferentialWorm, RandomScanWorm, WormStrategy
-from .replicas import DeploymentPlan, capture_deployment_plan
 from .state import IMMUNE, INFECTED, SUSCEPTIBLE, HostArrays
 from .transport import FastTransport, TransportLayout
 
@@ -548,6 +551,8 @@ class VectorReplicaSimulation:
         :class:`DynamicQuarantine` (telescope + detector + response);
         called once per replica.  Each replica's control loop runs
         independently — detection tick and deployment are per replica.
+        The first loop's response is called once, at construction: it
+        is the plan every replica deploys.
     instrumentation:
         Optional per-replica :class:`Instrumentation` (one entry per
         seed, ``None`` entries allowed): scan/infection counters, tick
@@ -572,6 +577,7 @@ class VectorReplicaSimulation:
         initial_infections: int = 1,
         immunization: ImmunizationPolicy | None = None,
         lan_delivery: bool = False,
+        defense: DefensePlan | None = None,
         quarantine_factory: Callable[[], DynamicQuarantine] | None = None,
         instrumentation: Sequence[Instrumentation | None] | None = None,
     ) -> None:
@@ -596,23 +602,16 @@ class VectorReplicaSimulation:
         self.replicas = replicas
         self.lan_delivery = lan_delivery
         self._policy = immunization
-        # The layout templates the pre-deploy (static defenses only)
-        # rate-limit state, which the plan capture restores.
-        self.layout = TransportLayout(network)
+        # The layout templates the static defense; a quarantine's plan
+        # is computed once, here, and each replica whose own detector
+        # fires deploys it on its row and transport.
+        self.layout = TransportLayout(network, defense)
+        self.hosts = HostArrays(network, replicas, defense)
         quarantines: list[DynamicQuarantine | None] = [None] * replicas
-        self._plan: DeploymentPlan | None = None
+        self._plan: DefensePlan | None = None
         if quarantine_factory is not None:
             quarantines = [quarantine_factory() for _ in range(replicas)]
-            self._plan = capture_deployment_plan(
-                self.layout, quarantines[0].response
-            )
-            descriptor = self._plan.descriptor
-            for quarantine in quarantines:
-                # The replica replays the captured plan itself; the
-                # response just reports what "deployed".
-                quarantine.response = lambda _net: descriptor
-        self.hosts = HostArrays(network, replicas=replicas)
-        if self._plan is not None and self._plan.throttles:
+            self._plan = quarantines[0].response(network)
             self.hosts.register_latent_throttles(self._plan.throttles)
 
         # Scan parameters are scenario-determined, shared by replicas.
@@ -672,13 +671,12 @@ class VectorReplicaSimulation:
         # link_arrays, apply_limit_plan) address one memory.
         link_count = len(self.layout.keys)
         self._link_counts = np.zeros((4, replicas, link_count), dtype=np.int64)
-        # Only rate-limited links hold tokens; the rest stay zero pages.
-        limited = self.layout.limited_idx
+        # Every bucket starts empty; the unlimited links' columns stay
+        # zero pages.
         self._tokens = np.zeros((replicas, link_count))
-        self._tokens[:, limited] = self.layout.l_tokens0[limited]
         self.states: list[ReplicaState] = []
         for replica, gen in enumerate(gens):
-            t = FastTransport(network, layout=self.layout)
+            t = FastTransport(self.layout)
             t.fwd_vec, t.enq_vec, t.peak_vec, t.drop_vec = (
                 self._link_counts[:, replica]
             )
@@ -763,16 +761,15 @@ class VectorReplicaSimulation:
         burst_static = layout.l_burst[static_idx]
         plan_member = np.zeros(link_count, dtype=bool)
         dep_idx = static_idx
-        has_plan_links = plan is not None and plan.link_idx.size > 0
+        has_plan_links = plan is not None and bool(plan.links)
         if has_plan_links:
-            plan_member[plan.link_idx] = True
+            plan_idx, plan_rates, plan_bursts = filter_columns(plan.links)
+            plan_member[plan_idx] = True
             rate_all = layout.l_rate.copy()
             burst_all = layout.l_burst.copy()
-            rate_all[plan.link_idx] = plan.link_rates
-            burst_all[plan.link_idx] = plan.link_bursts
-            dep_idx = np.unique(
-                np.concatenate([static_idx, plan.link_idx])
-            )
+            rate_all[plan_idx] = plan_rates
+            burst_all[plan_idx] = plan_bursts
+            dep_idx = np.unique(np.concatenate([static_idx, plan_idx]))
         else:
             rate_all = layout.l_rate
             burst_all = layout.l_burst
@@ -789,7 +786,7 @@ class VectorReplicaSimulation:
         budgeted = np.zeros(replicas, dtype=bool)
         exact: set[int] = set()
         held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if layout.budget_buckets:
+        if layout.budgets:
             budgeted[:] = True
             exact.update(range(replicas))
 
@@ -829,7 +826,7 @@ class VectorReplicaSimulation:
         pending: list[tuple[np.ndarray, np.ndarray]] = []
         store = (
             LimitedStore(replicas * link_count)
-            if any_limited and not layout.budget_buckets
+            if any_limited and not layout.budgets
             else None
         )
 
@@ -1284,7 +1281,7 @@ class VectorReplicaSimulation:
             # -------------------- defense phase --------------------
             if quars[0] is not None:
                 for r in live_list:
-                    if quars[r].step(tick, network):
+                    if quars[r].step(tick):
                         t = transports[r]
                         if plan_budgets:
                             # The exact sweep takes over this replica's
@@ -1305,12 +1302,7 @@ class VectorReplicaSimulation:
                                     (keys[order], dsts[order])
                                 )
                         hosts.activate_latent(r)
-                        t.apply_limit_plan(
-                            plan.link_idx,
-                            plan.link_rates,
-                            plan.link_bursts,
-                            plan.budgets,
-                        )
+                        t.apply_limit_plan(plan)
                         deployed[r] = True
                         if plan_budgets:
                             budgeted[r] = True

@@ -131,12 +131,7 @@ class DirectedLink:
 
     @property
     def bucket(self) -> TokenBucket | None:
-        """The installed token bucket, or ``None`` if unlimited.
-
-        Exposed so the fast engine can mirror a link's exact bucket
-        configuration (and detect mid-run changes by identity) without
-        reaching into private state.
-        """
+        """The installed token bucket, or ``None`` if unlimited."""
         return self._bucket
 
     @property
@@ -149,9 +144,11 @@ class DirectedLink:
         """Packets currently waiting on this link."""
         return len(self._queue)
 
-    def set_rate_limit(self, rate: float | None) -> None:
+    def set_rate_limit(
+        self, rate: float | None, burst: float | None = None
+    ) -> None:
         """Install (or remove, with ``None``) a rate limit on this link."""
-        self._bucket = TokenBucket(rate) if rate is not None else None
+        self._bucket = TokenBucket(rate, burst) if rate is not None else None
 
     def offer(self, packet: Packet) -> bool:
         """Queue a packet for transmission; False if drop-tail discarded it."""

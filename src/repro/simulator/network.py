@@ -1,16 +1,20 @@
 """The simulated network: topology + routing + links + hosts.
 
 ``Network`` owns everything static about a scenario — which nodes are
-backbone/edge/host, which hosts are infectable, per-link queues and rate
-limits, and optional node-level forwarding budgets (used for the star
-topology's hub rate limit).  The dynamic worm/defense/immunization
-processes in the sibling modules operate on it.
+backbone/edge/host, which hosts are infectable, routing and per-link
+queue bounds.  Defenses are plans computed from it
+(:mod:`repro.simulator.defense`); the engines take a plan next to the
+network and never write to it.  The link and host objects, with the
+filters :meth:`Network.install_plan` puts on them and the typed-packet
+sweep :meth:`Network.transmit_tick`, serve the test oracle and the
+link-weight ablation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from ..topology.classify import NodeRole, RoleAssignment, classify_roles
 from ..topology.graphs import Topology, TopologyError
@@ -21,6 +25,9 @@ from .links import DirectedLink, TokenBucket
 from .nodes import Host
 from .packet import Packet
 from .routing import RoutingTables
+
+if TYPE_CHECKING:
+    from .defense import DefensePlan
 
 __all__ = ["Network", "NetworkStats"]
 
@@ -219,7 +226,7 @@ class Network:
         )
 
     # ------------------------------------------------------------------
-    # Link configuration
+    # Links and filters
     # ------------------------------------------------------------------
 
     def link(self, u: int, v: int) -> DirectedLink:
@@ -229,20 +236,23 @@ class Network:
         except KeyError:
             raise TopologyError(f"no link {u}->{v} in topology") from None
 
-    def set_link_rate(self, u: int, v: int, rate: float | None) -> None:
-        """Rate-limit (or unlimit) the directed link u→v."""
-        self.link(u, v).set_rate_limit(rate)
+    def install_plan(self, plan: DefensePlan) -> None:
+        """Put a plan's filters on the link and host objects.
 
-    def set_node_forward_budget(self, node: int, rate: float | None) -> None:
-        """Cap the total packets ``node`` may forward per tick.
-
-        This is the star experiment's hub node rate limit ``beta``; it
-        applies across all of the node's outgoing links combined.
+        Each filter gets a fresh, empty :class:`TokenBucket`, as the
+        engines apply a plan to their arrays.  Only the typed-packet
+        sweep (:meth:`transmit_tick`) reads the objects' filters.
         """
-        if rate is None:
-            self.forward_budgets.pop(node, None)
-        else:
-            self.forward_budgets[node] = TokenBucket(rate)
+        src = self.routing.link_src
+        dst = self.routing.link_dst
+        for slot, rate, burst in plan.links:
+            self.links[(int(src[slot]), int(dst[slot]))].set_rate_limit(
+                rate, burst
+            )
+        for node, rate, burst in plan.budgets:
+            self.forward_budgets[node] = TokenBucket(rate, burst)
+        for node, rate, burst in plan.throttles:
+            self.hosts[node].scan_throttle = TokenBucket(rate, burst)
 
     # ------------------------------------------------------------------
     # Packet movement: typed packets hop by hop over the link objects

@@ -4,7 +4,8 @@ Each infectable node is a :class:`Host` in one of three states, following
 the SIR-with-delayed-patching dynamics of the paper: susceptible hosts can
 be infected; infected hosts scan; immunized hosts (patched susceptible
 *or* patched infected) are permanently out of the game.  The engines run
-these transitions on arrays and write the final state back here.
+these transitions on arrays of their own; the host objects serve the
+test oracle.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from enum import Enum
 
 from .links import TokenBucket
 
-__all__ = ["HostState", "Host", "HostError"]
-
-
-class HostError(RuntimeError):
-    """Raised on invalid host state transitions."""
+__all__ = ["HostState", "Host"]
 
 
 class HostState(Enum):
@@ -47,8 +44,8 @@ class Host:
         Tick of patching, or ``None``.
     scan_throttle:
         Optional host-level rate-limiting filter (Williamson-style): a
-        token bucket capping how many scans this host may emit per tick.
-        ``None`` means unthrottled.
+        token bucket capping how many scans this host may emit per tick
+        (see :meth:`Network.install_plan`).  ``None`` means unthrottled.
     """
 
     node: int
@@ -57,10 +54,3 @@ class Host:
     infected_at: int | None = None
     immunized_at: int | None = None
     scan_throttle: TokenBucket | None = field(default=None, repr=False)
-
-    def install_throttle(self, rate: float) -> None:
-        """Install a host-level scan-rate filter of ``rate`` scans/tick."""
-        if rate <= 0:
-            raise HostError(f"throttle rate must be positive, got {rate}")
-        self.scan_throttle = TokenBucket(rate)
-

@@ -29,8 +29,9 @@ The per-tick pipeline follows the paper's ns-2 setup:
 :func:`run_oracle` is the oracle counterpart of
 :func:`repro.runner.build.execute_run` for the specs the exact engine
 runs.  The module also holds the host and link walks only the oracle
-and the tests read: state counts, rate-limited links, queued packets,
-the per-link histograms and the host scan throttle; and
+and the tests read: state counts, rate-limited links, the filters on
+the objects, queued packets, the per-link histograms and the host scan
+throttle; and
 :func:`result_state`, which reads a finished run in one form whether
 the oracle left it on the network objects or an engine in its arrays.
 """
@@ -52,6 +53,7 @@ from repro.observability.trace import tick_record
 from repro.runner import build
 from repro.runner.results import RunMetrics, RunResult
 from repro.runner.spec import RunSpec
+from repro.simulator.defense import DefensePlan
 from repro.simulator.dynamic import DynamicQuarantine
 from repro.simulator.engine import Phase, TickSimulation
 from repro.simulator.immunization import ImmunizationPolicy
@@ -73,6 +75,7 @@ __all__ = [
     "infect",
     "infected_at_row",
     "drop_histogram",
+    "filters",
     "last_sample",
     "queue_histogram",
     "rate_limited_links",
@@ -130,6 +133,35 @@ def count_states(network: Network) -> tuple[int, int, int]:
 def rate_limited_links(network: Network) -> list[DirectedLink]:
     """All directed links that currently carry a rate limit."""
     return [link for link in network.links.values() if link.is_rate_limited]
+
+
+def _bucket_state(bucket) -> tuple[float, float, float] | None:
+    if bucket is None:
+        return None
+    return (bucket.rate, bucket.burst, bucket.tokens)
+
+
+def filters(network: Network) -> dict:
+    """The filters on a network's objects, as ``(rate, burst, tokens)``.
+
+    ``"links"`` holds each link's rate limit in ``network.links`` order,
+    ``"throttles"`` each host's scan throttle by node and ``"budgets"``
+    the forwarding budgets by node; ``None`` marks an unfiltered link or
+    host.  A network as built has no filter anywhere.
+    """
+    return {
+        "links": [
+            _bucket_state(link.bucket) for link in network.links.values()
+        ],
+        "throttles": {
+            node: _bucket_state(host.scan_throttle)
+            for node, host in sorted(network.hosts.items())
+        },
+        "budgets": {
+            node: _bucket_state(bucket)
+            for node, bucket in sorted(network.forward_budgets.items())
+        },
+    }
 
 
 def total_queued(network: Network) -> int:
@@ -327,7 +359,9 @@ class WormSimulation:
 
     Takes the arguments of :class:`~repro.simulator.fastpath.
     FastWormSimulation` (see its docstring for their semantics) and
-    moves one :class:`Packet` per scan through ``network.links``.
+    moves one :class:`Packet` per scan through ``network.links``.  The
+    defense plans, static and quarantine, are installed on the network's
+    link and host objects (:meth:`Network.install_plan`).
     """
 
     def __init__(
@@ -339,6 +373,7 @@ class WormSimulation:
         initial_infections: int = 1,
         immunization: ImmunizationPolicy | None = None,
         lan_delivery: bool = False,
+        defense: DefensePlan | None = None,
         quarantine: DynamicQuarantine | None = None,
         seed: int | None = None,
         instrumentation: Instrumentation | None = None,
@@ -350,6 +385,8 @@ class WormSimulation:
                 f"initial_infections must be in [1, {network.num_infectable}),"
                 f" got {initial_infections}"
             )
+        if defense is not None:
+            network.install_plan(defense)
         self.network = network
         self.worm = worm
         self.scan_rate = float(scan_rate)
@@ -450,8 +487,9 @@ class WormSimulation:
         self._arrived = []
 
     def _immunize_phase(self, tick: int) -> None:
-        if self.quarantine is not None:
-            self.quarantine.step(tick, self.network)
+        quarantine = self.quarantine
+        if quarantine is not None and quarantine.step(tick):
+            self.network.install_plan(quarantine.response(self.network))
         if self.immunization is not None:
             self.immunization.step(tick, self.recorder.ever_infected)
 
@@ -509,7 +547,7 @@ def run_oracle(
     """
     start = time.perf_counter()
     network = build.build_network(spec.topology, run_seed=spec.seed)
-    descriptor = build.apply_defense(network, spec.defense)
+    plan = build.apply_defense(network, spec.defense)
     instrumentation = Instrumentation.from_options(options)
     simulation = WormSimulation(
         network,
@@ -518,6 +556,7 @@ def run_oracle(
         initial_infections=spec.initial_infections,
         immunization=spec.immunization,
         lan_delivery=spec.lan_delivery,
+        defense=plan,
         quarantine=(
             build.build_quarantine(spec.quarantine)
             if spec.quarantine is not None
@@ -552,8 +591,8 @@ def run_oracle(
         spec=spec,
         trajectory=trajectory,
         metrics=metrics,
-        defense_name=descriptor.name,
-        limited_links=descriptor.limited_links,
-        throttled_hosts=descriptor.throttled_hosts,
+        defense_name=plan.name,
+        limited_links=plan.limited_links,
+        throttled_hosts=plan.throttled_hosts,
         trace=build._trace(instrumentation),
     )

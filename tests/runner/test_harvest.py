@@ -8,7 +8,7 @@ vector group (``fast-batched``).  The digests were taken while a full
 writeback of each run onto the network, with packet totals and
 histograms read off ``network.links``, still produced the same bytes.
 They also check that a finished run, on either engine and in a group,
-leaves the network as it was built.
+leaves the network as it was built, filters included.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from repro.runner.spec import (
     WormSpec,
 )
 from repro.service.protocol import result_payload
+from repro.simulator.links import TokenBucket
+
+from ..oracle import filters
 
 #: One fig-4 seed column at reduced scale (300 nodes, 150 ticks).
 _TEMPLATE = RunSpec(
@@ -99,11 +102,20 @@ def test_harvest_payload_bytes_are_pinned(engine, deployment):
     assert _digest(spec) == PINNED[f"{deployment}@{engine}"]
 
 
-def _as_built(network) -> tuple:
-    """What a run could leave on a network: hosts, links and totals.
+#: The quarantine column's loop never fires: its worm never misses, so
+#: the telescope stays dark.  The as-built test runs this one instead,
+#: which deploys on every engine and replica.
+_DEPLOYING = {
+    "worm": WormSpec(hit_probability=0.5),
+    "quarantine": QuarantineSpec(response=_BACKBONE, telescope_coverage=0.25),
+}
 
-    Buckets and throttles are left out: a quarantine that deploys on
-    the mirror installs its filters on the network it runs on.
+
+def _as_built(network) -> tuple:
+    """What a run could leave on a network: hosts, links, totals, filters.
+
+    The filters are each link's rate limit, each host's scan throttle
+    and the forwarding budgets.
     """
     return (
         vars(network.stats),
@@ -115,6 +127,7 @@ def _as_built(network) -> tuple:
             (vars(link.stats), link.queue_length)
             for link in network.links.values()
         ],
+        filters(network),
     )
 
 
@@ -123,12 +136,19 @@ def _as_built(network) -> tuple:
 def test_finished_runs_leave_the_network_as_built(
     engine, deployment, monkeypatch
 ):
-    """Runs read the network and keep their results to themselves."""
+    """Runs read the network and keep their results to themselves.
+
+    Defenses too: neither the static plan nor a quarantine's puts a
+    filter on the network, so it equals one built with no defense, and
+    no filter is made on the object model at any point of the run.
+    """
     spec = dataclasses.replace(
         _COLUMN[deployment],
         topology=TopologySpec(num_nodes=300, seed=11),
         engine="fast" if engine == "mirror" else "fast-batched",
     )
+    if deployment == "quarantine":
+        spec = dataclasses.replace(spec, **_DEPLOYING)
     networks = []
     build_network = build.build_network
 
@@ -136,14 +156,31 @@ def test_finished_runs_leave_the_network_as_built(
         networks.append(build_network(*args, **kwargs))
         return networks[-1]
 
+    quarantines = []
+    build_quarantine = build.build_quarantine
+
+    def recording_build_quarantine(*args, **kwargs):
+        quarantines.append(build_quarantine(*args, **kwargs))
+        return quarantines[-1]
+
+    buckets = []
+    make_bucket = TokenBucket.__init__
+
+    def recording_make_bucket(self, *args, **kwargs):
+        buckets.append(args)
+        make_bucket(self, *args, **kwargs)
+
     monkeypatch.setattr(build, "build_network", recording_build_network)
+    monkeypatch.setattr(build, "build_quarantine", recording_build_quarantine)
+    monkeypatch.setattr(TokenBucket, "__init__", recording_make_bucket)
     if engine == "grouped":
         ensemble = EnsembleSpec(template=spec, num_runs=3, base_seed=11)
         results = build.execute_replica_batch(ensemble.expand())
     else:
         results = [build.execute_run(spec)]
     (network,) = networks
+    assert buckets == []
+    assert all(q.deployed_at is not None for q in quarantines)
     fresh = build_network(spec.topology, run_seed=spec.seed)
-    build.apply_defense(fresh, spec.defense)
     assert _as_built(network) == _as_built(fresh)
     assert all(result.metrics.packets_injected for result in results)

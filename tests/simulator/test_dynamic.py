@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.simulator.defense import deploy_backbone_rate_limit
 from repro.simulator.dynamic import DynamicQuarantine
-from repro.simulator.fastpath import FastWormSimulation
+from repro.simulator.fastpath import FastWormSimulation, VectorReplicaSimulation
 from repro.simulator.network import Network
 from repro.simulator.telescope import ScanDetector, Telescope
 from repro.simulator.worms import RandomScanWorm
+from repro.topology.graphs import TopologyError
 
 from ..oracle import rate_limited_links
 
@@ -36,7 +38,7 @@ def run_outbreak(
         quarantine=quarantine,
         seed=seed,
     )
-    return simulation.run(max_ticks), network
+    return simulation.run(max_ticks), simulation
 
 
 class TestDynamicQuarantine:
@@ -50,7 +52,6 @@ class TestDynamicQuarantine:
         assert quarantine.detected_at is not None
         assert quarantine.is_deployed
         assert quarantine.deployed_at == quarantine.detected_at
-        assert quarantine.descriptor.name == "backbone_rl"
 
     def test_reaction_delay_postpones_deployment(self):
         quarantine = build_quarantine(reaction_delay=4)
@@ -60,9 +61,16 @@ class TestDynamicQuarantine:
         )
 
     def test_filters_actually_installed(self):
+        """The response's plan is in force on the run's transport."""
         quarantine = build_quarantine()
-        _, network = run_outbreak(quarantine)
-        assert len(rate_limited_links(network)) > 0
+        _, simulation = run_outbreak(quarantine)
+        plan = quarantine.response(simulation.network)
+        assert plan.name == "backbone_rl"
+        assert plan.links
+        limited = np.flatnonzero(simulation.transport.limited_arr)
+        assert limited.tolist() == [slot for slot, _, _ in plan.links]
+        # The network itself stays as built.
+        assert rate_limited_links(simulation.network) == []
 
     def test_quarantine_slows_outbreak(self):
         undefended, _ = run_outbreak(None)
@@ -98,7 +106,45 @@ class TestDynamicQuarantine:
 
     def test_step_idempotent_after_deploy(self):
         quarantine = build_quarantine()
-        _, network = run_outbreak(quarantine)
+        run_outbreak(quarantine)
         deployed_at = quarantine.deployed_at
-        assert quarantine.step(999, network) is False
+        assert quarantine.step(999) is False
         assert quarantine.deployed_at == deployed_at
+
+
+class TestResponseThatCannotDeploy:
+    """A response the network cannot take raises where it is called."""
+
+    @staticmethod
+    def quarantine() -> DynamicQuarantine:
+        # A star has no backbone routers to deploy on.
+        return DynamicQuarantine(
+            lambda network: deploy_backbone_rate_limit(network, 0.02),
+            telescope=Telescope(coverage=0.25),
+        )
+
+    def test_mirror_raises_at_the_deploy_tick(self):
+        quarantine = self.quarantine()
+        simulation = FastWormSimulation(
+            Network.from_star(60),
+            RandomScanWorm(hit_probability=0.4),
+            scan_rate=1.2,
+            initial_infections=2,
+            quarantine=quarantine,
+            seed=3,
+        )
+        with pytest.raises(TopologyError, match="no backbone"):
+            simulation.run(100)
+        assert quarantine.deployed_at is not None
+        # The deploy tick ran up to its immunize phase, unrecorded.
+        assert simulation.ticks_executed == quarantine.deployed_at
+
+    def test_vector_group_raises_at_build(self):
+        with pytest.raises(TopologyError, match="no backbone"):
+            VectorReplicaSimulation(
+                Network.from_star(60),
+                RandomScanWorm(hit_probability=0.4),
+                scan_rate=1.2,
+                seeds=[1, 2],
+                quarantine_factory=self.quarantine,
+            )

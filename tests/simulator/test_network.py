@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.simulator.defense import DefensePlan
 from repro.simulator.network import Network
 from repro.simulator.nodes import HostState
 from repro.simulator.packet import Packet, PacketKind
@@ -14,6 +15,12 @@ from ..oracle import count_states, immunize, infect, rate_limited_links
 
 def infection(src: int, dst: int, tick: int = 0) -> Packet:
     return Packet(src=src, dst=dst, kind=PacketKind.INFECTION, created_tick=tick)
+
+
+def link_limit(network: Network, u: int, v: int, rate: float) -> DefensePlan:
+    """A plan rate-limiting the one link u→v."""
+    slot = network.routing.link_rows[v][u]
+    return DefensePlan(name="link", links=((slot, rate, rate + 1.0),))
 
 
 class TestFactories:
@@ -86,7 +93,7 @@ class TestPacketMovement:
         assert second[0].hops == 2
 
     def test_rate_limited_transit_queues(self, star_network):
-        star_network.set_link_rate(0, 2, 1.0)
+        star_network.install_plan(link_limit(star_network, 0, 2, 1.0))
         for _ in range(3):
             star_network.inject(infection(1, 2))
         star_network.transmit_tick()  # all reach hub queue
@@ -96,7 +103,9 @@ class TestPacketMovement:
         assert len(arrivals) == 3  # trickled at 1/tick
 
     def test_node_forward_budget_blocks(self, star_network):
-        star_network.set_node_forward_budget(0, 1.0)
+        star_network.install_plan(
+            DefensePlan(name="budget", budgets=((0, 1.0, 2.0),))
+        )
         for dst in (2, 3, 4):
             star_network.inject(infection(1, dst))
         star_network.transmit_tick()
@@ -120,7 +129,8 @@ class TestPacketMovement:
     def test_rate_limited_links_listing(self, small_network):
         assert rate_limited_links(small_network) == []
         u, v = small_network.topology.edges[0]
-        small_network.set_link_rate(u, v, 2.0)
+        small_network.install_plan(link_limit(small_network, u, v, 2.0))
         limited = rate_limited_links(small_network)
         assert len(limited) == 1
         assert (limited[0].src, limited[0].dst) == (u, v)
+        assert (limited[0].bucket.rate, limited[0].bucket.burst) == (2.0, 3.0)

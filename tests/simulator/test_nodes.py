@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.simulator.nodes import Host, HostError, HostState
+from repro.simulator.links import TokenBucket
+from repro.simulator.nodes import Host, HostState
 
 from ..oracle import allow_scan, immunize, infect, tick_throttle
 
@@ -55,8 +54,7 @@ class TestScanThrottle:
         assert all(allow_scan(host) for _ in range(100))
 
     def test_throttle_caps_scans_per_tick(self):
-        host = Host(node=1)
-        host.install_throttle(2.0)
+        host = Host(node=1, scan_throttle=TokenBucket(2.0))
         tick_throttle(host)
         allowed = sum(allow_scan(host) for _ in range(10))
         assert allowed == 2
@@ -64,18 +62,13 @@ class TestScanThrottle:
         assert sum(allow_scan(host) for _ in range(10)) == 2
 
     def test_fractional_throttle(self):
-        host = Host(node=1)
-        host.install_throttle(0.5)
+        host = Host(node=1, scan_throttle=TokenBucket(0.5))
         total = 0
         for _ in range(20):
             tick_throttle(host)
             if allow_scan(host):
                 total += 1
         assert 9 <= total <= 11
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(HostError):
-            Host(node=1).install_throttle(0.0)
 
     def test_state_enum_round_trip(self):
         assert HostState("susceptible") is HostState.SUSCEPTIBLE

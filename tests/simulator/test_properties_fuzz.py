@@ -118,12 +118,13 @@ def test_limited_links_respect_budget_on_both_engines(rate, seed, ticks):
         (VectorReplicaSimulation, {"seeds": [seed]}),
     ):
         network = Network.from_powerlaw(80, seed=3)
-        deploy_backbone_rate_limit(network, rate)
+        plan = deploy_backbone_rate_limit(network, rate)
         simulation = engine_cls(
             network,
             RandomScanWorm(),
             scan_rate=1.5,
             initial_infections=2,
+            defense=plan,
             **kwargs,
         )
         links: dict = {}
@@ -139,14 +140,15 @@ def test_limited_links_respect_budget_on_both_engines(rate, seed, ticks):
             links = result_state(
                 network, simulation if engine_cls is FastWormSimulation else None
             )["links"]
-        for key, link in network.links.items():
-            if not link.is_rate_limited:
-                continue
-            budget = link.bucket.rate * ticks + link.bucket.burst
+        src = network.routing.link_src
+        dst = network.routing.link_dst
+        for slot, link_rate, burst in plan.links:
+            key = (int(src[slot]), int(dst[slot]))
+            budget = link_rate * ticks + burst
             assert links[key][0] <= budget + TOKEN_EPSILON, (
                 engine_cls.__name__,
                 kwargs,
-                (link.src, link.dst),
+                key,
             )
 
 
@@ -225,12 +227,13 @@ def engine_scenarios(draw):
 
 def _build_simulation(engine_cls, scenario, **kwargs):
     network = Network.from_powerlaw(90, seed=scenario["seed"] % 5)
+    plan = None
     if scenario["defense"] == "host":
-        deploy_host_rate_limit(network, 0.3, 0.5, seed=scenario["seed"])
+        plan = deploy_host_rate_limit(network, 0.3, 0.5, seed=scenario["seed"])
     elif scenario["defense"] == "edge":
-        deploy_edge_rate_limit(network, 1.0)
+        plan = deploy_edge_rate_limit(network, 1.0)
     elif scenario["defense"] == "backbone":
-        deploy_backbone_rate_limit(network, 1.0)
+        plan = deploy_backbone_rate_limit(network, 1.0)
     worm = {
         "random": RandomScanWorm,
         "local": lambda: LocalPreferentialWorm(0.8),
@@ -248,6 +251,7 @@ def _build_simulation(engine_cls, scenario, **kwargs):
         initial_infections=2,
         immunization=policy,
         lan_delivery=scenario["lan"],
+        defense=plan,
         seed=scenario["seed"],
         **kwargs,
     )
@@ -281,10 +285,10 @@ def test_host_throttle_tokens_never_negative(seed, rate):
     """Both engines keep every host throttle's token level >= ~0."""
     # Reference engine: buckets live on the host objects.
     network = Network.from_powerlaw(80, seed=3)
-    deploy_host_rate_limit(network, 0.5, rate, seed=seed)
     sim_r = WormSimulation(
         network, RandomScanWorm(), scan_rate=1.5,
         initial_infections=2, seed=seed,
+        defense=deploy_host_rate_limit(network, 0.5, rate, seed=seed),
     )
 
     def audit_reference(tick: int) -> bool:
@@ -298,10 +302,10 @@ def test_host_throttle_tokens_never_negative(seed, rate):
 
     # Fast engine: tokens live in HostArrays.throttle_tokens.
     network_f = Network.from_powerlaw(80, seed=3)
-    deploy_host_rate_limit(network_f, 0.5, rate, seed=seed)
     sim_f = FastWormSimulation(
         network_f, RandomScanWorm(), scan_rate=1.5,
         initial_infections=2, seed=seed,
+        defense=deploy_host_rate_limit(network_f, 0.5, rate, seed=seed),
     )
 
     def audit_fast(tick: int) -> bool:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.models.base import ModelError
 from repro.simulator import (
+    DefensePlan,
     FastWormSimulation,
     ImmunizationPolicy,
     Network,
@@ -36,28 +37,30 @@ def _stamps(network: Network, run=None) -> dict:
     return result_state(network, run)["hosts"]
 
 
-def _powerlaw() -> Network:
-    return Network.from_powerlaw(80, seed=3)
+def _powerlaw() -> tuple[Network, None]:
+    return Network.from_powerlaw(80, seed=3), None
 
 
-def _star() -> Network:
-    return Network.from_star(60)
+def _star() -> tuple[Network, None]:
+    return Network.from_star(60), None
 
 
-def _star_hub_budget() -> Network:
+def _star_hub_budget() -> tuple[Network, DefensePlan]:
     network = Network.from_star(60)
-    deploy_hub_rate_limit(network, link_rate=10.0, hub_budget=5.0)
-    return network
+    return network, deploy_hub_rate_limit(
+        network, link_rate=10.0, hub_budget=5.0
+    )
 
 
 def _run(engine_cls, seed: int, make_network=_powerlaw, **kwargs):
-    network = make_network()
+    network, plan = make_network()
     simulation = engine_cls(
         network,
         RandomScanWorm(hit_probability=0.5),
         scan_rate=1.2,
         initial_infections=3,
         immunization=KILL_ALL,
+        defense=plan,
         seed=seed,
         **kwargs,
     )
@@ -88,7 +91,7 @@ def test_tick0_dieout_writes_back_stamps(scan_mode):
 
 def _replica_batch_stamps(make_network, seeds=SEEDS) -> dict:
     """Run a tick-0 die-out batch; return each replica's harvested stamps."""
-    network = make_network()
+    network, plan = make_network()
     batch = VectorReplicaSimulation(
         network,
         RandomScanWorm(hit_probability=0.5),
@@ -96,6 +99,7 @@ def _replica_batch_stamps(make_network, seeds=SEEDS) -> dict:
         seeds=list(seeds),
         initial_infections=3,
         immunization=KILL_ALL,
+        defense=plan,
     )
     harvested = {}
 

@@ -87,10 +87,10 @@ class TestBasicRuns:
 class TestDefendedRuns:
     def test_host_throttle_limits_scan_emission(self):
         network = fresh_network()
-        deploy_host_rate_limit(network, 1.0, 0.01, seed=1)
         sim = FastWormSimulation(
             network, RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, seed=4,
+            defense=deploy_host_rate_limit(network, 1.0, 0.01, seed=1),
         )
         trajectory = sim.run(100)
         # With every host throttled to 1% of beta, spread is crawling.
@@ -104,10 +104,10 @@ class TestDefendedRuns:
         ).run(300)
 
         defended_net = fresh_network()
-        deploy_backbone_rate_limit(defended_net, 0.02)
         defended = FastWormSimulation(
             defended_net, RandomScanWorm(), scan_rate=0.8,
             initial_infections=3, seed=4,
+            defense=deploy_backbone_rate_limit(defended_net, 0.02),
         ).run(300)
         assert defended.time_to_fraction(0.5) > 1.5 * base.time_to_fraction(0.5)
 

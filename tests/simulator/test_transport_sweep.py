@@ -5,8 +5,10 @@ over the link objects; it is kept for the link-weight ablation and
 serves here as the specification.  :class:`MirrorTransport` moves the
 same packets as bare destinations: on arrays while no link is rate
 limited, no node has a forwarding budget and no queue can overflow,
-then on its deques after a limit, a budget or a drop risk.  Fed the
-same injections tick by tick, the two must deliver the same packets,
+then on its deques after a limit, a budget or a drop risk.  A mid-run
+deploy is one :class:`DefensePlan` for both: the link objects install
+it and the transport applies it to its arrays.  Fed the same
+injections tick by tick, the two must deliver the same packets,
 keep the same number in flight, and end with the same per-link
 counters and the same waiting destinations in the same order.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simulator.defense import DefensePlan
 from repro.simulator.fastpath.transport import MirrorTransport
 from repro.simulator.network import Network
 from repro.simulator.packet import Packet, PacketKind
@@ -94,8 +97,7 @@ def _network(topology, routing, max_queue: int) -> Network:
 def test_mirror_transport_matches_the_packet_sweep(case):
     routing = RoutingTables(case["topology"])
     spec = _network(case["topology"], routing, case["max_queue"])
-    twin = _network(case["topology"], routing, case["max_queue"])
-    transport = MirrorTransport(twin)
+    transport = MirrorTransport(spec)
     deploy = case["deploy"]
     for tick, pairs in enumerate(case["injections"]):
         for src, dst in pairs:
@@ -105,12 +107,20 @@ def test_mirror_transport_matches_the_packet_sweep(case):
         assert sorted(transport.transmit_tick()) == expected, tick
         assert transport.queued_total == total_queued(spec), tick
         if deploy is not None and deploy[0] == tick:
+            # One plan for both sides: the link objects take it, and
+            # the transport applies it to its arrays.
             _, (u, v, rate), budget = deploy
-            for network in (spec, twin):
-                network.set_link_rate(u, v, rate)
-                if budget is not None:
-                    network.set_node_forward_budget(*budget)
-            transport.sync_limits()
+            plan = DefensePlan(
+                name="deploy",
+                links=((routing.link_rows[v][u], rate, rate + 1.0),),
+                budgets=(
+                    ((budget[0], budget[1], budget[1] + 1.0),)
+                    if budget is not None
+                    else ()
+                ),
+            )
+            spec.install_plan(plan)
+            transport.apply_limit_plan(plan)
     assert (
         transport.injected, transport.delivered, transport.dropped_total
     ) == (

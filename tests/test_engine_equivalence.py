@@ -37,7 +37,7 @@ from repro.observability.instrumentation import (
     InstrumentationOptions,
 )
 from repro.simulator import (
-    DefenseDescriptor,
+    DefensePlan,
     DynamicQuarantine,
     FastWormSimulation,
     ImmunizationPolicy,
@@ -98,9 +98,7 @@ def _build_network(kind: str) -> Network:
 def _run(engine_cls, scenario, *, trace=True):
     """Build the scenario fresh and run it on one engine."""
     network = _build_network(scenario["kind"])
-    defense = scenario.get("defense")
-    if defense is not None:
-        defense(network)
+    deploy = scenario.get("defense")
     quarantine_factory = scenario.get("quarantine")
     instrumentation = (
         Instrumentation.from_options(InstrumentationOptions(trace=True))
@@ -115,6 +113,7 @@ def _run(engine_cls, scenario, *, trace=True):
         seed=scenario["seed"],
         lan_delivery=scenario.get("lan", False),
         immunization=scenario.get("immunization"),
+        defense=deploy(network) if deploy is not None else None,
         quarantine=quarantine_factory(network) if quarantine_factory else None,
         instrumentation=instrumentation,
     )
@@ -283,9 +282,11 @@ class TestBatchStatistical:
         sizes = []
         for seed in range(100, 100 + self.NUM_SEEDS):
             network = Network.from_powerlaw(self.NODES, seed=7)
-            if defense is not None:
-                defense(network)
-            kwargs = dict(scan_rate=0.8, initial_infections=2)
+            kwargs = dict(
+                scan_rate=0.8,
+                initial_infections=2,
+                defense=defense(network) if defense is not None else None,
+            )
             if batch:
                 trajectory = _run_width1(
                     network, worm(), self.MAX_TICKS, seed=seed, **kwargs
@@ -327,8 +328,6 @@ class TestBatchStatistical:
     def test_packet_conservation_every_tick(self, defense):
         """injected = delivered + dropped + in-flight, tick by tick."""
         network = Network.from_powerlaw(self.NODES, seed=7)
-        if defense is not None:
-            defense(network)
         instrumentation = Instrumentation.from_options(
             InstrumentationOptions(trace=True)
         )
@@ -340,6 +339,7 @@ class TestBatchStatistical:
             initial_infections=2,
             seed=123,
             instrumentation=instrumentation,
+            defense=defense(network) if defense is not None else None,
         )
         records = [
             r for r in instrumentation.sink.records if r["type"] == "tick"
@@ -523,21 +523,22 @@ class TestRecorderConsistency:
         assert checked >= 10
 
 
-def _deploy_hub_budget_only(network: Network) -> DefenseDescriptor:
-    """A response that installs a hub forwarding budget and nothing else.
+def _deploy_hub_budget_only(network: Network) -> DefensePlan:
+    """A response that plans a hub forwarding budget and nothing else.
 
     Every other link stays unlimited, so a budgeted replica's scans and
     residual queues must leave the vectorized transport entirely.
     """
-    network.set_node_forward_budget(network.roles.edge_routers[0], 2.0)
-    return DefenseDescriptor(name="hub_budget")
+    return DefensePlan(
+        name="hub_budget", budgets=((network.roles.edge_routers[0], 2.0, 3.0),)
+    )
 
 
 #: Scenario grids for the replica axis: every entry must reproduce, per
 #: seed and bit for bit, the solo batch run pinned in ``GRID_PATH``.
 #: ``quarantine`` entries are zero-argument factories (the
 #: :class:`VectorReplicaSimulation` calling convention) whose telescope
-#: is sized so the control loop really deploys.  This grid installs no
+#: is sized so the control loop really deploys.  This grid plans no
 #: node forwarding budget, so its replicas move packets on the shared
 #: vectorized transport and the global pending store.
 REPLICA_SCENARIOS = {
@@ -601,7 +602,7 @@ REPLICA_SCENARIOS = {
     },
 }
 
-#: Replica grid whose entries install node forwarding budgets, statically
+#: Replica grid whose entries plan node forwarding budgets, statically
 #: or through a quarantine response; each must requeue packets.  Budgeted
 #: replicas leave the shared transport for their own exact scalar sweep.
 BUDGET_REPLICA_SCENARIOS = {
@@ -673,9 +674,6 @@ def _replica_network(scenario) -> Network:
             max_queue=scenario["max_queue"],
             routing=network.routing,
         )
-    defense = scenario.get("defense")
-    if defense is not None:
-        defense(network)
     return network
 
 
@@ -714,6 +712,7 @@ def _encode(trajectory, state, deployed_at) -> dict:
 
 def _vector_batch(scenario, seeds, instrumentation=None):
     network = _replica_network(scenario)
+    deploy = scenario.get("defense")
     batch = VectorReplicaSimulation(
         network,
         scenario["worm"](),
@@ -722,6 +721,7 @@ def _vector_batch(scenario, seeds, instrumentation=None):
         initial_infections=2,
         immunization=scenario.get("immunization"),
         lan_delivery=scenario.get("lan", False),
+        defense=deploy(network) if deploy is not None else None,
         quarantine_factory=scenario.get("quarantine"),
         instrumentation=instrumentation,
     )

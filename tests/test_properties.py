@@ -42,12 +42,13 @@ def outbreak_configs(draw):
 
 def build_and_run(seed, worm_kind, defense, immunize, scan_rate):
     network = Network.from_powerlaw(100, seed=seed % 7)
+    plan = None
     if defense == "host":
-        deploy_host_rate_limit(network, 0.3, 0.05, seed=seed)
+        plan = deploy_host_rate_limit(network, 0.3, 0.05, seed=seed)
     elif defense == "edge":
-        deploy_edge_rate_limit(network, 0.05)
+        plan = deploy_edge_rate_limit(network, 0.05)
     elif defense == "backbone":
-        deploy_backbone_rate_limit(network, 0.05)
+        plan = deploy_backbone_rate_limit(network, 0.05)
     worm = {
         "random": RandomScanWorm,
         "local": lambda: LocalPreferentialWorm(0.8),
@@ -63,6 +64,7 @@ def build_and_run(seed, worm_kind, defense, immunize, scan_rate):
         initial_infections=2,
         immunization=policy,
         lan_delivery=True,
+        defense=plan,
         seed=seed,
     )
     return simulation.run(60), simulation
