@@ -83,6 +83,8 @@ PINNED = {
     "backbone@fast-batched": "41b07a53e37db24ff299e1661e89826cf7701b241e236e4f6cdbf75a862d071f",
     "quarantine@fast-batched": "f8ccb57a05118b3be8f207ed0a8ddbbfc924de2f211e75ecc5f361aa3df230de",
     "seed_subnets@fast-batched": "fe5f15048a61d913606c252742468bb93307fdbb980bc4daa785a166bf8de0bb",
+    "quarantine_deploying@fast": "f544ea1dd581ffd4dc9b6c7b4970b2f6c768261b14bc74d4ce3b7e51db4fb871",
+    "quarantine_deploying@fast-batched": "1a54ca0f8bb5e620dd7cdccd66d23ae6d36ae0794b4add956a06259b87ad54ce",
 }
 
 
@@ -109,6 +111,24 @@ _DEPLOYING = {
     "worm": WormSpec(hit_probability=0.5),
     "quarantine": QuarantineSpec(response=_BACKBONE, telescope_coverage=0.25),
 }
+
+
+@pytest.mark.parametrize("engine", ["fast", "fast-batched"])
+def test_deploying_quarantine_payload_bytes_are_pinned(engine, monkeypatch):
+    """The quarantine column with a loop that fires mid-run (tick 9)."""
+    spec = dataclasses.replace(
+        _COLUMN["quarantine"], engine=engine, **_DEPLOYING
+    )
+    quarantines = []
+    build_quarantine = build.build_quarantine
+
+    def recording_build_quarantine(*args, **kwargs):
+        quarantines.append(build_quarantine(*args, **kwargs))
+        return quarantines[-1]
+
+    monkeypatch.setattr(build, "build_quarantine", recording_build_quarantine)
+    assert _digest(spec) == PINNED[f"quarantine_deploying@{engine}"]
+    assert [q.deployed_at for q in quarantines] == [9]
 
 
 def _as_built(network) -> tuple:
