@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,13 @@ import pytest
 from repro.core.scenarios import shared_trace
 from repro.models.base import Trajectory
 from repro.runner import configure, current_config
+
+# The link-weight ablation carries typed packets over the test oracle's
+# object network (``tests.oracle``), which imports from the repo root
+# however pytest was started.
+_ROOT = str(Path(__file__).resolve().parents[1])
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 #: Where a session leaves the rows :func:`print_rows` printed, by table
 #: title (git-ignored; CI's paper-shapes job uploads it).

@@ -10,6 +10,10 @@ by injecting legitimate background traffic alongside the worm:
   dwarfs any static budget), but
 * legitimate traffic suffers far more drops/queueing under *uniform*
   budgets, because trunk links get starved.
+
+Telling the two kinds of packet apart needs the typed-packet object
+model, which the engines do not carry; the load runs on the test
+oracle's (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from conftest import print_rows
 
 from repro.simulator.defense import deploy_backbone_rate_limit
 from repro.simulator.network import Network
-from repro.simulator.packet import Packet, PacketKind
+from tests.oracle import ObjectNetwork, Packet, PacketKind
 
 
 def run_mixed_load(weighted: bool, *, ticks: int = 60, seed: int = 5):
     """Drive worm-scale load plus legitimate pairs; return delivery stats."""
-    network = Network.from_powerlaw(1000, seed=seed)
+    network = ObjectNetwork(Network.from_powerlaw(1000, seed=seed))
     network.install_plan(
         deploy_backbone_rate_limit(network, 0.05, weighted=weighted)
     )

@@ -147,11 +147,11 @@ def _run_metrics(
     instrumentation: Instrumentation | None,
     wall_time: float,
 ) -> RunMetrics:
-    """Packet totals, link-stat histograms and profile of a finished run.
+    """The packet totals, link-stat histograms and profile of a finished run.
 
     All of it comes from the run's transport.  The histograms list
-    buckets in ``network.links`` order, so solo and grouped runs
-    serialize to the same bytes.
+    buckets in edge order (:class:`~repro.simulator.fastpath.transport.
+    LinkArrays`), so solo and grouped runs serialize to the same bytes.
     """
     transport = simulation.transport
     links = transport.link_arrays()

@@ -37,7 +37,7 @@ __all__ = ["CACHE_VERSION", "spec_digest", "ResultCache", "default_cache_dir"]
 #: those scenarios and old entries must not replay.
 #: v5: grouped runs under static rate limits now close out the peak
 #: depth of rate-cut links left holding packets, as solo runs do, and
-#: list histogram buckets in ``network.links`` order — v4 grouped
+#: list histogram buckets in edge order, as solo runs do — v4 grouped
 #: entries carry a different ``queue_histogram``.
 CACHE_VERSION = 5
 

@@ -4,8 +4,11 @@ Build a :class:`Network` (star or power-law), optionally plan a defense
 with :mod:`repro.simulator.defense`, then run a
 :class:`FastWormSimulation` on the network and the plan, the exact
 engine (the vector engine in :mod:`repro.simulator.fastpath`
-batch-samples large ensembles).  Seeded multi-run ensembles are
-described and averaged by :mod:`repro.runner`.
+batch-samples large ensembles).  The network only describes the
+scenario: a run keeps its host, packet and link state in its engine's
+arrays, and the typed-packet object model the engines are held to is
+the test suite's oracle (``tests/oracle.py``).  Seeded multi-run
+ensembles are described and averaged by :mod:`repro.runner`.
 """
 
 from .dynamic import DynamicQuarantine
@@ -20,11 +23,9 @@ from .defense import (
 from .engine import Phase, SimulationError, TickSimulation
 from .fastpath import FastWormSimulation
 from .immunization import ImmunizationPolicy
-from .links import DirectedLink, LinkStats, TokenBucket
-from .network import Network, NetworkStats
-from .nodes import Host, HostState
+from .links import TokenBucket
+from .network import Network
 from .observers import CurveRecorder, average_trajectories
-from .packet import Packet, PacketKind
 from .routing import RoutingTables
 from .telescope import DetectionReport, ScanDetector, Telescope
 from .worms import (
@@ -47,17 +48,10 @@ __all__ = [
     "SimulationError",
     "TickSimulation",
     "ImmunizationPolicy",
-    "DirectedLink",
-    "LinkStats",
     "TokenBucket",
     "Network",
-    "NetworkStats",
-    "Host",
-    "HostState",
     "CurveRecorder",
     "average_trajectories",
-    "Packet",
-    "PacketKind",
     "RoutingTables",
     "FastWormSimulation",
     "DynamicQuarantine",

@@ -4,8 +4,7 @@ Each deployer reads a :class:`~repro.simulator.network.Network` for one
 of the paper's deployment cases and returns a :class:`DefensePlan`: which
 links, forwarding nodes and hosts get a filter, and at what rate.  A
 deployer installs nothing; the engines take the plan as input next to
-the network, and :meth:`Network.install_plan` puts one on the network's
-link and host objects for the typed-packet sweep.  Strategies:
+the network and apply it to their own arrays.  Strategies:
 
 * :func:`no_defense` — baseline.
 * :func:`deploy_host_rate_limit` — filters on a fraction ``q`` of end

@@ -1,7 +1,7 @@
 """Struct-of-arrays host state for the fast engine.
 
-One :class:`HostArrays` replaces the per-host :class:`~repro.simulator.
-nodes.Host` object walk: epidemic status is a 2-D ``(replica, host)``
+One :class:`HostArrays` holds every host's state as arrays instead of
+one object per host: epidemic status is a 2-D ``(replica, host)``
 numpy array, compartment totals are running counters (O(1) reads for the
 observe phase and stop conditions), the infected population is a
 maintained sorted index (O(infected) scan phase), and Williamson
@@ -16,13 +16,13 @@ across rows.  The scalar mutation API
 the row views (``status_row``, ``throttle_tokens``) serve the mirror
 engine's single run and address row 0.
 
-The arrays are built from the network's host objects as built and
-from the static defense plan's throttles, and a quarantine plan adds
-its throttles per row when it deploys (:meth:`HostArrays.
-register_latent_throttles`, :meth:`HostArrays.activate_latent`).  They
-are the only place a run's host state lives: the host objects keep
-their built state, and results — compartment counts, ``infected_at``
-curves — are read from the arrays.
+Every row starts with the network's infectable hosts susceptible and
+never stamped, and with the static defense plan's throttles; a
+quarantine plan adds its throttles per row when it deploys
+(:meth:`HostArrays.register_latent_throttles`, :meth:`HostArrays.
+activate_latent`).  The arrays are the only place a run's host state
+lives: the network describes the scenario, and results — compartment
+counts, ``infected_at`` curves — are read from the arrays.
 """
 
 from __future__ import annotations
@@ -31,25 +31,17 @@ import numpy as np
 
 from ..defense import DefensePlan, filter_columns
 from ..network import Network
-from ..nodes import HostState
 
 __all__ = ["HostArrays", "SUSCEPTIBLE", "INFECTED", "IMMUNE", "UNTRACKED"]
 
-#: Status codes (array encoding of :class:`HostState`).
+#: Status codes of a host's epidemiological state.
 UNTRACKED = -1
 SUSCEPTIBLE = 0
 INFECTED = 1
 IMMUNE = 2
 
-#: Sentinel for "never" in the infected_at/immunized_at stamp arrays
-#: (the object model uses ``None``).
+#: Sentinel for "never" in the infected_at/immunized_at stamp arrays.
 NEVER = -1
-
-_CODE_OF = {
-    HostState.SUSCEPTIBLE: SUSCEPTIBLE,
-    HostState.INFECTED: INFECTED,
-    HostState.IMMUNE: IMMUNE,
-}
 
 
 class HostArrays:
@@ -69,38 +61,20 @@ class HostArrays:
         #: status[replica, node] — UNTRACKED for transit nodes, S/I/R
         #: for hosts.  :attr:`status_row` is row 0.
         status0 = np.full(n, UNTRACKED, dtype=np.int8)
-        infected0 = np.full(n, NEVER, dtype=np.int64)
-        immunized0 = np.full(n, NEVER, dtype=np.int64)
-        susceptible = infected = immune = 0
-        for node in network.infectable:
-            host = network.hosts[node]
-            code = _CODE_OF[host.state]
-            status0[node] = code
-            if host.infected_at is not None:
-                infected0[node] = host.infected_at
-            if host.immunized_at is not None:
-                immunized0[node] = host.immunized_at
-            if code == SUSCEPTIBLE:
-                susceptible += 1
-            elif code == INFECTED:
-                infected += 1
-            else:
-                immune += 1
+        status0[list(network.infectable)] = SUSCEPTIBLE
+        never = np.full(n, NEVER, dtype=np.int64)
         self.status = np.tile(status0, (replicas, 1))
-        self.infected_at = np.tile(infected0, (replicas, 1))
-        self.immunized_at = np.tile(immunized0, (replicas, 1))
+        self.infected_at = np.tile(never, (replicas, 1))
+        self.immunized_at = np.tile(never, (replicas, 1))
         # Flat views for the grouped API's ``replica * n + node`` keys.
         self._status_flat = self.status.reshape(-1)
         self._infected_at_flat = self.infected_at.reshape(-1)
         # Row 0's running counters and infected index (scalar API).
-        self.susceptible = susceptible
-        self.infected = infected
-        self.immune = immune
-        self._infected_set: set[int] = {
-            node for node in network.infectable
-            if status0[node] == INFECTED
-        }
-        self._sorted_infected: list[int] = sorted(self._infected_set)
+        self.susceptible = network.num_infectable
+        self.infected = 0
+        self.immune = 0
+        self._infected_set: set[int] = set()
+        self._sorted_infected: list[int] = []
         self._sorted_dirty = False
         self._row = self.status[0]
         self._inf_row = self.infected_at[0]

@@ -1,13 +1,14 @@
 """Array-backed link transport for the fast engines.
 
-Mirrors :meth:`Network.transmit_tick` over flat arrays:
+Moves packets over a network's directed links on flat arrays, the
+specification being the typed-packet sweep the test suite keeps as its
+oracle (``tests/oracle.py``):
 
 * links are indexed by their routing slot, which is sorted-key order, so
   "process links in sorted key order" becomes "process indices
   ascending", and a packet's next link is one read of the routing
   tables' next-link rows (``link_rows[destination][node]``);
-* queues hold bare destination node ids instead of
-  :class:`~repro.simulator.packet.Packet` objects;
+* queues hold bare destination node ids instead of packet objects;
 * non-empty links are tracked in two sets (unlimited / rate-limited) so
   a tick only touches links that can actually move packets;
 * token buckets and forwarding budgets are plain floats updated with the
@@ -21,8 +22,8 @@ Three ways move packets:
 
 * **The array sweep**, :meth:`MirrorTransport.transmit_tick`, backs the
   mirror engine while no link has a token bucket, no node has a
-  forwarding budget and fewer packets are in flight than the smallest
-  queue bound.  Then every link drains its whole queue and nothing is
+  forwarding budget and fewer packets are in flight than the queue
+  bound.  Then every link drains its whole queue and nothing is
   dropped, so the tick's waiting and injected packets move through the
   next-link table in waves, a packet moving on within the tick only
   onto a higher-indexed link (one the sweep has not reached yet);
@@ -31,11 +32,10 @@ Three ways move packets:
   budget or drop risk hands them to the deques, and the transport stays
   on the per-packet sweep.
 * **The per-packet sweep**, :meth:`FastTransport.transmit_tick`,
-  reproduces the object-model sweep
-  (:meth:`~repro.simulator.network.Network.transmit_tick`) packet for
-  packet and counter for counter, token buckets, budgets and drop-tail
-  included; it backs rate-limited, budgeted or near-full mirror runs
-  and the vector engine's budgeted replicas, and enqueues through
+  reproduces the oracle's typed-packet sweep packet for packet and
+  counter for counter, token buckets, budgets and drop-tail included;
+  it backs rate-limited, budgeted or near-full mirror runs and the
+  vector engine's budgeted replicas, and enqueues through
   :meth:`~FastTransport.enqueue`.
 * **The vector wave** lives in
   :class:`~repro.simulator.fastpath.vector.VectorReplicaSimulation`,
@@ -70,11 +70,13 @@ __all__ = ["FastTransport", "LinkArrays", "MirrorTransport", "TransportLayout"]
 
 
 class LinkArrays(NamedTuple):
-    """A run's per-link results, one entry per link in ``network.links`` order.
+    """A run's per-link results, one entry per directed link in edge order.
 
-    The counters and high-water mark a
-    :class:`~repro.simulator.links.LinkStats` keeps, plus ``depth``:
-    the packets the link was left holding.
+    Edge order lists ``(u, v)`` then ``(v, u)`` for each edge ``(u, v)``
+    of ``topology.edges``; the link-stat histograms list their buckets
+    in it.  Per link: packets forwarded, dropped, enqueued and pushed
+    back by a forwarding budget, the high-water mark of its queue, and
+    ``depth``, the packets the link was left holding.
     """
 
     forwarded: np.ndarray
@@ -88,7 +90,7 @@ class LinkArrays(NamedTuple):
 class TransportLayout:
     """The immutable, shareable half of a :class:`FastTransport`.
 
-    Link ordering, routing tables, queue capacities, and the static
+    Link ordering, routing tables, the queue bound, and the static
     defense plan's rate-limit and budget templates are pure functions of
     the network and the plan; every replica of a vectorized ensemble
     transports packets over the same network, so one layout serves all
@@ -105,33 +107,27 @@ class TransportLayout:
         routing = network.routing
         # Links are numbered by routing slot, which is (source,
         # destination) order: sorted key order, so a next-link gather
-        # yields a layout index.  The lookups below fail on a key the
-        # network lacks, so equal counts mean equal key sets.
+        # yields a layout index.
         src = routing.link_src.tolist()
         dst = routing.link_dst.tolist()
         keys = list(zip(src, dst))
-        assert len(keys) == len(network.links)
         self.keys = keys
         count = len(keys)
         self.link_dst = dst
-        self.max_queue = [network.links[key].max_queue for key in keys]
-        #: Smallest queue bound: the array sweep runs only while fewer
-        #: packets are in flight, so no queue can overflow.
-        self.min_queue = min(self.max_queue, default=0)
+        #: Drop-tail bound of every link's queue; the array sweep runs
+        #: only while fewer packets are in flight, so none can overflow.
+        self.max_queue = network.max_queue
         #: Next-link rows, indexable as link_rows[destination][node].
         self.link_rows = routing.link_rows
         #: Whole next-link matrix for vectorized gathers (vector wave).
         self.next_link = routing.next_link
         self.link_dst_arr = routing.link_dst.astype(np.int64)
-        #: Layout index of each link in ``network.links`` order — the
-        #: order the link-stat histograms list their buckets in.
+        #: Layout index of each link in edge order (see LinkArrays).
+        edges = np.asarray(network.topology.edges, dtype=np.int64)
+        u, v = edges.reshape(-1, 2).T
         self.network_order = np.searchsorted(
             routing.link_src.astype(np.int64) * n + self.link_dst_arr,
-            np.fromiter(
-                (u * n + v for u, v in network.links),
-                dtype=np.int64,
-                count=count,
-            ),
+            np.stack((u * n + v, v * n + u), axis=1).reshape(-1),
         )
         # Rate-limit template: the static plan's links, each bucket
         # starting empty; unlimited links carry zero rate and burst.
@@ -185,8 +181,7 @@ class FastTransport:
         self.enq_vec = np.zeros(count, dtype=np.int64)
         self.peak_vec = np.zeros(count, dtype=np.int64)
         self.drop_vec = np.zeros(count, dtype=np.int64)
-        # The run's packet totals (the fields of NetworkStats) and the
-        # packets in flight.
+        # The run's packet totals and the packets in flight.
         self.injected = 0
         self.delivered = 0
         self.dropped_total = 0
@@ -279,7 +274,7 @@ class FastTransport:
     def enqueue(self, li: int, dst: int) -> None:
         """Append a packet bound for ``dst`` to link ``li``, drop-tail."""
         queue = self.queues[li]
-        if len(queue) >= self.max_queue[li]:
+        if len(queue) >= self.max_queue:
             self.drop_list[li] += 1
             self.dropped_total += 1
             return
@@ -312,7 +307,7 @@ class FastTransport:
     def transmit_tick(self) -> list[int]:
         """Advance every link one tick; returns arrived destination ids.
 
-        Identical semantics to :meth:`Network.transmit_tick`: every
+        The oracle's typed-packet sweep, on destination ids: every
         bucket refills exactly once per tick (batched up front — each
         bucket's refill still precedes any consumption from it this
         tick), non-empty links drain in sorted order with same-tick
@@ -380,7 +375,7 @@ class FastTransport:
                         break
                 lj = link_rows[dst][node]
                 target_queue = queues[lj]
-                if len(target_queue) >= self.max_queue[lj]:
+                if len(target_queue) >= self.max_queue:
                     self.drop_list[lj] += 1
                     self.dropped_total += 1
                     continue
@@ -404,7 +399,7 @@ class FastTransport:
     # ------------------------------------------------------------------
 
     def link_arrays(self) -> LinkArrays:
-        """A finished run's per-link results, in ``network.links`` order.
+        """A finished run's per-link results, in edge order.
 
         Folds the scalar track into the vectorized one (counters sum,
         peaks take the larger), counts residual depth from the deques
@@ -449,7 +444,7 @@ class MirrorTransport(FastTransport):
     """The mirror engine's transport: the array sweep while it is exact.
 
     While no link has a token bucket, no node has a forwarding budget and
-    fewer packets are in flight than the smallest queue bound, every
+    fewer packets are in flight than the queue bound, every
     link drains its whole queue each tick and no queue can overflow, so
     :meth:`transmit_tick` moves the tick's packets as arrays instead of
     one at a time (see the module docstring).  Waiting packets live in
@@ -459,7 +454,7 @@ class MirrorTransport(FastTransport):
     The switch to the per-packet sweep is one-way: the first rate limit
     or budget (in the static plan, or one :meth:`apply_limit_plan`
     deploys) or an injection that would bring the packets in flight up
-    to the smallest queue bound puts the waiting packets into the deques
+    to the queue bound puts the waiting packets into the deques
     in the per-packet sweep's FIFO order, and every later tick runs
     :meth:`FastTransport.transmit_tick`.
     """
@@ -480,7 +475,7 @@ class MirrorTransport(FastTransport):
         self._room = 0
         if not (layout.limited_idx.size or layout.budgets):
             self._wait_link = self._wait_dst = np.empty(0, dtype=np.int64)
-            self._room = layout.min_queue - 1
+            self._room = layout.max_queue - 1
 
     def _to_deques(self) -> None:
         """Hand the array sweep's packets to the per-packet sweep."""

@@ -813,7 +813,6 @@ class VectorReplicaSimulation:
         link_dst = layout.link_dst
         link_dst_arr = layout.link_dst_arr
         max_queue = layout.max_queue
-        max_q_arr = np.asarray(max_queue, dtype=np.int64)
 
         # Waiting packets of the vectorized replicas (see the module
         # docstring), keyed ``replica * L + link``.  ``depth_flat``
@@ -858,9 +857,7 @@ class VectorReplicaSimulation:
             """
             order = np.argsort(keys, kind="stable")
             uk, starts, cnts = _runs(keys[order])
-            acc = np.minimum(
-                cnts, np.maximum(max_q_arr[uk % link_count] - depth_flat[uk], 0)
-            )
+            acc = np.minimum(cnts, np.maximum(max_queue - depth_flat[uk], 0))
             raised = acc > 0
             if lazy:
                 raised &= ~lim[order[starts]]
@@ -920,7 +917,7 @@ class VectorReplicaSimulation:
                     lj = link_rows[dst][node]
                     out = r * link_count + lj
                     queued = depth_flat.item(out)
-                    if queued >= max_queue[lj]:
+                    if queued >= max_queue:
                         drop_flat[out] += 1
                         dropped_arr[r] += 1
                         continue
@@ -1098,10 +1095,7 @@ class VectorReplicaSimulation:
                             # packets accepts its share in order into
                             # the pending store; the sweep forwards it
                             # after the earlier waiters.
-                            tight = (
-                                depth_flat[uk] + cnt
-                                > max_q_arr[uk % link_count]
-                            )
+                            tight = depth_flat[uk] + cnt > max_queue
                             if tight.any():
                                 cut = np.isin(key, uk[tight])
                                 append(key[cut], targets[cut], ~cut[cut])

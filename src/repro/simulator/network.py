@@ -1,35 +1,26 @@
-"""The simulated network: topology + routing + links + hosts.
+"""The simulated network: topology, roles, subnets and routing.
 
-``Network`` owns everything static about a scenario — which nodes are
-backbone/edge/host, which hosts are infectable, routing and per-link
-queue bounds.  Defenses are plans computed from it
-(:mod:`repro.simulator.defense`); the engines take a plan next to the
-network and never write to it.  The link and host objects, with the
-filters :meth:`Network.install_plan` puts on them and the typed-packet
-sweep :meth:`Network.transmit_tick`, serve the test oracle and the
-link-weight ablation.
+``Network`` is an immutable description of a scenario: which nodes are
+backbone/edge/host, which hosts are infectable, the routing tables and
+the one drop-tail bound every link queue has.  Defenses are plans
+computed from it (:mod:`repro.simulator.defense`); the engines take a
+plan next to the network, keep every packet, queue, counter and host
+state of a run in their own arrays, and never write to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from ..topology.classify import NodeRole, RoleAssignment, classify_roles
 from ..topology.graphs import Topology, TopologyError
 from ..topology.powerlaw import barabasi_albert
 from ..topology.star import StarTopology, star_graph
 from ..topology.subnets import NO_SUBNET, SubnetMap, partition_subnets
-from .links import DirectedLink, TokenBucket
-from .nodes import Host
-from .packet import Packet
 from .routing import RoutingTables
 
-if TYPE_CHECKING:
-    from .defense import DefensePlan
-
-__all__ = ["Network", "NetworkStats"]
+__all__ = ["Network"]
 
 
 @lru_cache(maxsize=64)
@@ -57,17 +48,8 @@ def _powerlaw_blueprint(
     return topology, roles, subnets, RoutingTables(topology)
 
 
-@dataclass
-class NetworkStats:
-    """Aggregate delivery counters."""
-
-    packets_injected: int = 0
-    packets_delivered: int = 0
-    packets_dropped: int = 0
-
-
 class Network:
-    """A routed network with rate-limitable links and infectable hosts.
+    """A routed network of infectable hosts and bounded link queues.
 
     Use the factory classmethods — :meth:`from_powerlaw` for the paper's
     1,000-node Internet experiments, :meth:`from_star` for the Section 4
@@ -86,25 +68,18 @@ class Network:
     ) -> None:
         if not infectable:
             raise TopologyError("a scenario needs at least one infectable host")
+        max_queue = operator.index(max_queue)
+        if max_queue <= 0:
+            raise ValueError(f"max_queue must be positive, got {max_queue}")
         self.topology = topology
         self.roles = roles
         self.subnets = subnets
         self.routing = routing if routing is not None else RoutingTables(topology)
-        self._max_queue = max_queue
-        self.links: dict[tuple[int, int], DirectedLink] = {}
-        for u, v in topology.edges:
-            self.links[(u, v)] = DirectedLink(u, v, max_queue=max_queue)
-            self.links[(v, u)] = DirectedLink(v, u, max_queue=max_queue)
-
-        subnet_of = subnets.subnet_of if subnets is not None else None
-        self.hosts: dict[int, Host] = {}
-        for node in infectable:
-            subnet = subnet_of[node] if subnet_of is not None else NO_SUBNET
-            self.hosts[node] = Host(node=node, subnet=subnet)
-        self.infectable: tuple[int, ...] = tuple(sorted(self.hosts))
-        #: Node-level forwarding budgets (hub rate limiting); keyed by node.
-        self.forward_budgets: dict[int, TokenBucket] = {}
-        self.stats = NetworkStats()
+        #: Drop-tail bound of every directed link's queue, in packets.
+        self.max_queue = max_queue
+        #: "Is this node an infectable host", for membership tests.
+        self.infectable_set: frozenset[int] = frozenset(infectable)
+        self.infectable: tuple[int, ...] = tuple(sorted(self.infectable_set))
 
     # ------------------------------------------------------------------
     # Factories
@@ -208,10 +183,6 @@ class Network:
         """Size of the susceptible population ``N``."""
         return len(self.infectable)
 
-    def host(self, node: int) -> Host:
-        """The :class:`Host` for an infectable node."""
-        return self.hosts[node]
-
     def subnet_peers(self, node: int) -> tuple[int, ...]:
         """Infectable hosts sharing ``node``'s subnet, excluding ``node``."""
         if self.subnets is None:
@@ -222,81 +193,5 @@ class Network:
         return tuple(
             peer
             for peer in self.subnets.members[subnet]
-            if peer != node and peer in self.hosts
+            if peer != node and peer in self.infectable_set
         )
-
-    # ------------------------------------------------------------------
-    # Links and filters
-    # ------------------------------------------------------------------
-
-    def link(self, u: int, v: int) -> DirectedLink:
-        """The directed link u→v."""
-        try:
-            return self.links[(u, v)]
-        except KeyError:
-            raise TopologyError(f"no link {u}->{v} in topology") from None
-
-    def install_plan(self, plan: DefensePlan) -> None:
-        """Put a plan's filters on the link and host objects.
-
-        Each filter gets a fresh, empty :class:`TokenBucket`, as the
-        engines apply a plan to their arrays.  Only the typed-packet
-        sweep (:meth:`transmit_tick`) reads the objects' filters.
-        """
-        src = self.routing.link_src
-        dst = self.routing.link_dst
-        for slot, rate, burst in plan.links:
-            self.links[(int(src[slot]), int(dst[slot]))].set_rate_limit(
-                rate, burst
-            )
-        for node, rate, burst in plan.budgets:
-            self.forward_budgets[node] = TokenBucket(rate, burst)
-        for node, rate, burst in plan.throttles:
-            self.hosts[node].scan_throttle = TokenBucket(rate, burst)
-
-    # ------------------------------------------------------------------
-    # Packet movement: typed packets hop by hop over the link objects
-    # (the engines carry bare destinations in their own transports)
-    # ------------------------------------------------------------------
-
-    def inject(self, packet: Packet) -> None:
-        """Enter a packet at its source, en route to ``packet.dst``."""
-        self.stats.packets_injected += 1
-        self._forward_from(packet.src, packet)
-
-    def _forward_from(self, node: int, packet: Packet) -> None:
-        next_hop = self.routing.next_hop(node, packet.dst)
-        if not self.link(node, next_hop).offer(packet):
-            self.stats.packets_dropped += 1
-
-    def transmit_tick(self) -> list[Packet]:
-        """Advance every link by one tick; returns packets that arrived.
-
-        Each drained packet either reached its destination (returned for
-        the deliver phase) or is re-queued on the next link of its path,
-        subject to the forwarding node's budget when one is installed.
-        Links are processed in sorted key order for determinism.
-        """
-        for bucket in self.forward_budgets.values():
-            bucket.refill()
-        arrived: list[Packet] = []
-        for key in sorted(self.links):
-            link = self.links[key]
-            drained = link.drain()
-            for index, packet in enumerate(drained):
-                node = link.dst
-                if node == packet.dst:
-                    arrived.append(packet)
-                    self.stats.packets_delivered += 1
-                    continue
-                budget = self.forward_budgets.get(node)
-                if budget is not None and not budget.try_consume():
-                    # Forwarding budget exhausted this tick: requeue this
-                    # packet and everything drained behind it, preserving
-                    # FIFO order; they retry next tick.
-                    blocked = drained[index:]
-                    for back in reversed(blocked):
-                        link.requeue_front(back)
-                    break
-                self._forward_from(node, packet)
-        return arrived

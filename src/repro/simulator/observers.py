@@ -82,7 +82,7 @@ def subset_fraction_curve(
     of an initial seed rather than the whole network.  Nodes that are
     not infectable hosts of ``network`` are left out.
     """
-    members = [n for n in nodes if n in network.hosts]
+    members = [n for n in nodes if n in network.infectable_set]
     if not members:
         raise ModelError("subset contains no infectable hosts")
     stamps = np.asarray(infected_at)[members]

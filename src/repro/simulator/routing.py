@@ -14,8 +14,8 @@ both from the topology:
   BFS-tree subtree sizes.
 
 Links are numbered by their slot in the CSR adjacency: source ascending,
-then destination ascending, which is also the sorted order of
-``network.links`` keys, so a slot is the transport's link index.  One
+then destination ascending, which is the sorted order of the directed
+``(u, v)`` link keys, so a slot is the transport's link index.  One
 builder does everything in a single pass.  Each destination's tree comes
 from ``scipy.sparse.csgraph.breadth_first_order`` over the CSR adjacency:
 a FIFO queue scanning neighbors in CSR (ascending) order, the same

@@ -186,7 +186,10 @@ class TopologicalWorm(WormStrategy):
             }
             seen |= frontier
         neighborhood = tuple(
-            sorted(n for n in seen if n != origin and n in network.hosts)
+            sorted(
+                n for n in seen
+                if n != origin and n in network.infectable_set
+            )
         )
         self._neighborhoods[origin] = neighborhood
         return neighborhood

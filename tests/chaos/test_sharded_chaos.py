@@ -32,6 +32,7 @@ from repro.chaos import (
 from repro.runner import EnsembleSpec, RunSpec, TopologySpec
 from repro.service import JobStore, QuotaConfig, QuotaTable
 
+from ..service.test_stream_endpoint import flow_lines
 from .conftest import seed_matrix
 
 pytestmark = [pytest.mark.chaos, pytest.mark.service]
@@ -301,3 +302,78 @@ class TestShardKill:
         assert controller.fired_log() == [
             ("service.shard.kill", 0, "error")
         ]
+
+    def test_a_stream_dies_with_its_shard(self, tmp_path):
+        """A chunk for a session whose shard died is a 404, not a reset.
+
+        Stream sessions live in one shard's memory.  Once the owning
+        shard is killed, the router sends later chunks to the next
+        healthy shard, and after the restart to the fresh owner; both
+        answer ``404 unknown stream id`` rather than silently opening
+        a new session, so the client knows to reopen and replay.
+        """
+        import http.client
+        import os
+        import signal
+        import time
+
+        from repro.service import ServiceConfig, ShardSupervisor
+        from repro.service.http11 import ServerThread
+        from repro.service.router import Router
+
+        def post(port: int, path: str, body: str) -> tuple[int, dict]:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", port, timeout=30.0
+            )
+            try:
+                connection.request("POST", path, body=body.encode("utf-8"))
+                response = connection.getresponse()
+                return response.status, json.loads(response.read() or b"{}")
+            finally:
+                connection.close()
+
+        config = ServiceConfig(
+            port=0,
+            jobs=1,
+            max_queue=8,
+            concurrency=1,
+            cache_enabled=False,
+            job_store_dir=str(tmp_path / "jobs"),
+        )
+        supervisor = ShardSupervisor(config, 2)
+        supervisor.start()
+        try:
+            # The health loop stays out of the way: this test restarts
+            # the shard itself, after checking the dead-owner window.
+            with ServerThread(
+                lambda: Router(supervisor, port=0, health_interval_s=3600.0)
+            ) as front:
+                status, opened = post(front.port, "/v1/stream", "{}")
+                assert status == 201
+                stream = f"/v1/stream/{opened['id']}"
+                lines = "\n".join(flow_lines(50))
+                status, chunk = post(front.port, stream, lines)
+                assert (status, chunk["flows"]) == (200, 50)
+
+                owner = supervisor.describe()[0]
+                os.kill(owner["pid"], signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while supervisor.describe()[0]["alive"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+                status, body = post(front.port, stream, lines)
+                assert status == 404
+                assert body["error"] == f"unknown stream id: {opened['id']}"
+
+                assert supervisor.check() == 1
+                status, body = post(front.port, stream, lines)
+                assert status == 404
+                assert body["error"] == f"unknown stream id: {opened['id']}"
+                status, _ = post(front.port, stream + "/close", "")
+                assert status == 404
+                # The restarted owner takes new sessions.
+                status, reopened = post(front.port, "/v1/stream", "{}")
+                assert status == 201
+                assert reopened["id"] != opened["id"]
+        finally:
+            supervisor.stop(grace_s=15.0)

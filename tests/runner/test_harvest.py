@@ -5,10 +5,11 @@ network it attacked.  These tests pin the served bytes of the harvest
 on one fig-4 seed column, every deployment plus figure 5's seed-subnet
 observable, on the mirror (``fast`` below 512 hosts) and on a width-1
 vector group (``fast-batched``).  The digests were taken while a full
-writeback of each run onto the network, with packet totals and
-histograms read off ``network.links``, still produced the same bytes.
-They also check that a finished run, on either engine and in a group,
-leaves the network as it was built, filters included.
+writeback of each run onto the network's link and host objects, with
+packet totals and histograms read off those links, still produced the
+same bytes.  They also check that a finished run, on either engine and
+in a group, leaves the network as it was built and makes no filter
+object on the way.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.runner.spec import (
 from repro.service.protocol import result_payload
 from repro.simulator.links import TokenBucket
 
-from ..oracle import filters
+from ..oracle import as_built
 
 #: One fig-4 seed column at reduced scale (300 nodes, 150 ticks).
 _TEMPLATE = RunSpec(
@@ -131,26 +132,6 @@ def test_deploying_quarantine_payload_bytes_are_pinned(engine, monkeypatch):
     assert [q.deployed_at for q in quarantines] == [9]
 
 
-def _as_built(network) -> tuple:
-    """What a run could leave on a network: hosts, links, totals, filters.
-
-    The filters are each link's rate limit, each host's scan throttle
-    and the forwarding budgets.
-    """
-    return (
-        vars(network.stats),
-        [
-            (host.state, host.infected_at, host.immunized_at)
-            for host in network.hosts.values()
-        ],
-        [
-            (vars(link.stats), link.queue_length)
-            for link in network.links.values()
-        ],
-        filters(network),
-    )
-
-
 @pytest.mark.parametrize("engine", ["mirror", "width-1", "grouped"])
 @pytest.mark.parametrize("deployment", list(_COLUMN))
 def test_finished_runs_leave_the_network_as_built(
@@ -158,9 +139,9 @@ def test_finished_runs_leave_the_network_as_built(
 ):
     """Runs read the network and keep their results to themselves.
 
-    Defenses too: neither the static plan nor a quarantine's puts a
-    filter on the network, so it equals one built with no defense, and
-    no filter is made on the object model at any point of the run.
+    Defenses too: the static plan and a quarantine's are applied to the
+    engines' arrays, so no :class:`TokenBucket` is made at any point of
+    the run, and the network holds what it held when it was built.
     """
     spec = dataclasses.replace(
         _COLUMN[deployment],
@@ -170,10 +151,12 @@ def test_finished_runs_leave_the_network_as_built(
     if deployment == "quarantine":
         spec = dataclasses.replace(spec, **_DEPLOYING)
     networks = []
+    built = []
     build_network = build.build_network
 
     def recording_build_network(*args, **kwargs):
         networks.append(build_network(*args, **kwargs))
+        built.append(as_built(networks[-1]))
         return networks[-1]
 
     quarantines = []
@@ -201,6 +184,7 @@ def test_finished_runs_leave_the_network_as_built(
     (network,) = networks
     assert buckets == []
     assert all(q.deployed_at is not None for q in quarantines)
+    assert as_built(network) == built[0]
     fresh = build_network(spec.topology, run_seed=spec.seed)
-    assert _as_built(network) == _as_built(fresh)
+    assert as_built(network) == as_built(fresh)
     assert all(result.metrics.packets_injected for result in results)

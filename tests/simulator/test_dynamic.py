@@ -13,7 +13,7 @@ from repro.simulator.telescope import ScanDetector, Telescope
 from repro.simulator.worms import RandomScanWorm
 from repro.topology.graphs import TopologyError
 
-from ..oracle import rate_limited_links
+from ..oracle import as_built
 
 
 def build_quarantine(reaction_delay: int = 0) -> DynamicQuarantine:
@@ -70,7 +70,9 @@ class TestDynamicQuarantine:
         limited = np.flatnonzero(simulation.transport.limited_arr)
         assert limited.tolist() == [slot for slot, _, _ in plan.links]
         # The network itself stays as built.
-        assert rate_limited_links(simulation.network) == []
+        assert as_built(simulation.network) == as_built(
+            Network.from_powerlaw(400, seed=5)
+        )
 
     def test_quarantine_slows_outbreak(self):
         undefended, _ = run_outbreak(None)

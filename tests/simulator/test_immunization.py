@@ -9,9 +9,8 @@ import pytest
 from repro.simulator.fastpath.engine import FastImmunization
 from repro.simulator.fastpath.state import HostArrays
 from repro.simulator.immunization import ImmunizationPolicy
-from repro.simulator.nodes import HostState
 
-from ..oracle import HOST_STATES, infect
+from ..oracle import HOST_STATES, HostState
 
 
 class TestPolicyValidation:
@@ -83,16 +82,16 @@ class TestProcess:
         assert 0.1 * n < patched < 0.45 * n
 
     def test_infected_patched_by_default(self, star_network):
-        infect(star_network.host(1), 0)
         policy = ImmunizationPolicy.at_tick(0, mu=1.0)
         process = ArrayPatching(star_network, policy, random.Random(0))
+        process.hosts.infect(1, 0)
         process.step(0, ever_infected=1)
         assert process.state(1) is HostState.IMMUNE
 
     def test_patch_infected_false_spares_infected(self, star_network):
-        infect(star_network.host(1), 0)
         policy = ImmunizationPolicy(mu=1.0, start_tick=0, patch_infected=False)
         process = ArrayPatching(star_network, policy, random.Random(0))
+        process.hosts.infect(1, 0)
         process.step(0, ever_infected=1)
         assert process.state(1) is HostState.INFECTED
         assert process.state(2) is HostState.IMMUNE

@@ -1,4 +1,4 @@
-"""Tests for token buckets and rate-limited directed links."""
+"""Tests for token buckets and the oracle's rate-limited directed links."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.links import DirectedLink, TokenBucket
-from repro.simulator.packet import Packet, PacketKind
+from repro.simulator.links import TokenBucket
+
+from ..oracle import DirectedLink, Packet, PacketKind
 
 
 def make_packet(i: int = 0) -> Packet:

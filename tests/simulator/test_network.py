@@ -1,4 +1,4 @@
-"""Tests for the Network container and packet movement."""
+"""Tests for the Network description and the oracle's packet movement."""
 
 from __future__ import annotations
 
@@ -6,15 +6,33 @@ import pytest
 
 from repro.simulator.defense import DefensePlan
 from repro.simulator.network import Network
-from repro.simulator.nodes import HostState
-from repro.simulator.packet import Packet, PacketKind
 from repro.topology.graphs import Topology, TopologyError
 
-from ..oracle import count_states, immunize, infect, rate_limited_links
+from ..oracle import (
+    HostState,
+    ObjectNetwork,
+    Packet,
+    PacketKind,
+    count_states,
+    immunize,
+    infect,
+    link_keys,
+    rate_limited_links,
+)
 
 
 def infection(src: int, dst: int, tick: int = 0) -> Packet:
     return Packet(src=src, dst=dst, kind=PacketKind.INFECTION, created_tick=tick)
+
+
+@pytest.fixture()
+def star_objects(star_network) -> ObjectNetwork:
+    return ObjectNetwork(star_network)
+
+
+@pytest.fixture()
+def small_objects(small_network) -> ObjectNetwork:
+    return ObjectNetwork(small_network)
 
 
 def link_limit(network: Network, u: int, v: int, rate: float) -> DefensePlan:
@@ -55,18 +73,85 @@ class TestFactories:
         with pytest.raises(TopologyError, match="at least one"):
             Network(ring, roles, subnets, infectable=())
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_rejects_non_positive_queue_bound(self, small_network, bound):
+        with pytest.raises(ValueError, match="max_queue must be positive"):
+            Network(
+                small_network.topology,
+                small_network.roles,
+                small_network.subnets,
+                infectable=small_network.infectable,
+                max_queue=bound,
+            )
+
+    def test_rejects_fractional_queue_bound(self, small_network):
+        with pytest.raises(TypeError):
+            Network(
+                small_network.topology,
+                small_network.roles,
+                small_network.subnets,
+                infectable=small_network.infectable,
+                max_queue=2.5,
+            )
+
+    def test_infectable_is_sorted_and_unique(self, star_network):
+        network = Network(
+            star_network.topology,
+            star_network.roles,
+            star_network.subnets,
+            infectable=(3, 1, 2, 1),
+        )
+        assert network.infectable == (1, 2, 3)
+        assert network.infectable_set == frozenset({1, 2, 3})
+
+
+class TestObjects:
+    def test_one_link_per_direction_in_edge_order(self, small_objects):
+        keys = list(small_objects.links)
+        assert keys == link_keys(small_objects)
+        assert keys[:2] == [
+            small_objects.topology.edges[0],
+            small_objects.topology.edges[0][::-1],
+        ]
+        assert sorted(keys) == list(
+            zip(
+                small_objects.routing.link_src.tolist(),
+                small_objects.routing.link_dst.tolist(),
+            )
+        )
+
+    def test_links_take_the_network_queue_bound(self, star_network):
+        network = Network(
+            star_network.topology,
+            star_network.roles,
+            star_network.subnets,
+            infectable=star_network.infectable,
+            max_queue=3,
+        )
+        objects = ObjectNetwork(network)
+        assert {link.max_queue for link in objects.links.values()} == {3}
+
+    def test_hosts_start_susceptible(self, star_objects):
+        assert sorted(star_objects.hosts) == list(star_objects.infectable)
+        assert all(
+            host.state is HostState.SUSCEPTIBLE
+            and host.infected_at is None
+            and host.scan_throttle is None
+            for host in star_objects.hosts.values()
+        )
+
 
 class TestStateCounting:
-    def test_counts(self, star_network):
-        susceptible, infected, immune = count_states(star_network)
+    def test_counts(self, star_objects):
+        susceptible, infected, immune = count_states(star_objects)
         assert (susceptible, infected, immune) == (49, 0, 0)
-        infect(star_network.host(1), 0)
-        immunize(star_network.host(2), 0)
-        assert count_states(star_network) == (47, 1, 1)
+        infect(star_objects.host(1), 0)
+        immunize(star_objects.host(2), 0)
+        assert count_states(star_objects) == (47, 1, 1)
         assert [
             node
-            for node in star_network.infectable
-            if star_network.host(node).state is HostState.INFECTED
+            for node in star_objects.infectable
+            if star_objects.host(node).state is HostState.INFECTED
         ] == [1]
 
     def test_subnet_peers(self, small_network):
@@ -74,63 +159,63 @@ class TestStateCounting:
         peers = small_network.subnet_peers(host)
         assert host not in peers
         for peer in peers:
-            assert peer in small_network.hosts
+            assert peer in small_network.infectable_set
 
 
 class TestPacketMovement:
-    def test_one_hop_delivery(self, star_network):
-        star_network.inject(infection(1, 0))
+    def test_one_hop_delivery(self, star_objects):
+        star_objects.inject(infection(1, 0))
         # 1 -> hub: one transmit tick delivers to the hub (dst).
-        arrived = star_network.transmit_tick()
+        arrived = star_objects.transmit_tick()
         assert [p.dst for p in arrived] == [0]
 
-    def test_two_hop_delivery_takes_two_ticks(self, star_network):
-        star_network.inject(infection(1, 2))
-        first = star_network.transmit_tick()
+    def test_two_hop_delivery_takes_two_ticks(self, star_objects):
+        star_objects.inject(infection(1, 2))
+        first = star_objects.transmit_tick()
         assert first == []
-        second = star_network.transmit_tick()
+        second = star_objects.transmit_tick()
         assert [p.dst for p in second] == [2]
         assert second[0].hops == 2
 
-    def test_rate_limited_transit_queues(self, star_network):
-        star_network.install_plan(link_limit(star_network, 0, 2, 1.0))
+    def test_rate_limited_transit_queues(self, star_objects):
+        star_objects.install_plan(link_limit(star_objects, 0, 2, 1.0))
         for _ in range(3):
-            star_network.inject(infection(1, 2))
-        star_network.transmit_tick()  # all reach hub queue
+            star_objects.inject(infection(1, 2))
+        star_objects.transmit_tick()  # all reach hub queue
         arrivals = []
         for _ in range(4):
-            arrivals.extend(star_network.transmit_tick())
+            arrivals.extend(star_objects.transmit_tick())
         assert len(arrivals) == 3  # trickled at 1/tick
 
-    def test_node_forward_budget_blocks(self, star_network):
-        star_network.install_plan(
+    def test_node_forward_budget_blocks(self, star_objects):
+        star_objects.install_plan(
             DefensePlan(name="budget", budgets=((0, 1.0, 2.0),))
         )
         for dst in (2, 3, 4):
-            star_network.inject(infection(1, dst))
-        star_network.transmit_tick()
-        arrived = star_network.transmit_tick()
+            star_objects.inject(infection(1, dst))
+        star_objects.transmit_tick()
+        arrived = star_objects.transmit_tick()
         assert len(arrived) == 1  # hub forwards only one per tick
         total = list(arrived)
         for _ in range(5):
-            total.extend(star_network.transmit_tick())
+            total.extend(star_objects.transmit_tick())
         assert len(total) == 3
 
-    def test_unknown_link_rejected(self, star_network):
+    def test_unknown_link_rejected(self, star_objects):
         with pytest.raises(TopologyError):
-            star_network.link(1, 2)
+            star_objects.link(1, 2)
 
-    def test_stats_track_delivery(self, star_network):
-        star_network.inject(infection(1, 0))
-        star_network.transmit_tick()
-        assert star_network.stats.packets_injected == 1
-        assert star_network.stats.packets_delivered == 1
+    def test_stats_track_delivery(self, star_objects):
+        star_objects.inject(infection(1, 0))
+        star_objects.transmit_tick()
+        assert star_objects.stats.packets_injected == 1
+        assert star_objects.stats.packets_delivered == 1
 
-    def test_rate_limited_links_listing(self, small_network):
-        assert rate_limited_links(small_network) == []
-        u, v = small_network.topology.edges[0]
-        small_network.install_plan(link_limit(small_network, u, v, 2.0))
-        limited = rate_limited_links(small_network)
+    def test_rate_limited_links_listing(self, small_objects):
+        assert rate_limited_links(small_objects) == []
+        u, v = small_objects.topology.edges[0]
+        small_objects.install_plan(link_limit(small_objects, u, v, 2.0))
+        limited = rate_limited_links(small_objects)
         assert len(limited) == 1
         assert (limited[0].src, limited[0].dst) == (u, v)
         assert (limited[0].bucket.rate, limited[0].bucket.burst) == (2.0, 3.0)

@@ -1,11 +1,10 @@
-"""Tests for host state machines."""
+"""Tests for the oracle's host state machines."""
 
 from __future__ import annotations
 
 from repro.simulator.links import TokenBucket
-from repro.simulator.nodes import Host, HostState
 
-from ..oracle import allow_scan, immunize, infect, tick_throttle
+from ..oracle import Host, HostState, allow_scan, immunize, infect, tick_throttle
 
 
 class TestStateMachine:

@@ -8,33 +8,44 @@ import pytest
 from repro.models.base import ModelError, Trajectory
 from repro.simulator.observers import average_trajectories
 
-from ..oracle import SamplingRecorder, immunize, infect, infected_at_row
+from ..oracle import (
+    ObjectNetwork,
+    SamplingRecorder,
+    immunize,
+    infect,
+    infected_at_row,
+)
+
+
+@pytest.fixture()
+def star_objects(star_network) -> ObjectNetwork:
+    return ObjectNetwork(star_network)
 
 
 class TestCurveRecorder:
-    def test_samples_network_state(self, star_network):
-        recorder = SamplingRecorder(star_network)
+    def test_samples_network_state(self, star_objects):
+        recorder = SamplingRecorder(star_objects)
         recorder.sample(0)
-        infect(star_network.host(1), 1)
+        infect(star_objects.host(1), 1)
         recorder.note_infection()
         recorder.sample(1)
         trajectory = recorder.trajectory()
         assert trajectory.infected.tolist() == [0.0, 1.0]
         assert trajectory.ever_infected.tolist() == [0.0, 1.0]
-        assert trajectory.population == star_network.num_infectable
+        assert trajectory.population == star_objects.num_infectable
 
-    def test_needs_two_samples(self, star_network):
-        recorder = SamplingRecorder(star_network)
+    def test_needs_two_samples(self, star_objects):
+        recorder = SamplingRecorder(star_objects)
         recorder.sample(0)
         with pytest.raises(ModelError):
             recorder.trajectory()
 
-    def test_ever_infected_survives_patching(self, star_network):
-        recorder = SamplingRecorder(star_network)
-        infect(star_network.host(1), 0)
+    def test_ever_infected_survives_patching(self, star_objects):
+        recorder = SamplingRecorder(star_objects)
+        infect(star_objects.host(1), 0)
         recorder.note_infection()
         recorder.sample(0)
-        immunize(star_network.host(1), 1)
+        immunize(star_objects.host(1), 1)
         recorder.sample(1)
         trajectory = recorder.trajectory()
         assert trajectory.infected[-1] == 0.0
@@ -89,38 +100,38 @@ class TestAverageTrajectories:
 
 
 class TestSubsetFractionCurve:
-    def test_counts_infections_by_stamp(self, star_network):
+    def test_counts_infections_by_stamp(self, star_network, star_objects):
         from repro.simulator.observers import subset_fraction_curve
 
-        infect(star_network.host(1), 2)
-        infect(star_network.host(2), 5)
+        infect(star_objects.host(1), 2)
+        infect(star_objects.host(2), 5)
         ticks = np.arange(8, dtype=float)
         curve = subset_fraction_curve(
-            star_network, infected_at_row(star_network), {1, 2, 3}, ticks
+            star_network, infected_at_row(star_objects), {1, 2, 3}, ticks
         )
         assert curve[0] == 0.0
         assert curve[2] == pytest.approx(1 / 3)
         assert curve[5] == pytest.approx(2 / 3)
         assert curve[7] == pytest.approx(2 / 3)
 
-    def test_ignores_non_host_nodes(self, star_network):
+    def test_ignores_non_host_nodes(self, star_network, star_objects):
         from repro.simulator.observers import subset_fraction_curve
 
-        infect(star_network.host(1), 0)
+        infect(star_objects.host(1), 0)
         ticks = np.arange(3, dtype=float)
         # Node 0 is the hub (not infectable) and must not dilute the set.
         curve = subset_fraction_curve(
-            star_network, infected_at_row(star_network), {0, 1}, ticks
+            star_network, infected_at_row(star_objects), {0, 1}, ticks
         )
         assert curve[-1] == pytest.approx(1.0)
 
-    def test_empty_subset_rejected(self, star_network):
+    def test_empty_subset_rejected(self, star_network, star_objects):
         from repro.simulator.observers import subset_fraction_curve
 
         with pytest.raises(ModelError, match="no infectable"):
             subset_fraction_curve(
                 star_network,
-                infected_at_row(star_network),
+                infected_at_row(star_objects),
                 {0},
                 np.arange(3.0),
             )

@@ -137,8 +137,10 @@ def test_limited_links_respect_budget_on_both_engines(rate, seed, ticks):
             )
         else:
             simulation.run(ticks)
-            links = result_state(
-                network, simulation if engine_cls is FastWormSimulation else None
+            links = (
+                result_state(network, simulation)
+                if engine_cls is FastWormSimulation
+                else result_state(simulation.network)
             )["links"]
         src = network.routing.link_src
         dst = network.routing.link_dst
@@ -255,7 +257,7 @@ def _build_simulation(engine_cls, scenario, **kwargs):
         seed=scenario["seed"],
         **kwargs,
     )
-    return network, simulation
+    return simulation.network, simulation
 
 
 @given(scenario=engine_scenarios())
@@ -292,7 +294,7 @@ def test_host_throttle_tokens_never_negative(seed, rate):
     )
 
     def audit_reference(tick: int) -> bool:
-        for host in network.hosts.values():
+        for host in sim_r.network.hosts.values():
             if host.scan_throttle is not None:
                 assert host.scan_throttle.tokens >= -TOKEN_EPSILON
         return False
@@ -319,7 +321,7 @@ def test_host_throttle_tokens_never_negative(seed, rate):
 
     # Same deployment, same seed: the two engines' final token vectors
     # must agree bucket for bucket.
-    for node, host in network.hosts.items():
+    for node, host in sim_r.network.hosts.items():
         if host.scan_throttle is None:
             continue
         position = sim_f.hosts.throttle_pos[node]

@@ -67,7 +67,7 @@ def _run(engine_cls, seed: int, make_network=_powerlaw, **kwargs):
     with pytest.raises(ModelError):
         simulation.run(MAX_TICKS)
     if engine_cls is WormSimulation:
-        return _stamps(network)
+        return _stamps(simulation.network)
     return _stamps(network, simulation)
 
 

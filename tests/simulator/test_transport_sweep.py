@@ -1,8 +1,8 @@
 """The mirror transport's sweeps against the typed-packet sweep.
 
-:meth:`Network.transmit_tick` moves :class:`Packet` objects hop by hop
-over the link objects; it is kept for the link-weight ablation and
-serves here as the specification.  :class:`MirrorTransport` moves the
+:meth:`ObjectNetwork.transmit_tick` (``tests/oracle.py``) moves typed
+packets hop by hop over the oracle's link objects and serves here as
+the specification.  :class:`MirrorTransport` moves the
 same packets as bare destinations: on arrays while no link is rate
 limited, no node has a forwarding budget and no queue can overflow,
 then on its deques after a limit, a budget or a drop risk.  A mid-run
@@ -21,14 +21,13 @@ from hypothesis import strategies as st
 from repro.simulator.defense import DefensePlan
 from repro.simulator.fastpath.transport import MirrorTransport
 from repro.simulator.network import Network
-from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.routing import RoutingTables
 from repro.topology.classify import classify_roles
 from repro.topology.graphs import Topology
 from repro.topology.powerlaw import barabasi_albert
 from repro.topology.star import star_graph
 
-from ..oracle import total_queued
+from ..oracle import ObjectNetwork, Packet, PacketKind, total_queued
 
 
 @st.composite
@@ -96,8 +95,9 @@ def _network(topology, routing, max_queue: int) -> Network:
 @settings(max_examples=200, deadline=None)
 def test_mirror_transport_matches_the_packet_sweep(case):
     routing = RoutingTables(case["topology"])
-    spec = _network(case["topology"], routing, case["max_queue"])
-    transport = MirrorTransport(spec)
+    network = _network(case["topology"], routing, case["max_queue"])
+    spec = ObjectNetwork(network)
+    transport = MirrorTransport(network)
     deploy = case["deploy"]
     for tick, pairs in enumerate(case["injections"]):
         for src, dst in pairs:

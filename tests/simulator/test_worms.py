@@ -44,7 +44,7 @@ class TestRandomScanWorm:
         for _ in range(300):
             target = worm.pick_target(rng, origin, small_network)
             assert target != origin
-            assert target in small_network.hosts
+            assert target in small_network.infectable_set
 
     def test_roughly_uniform(self, small_network):
         worm = RandomScanWorm()

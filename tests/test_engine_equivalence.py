@@ -76,9 +76,9 @@ from repro.simulator.fastpath.state import (
     INFECTED,
     SUSCEPTIBLE,
 )
-from repro.simulator.nodes import HostState
 
 from .oracle import (
+    HostState,
     WormSimulation,
     count_states,
     last_sample,
@@ -118,7 +118,7 @@ def _run(engine_cls, scenario, *, trace=True):
         instrumentation=instrumentation,
     )
     trajectory = simulation.run(scenario.get("max_ticks", 80))
-    return network, simulation, trajectory, instrumentation
+    return simulation.network, simulation, trajectory, instrumentation
 
 
 def _run_width1(network, worm, max_ticks, *, seed, instrumentation=None,
@@ -479,7 +479,7 @@ class TestRecorderConsistency:
             sample = last_sample(simulation.recorder)
             assert sample is not None
             assert sample[0] == tick
-            assert sample[1:4] == count_states(network)
+            assert sample[1:4] == count_states(simulation.network)
             checked += 1
             return False
 
