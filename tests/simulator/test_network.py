@@ -35,6 +35,13 @@ def small_objects(small_network) -> ObjectNetwork:
     return ObjectNetwork(small_network)
 
 
+def rebuilt(network: Network, **changes) -> Network:
+    """``network``'s scenario with some constructor arguments changed."""
+    kwargs = {"infectable": network.infectable, "routing": network.routing}
+    kwargs.update(changes)
+    return Network(network.topology, network.roles, network.subnets, **kwargs)
+
+
 def link_limit(network: Network, u: int, v: int, rate: float) -> DefensePlan:
     """A plan rate-limiting the one link u→v."""
     slot = network.routing.link_rows[v][u]
@@ -73,34 +80,15 @@ class TestFactories:
         with pytest.raises(TopologyError, match="at least one"):
             Network(ring, roles, subnets, infectable=())
 
-    @pytest.mark.parametrize("bound", [0, -1])
-    def test_rejects_non_positive_queue_bound(self, small_network, bound):
-        with pytest.raises(ValueError, match="max_queue must be positive"):
-            Network(
-                small_network.topology,
-                small_network.roles,
-                small_network.subnets,
-                infectable=small_network.infectable,
-                max_queue=bound,
-            )
-
-    def test_rejects_fractional_queue_bound(self, small_network):
-        with pytest.raises(TypeError):
-            Network(
-                small_network.topology,
-                small_network.roles,
-                small_network.subnets,
-                infectable=small_network.infectable,
-                max_queue=2.5,
-            )
+    @pytest.mark.parametrize(
+        "bound, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError)]
+    )
+    def test_rejects_bad_queue_bound(self, small_network, bound, error):
+        with pytest.raises(error):
+            rebuilt(small_network, max_queue=bound)
 
     def test_infectable_is_sorted_and_unique(self, star_network):
-        network = Network(
-            star_network.topology,
-            star_network.roles,
-            star_network.subnets,
-            infectable=(3, 1, 2, 1),
-        )
+        network = rebuilt(star_network, infectable=(3, 1, 2, 1))
         assert network.infectable == (1, 2, 3)
         assert network.infectable_set == frozenset({1, 2, 3})
 
@@ -121,14 +109,7 @@ class TestObjects:
         )
 
     def test_links_take_the_network_queue_bound(self, star_network):
-        network = Network(
-            star_network.topology,
-            star_network.roles,
-            star_network.subnets,
-            infectable=star_network.infectable,
-            max_queue=3,
-        )
-        objects = ObjectNetwork(network)
+        objects = ObjectNetwork(rebuilt(star_network, max_queue=3))
         assert {link.max_queue for link in objects.links.values()} == {3}
 
     def test_hosts_start_susceptible(self, star_objects):
